@@ -15,6 +15,7 @@ the two exponentials, which keeps it independent of the Gamma quotient.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,8 @@ __all__ = [
 def c_function(G: GroupDatum, lam) -> complex:
     """c(lam) as a Gamma quotient; PoleError at lam in i*Z (pole of Gamma(i lam))."""
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise DomainError(f"c_function requires finite lam, got {lam}")
     il = 1j * lam
     if il.imag == 0.0 and il.real <= 0.0 and il.real == math.floor(il.real):
         raise PoleError(
@@ -51,17 +54,11 @@ def plancherel_density(G: GroupDatum, lam):
     Accepts scalars or arrays.
     """
     lam_arr = np.asarray(lam, dtype=float)
-    flat = np.atleast_1d(lam_arr).ravel()
-    out = np.empty(flat.shape, dtype=float)
-    for i, x in enumerate(flat):
-        if x == 0.0:
-            out[i] = 0.0
-        else:
-            out[i] = math.exp(-2.0 * c_log(G, complex(x)).real)
-    out = out.reshape(np.atleast_1d(lam_arr).shape)
-    if lam_arr.ndim == 0:
-        return float(out[0])
-    return out
+    if not np.all(np.isfinite(lam_arr)):
+        raise DomainError(f"plancherel_density requires finite lam, got {lam!r}")
+    out = np.array([math.exp(-2.0 * c_log(G, complex(x)).real) if x else 0.0
+                    for x in lam_arr.ravel()])
+    return float(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,8 @@ def log_gamma(z) -> complex:
     in exp(log_gamma) on the strips used by the c-function.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"log_gamma requires finite z, got {z}")
     if _is_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at z = {int(z.real)}", pole=int(z.real))
     if z.real >= 0.5:
@@ -305,24 +307,31 @@ def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD
     coarse, fine = _panel_estimates(f, lo, hi)
     # heap of (-error, left, right, fine_value); tie-break on the interval
     heap = [(-abs(fine - coarse), lo, hi, fine)]
-    n_splits = 0
+    # running totals steer; near a decision, or once err fell 1000-fold (to
+    # keep their drift relative), the heap sums replace them and decide
+    total, err = fine, abs(fine - coarse)
+    synced, n_splits = err, 0
     while True:
-        total = sum(item[3] for item in heap)
-        err = sum(-item[0] for item in heap)
-        if err <= q.tolerance(abs(total)):
-            return total, err
-        if n_splits >= q.max_subdivisions:
-            raise AccuracyError(
-                f"subdivision budget {q.max_subdivisions} exhausted "
-                f"(value ~{total}, err_est ~{err:.3e})",
-                value=total,
-                err_est=err,
-            )
-        _, a, b, _ = heapq.heappop(heap)
+        done = n_splits >= q.max_subdivisions
+        if done or err <= 1.01 * q.tolerance(abs(total)) or err < 1e-3 * synced:
+            total = sum(item[3] for item in heap)
+            err = synced = sum(-item[0] for item in heap)
+            if err <= q.tolerance(abs(total)):
+                return total, err
+            if done:
+                raise AccuracyError(
+                    f"subdivision budget {q.max_subdivisions} exhausted "
+                    f"(value ~{total}, err_est ~{err:.3e})",
+                    value=total,
+                    err_est=err,
+                )
+        neg_err, a, b, value = heapq.heappop(heap)
+        total, err = total - value, err + neg_err
         m = 0.5 * (a + b)
         for panel in ((a, m), (m, b)):
             c_est, f_est = _panel_estimates(f, *panel)
             heapq.heappush(heap, (-abs(f_est - c_est), panel[0], panel[1], f_est))
+            total, err = total + f_est, err + abs(f_est - c_est)
         n_splits += 1
 
 

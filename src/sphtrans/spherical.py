@@ -14,22 +14,23 @@ Conventions (fixed once, used by every module):
 
       phi'' + (Delta'/Delta) phi' + (lam^2 + rho^2) phi = 0,  phi(0) = 1.
 
-Evaluation strategy.  The defining 2F1 is summed through the Pfaff map
-u = tanh^2 t for small t, where it converges quickly.  For larger t the
-same function is evaluated through its exponential-series representation
+Evaluation strategy.  ``phi`` evaluates a whole block of rows lam_i and
+columns t_j per call.  Small t sums the defining 2F1 through the Pfaff
+map u = tanh^2 t; larger t uses the exponential-series representation
 
     phi_lam = c(lam) Phi_lam + c(-lam) Phi_{-lam},
     Phi_lam(t) = e^{(i*lam - rho) t} * sum_k  a_k(lam) e^{-2kt},
 
-with recursively computed coefficients and the Gamma-quotient c(lam)
-(see :mod:`sphtrans.cfunction`).  The switch point shrinks with |lam| to
-keep the Pfaff series free of cancellation.  Near the degenerate
-parameters lam = i*k (integer k), where the two-term representation
-breaks down, the values are propagated from the small-t region by
-integrating the differential equation above.
-
-All evaluators are pure; the per-parameter caches only memoize repeated
-work, so concurrent grid scans stay deterministic.
+with recursive coefficients and the Gamma-quotient c(lam) (see
+:mod:`sphtrans.cfunction`).  Each series is one product of a coefficient
+matrix (a row per lam) with a matrix of powers (a column per t).  For
+real lam the block is real: phi = 2 Re(c(lam) Phi_lam), one side summed.
+The switch point shrinks with |lam| to keep the Pfaff series free of
+cancellation; past the spectral windows used here the lost digits are
+measured and raise AccuracyError.  Near lam = i*k (integer k), where the
+two-term form breaks down, rows continue from t = 1.2 by the radial ODE.
+Its solutions are memoized per lam and replaced when a longer horizon is
+needed, so those rows may move at the solver tolerance between calls.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import specfun
-from .errors import CapabilityError, DomainError
+from .errors import AccuracyError, CapabilityError, DomainError
 from .groups import GroupDatum, haar_log_derivative
 from .specfun import DEFAULT_QUAD, ExpDecay, QuadratureSpec, integrate_interval, log_gamma
 
@@ -64,6 +64,12 @@ _DEGENERACY_TOL = 1e-4
 FD_STEP = 1e-4
 
 _MAX_HC_TERMS = 500
+_HC_CHUNK = 25
+_SERIES_CHUNK = 128
+# the Pfaff series fails once roundoff times its largest term passes 1e-10 Xi(t)
+_LOST_DIGITS_TOL = 1e-10
+# row chunks of a block keep every temporary below this many entries
+_BLOCK_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -128,54 +134,144 @@ class RadialProfile:
 
 
 # ---------------------------------------------------------------------------
-# small-t branch: Pfaff-transformed hypergeometric series
+# the two series branches: coefficient rows times a matrix of powers
 # ---------------------------------------------------------------------------
 
-def _jacobi_params(G: GroupDatum, lam: complex):
-    a = 0.5 * (G.rho + 1j * lam)
-    c = G.jacobi_alpha + 1.0
-    q = 0.5 * (G.jacobi_alpha - G.jacobi_beta + 1.0 + 1j * lam)
-    return a, q, c
+def _powers(z: np.ndarray, n: int) -> np.ndarray:
+    """Rows z^0, z^1, ..., z^n by repeated multiplication."""
+    return np.cumprod(np.vstack([np.ones_like(z), np.broadcast_to(z, (n, len(z)))]), axis=0)
 
 
-def _u_series(G: GroupDatum, lam: complex, t: np.ndarray, want_d1: bool):
-    """phi (and optionally phi') by the Pfaff series; valid for small t."""
-    a, qpar, c = _jacobi_params(G, lam)
-    th = np.tanh(t)
-    u = th * th
-    # F and F' summed together with one term recurrence
-    F = np.ones_like(u, dtype=complex)
-    dF = np.zeros_like(u, dtype=complex)
-    upow = np.ones_like(u)  # u^(n-1) below
-    u_max = float(u.max()) if u.size else 0.0
-    tail = 1.0 + (u_max / (1.0 - u_max) if u_max < 1 else math.inf)
-    coef = 1.0 + 0.0j
-    n = 0
-    below = 0
+def _times_real(blocks, powers: np.ndarray):
+    """(Re, Im) of B @ powers for each complex B, in one real matrix product."""
+    prod = np.concatenate([part for B in blocks for part in (B.real, B.imag)]) @ powers
+    return prod.reshape(len(blocks), 2, len(blocks[0]), -1)
+
+
+def _lam_text(lam: complex) -> str:
+    return repr(float(lam.real)) if lam.imag == 0.0 else repr(complex(lam))
+
+
+def _truncate(coef: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Zero each row after its first stopping index (pair[:, k] stops at k + 6)."""
+    stop = np.argmax(pair, axis=1) + 6
+    coef = coef[:, : stop.max() + 1]
+    coef[np.arange(coef.shape[1]) > stop[:, None]] = 0.0
+    return coef
+
+
+def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: bool):
+    """phi (and phi') on lam x t by the Pfaff series in u = tanh^2 t.
+
+    Row i is summed for its own columns ``own[i]`` (all when None); its
+    other entries are not meaningful.  It stops at the first n >= 6 where
+    the term bound |C_n| u^n times the tail factor 1 + u/(1 - u), at its
+    largest own u, is below 1e-17 for two consecutive n.  Roundoff times
+    the largest term is what cancellation costs; past 1e-10 of the bound
+    on |phi|, the row raises AccuracyError.
+    """
+    t_star = np.full(len(lam), t.max()) if own is None else np.where(own, t, 0.0).max(axis=1)
+    u_max = np.tanh(t_star) ** 2
+    a = 0.5 * (G.rho + 1j * lam)[:, None]
+    q = 0.5 * (G.jacobi_alpha - G.jacobi_beta + 1.0 + 1j * lam)[:, None]
+    coef = np.ones((len(lam), 1), dtype=complex)
+    bound = np.empty((len(lam), 0))  # bound[:, k] belongs to n = k + 1
     while True:
-        ratio = (a + n) * (qpar + n) / ((c + n) * (n + 1.0))
-        coef = coef * ratio
-        n += 1
-        F += coef * (upow * u)
-        if want_d1:
-            dF += n * coef * upow
-        upow = upow * u
-        t_max = abs(coef) * u_max**n
-        if t_max * tail < 1e-17 * max(1.0, float(np.abs(F).max())):
-            below += 1
-            if below >= 2 and n >= 6:
-                break
-        else:
-            below = 0
-        if n >= 100_000:
-            raise specfun.AccuracyError("spherical series failed to converge")
-    pref = np.exp(-(G.rho + 1j * lam) * np.log(np.cosh(t)))
-    val = pref * F
+        n = np.arange(coef.shape[1] - 1, coef.shape[1] + _SERIES_CHUNK - 1, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = (a + n) * (q + n) / ((G.jacobi_alpha + 1.0 + n) * (n + 1.0))
+            new = np.cumprod(np.hstack([coef[:, -1:], ratio]), axis=1)[:, 1:]
+            bound = np.hstack([bound, np.abs(new) * u_max[:, None] ** (n + 1.0)])
+        coef = np.hstack([coef, new])
+        below = bound * (1.0 + u_max / (1.0 - u_max))[:, None] < 1e-17
+        pair = below[:, 5:] & below[:, 4:-1]
+        if pair.any(axis=1).all() or not np.isfinite(bound).all():
+            break
+    # |phi_lam(t)| <= e^{|Im lam| t} Xi(t) and Xi(t) >= e^{-rho t}: only
+    # rows past the cheap bound need Xi itself
+    env = np.exp(np.abs(lam.imag) * t_star)
+    peak = np.nan_to_num(bound, nan=np.inf).max(axis=1)
+    lost = np.finfo(float).eps * peak * np.cosh(t_star) ** (lam.imag - G.rho) / env
+    for i in np.flatnonzero(~(lost <= _LOST_DIGITS_TOL * np.exp(-G.rho * t_star))):
+        xi_t = _pfaff_series(G, np.zeros(1), t_star[i:i + 1], None, False)[0].real[0, 0]
+        if not lost[i] <= _LOST_DIGITS_TOL * xi_t:
+            raise AccuracyError(
+                f"Pfaff series for phi loses too many digits at lam = {_lam_text(lam[i])}, "
+                f"t = {float(t_star[i])!r}: roundoff {lost[i] * env[i]:.2e} exceeds "
+                f"{_LOST_DIGITS_TOL:g} of the bound e^(|Im lam| t) Xi(t) = {env[i] * xi_t:.2e}",
+                err_est=lost[i] * env[i],
+            )
+    coef = _truncate(coef, pair)
+    blocks = [coef]
+    if want_d1:
+        blocks.append(np.hstack([coef[:, 1:] * np.arange(1, coef.shape[1]), 0.0 * coef[:, :1]]))
+    th = np.tanh(t)
+    sums = [re + 1j * im for re, im in _times_real(blocks, _powers(th * th, coef.shape[1] - 1))]
+    s = (G.rho + 1j * lam)[:, None]
+    pref = np.exp(-s * np.log(np.cosh(t)))
     if not want_d1:
-        return val, None
-    sech2 = 1.0 - th * th
-    dval = pref * (-(G.rho + 1j * lam) * th * F + dF * 2.0 * th * sech2)
-    return val, dval
+        return [pref * sums[0]]
+    return [pref * sums[0], pref * (-s * th * sums[0] + sums[1] * 2.0 * th * (1.0 - th * th))]
+
+
+def _hc_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, t_min: np.ndarray,
+               want_d1: bool, real: bool):
+    """phi (and phi') on lam x t as c(lam) Phi_lam + c(-lam) Phi_{-lam}, where
+
+        Phi_lam(t) = e^{mu t} sum_k a_k e^{-2kt},   mu = i lam - rho,
+        4 k (k - i lam) a_k = - sum_{j=1}^{k} b_j a_{k-j} (mu - 2(k-j)),  a_0 = 1,
+        b_j = 2 m_alpha + 4 m_2alpha [j even]
+
+    from the radial equation.  b_j depends only on the parity of j, so
+    running sums of d_m = a_m (mu - 2m) over all m and over each parity
+    make a step O(1).  Row i stops at the first k >= 6 where |a_k| x^k and
+    |a_{k-1}| x^{k-1} are below 1e-19 max(1, |a_1|, ..., |a_k|), with
+    x = e^{-2 t_min[i]}.  Real lam: phi = 2 Re(c(lam) Phi_lam).
+    """
+    sides = lam if real else np.concatenate([lam, -lam])
+    x = np.exp(-2.0 * np.tile(t_min, 1 if real else 2))
+    mu = 1j * sides - G.rho
+    # one row runs on Python complex numbers: no per-step array overhead
+    one = len(sides) == 1
+    total = complex(mu[0]) if one else mu.copy()  # sum of d_m over m < k
+    parity = [total, 0j] if one else [mu.copy(), np.zeros_like(mu)]  # over even, odd m
+    cols = [1.0 + 0j] if one else [np.ones_like(mu)]
+    while True:
+        ks = np.arange(len(cols), len(cols) + _HC_CHUNK, dtype=float)
+        inv = -1.0 / (4.0 * ks * (ks - 1j * sides[:, None]))
+        shift = mu[:, None] - 2.0 * ks
+        inv, shift = (inv[0].tolist(), shift[0].tolist()) if one else (inv.T, shift.T)
+        for j, k in enumerate(ks.astype(int)):
+            a = (2.0 * G.m_alpha * total + 4.0 * G.m_2alpha * parity[k % 2]) * inv[j]
+            d = a * shift[j]
+            total += d
+            parity[k % 2] += d
+            cols.append(a)
+        A = np.array(cols).reshape(len(cols), -1).T
+        mag = np.abs(A)
+        scale = 1e-19 * np.maximum.accumulate(np.maximum(mag, 1.0), axis=1)[:, 6:]
+        term = mag * x[:, None] ** np.arange(A.shape[1])
+        pair = (term[:, 6:] < scale) & (term[:, 5:-1] < scale)
+        if pair.any(axis=1).all():
+            break
+        if A.shape[1] > _MAX_HC_TERMS:
+            i = int(np.argmin(pair.any(axis=1)))
+            raise AccuracyError(
+                f"exponential series for phi did not settle within {_MAX_HC_TERMS} terms "
+                f"at lam = {_lam_text(sides[i])}, t = {-0.5 * math.log(x[i])!r}"
+            )
+    coef = _truncate(A, pair) * np.array([c_value(G, z) for z in sides])[:, None]
+    coef *= 2.0 if real else 1.0
+    blocks = [coef]
+    if want_d1:
+        blocks.append(coef * (mu[:, None] - 2.0 * np.arange(coef.shape[1])))
+    # e^{mu t} = e^{-rho t} e^{i lam t}; the first factor rides on the powers
+    sums = _times_real(blocks, _powers(np.exp(-2.0 * t), coef.shape[1] - 1) * np.exp(-G.rho * t))
+    if real:
+        phase = np.outer(lam.real, t)
+        return [np.cos(phase) * re - np.sin(phase) * im for re, im in sums]
+    front = np.exp(1j * np.outer(sides, t))
+    return [(front * (re + 1j * im)).reshape(2, len(lam), -1).sum(axis=0) for re, im in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -212,89 +308,11 @@ def c_value(G: GroupDatum, lam: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# large-t branch: exponential series with recursive coefficients
-# ---------------------------------------------------------------------------
-
-def _hc_coefficients(G: GroupDatum, lam: complex, t_min: float) -> np.ndarray:
-    """Coefficients a_k of Phi_lam(t) = e^{(i lam - rho)t} sum a_k e^{-2kt}.
-
-    Recursion (from the radial differential equation, mu = i*lam - rho):
-
-        4 k (k - i lam) a_k = - sum_{j=1}^{k} b_j a_{k-j} (mu - 2(k-j)),
-        b_j = 2 m_alpha + 4 m_2alpha [j even],   a_0 = 1.
-    """
-    mu = 1j * lam - G.rho
-    il = 1j * lam
-    coeffs = [1.0 + 0.0j]
-    x = math.exp(-2.0 * t_min)
-    scale = 1.0
-    k = 0
-    while True:
-        k += 1
-        if k > _MAX_HC_TERMS:
-            raise specfun.AccuracyError(
-                f"exponential series for phi did not settle within {_MAX_HC_TERMS} terms"
-            )
-        acc = 0.0 + 0.0j
-        for j in range(1, k + 1):
-            b_j = 2.0 * G.m_alpha + (4.0 * G.m_2alpha if j % 2 == 0 else 0.0)
-            if b_j:
-                acc += b_j * coeffs[k - j] * (mu - 2.0 * (k - j))
-        denom = 4.0 * k * (k - il)
-        if abs(denom) < 1e-12:
-            raise DomainError(
-                f"exponential-series representation degenerate at lam = {lam}"
-            )
-        coeffs.append(-acc / denom)
-        scale = max(scale, abs(coeffs[-1]))
-        if k >= 6 and abs(coeffs[-1]) * x**k < 1e-19 * scale and abs(coeffs[-2]) * x ** (k - 1) < 1e-19 * scale:
-            break
-    return np.asarray(coeffs)
-
-
-def _hc_one_sided(G: GroupDatum, lam: complex, t: np.ndarray, coeffs: np.ndarray, want_d1: bool):
-    mu = 1j * lam - G.rho
-    x = np.exp(-2.0 * t)
-    poly = np.polynomial.polynomial.polyval(x, coeffs)
-    front = np.exp(mu * t)
-    val = front * poly
-    if not want_d1:
-        return val, None
-    ks = np.arange(len(coeffs))
-    dcoeffs = coeffs * (mu - 2.0 * ks)
-    dval = front * np.polynomial.polynomial.polyval(x, dcoeffs)
-    return val, dval
-
-
-def _hc_phi(G: GroupDatum, lam: complex, t: np.ndarray, want_d1: bool):
-    t_min = float(t.min())
-    cp = c_value(G, lam)
-    cm = c_value(G, -lam)
-    vp = vm = 0.0
-    dp = dm = 0.0
-    if cp != 0.0:
-        coeff_p = _hc_coefficients(G, lam, t_min)
-        vp, dp = _hc_one_sided(G, lam, t, coeff_p, want_d1)
-    if cm != 0.0:
-        coeff_m = _hc_coefficients(G, -lam, t_min)
-        vm, dm = _hc_one_sided(G, -lam, t, coeff_m, want_d1)
-    val = cp * vp + cm * vm
-    if not want_d1:
-        return val, None
-    return val, cp * dp + cm * dm
-
-
-# ---------------------------------------------------------------------------
 # degenerate-parameter branch: propagate the radial ODE
 # ---------------------------------------------------------------------------
 
 _ODE_T0 = 1.2
 _ODE_CACHE: dict[tuple, tuple[float, object]] = {}
-
-
-def _is_degenerate(lam: complex) -> bool:
-    k = round(lam.imag)
-    return abs(lam - 1j * k) < _DEGENERACY_TOL
 
 
 def _g_remainder(G: GroupDatum, t):
@@ -324,146 +342,118 @@ def _ode_solution(G: GroupDatum, lam: complex, t_max: float):
         acc = -g * v - (lam2 - rho * g) * w
         return [vr, vi, acc.real, acc.imag]
 
-    v0, d0 = _u_series(G, lam, np.asarray([_ODE_T0]), want_d1=True)
-    w0 = cmath.exp(rho * _ODE_T0) * complex(v0[0])
-    w0p = cmath.exp(rho * _ODE_T0) * (complex(d0[0]) + rho * complex(v0[0]))
-    sol = solve_ivp(
-        rhs,
-        (_ODE_T0, horizon),
-        [w0.real, w0.imag, w0p.real, w0p.imag],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=True,
-    )
+    seed = _pfaff_series(G, np.array([lam]), np.array([_ODE_T0]), None, True)
+    v0, d0 = (complex(z[0, 0]) for z in seed)
+    w0 = cmath.exp(rho * _ODE_T0) * v0
+    w0p = cmath.exp(rho * _ODE_T0) * (d0 + rho * v0)
+    sol = solve_ivp(rhs, (_ODE_T0, horizon), [w0.real, w0.imag, w0p.real, w0p.imag],
+                    method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
     if not sol.success:
-        raise specfun.AccuracyError(f"radial ODE propagation failed: {sol.message}")
+        raise AccuracyError(f"radial ODE propagation failed: {sol.message}")
     _ODE_CACHE[key] = (horizon, sol)
     return sol
 
 
 def _ode_eval(G: GroupDatum, lam: complex, t: np.ndarray, want_d1: bool):
-    sol = _ode_solution(G, lam, float(t.max()))
-    y = sol.sol(t)
+    y = _ode_solution(G, lam, float(t.max())).sol(t)
     w = y[0] + 1j * y[1]
-    wp = y[2] + 1j * y[3]
     damp = np.exp(-G.rho * t)
-    val = damp * w
-    if not want_d1:
-        return val, None
-    return val, damp * (wp - G.rho * w)
+    return [damp * w, damp * (y[2] + 1j * y[3] - G.rho * w)][: 1 + want_d1]
 
 
 # ---------------------------------------------------------------------------
-# public evaluators
+# block evaluator and public functions
 # ---------------------------------------------------------------------------
 
-def _switch_point(lam: complex) -> float:
-    mod = abs(lam)
-    if mod <= 8.0:
-        return 1.2
-    return max(0.19, 9.6 / mod)
+def _phi_rows(G: GroupDatum, lam: np.ndarray, t: np.ndarray, want_d1: bool, real: bool):
+    """[phi] or [phi, phi'] on the block of complex rows lam x t, float64 when ``real``.
+
+    A row leaves the Pfaff series at max(0.19, 9.6/|lam|) (1.2 for
+    |lam| <= 8) for the exponential series, or, if degenerate
+    (|lam - ik| < 1e-4), for the radial ODE.  Row chunks keep temporaries small.
+    """
+    val = np.empty((len(lam), len(t)), dtype=float if real else complex)
+    outs = [val, np.empty_like(val)] if want_d1 else [val]
+    mod = np.abs(lam)
+    deg = np.abs(lam - 1j * np.round(lam.imag)) < _DEGENERACY_TOL
+    switch = np.where(deg | (mod <= 8.0), _ODE_T0, np.maximum(0.19, 9.6 / np.maximum(mod, 8.0)))
+    step = max(1, _BLOCK_ENTRIES // max(len(t), 1))
+    for r in range(0, len(lam), step):
+        rows = slice(r, r + step)
+        exp_rows = r + np.flatnonzero(~deg[rows])
+        cols = np.flatnonzero(t > switch[exp_rows].min()) if exp_rows.size else []
+        if len(cols):
+            t_min = np.where(t[cols] > switch[exp_rows, None], t[cols], np.inf).min(axis=1)
+            for out, part in zip(outs, _hc_series(G, lam[exp_rows], t[cols], t_min, want_d1, real)):
+                out[np.ix_(exp_rows, cols)] = part
+        cols = np.flatnonzero(t <= switch[rows].max())
+        if cols.size:
+            own = t[cols] <= switch[rows, None]
+            for out, part in zip(outs, _pfaff_series(G, lam[rows], t[cols], own, want_d1)):
+                out[rows, cols] = np.where(own, part.real if real else part, out[rows, cols])
+    cols = np.flatnonzero(t > _ODE_T0)
+    for i in np.flatnonzero(deg) if cols.size else ():
+        for out, part in zip(outs, _ode_eval(G, lam[i], t[cols], want_d1)):
+            out[i, cols] = part.real if real else part
+    return outs
 
 
-def _phi_impl(G: GroupDatum, lam: complex, t: np.ndarray, want_d1: bool):
-    val = np.zeros(t.shape, dtype=complex)
-    der = np.zeros(t.shape, dtype=complex) if want_d1 else None
-    if _is_degenerate(lam):
-        ts = _ODE_T0
-        small = t <= ts
-        large = ~small
-        if np.any(small):
-            v, d = _u_series(G, lam, t[small], want_d1)
-            val[small] = v
-            if want_d1:
-                der[small] = d
-        if np.any(large):
-            v, d = _ode_eval(G, lam, t[large], want_d1)
-            val[large] = v
-            if want_d1:
-                der[large] = d
-        return val, der
-    ts = _switch_point(lam)
-    small = t <= ts
-    large = ~small
-    if np.any(small):
-        v, d = _u_series(G, lam, t[small], want_d1)
-        val[small] = v
-        if want_d1:
-            der[small] = d
-    if np.any(large):
-        v, d = _hc_phi(G, lam, t[large], want_d1)
-        val[large] = v
-        if want_d1:
-            der[large] = d
-    return val, der
-
-
-def _as_t_array(t) -> np.ndarray:
-    t_arr = np.asarray(t, dtype=float)
+def _evaluate(G: GroupDatum, lam, t, order: int):
+    lam_arr, t_arr = np.asarray(lam), np.asarray(t, dtype=float)
+    if lam_arr.ndim > 1:
+        raise DomainError("lam must be a scalar or a 1-D array")
+    for name, arr in (("lam", lam_arr), ("t", t_arr)):
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"phi requires finite {name}, got {arr!r}")
     if np.any(t_arr < 0):
         raise DomainError("phi requires t >= 0")
-    return t_arr
+    rows = np.atleast_1d(lam_arr).astype(complex)
+    real = not np.any(rows.imag)
+    ts = t_arr.ravel()
+    outs = _phi_rows(G, rows, ts, order > 0, real)
+    out = outs[min(order, 1)]
+    if order == 2:  # phi'' = -(Delta'/Delta) phi' - (lam^2 + rho^2) phi
+        val, der = outs
+        ev = (rows.real**2 if real else rows * rows)[:, None] + G.rho * G.rho
+        out = -ev * val
+        far = ts > 1e-3
+        out[:, far] -= haar_log_derivative(G, ts[far]) * der[:, far]
+        out[:, ~far] = -ev / (2.0 * (G.jacobi_alpha + 1.0))
+    if lam_arr.ndim == 0:
+        out = out[0].astype(complex)
+        return complex(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+    if np.iscomplexobj(lam_arr):
+        out = out.astype(complex, copy=False)
+    return out.reshape((len(rows),) + t_arr.shape)
 
 
 def phi(G: GroupDatum, lam, t):
-    """Spherical function phi_lam(t); scalar or vectorized over t."""
-    lam = complex(lam)
-    t_arr = _as_t_array(t)
-    val, _ = _phi_impl(G, lam, np.atleast_1d(t_arr), want_d1=False)
-    if t_arr.ndim == 0:
-        return complex(val[0])
-    return val
+    """Spherical function phi_lam(t) at t >= 0: complex, shaped like ``t``, for a
+    scalar ``lam``; the block [phi_{lam[i]}(t)] for a 1-D ``lam``, float64 if real."""
+    return _evaluate(G, lam, t, 0)
 
 
 def phi_d1(G: GroupDatum, lam, t):
-    """d/dt of phi_lam at t >= 0 (odd in t, so phi_d1(0) = 0)."""
-    lam = complex(lam)
-    t_arr = _as_t_array(t)
-    _, der = _phi_impl(G, lam, np.atleast_1d(t_arr), want_d1=True)
-    if t_arr.ndim == 0:
-        return complex(der[0])
-    return der
+    """d/dt of phi_lam at t >= 0 (odd in t, so phi_d1(0) = 0); shapes as in :func:`phi`."""
+    return _evaluate(G, lam, t, 1)
 
 
 def phi_d2(G: GroupDatum, lam, t):
-    """Second radial derivative of phi_lam.
-
-    For t above a small threshold this uses the differential equation
-    phi'' = -(Delta'/Delta) phi' - (lam^2 + rho^2) phi; below it, the
-    exact limit phi''(0) = -(lam^2 + rho^2)/(2 (alpha + 1)).
-    """
-    lam = complex(lam)
-    t_arr = np.atleast_1d(_as_t_array(t))
-    val, der = _phi_impl(G, lam, t_arr, want_d1=True)
-    ev = lam * lam + G.rho * G.rho
-    out = np.empty_like(val)
-    near = t_arr <= 1e-3
-    if np.any(~near):
-        tt = t_arr[~near]
-        out[~near] = -haar_log_derivative(G, tt) * der[~near] - ev * val[~near]
-    if np.any(near):
-        out[near] = -ev / (2.0 * (G.jacobi_alpha + 1.0))
-    if np.ndim(t) == 0:
-        return complex(out[0])
-    return out
+    """Second radial derivative of phi_lam, from the radial equation (t > 1e-3)
+    or its exact limit -(lam^2 + rho^2)/(2 (alpha + 1)) at 0; shapes as in :func:`phi`."""
+    return _evaluate(G, lam, t, 2)
 
 
 def xi(G: GroupDatum, t):
     """Reference spherical function Xi(t) = phi_0(t); real, in (0, 1]."""
-    out = phi(G, 0.0, t)
-    if np.ndim(t) == 0:
-        return float(out.real)
-    return out.real
+    out = phi(G, 0.0, t).real
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def sigma(t):
     """Radial distance |t|."""
-    t_arr = np.asarray(t, dtype=float)
-    out = np.abs(t_arr)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    out = np.abs(np.asarray(t, dtype=float))
+    return float(out) if np.ndim(t) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -188,33 +188,38 @@ class TransformResult:
 # shared quadrature tables
 # ---------------------------------------------------------------------------
 
+# real phi tables; the oldest go once the byte cap is passed, a larger one is not kept
 _PHI_CACHE: dict[tuple, np.ndarray] = {}
-_PHI_CACHE_MAX = 48
+_PHI_CACHE_BYTES = 256 * 2**20
 
 
 def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Matrix phi[lam_i, t_j]; rows with equal |lam| share one evaluation."""
+    """Real matrix phi[lam_i, t_j] for real lam_i, held in the table cache."""
     key = (G.name, lams.tobytes(), ts.tobytes())
     hit = _PHI_CACHE.get(key)
     if hit is not None:
         return hit
-    uniq, inverse = np.unique(np.abs(lams), return_inverse=True)
-    block = np.empty((len(uniq), len(ts)), dtype=complex)
-    for i, lam in enumerate(uniq):
-        block[i] = phi(G, lam, ts)
-    out = block[inverse]
-    if len(_PHI_CACHE) >= _PHI_CACHE_MAX:
-        _PHI_CACHE.pop(next(iter(_PHI_CACHE)))
-    _PHI_CACHE[key] = out
+    out = phi(G, lams, ts)
+    if out.nbytes <= _PHI_CACHE_BYTES:
+        while sum(v.nbytes for v in _PHI_CACHE.values()) + out.nbytes > _PHI_CACHE_BYTES:
+            _PHI_CACHE.pop(next(iter(_PHI_CACHE)))
+        _PHI_CACHE[key] = out
     return out
 
 
-def _phi_d1_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    uniq, inverse = np.unique(np.abs(lams), return_inverse=True)
-    block = np.empty((len(uniq), len(ts)), dtype=complex)
-    for i, lam in enumerate(uniq):
-        block[i] = phi_d1(G, lam, ts)
-    return block[inverse]
+def _mirror_fold(lams: np.ndarray):
+    """(rows, fold) with phi_{lams[i]} = row fold[i] of phi on ``rows`` (phi is even in
+    lam): a grid symmetric about 0 to rounding folds i <-> n-1-i, else equal |lam| merge."""
+    n, scale = len(lams), np.abs(lams).max(initial=0.0)
+    if np.all(np.abs(lams + lams[::-1]) <= 8.0 * np.finfo(float).eps * scale):
+        return np.abs(lams[n // 2:]), np.maximum(np.arange(n), np.arange(n)[::-1]) - n // 2
+    return np.unique(np.abs(lams), return_inverse=True)
+
+
+def _real_times(table: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """table @ w for a real table and a complex vector, without a complex copy of the table."""
+    out = table @ np.stack([w.real, w.imag], axis=1)
+    return out[:, 0] + 1j * out[:, 1]
 
 
 @dataclass(eq=False)
@@ -316,10 +321,10 @@ def hc_transform(
     coarse = _radial_rule(G, T, _T_ORDER_COARSE)
     f_fine = np.asarray(f(fine.nodes), dtype=complex)
     f_coarse = np.asarray(f(coarse.nodes), dtype=complex)
-    rows_fine = _phi_block(G, grid, fine.nodes)
-    rows_coarse = _phi_block(G, grid, coarse.nodes)
-    vals_fine = rows_fine @ (fine.weights * fine.delta * f_fine)
-    vals_coarse = rows_coarse @ (coarse.weights * coarse.delta * f_coarse)
+    rows, fold = _mirror_fold(grid)
+    w_fine, w_coarse = fine.weights * fine.delta * f_fine, coarse.weights * coarse.delta * f_coarse
+    vals_fine = _real_times(_phi_block(G, rows, fine.nodes), w_fine)[fold]
+    vals_coarse = _real_times(_phi_block(G, rows, coarse.nodes), w_coarse)[fold]
     env = ExpDecay(f.decay.coeff * _XI_ENVELOPE, f.decay.rate - G.rho, f.decay.degree + 1)
     tail = env.tail_integral(T)
     err = np.abs(vals_fine - vals_coarse) + tail
@@ -462,12 +467,12 @@ def wave_packet(
     def eval_packet(ts):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         rule, charge = _charged_rule(ts)
-        return charge @ _phi_block(G, rule.nodes, ts)
+        return _real_times(_phi_block(G, rule.nodes, ts).T, charge)
 
     def eval_d1(ts):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         rule, charge = _charged_rule(ts)
-        return charge @ _phi_d1_block(G, rule.nodes, ts)
+        return _real_times(phi_d1(G, rule.nodes, ts).T, charge)
 
     def noise_floor(ts):
         # evaluator noise: roundoff of the quadrature dot against the

@@ -1,0 +1,270 @@
+"""The block evaluator of phi over (lam, t), checked against independent oracles,
+plus the table cache, the mirror fold and the adaptive rule's running totals."""
+
+import heapq
+import time
+
+import numpy as np
+import pytest
+
+from sphtrans import schwartz, specfun, transform
+from sphtrans.cfunction import c_function, plancherel_density
+from sphtrans.errors import AccuracyError, DomainError
+from sphtrans.groups import PRESET_NAMES, preset
+from sphtrans.profiles import gaussian_profile
+from sphtrans.schwartz import TubeSpec, tube_extension_check
+from sphtrans.spherical import _ode_eval, phi, phi_d1, phi_d2, phi_integral_oracle
+
+GRID = transform.default_spectral_grid()
+T64 = np.linspace(0.0, 64.0, 641)
+
+
+def h3_closed_form(lam, t):
+    """sin(lam t) / (lam sinh t) on H3, with its limits at t = 0 and lam = 0."""
+    lam = np.asarray(lam)[:, None]
+    t = np.asarray(t)[None, :]
+    st = np.where(t == 0.0, 1.0, t / np.where(t == 0.0, 1.0, np.sinh(t)))  # t / sinh t
+    lt = lam * t
+    small = np.abs(lt) < 1e-8
+    sinc = np.where(small, 1.0 - lt**2 / 6.0, np.sin(lt) / np.where(small, 1.0, lt))
+    return sinc * st
+
+
+def xi_h3(t):
+    return np.where(t == 0.0, 1.0, t / np.where(t == 0.0, 1.0, np.sinh(t)))
+
+
+def test_h3_block_matches_closed_form_on_default_grid():
+    G = preset("H3")
+    block = phi(G, GRID, T64)
+    assert block.shape == (481, 641)
+    err = np.abs(block - h3_closed_form(GRID, T64)) / xi_h3(T64)
+    assert err.max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["SL2R", "H4"])
+def test_block_matches_integral_oracle(name):
+    G = preset(name)
+    lams = np.array([0.0, 0.6, 2.5, 7.0, 11.5])
+    ts = np.array([0.3, 1.0, 2.2, 4.0])
+    block = phi(G, lams, ts)
+    for i, lam in enumerate(lams):
+        for j, t in enumerate(ts):
+            assert abs(block[i, j] - phi_integral_oracle(G, lam, t)) <= 1e-9
+
+
+def test_ch2_block_matches_ode_branch_beyond_switch():
+    G = preset("CH2")
+    lams = np.array([0.35, 1.7, 5.0, 9.5])
+    ts = np.linspace(1.3, 12.0, 40)
+    block = phi(G, lams, ts)
+    xi = phi(G, 0.0, ts).real
+    for i, lam in enumerate(lams):
+        ode = _ode_eval(G, complex(lam), ts, False)[0]
+        assert np.max(np.abs(block[i] - ode.real) / xi) <= 1e-10
+
+
+def test_block_rows_equal_scalar_calls():
+    ts = np.concatenate([np.linspace(0.0, 3.0, 31), [5.0, 20.0]])
+    for name in ("SL2R", "CH2"):
+        G = preset(name)
+        lams = np.array([0.0, 0.01, 1.3, 8.0, 8.5, 12.0])
+        block = phi(G, lams, ts)
+        dblock = phi_d1(G, lams, ts)
+        for i, lam in enumerate(lams):
+            np.testing.assert_allclose(block[i], phi(G, lam, ts).real, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(dblock[i], phi_d1(G, lam, ts).real, rtol=0, atol=1e-14)
+
+
+def test_degenerate_rows():
+    G = preset("H3")
+    ts = np.linspace(0.0, 30.0, 301)
+    block = phi(G, np.array([0.0, 1e-5, 1j]), ts)
+    exact = h3_closed_form(np.array([0.0, 1e-5]), ts)
+    assert np.max(np.abs(block[:2] - exact) / xi_h3(ts)) <= 1e-12
+    # phi_i = sinh t / sinh t = 1 on H3
+    assert np.max(np.abs(block[2] - 1.0)) <= 1e-11
+
+
+def test_complex_strip_rows():
+    G = preset("H3")
+    rng = np.random.default_rng(7)
+    lams = rng.uniform(-10.0, 10.0, 12) + 1j * rng.uniform(-G.rho, G.rho, 12)
+    ts = np.linspace(0.0, 20.0, 201)
+    block = phi(G, lams, ts)
+    assert block.dtype == complex
+    env = np.exp(np.abs(lams.imag)[:, None] * ts) * xi_h3(ts)
+    assert np.max(np.abs(block - h3_closed_form(lams, ts)) / env) <= 1e-12
+
+
+def test_d1_block_matches_central_differences():
+    h = 1e-5
+    for name in ("SL2R", "CH2"):
+        G = preset(name)
+        lams = np.array([0.0, 0.8, 4.0, 10.0])
+        ts = np.linspace(0.2, 8.0, 27)
+        fd = (phi(G, lams, ts + h) - phi(G, lams, ts - h)) / (2 * h)
+        assert np.max(np.abs(phi_d1(G, lams, ts) - fd)) <= 5e-8
+
+
+def test_dtypes_and_shapes():
+    G = preset("SL2R")
+    ts = np.linspace(0.0, 5.0, 11)
+    assert phi(G, np.array([0.5, 2.0]), ts).dtype == np.float64
+    assert phi_d1(G, np.array([0.5, 2.0]), ts).dtype == np.float64
+    assert phi_d2(G, np.array([0.5, 2.0]), ts).shape == (2, 11)
+    assert phi(G, np.array([0.5, 2.0 + 0j]), ts).dtype == complex
+    assert phi(G, np.array([0.5, 2.0]), 1.0).shape == (2,)
+    assert isinstance(phi(G, 0.5, 1.0), complex)
+    assert phi(G, 0.5, ts).dtype == complex
+    with pytest.raises(DomainError):
+        phi(G, np.ones((2, 2)), ts)
+
+
+# --------------------------------------------------------------------------
+# lost-digits guard and non-finite inputs
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lam", [150.0, 500.0])
+def test_lost_digits_guard_fires_at_large_lam(lam):
+    with pytest.raises(AccuracyError, match=r"Pfaff series.*lam = .*t = 0\.175"):
+        phi(preset("H3"), lam, 0.175)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_lost_digits_guard_silent_on_spectral_window(name):
+    G = preset(name)
+    assert np.all(np.isfinite(phi(G, GRID, T64)))
+    assert np.all(np.isfinite(phi_d1(G, GRID, T64)))
+    rng = np.random.default_rng(2024)
+    strip = rng.uniform(-10.0, 10.0, 60) + 1j * rng.uniform(-G.rho, G.rho, 60)
+    assert np.all(np.isfinite(phi(G, strip, np.linspace(0.0, 12.0, 97))))
+
+
+@pytest.mark.parametrize("fn", [phi, phi_d1, phi_d2])
+def test_phi_rejects_non_finite_input(fn):
+    G = preset("SL2R")
+    with pytest.raises(DomainError, match="lam"):
+        fn(G, float("nan"), 1.0)
+    with pytest.raises(DomainError, match="lam"):
+        fn(G, np.array([1.0, np.inf]), 1.0)
+    with pytest.raises(DomainError, match="t"):
+        fn(G, 1.0, np.array([0.5, np.nan]))
+
+
+def test_c_function_rejects_non_finite_lam():
+    with pytest.raises(DomainError, match="lam"):
+        c_function(preset("SL2R"), float("nan"))
+
+
+def test_plancherel_density_rejects_non_finite_lam():
+    with pytest.raises(DomainError, match="lam"):
+        plancherel_density(preset("SL2R"), np.array([1.0, np.nan]))
+
+
+# --------------------------------------------------------------------------
+# transform tables: mirror fold and byte-capped cache
+# --------------------------------------------------------------------------
+
+def test_hc_transform_folds_mirrored_rows(monkeypatch):
+    G = preset("SL2R")
+    f = gaussian_profile(G)
+    rows = []
+    real_phi = transform.phi
+
+    def counting_phi(G, lam, t):
+        rows.append(np.size(lam))
+        return real_phi(G, lam, t)
+
+    monkeypatch.setattr(transform, "phi", counting_phi)
+    monkeypatch.setattr(transform, "_PHI_CACHE", {})
+    for grid in (GRID, np.linspace(-11.5, 11.5, 481)):
+        res = transform.hc_transform(G, f, grid)
+        assert res.spectral.weyl_defect() == 0.0
+    assert rows and max(rows) <= 241
+
+
+def test_phi_cache_stays_under_byte_cap(monkeypatch):
+    G = preset("H3")
+    cap = 3 * 2**20
+    monkeypatch.setattr(transform, "_PHI_CACHE", {})
+    monkeypatch.setattr(transform, "_PHI_CACHE_BYTES", cap)
+    ts = np.linspace(0.0, 10.0, 1000)
+    for n in (100, 200, 150, 120, 90):  # 0.8 to 1.6 MB tables
+        table = transform._phi_block(G, np.linspace(0.0, 12.0, n), ts)
+        assert table.dtype == np.float64
+        assert sum(v.nbytes for v in transform._PHI_CACHE.values()) <= cap
+    big = transform._phi_block(G, np.linspace(0.0, 12.0, 400), ts)  # 3.2 MB
+    assert big.shape == (400, 1000)
+    assert all(v is not big for v in transform._PHI_CACHE.values())
+    assert sum(v.nbytes for v in transform._PHI_CACHE.values()) <= cap
+
+
+# --------------------------------------------------------------------------
+# adaptive rule: running totals, same results as re-summing every split
+# --------------------------------------------------------------------------
+
+def resumming_integrate(f, lo, hi, q):
+    """The adaptive rule re-summing its whole heap on every split."""
+    coarse, fine = specfun._panel_estimates(f, lo, hi)
+    heap = [(-abs(fine - coarse), lo, hi, fine)]
+    n_splits = 0
+    while True:
+        total = sum(item[3] for item in heap)
+        err = sum(-item[0] for item in heap)
+        if err <= q.tolerance(abs(total)):
+            return total, err
+        if n_splits >= q.max_subdivisions:
+            raise AccuracyError("budget exhausted", value=total, err_est=err)
+        _, a, b, _ = heapq.heappop(heap)
+        m = 0.5 * (a + b)
+        for panel in ((a, m), (m, b)):
+            c_est, f_est = specfun._panel_estimates(f, *panel)
+            heapq.heappush(heap, (-abs(f_est - c_est), panel[0], panel[1], f_est))
+        n_splits += 1
+
+
+def test_running_totals_reproduce_resummed_results(monkeypatch):
+    G = preset("H3")
+    compared = []
+
+    def checked(f, lo, hi, q=specfun.DEFAULT_QUAD):
+        got = specfun.integrate_interval(f, lo, hi, q)
+        want = resumming_integrate(f, lo, hi, q)
+        assert got[0] == want[0] and got[1] == want[1]
+        compared.append(got)
+        return got
+
+    monkeypatch.setattr(transform, "integrate_interval", checked)
+    monkeypatch.setattr(schwartz, "integrate_interval", checked)
+    f = gaussian_profile(G, width=1.0)
+    transform.hc_transform_at(G, f, 1.7)
+    transform.convolve_at_identity(G, gaussian_profile(G, 1.0), gaussian_profile(G, 0.5))
+    for eps in (0.4, 0.2, 0.1):
+        transform.expansion_term(G, "split", f, 1.3, eps)
+    tube_extension_check(G, f, TubeSpec.for_group(G, 0.1), xs=np.array([-1.0, 0.0, 1.0]))
+    assert len(compared) >= 10
+    # an exhausted budget reports the same partial sums
+    q = specfun.QuadratureSpec(max_subdivisions=300)
+    errors = []
+    for integrate in (specfun.integrate_interval, resumming_integrate):
+        with pytest.raises(AccuracyError) as info:
+            integrate(lambda x: np.sin(1e6 * x * x), 0.0, 1.0, q)
+        errors.append((info.value.value, info.value.err_est))
+    assert errors[0] == errors[1]
+
+
+def test_exhausted_budget_sums_the_heap_a_few_times(monkeypatch):
+    calls = []
+
+    def counting_sum(items):
+        calls.append(1)
+        return sum(items)
+
+    monkeypatch.setattr(specfun, "sum", counting_sum, raising=False)
+    q = specfun.QuadratureSpec(max_subdivisions=4096)
+    start = time.process_time()
+    with pytest.raises(AccuracyError, match="budget 4096 exhausted"):
+        specfun.integrate_interval(lambda x: np.sin(1e6 * x * x), 0.0, 1.0, q)
+    assert time.process_time() - start < 1.5
+    assert len(calls) <= 40
