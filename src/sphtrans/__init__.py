@@ -1,8 +1,9 @@
 """Numerical spherical transform engine for rank-one noncompact symmetric spaces.
 
 Forward transform, Plancherel density, wave-packet inversion and
-Schwartz-class diagnostics, all tied to one calibrated measure constant
-per group preset.
+Schwartz-class diagnostics, all tied to one measure constant per group
+preset: the Jacobi inversion constant c_P = 1/(2 pi) (Koornwinder 1984),
+which the tests check against the forward/inverse round trip.
 """
 
 from .groups import (
@@ -10,23 +11,17 @@ from .groups import (
     PRESET_NAMES,
     haar_density,
     haar_log_derivative,
-    haar_tail_bound,
     preset,
-    uncalibrated_preset,
 )
 from .specfun import (
     ExpDecay,
     QuadratureSpec,
-    gauss_2f1,
-    integrate_halfline,
     integrate_interval,
     log_gamma,
 )
-from .spherical import RadialProfile, phi, phi_d1, phi_d2, phi_integral_oracle, sigma, xi
+from .spherical import RadialProfile, phi, phi_d1, phi_d2, phi_integral_oracle, xi
 from .cfunction import (
     CFit,
-    PlancherelDensity,
-    aggregate_density,
     asymptotic_c_oracle,
     c_function,
     plancherel_density,
@@ -35,7 +30,6 @@ from .transform import (
     SpectralDecay,
     SpectralFunction,
     TransformResult,
-    calibrate,
     casimir_radial,
     convolve_at_identity,
     default_spectral_grid,
@@ -61,29 +55,22 @@ __all__ = [
     "GroupDatum",
     "PRESET_NAMES",
     "preset",
-    "uncalibrated_preset",
     "haar_density",
     "haar_log_derivative",
-    "haar_tail_bound",
     "QuadratureSpec",
     "ExpDecay",
     "log_gamma",
-    "gauss_2f1",
     "integrate_interval",
-    "integrate_halfline",
     "RadialProfile",
     "phi",
     "phi_d1",
     "phi_d2",
     "phi_integral_oracle",
     "xi",
-    "sigma",
     "CFit",
-    "PlancherelDensity",
     "c_function",
     "plancherel_density",
     "asymptotic_c_oracle",
-    "aggregate_density",
     "SpectralDecay",
     "SpectralFunction",
     "TransformResult",
@@ -92,7 +79,6 @@ __all__ = [
     "hc_transform_at",
     "convolve_at_identity",
     "wave_packet",
-    "calibrate",
     "plancherel_pairing",
     "expansion_term",
     "casimir_radial",

@@ -26,12 +26,10 @@ from .groups import GroupDatum
 from .spherical import _ode_solution, c_log, c_value
 
 __all__ = [
-    "PlancherelDensity",
     "CFit",
     "c_function",
     "plancherel_density",
     "asymptotic_c_oracle",
-    "aggregate_density",
 ]
 
 
@@ -59,17 +57,6 @@ def plancherel_density(G: GroupDatum, lam):
     out = np.array([math.exp(-2.0 * c_log(G, complex(x)).real) if x else 0.0
                     for x in lam_arr.ravel()])
     return float(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
-
-
-@dataclass(frozen=True)
-class PlancherelDensity:
-    """The density lam -> |c(lam)|^(-2) packaged with its parity contract."""
-
-    group: GroupDatum
-    parity: str = "even"
-
-    def __call__(self, lam):
-        return plancherel_density(self.group, lam)
 
 
 @dataclass(frozen=True)
@@ -132,15 +119,3 @@ def asymptotic_c_oracle(G: GroupDatum, lam: float, T: float, n_samples: int = 16
         residual=resid,
         window=(T, t_hi),
     )
-
-
-def aggregate_density(G: GroupDatum, nu):
-    """Spectral-side aggregate density in the spherical reduction.
-
-    The continuous (split-Cartan) class contributes the calibrated
-    multiple of the Plancherel density; the compact-Cartan class
-    contributes 0 on spherical functions, so the sum collapses.
-    """
-    split = G.plancherel_constant * plancherel_density(G, nu)
-    compact = 0.0
-    return split + compact

@@ -24,10 +24,6 @@ class PoleError(DomainError):
         self.pole = pole
 
 
-class ParameterError(DomainError):
-    """Invalid special-function parameter (e.g. 2F1 with c a nonpositive integer)."""
-
-
 class SingularPointError(DomainError):
     """Operator evaluated at a point where it is singular (e.g. radial Casimir at t=0)."""
 

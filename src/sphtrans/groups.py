@@ -13,10 +13,13 @@ The radial Haar weight is normalized once and for all as
     Delta(t) = (2 sinh t)^m_alpha * (2 sinh 2t)^m_2alpha
 
 so that Delta(t) <= exp(2*rho*t) for every t >= 0 with equality in the
-limit t -> oo.  Any measure convention mismatch against the spectral side
-is absorbed into a single calibrated constant ``plancherel_constant``
-computed at preset-build time (see :func:`sphtrans.transform.calibrate`)
-and then frozen.
+limit t -> oo.  Since 2 sinh 2t = (2 sinh t)(2 cosh t), this is the Jacobi
+weight (2 sinh t)^(2 alpha + 1) (2 cosh t)^(2 beta + 1), and with the 2F1
+normalization of phi and the Gamma-quotient c(lam) used here the Jacobi
+inversion constant is exactly c_P = 1/(2 pi) (Koornwinder, "Jacobi
+functions and analysis on noncompact semisimple Lie groups", 1984).  Every
+preset carries it as ``plancherel_constant``; the tests check it against
+the forward/inverse round trip.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ _PRESET_MULTIPLICITIES = {
 
 PRESET_NAMES = tuple(_PRESET_MULTIPLICITIES)
 
-# plancherel_constant per preset, filled lazily by calibration
-_CALIBRATION_CACHE: dict[str, float] = {}
+# Jacobi inversion constant c_P for this weight and c-function normalization
+PLANCHEREL_CONSTANT = 1.0 / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -110,25 +113,8 @@ def _base_fields(name: str) -> dict:
 
 
 def preset(name: str) -> GroupDatum:
-    """Return the fully populated, calibrated group datum for ``name``.
-
-    The Plancherel constant is computed once per process by the
-    calibration procedure and cached, so repeated calls are cheap and
-    return identical data.
-    """
-    fields = _base_fields(name)
-    if name not in _CALIBRATION_CACHE:
-        # local import: transform depends on groups, not the other way round
-        from . import transform
-
-        raw = GroupDatum(plancherel_constant=1.0, **fields)
-        _CALIBRATION_CACHE[name] = transform.calibrate(raw)
-    return GroupDatum(plancherel_constant=_CALIBRATION_CACHE[name], **fields)
-
-
-def uncalibrated_preset(name: str) -> GroupDatum:
-    """Preset with plancherel_constant = 1, for calibration and testing."""
-    return GroupDatum(plancherel_constant=1.0, **_base_fields(name))
+    """Return the group datum for ``name``, with c_P = :data:`PLANCHEREL_CONSTANT`."""
+    return GroupDatum(plancherel_constant=PLANCHEREL_CONSTANT, **_base_fields(name))
 
 
 def haar_density(G: GroupDatum, t):
@@ -158,24 +144,3 @@ def haar_log_derivative(G: GroupDatum, t):
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(out)
     return out
-
-
-def haar_tail_bound(G: GroupDatum) -> tuple[float, float]:
-    """Return (coeff, rate) with Delta(t) <= coeff * exp(rate * t) for all t >= 0.
-
-    Under this normalization the bound is sharp: coeff = 1 and
-    rate = 2*rho, since (1 - e^{-2t})^m (1 - e^{-4t})^m2 <= 1.  Used for
-    truncation planning in the half-line integrals.
-    """
-    return 1.0, 2.0 * G.rho
-
-
-def haar_asymptotic_offset(G: GroupDatum, t: float) -> float:
-    """log Delta(t) - 2*rho*t; converges to 0 as t -> oo."""
-    t = float(t)
-    if t <= 0:
-        raise DomainError("t must be positive")
-    val = G.m_alpha * math.log1p(-math.exp(-2.0 * t))
-    if G.m_2alpha:
-        val += G.m_2alpha * math.log1p(-math.exp(-4.0 * t))
-    return val

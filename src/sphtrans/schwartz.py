@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError, GridContractError
-from .groups import GroupDatum, haar_density
-from .specfun import DEFAULT_QUAD, ExpDecay, QuadratureSpec, integrate_interval
-from .spherical import RadialProfile, phi, xi
-from .transform import SpectralFunction, _require_schwartz, hc_transform
+from .groups import GroupDatum
+from .specfun import DEFAULT_QUAD, QuadratureSpec
+from .spherical import RadialProfile, xi
+from .transform import SpectralFunction, _require_schwartz, hc_transform, hc_transform_at
 
 __all__ = [
     "SeminormReport",
@@ -216,7 +216,7 @@ def tube_extension_check(
     every strip integral converges absolutely.  With epsilon = 0 the
     check degenerates to the forward transform on the real grid.
     """
-    _require_schwartz(G, f, 1.0 + tube.epsilon, "tube-check profile")
+    _require_schwartz(f, (1.0 + tube.epsilon) * G.rho, "tube-check profile")
     if xs is None:
         xs = np.linspace(-3.0, 3.0, 7)
     xs = np.asarray(xs, dtype=float)
@@ -242,7 +242,7 @@ def tube_extension_check(
             if y == 0.0:
                 values[i, j] = axis.spectral.values[j]
             else:
-                values[i, j] = _strip_transform(G, f, complex(x, y), q)
+                values[i, j] = hc_transform_at(G, f, complex(x, y), q)
     mod = float(np.max(np.abs(values)))
     i0 = len(ys) // 2
     axis_agreement = float(np.max(np.abs(values[i0] - axis.spectral.values)))
@@ -261,19 +261,3 @@ def tube_extension_check(
         axis_agreement=axis_agreement,
         conjugation_defect=conj_defect,
     )
-
-
-def _strip_transform(G: GroupDatum, f: RadialProfile, lam: complex, q: QuadratureSpec) -> complex:
-    """Forward transform at one (possibly complex) spectral point."""
-    env = ExpDecay(
-        coeff=f.decay.coeff * 2.0,
-        rate=f.decay.rate - G.rho - abs(lam.imag),
-        degree=f.decay.degree + 1,
-    )
-    T = q.truncation_policy(env, q.abs_tol)
-
-    def integrand(t):
-        return np.asarray(f(t), dtype=complex) * phi(G, lam, t) * haar_density(G, t)
-
-    value, _ = integrate_interval(integrand, 0.0, T, q)
-    return complex(value)

@@ -1,11 +1,9 @@
 """Self-contained special functions and deterministic quadrature.
 
 Complex log-Gamma uses a Lanczos rational approximation (g = 607/128,
-15 terms) with the reflection formula for Re z < 1/2; the Gauss
-hypergeometric 2F1 is evaluated for real argument x <= 0 by mapping x
-into [0, 1) through the Pfaff transformation and summing the series.
-Integration is adaptive composite Gauss-Legendre on intervals, with an
-explicit decay-driven truncation rule for half-line integrals.  Nothing
+15 terms) with the reflection formula for Re z < 1/2.  Integration is
+adaptive composite Gauss-Legendre on intervals, with an explicit
+decay-driven truncation rule for half-line integrals.  Nothing
 here is randomized, so downstream tolerances are stable run over run.
 """
 
@@ -19,15 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, ParameterError, PoleError
+from .errors import AccuracyError, DomainError, PoleError
 
 __all__ = [
     "QuadratureSpec",
     "ExpDecay",
     "log_gamma",
-    "gauss_2f1",
     "integrate_interval",
-    "integrate_halfline",
     "gauss_legendre_rule",
     "composite_gl_nodes",
 ]
@@ -179,82 +175,6 @@ def log_gamma(z) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Gauss hypergeometric 2F1 on (-inf, 0]
-# ---------------------------------------------------------------------------
-
-_MAX_2F1_TERMS = 1_000_000
-
-
-def hyp_series(p: complex, q: complex, c: complex, u, tol: float = 1e-17):
-    """Sum 2F1(p, q; c; u) for u in [0, 1), vectorized over u.
-
-    Plain power series with term recurrence; stops once the largest term
-    over the u-array, inflated by the geometric tail factor u/(1-u), sits
-    below ``tol`` times the partial-sum scale for two consecutive terms.
-    Returns (values, n_terms).
-    """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any((u_arr < 0) | (u_arr >= 1)):
-        raise DomainError("series argument must lie in [0, 1)")
-    total = np.ones_like(u_arr, dtype=complex)
-    term = np.ones_like(u_arr, dtype=complex)
-    u_max = float(u_arr.max()) if u_arr.size else 0.0
-    tail_factor = 1.0 + u_max / (1.0 - u_max)
-    warmup = 8 + int(2.0 * max(abs(p), abs(q)))
-    below = 0
-    n = 0
-    while True:
-        ratio = (p + n) * (q + n) / ((c + n) * (n + 1.0))
-        term = term * ratio * u_arr
-        total += term
-        n += 1
-        term_max = float(np.abs(term).max()) if term.size else 0.0
-        if term_max * tail_factor < tol * max(1.0, float(np.abs(total).max())):
-            below += 1
-            if below >= 2 and n >= min(warmup, _MAX_2F1_TERMS // 2):
-                break
-        else:
-            below = 0
-        if n >= _MAX_2F1_TERMS:
-            scale = max(1.0, float(np.abs(total).max()))
-            raise AccuracyError(
-                f"2F1 series did not converge after {n} terms "
-                f"(achieved bound ~{term_max * tail_factor / scale:.3e})",
-                value=total,
-                err_est=term_max * tail_factor,
-            )
-        if term_max > 1e280:
-            raise AccuracyError(
-                "2F1 series terms overflowing; parameters outside supported range",
-                value=total,
-                err_est=math.inf,
-            )
-    return total, n
-
-
-def gauss_2f1(a, b, c, x) -> complex:
-    """2F1(a, b; c; x) for real x <= 0 via the Pfaff transformation.
-
-    2F1(a,b;c;x) = (1-x)^(-a) 2F1(a, c-b; c; x/(x-1)), and x/(x-1) lies
-    in [0, 1) exactly when x <= 0.
-    """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    x = float(x)
-    if x > 0:
-        raise DomainError("gauss_2f1 is restricted to x <= 0")
-    if _is_nonpositive_integer(c):
-        raise ParameterError(f"2F1 parameter c = {c} is a nonpositive integer")
-    if x == 0.0:
-        return 1.0 + 0.0j
-    u = x / (x - 1.0)
-    prefactor = cmath.exp(-a * math.log1p(-x))
-    series, _ = hyp_series(a, c - b, c, u)
-    return prefactor * complex(series)
-
-
-# ---------------------------------------------------------------------------
 # Gauss-Legendre rules
 # ---------------------------------------------------------------------------
 
@@ -333,16 +253,3 @@ def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD
             heapq.heappush(heap, (-abs(f_est - c_est), panel[0], panel[1], f_est))
             total, err = total + f_est, err + abs(f_est - c_est)
         n_splits += 1
-
-
-def integrate_halfline(f, decay: ExpDecay, q: QuadratureSpec = DEFAULT_QUAD):
-    """Integrate f over (0, oo) given an exponential-decay hint.
-
-    The truncation point T comes from the quadrature spec's policy so
-    that the envelope tail is below abs_tol/4, then [0, T] is handled by
-    the adaptive interval rule.  err_est covers both contributions.
-    """
-    T = q.truncation_policy(decay, q.abs_tol)
-    value, err = integrate_interval(f, 0.0, T, q)
-    tail = decay.tail_integral(T)
-    return value, err + tail

@@ -54,7 +54,6 @@ __all__ = [
     "phi_d2",
     "phi_integral_oracle",
     "xi",
-    "sigma",
 ]
 
 # degenerate-parameter guard: distance from i*Z below which the
@@ -66,8 +65,10 @@ FD_STEP = 1e-4
 _MAX_HC_TERMS = 500
 _HC_CHUNK = 25
 _SERIES_CHUNK = 128
-# the Pfaff series fails once roundoff times its largest term passes 1e-10 Xi(t)
+# the Pfaff series fails once roundoff times its largest term passes 1e-10 Xi(t),
+# and c_log once roundoff on its five log terms passes 1e-10
 _LOST_DIGITS_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 # row chunks of a block keep every temporary below this many entries
 _BLOCK_ENTRIES = 1 << 18
 
@@ -191,7 +192,7 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
     # rows past the cheap bound need Xi itself
     env = np.exp(np.abs(lam.imag) * t_star)
     peak = np.nan_to_num(bound, nan=np.inf).max(axis=1)
-    lost = np.finfo(float).eps * peak * np.cosh(t_star) ** (lam.imag - G.rho) / env
+    lost = _EPS * peak * np.cosh(t_star) ** (lam.imag - G.rho) / env
     for i in np.flatnonzero(~(lost <= _LOST_DIGITS_TOL * np.exp(-G.rho * t_star))):
         xi_t = _pfaff_series(G, np.zeros(1), t_star[i:i + 1], None, False)[0].real[0, 0]
         if not lost[i] <= _LOST_DIGITS_TOL * xi_t:
@@ -286,15 +287,24 @@ def c_log(G: GroupDatum, lam: complex) -> complex:
 
     Raises PoleError at the poles of the numerator (lam in i*Z>=0);
     zeros of c (denominator poles) bubble up the same way and are mapped
-    to c = 0 by :func:`c_value`.
+    to c = 0 by :func:`c_value`.  The five log terms grow like |lam| log|lam|
+    and cancel; once roundoff on their sum passes 1e-10 (from |lam| about
+    2.1e4) the result has no digits to spare and AccuracyError names lam.
     """
     lam = complex(lam)
     il = 1j * lam
-    num = (G.rho - il) * math.log(2.0) + log_gamma(G.jacobi_alpha + 1.0) + log_gamma(il)
-    den = log_gamma(0.5 * (G.rho + il)) + log_gamma(
-        0.5 * (G.jacobi_alpha - G.jacobi_beta + 1.0 + il)
-    )
-    return num - den
+    a, b, c = (G.rho - il) * math.log(2.0), log_gamma(G.jacobi_alpha + 1.0), log_gamma(il)
+    d = log_gamma(0.5 * (G.rho + il))
+    e = log_gamma(0.5 * (G.jacobi_alpha - G.jacobi_beta + 1.0 + il))
+    # written out: c_log runs once per spectral node and per exponential-series row
+    lost = _EPS * (abs(a.real) + abs(a.imag) + abs(b.real) + abs(b.imag) + abs(c.real)
+                   + abs(c.imag) + abs(d.real) + abs(d.imag) + abs(e.real) + abs(e.imag))
+    if not lost <= _LOST_DIGITS_TOL:
+        raise AccuracyError(
+            f"c-function loses too many digits at lam = {_lam_text(lam)}: roundoff "
+            f"{lost:.2e} on log c exceeds {_LOST_DIGITS_TOL:g}", err_est=lost
+        )
+    return a + b + c - (d + e)
 
 
 def c_value(G: GroupDatum, lam: complex) -> complex:
@@ -447,12 +457,6 @@ def phi_d2(G: GroupDatum, lam, t):
 def xi(G: GroupDatum, t):
     """Reference spherical function Xi(t) = phi_0(t); real, in (0, 1]."""
     out = phi(G, 0.0, t).real
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def sigma(t):
-    """Radial distance |t|."""
-    out = np.abs(np.asarray(t, dtype=float))
     return float(out) if np.ndim(t) == 0 else out
 
 

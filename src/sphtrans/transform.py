@@ -8,19 +8,19 @@ spherical-function tables are shared across operations.  Error estimates
 come from a coarse/fine rule pair on identical panels plus explicit
 envelope tail bounds; reductions are numpy dots (fixed pairwise order).
 
-One calibrated constant per preset ties the radial Haar normalization to
-the spectral density:
+One constant per preset ties the radial Haar normalization to the
+spectral density:
 
     forward    (Hf)(lam) = int_0^oo f(t) phi_lam(t) Delta(t) dt
     inverse    psi_a(t)  = (c_P / |W|) int_R a(nu) phi_nu(t) |c(nu)|^-2 dnu
 
-with |W| = 2.  ``calibrate`` fixes c_P once so that the round trip is the
-identity; no other free constants exist anywhere downstream.
+with |W| = 2 and c_P = 1/(2 pi), the Jacobi inversion constant
+(Koornwinder 1984; see :mod:`sphtrans.groups`), which makes the round trip
+the identity; no other free constants exist anywhere downstream.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import weakref
 from dataclasses import dataclass
@@ -54,7 +54,6 @@ __all__ = [
     "hc_transform",
     "convolve_at_identity",
     "wave_packet",
-    "calibrate",
     "plancherel_pairing",
     "expansion_term",
     "casimir_radial",
@@ -283,15 +282,12 @@ def _forward_truncation(G: GroupDatum, f: RadialProfile, q: QuadratureSpec) -> f
     return 4.0 * math.ceil(T / 4.0)  # bucket for table reuse
 
 
-_SCHWARTZ_FLOOR = ExpDecay(coeff=1.0, rate=0.0, degree=-2)
-
-
-def _require_schwartz(G: GroupDatum, f: RadialProfile, factor: float = 1.0, what: str = "profile"):
-    floor = ExpDecay(coeff=1.0, rate=factor * G.rho, degree=-2)
+def _require_schwartz(f: RadialProfile, rate: float, what: str):
+    floor = ExpDecay(coeff=1.0, rate=rate, degree=-2)
     if not f.decay.stronger_than(floor):
         raise PreconditionError(
             f"{what} decay e^(-{f.decay.rate} t) (1+t)^{f.decay.degree} is not "
-            f"strictly stronger than e^(-{factor * G.rho} t) (1+t)^-2"
+            f"strictly stronger than e^(-{rate} t) (1+t)^-2"
         )
 
 
@@ -312,7 +308,7 @@ def hc_transform(
     difference with the envelope tail bound and must sit below the
     quadrature tolerance, else AccuracyError.
     """
-    _require_schwartz(G, f, 1.0, "hc_transform input")
+    _require_schwartz(f, G.rho, "hc_transform input")
     if grid is None:
         grid = default_spectral_grid()
     grid = np.asarray(grid, dtype=float)
@@ -358,14 +354,18 @@ def _fit_spectral_decay(grid: np.ndarray, values: np.ndarray, power: float = 6.0
 def hc_transform_at(
     G: GroupDatum, f: RadialProfile, lam, q: QuadratureSpec = DEFAULT_QUAD
 ) -> complex:
-    """Forward transform at a single spectral point (direct adaptive quadrature).
+    """Forward transform at a single, possibly complex, spectral point
+    (direct adaptive quadrature).
 
     Independent of the fixed-grid tables in :func:`hc_transform`; used as
-    the eigenfunction/transform cross-check (f * phi_lam)(1).
+    the eigenfunction/transform cross-check (f * phi_lam)(1) and on the
+    spectral tube.  |phi_lam(t)| <= e^{|Im lam| t} Xi(t), so the decay of
+    ``f`` must be strictly stronger than e^{-(rho + |Im lam|) t} (1+t)^-2.
     """
-    _require_schwartz(G, f, 1.0, "hc_transform input")
     lam = complex(lam)
-    env = ExpDecay(f.decay.coeff * _XI_ENVELOPE, f.decay.rate - G.rho, f.decay.degree + 1)
+    _require_schwartz(f, G.rho + abs(lam.imag), "hc_transform input")
+    env = ExpDecay(f.decay.coeff * _XI_ENVELOPE, f.decay.rate - G.rho - abs(lam.imag),
+                   f.decay.degree + 1)
     T = q.truncation_policy(env, q.abs_tol)
 
     def integrand(t):
@@ -386,8 +386,8 @@ def convolve_at_identity(
 
     Symmetric in (f, g) by construction.
     """
-    _require_schwartz(G, f, 1.0, "convolution factor")
-    _require_schwartz(G, g, 1.0, "convolution factor")
+    _require_schwartz(f, G.rho, "convolution factor")
+    _require_schwartz(g, G.rho, "convolution factor")
     rate = f.decay.rate + g.decay.rate - 2.0 * G.rho
     if rate <= 0:
         raise PreconditionError("combined decay too weak against the Haar weight")
@@ -532,41 +532,6 @@ def _infer_packet_decay(G: GroupDatum, eval_packet, noise_floor) -> ExpDecay:
         "could not certify an exponential envelope for the wave packet "
         "within the probe window"
     )
-
-
-# ---------------------------------------------------------------------------
-# calibration of the single measure constant
-# ---------------------------------------------------------------------------
-
-# sup over lam of (1+lam)^8 exp(-lam^2) is ~161.82; rounded up
-_CAL_SYMBOL_DECAY = SpectralDecay(coeff=165.0, power=8.0)
-
-
-def _reference_symbol(grid: Optional[np.ndarray] = None) -> SpectralFunction:
-    if grid is None:
-        grid = default_spectral_grid()
-    return SpectralFunction.from_function(
-        lambda x: np.exp(-x * x), grid, _CAL_SYMBOL_DECAY, label="exp(-lam^2)"
-    )
-
-
-def calibrate(G: GroupDatum, q: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Measure constant c_P making the round trip the identity.
-
-    Computes H(psi_{a0})(lam0) for a0 = exp(-lam^2) at lam0 = 1 with
-    c_P = 1 and returns the rescaling that makes it equal a0(lam0).
-    Deterministic; stored into the preset by :func:`sphtrans.groups.preset`.
-    """
-    raw = dataclasses.replace(G, plancherel_constant=1.0)
-    a0 = _reference_symbol()
-    psi = wave_packet(raw, a0, q=q)
-    lam0 = 1.0
-    probe_grid = np.array([-lam0, 0.0, lam0])
-    res = hc_transform(raw, psi, probe_grid, q)
-    r = res.spectral.values[-1].real
-    if not (r > 0 and math.isfinite(r)):
-        raise AccuracyError(f"calibration produced non-positive response {r}")
-    return math.exp(-lam0 * lam0) / r
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from sphtrans.cfunction import (
-    PlancherelDensity,
-    aggregate_density,
     asymptotic_c_oracle,
     c_function,
     plancherel_density,
@@ -90,8 +88,7 @@ def test_density_evenness_and_nonnegativity():
 
 
 def test_sl2r_density_shape():
-    # density(lam) / (lam tanh(pi lam)) is constant (the constant itself is
-    # preset-calibrated and never asserted)
+    # density(lam) / (lam tanh(pi lam)) is constant
     G = preset("SL2R")
     lams = np.array([0.5, 1.0, 2.0, 4.0])
     ratios = plancherel_density(G, lams) / (lams * np.tanh(np.pi * lams))
@@ -115,24 +112,3 @@ def test_density_continuity_near_origin():
         diffs = np.abs(np.diff(vals)) / 1e-3
         assert np.all(np.isfinite(diffs))
         assert diffs.max() < 1e2
-
-
-def test_plancherel_density_type_contract():
-    G = preset("H3")
-    dens = PlancherelDensity(G)
-    assert dens.parity == "even"
-    assert dens(2.0) == plancherel_density(G, 2.0)
-
-
-def test_aggregate_density_is_scaled_split_term():
-    for name in PRESETS:
-        G = preset(name)
-        for nu in (0.3, 1.0, 3.0):
-            expected = G.plancherel_constant * plancherel_density(G, nu)
-            assert aggregate_density(G, nu) == pytest.approx(expected, rel=1e-14)
-    # evenness and nonnegativity inherited
-    G = preset("SL2R")
-    grid = np.linspace(-10, 10, 1001)
-    vals = aggregate_density(G, grid)
-    assert np.all(vals >= 0)
-    assert abs(aggregate_density(G, 1.7) - aggregate_density(G, -1.7)) <= 1e-12

@@ -8,12 +8,9 @@ from sphtrans.errors import DomainError, UnknownPresetError
 from sphtrans.groups import (
     GroupDatum,
     PRESET_NAMES,
-    haar_asymptotic_offset,
     haar_density,
     haar_log_derivative,
-    haar_tail_bound,
     preset,
-    uncalibrated_preset,
 )
 
 
@@ -79,7 +76,7 @@ def test_haar_density_positive_and_domain():
 def test_haar_log_asymptote_settles():
     for name in PRESET_NAMES:
         G = preset(name)
-        offs = [haar_asymptotic_offset(G, t) for t in (10.0, 20.0, 30.0)]
+        offs = [math.log(haar_density(G, t)) - 2.0 * G.rho * t for t in (10.0, 20.0, 30.0)]
         assert abs(offs[1] - offs[0]) < 1e-8
         assert abs(offs[2] - offs[1]) < 1e-8
 
@@ -87,9 +84,8 @@ def test_haar_log_asymptote_settles():
 def test_haar_tail_bound_is_global():
     for name in PRESET_NAMES:
         G = preset(name)
-        coeff, rate = haar_tail_bound(G)
         ts = np.linspace(0.01, 40.0, 301)
-        assert np.all(haar_density(G, ts) <= coeff * np.exp(rate * ts) * (1 + 1e-12))
+        assert np.all(haar_density(G, ts) <= np.exp(2.0 * G.rho * ts) * (1 + 1e-12))
 
 
 def test_haar_log_derivative_limit():
@@ -124,6 +120,3 @@ def test_datum_validation():
     with pytest.raises(DomainError):
         GroupDatum("bad", 1, 0, 0.5, 0.0, -0.5, 1.0, weyl_order=4)
 
-
-def test_uncalibrated_preset_has_unit_constant():
-    assert uncalibrated_preset("H4").plancherel_constant == 1.0

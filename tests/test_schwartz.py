@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sphtrans.errors import DomainError, EvaluationError, GridContractError, PreconditionError
-from sphtrans.groups import preset
+from sphtrans.groups import haar_density, preset
 from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile, zero_profile
 from sphtrans.schwartz import (
     MembershipBudget,
@@ -12,13 +12,14 @@ from sphtrans.schwartz import (
     tube_extension_check,
     weyl_symmetry_defect,
 )
-from sphtrans.spherical import RadialProfile
-from sphtrans.specfun import ExpDecay
+from sphtrans.spherical import RadialProfile, phi
+from sphtrans.specfun import DEFAULT_QUAD, ExpDecay, integrate_interval
 from sphtrans.transform import (
     SpectralDecay,
     SpectralFunction,
     default_spectral_grid,
     hc_transform,
+    hc_transform_at,
     wave_packet,
 )
 
@@ -196,6 +197,31 @@ def test_tube_gaussian_packet_finite_and_conjugate_symmetric():
     scale = 1.0 + rep.max_modulus
     assert rep.conjugation_defect <= 1e-10 * scale
     assert rep.axis_agreement <= 1e-8 * scale
+
+
+def _strip_reference(G, f, lam):
+    """The tube's former own pointwise transform, kept as a reference for the
+    shared hc_transform_at: same envelope, truncation and integrand."""
+    env = ExpDecay(f.decay.coeff * 2.0, f.decay.rate - G.rho - abs(lam.imag), f.decay.degree + 1)
+    T = DEFAULT_QUAD.truncation_policy(env, DEFAULT_QUAD.abs_tol)
+
+    def integrand(t):
+        return np.asarray(f(t), dtype=complex) * phi(G, lam, t) * haar_density(G, t)
+
+    return complex(integrate_interval(integrand, 0.0, T)[0])
+
+
+def test_tube_values_match_former_strip_transform_bitwise():
+    G = preset("H3")
+    f = gaussian_profile(G, width=1.0)
+    rep = tube_extension_check(G, f, TubeSpec.for_group(G, 0.1))
+    for i, y in enumerate(rep.ys):
+        for j, x in enumerate(rep.xs):
+            if y != 0.0:
+                assert rep.values[i, j] == _strip_reference(G, f, complex(x, y))
+    # on the real axis the pointwise transform is unchanged as well
+    for lam in (0.0, 1.7, -2.5):
+        assert hc_transform_at(G, f, lam) == _strip_reference(G, f, complex(lam))
 
 
 def test_tube_precondition_on_decay():

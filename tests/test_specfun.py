@@ -1,18 +1,14 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from sphtrans.errors import AccuracyError, DomainError, ParameterError, PoleError
-from sphtrans.specfun import (
-    ExpDecay,
-    QuadratureSpec,
-    gauss_2f1,
-    integrate_halfline,
-    integrate_interval,
-    log_gamma,
-)
+from sphtrans.errors import AccuracyError, DomainError, PoleError
+from sphtrans.groups import PRESET_NAMES, preset
+from sphtrans.specfun import DEFAULT_QUAD, ExpDecay, QuadratureSpec, integrate_interval, log_gamma
+from sphtrans.spherical import _pfaff_series, phi
 
 
 # ---------------------------------------------------------------------------
@@ -67,50 +63,67 @@ def test_log_gamma_pole():
 
 
 # ---------------------------------------------------------------------------
-# gauss_2f1
+# the one 2F1 series: phi_lam(t) = 2F1((rho + i lam)/2, (rho - i lam)/2;
+# alpha + 1; x) at x = -sinh^2 t, summed by the Pfaff branch of phi for t <= 1.2
 # ---------------------------------------------------------------------------
 
+def _hyp_params(G, lam):
+    return 0.5 * (G.rho + 1j * lam), 0.5 * (G.rho - 1j * lam), G.jacobi_alpha + 1.0
+
+
 def test_2f1_at_zero_is_one():
-    assert gauss_2f1(0.3 + 2j,0.7, 1.1, 0.0) == 1.0
+    for name in PRESET_NAMES:
+        assert phi(preset(name), 0.3 + 0.4j, 0.0) == 1.0
 
 
 def test_2f1_log_identity():
-    # 2F1(1,1;2;x) = -log(1-x)/x
-    val = gauss_2f1(1.0, 1.0, 2.0, -1.0)
+    # 2F1(1,1;2;x) = -log(1-x)/x: on CH2 (rho = 2, alpha = 1) at lam = 0
+    G = preset("CH2")
+    assert _hyp_params(G, 0.0) == (1.0, 1.0, 2.0)
+    val = phi(G, 0.0, math.asinh(1.0))  # x = -1
     np.testing.assert_allclose(val.real, math.log(2.0), rtol=1e-12)
     assert abs(val.imag) < 1e-14
+    ts = np.linspace(0.05, 1.2, 24)
+    expected = 2.0 * np.log(np.cosh(ts)) / np.sinh(ts) ** 2
+    np.testing.assert_allclose(phi(G, 0.0, ts).real, expected, rtol=1e-12)
 
 
 def test_2f1_euler_integral_value():
-    # value of the Euler integral representation, frozen at high precision
-    val = gauss_2f1(0.3, 0.7, 1.1, -2.5)
-    np.testing.assert_allclose(val.real, 0.77159623371360500493, rtol=1e-11)
-    assert abs(val.imag) < 1e-14
+    # Gamma(c) / (Gamma(b) Gamma(c-b)) int_0^1 s^(b-1) (1-s)^(c-b-1) (1-xs)^(-a) ds
+    G = preset("CH2")
+    for lam, t in ((1.3, 0.9), (0.4 + 0.5j, 1.1), (6.0, 0.3)):
+        with mpmath.workdps(30):
+            a, b, c = (mpmath.mpc(z) for z in _hyp_params(G, lam))
+            x = -mpmath.sinh(t) ** 2
+            kernel = lambda s: s ** (b - 1) * (1 - s) ** (c - b - 1) * (1 - x * s) ** (-a)
+            gam = mpmath.gamma(c) / (mpmath.gamma(b) * mpmath.gamma(c - b))
+            ref = complex(gam * mpmath.quad(kernel, [0, 1]))
+        assert abs(phi(G, lam, t) - ref) <= 1e-13 * abs(ref)
 
 
 def test_2f1_parameter_symmetry():
+    # swapping a and b is lam -> -lam; the Pfaff map 2F1(a, c-b; c; u) is not symmetric
     rng = np.random.default_rng(7)
-    for _ in range(25):
-        a = complex(rng.uniform(0.1, 2.0), rng.uniform(-3.0, 3.0))
-        b = complex(rng.uniform(0.1, 2.0), rng.uniform(-3.0, 3.0))
-        c = complex(rng.uniform(0.6, 3.0), 0.0)
-        x = -float(rng.uniform(0.0, 20.0))
-        v1 = gauss_2f1(a, b, c, x)
-        v2 = gauss_2f1(b, a, c, x)
-        assert abs(v1 - v2) <= 1e-12 * max(1.0, abs(v1))
-
-
-def test_2f1_domain_and_parameter_errors():
-    with pytest.raises(DomainError):
-        gauss_2f1(1.0, 1.0, 2.0, 0.5)
-    with pytest.raises(ParameterError):
-        gauss_2f1(1.0, 1.0, -3.0, -1.0)
+    for name in PRESET_NAMES:
+        G = preset(name)
+        for _ in range(5):
+            lam = complex(rng.uniform(-8.0, 8.0), rng.uniform(-G.rho, G.rho))
+            t = math.asinh(math.sqrt(rng.uniform(0.0, 2.25)))  # x in [-2.25, 0]
+            v1 = phi(G, lam, t)
+            v2 = phi(G, -lam, t)
+            assert abs(v1 - v2) <= 1e-12 * max(1.0, abs(v1))
 
 
 def test_2f1_against_conjugate_pair():
-    # spherical-function shaped parameters: conjugate pair gives real values
-    val = gauss_2f1(0.25 + 1j, 0.25 - 1j, 1.0, -4.0)
-    assert abs(val.imag) < 1e-13
+    # real lam makes (a, b) a conjugate pair, so the series sums to a real value
+    G = preset("SL2R")
+    assert _hyp_params(G, 2.0) == (0.25 + 1j, 0.25 - 1j, 1.0)
+    val = _pfaff_series(G, np.array([2.0 + 0j]), np.array([math.asinh(2.0)]), None, False)[0]
+    assert abs(val[0, 0].imag) < 1e-13
+    # and conjugate lam gives conjugate values
+    for lam in (0.7 + 0.3j, -3.0 + 0.45j):
+        for t in (0.2, 0.8, 1.1):
+            assert abs(phi(G, lam.conjugate(), t) - phi(G, lam, t).conjugate()) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +138,17 @@ def test_interval_trivial_values():
 
 
 def test_halfline_trivial_values():
-    v, e = integrate_halfline(lambda t: np.exp(-t), ExpDecay(1.0, 1.0))
+    # the half-line pattern of the transforms: truncate by the decay hint, then
+    # integrate [0, T] adaptively; the envelope tail stays below abs_tol / 4
+    decay = ExpDecay(1.0, 1.0)
+    T = DEFAULT_QUAD.truncation_policy(decay, DEFAULT_QUAD.abs_tol)
+    assert decay.tail_integral(T) <= DEFAULT_QUAD.abs_tol / 4.0
+    v, e = integrate_interval(lambda t: np.exp(-t), 0.0, T)
     np.testing.assert_allclose(v, 1.0, atol=1e-12)
     assert e < 1e-9
-    v, _ = integrate_halfline(lambda t: t * np.exp(-t * t), ExpDecay(1.0, 1.0))
+    v, _ = integrate_interval(lambda t: t * np.exp(-t * t), 0.0, T)
     np.testing.assert_allclose(v, 0.5, atol=1e-11)
-    v, _ = integrate_halfline(lambda t: np.exp(-t) * np.sin(t), ExpDecay(1.0, 1.0))
+    v, _ = integrate_interval(lambda t: np.exp(-t) * np.sin(t), 0.0, T)
     np.testing.assert_allclose(v, 0.5, atol=1e-11)
 
 
@@ -197,4 +215,4 @@ def test_decay_hint_tail_bound():
 
 def test_halfline_requires_positive_rate():
     with pytest.raises(DomainError):
-        integrate_halfline(lambda t: 1.0 / (1.0 + t * t), ExpDecay(1.0, 0.0))
+        DEFAULT_QUAD.truncation_policy(ExpDecay(1.0, 0.0), 1e-12)

@@ -10,7 +10,6 @@ from sphtrans.spherical import (
     phi_d1,
     phi_d2,
     phi_integral_oracle,
-    sigma,
     xi,
 )
 
@@ -131,13 +130,6 @@ def test_xi_asymptotic_ratio_bounded():
         ts = np.linspace(5.0, 30.0, 26)
         ratio = np.exp(G.rho * ts) * xi(G, ts) / (1.0 + ts)
         assert ratio.max() / ratio.min() < 10.0
-
-
-def test_sigma_is_absolute_value():
-    assert sigma(0.0) == 0.0
-    assert sigma(3.0) == 3.0
-    assert sigma(-2.0) == 2.0
-    np.testing.assert_array_equal(sigma(np.array([-1.0, 0.5])), [1.0, 0.5])
 
 
 def test_small_lambda_matches_degenerate_path():

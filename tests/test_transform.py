@@ -1,6 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+from sphtrans import transform
 from sphtrans.cfunction import plancherel_density
 from sphtrans.errors import (
     DomainError,
@@ -8,14 +12,13 @@ from sphtrans.errors import (
     PreconditionError,
     SingularPointError,
 )
-from sphtrans.groups import haar_density, preset
+from sphtrans.groups import PRESET_NAMES, haar_density, preset
 from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile, zero_profile
 from sphtrans.specfun import ExpDecay, integrate_interval
 from sphtrans.spherical import phi
 from sphtrans.transform import (
     SpectralDecay,
     SpectralFunction,
-    calibrate,
     casimir_radial,
     convolve_at_identity,
     default_spectral_grid,
@@ -111,6 +114,33 @@ def test_hc_transform_at_matches_grid_values():
         k = int(np.argmin(np.abs(grid - lam)))
         direct = hc_transform_at(G, f, grid[k])
         assert abs(direct - res.spectral.values[k]) <= 1e-8 * (1 + abs(direct))
+
+
+def gauss_transform_h3(lam, w=1.0):
+    """(Hf)(lam) for f = exp(-w t^2) on H3, where phi_lam = sin(lam t)/(lam sinh t) and
+    Delta = 4 sinh^2 t: (4/lam) int e^{-w t^2} sin(lam t) sinh t dt, by the Gaussian
+    cosine transform at lam -+ i."""
+    scale = math.sqrt(math.pi / w) * np.exp((1.0 - lam * lam) / (4.0 * w))
+    return (2.0 / lam) * scale * np.sin(lam / (2.0 * w))
+
+
+def test_hc_transform_at_complex_lam_matches_h3_closed_form():
+    G = preset("H3")
+    f = gaussian_profile(G)
+    for x in (0.3, 1.0, 2.5):
+        for y in (-0.1, -0.05, 0.05, 0.1):
+            lam = complex(x, y * G.rho)
+            exact = gauss_transform_h3(lam)
+            assert abs(hc_transform_at(G, f, lam) - exact) <= max(1e-12, 1e-10 * abs(exact))
+
+
+def test_hc_transform_at_rejects_too_wide_a_strip():
+    # the Gaussian profile's envelope rate is 2 rho + 2 = 4 on H3
+    G = preset("H3")
+    f = gaussian_profile(G)
+    for lam in (1.0 + 3.0j, 1.0 - 3.5j, 0.5 + 40.0j):
+        with pytest.raises(PreconditionError, match="hc_transform input"):
+            hc_transform_at(G, f, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +268,36 @@ def test_wave_packet_real_for_real_even_symbol():
 
 
 # ---------------------------------------------------------------------------
-# calibration
+# the measure constant
 # ---------------------------------------------------------------------------
 
-def test_calibrate_deterministic_and_positive():
-    G = preset("H4")
-    c1 = calibrate(G)
-    c2 = calibrate(G)
-    assert c1 > 0
-    assert abs(c1 - c2) <= 1e-10 * c1
+def _round_trip_response(name):
+    """H(psi_a)(1) for a = exp(-lam^2) on the default grid, with c_P set to 1."""
+    G = dataclasses.replace(preset(name), plancherel_constant=1.0)
+    # sup over lam of (1+lam)^8 exp(-lam^2) is ~161.82
+    a = SpectralFunction.from_function(
+        lambda x: np.exp(-x * x), default_spectral_grid(), SpectralDecay(165.0, 8.0)
+    )
+    res = hc_transform(G, wave_packet(G, a), np.array([-1.0, 0.0, 1.0]))
+    return res.spectral.values[-1].real
+
+
+def test_round_trip_gives_the_jacobi_inversion_constant():
+    # the c_P that makes the round trip exact at lam = 1 is 1/(2 pi) on every preset
+    for name in PRESET_NAMES:
+        c_p = math.exp(-1.0) / _round_trip_response(name)
+        assert abs(c_p * 2.0 * math.pi - 1.0) <= 1e-12
+
+
+def test_preset_constant_is_exact_and_costs_no_tables(monkeypatch):
+    monkeypatch.setattr(transform, "_PHI_CACHE", {})
+    for name in PRESET_NAMES:
+        assert preset(name).plancherel_constant == 1.0 / (2.0 * math.pi)
+    assert transform._PHI_CACHE == {}
 
 
 def test_calibration_single_constant_suffices():
-    # round trip away from the calibration point lam0 = 1
+    # round trip away from lam = 1, where the constant test above reads it
     for name in ("SL2R", "CH2"):
         G = preset(name)
         a = gauss_symbol()
