@@ -31,6 +31,10 @@ class CriterionOutcome:
     runtime: float
     detail: str = ""
 
+    def __post_init__(self):
+        # criteria compare numpy values; json and dataclasses.asdict need a bool
+        self.passed = bool(self.passed)
+
     def row(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
         return (

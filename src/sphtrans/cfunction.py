@@ -43,7 +43,7 @@ def c_function(G: GroupDatum, lam) -> complex:
         raise PoleError(
             f"c-function pole at lam = {lam} (Gamma(i*lam) pole)", pole=int(il.real)
         )
-    return c_value(G, lam)
+    return complex(c_value(G, np.array([lam]))[0])
 
 
 def plancherel_density(G: GroupDatum, lam):
@@ -54,8 +54,7 @@ def plancherel_density(G: GroupDatum, lam):
     lam_arr = np.asarray(lam, dtype=float)
     if not np.all(np.isfinite(lam_arr)):
         raise DomainError(f"plancherel_density requires finite lam, got {lam!r}")
-    out = np.array([math.exp(-2.0 * c_log(G, complex(x)).real) if x else 0.0
-                    for x in lam_arr.ravel()])
+    out = np.exp(-2.0 * c_log(G, lam_arr.ravel()).real)
     return float(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
 
 

@@ -1,10 +1,9 @@
-"""Self-contained special functions and deterministic quadrature.
+"""Complex log-Gamma and deterministic quadrature.
 
-Complex log-Gamma uses a Lanczos rational approximation (g = 607/128,
-15 terms) with the reflection formula for Re z < 1/2.  Integration is
-adaptive composite Gauss-Legendre on intervals, with an explicit
-decay-driven truncation rule for half-line integrals.  Nothing
-here is randomized, so downstream tolerances are stable run over run.
+Complex log-Gamma is scipy's ``loggamma`` with this package's typed
+errors.  Integration is adaptive composite Gauss-Legendre on intervals,
+with an explicit decay-driven truncation rule for half-line integrals.
+Nothing here is randomized, so downstream tolerances are stable run over run.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.special import loggamma
 
 from .errors import AccuracyError, DomainError, PoleError
 
@@ -110,68 +110,23 @@ DEFAULT_QUAD = QuadratureSpec()
 
 
 # ---------------------------------------------------------------------------
-# complex log-Gamma (Lanczos, g = 607/128, 15 coefficients)
+# complex log-Gamma: scipy.special.loggamma with typed errors
 # ---------------------------------------------------------------------------
 
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEF = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_LOG_SQRT_TWO_PI = 0.91893853320467274178
-_LOG_PI = 1.1447298858494001741
-
-
-def _is_nonpositive_integer(z: complex) -> bool:
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
-
-
-def _lanczos_core(z: complex) -> complex:
-    """log Gamma for Re z >= 0.5, principal branch."""
-    acc = _LANCZOS_COEF[0]
-    for k in range(1, 15):
-        acc += _LANCZOS_COEF[k] / (z - 1.0 + k)
-    t = z + (_LANCZOS_G - 0.5)
-    return _LOG_SQRT_TWO_PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
-
-
-def _log_sin_pi(z: complex) -> complex:
-    """log sin(pi z), stable for large |Im z| (principal-ish branch)."""
-    if z.imag >= 0.0:
-        # sin(pi z) = -exp(-i pi z)/(2i) * (1 - exp(2 i pi z)),  |exp(2 i pi z)| <= 1
-        w = cmath.exp(2j * cmath.pi * z)
-        return -1j * cmath.pi * z + cmath.log((1.0 - w) * 0.5j)
-    return _log_sin_pi(z.conjugate()).conjugate()
-
-
 def log_gamma(z) -> complex:
-    """Principal branch of log Gamma(z) for complex z.
+    """Principal branch of log Gamma(z) for complex z (``scipy.special.loggamma``).
 
-    Raises PoleError at nonpositive integers; accuracy is ~1e-14 relative
-    in exp(log_gamma) on the strips used by the c-function.
+    Raises DomainError for non-finite z and PoleError at nonpositive
+    integers; exp(log_gamma) is within 1e-13 relative of Gamma on the
+    strips used by the c-function.  :func:`sphtrans.spherical.c_log`
+    calls ``loggamma`` on whole arrays.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"log_gamma requires finite z, got {z}")
-    if _is_nonpositive_integer(z):
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise PoleError(f"log_gamma pole at z = {int(z.real)}", pole=int(z.real))
-    if z.real >= 0.5:
-        return _lanczos_core(z)
-    # reflection: log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z)
-    return _LOG_PI - _log_sin_pi(z) - _lanczos_core(1.0 - z)
+    return complex(loggamma(z))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import loggamma
 
 from .errors import AccuracyError, CapabilityError, DomainError
 from .groups import GroupDatum, haar_log_derivative
@@ -69,6 +70,7 @@ _SERIES_CHUNK = 128
 # and c_log once roundoff on its five log terms passes 1e-10
 _LOST_DIGITS_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
+_LOG_2 = math.log(2.0)
 # row chunks of a block keep every temporary below this many entries
 _BLOCK_ENTRIES = 1 << 18
 
@@ -261,7 +263,7 @@ def _hc_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, t_min: np.ndarray,
                 f"exponential series for phi did not settle within {_MAX_HC_TERMS} terms "
                 f"at lam = {_lam_text(sides[i])}, t = {-0.5 * math.log(x[i])!r}"
             )
-    coef = _truncate(A, pair) * np.array([c_value(G, z) for z in sides])[:, None]
+    coef = _truncate(A, pair) * c_value(G, sides)[:, None]
     coef *= 2.0 if real else 1.0
     blocks = [coef]
     if want_d1:
@@ -279,42 +281,47 @@ def _hc_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, t_min: np.ndarray,
 # Gamma-quotient c(lam) shared with the cfunction module
 # ---------------------------------------------------------------------------
 
-def c_log(G: GroupDatum, lam: complex) -> complex:
-    """log of the rank-one c-function in this normalization.
+def c_log(G: GroupDatum, lam: np.ndarray) -> np.ndarray:
+    """log of the rank-one c-function in this normalization, on a finite 1-D ``lam`` array.
 
     c(lam) = 2^(rho - i lam) Gamma(alpha+1) Gamma(i lam)
              / [Gamma((rho + i lam)/2) Gamma((alpha - beta + 1 + i lam)/2)]
 
-    Raises PoleError at the poles of the numerator (lam in i*Z>=0);
-    zeros of c (denominator poles) bubble up the same way and are mapped
-    to c = 0 by :func:`c_value`.  The five log terms grow like |lam| log|lam|
-    and cancel; once roundoff on their sum passes 1e-10 (from |lam| about
-    2.1e4) the result has no digits to spare and AccuracyError names lam.
+    The three Gamma arguments of every element go through one
+    ``scipy.special.loggamma`` call.  The entry is +inf at a pole of c
+    (lam in i*Z>=0) and -inf at a zero (a denominator pole; where both
+    meet the zero wins).  The five log terms grow like |lam| log|lam| and
+    cancel; once roundoff on their sum passes 1e-10 (from |lam| about
+    2.1e4) the result has no digits to spare and AccuracyError names the
+    first such lam.
     """
-    lam = complex(lam)
-    il = 1j * lam
-    a, b, c = (G.rho - il) * math.log(2.0), log_gamma(G.jacobi_alpha + 1.0), log_gamma(il)
-    d = log_gamma(0.5 * (G.rho + il))
-    e = log_gamma(0.5 * (G.jacobi_alpha - G.jacobi_beta + 1.0 + il))
-    # written out: c_log runs once per spectral node and per exponential-series row
-    lost = _EPS * (abs(a.real) + abs(a.imag) + abs(b.real) + abs(b.imag) + abs(c.real)
-                   + abs(c.imag) + abs(d.real) + abs(d.imag) + abs(e.real) + abs(e.imag))
-    if not lost <= _LOST_DIGITS_TOL:
-        raise AccuracyError(
-            f"c-function loses too many digits at lam = {_lam_text(lam)}: roundoff "
-            f"{lost:.2e} on log c exceeds {_LOST_DIGITS_TOL:g}", err_est=lost
-        )
-    return a + b + c - (d + e)
+    lam = np.asarray(lam, dtype=complex)
+    # rows: i lam, (rho + i lam)/2, (alpha - beta + 1 + i lam)/2
+    args = np.array([[0.0], [G.rho], [G.jacobi_alpha - G.jacobi_beta + 1.0]]) + 1j * lam
+    args[1:] *= 0.5
+    terms = np.empty((4, len(lam)), dtype=complex)
+    terms[0] = (G.rho - args[0]) * _LOG_2
+    loggamma(args, out=terms[1:])
+    b = math.lgamma(G.jacobi_alpha + 1.0)
+    log_c = terms[0] + b + terms[1] - (terms[2] + terms[3])
+    lost = _EPS * (np.abs(terms.view(float)).reshape(4, -1, 2).sum(axis=(0, 2)) + abs(b))
+    if not np.all(lost <= _LOST_DIGITS_TOL):  # too large, or NaN at a Gamma pole
+        pole = (args.imag == 0.0) & (args.real <= 0.0) & (args.real == np.floor(args.real))
+        log_c[pole[0]] = np.inf
+        log_c[pole[1:].any(axis=0)] = -np.inf
+        bad = ~(pole.any(axis=0) | (lost <= _LOST_DIGITS_TOL))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise AccuracyError(
+                f"c-function loses too many digits at lam = {_lam_text(lam[i])}: roundoff "
+                f"{lost[i]:.2e} on log c exceeds {_LOST_DIGITS_TOL:g}", err_est=float(lost[i])
+            )
+    return log_c
 
 
-def c_value(G: GroupDatum, lam: complex) -> complex:
-    """c(lam) with denominator poles folded to the value 0."""
-    lam = complex(lam)
-    il = 1j * lam
-    for arg in (0.5 * (G.rho + il), 0.5 * (G.jacobi_alpha - G.jacobi_beta + 1.0 + il)):
-        if arg.imag == 0.0 and arg.real <= 0.0 and arg.real == math.floor(arg.real):
-            return 0.0 + 0.0j
-    return cmath.exp(c_log(G, lam))
+def c_value(G: GroupDatum, lam: np.ndarray) -> np.ndarray:
+    """c(lam) on a finite 1-D ``lam`` array; 0 at the denominator poles."""
+    return np.exp(c_log(G, lam))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .specfun import (
     composite_gl_nodes,
     integrate_interval,
 )
-from .spherical import RadialProfile, phi, phi_d1
+from .spherical import RadialProfile, phi, phi_d1, phi_d2
 
 __all__ = [
     "SpectralDecay",
@@ -464,15 +464,15 @@ def wave_packet(
             charges[id(rule)] = hit
         return hit
 
-    def eval_packet(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        rule, charge = _charged_rule(ts)
-        return _real_times(_phi_block(G, rule.nodes, ts).T, charge)
+    def charged(block):
+        # psi_a, or its t-derivative when ``block`` is phi_d1 or phi_d2
+        def evaluate(ts):
+            ts = np.atleast_1d(np.asarray(ts, dtype=float))
+            rule, charge = _charged_rule(ts)
+            return _real_times(block(G, rule.nodes, ts).T, charge)
+        return evaluate
 
-    def eval_d1(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        rule, charge = _charged_rule(ts)
-        return _real_times(phi_d1(G, rule.nodes, ts).T, charge)
+    eval_packet = charged(_phi_block)
 
     def noise_floor(ts):
         # evaluator noise: roundoff of the quadrature dot against the
@@ -486,8 +486,8 @@ def wave_packet(
         eval=eval_packet,
         decay=decay,
         smoothness=2,
-        d1=eval_d1,
-        d2=None,
+        d1=charged(phi_d1),
+        d2=charged(phi_d2),
         label=f"psi[{a.label or 'a'}]",
     )
     if t is not None:

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -6,8 +7,9 @@ from sphtrans.cfunction import (
     c_function,
     plancherel_density,
 )
-from sphtrans.errors import ConditioningError, DomainError, PoleError
-from sphtrans.groups import preset
+from sphtrans.errors import AccuracyError, ConditioningError, DomainError, PoleError
+from sphtrans.groups import PRESET_NAMES, preset
+from sphtrans.spherical import c_value
 
 PRESETS = ("SL2R", "H3", "H4", "CH2")
 _WINDOW = {"SL2R": 25.0, "SL2C": 12.0, "H3": 12.0, "H4": 10.0, "CH2": 8.0}
@@ -112,3 +114,64 @@ def test_density_continuity_near_origin():
         diffs = np.abs(np.diff(vals)) / 1e-3
         assert np.all(np.isfinite(diffs))
         assert diffs.max() < 1e2
+
+
+# ---------------------------------------------------------------------------
+# the array c-function: one loggamma call per block
+# ---------------------------------------------------------------------------
+
+def _mp_c(G, lam):
+    """c(lam) as the Gamma quotient, in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        il = 1j * mpmath.mpc(lam)
+        num = mpmath.mpf(2) ** (G.rho - il) * mpmath.gamma(G.jacobi_alpha + 1) * mpmath.gamma(il)
+        den = mpmath.gamma((G.rho + il) / 2) * mpmath.gamma(
+            (G.jacobi_alpha - G.jacobi_beta + 1 + il) / 2)
+        return complex(num / den)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_c_block_matches_mpmath_gamma_quotient(name):
+    G = preset(name)
+    rng = np.random.default_rng(17)
+    real = np.geomspace(1e-3, 2e4, 60)
+    strip = rng.uniform(0.05, 50.0, 30) + 1j * rng.uniform(-G.rho, G.rho, 30)
+    lam = np.concatenate([real, -real, strip])
+    exact = np.array([_mp_c(G, z) for z in lam])
+    rel = np.abs(c_value(G, lam) - exact) / np.abs(exact)
+    # the lost-digits guard admits up to 1e-10 on log c near |lam| = 2e4
+    assert rel.max() <= 1e-10
+    assert rel[np.abs(lam) <= 50.0].max() <= 1e-12
+    assert c_function(G, 2.5) == c_value(G, np.array([2.5]))[0]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_density_block_is_bit_equal_to_pointwise_calls(name):
+    G = preset(name)
+    lam = np.concatenate([np.linspace(-30.0, 30.0, 241), np.geomspace(1e-3, 2e4, 40)])
+    assert plancherel_density(G, lam).tolist() == [plancherel_density(G, x) for x in lam]
+    assert plancherel_density(G, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_c_is_zero_at_denominator_poles_and_raises_at_numerator_poles(name):
+    G = preset(name)
+    k = np.arange(4.0)
+    poles = 1j * np.concatenate([2 * k + G.rho, 2 * k + G.jacobi_alpha - G.jacobi_beta + 1.0])
+    assert np.all(c_value(G, poles) == 0.0)
+    for lam in poles:
+        if lam.imag != round(lam.imag):  # not also a pole of Gamma(i lam)
+            assert c_function(G, lam) == 0.0
+    for n in range(4):
+        with pytest.raises(PoleError) as err:
+            c_function(G, 1j * n)
+        assert err.value.pole == -n
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_guard_names_the_large_lam_in_a_block(name):
+    G = preset(name)
+    block = np.array([0.5, 1.0, 3e4, 2.0, 5e4])
+    for fn in (plancherel_density, c_value):
+        with pytest.raises(AccuracyError, match=r"c-function loses too many digits at lam = 30000\.0:"):
+            fn(G, block)

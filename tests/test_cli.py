@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from sphtrans.cli import RunConfig, load_config, main, validate_config
+from sphtrans.acceptance import CriterionOutcome
+from sphtrans.cli import RunConfig, load_config, main, validate_config, write_json
 from sphtrans.errors import ConfigError
 
 
@@ -111,6 +113,19 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     assert out.exists()
     leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".sphtrans-")]
     assert leftovers == []
+
+
+def test_accept_outcome_rows_serialize(tmp_path):
+    # criteria build their verdicts from numpy comparisons, as A1 does
+    passed = True
+    passed &= np.float64(1e-13) <= 1e-6
+    row = CriterionOutcome("A1 inversion (SL2R)", passed, np.float64(1e-13), 1e-6, 0.5)
+    assert type(row.passed) is bool
+    out = tmp_path / "accept.json"
+    write_json({"operation": "accept", "outcomes": [dataclasses.asdict(row)]}, str(out))
+    doc = json.loads(out.read_text())
+    assert doc["outcomes"] == [{"name": "A1 inversion (SL2R)", "passed": True, "measured": 1e-13,
+                                "tolerance": 1e-6, "runtime": 0.5, "detail": ""}]
 
 
 def test_plancherel_report(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -234,6 +235,21 @@ def test_wave_packet_value_mode_and_identity_normalization():
     )
     ref = 2.0 * G.plancherel_constant / G.weyl_order * ref
     assert abs(val0 - ref) <= 1e-10 * (1.0 + abs(ref))
+
+
+def test_wave_packet_second_derivative_matches_h3_closed_form():
+    # a(nu) = exp(-nu^2/4) on H3 gives psi_a(t) = t exp(-t^2) / (sqrt(pi) sinh t),
+    # whose second derivative at 0 is -7 / (3 sqrt(pi))
+    psi = wave_packet(preset("H3"), make_symbol(lambda x: np.exp(-x**2 / 4.0)))
+    ts = np.linspace(0.0, 8.0, 81)
+    with mpmath.workdps(40):
+        f = lambda t: t * mpmath.exp(-t**2) / (mpmath.sqrt(mpmath.pi) * mpmath.sinh(t))
+        exact = [float(mpmath.diff(f, mpmath.mpf(t), 2)) for t in ts[1:]]
+    exact = np.array([-7.0 / (3.0 * math.sqrt(math.pi))] + exact)
+    err = np.abs(psi.deriv(ts, 2) - exact)
+    # 1e-10 relative; 1e-15 absolute is the roundoff floor of the quadrature sum
+    assert np.all(err <= 1e-10 * np.abs(exact) + 1e-15)
+    assert abs(psi.deriv(1.5, 2) - exact[15]) <= 1e-10 * abs(exact[15])  # scalar t
 
 
 def test_wave_packet_rejects_odd_symbol():
