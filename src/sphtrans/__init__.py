@@ -19,7 +19,7 @@ from .specfun import (
     integrate_interval,
     log_gamma,
 )
-from .spherical import RadialProfile, phi, phi_d1, phi_d2, phi_integral_oracle, xi
+from .spherical import RadialProfile, phi, phi_d1, phi_d2, xi
 from .cfunction import (
     CFit,
     asymptotic_c_oracle,
@@ -65,7 +65,6 @@ __all__ = [
     "phi",
     "phi_d1",
     "phi_d2",
-    "phi_integral_oracle",
     "xi",
     "CFit",
     "c_function",

@@ -11,6 +11,8 @@ ratios never overflow on the spectral windows used here.  The oracle
 recovers c(lam) directly from that asymptotic relation by propagating
 the radial differential equation out of the small-t region and fitting
 the two exponentials, which keeps it independent of the Gamma quotient.
+The ODE is the oracle's own: ``phi`` never solves it, and
+``scipy.integrate`` is imported only when the oracle runs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConditioningError, DomainError, PoleError
 from .groups import GroupDatum
-from .spherical import _ode_solution, c_log, c_value
+from .spherical import _pfaff_series, c_log, c_value
 
 __all__ = [
     "CFit",
@@ -56,6 +58,39 @@ def plancherel_density(G: GroupDatum, lam):
         raise DomainError(f"plancherel_density requires finite lam, got {lam!r}")
     out = np.exp(-2.0 * c_log(G, lam_arr.ravel()).real)
     return float(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
+
+
+_ODE_T0 = 1.2  # the oracle's ODE starts from the Pfaff series here
+
+
+def _g_remainder(G: GroupDatum, t):
+    """Delta'/Delta - 2 rho, exponentially small for large t."""
+    g = G.m_alpha * (-2.0 * np.exp(-2.0 * t) / np.expm1(-2.0 * t))
+    return g + 2.0 * G.m_2alpha * (-2.0 * np.exp(-4.0 * t) / np.expm1(-4.0 * t)) if G.m_2alpha else g
+
+
+def _ode_solution(G: GroupDatum, lam: complex, t_max: float):
+    """Dense solution (Re w, Im w, Re w', Im w') of the radial ODE for
+    w = e^{rho t} phi_lam on [1.2, max(t_max + 1, 8)], seeded by the Pfaff series."""
+    from scipy.integrate import solve_ivp  # costs start-up time; only this oracle needs it
+
+    lam2 = lam * lam
+    rho = G.rho
+
+    def rhs(s, y):
+        g = float(_g_remainder(G, s))
+        acc = -g * complex(y[2], y[3]) - (lam2 - rho * g) * complex(y[0], y[1])
+        return [y[2], y[3], acc.real, acc.imag]
+
+    seed = _pfaff_series(G, np.array([lam]), np.array([_ODE_T0]), None, True)
+    v0, d0 = (complex(z[0, 0]) for z in seed)
+    w0 = cmath.exp(rho * _ODE_T0) * v0
+    w0p = cmath.exp(rho * _ODE_T0) * (d0 + rho * v0)
+    sol = solve_ivp(rhs, (_ODE_T0, max(t_max + 1.0, 8.0)), [w0.real, w0.imag, w0p.real, w0p.imag],
+                    method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
+    if not sol.success:
+        raise AccuracyError(f"radial ODE propagation failed: {sol.message}")
+    return sol
 
 
 @dataclass(frozen=True)

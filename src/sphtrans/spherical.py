@@ -28,38 +28,33 @@ real lam the block is real: phi = 2 Re(c(lam) Phi_lam), one side summed.
 The switch point shrinks with |lam| to keep the Pfaff series free of
 cancellation; past the spectral windows used here the lost digits are
 measured and raise AccuracyError.  Near lam = i*k (integer k), where the
-two-term form breaks down, rows continue from t = 1.2 by the radial ODE.
-Its solutions are memoized per lam and replaced when a longer horizon is
-needed, so those rows may move at the solver tolerance between calls.
+two terms cancel, phi_lam is entire in lam (Koornwinder 1984): such a row
+is the trapezoid-rule Cauchy integral over a small circle about ik
+(Trefethen & Weideman 2014), whose points are ordinary rows of the same
+exponential-series product.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import loggamma
 
-from .errors import AccuracyError, CapabilityError, DomainError
+from .errors import AccuracyError, DomainError
 from .groups import GroupDatum, haar_log_derivative
-from .specfun import DEFAULT_QUAD, ExpDecay, QuadratureSpec, integrate_interval, log_gamma
+from .specfun import ExpDecay
 
 __all__ = [
     "RadialProfile",
     "phi",
     "phi_d1",
     "phi_d2",
-    "phi_integral_oracle",
     "xi",
 ]
 
-# degenerate-parameter guard: distance from i*Z below which the
-# two-term large-t representation suffers catastrophic cancellation
-_DEGENERACY_TOL = 1e-4
 # finite-difference step used whenever a profile has no analytic derivative
 FD_STEP = 1e-4
 
@@ -71,6 +66,11 @@ _SERIES_CHUNK = 128
 _LOST_DIGITS_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 _LOG_2 = math.log(2.0)
+# below this t (for |lam| <= 8) phi is the Pfaff series
+_PFAFF_T = 1.2
+# the N = 16 points of the Cauchy circle about i*k: Re > 0 for j < N/2, z_{j+N/2} = -z_j
+_CIRCLE = np.exp(1j * np.pi * (np.arange(8) - 3.5) / 8)
+_CIRCLE = np.concatenate([_CIRCLE, -_CIRCLE])
 # row chunks of a block keep every temporary below this many entries
 _BLOCK_ENTRIES = 1 << 18
 
@@ -217,9 +217,10 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
     return [pref * sums[0], pref * (-s * th * sums[0] + sums[1] * 2.0 * th * (1.0 - th * th))]
 
 
-def _hc_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, t_min: np.ndarray,
-               want_d1: bool, real: bool):
-    """phi (and phi') on lam x t as c(lam) Phi_lam + c(-lam) Phi_{-lam}, where
+def _hc_series(G: GroupDatum, sides: np.ndarray, t: np.ndarray, t_min: np.ndarray,
+               want_d1: bool, weight: np.ndarray, real: bool):
+    """weight g(s), g(s) = c(s) Phi_s (and its t-derivative) on sides x t, one
+    side s per row, where
 
         Phi_lam(t) = e^{mu t} sum_k a_k e^{-2kt},   mu = i lam - rho,
         4 k (k - i lam) a_k = - sum_{j=1}^{k} b_j a_{k-j} (mu - 2(k-j)),  a_0 = 1,
@@ -229,10 +230,10 @@ def _hc_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, t_min: np.ndarray,
     running sums of d_m = a_m (mu - 2m) over all m and over each parity
     make a step O(1).  Row i stops at the first k >= 6 where |a_k| x^k and
     |a_{k-1}| x^{k-1} are below 1e-19 max(1, |a_1|, ..., |a_k|), with
-    x = e^{-2 t_min[i]}.  Real lam: phi = 2 Re(c(lam) Phi_lam).
+    x = e^{-2 t_min[i]}.  ``real`` keeps the real part only: phi = 2 Re g(lam)
+    for real lam.
     """
-    sides = lam if real else np.concatenate([lam, -lam])
-    x = np.exp(-2.0 * np.tile(t_min, 1 if real else 2))
+    x = np.exp(-2.0 * t_min)
     mu = 1j * sides - G.rho
     # one row runs on Python complex numbers: no per-step array overhead
     one = len(sides) == 1
@@ -263,18 +264,23 @@ def _hc_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, t_min: np.ndarray,
                 f"exponential series for phi did not settle within {_MAX_HC_TERMS} terms "
                 f"at lam = {_lam_text(sides[i])}, t = {-0.5 * math.log(x[i])!r}"
             )
-    coef = _truncate(A, pair) * c_value(G, sides)[:, None]
-    coef *= 2.0 if real else 1.0
+    coef = _truncate(A, pair) * (weight * c_value(G, sides))[:, None]
     blocks = [coef]
     if want_d1:
         blocks.append(coef * (mu[:, None] - 2.0 * np.arange(coef.shape[1])))
-    # e^{mu t} = e^{-rho t} e^{i lam t}; the first factor rides on the powers
+    # e^{mu t} = e^{-rho t} e^{i s t}; the first factor rides on the powers
     sums = _times_real(blocks, _powers(np.exp(-2.0 * t), coef.shape[1] - 1) * np.exp(-G.rho * t))
-    if real:
-        phase = np.outer(lam.real, t)
-        return [np.cos(phase) * re - np.sin(phase) * im for re, im in sums]
-    front = np.exp(1j * np.outer(sides, t))
-    return [(front * (re + 1j * im)).reshape(2, len(lam), -1).sum(axis=0) for re, im in sums]
+    if not real:
+        front = np.exp(1j * np.outer(sides, t))
+        return [front * (re + 1j * im) for re, im in sums]
+    phase = np.outer(sides.real, t)
+    vals = [np.cos(phase) * re - np.sin(phase) * im for re, im in sums]
+    off = np.flatnonzero(sides.imag)
+    if off.size:  # |e^{i s t}| = e^{-Im s t}
+        damp = np.exp(-np.outer(sides.imag[off], t))
+        for v in vals:
+            v[off] *= damp
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -325,93 +331,79 @@ def c_value(G: GroupDatum, lam: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# degenerate-parameter branch: propagate the radial ODE
-# ---------------------------------------------------------------------------
-
-_ODE_T0 = 1.2
-_ODE_CACHE: dict[tuple, tuple[float, object]] = {}
-
-
-def _g_remainder(G: GroupDatum, t):
-    """Delta'/Delta - 2 rho, exponentially small for large t."""
-    em = np.expm1(-2.0 * t)
-    g = G.m_alpha * (-2.0 * np.exp(-2.0 * t) / em)
-    if G.m_2alpha:
-        em2 = np.expm1(-4.0 * t)
-        g = g + 2.0 * G.m_2alpha * (-2.0 * np.exp(-4.0 * t) / em2)
-    return g
-
-
-def _ode_solution(G: GroupDatum, lam: complex, t_max: float):
-    key = (G.name, round(lam.real, 12), round(lam.imag, 12))
-    cached = _ODE_CACHE.get(key)
-    if cached is not None and cached[0] >= t_max:
-        return cached[1]
-    horizon = max(t_max + 1.0, 8.0)
-    lam2 = lam * lam
-    rho = G.rho
-
-    def rhs(s, y):
-        wr, wi, vr, vi = y
-        g = float(_g_remainder(G, s))
-        w = complex(wr, wi)
-        v = complex(vr, vi)
-        acc = -g * v - (lam2 - rho * g) * w
-        return [vr, vi, acc.real, acc.imag]
-
-    seed = _pfaff_series(G, np.array([lam]), np.array([_ODE_T0]), None, True)
-    v0, d0 = (complex(z[0, 0]) for z in seed)
-    w0 = cmath.exp(rho * _ODE_T0) * v0
-    w0p = cmath.exp(rho * _ODE_T0) * (d0 + rho * v0)
-    sol = solve_ivp(rhs, (_ODE_T0, horizon), [w0.real, w0.imag, w0p.real, w0p.imag],
-                    method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
-    if not sol.success:
-        raise AccuracyError(f"radial ODE propagation failed: {sol.message}")
-    _ODE_CACHE[key] = (horizon, sol)
-    return sol
-
-
-def _ode_eval(G: GroupDatum, lam: complex, t: np.ndarray, want_d1: bool):
-    y = _ode_solution(G, lam, float(t.max())).sol(t)
-    w = y[0] + 1j * y[1]
-    damp = np.exp(-G.rho * t)
-    return [damp * w, damp * (y[2] + 1j * y[3] - G.rho * w)][: 1 + want_d1]
-
-
-# ---------------------------------------------------------------------------
 # block evaluator and public functions
 # ---------------------------------------------------------------------------
+
+def _exp_sides(far: np.ndarray, near: np.ndarray, t_min: np.ndarray, radius: float, real: bool):
+    """One-sided rows s for the exponential series of the rows far, then near,
+    with weights W and the t_min of each side, such that
+
+        phi_lam = sum over its sides of W g(s)  (of Re W g(s) when ``real``),
+
+    g(s) = c(s) Phi_s.  A row off i*Z is g(lam) + g(-lam), or 2 Re g(lam) for
+    real lam.  A row ``near`` i*k, where those two terms cancel, is the N-point
+    trapezoid rule for Cauchy's integral over the circle of ``radius`` about ik,
+
+        phi_lam = sum_j phi_{z_j} (z_j - ik) / (N (z_j - lam)),
+
+    accurate to about (|lam - ik| / radius)^N.  About 0, phi_{-z} = phi_z and
+    g(-conj z) = conj(g(z)) leave the N/2 sides with Re z > 0 for real lam.
+    """
+    if real:
+        sides, weight, t_side = far, np.full(len(far), 2.0), t_min[:len(far)]
+    else:
+        sides, weight = np.column_stack([far, -far]).ravel(), np.ones(2 * len(far))
+        t_side = np.repeat(t_min[:len(far)], 2)
+    if not len(near):
+        return sides, weight, t_side
+    z = 1j * np.round(near.imag)[:, None] + radius * _CIRCLE
+    w = radius * _CIRCLE / (len(_CIRCLE) * (z - near[:, None]))
+    half = len(_CIRCLE) // 2
+    if real:  # z_{j+N/2} = -z_j
+        z, w = z[:, :half], 2.0 * (w[:, :half] + w[:, half:])
+    else:
+        z, w = np.hstack([z, -z]), np.hstack([w, w])
+    return (np.concatenate([sides, z.ravel()]), np.concatenate([weight, w.ravel()]),
+            np.concatenate([t_side, np.repeat(t_min[len(far):], z.shape[1])]))
+
 
 def _phi_rows(G: GroupDatum, lam: np.ndarray, t: np.ndarray, want_d1: bool, real: bool):
     """[phi] or [phi, phi'] on the block of complex rows lam x t, float64 when ``real``.
 
     A row leaves the Pfaff series at max(0.19, 9.6/|lam|) (1.2 for
-    |lam| <= 8) for the exponential series, or, if degenerate
-    (|lam - ik| < 1e-4), for the radial ODE.  Row chunks keep temporaries small.
+    |lam| <= 8) for the exponential series, which a row within a tenth of
+    the circle radius of i*Z takes from a Cauchy circle of ordinary rows
+    (see :func:`_exp_sides`).  The radius is small enough that the Taylor
+    coefficients of phi in lam, of size t^n / n!, alias below roundoff, and
+    large enough that the one-sided rows, of size 1 / radius, keep their
+    digits.  Row chunks keep temporaries small.
     """
     val = np.empty((len(lam), len(t)), dtype=float if real else complex)
     outs = [val, np.empty_like(val)] if want_d1 else [val]
     mod = np.abs(lam)
-    deg = np.abs(lam - 1j * np.round(lam.imag)) < _DEGENERACY_TOL
-    switch = np.where(deg | (mod <= 8.0), _ODE_T0, np.maximum(0.19, 9.6 / np.maximum(mod, 8.0)))
+    switch = np.where(mod <= 8.0, _PFAFF_T, np.maximum(0.19, 9.6 / np.maximum(mod, 8.0)))
+    radius = 0.64 / max(t.max(initial=0.0), 64.0)
+    near = np.abs(lam - 1j * np.round(lam.imag)) < 0.1 * radius
     step = max(1, _BLOCK_ENTRIES // max(len(t), 1))
     for r in range(0, len(lam), step):
         rows = slice(r, r + step)
-        exp_rows = r + np.flatnonzero(~deg[rows])
-        cols = np.flatnonzero(t > switch[exp_rows].min()) if exp_rows.size else []
-        if len(cols):
-            t_min = np.where(t[cols] > switch[exp_rows, None], t[cols], np.inf).min(axis=1)
-            for out, part in zip(outs, _hc_series(G, lam[exp_rows], t[cols], t_min, want_d1, real)):
-                out[np.ix_(exp_rows, cols)] = part
+        cols = np.flatnonzero(t > switch[rows].min())
+        if cols.size:
+            far, on = r + np.flatnonzero(~near[rows]), r + np.flatnonzero(near[rows])
+            order = np.concatenate([far, on])
+            t_min = np.where(t[cols] > switch[order, None], t[cols], np.inf).min(axis=1)
+            sides, weight, t_min = _exp_sides(lam[far], lam[on], t_min, radius, real)
+            parts = _hc_series(G, sides, t[cols], t_min, want_d1, weight, real)
+            n = len(far) if real else 2 * len(far)
+            for out, part in zip(outs, parts):
+                out[np.ix_(far, cols)] = part[:n] if real else part[:n:2] + part[1:n:2]
+                if on.size:
+                    out[np.ix_(on, cols)] = part[n:].reshape(len(on), -1, len(cols)).sum(axis=1)
         cols = np.flatnonzero(t <= switch[rows].max())
         if cols.size:
             own = t[cols] <= switch[rows, None]
             for out, part in zip(outs, _pfaff_series(G, lam[rows], t[cols], own, want_d1)):
                 out[rows, cols] = np.where(own, part.real if real else part, out[rows, cols])
-    cols = np.flatnonzero(t > _ODE_T0)
-    for i in np.flatnonzero(deg) if cols.size else ():
-        for out, part in zip(outs, _ode_eval(G, lam[i], t[cols], want_d1)):
-            out[i, cols] = part.real if real else part
     return outs
 
 
@@ -465,43 +457,3 @@ def xi(G: GroupDatum, t):
     """Reference spherical function Xi(t) = phi_0(t); real, in (0, 1]."""
     out = phi(G, 0.0, t).real
     return float(out) if np.ndim(t) == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# independent integral-representation oracle (m_2alpha = 0 presets)
-# ---------------------------------------------------------------------------
-
-def phi_integral_oracle(G: GroupDatum, lam, t, q: QuadratureSpec = DEFAULT_QUAD) -> complex:
-    """phi_lam(t) via the classical sphere average
-
-        phi_lam(t) = c_n * int_0^pi (cosh t - sinh t cos(th))^(-(i lam + rho))
-                                     sin(th)^(n-2) dth,   n = m_alpha + 1,
-
-    valid for the presets without a double root.  Entirely independent of
-    the series machinery in :func:`phi`.
-    """
-    if G.m_2alpha != 0:
-        raise CapabilityError(
-            f"integral representation unavailable for preset {G.name} (m_2alpha != 0)"
-        )
-    lam = complex(lam)
-    t = float(t)
-    if t < 0:
-        raise DomainError("oracle requires t >= 0")
-    if t == 0.0:
-        return 1.0 + 0.0j
-    n = G.m_alpha + 1
-    log_cn = log_gamma(0.5 * n) - 0.5 * math.log(math.pi) - log_gamma(0.5 * (n - 1))
-    cn = cmath.exp(log_cn).real
-    ch, sh = math.cosh(t), math.sinh(t)
-    expo = -(1j * lam + G.rho)
-
-    def integrand(theta):
-        base = ch - sh * np.cos(theta)
-        vals = np.exp(expo * np.log(base))
-        if n > 2:
-            vals = vals * np.sin(theta) ** (n - 2)
-        return vals
-
-    value, _ = integrate_interval(integrand, 0.0, math.pi, q)
-    return cn * value

@@ -1,0 +1,47 @@
+"""phi_lam(t) by an integral representation, independent of the series in
+:func:`sphtrans.spherical.phi`; the tests hold phi to it."""
+
+import cmath
+import math
+
+import numpy as np
+
+from sphtrans.errors import CapabilityError, DomainError
+from sphtrans.groups import GroupDatum
+from sphtrans.specfun import DEFAULT_QUAD, QuadratureSpec, integrate_interval, log_gamma
+
+
+def phi_integral_oracle(G: GroupDatum, lam, t, q: QuadratureSpec = DEFAULT_QUAD) -> complex:
+    """phi_lam(t) via the classical sphere average
+
+        phi_lam(t) = c_n * int_0^pi (cosh t - sinh t cos(th))^(-(i lam + rho))
+                                     sin(th)^(n-2) dth,   n = m_alpha + 1,
+
+    valid for the presets without a double root.  Entirely independent of
+    the series machinery in :func:`phi`.
+    """
+    if G.m_2alpha != 0:
+        raise CapabilityError(
+            f"integral representation unavailable for preset {G.name} (m_2alpha != 0)"
+        )
+    lam = complex(lam)
+    t = float(t)
+    if t < 0:
+        raise DomainError("oracle requires t >= 0")
+    if t == 0.0:
+        return 1.0 + 0.0j
+    n = G.m_alpha + 1
+    log_cn = log_gamma(0.5 * n) - 0.5 * math.log(math.pi) - log_gamma(0.5 * (n - 1))
+    cn = cmath.exp(log_cn).real
+    ch, sh = math.cosh(t), math.sinh(t)
+    expo = -(1j * lam + G.rho)
+
+    def integrand(theta):
+        base = ch - sh * np.cos(theta)
+        vals = np.exp(expo * np.log(base))
+        if n > 2:
+            vals = vals * np.sin(theta) ** (n - 2)
+        return vals
+
+    value, _ = integrate_interval(integrand, 0.0, math.pi, q)
+    return cn * value

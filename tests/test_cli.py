@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -206,3 +208,11 @@ def test_validate_config_catches_bad_family():
     cfg.subcommand = "transform"
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate is the A7 oracle's alone; every CLI process would pay its import
+    code = "import sys, sphtrans, sphtrans.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
+    assert out.stdout.strip() == "False"

@@ -5,16 +5,19 @@ import heapq
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
 from sphtrans import specfun, transform
-from sphtrans.cfunction import c_function, plancherel_density
+from sphtrans.cfunction import _ode_solution, c_function, plancherel_density
 from sphtrans.errors import AccuracyError, DomainError
 from sphtrans.groups import PRESET_NAMES, preset
 from sphtrans.profiles import gaussian_profile
 from sphtrans.schwartz import TubeSpec, tube_extension_check
-from sphtrans.spherical import _ode_eval, phi, phi_d1, phi_d2, phi_integral_oracle
+from sphtrans.spherical import phi, phi_d1, phi_d2
+
+from integral_oracle import phi_integral_oracle
 
 GRID = transform.default_spectral_grid()
 T64 = np.linspace(0.0, 64.0, 641)
@@ -61,7 +64,9 @@ def test_ch2_block_matches_ode_branch_beyond_switch():
     block = phi(G, lams, ts)
     xi = phi(G, 0.0, ts).real
     for i, lam in enumerate(lams):
-        ode = _ode_eval(G, complex(lam), ts, False)[0]
+        # the A7 oracle's radial ODE for w = e^{rho t} phi
+        y = _ode_solution(G, complex(lam), ts.max()).sol(ts)
+        ode = np.exp(-G.rho * ts) * (y[0] + 1j * y[1])
         assert np.max(np.abs(block[i] - ode.real) / xi) <= 1e-10
 
 
@@ -85,6 +90,63 @@ def test_degenerate_rows():
     assert np.max(np.abs(block[:2] - exact) / xi_h3(ts)) <= 1e-12
     # phi_i = sinh t / sinh t = 1 on H3
     assert np.max(np.abs(block[2] - 1.0)) <= 1e-11
+
+
+# rows at and near i*Z, where c(lam) Phi_lam + c(-lam) Phi_-lam cancels
+NEAR_IZ = [0.0, 1e-5, 1.01e-4, 2e-4, 1e-3, 1j, 1j + 2e-4, 2j]
+
+
+@pytest.mark.parametrize("name", ["SL2C", "H3"])  # both have multiplicities (2, 0)
+def test_rows_near_iz_meet_h3_closed_form(name):
+    G = preset(name)
+    ts = np.linspace(0.0, 64.0, 6401)
+    lams = np.array(NEAR_IZ)
+    env = np.exp(np.abs(lams.imag)[:, None] * ts) * xi_h3(ts)
+    for block in (phi(G, lams, ts), np.array([phi(G, lam, ts) for lam in NEAR_IZ])):
+        assert np.max(np.abs(block - h3_closed_form(lams, ts)) / env) <= 1e-13
+
+
+def h3_closed_form_derivatives(lam, t):
+    """(phi', phi'') of sin(lam t) / (lam sinh t) at 30 digits."""
+    with mpmath.workdps(30):
+        lam, t = mpmath.mpc(lam), mpmath.mpf(t)
+        if t == 0:
+            return 0.0, complex(-(lam**2 + 1) / 3)
+        s, ds = t * mpmath.sinc(lam * t), mpmath.cos(lam * t)  # sin(lam t) / lam and d/dt
+        sh, ch = mpmath.sinh(t), mpmath.cosh(t)
+        d1 = (ds * sh - s * ch) / sh**2
+        d2 = -(lam**2 + 1) * s / sh - 2 * ch * d1 / sh
+        return complex(d1), complex(d2)
+
+
+def test_circle_row_derivatives_meet_h3_closed_form():
+    G = preset("H3")
+    ts = np.linspace(0.0, 64.0, 161)
+    lams = np.array([lam for lam in NEAR_IZ if lam != 1e-3])  # 1e-3 is off the circle
+    exact = np.array([[h3_closed_form_derivatives(lam, t) for t in ts] for lam in lams])
+    env = np.exp(np.abs(lams.imag)[:, None] * ts) * xi_h3(ts)
+    for k, fn in enumerate((phi_d1, phi_d2)):
+        assert np.max(np.abs(fn(G, lams, ts) - exact[:, :, k]) / env) <= 1e-13
+
+
+def hypergeometric_phi(G, lam, t):
+    """phi_lam(t) = 2F1((rho + i lam)/2, (rho - i lam)/2; alpha + 1; -sinh^2 t) at 30 digits."""
+    with mpmath.workdps(30):
+        a = (G.rho + 1j * mpmath.mpc(lam)) / 2
+        return complex(mpmath.hyp2f1(a, G.rho - a, G.jacobi_alpha + 1, -mpmath.sinh(t) ** 2))
+
+
+@pytest.mark.parametrize("name", ["SL2R", "CH2", "H4"])
+def test_rows_at_iz_meet_mpmath(name):
+    # t up to 64 (circle radius 0.01) and up to T = 152, which SL2R's exp(-x^4/8)
+    # packet takes in the forward transform (radius 0.64 / 152)
+    G = preset(name)
+    for ts in (np.linspace(0.0, 64.0, 9), np.array([0.5, 1.3, 20.0, 64.0, 120.0, 152.0])):
+        block = phi(G, np.array([0.0, 1j]), ts)
+        xi = np.array([hypergeometric_phi(G, 0.0, t).real for t in ts])
+        for row, lam in zip(block, (0.0, 1j)):
+            exact = np.array([hypergeometric_phi(G, lam, t) for t in ts])
+            assert np.max(np.abs(row - exact) / (np.exp(abs(lam.imag) * ts) * xi)) <= 1e-13
 
 
 def test_complex_strip_rows():

@@ -9,9 +9,10 @@ from sphtrans.spherical import (
     phi,
     phi_d1,
     phi_d2,
-    phi_integral_oracle,
     xi,
 )
+
+from integral_oracle import phi_integral_oracle
 
 PRESETS = ("SL2R", "H3", "H4", "CH2")
 
