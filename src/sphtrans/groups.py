@@ -1,12 +1,17 @@
 """Rank-one group presets and the radial Haar weight.
 
-Every preset fixes a pair of restricted-root multiplicities (m_alpha,
-m_2alpha) on the half-line radial coordinate t >= 0 coming from the
-Cartan decomposition.  All structural constants derive from them:
+A rank-one space is fixed by its pair of restricted-root multiplicities
+(m_alpha, m_2alpha) on the half-line radial coordinate t >= 0 coming from
+the Cartan decomposition.  A :class:`GroupDatum` is built from that pair
+alone; every structural constant derives from it:
 
     rho          = (m_alpha + 2*m_2alpha) / 2
     jacobi_alpha = (m_alpha + m_2alpha - 1) / 2
     jacobi_beta  = (m_2alpha - 1) / 2
+
+Two data with equal multiplicities compare and hash equal whatever their
+names, so every table cache keyed on a datum serves both (SL2C and H3
+share theirs).
 
 The radial Haar weight is normalized once and for all as
 
@@ -18,16 +23,15 @@ weight (2 sinh t)^(2 alpha + 1) (2 cosh t)^(2 beta + 1), and with the 2F1
 normalization of phi and the Gamma-quotient c(lam) used here the Jacobi
 inversion constant is exactly c_P = 1/(2 pi) (Koornwinder, "Jacobi
 functions and analysis on noncompact semisimple Lie groups", 1984).  Every
-preset carries it as ``plancherel_constant``; the tests check it against
-the forward/inverse round trip.
+datum carries it as the constant ``plancherel_constant``; the tests check
+it against the forward/inverse round trip.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,71 +54,45 @@ PLANCHEREL_CONSTANT = 1.0 / (2.0 * math.pi)
 
 @dataclass(frozen=True)
 class GroupDatum:
-    """Structural constants of a rank-one preset.
+    """Structural constants of a rank-one space, derived from (m_alpha, m_2alpha).
 
-    Immutable after construction; safe to share across threads.
+    ``name`` is a label only: equality and hashing see the multiplicities.
+    ``rho`` and the Jacobi parameters are set from them and cannot be
+    passed in.  Immutable after construction; safe to share across threads.
     """
 
-    name: str
+    name: str = field(compare=False)
     m_alpha: int
     m_2alpha: int
-    rho: float
-    jacobi_alpha: float
-    jacobi_beta: float
-    plancherel_constant: float
-    weyl_order: int = 2
+    rho: float = field(init=False, compare=False)
+    jacobi_alpha: float = field(init=False, compare=False)
+    jacobi_beta: float = field(init=False, compare=False)
+
+    plancherel_constant: ClassVar[float] = PLANCHEREL_CONSTANT
+    weyl_order: ClassVar[int] = 2  # rank one
 
     def __post_init__(self):
+        m1, m2 = self.m_alpha, self.m_2alpha
+        object.__setattr__(self, "rho", (m1 + 2 * m2) / 2.0)
+        object.__setattr__(self, "jacobi_alpha", (m1 + m2 - 1) / 2.0)
+        object.__setattr__(self, "jacobi_beta", (m2 - 1) / 2.0)
         if self.rho <= 0:
-            raise DomainError(f"rho must be positive, got {self.rho}")
+            raise DomainError(f"rho must be positive, got {self.rho} from ({m1}, {m2})")
         if not (self.jacobi_alpha >= self.jacobi_beta >= -0.5):
             raise DomainError(
                 "need jacobi_alpha >= jacobi_beta >= -1/2, got "
-                f"({self.jacobi_alpha}, {self.jacobi_beta})"
+                f"({self.jacobi_alpha}, {self.jacobi_beta}) from ({m1}, {m2})"
             )
-        if self.plancherel_constant <= 0:
-            raise DomainError("plancherel_constant must be positive")
-        if self.weyl_order != 2:
-            raise DomainError("rank-one Weyl group has order 2")
-
-    def to_json(self) -> str:
-        """Serialize to a JSON document; round-trips exactly."""
-        return json.dumps(dataclasses.asdict(self))
-
-    @classmethod
-    def from_json(cls, doc: str) -> "GroupDatum":
-        data = json.loads(doc)
-        expected = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - expected
-        if unknown:
-            raise DomainError(f"unknown GroupDatum fields: {sorted(unknown)}")
-        missing = expected - set(data)
-        if missing:
-            raise DomainError(f"missing GroupDatum fields: {sorted(missing)}")
-        return cls(**data)
-
-
-def _base_fields(name: str) -> dict:
-    try:
-        m1, m2 = _PRESET_MULTIPLICITIES[name]
-    except KeyError:
-        raise UnknownPresetError(
-            f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
-        ) from None
-    return dict(
-        name=name,
-        m_alpha=m1,
-        m_2alpha=m2,
-        rho=(m1 + 2 * m2) / 2.0,
-        jacobi_alpha=(m1 + m2 - 1) / 2.0,
-        jacobi_beta=(m2 - 1) / 2.0,
-        weyl_order=2,
-    )
 
 
 def preset(name: str) -> GroupDatum:
     """Return the group datum for ``name``, with c_P = :data:`PLANCHEREL_CONSTANT`."""
-    return GroupDatum(plancherel_constant=PLANCHEREL_CONSTANT, **_base_fields(name))
+    try:
+        return GroupDatum(name, *_PRESET_MULTIPLICITIES[name])
+    except KeyError:
+        raise UnknownPresetError(
+            f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
+        ) from None
 
 
 def haar_density(G: GroupDatum, t):

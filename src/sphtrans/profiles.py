@@ -37,7 +37,6 @@ def gaussian_profile(G: GroupDatum, width: float = 1.0, scale: float = 1.0) -> R
     return RadialProfile(
         eval=f,
         decay=ExpDecay(coeff=float(coeff), rate=rate, degree=0),
-        smoothness=2,
         d1=d1,
         d2=d2,
         label=f"gauss(w={width})",
@@ -63,7 +62,6 @@ def cosh_profile(G: GroupDatum, power: float | None = None) -> RadialProfile:
     return RadialProfile(
         eval=f,
         decay=ExpDecay(coeff=2.0**q, rate=q, degree=0),
-        smoothness=2,
         d1=d1,
         d2=d2,
         label=f"cosh^-{q}",
@@ -99,7 +97,6 @@ def xi_poly_profile(G: GroupDatum, p: int = 3) -> RadialProfile:
     return RadialProfile(
         eval=f,
         decay=ExpDecay(coeff=2.0, rate=G.rho, degree=1 - p),
-        smoothness=2,
         d1=d1,
         d2=d2,
         label=f"xi*(1+t)^-{p}",
@@ -113,7 +110,6 @@ def zero_profile(G: GroupDatum) -> RadialProfile:
     return RadialProfile(
         eval=f,
         decay=ExpDecay(coeff=1e-300, rate=2.0 * G.rho + 2.0, degree=0),
-        smoothness=2,
         d1=f,
         d2=f,
         label="zero",

@@ -9,10 +9,10 @@ Nothing here is randomized, so downstream tolerances are stable run over run.
 from __future__ import annotations
 
 import cmath
+import functools
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import loggamma
@@ -24,6 +24,7 @@ __all__ = [
     "ExpDecay",
     "log_gamma",
     "integrate_interval",
+    "truncation_point",
     "gauss_legendre_rule",
     "composite_gl_nodes",
 ]
@@ -70,7 +71,7 @@ class ExpDecay:
         return self.rate == other.rate and self.degree < other.degree
 
 
-def _default_truncation(decay: ExpDecay, abs_tol: float) -> float:
+def truncation_point(decay: ExpDecay, abs_tol: float) -> float:
     """Smallest T (within a factor) with tail_integral(T) <= abs_tol / 4."""
     if decay.rate <= 0:
         raise DomainError("half-line truncation needs a positive decay rate")
@@ -85,14 +86,15 @@ def _default_truncation(decay: ExpDecay, abs_tol: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and budget policy for every integral in the package."""
+    """Tolerance and budget policy for every integral in the package.
+
+    Half-line integrals stop at :func:`truncation_point` of their decay
+    envelope and ``abs_tol``.
+    """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 4096
-    truncation_policy: Callable[[ExpDecay, float], float] = field(
-        default=_default_truncation, repr=False
-    )
 
     def __post_init__(self):
         if self.rel_tol < 1e-14:
@@ -133,15 +135,10 @@ def log_gamma(z) -> complex:
 # Gauss-Legendre rules
 # ---------------------------------------------------------------------------
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (x, w)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def composite_gl_nodes(lo: float, hi: float, n_panels: int, order: int):

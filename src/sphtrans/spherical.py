@@ -86,13 +86,12 @@ class RadialProfile:
     ``eval`` must accept float ndarrays.  Evaluation at negative t is
     reflected to |t|, which realizes the evenness of K-biinvariant
     functions.  ``decay`` is an actual envelope bound, spot-checkable
-    via :meth:`check_decay`.  ``smoothness`` is the highest derivative
-    order the evaluator supports (>= 2 for everything shipped).
+    via :meth:`check_decay`.  Derivatives of order 1 and 2 come from
+    ``d1`` and ``d2`` when given, else from central differences.
     """
 
     eval: Callable
     decay: ExpDecay
-    smoothness: int = 2
     d1: Optional[Callable] = None
     d2: Optional[Callable] = None
     label: str = ""
@@ -108,8 +107,6 @@ class RadialProfile:
         """k-th derivative at t (k <= 2); central differences as fallback."""
         if k == 0:
             return self(t)
-        if k > self.smoothness:
-            raise DomainError(f"profile {self.label!r} supports order <= {self.smoothness}")
         if k == 1:
             if self.d1 is not None:
                 return self._signed(self.d1, t)
@@ -235,23 +232,20 @@ def _hc_series(G: GroupDatum, sides: np.ndarray, t: np.ndarray, t_min: np.ndarra
     """
     x = np.exp(-2.0 * t_min)
     mu = 1j * sides - G.rho
-    # one row runs on Python complex numbers: no per-step array overhead
-    one = len(sides) == 1
-    total = complex(mu[0]) if one else mu.copy()  # sum of d_m over m < k
-    parity = [total, 0j] if one else [mu.copy(), np.zeros_like(mu)]  # over even, odd m
-    cols = [1.0 + 0j] if one else [np.ones_like(mu)]
+    total = mu.copy()  # sum of d_m over m < k
+    parity = [mu.copy(), np.zeros_like(mu)]  # over even, odd m
+    cols = [np.ones_like(mu)]
     while True:
         ks = np.arange(len(cols), len(cols) + _HC_CHUNK, dtype=float)
-        inv = -1.0 / (4.0 * ks * (ks - 1j * sides[:, None]))
-        shift = mu[:, None] - 2.0 * ks
-        inv, shift = (inv[0].tolist(), shift[0].tolist()) if one else (inv.T, shift.T)
+        inv = (-1.0 / (4.0 * ks * (ks - 1j * sides[:, None]))).T
+        shift = (mu[:, None] - 2.0 * ks).T
         for j, k in enumerate(ks.astype(int)):
             a = (2.0 * G.m_alpha * total + 4.0 * G.m_2alpha * parity[k % 2]) * inv[j]
             d = a * shift[j]
             total += d
             parity[k % 2] += d
             cols.append(a)
-        A = np.array(cols).reshape(len(cols), -1).T
+        A = np.array(cols).T
         mag = np.abs(A)
         scale = 1e-19 * np.maximum.accumulate(np.maximum(mag, 1.0), axis=1)[:, 6:]
         term = mag * x[:, None] ** np.arange(A.shape[1])

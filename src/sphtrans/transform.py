@@ -21,6 +21,7 @@ the identity; no other free constants exist anywhere downstream.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from .specfun import (
     QuadratureSpec,
     composite_gl_nodes,
     integrate_interval,
+    truncation_point,
 )
 from .spherical import RadialProfile, phi, phi_d1, phi_d2
 
@@ -71,12 +73,22 @@ _T_ORDER_FINE = 16
 _T_ORDER_COARSE = 10
 _NU_PANEL = 0.75
 _NU_ORDER = 20
+# rules held per cache: a shared perfbench warm-up holds 10 radial and 6 spectral rules
+_RULE_CACHE_SIZE = 64
+# order of the local polynomial interpolation of sampled spectral functions
+_INTERP_ORDER = 6
 
 # bound for Xi(t) e^{rho t} / (1 + t) on the shipped presets, used only
 # for truncation planning of forward integrals
 _XI_ENVELOPE = 2.0
 
 CARTAN_CLASSES = ("split", "compact")
+
+
+def _require_symmetric(grid: np.ndarray, message: str):
+    """GridContractError unless grid[i] = -grid[n-1-i] to 1e-12 absolute."""
+    if not np.allclose(grid, -grid[::-1], rtol=0.0, atol=1e-12):
+        raise GridContractError(message)
 
 
 def default_spectral_grid(count: int = GRID_COUNT, lam_max: float = GRID_MAX) -> np.ndarray:
@@ -104,15 +116,14 @@ class SpectralDecay:
 class SpectralFunction:
     """A function on the spectral axis, sampled on a symmetric grid.
 
-    Off-grid evaluation uses local polynomial interpolation of order
-    ``interpolation_order`` (>= 4 by contract; 6 by default) unless an
+    The grid must be symmetric about 0 to 1e-12 absolute.  Off-grid
+    evaluation uses local polynomial interpolation of order 6 unless an
     exact evaluator ``fn`` is attached, in which case that is used.
     """
 
     grid: np.ndarray
     values: np.ndarray
     decay: SpectralDecay
-    interpolation_order: int = 6
     fn: Optional[Callable] = None
     label: str = ""
 
@@ -123,10 +134,7 @@ class SpectralFunction:
             raise GridContractError("grid and values must be 1-d and equally long")
         if np.any(np.diff(self.grid) <= 0):
             raise GridContractError("grid must be strictly increasing")
-        if not np.allclose(self.grid, -self.grid[::-1], atol=1e-12):
-            raise GridContractError("grid must be symmetric about 0")
-        if self.interpolation_order < 4:
-            raise GridContractError("interpolation order must be >= 4")
+        _require_symmetric(self.grid, "grid must be symmetric about 0")
 
     @classmethod
     def from_function(cls, fn, grid, decay: SpectralDecay, label: str = "") -> "SpectralFunction":
@@ -138,7 +146,7 @@ class SpectralFunction:
         if self.fn is not None:
             out = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=complex)
             return complex(out.reshape(())) if np.ndim(x) == 0 else out
-        out = _local_interp(self.grid, self.values, x, self.interpolation_order)
+        out = _local_interp(self.grid, self.values, x)
         return complex(out[0]) if np.ndim(x) == 0 else out
 
     def weyl_defect(self) -> float:
@@ -151,7 +159,8 @@ class SpectralFunction:
         return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
 
 
-def _local_interp(grid: np.ndarray, values: np.ndarray, x, order: int) -> np.ndarray:
+def _local_interp(grid: np.ndarray, values: np.ndarray, x) -> np.ndarray:
+    order = _INTERP_ORDER
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     n = len(grid)
     if n < order + 1:
@@ -194,7 +203,7 @@ _PHI_CACHE_BYTES = 256 * 2**20
 
 def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Real matrix phi[lam_i, t_j] for real lam_i, held in the table cache."""
-    key = (G.name, lams.tobytes(), ts.tobytes())
+    key = (G, lams.tobytes(), ts.tobytes())
     hit = _PHI_CACHE.get(key)
     if hit is not None:
         return hit
@@ -229,16 +238,11 @@ class _RadialRule:
     delta: np.ndarray
 
 
-_RULE_CACHE: dict[tuple, _RadialRule] = {}
-
-
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _radial_rule(G: GroupDatum, T: float, order: int) -> _RadialRule:
-    key = (G.name, round(T, 9), order)
-    if key not in _RULE_CACHE:
-        n_panels = max(2, int(math.ceil(T / _T_PANEL)))
-        nodes, weights = composite_gl_nodes(0.0, T, n_panels, order)
-        _RULE_CACHE[key] = _RadialRule(T, nodes, weights, haar_density(G, nodes))
-    return _RULE_CACHE[key]
+    n_panels = max(2, int(math.ceil(T / _T_PANEL)))
+    nodes, weights = composite_gl_nodes(0.0, T, n_panels, order)
+    return _RadialRule(T, nodes, weights, haar_density(G, nodes))
 
 
 @dataclass(eq=False)
@@ -249,26 +253,23 @@ class _SpectralRule:
     dens: np.ndarray
 
 
-_NU_CACHE: dict[tuple, _SpectralRule] = {}
+def _spectral_order(t_max: float = 12.0) -> int:
+    """Panel order of the spectral rule for a packet evaluated up to ``t_max``.
 
-
-def _spectral_rule(G: GroupDatum, L: float, t_max: float = 12.0) -> _SpectralRule:
-    """Half-line spectral rule on (0, L].
-
-    The panel order grows with the largest radial point the packet will
-    be evaluated at, because the integrand oscillates like exp(i nu t):
-    order ~ panel_width * t / 2 plus margin keeps Gauss-Legendre in its
-    superconvergent regime.
+    The order grows with the largest radial point, because the integrand
+    oscillates like exp(i nu t): order ~ panel_width * t / 2 plus margin
+    keeps Gauss-Legendre in its superconvergent regime.
     """
     bucket = 8.0 * math.ceil(max(t_max, 1.0) / 8.0)
-    order = int(min(48, max(_NU_ORDER, math.ceil(0.375 * bucket) + 10)))
-    key = (G.name, round(L, 9), order)
-    if key not in _NU_CACHE:
-        n_panels = max(2, int(math.ceil(L / _NU_PANEL)))
-        nodes, weights = composite_gl_nodes(0.0, L, n_panels, order)
-        dens = cfunction.plancherel_density(G, nodes)
-        _NU_CACHE[key] = _SpectralRule(L, nodes, weights, dens)
-    return _NU_CACHE[key]
+    return int(min(48, max(_NU_ORDER, math.ceil(0.375 * bucket) + 10)))
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _spectral_rule(G: GroupDatum, L: float, order: int) -> _SpectralRule:
+    """Half-line spectral rule on (0, L] with panels of the given order."""
+    n_panels = max(2, int(math.ceil(L / _NU_PANEL)))
+    nodes, weights = composite_gl_nodes(0.0, L, n_panels, order)
+    return _SpectralRule(L, nodes, weights, cfunction.plancherel_density(G, nodes))
 
 
 def _forward_truncation(G: GroupDatum, f: RadialProfile, q: QuadratureSpec) -> float:
@@ -278,7 +279,7 @@ def _forward_truncation(G: GroupDatum, f: RadialProfile, q: QuadratureSpec) -> f
         rate=f.decay.rate - G.rho,
         degree=f.decay.degree + 1,
     )
-    T = q.truncation_policy(env, q.abs_tol)
+    T = truncation_point(env, q.abs_tol)
     return 4.0 * math.ceil(T / 4.0)  # bucket for table reuse
 
 
@@ -366,7 +367,7 @@ def hc_transform_at(
     _require_schwartz(f, G.rho + abs(lam.imag), "hc_transform input")
     env = ExpDecay(f.decay.coeff * _XI_ENVELOPE, f.decay.rate - G.rho - abs(lam.imag),
                    f.decay.degree + 1)
-    T = q.truncation_policy(env, q.abs_tol)
+    T = truncation_point(env, q.abs_tol)
 
     def integrand(t):
         return np.asarray(f(t), dtype=complex) * phi(G, lam, t) * haar_density(G, t)
@@ -396,7 +397,7 @@ def convolve_at_identity(
         rate=rate,
         degree=f.decay.degree + g.decay.degree,
     )
-    T = q.truncation_policy(env, q.abs_tol)
+    T = truncation_point(env, q.abs_tol)
 
     def integrand(t):
         return np.asarray(f(t), dtype=complex) * np.asarray(g(t), dtype=complex) * haar_density(G, t)
@@ -425,13 +426,7 @@ def _symbol_node_values(a: SpectralFunction, nodes: np.ndarray) -> np.ndarray:
         vp = np.asarray(a.fn(nodes), dtype=complex)
         vm = np.asarray(a.fn(-nodes), dtype=complex)
         return 0.5 * (vp + vm)
-    even = SpectralFunction(
-        grid=a.grid,
-        values=a.even_values(),
-        decay=a.decay,
-        interpolation_order=a.interpolation_order,
-    )
-    return even(nodes)
+    return _local_interp(a.grid, a.even_values(), nodes)
 
 
 def wave_packet(
@@ -456,7 +451,7 @@ def wave_packet(
     charges: dict[int, tuple[_SpectralRule, np.ndarray]] = {}
 
     def _charged_rule(ts: np.ndarray):
-        rule = _spectral_rule(G, L, float(ts.max()) if ts.size else 1.0)
+        rule = _spectral_rule(G, L, _spectral_order(float(ts.max()) if ts.size else 1.0))
         hit = charges.get(id(rule))
         if hit is None:
             a_nodes = _symbol_node_values(a, rule.nodes)
@@ -485,7 +480,6 @@ def wave_packet(
     profile = RadialProfile(
         eval=eval_packet,
         decay=decay,
-        smoothness=2,
         d1=charged(phi_d1),
         d2=charged(phi_d2),
         label=f"psi[{a.label or 'a'}]",
@@ -551,7 +545,7 @@ def plancherel_pairing(
     _check_symbol(A, "pairing factor")
     _check_symbol(B, "pairing factor")
     L = min(float(A.grid[-1]), float(B.grid[-1]))
-    rule = _spectral_rule(G, L)
+    rule = _spectral_rule(G, L, _spectral_order())
     a_nodes = _symbol_node_values(A, rule.nodes)
     b_nodes = _symbol_node_values(B, rule.nodes)
     prefactor = 2.0 * G.plancherel_constant / G.weyl_order
@@ -569,7 +563,7 @@ _HF_CACHE: "weakref.WeakKeyDictionary[RadialProfile, dict]" = weakref.WeakKeyDic
 
 def _cached_transform(G: GroupDatum, f: RadialProfile, q: QuadratureSpec) -> SpectralFunction:
     per_profile = _HF_CACHE.setdefault(f, {})
-    key = (G.name, q.rel_tol, q.abs_tol)
+    key = (G, q.rel_tol, q.abs_tol)
     if key not in per_profile:
         per_profile[key] = hc_transform(G, f, None, q).spectral
     return per_profile[key]
@@ -665,7 +659,6 @@ def spectral_multiplier(a: SpectralFunction, m, degree: int = 2) -> SpectralFunc
             coeff=1.05 * a.decay.coeff * max(c_m, 1e-300),
             power=a.decay.power - degree,
         ),
-        interpolation_order=a.interpolation_order,
         fn=new_fn,
         label=f"m*{a.label}" if a.label else "m*a",
     )

@@ -1,4 +1,4 @@
-import json
+import dataclasses
 import math
 
 import numpy as np
@@ -93,30 +93,31 @@ def test_haar_log_derivative_limit():
     assert abs(haar_log_derivative(G, 25.0) - 2.0 * G.rho) < 1e-12
 
 
-def test_json_round_trip_identity():
-    for name in PRESET_NAMES:
-        G = preset(name)
-        again = GroupDatum.from_json(G.to_json())
-        assert again == G
-
-
-def test_json_rejects_unknown_and_missing_fields():
-    G = preset("SL2R")
-    doc = json.loads(G.to_json())
-    doc["extra"] = 1
-    with pytest.raises(DomainError):
-        GroupDatum.from_json(json.dumps(doc))
-    del doc["extra"]
-    del doc["rho"]
-    with pytest.raises(DomainError):
-        GroupDatum.from_json(json.dumps(doc))
-
-
 def test_datum_validation():
-    with pytest.raises(DomainError):
-        GroupDatum("bad", 1, 0, -1.0, 0.0, -0.5, 1.0)
-    with pytest.raises(DomainError):
-        GroupDatum("bad", 1, 0, 0.5, -0.8, -0.5, 1.0)
-    with pytest.raises(DomainError):
-        GroupDatum("bad", 1, 0, 0.5, 0.0, -0.5, 1.0, weyl_order=4)
+    with pytest.raises(DomainError, match="rho must be positive"):
+        GroupDatum("bad", 0, 0)
+    with pytest.raises(DomainError, match="jacobi_alpha >= jacobi_beta"):
+        GroupDatum("bad", -1, 1)
+
+
+def test_derived_constants_cannot_be_set():
+    G = preset("H3")
+    with pytest.raises(ValueError):
+        dataclasses.replace(G, rho=1.5)
+    with pytest.raises(TypeError):
+        GroupDatum("H3", 2, 0, 1.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        G.jacobi_alpha = 0.0
+    # a new multiplicity rederives every constant
+    assert dataclasses.replace(G, m_alpha=3) == preset("H4")
+    assert dataclasses.replace(G, m_alpha=3).rho == 1.5
+
+
+def test_datum_identity_is_its_multiplicities():
+    assert preset("SL2C") == preset("H3")
+    assert hash(preset("SL2C")) == hash(preset("H3"))
+    assert (preset("SL2C").name, preset("H3").name) == ("SL2C", "H3")
+    assert GroupDatum("H3", 3, 0) == preset("H4")
+    assert GroupDatum("H3", 3, 0) != preset("H3")
+    assert len({preset(name) for name in PRESET_NAMES}) == 4
 

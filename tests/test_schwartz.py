@@ -13,7 +13,7 @@ from sphtrans.schwartz import (
     weyl_symmetry_defect,
 )
 from sphtrans.spherical import RadialProfile, phi
-from sphtrans.specfun import DEFAULT_QUAD, ExpDecay, integrate_interval
+from sphtrans.specfun import DEFAULT_QUAD, ExpDecay, integrate_interval, truncation_point
 from sphtrans.transform import (
     SpectralDecay,
     SpectralFunction,
@@ -185,7 +185,8 @@ def test_tube_epsilon_zero_reduces_to_transform():
     rep = tube_extension_check(G, f, TubeSpec.for_group(G, 0.0), xs=xs)
     ref = hc_transform(G, f, xs)
     np.testing.assert_array_equal(rep.values[0], ref.spectral.values)
-    assert rep.axis_agreement == 0.0
+    assert rep.ys.tolist() == [0.0] and rep.values.shape == (1, len(xs))
+    assert rep.conjugation_defect == 0.0
 
 
 def test_tube_gaussian_packet_finite_and_conjugate_symmetric():
@@ -196,14 +197,13 @@ def test_tube_gaussian_packet_finite_and_conjugate_symmetric():
     assert np.isfinite(rep.max_modulus)
     scale = 1.0 + rep.max_modulus
     assert rep.conjugation_defect <= 1e-10 * scale
-    assert rep.axis_agreement <= 1e-8 * scale
 
 
 def _strip_reference(G, f, lam):
     """The tube's former own pointwise transform, kept as a reference for the
     shared hc_transform_at: same envelope, truncation and integrand."""
     env = ExpDecay(f.decay.coeff * 2.0, f.decay.rate - G.rho - abs(lam.imag), f.decay.degree + 1)
-    T = DEFAULT_QUAD.truncation_policy(env, DEFAULT_QUAD.abs_tol)
+    T = truncation_point(env, DEFAULT_QUAD.abs_tol)
 
     def integrand(t):
         return np.asarray(f(t), dtype=complex) * phi(G, lam, t) * haar_density(G, t)
@@ -222,6 +222,14 @@ def test_tube_values_match_former_strip_transform_bitwise():
     # on the real axis the pointwise transform is unchanged as well
     for lam in (0.0, 1.7, -2.5):
         assert hc_transform_at(G, f, lam) == _strip_reference(G, f, complex(lam))
+
+
+def test_tube_grid_symmetry_has_no_relative_slack():
+    G = preset("SL2R")
+    xs = np.linspace(-3.0, 3.0, 7)
+    xs[-1] += 2e-5
+    with pytest.raises(GridContractError, match="symmetric"):
+        tube_extension_check(G, gaussian_profile(G), TubeSpec.for_group(G, 0.5), xs=xs)
 
 
 def test_tube_precondition_on_decay():

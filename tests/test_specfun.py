@@ -7,7 +7,14 @@ import pytest
 
 from sphtrans.errors import AccuracyError, DomainError, PoleError
 from sphtrans.groups import PRESET_NAMES, preset
-from sphtrans.specfun import DEFAULT_QUAD, ExpDecay, QuadratureSpec, integrate_interval, log_gamma
+from sphtrans.specfun import (
+    DEFAULT_QUAD,
+    ExpDecay,
+    QuadratureSpec,
+    integrate_interval,
+    log_gamma,
+    truncation_point,
+)
 from sphtrans.spherical import _pfaff_series, phi
 
 
@@ -141,7 +148,7 @@ def test_halfline_trivial_values():
     # the half-line pattern of the transforms: truncate by the decay hint, then
     # integrate [0, T] adaptively; the envelope tail stays below abs_tol / 4
     decay = ExpDecay(1.0, 1.0)
-    T = DEFAULT_QUAD.truncation_policy(decay, DEFAULT_QUAD.abs_tol)
+    T = truncation_point(decay, DEFAULT_QUAD.abs_tol)
     assert decay.tail_integral(T) <= DEFAULT_QUAD.abs_tol / 4.0
     v, e = integrate_interval(lambda t: np.exp(-t), 0.0, T)
     np.testing.assert_allclose(v, 1.0, atol=1e-12)
@@ -215,4 +222,4 @@ def test_decay_hint_tail_bound():
 
 def test_halfline_requires_positive_rate():
     with pytest.raises(DomainError):
-        DEFAULT_QUAD.truncation_policy(ExpDecay(1.0, 0.0), 1e-12)
+        truncation_point(ExpDecay(1.0, 0.0), 1e-12)

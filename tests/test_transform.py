@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -13,9 +12,9 @@ from sphtrans.errors import (
     PreconditionError,
     SingularPointError,
 )
-from sphtrans.groups import PRESET_NAMES, haar_density, preset
+from sphtrans.groups import PRESET_NAMES, GroupDatum, haar_density, preset
 from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile, zero_profile
-from sphtrans.specfun import ExpDecay, integrate_interval
+from sphtrans.specfun import ExpDecay, gauss_legendre_rule, integrate_interval
 from sphtrans.spherical import phi
 from sphtrans.transform import (
     SpectralDecay,
@@ -55,6 +54,14 @@ def test_spectral_function_grid_validation():
         SpectralFunction(np.array([-1.0, 0.0, 0.5]), np.zeros(3), SpectralDecay(1, 4))
     with pytest.raises(GridContractError):
         SpectralFunction(np.array([1.0, 0.0, -1.0]), np.zeros(3), SpectralDecay(1, 4))
+
+
+def test_spectral_grid_symmetry_has_no_relative_slack():
+    # one point 2e-5 off its mirror: within numpy's default rtol, outside 1e-12
+    grid = default_spectral_grid()
+    grid[np.argmin(np.abs(grid - 3.0))] += 2e-5
+    with pytest.raises(GridContractError, match="symmetric"):
+        SpectralFunction(grid, np.exp(-grid**2), SpectralDecay(165.0, 8.0))
 
 
 def test_spectral_function_interpolation_accuracy():
@@ -288,8 +295,8 @@ def test_wave_packet_real_for_real_even_symbol():
 # ---------------------------------------------------------------------------
 
 def _round_trip_response(name):
-    """H(psi_a)(1) for a = exp(-lam^2) on the default grid, with c_P set to 1."""
-    G = dataclasses.replace(preset(name), plancherel_constant=1.0)
+    """H(psi_a)(1) for a = exp(-lam^2) on the default grid, at the shipped c_P."""
+    G = preset(name)
     # sup over lam of (1+lam)^8 exp(-lam^2) is ~161.82
     a = SpectralFunction.from_function(
         lambda x: np.exp(-x * x), default_spectral_grid(), SpectralDecay(165.0, 8.0)
@@ -299,10 +306,10 @@ def _round_trip_response(name):
 
 
 def test_round_trip_gives_the_jacobi_inversion_constant():
-    # the c_P that makes the round trip exact at lam = 1 is 1/(2 pi) on every preset
+    # c_P enters linearly, so the round trip is exact at lam = 1 on every preset
+    # exactly when 1/(2 pi) is the constant that makes it so
     for name in PRESET_NAMES:
-        c_p = math.exp(-1.0) / _round_trip_response(name)
-        assert abs(c_p * 2.0 * math.pi - 1.0) <= 1e-12
+        assert abs(_round_trip_response(name) / math.exp(-1.0) - 1.0) <= 1e-12
 
 
 def test_preset_constant_is_exact_and_costs_no_tables(monkeypatch):
@@ -427,3 +434,38 @@ def test_spectral_multiplier_decay_bookkeeping():
     np.testing.assert_allclose(
         m.values, a.values * -(a.grid**2 + 0.25), rtol=0, atol=1e-15
     )
+
+
+# ---------------------------------------------------------------------------
+# table caches key on the multiplicities, and the rule caches are bounded
+# ---------------------------------------------------------------------------
+
+def test_tables_follow_the_multiplicities_not_the_name():
+    f = gaussian_profile(preset("H4"))
+    hc_transform(preset("H3"), f)  # fills tables for (2, 0) first
+    impostor = hc_transform(GroupDatum("H3", 3, 0), f).spectral.values
+    np.testing.assert_array_equal(impostor, hc_transform(preset("H4"), f).spectral.values)
+
+
+def test_sl2c_shares_the_h3_tables(monkeypatch):
+    monkeypatch.setattr(transform, "_PHI_CACHE", {})
+    f = gaussian_profile(preset("H3"))
+    h3 = hc_transform(preset("H3"), f)
+    held = len(transform._PHI_CACHE)
+    sl2c = hc_transform(preset("SL2C"), f)
+    assert len(transform._PHI_CACHE) == held
+    np.testing.assert_array_equal(sl2c.spectral.values, h3.spectral.values)
+    assert sl2c.group.name == "SL2C"
+
+
+def test_rule_caches_stay_at_their_maxsize():
+    G = preset("SL2R")
+    order = transform._spectral_order()
+    for k in range(200):
+        transform._spectral_rule(G, 6.0 + 0.01 * k, order)
+        transform._radial_rule(G, 4.0 + 0.5 * k, 10)
+    for n in range(2, 102):
+        gauss_legendre_rule(n)
+    for cached in (transform._spectral_rule, transform._radial_rule, gauss_legendre_rule):
+        info = cached.cache_info()
+        assert info.currsize == info.maxsize == 64
