@@ -13,11 +13,12 @@ real axis at epsilon = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, GridContractError
 from .groups import GroupDatum
 from .specfun import DEFAULT_QUAD, QuadratureSpec
 from .spherical import RadialProfile, xi
@@ -187,8 +188,8 @@ class TubeSpec:
     def __post_init__(self):
         if not (0.0 <= self.epsilon <= 1.0):
             raise DomainError("tube epsilon must lie in [0, 1]")
-        if self.half_width < 0:
-            raise DomainError("tube half_width must be >= 0")
+        if not (0.0 <= self.half_width < math.inf):
+            raise DomainError(f"tube half_width must be finite and >= 0, got {self.half_width}")
 
     @classmethod
     def for_group(cls, G: GroupDatum, epsilon: float) -> "TubeSpec":
@@ -217,21 +218,25 @@ def tube_extension_check(
     Requires decay strictly stronger than e^{-(1+eps) rho t} (1+t)^-2 so
     every strip integral converges absolutely.  The row y = 0 is the
     forward transform on the real grid; with epsilon = 0 it is the only row.
+    The off-axis points are one :func:`hc_transform_at` call on one panel
+    tree, each point to its own tolerance.  ``xs`` must be non-empty and
+    symmetric about 0.
     """
     _require_schwartz(f, (1.0 + tube.epsilon) * G.rho, "tube-check profile")
     if xs is None:
         xs = np.linspace(-3.0, 3.0, 7)
     xs = np.asarray(xs, dtype=float)
+    if xs.size == 0:
+        raise GridContractError("tube grid xs must not be empty")
     _require_symmetric(xs, "tube grid must be symmetric in x")
     axis = hc_transform(G, f, xs, q)
     steps = [0.0] if tube.half_width == 0.0 else [-1.0, -0.5, 0.0, 0.5, 1.0]
     ys = np.array(steps) * tube.half_width
+    off = ys != 0.0
     values = np.empty((len(ys), len(xs)), dtype=complex)
-    for i, y in enumerate(ys):
-        if y == 0.0:
-            values[i] = axis.spectral.values
-        else:
-            values[i] = [hc_transform_at(G, f, complex(x, y), q) for x in xs]
+    values[~off] = axis.spectral.values
+    lams = (xs[None, :] + 1j * ys[off, None]).ravel()
+    values[off] = hc_transform_at(G, f, lams, q).reshape(-1, len(xs))
     return TubeReport(
         xs=xs,
         ys=ys,

@@ -104,8 +104,9 @@ class QuadratureSpec:
         if not (0 < self.max_subdivisions <= 2**20):
             raise DomainError("max_subdivisions must lie in (0, 2^20]")
 
-    def tolerance(self, value_scale: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(value_scale))
+    def tolerance(self, value_scale):
+        """max(abs_tol, rel_tol |value_scale|), elementwise for an array."""
+        return np.maximum(self.abs_tol, self.rel_tol * abs(value_scale))
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -153,7 +154,8 @@ def composite_gl_nodes(lo: float, hi: float, n_panels: int, order: int):
 
 
 def _panel_estimates(f, lo: float, hi: float):
-    """(coarse, fine) GL estimates of the integral of f over one panel."""
+    """(coarse, fine) GL estimates of the integral of f over one panel, one per
+    component when f returns an (n_comp, n_t) array."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x1, w1 = gauss_legendre_rule(15)
@@ -162,46 +164,62 @@ def _panel_estimates(f, lo: float, hi: float):
     f2 = np.asarray(f(mid + half * x2))
     if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
         raise DomainError(f"integrand returned non-finite values on [{lo}, {hi}]")
-    return half * np.sum(w1 * f1), half * np.sum(w2 * f2)
+    return half * np.sum(w1 * f1, axis=-1), half * np.sum(w2 * f2, axis=-1)
 
 
 def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD):
-    """Adaptive composite Gauss-Legendre on [lo, hi].
+    """Adaptive composite Gauss-Legendre on [lo, hi], for one integrand or a vector
+    of them on one panel tree.
 
-    ``f`` must accept ndarray arguments.  Returns (value, err_est) with
-    err_est <= max(abs_tol, rel_tol*|value|); raises AccuracyError with
-    the partial value attached when the subdivision budget runs out.
+    ``f`` maps an ndarray ``t`` of shape (n_t,) to values of shape (n_t,) or
+    (n_comp, n_t).  Returns (value, err_est), scalars or arrays of shape
+    (n_comp,), with err_est_k <= max(abs_tol, rel_tol*|value_k|) for every
+    component k; raises AccuracyError with the partial values attached
+    when the subdivision budget runs out.  The panel split next is the one
+    with the worst err_k / s_k, where s_k is the tolerance of the first
+    whole-interval estimate of component k; a scalar integrand is the
+    one-component case.
     """
     lo = float(lo)
     hi = float(hi)
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     coarse, fine = _panel_estimates(f, lo, hi)
-    # heap of (-error, left, right, fine_value); tie-break on the interval
-    heap = [(-abs(fine - coarse), lo, hi, fine)]
-    # running totals steer; near a decision, or once err fell 1000-fold (to
-    # keep their drift relative), the heap sums replace them and decide
-    total, err = fine, abs(fine - coarse)
+    scale = q.tolerance(fine)
+
+    def panel(a, b, coarse, fine):
+        # builtin abs: on a numpy scalar it is the scalar hypot, from which the
+        # array ufunc np.abs can differ in the last bit
+        err = abs(fine - coarse)
+        # rounding ties of the worst ratio break on the worst error, so a scalar
+        # integrand splits in the order of its errors, then on the interval
+        return (-np.max(err / scale), -np.max(err), a, b, fine, err)
+
+    heap = [panel(lo, hi, coarse, fine)]
+    # running totals steer; near a decision, or once some err_k fell 1000-fold
+    # (to keep their drift relative), the heap sums replace them and decide
+    total, err = heap[0][4], heap[0][5]
     synced, n_splits = err, 0
     while True:
         done = n_splits >= q.max_subdivisions
-        if done or err <= 1.01 * q.tolerance(abs(total)) or err < 1e-3 * synced:
-            total = sum(item[3] for item in heap)
-            err = synced = sum(-item[0] for item in heap)
-            if err <= q.tolerance(abs(total)):
+        if (done or np.all(err <= 1.01 * q.tolerance(total))
+                or np.any(err < 1e-3 * synced)):
+            total = sum(item[4] for item in heap)
+            err = synced = sum(item[5] for item in heap)
+            if np.all(err <= q.tolerance(total)):
                 return total, err
             if done:
                 raise AccuracyError(
                     f"subdivision budget {q.max_subdivisions} exhausted "
-                    f"(value ~{total}, err_est ~{err:.3e})",
+                    f"(value ~{total}, err_est ~{np.max(err):.3e})",
                     value=total,
                     err_est=err,
                 )
-        neg_err, a, b, value = heapq.heappop(heap)
-        total, err = total - value, err + neg_err
+        _, _, a, b, value, value_err = heapq.heappop(heap)
+        total, err = total - value, err - value_err
         m = 0.5 * (a + b)
-        for panel in ((a, m), (m, b)):
-            c_est, f_est = _panel_estimates(f, *panel)
-            heapq.heappush(heap, (-abs(f_est - c_est), panel[0], panel[1], f_est))
-            total, err = total + f_est, err + abs(f_est - c_est)
+        for lo_p, hi_p in ((a, m), (m, b)):
+            item = panel(lo_p, hi_p, *_panel_estimates(f, lo_p, hi_p))
+            heapq.heappush(heap, item)
+            total, err = total + item[4], err + item[5]
         n_splits += 1

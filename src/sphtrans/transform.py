@@ -352,28 +352,35 @@ def _fit_spectral_decay(grid: np.ndarray, values: np.ndarray, power: float = 6.0
     return SpectralDecay(coeff=1.05 * coeff + 1e-300, power=power)
 
 
-def hc_transform_at(
-    G: GroupDatum, f: RadialProfile, lam, q: QuadratureSpec = DEFAULT_QUAD
-) -> complex:
-    """Forward transform at a single, possibly complex, spectral point
-    (direct adaptive quadrature).
+def hc_transform_at(G: GroupDatum, f: RadialProfile, lam, q: QuadratureSpec = DEFAULT_QUAD):
+    """Forward transform at one spectral point, or at a 1-D array of them,
+    possibly complex (direct adaptive quadrature).
 
     Independent of the fixed-grid tables in :func:`hc_transform`; used as
     the eigenfunction/transform cross-check (f * phi_lam)(1) and on the
     spectral tube.  |phi_lam(t)| <= e^{|Im lam| t} Xi(t), so the decay of
-    ``f`` must be strictly stronger than e^{-(rho + |Im lam|) t} (1+t)^-2.
+    ``f`` must be strictly stronger than e^{-(rho + |Im lam|) t} (1+t)^-2
+    for the largest |Im lam|, which also sets the truncation point.  An
+    array is one vector integrand, a (len(lam), n_t) ``phi`` block per
+    panel on one panel tree, and each value meets its own tolerance.
+    Returns a complex for a scalar ``lam`` and a complex array otherwise.
     """
-    lam = complex(lam)
-    _require_schwartz(f, G.rho + abs(lam.imag), "hc_transform input")
-    env = ExpDecay(f.decay.coeff * _XI_ENVELOPE, f.decay.rate - G.rho - abs(lam.imag),
+    lams = np.asarray(lam, dtype=complex)
+    if not np.all(np.isfinite(lams)):
+        raise DomainError(f"hc_transform_at requires finite lam, got {lam!r}")
+    if lams.size == 0:
+        return lams
+    strip = float(np.max(np.abs(lams.imag)))
+    _require_schwartz(f, G.rho + strip, "hc_transform input")
+    env = ExpDecay(f.decay.coeff * _XI_ENVELOPE, f.decay.rate - G.rho - strip,
                    f.decay.degree + 1)
     T = truncation_point(env, q.abs_tol)
 
     def integrand(t):
-        return np.asarray(f(t), dtype=complex) * phi(G, lam, t) * haar_density(G, t)
+        return np.asarray(f(t), dtype=complex) * phi(G, lams, t) * haar_density(G, t)
 
     value, _ = integrate_interval(integrand, 0.0, T, q)
-    return complex(value)
+    return complex(value) if lams.ndim == 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -600,19 +607,14 @@ def expansion_term(
     lo, hi = lam - half_window, lam + half_window
     pref = G.plancherel_constant / G.weyl_order
 
-    def bump(nu):
-        return np.exp(-0.5 * ((nu - lam) / eps) ** 2)
-
-    # both Weyl-mirrored bumps folded onto one window (integrands even)
-    def weighted(nu):
+    # both Weyl-mirrored bumps folded onto one window (integrands even);
+    # numerator and mass are one two-component integrand, one density call a panel
+    def integrand(nu):
+        bump = np.exp(-0.5 * ((nu - lam) / eps) ** 2)
         dens = cfunction.plancherel_density(G, np.abs(nu))
-        return hf(np.abs(nu)) * bump(nu) * dens
+        return np.stack([hf(np.abs(nu)) * bump * dens, dens * bump])
 
-    def mass(nu):
-        return cfunction.plancherel_density(G, np.abs(nu)) * bump(nu)
-
-    num, _ = integrate_interval(weighted, lo, hi, q)
-    z, _ = integrate_interval(mass, lo, hi, q)
+    (num, z), _ = integrate_interval(integrand, lo, hi, q)
     # pref * 2 * num over pref * 2 * z; kept explicit for the record
     return complex((pref * 2.0 * num) / (pref * 2.0 * z))
 

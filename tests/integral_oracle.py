@@ -1,5 +1,6 @@
-"""phi_lam(t) by an integral representation, independent of the series in
-:func:`sphtrans.spherical.phi`; the tests hold phi to it."""
+"""Oracles independent of the series in :func:`sphtrans.spherical.phi`:
+phi_lam(t) by an integral representation, and the H3 transform of a Gaussian
+in closed form; the tests hold phi and the transforms to them."""
 
 import cmath
 import math
@@ -45,3 +46,11 @@ def phi_integral_oracle(G: GroupDatum, lam, t, q: QuadratureSpec = DEFAULT_QUAD)
 
     value, _ = integrate_interval(integrand, 0.0, math.pi, q)
     return cn * value
+
+
+def gauss_transform_h3(lam, w=1.0):
+    """(Hf)(lam) for f = exp(-w t^2) on H3, where phi_lam = sin(lam t)/(lam sinh t) and
+    Delta = 4 sinh^2 t: (4/lam) int e^{-w t^2} sin(lam t) sinh t dt, by the Gaussian
+    cosine transform at lam -+ i."""
+    scale = math.sqrt(math.pi / w) * np.exp((1.0 - lam * lam) / (4.0 * w))
+    return (2.0 / lam) * scale * np.sin(lam / (2.0 * w))

@@ -23,6 +23,8 @@ from sphtrans.transform import (
     wave_packet,
 )
 
+from integral_oracle import gauss_transform_h3
+
 
 def gauss_symbol():
     return SpectralFunction.from_function(
@@ -211,17 +213,32 @@ def _strip_reference(G, f, lam):
     return complex(integrate_interval(integrand, 0.0, T)[0])
 
 
-def test_tube_values_match_former_strip_transform_bitwise():
+def test_tube_values_meet_h3_closed_form_and_former_strip_transform():
+    # the off-axis points share one panel tree, so they match the former
+    # point-by-point integrals to roundoff, not bit for bit
     G = preset("H3")
     f = gaussian_profile(G, width=1.0)
     rep = tube_extension_check(G, f, TubeSpec.for_group(G, 0.1))
+    assert rep.values.shape == (5, 7)
     for i, y in enumerate(rep.ys):
         for j, x in enumerate(rep.xs):
             if y != 0.0:
-                assert rep.values[i, j] == _strip_reference(G, f, complex(x, y))
-    # on the real axis the pointwise transform is unchanged as well
+                lam = complex(x, y)
+                exact = gauss_transform_h3(lam)
+                assert abs(rep.values[i, j] - exact) <= max(1e-12, 1e-10 * abs(exact))
+                assert abs(rep.values[i, j] - _strip_reference(G, f, lam)) <= 1e-13
+    # on the real axis the pointwise transform is unchanged bit for bit
     for lam in (0.0, 1.7, -2.5):
         assert hc_transform_at(G, f, lam) == _strip_reference(G, f, complex(lam))
+
+
+def test_tube_rejects_empty_grid_and_non_finite_half_width():
+    G = preset("H3")
+    with pytest.raises(GridContractError, match="empty"):
+        tube_extension_check(G, gaussian_profile(G), TubeSpec.for_group(G, 0.1), xs=[])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="half_width"):
+            TubeSpec(epsilon=0.1, half_width=bad)
 
 
 def test_tube_grid_symmetry_has_no_relative_slack():

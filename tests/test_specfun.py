@@ -202,6 +202,42 @@ def test_budget_exhaustion_carries_partial_value():
     assert err.value.err_est is not None
 
 
+def vector_integrand(t):
+    # only the smallest component, with its sqrt singularity at 0, needs splits
+    return np.stack([1e3 * np.sin(t), 1e-8 * np.sqrt(t), t * t])
+
+
+VECTOR_EXACT = np.array([2e3, 1e-8 * 2.0 / 3.0 * math.pi**1.5, math.pi**3 / 3.0])
+
+
+@pytest.mark.parametrize("q", [DEFAULT_QUAD, QuadratureSpec(rel_tol=1e-13, abs_tol=1e-30)])
+def test_vector_integrand_meets_every_component_tolerance(q):
+    # scales 1e-8 to 1e3: a single shared tolerance would let the small one go
+    value, err = integrate_interval(vector_integrand, 0.0, math.pi, q)
+    assert value.shape == err.shape == (3,)
+    tol = np.maximum(q.abs_tol, q.rel_tol * np.abs(VECTOR_EXACT))
+    assert np.all(err <= q.tolerance(value))
+    assert np.all(np.abs(value - VECTOR_EXACT) <= tol)
+    # each component alone meets the same bound
+    for k in range(3):
+        alone, _ = integrate_interval(lambda t: vector_integrand(t)[k], 0.0, math.pi, q)
+        assert np.ndim(alone) == 0
+        assert abs(alone - VECTOR_EXACT[k]) <= tol[k]
+
+
+def test_vector_budget_exhaustion_carries_partial_values():
+    q = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-13, max_subdivisions=3)
+
+    def f(t):
+        return np.stack([np.sin(t), np.abs(t - math.sqrt(2) / 2) ** 0.3])
+
+    with pytest.raises(AccuracyError, match="budget 3 exhausted") as err:
+        integrate_interval(f, 0.0, 1.0, q)
+    assert err.value.value.shape == err.value.err_est.shape == (2,)
+    assert abs(err.value.value[0] - (1.0 - math.cos(1.0))) <= 1e-13
+    assert err.value.err_est[1] > q.tolerance(err.value.value[1])
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(rel_tol=1e-15)

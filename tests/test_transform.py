@@ -30,6 +30,8 @@ from sphtrans.transform import (
     wave_packet,
 )
 
+from integral_oracle import gauss_transform_h3
+
 
 def make_symbol(fn, label=""):
     grid = default_spectral_grid()
@@ -124,31 +126,51 @@ def test_hc_transform_at_matches_grid_values():
         assert abs(direct - res.spectral.values[k]) <= 1e-8 * (1 + abs(direct))
 
 
-def gauss_transform_h3(lam, w=1.0):
-    """(Hf)(lam) for f = exp(-w t^2) on H3, where phi_lam = sin(lam t)/(lam sinh t) and
-    Delta = 4 sinh^2 t: (4/lam) int e^{-w t^2} sin(lam t) sinh t dt, by the Gaussian
-    cosine transform at lam -+ i."""
-    scale = math.sqrt(math.pi / w) * np.exp((1.0 - lam * lam) / (4.0 * w))
-    return (2.0 / lam) * scale * np.sin(lam / (2.0 * w))
-
-
 def test_hc_transform_at_complex_lam_matches_h3_closed_form():
     G = preset("H3")
     f = gaussian_profile(G)
-    for x in (0.3, 1.0, 2.5):
-        for y in (-0.1, -0.05, 0.05, 0.1):
-            lam = complex(x, y * G.rho)
-            exact = gauss_transform_h3(lam)
-            assert abs(hc_transform_at(G, f, lam) - exact) <= max(1e-12, 1e-10 * abs(exact))
+    lams = [complex(x, y * G.rho) for x in (0.3, 1.0, 2.5) for y in (-0.1, -0.05, 0.05, 0.1)]
+    # one array call on one panel tree, up to |Im lam| = 1.5, meets the same bound
+    lams_array = np.array(lams + [-2.5 + 0.05j, 4.0 + 0.5j, 0.7 - 1.5j])
+    for lam, value in zip(lams_array, hc_transform_at(G, f, lams_array), strict=True):
+        exact = gauss_transform_h3(lam)
+        assert abs(value - exact) <= max(1e-12, 1e-10 * abs(exact))
+    for lam in lams:
+        exact = gauss_transform_h3(lam)
+        assert abs(hc_transform_at(G, f, lam) - exact) <= max(1e-12, 1e-10 * abs(exact))
 
 
 def test_hc_transform_at_rejects_too_wide_a_strip():
-    # the Gaussian profile's envelope rate is 2 rho + 2 = 4 on H3
+    # the Gaussian profile's envelope rate is 2 rho + 2 = 4 on H3; for an
+    # array the strip is its largest |Im lam|
     G = preset("H3")
     f = gaussian_profile(G)
-    for lam in (1.0 + 3.0j, 1.0 - 3.5j, 0.5 + 40.0j):
+    for lam in (1.0 + 3.0j, 1.0 - 3.5j, 0.5 + 40.0j, np.array([1.0, 2.0 + 0.5j, 0.5 - 3.0j])):
         with pytest.raises(PreconditionError, match="hc_transform input"):
             hc_transform_at(G, f, lam)
+    hc_transform_at(G, f, np.array([1.0, 2.0 + 0.5j, 0.5 - 2.5j]))
+
+
+def test_hc_transform_at_shapes(monkeypatch):
+    G = preset("H3")
+    f = gaussian_profile(G)
+    assert type(hc_transform_at(G, f, 1.0 + 0.1j)) is complex
+    assert type(hc_transform_at(G, f, np.float64(1.0))) is complex
+    assert hc_transform_at(G, f, [1.0, 2.0]).shape == (2,)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("an empty lam array must not integrate")
+
+    monkeypatch.setattr(transform, "integrate_interval", no_quadrature)
+    empty = hc_transform_at(G, f, np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("lam", [complex(1.0, math.nan), math.inf, np.array([1.0, math.nan])])
+def test_hc_transform_at_rejects_non_finite_lam(lam):
+    G = preset("H3")
+    with pytest.raises(DomainError, match="finite lam"):
+        hc_transform_at(G, gaussian_profile(G), lam)
 
 
 # ---------------------------------------------------------------------------

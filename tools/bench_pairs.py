@@ -1,0 +1,149 @@
+"""Alternating base/head pairs of perfbench runs, summarised as one BENCH_<tag>.json.
+
+    python3 tools/bench_pairs.py --base REV --tag N [--seed0 S]
+
+The base side is the committed tree of ``REV``, exported with ``git archive``
+into a temporary directory; the head side is this repository's working tree.
+Pair i of 10 runs every workload of BENCHMARK.json once on each side with
+seed ``seed0 + i``, base first in even pairs and head first in odd ones, each
+as ``python3 perfbench/run.py --workload W --seed S --seconds X`` from the
+side's root, where X is the benchmark's ``run_seconds``.  The summary goes to
+BENCH_<tag>.json in this repository.  It holds, per workload and end-to-end
+metric, each side's values, median and quartiles, the head/base ratio of
+medians and the number of pairs the head won (ties count for neither); per
+workload the failed ops and the worst error/tolerance ratio of each side; and
+the seeds, run length and machine facts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 600
+PAIRS = 10
+
+
+def export_rev(rev: str, dest: Path) -> str:
+    """Write the committed files of ``rev`` under ``dest``; return its full hash."""
+    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return sha
+
+
+def describe_head() -> str:
+    """This repository's commit, marked when its working tree differs from it."""
+    git = ["git", "-C", str(ROOT)]
+    sha = subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                         capture_output=True, text=True).stdout.strip()
+    dirty = subprocess.run(git + ["status", "--porcelain", "--untracked-files=no"],
+                           check=True, capture_output=True, text=True).stdout.strip()
+    return f"{sha} with uncommitted changes" if dirty else sha
+
+
+def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run; the result record it writes, plus its metrics."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=side, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {side} exited {proc.returncode}:\n"
+                           f"{proc.stderr}")
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = json.loads((side / ".perfbench-out" /
+                         f"result-{workload}-seed{seed}.json").read_text())
+    record["metrics"] = summary["metrics"]
+    return record
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"values": values, "median": median, "q1": q1, "q3": q3}
+
+
+def summarise(runs: dict, end_to_end: list[dict]) -> dict:
+    """Per-metric spreads and wins for one workload; runs[side] lists records by pair."""
+    base, head = runs["base"], runs["head"]
+    metrics = {}
+    for spec in end_to_end:
+        name, sign = spec["name"], (1.0 if spec["better"] == "higher" else -1.0)
+        b = [r["metrics"][name]["value"] for r in base]
+        h = [r["metrics"][name]["value"] for r in head]
+        wins = sum(sign * (hv - bv) > 0 for bv, hv in zip(b, h))
+        base_s, head_s = spread(b), spread(h)
+        metrics[name] = {
+            "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+            "base": base_s, "head": head_s,
+            "head_over_base": head_s["median"] / base_s["median"],
+            "head_wins": wins, "pairs": len(b),
+        }
+    return {
+        "metrics": metrics,
+        "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
+        "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
+        "worst_error_to_tolerance": {
+            side: max(r["worst_error_to_tolerance"] for r in rs) for side, rs in runs.items()
+        },
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, help="git revision of the base side")
+    ap.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
+    ap.add_argument("--seed0", type=int, default=1000, help="seed of the first pair")
+    args = ap.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    seeds = [args.seed0 + i for i in range(PAIRS)]
+
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        base = Path(tmp)
+        base_sha = export_rev(args.base, base)
+        sides = {"base": base, "head": ROOT}
+        runs = {w: {"base": [], "head": []} for w in workloads}
+        machine = None
+        for i, seed in enumerate(seeds):
+            order = ("base", "head") if i % 2 == 0 else ("head", "base")
+            for workload in workloads:
+                for side in order:
+                    record = run_once(sides[side], workload, seed, seconds)
+                    runs[workload][side].append(record)
+                    machine = machine or record["machine"]
+                    print(f"pair {i} seed {seed} {workload} {side}: " + " ".join(
+                        f"{k}={v['value']:.4g}" for k, v in record["metrics"].items()),
+                        file=sys.stderr, flush=True)
+
+    out = {
+        "tag": args.tag,
+        "base": base_sha,
+        "head": describe_head(),
+        "command": "python3 perfbench/run.py --workload W --seed S --seconds X",
+        "seconds": seconds,
+        "seeds": seeds,
+        "order": "base first in even pairs, head first in odd pairs",
+        "machine": machine,
+        "workloads": {w: summarise(runs[w], bench["end_to_end"]) for w in workloads},
+    }
+    path = ROOT / f"BENCH_{args.tag}.json"
+    path.write_text(json.dumps(out, indent=2) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
