@@ -17,7 +17,6 @@ from .specfun import (
     ExpDecay,
     QuadratureSpec,
     integrate_interval,
-    log_gamma,
 )
 from .spherical import RadialProfile, phi, phi_d1, phi_d2, xi
 from .cfunction import (
@@ -59,7 +58,6 @@ __all__ = [
     "haar_log_derivative",
     "QuadratureSpec",
     "ExpDecay",
-    "log_gamma",
     "integrate_interval",
     "RadialProfile",
     "phi",

@@ -55,6 +55,12 @@ INVERSION_SYMBOLS = {
 # flat-top symbols used for the expansion ladder (small mollifier bias)
 EXPANSION_SCALES = (2.8, 3.2, 4.0)
 
+
+def flat_top(s: float):
+    """The flat-top symbol exp(-(x/s)^4)."""
+    return lambda x: np.exp(-((x / s) ** 4))
+
+
 _SYMBOL_POWER = 8.0
 
 
@@ -65,6 +71,20 @@ def make_symbol(fn, label: str) -> SpectralFunction:
     coeff = 1.1 * float(np.max(np.abs(values) * (1.0 + np.abs(grid)) ** _SYMBOL_POWER))
     decay = SpectralDecay(coeff=coeff + 1e-300, power=_SYMBOL_POWER)
     return SpectralFunction.from_function(fn, grid, decay, label=label)
+
+
+# spectral functions outside the image: Weyl-odd, slowly decaying, not smooth
+COUNTEREXAMPLES = {
+    "odd": (lambda x: x * np.exp(-(x**2)), SpectralDecay(270.0, 8.0)),
+    "slow": (lambda x: 1.0 / (1.0 + x**2), SpectralDecay(2.0, 2.0)),
+    "rough": (lambda x: np.exp(-np.abs(x)), SpectralDecay(13.0, 4.0)),
+}
+
+
+def counterexample(name: str, grid: np.ndarray) -> SpectralFunction:
+    """The counterexample ``name`` sampled on ``grid``."""
+    fn, decay = COUNTEREXAMPLES[name]
+    return SpectralFunction(grid, fn(grid), decay, label=name)
 
 
 def _inversion(preset_name: str, tol_factor: float) -> CriterionOutcome:
@@ -185,7 +205,7 @@ def a5_expansion() -> CriterionOutcome:
     worst_final = 0.0
     detail = []
     for s in EXPANSION_SCALES:
-        a = make_symbol(lambda x, s=s: np.exp(-((x / s) ** 4)), f"flat4({s})")
+        a = make_symbol(flat_top(s), f"flat4({s})")
         psi = tr.wave_packet(G, a)
         hf = tr.hc_transform(G, psi).spectral
         for lam in (0.5, 1.0, 2.0):
@@ -300,14 +320,8 @@ def a9_membership() -> CriterionOutcome:
         passed &= rep.passed
         if not rep.passed:
             detail.append(f"unexpected fail on {label}")
-    grid = default_spectral_grid()
-    counterexamples = {
-        "odd": SpectralFunction(grid, grid * np.exp(-(grid**2)), SpectralDecay(270.0, 8.0)),
-        "slow": SpectralFunction(grid, 1.0 / (1.0 + grid**2), SpectralDecay(2.0, 2.0)),
-        "rough": SpectralFunction(grid, np.exp(-np.abs(grid)), SpectralDecay(13.0, 4.0)),
-    }
-    for label, bad in counterexamples.items():
-        rep = schwartz.image_membership(G, bad)
+    for label in COUNTEREXAMPLES:
+        rep = schwartz.image_membership(G, counterexample(label, default_spectral_grid()))
         passed &= not rep.passed
         if rep.passed:
             detail.append(f"counterexample {label} passed unexpectedly")

@@ -1,8 +1,15 @@
 """Batch CLI: config parsing, subcommand dispatch, deterministic CSV/JSON output.
 
-Configuration comes from an optional JSON file (strictly parsed: any
-unknown key is rejected with its path) plus flag overrides.  Output is
-written atomically (temp file + rename) with shortest-round-trip float
+The configuration is ``RunConfig`` and its nested dataclasses: their
+fields are the JSON config schema and hold every default.  The JSON file
+and the flags, written into the parsed document at their dotted paths
+(``--tol`` is ``quadrature.rel_tol``, ``--out`` is ``output.path``,
+``--grid`` is ``grid.{min,max,count}``; see ``build_parser``), are loaded
+in one strict pass that rejects an unknown key or an ill-typed value with
+a ``ConfigError`` naming its dotted path, before anything is computed.
+Each subcommand is one entry of ``_COMMANDS``: its runner, the layer its
+errors name, and whether its grid is spectral.  Output is written
+atomically (temp file + rename) with shortest-round-trip float
 formatting, so identical runs produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical-accuracy failure.
@@ -12,11 +19,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import os
 import sys
 import tempfile
+import typing
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,30 +39,19 @@ from .groups import PRESET_NAMES, preset
 from .specfun import QuadratureSpec
 from .spherical import phi
 
-SUBCOMMANDS = (
-    "presets",
-    "phi",
-    "cfun",
-    "transform",
-    "invert",
-    "plancherel",
-    "expansion",
-    "seminorm",
-    "membership",
-    "roundtrip",
-    "accept",
-)
-
+# the CLI's names for the acceptance suite's inversion symbols and its flat-top at s = 3.2
+_INVERSION = acceptance.INVERSION_SYMBOLS
 SYMBOLS = {
-    "gauss": lambda x: np.exp(-(x**2)),
-    "x2gauss": lambda x: x**2 * np.exp(-(x**2)),
-    "wide": lambda x: np.exp(-(x**2) / 4.0),
-    "poly": lambda x: (1.0 + x**2) * np.exp(-(x**2)),
-    "quartic": lambda x: np.exp(-(x**4) / 8.0),
-    "flat4": lambda x: np.exp(-((x / 3.2) ** 4)),
+    "gauss": _INVERSION["exp(-x^2)"],
+    "x2gauss": _INVERSION["x^2 exp(-x^2)"],
+    "wide": _INVERSION["exp(-x^2/4)"],
+    "poly": _INVERSION["(1+x^2) exp(-x^2)"],
+    "quartic": _INVERSION["exp(-x^4/8)"],
+    "flat4": acceptance.flat_top(3.2),
 }
 
-COUNTEREXAMPLES = ("odd", "slow", "rough")
+_FAMILIES = ("gaussian", "cosh", "xi_poly", "wave_packet", "counterexample")
+_FORMATS = ("csv", "json")
 
 
 @dataclass
@@ -87,90 +87,54 @@ class RunConfig:
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     output: OutputSpec = field(default_factory=OutputSpec)
     profile: ProfileSpec = field(default_factory=ProfileSpec)
-    lams: tuple = (0.5, 1.0, 2.0)
-    eps_ladder: tuple = (0.4, 0.2, 0.1)
-    r_values: tuple = (0.0, 1.0, 2.0, 3.0)
-    k_values: tuple = (0, 1, 2)
+    lams: tuple[float, ...] = (0.5, 1.0, 2.0)
+    eps_ladder: tuple[float, ...] = (0.4, 0.2, 0.1)
+    r_values: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0)
+    k_values: tuple[int, ...] = (0, 1, 2)
 
 
-_SPECTRAL_SUBCOMMANDS = {"cfun", "transform", "membership", "roundtrip"}
+# ---------------------------------------------------------------------------
+# the one strict loader
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
 
 
-def _reject_unknown(data: dict, allowed: dict, path: str = ""):
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown config field {path + key!r}", path=path + key)
+def _load(tp, value, path: str):
+    """``value`` from the JSON document as an instance of annotation ``tp``."""
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            where = path or "config"
+            raise ConfigError(f"{where}: expected an object, got {value!r}", path=where)
+        types = _field_types(tp)
+        kwargs = {}
+        for key, item in value.items():
+            where = f"{path}.{key}" if path else key
+            if key not in types:
+                raise ConfigError(f"unknown config field {where!r}", path=where)
+            kwargs[key] = _load(types[key], item, where)
+        try:
+            return tp(**kwargs)
+        except SphtransError as exc:  # a dataclass that checks its own values
+            raise ConfigError(f"{path}: {exc}", path=path) from exc
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}", path=path)
+        return tuple(_load(args[0], item, f"{path}[{i}]") for i, item in enumerate(value))
+    if type(None) in args:  # X | None
+        return None if value is None else _load(args[0], value, path)
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}", path=path)
+    return float(value) if tp is float else value
 
 
 def load_config(doc: dict) -> RunConfig:
     """Build a RunConfig from a parsed JSON document, strictly."""
-    cfg = RunConfig()
-    sections = {
-        "preset": str,
-        "subcommand": str,
-        "lam": float,
-        "grid": dict,
-        "quadrature": dict,
-        "output": dict,
-        "profile": dict,
-        "lams": list,
-        "eps_ladder": list,
-        "r_values": list,
-        "k_values": list,
-    }
-    _reject_unknown(doc, sections)
-    if "preset" in doc:
-        cfg.preset = str(doc["preset"])
-    if "subcommand" in doc:
-        cfg.subcommand = str(doc["subcommand"])
-    if "lam" in doc:
-        cfg.lam = float(doc["lam"])
-    if "grid" in doc:
-        _reject_unknown(doc["grid"], {"min": 0, "max": 0, "count": 0}, "grid.")
-        g = doc["grid"]
-        cfg.grid = GridSpec(
-            float(g.get("min", cfg.grid.min)),
-            float(g.get("max", cfg.grid.max)),
-            int(g.get("count", cfg.grid.count)),
-        )
-    if "quadrature" in doc:
-        allowed = {"rel_tol": 0, "abs_tol": 0, "max_subdivisions": 0}
-        _reject_unknown(doc["quadrature"], allowed, "quadrature.")
-        qd = doc["quadrature"]
-        try:
-            cfg.quadrature = QuadratureSpec(
-                rel_tol=float(qd.get("rel_tol", 1e-10)),
-                abs_tol=float(qd.get("abs_tol", 1e-12)),
-                max_subdivisions=int(qd.get("max_subdivisions", 4096)),
-            )
-        except SphtransError as exc:
-            raise ConfigError(f"quadrature: {exc}", path="quadrature") from exc
-    if "output" in doc:
-        _reject_unknown(doc["output"], {"format": 0, "path": 0}, "output.")
-        od = doc["output"]
-        cfg.output = OutputSpec(str(od.get("format", "csv")), od.get("path"))
-    if "profile" in doc:
-        allowed = {
-            "family": 0, "symbol": 0, "symbol2": 0, "width": 0,
-            "scale": 0, "power": 0, "p": 0,
-        }
-        _reject_unknown(doc["profile"], allowed, "profile.")
-        pd = doc["profile"]
-        cfg.profile = ProfileSpec(
-            family=str(pd.get("family", "wave_packet")),
-            symbol=str(pd.get("symbol", "gauss")),
-            symbol2=str(pd.get("symbol2", "x2gauss")),
-            width=float(pd.get("width", 1.0)),
-            scale=float(pd.get("scale", 1.0)),
-            power=None if pd.get("power") is None else float(pd["power"]),
-            p=int(pd.get("p", 3)),
-        )
-    for key in ("lams", "eps_ladder", "r_values"):
-        if key in doc:
-            setattr(cfg, key, tuple(float(v) for v in doc[key]))
-    if "k_values" in doc:
-        cfg.k_values = tuple(int(v) for v in doc["k_values"])
-    return cfg
+    return _load(RunConfig, doc, "")
 
 
 def validate_config(cfg: RunConfig):
@@ -183,23 +147,22 @@ def validate_config(cfg: RunConfig):
         raise ConfigError(f"subcommand: unknown {cfg.subcommand!r}", path="subcommand")
     if cfg.grid.count < 3:
         raise ConfigError("grid.count: need at least 3 points", path="grid.count")
-    if not cfg.grid.min < cfg.grid.max:
-        raise ConfigError("grid: need min < max", path="grid")
-    if cfg.subcommand in _SPECTRAL_SUBCOMMANDS:
+    if not -math.inf < cfg.grid.min < cfg.grid.max < math.inf:
+        raise ConfigError("grid: need finite min < max", path="grid")
+    if _COMMANDS[cfg.subcommand].spectral:
         if cfg.grid.count % 2 == 0:
             raise ConfigError(
                 "grid.count: spectral grids must have an odd point count",
                 path="grid.count",
             )
         if abs(cfg.grid.min + cfg.grid.max) > 1e-12:
-            raise ConfigError(
-                "grid: spectral grids must be symmetric about 0", path="grid"
-            )
-    if cfg.profile.family not in ("gaussian", "cosh", "xi_poly", "wave_packet", "counterexample"):
+            raise ConfigError("grid: spectral grids must be symmetric about 0", path="grid")
+    if cfg.profile.family not in _FAMILIES:
         raise ConfigError(
             f"profile.family: unknown family {cfg.profile.family!r}", path="profile.family"
         )
-    if cfg.profile.family == "counterexample" and cfg.profile.symbol not in COUNTEREXAMPLES:
+    counterexamples = acceptance.COUNTEREXAMPLES
+    if cfg.profile.family == "counterexample" and cfg.profile.symbol not in counterexamples:
         raise ConfigError(
             f"profile.symbol: unknown counterexample {cfg.profile.symbol!r}",
             path="profile.symbol",
@@ -209,6 +172,14 @@ def validate_config(cfg: RunConfig):
             f"profile.symbol: unknown symbol {cfg.profile.symbol!r}; "
             f"valid: {', '.join(SYMBOLS)}",
             path="profile.symbol",
+        )
+    if cfg.output.format not in _FORMATS:
+        raise ConfigError(f"output.format: unknown format {cfg.output.format!r}; "
+                          f"valid: {', '.join(_FORMATS)}", path="output.format")
+    out = cfg.output.path
+    if out is not None and (os.path.isdir(out) or not os.path.isdir(_directory(out))):
+        raise ConfigError(
+            f"output.path: {out!r} is not a file in an existing directory", path="output.path"
         )
 
 
@@ -222,9 +193,8 @@ def _radial_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(lo, hi, cfg.grid.count)
 
 
-def _symbol(cfg: RunConfig, name: str | None = None) -> tr.SpectralFunction:
-    name = name or cfg.profile.symbol
-    return acceptance.make_symbol(SYMBOLS[name], name)
+def _packet(G, cfg: RunConfig, name: str) -> tr.RadialProfile:
+    return tr.wave_packet(G, acceptance.make_symbol(SYMBOLS[name], name), q=cfg.quadrature)
 
 
 def _build_profile(G, cfg: RunConfig):
@@ -236,7 +206,7 @@ def _build_profile(G, cfg: RunConfig):
     if fam == "xi_poly":
         return profiles.xi_poly_profile(G, p=cfg.profile.p)
     if fam == "wave_packet":
-        return tr.wave_packet(G, _symbol(cfg), q=cfg.quadrature)
+        return _packet(G, cfg, cfg.profile.symbol)
     raise ConfigError(f"profile.family {fam!r} has no radial realization", path="profile.family")
 
 
@@ -253,13 +223,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(header: list[str], rows: list[list], path: str | None) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    _emit(text, path)
-    return text
+def write_csv(header: list[str], rows: list[list], path: str | None):
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    _emit("\n".join(lines) + "\n", path)
+
 
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
@@ -271,18 +238,19 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def write_json(payload: dict, path: str | None) -> str:
-    text = json.dumps(payload, indent=2, default=_json_default) + "\n"
-    _emit(text, path)
-    return text
+def write_json(payload: dict, path: str | None):
+    _emit(json.dumps(payload, indent=2, default=_json_default) + "\n", path)
+
+
+def _directory(path: str) -> str:
+    return os.path.dirname(os.path.abspath(path))
 
 
 def _emit(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".sphtrans-")
+    fd, tmp = tempfile.mkstemp(dir=_directory(path), prefix=".sphtrans-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -310,19 +278,17 @@ def _run_presets(cfg: RunConfig):
                    "presets": [dict(zip(header, row)) for row in rows]}
         write_json(payload, cfg.output.path)
     else:
-        rows = [[r[0]] + r[1:] for r in rows]
         write_csv(header, rows, cfg.output.path)
 
 
+def _write_radial(cfg: RunConfig, name: str, ts: np.ndarray, vals: np.ndarray):
+    write_csv(["t", f"re_{name}", f"im_{name}"],
+              [[t, v.real, v.imag] for t, v in zip(ts, vals)], cfg.output.path)
+
+
 def _run_phi(cfg: RunConfig):
-    G = preset(cfg.preset)
     ts = _radial_grid(cfg)
-    vals = phi(G, cfg.lam, ts)
-    write_csv(
-        ["t", "re_phi", "im_phi"],
-        [[t, v.real, v.imag] for t, v in zip(ts, vals)],
-        cfg.output.path,
-    )
+    _write_radial(cfg, "phi", ts, phi(preset(cfg.preset), cfg.lam, ts))
 
 
 def _run_cfun(cfg: RunConfig):
@@ -339,51 +305,36 @@ def _run_cfun(cfg: RunConfig):
     write_csv(["lambda", "re_c", "im_c", "density"], rows, cfg.output.path)
 
 
-def _transform_payload(cfg: RunConfig, res: tr.TransformResult, operation: str) -> dict:
-    per_sample = [
-        {"lambda": float(l), "re": v.real, "im": v.imag, "err_est": float(e)}
-        for l, v, e in zip(res.spectral.grid, res.spectral.values, res.err_est)
-    ]
-    return {
-        "preset": cfg.preset,
-        "operation": operation,
-        "inputs": {"profile": dataclasses.asdict(cfg.profile), "grid": dataclasses.asdict(cfg.grid)},
-        "max_error": float(np.max(res.err_est)),
-        "per_sample": per_sample,
-    }
-
-
 def _run_transform(cfg: RunConfig):
     G = preset(cfg.preset)
-    f = _build_profile(G, cfg)
-    res = tr.hc_transform(G, f, _spectral_grid(cfg), cfg.quadrature)
+    res = tr.hc_transform(G, _build_profile(G, cfg), _spectral_grid(cfg), cfg.quadrature)
+    samples = list(zip(res.spectral.grid, res.spectral.values, res.err_est))
     if cfg.output.format == "json":
-        write_json(_transform_payload(cfg, res, "transform"), cfg.output.path)
+        write_json({
+            "preset": cfg.preset,
+            "operation": "transform",
+            "inputs": {"profile": dataclasses.asdict(cfg.profile),
+                       "grid": dataclasses.asdict(cfg.grid)},
+            "max_error": float(np.max(res.err_est)),
+            "per_sample": [{"lambda": float(l), "re": v.real, "im": v.imag, "err_est": float(e)}
+                           for l, v, e in samples],
+        }, cfg.output.path)
     else:
-        write_csv(
-            ["lambda", "re", "im", "err_est"],
-            [[l, v.real, v.imag, e] for l, v, e in
-             zip(res.spectral.grid, res.spectral.values, res.err_est)],
-            cfg.output.path,
-        )
+        write_csv(["lambda", "re", "im", "err_est"],
+                  [[l, v.real, v.imag, e] for l, v, e in samples], cfg.output.path)
 
 
 def _run_invert(cfg: RunConfig):
     G = preset(cfg.preset)
-    psi = tr.wave_packet(G, _symbol(cfg), q=cfg.quadrature)
+    psi = _packet(G, cfg, cfg.profile.symbol)
     ts = _radial_grid(cfg)
-    vals = np.atleast_1d(psi(ts))
-    write_csv(
-        ["t", "re_psi", "im_psi"],
-        [[t, v.real, v.imag] for t, v in zip(ts, vals)],
-        cfg.output.path,
-    )
+    _write_radial(cfg, "psi", ts, np.atleast_1d(psi(ts)))
 
 
 def _run_plancherel(cfg: RunConfig):
     G = preset(cfg.preset)
-    fa = tr.wave_packet(G, _symbol(cfg), q=cfg.quadrature)
-    fb = tr.wave_packet(G, _symbol(cfg, cfg.profile.symbol2), q=cfg.quadrature)
+    fa = _packet(G, cfg, cfg.profile.symbol)
+    fb = _packet(G, cfg, cfg.profile.symbol2)
     ha = tr.hc_transform(G, fa, q=cfg.quadrature).spectral
     hb = tr.hc_transform(G, fb, q=cfg.quadrature).spectral
     pairing = tr.plancherel_pairing(G, ha, hb, cfg.quadrature)
@@ -403,7 +354,7 @@ def _run_plancherel(cfg: RunConfig):
 
 def _run_expansion(cfg: RunConfig):
     G = preset(cfg.preset)
-    psi = tr.wave_packet(G, _symbol(cfg), q=cfg.quadrature)
+    psi = _packet(G, cfg, cfg.profile.symbol)
     hf = tr.hc_transform(G, psi, q=cfg.quadrature).spectral
     records = []
     max_err = 0.0
@@ -449,28 +400,12 @@ def _run_seminorm(cfg: RunConfig):
     )
 
 
-def _counterexample_spectral(cfg: RunConfig) -> tr.SpectralFunction:
-    grid = _spectral_grid(cfg)
-    name = cfg.profile.symbol
-    if name == "odd":
-        values = grid * np.exp(-(grid**2))
-        decay = tr.SpectralDecay(270.0, 8.0)
-    elif name == "slow":
-        values = 1.0 / (1.0 + grid**2)
-        decay = tr.SpectralDecay(2.0, 2.0)
-    else:
-        values = np.exp(-np.abs(grid))
-        decay = tr.SpectralDecay(13.0, 4.0)
-    return tr.SpectralFunction(grid, values, decay, label=name)
-
-
 def _run_membership(cfg: RunConfig):
     G = preset(cfg.preset)
     if cfg.profile.family == "counterexample":
-        A = _counterexample_spectral(cfg)
+        A = acceptance.counterexample(cfg.profile.symbol, _spectral_grid(cfg))
     else:
-        f = _build_profile(G, cfg)
-        A = tr.hc_transform(G, f, _spectral_grid(cfg), cfg.quadrature).spectral
+        A = tr.hc_transform(G, _build_profile(G, cfg), _spectral_grid(cfg), cfg.quadrature).spectral
     rep = schwartz.image_membership(G, A)
     write_json(
         {
@@ -490,12 +425,10 @@ def _run_membership(cfg: RunConfig):
 
 def _run_roundtrip(cfg: RunConfig):
     G = preset(cfg.preset)
-    fn = SYMBOLS[cfg.profile.symbol]
-    a = acceptance.make_symbol(fn, cfg.profile.symbol)
-    psi = tr.wave_packet(G, a, q=cfg.quadrature)
+    psi = _packet(G, cfg, cfg.profile.symbol)
     grid = _spectral_grid(cfg)
     res = tr.hc_transform(G, psi, grid, cfg.quadrature)
-    target = fn(grid)
+    target = SYMBOLS[cfg.profile.symbol](grid)
     errors = np.abs(res.spectral.values - target)
     payload = {
         "preset": cfg.preset,
@@ -512,131 +445,119 @@ def _run_roundtrip(cfg: RunConfig):
 
 
 def _run_accept(cfg: RunConfig) -> int:
-    outcomes = acceptance.run_all(echo=lambda s: print(s))
+    outcomes = acceptance.run_all(echo=print)
     n_fail = sum(not o.passed for o in outcomes)
     print(f"\n{len(outcomes) - n_fail}/{len(outcomes)} acceptance criteria passed")
     if cfg.output.path is not None:
-        write_json(
-            {
-                "operation": "accept",
-                "outcomes": [dataclasses.asdict(o) for o in outcomes],
-            },
-            cfg.output.path,
-        )
+        write_json({"operation": "accept", "outcomes": [dataclasses.asdict(o) for o in outcomes]},
+                   cfg.output.path)
     return 3 if n_fail else 0
 
 
-_DISPATCH = {
-    "presets": _run_presets,
-    "phi": _run_phi,
-    "cfun": _run_cfun,
-    "transform": _run_transform,
-    "invert": _run_invert,
-    "plancherel": _run_plancherel,
-    "expansion": _run_expansion,
-    "seminorm": _run_seminorm,
-    "membership": _run_membership,
-    "roundtrip": _run_roundtrip,
-    "accept": _run_accept,
+class _Command(NamedTuple):
+    run: Callable[[RunConfig], int | None]
+    context: str  # the layer named in its error messages
+    spectral: bool = False  # its grid is a spectral grid: odd count, symmetric about 0
+
+
+_COMMANDS = {
+    "presets": _Command(_run_presets, "groups.preset"),
+    "phi": _Command(_run_phi, "spherical.phi"),
+    "cfun": _Command(_run_cfun, "cfunction.c_function", spectral=True),
+    "transform": _Command(_run_transform, "transform.hc_transform", spectral=True),
+    "invert": _Command(_run_invert, "transform.wave_packet"),
+    "plancherel": _Command(_run_plancherel, "transform.plancherel_pairing"),
+    "expansion": _Command(_run_expansion, "transform.expansion_term"),
+    "seminorm": _Command(_run_seminorm, "schwartz.schwartz_seminorm"),
+    "membership": _Command(_run_membership, "schwartz.image_membership", spectral=True),
+    "roundtrip": _Command(_run_roundtrip, "transform.hc_transform", spectral=True),
+    "accept": _Command(_run_accept, "acceptance.run_all"),
 }
 
-_CONTEXT = {
-    "presets": "groups.preset",
-    "phi": "spherical.phi",
-    "cfun": "cfunction.c_function",
-    "transform": "transform.hc_transform",
-    "invert": "transform.wave_packet",
-    "plancherel": "transform.plancherel_pairing",
-    "expansion": "transform.expansion_term",
-    "seminorm": "schwartz.schwartz_seminorm",
-    "membership": "schwartz.image_membership",
-    "roundtrip": "transform.hc_transform",
-    "accept": "acceptance.run_all",
-}
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's ``dest`` is the dotted config path it sets."""
     parser = argparse.ArgumentParser(
         prog="sphtrans",
         description="spherical transform engine for rank-one symmetric spaces",
     )
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("--preset", default=None, help="group preset name")
-    parser.add_argument("--config", default=None, help="path to a JSON config file")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", default=None, choices=["csv", "json"])
-    parser.add_argument("--grid", default=None, help="spectral/radial grid as min:max:count")
-    parser.add_argument("--tol", default=None, type=float, help="relative quadrature tolerance")
-    parser.add_argument("--lam", default=None, type=float, help="spectral point for `phi`")
-    parser.add_argument("--symbol", default=None, help="spectral symbol name")
-    parser.add_argument("--profile", default=None, help="radial profile family")
+    parser.add_argument("--preset", help="group preset name")
+    parser.add_argument("--config", help="path to a JSON config file")
+    parser.add_argument("--out", dest="output.path", help="output path (default: stdout)")
+    parser.add_argument("--format", dest="output.format", choices=_FORMATS)
+    parser.add_argument("--grid", help="spectral/radial grid as min:max:count")
+    parser.add_argument("--tol", dest="quadrature.rel_tol", type=float,
+                        help="relative quadrature tolerance")
+    parser.add_argument("--lam", type=float, help="spectral point for `phi`")
+    parser.add_argument("--symbol", dest="profile.symbol", help="spectral symbol name")
+    parser.add_argument("--profile", dest="profile.family", help="radial profile family")
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    doc = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+def _put(doc, path: str, value):
+    """Write ``value`` at a dotted path of the document; a document or
+    section that is not an object is left as it is, for the loader to report."""
+    *sections, key = path.split(".")
+    for name in sections:
         if not isinstance(doc, dict):
-            raise ConfigError("config file must hold a JSON object")
-    cfg = load_config(doc)
-    cfg.subcommand = args.subcommand
-    if args.preset is not None:
-        cfg.preset = args.preset
-    if args.format is not None:
-        cfg.output.format = args.format
-    if args.out is not None:
-        cfg.output.path = args.out
-    if args.lam is not None:
-        cfg.lam = args.lam
-    if args.symbol is not None:
-        cfg.profile.symbol = args.symbol
-        if cfg.profile.family not in ("wave_packet", "counterexample"):
-            cfg.profile.family = "wave_packet"
-    if args.profile is not None:
-        cfg.profile.family = args.profile
-    if args.grid is not None:
-        parts = args.grid.split(":")
-        if len(parts) != 3:
-            raise ConfigError("grid flag must be min:max:count", path="grid")
-        cfg.grid = GridSpec(float(parts[0]), float(parts[1]), int(parts[2]))
-    if args.tol is not None:
+            return
+        doc = doc.setdefault(name, {})
+    if isinstance(doc, dict):
+        doc[key] = value
+
+
+def _flag_number(text: str):
+    """An int or float from a flag's text, else the text for the loader to reject."""
+    for parse in (int, float):
         try:
-            cfg.quadrature = QuadratureSpec(
-                rel_tol=args.tol,
-                abs_tol=cfg.quadrature.abs_tol,
-                max_subdivisions=cfg.quadrature.max_subdivisions,
-            )
-        except SphtransError as exc:
-            raise ConfigError(f"tol: {exc}", path="quadrature.rel_tol") from exc
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def config_from_args(args) -> RunConfig:
+    """The config file with the flags written over it, loaded and validated."""
+    flags = dict(vars(args))
+    config, grid = flags.pop("config"), flags.pop("grid")
+    doc = {}
+    if config is not None:
+        try:
+            with open(config, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+            raise ConfigError(f"config: cannot load {config!r}: {exc}", path="config") from exc
+    if grid is not None:
+        parts = grid.split(":")
+        if len(parts) != 3:
+            raise ConfigError("grid: the flag must be min:max:count", path="grid")
+        flags.update(zip(("grid.min", "grid.max", "grid.count"), map(_flag_number, parts)))
+    for path, value in flags.items():
+        if value is not None:
+            _put(doc, path, value)
+    cfg = load_config(doc)
+    # --symbol on a radial family means its wave packet, unless --profile names the family
+    if flags["profile.symbol"] is not None and flags["profile.family"] is None and \
+            cfg.profile.family not in ("wave_packet", "counterexample"):
+        cfg.profile.family = "wave_packet"
     validate_config(cfg)
     return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    context = "cli.config"
     try:
         cfg = config_from_args(args)
-    except (ConfigError, SphtransError) as exc:
-        print(f"error in cli.config: {exc}", file=sys.stderr)
-        return 2
-    context = _CONTEXT[cfg.subcommand]
-    try:
-        rc = _DISPATCH[cfg.subcommand](cfg)
-        return int(rc or 0)
-    except AccuracyError as exc:
+        command = _COMMANDS[cfg.subcommand]
+        context = command.context
+        return int(command.run(cfg) or 0)
+    except (SphtransError, OSError) as exc:
         print(f"error in {context}: {exc}", file=sys.stderr)
-        return 3
-    except SphtransError as exc:
-        print(f"error in {context}: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error in {context}: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, AccuracyError) else 2
 
 
 if __name__ == "__main__":

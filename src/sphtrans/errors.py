@@ -44,10 +44,6 @@ class PreconditionError(SphtransError, ValueError):
     """Input violates a documented precondition (decay, parity, smoothness...)."""
 
 
-class CapabilityError(SphtransError):
-    """Operation not available for this preset or configuration."""
-
-
 class ConditioningError(SphtransError):
     """A fit or solve is too ill-conditioned to be trusted."""
 

@@ -1,28 +1,24 @@
-"""Complex log-Gamma and deterministic quadrature.
+"""Deterministic quadrature.
 
-Complex log-Gamma is scipy's ``loggamma`` with this package's typed
-errors.  Integration is adaptive composite Gauss-Legendre on intervals,
+Integration is adaptive composite Gauss-Legendre on intervals,
 with an explicit decay-driven truncation rule for half-line integrals.
 Nothing here is randomized, so downstream tolerances are stable run over run.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
-from .errors import AccuracyError, DomainError, PoleError
+from .errors import AccuracyError, DomainError
 
 __all__ = [
     "QuadratureSpec",
     "ExpDecay",
-    "log_gamma",
     "integrate_interval",
     "truncation_point",
     "gauss_legendre_rule",
@@ -97,10 +93,11 @@ class QuadratureSpec:
     max_subdivisions: int = 4096
 
     def __post_init__(self):
-        if self.rel_tol < 1e-14:
-            raise DomainError("rel_tol below 1e-14 is not supported")
-        if self.abs_tol <= 0:
-            raise DomainError("abs_tol must be positive")
+        # written so that NaN fails: a NaN tolerance would pass every error check
+        if not 1e-14 <= self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be finite and at least 1e-14, got {self.rel_tol}")
+        if not 0 < self.abs_tol < math.inf:
+            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
         if not (0 < self.max_subdivisions <= 2**20):
             raise DomainError("max_subdivisions must lie in (0, 2^20]")
 
@@ -110,26 +107,6 @@ class QuadratureSpec:
 
 
 DEFAULT_QUAD = QuadratureSpec()
-
-
-# ---------------------------------------------------------------------------
-# complex log-Gamma: scipy.special.loggamma with typed errors
-# ---------------------------------------------------------------------------
-
-def log_gamma(z) -> complex:
-    """Principal branch of log Gamma(z) for complex z (``scipy.special.loggamma``).
-
-    Raises DomainError for non-finite z and PoleError at nonpositive
-    integers; exp(log_gamma) is within 1e-13 relative of Gamma on the
-    strips used by the c-function.  :func:`sphtrans.spherical.c_log`
-    calls ``loggamma`` on whole arrays.
-    """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"log_gamma requires finite z, got {z}")
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise PoleError(f"log_gamma pole at z = {int(z.real)}", pole=int(z.real))
-    return complex(loggamma(z))
 
 
 # ---------------------------------------------------------------------------

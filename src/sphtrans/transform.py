@@ -272,15 +272,11 @@ def _spectral_rule(G: GroupDatum, L: float, order: int) -> _SpectralRule:
     return _SpectralRule(L, nodes, weights, cfunction.plancherel_density(G, nodes))
 
 
-def _forward_truncation(G: GroupDatum, f: RadialProfile, q: QuadratureSpec) -> float:
-    """Truncation point for int f phi Delta, from the profile envelope."""
-    env = ExpDecay(
-        coeff=f.decay.coeff * _XI_ENVELOPE,
-        rate=f.decay.rate - G.rho,
-        degree=f.decay.degree + 1,
-    )
-    T = truncation_point(env, q.abs_tol)
-    return 4.0 * math.ceil(T / 4.0)  # bucket for table reuse
+def _forward_envelope(G: GroupDatum, f: RadialProfile, strip: float = 0.0) -> ExpDecay:
+    """Envelope of f phi_lam Delta for |Im lam| <= strip, since
+    |phi_lam(t)| <= e^{strip t} Xi(t)."""
+    return ExpDecay(f.decay.coeff * _XI_ENVELOPE, f.decay.rate - G.rho - strip,
+                    f.decay.degree + 1)
 
 
 def _require_schwartz(f: RadialProfile, rate: float, what: str):
@@ -313,7 +309,8 @@ def hc_transform(
     if grid is None:
         grid = default_spectral_grid()
     grid = np.asarray(grid, dtype=float)
-    T = _forward_truncation(G, f, q)
+    env = _forward_envelope(G, f)
+    T = 4.0 * math.ceil(truncation_point(env, q.abs_tol) / 4.0)  # bucket for table reuse
     fine = _radial_rule(G, T, _T_ORDER_FINE)
     coarse = _radial_rule(G, T, _T_ORDER_COARSE)
     f_fine = np.asarray(f(fine.nodes), dtype=complex)
@@ -322,7 +319,6 @@ def hc_transform(
     w_fine, w_coarse = fine.weights * fine.delta * f_fine, coarse.weights * coarse.delta * f_coarse
     vals_fine = _real_times(_phi_block(G, rows, fine.nodes), w_fine)[fold]
     vals_coarse = _real_times(_phi_block(G, rows, coarse.nodes), w_coarse)[fold]
-    env = ExpDecay(f.decay.coeff * _XI_ENVELOPE, f.decay.rate - G.rho, f.decay.degree + 1)
     tail = env.tail_integral(T)
     err = np.abs(vals_fine - vals_coarse) + tail
     tol = np.maximum(q.abs_tol, q.rel_tol * np.abs(vals_fine))
@@ -372,9 +368,7 @@ def hc_transform_at(G: GroupDatum, f: RadialProfile, lam, q: QuadratureSpec = DE
         return lams
     strip = float(np.max(np.abs(lams.imag)))
     _require_schwartz(f, G.rho + strip, "hc_transform input")
-    env = ExpDecay(f.decay.coeff * _XI_ENVELOPE, f.decay.rate - G.rho - strip,
-                   f.decay.degree + 1)
-    T = truncation_point(env, q.abs_tol)
+    T = truncation_point(_forward_envelope(G, f, strip), q.abs_tol)
 
     def integrand(t):
         return np.asarray(f(t), dtype=complex) * phi(G, lams, t) * haar_density(G, t)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from sphtrans.acceptance import CriterionOutcome
-from sphtrans.cli import RunConfig, load_config, main, validate_config, write_json
+from sphtrans.cli import (RunConfig, build_parser, config_from_args, load_config, main,
+                          validate_config, write_json)
 from sphtrans.errors import ConfigError
 
 
@@ -190,7 +191,7 @@ def test_accuracy_failures_exit_3(monkeypatch):
     def boom(cfg):
         raise AccuracyError("forced accuracy failure", err_est=1.0)
 
-    monkeypatch.setitem(cli._DISPATCH, "transform", boom)
+    monkeypatch.setitem(cli._COMMANDS, "transform", cli._COMMANDS["transform"]._replace(run=boom))
     assert run_cli(["transform", "--preset", "SL2R"]) == 3
 
 
@@ -200,6 +201,12 @@ def test_load_config_strictness():
     assert err.value.path == "grids"
     cfg = load_config({"preset": "H4"})
     assert cfg.preset == "H4"
+    # every default lives in the dataclasses; ints load into float fields as floats
+    assert load_config({}) == RunConfig()
+    cfg = load_config({"grid": {"min": 0, "count": 5}, "profile": {"power": 2}, "lams": [1]})
+    assert (cfg.grid.min, cfg.grid.max, cfg.grid.count) == (0.0, RunConfig().grid.max, 5)
+    assert type(cfg.grid.min) is float and type(cfg.profile.power) is float
+    assert cfg.lams == (1.0,) and cfg.quadrature == RunConfig().quadrature
 
 
 def test_validate_config_catches_bad_family():
@@ -208,6 +215,11 @@ def test_validate_config_catches_bad_family():
     cfg.subcommand = "transform"
     with pytest.raises(ConfigError):
         validate_config(cfg)
+    cfg = RunConfig()
+    cfg.output.format = "xml"
+    with pytest.raises(ConfigError) as err:
+        validate_config(cfg)
+    assert err.value.path == "output.format"
 
 
 def test_cli_import_leaves_out_scipy_integrate():
@@ -216,3 +228,78 @@ def test_cli_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# one strict loader: every malformed value is a ConfigError naming its path
+# ---------------------------------------------------------------------------
+
+MALFORMED = [
+    ({"grid": 5}, "grid"),
+    ({"lam": "abc"}, "lam"),
+    ({"lams": 3}, "lams"),
+    ({"lams": [0.5, "x"]}, "lams[1]"),
+    ({"profile": {"p": "x"}}, "profile.p"),
+    ({"grid": {"count": 2.5}}, "grid.count"),
+    ({"k_values": [1, True]}, "k_values[1]"),
+    ({"output": {"path": 7}}, "output.path"),
+    ({"quadrature": {"rel_tol": 1e-20}}, "quadrature"),
+]
+
+
+@pytest.mark.parametrize("doc, path", MALFORMED)
+def test_malformed_config_names_its_path(doc, path, tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        load_config(doc)
+    assert err.value.path == path
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["presets", "--config", str(cfg)]) == 2
+    assert f"error in cli.config: {path}" in capsys.readouterr().err
+
+
+def test_flags_load_at_their_config_paths(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"quadrature": {"abs_tol": 1e-11}, "profile": {"family": "cosh"}}))
+    args = build_parser().parse_args([
+        "transform", "--config", str(cfg), "--tol", "1e-9", "--grid=-4:4:9",
+        "--symbol", "wide", "--out", str(tmp_path / "x.csv"),
+    ])
+    run = config_from_args(args)
+    assert (run.quadrature.rel_tol, run.quadrature.abs_tol) == (1e-9, 1e-11)
+    assert (run.grid.min, run.grid.max, run.grid.count) == (-4.0, 4.0, 9)
+    assert run.output.path == str(tmp_path / "x.csv")
+    # --symbol on a radial family selects its wave packet
+    assert (run.profile.family, run.profile.symbol) == ("wave_packet", "wide")
+
+
+@pytest.mark.parametrize("flag, path", [
+    ("--grid=a:1:3", "grid.min"),
+    ("--grid=-1:1:2.5", "grid.count"),
+    ("--grid=0:1", "grid"),
+    ("--grid=0:inf:5", "grid"),
+    ("--tol=1e-20", "quadrature: rel_tol"),
+    ("--tol=nan", "quadrature: rel_tol"),
+])
+def test_malformed_flag_names_its_path(flag, path, capsys):
+    assert run_cli(["phi", flag]) == 2
+    assert f"error in cli.config: {path}" in capsys.readouterr().err
+
+
+def test_missing_config_file_names_config(tmp_path, capsys):
+    assert run_cli(["presets", "--config", str(tmp_path / "absent.json")]) == 2
+    assert "error in cli.config: config:" in capsys.readouterr().err
+
+
+def test_out_into_missing_directory_fails_before_computing(tmp_path, monkeypatch, capsys):
+    from sphtrans import cli
+
+    def never(cfg):
+        raise AssertionError("the subcommand ran")
+
+    monkeypatch.setitem(cli._COMMANDS, "transform", cli._COMMANDS["transform"]._replace(run=never))
+    rc = run_cli(["transform", "--out", str(tmp_path / "missing" / "t.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error in cli.config: output.path" in err
+    assert ".sphtrans-" not in err

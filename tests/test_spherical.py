@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sphtrans.errors import CapabilityError, DomainError
+from sphtrans.errors import DomainError
 from sphtrans.groups import haar_log_derivative, preset
 from sphtrans.profiles import gaussian_profile
 from sphtrans.spherical import (
@@ -107,7 +107,7 @@ def test_integral_oracle_trivialities():
 
 
 def test_integral_oracle_capability_error():
-    with pytest.raises(CapabilityError):
+    with pytest.raises(DomainError):
         phi_integral_oracle(preset("CH2"), 1.0, 1.0)
 
 

@@ -1,0 +1,158 @@
+"""Compare the CLI artifacts of a git revision with those of the working tree.
+
+    python3 tools/artifact_diff.py --base REV
+
+Both sides run the same 61 commands, each as ``python3 -m sphtrans.cli``
+from the side's root with its own ``src`` first on PYTHONPATH: the ten
+subcommands other than ``accept`` on SL2R, H3 and CH2, each with
+``--format csv`` and ``--format json`` at ``--lam 2.5``, and ``accept``.
+Every command writes its artifact with ``--out``.  The base side is the
+committed tree of REV, exported with ``git archive`` into a temporary
+directory.  Per artifact the tool prints "identical", or the largest
+absolute and relative difference between numbers at the same place; fields
+named ``runtime`` are left out of the comparison, and an artifact equal
+apart from them is "identical (runtime ignored)".  It exits 1 when a
+command's exit code differs between the sides or an artifact exists on one
+side only, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+from bench_pairs import ROOT, export_rev
+
+SUBCOMMANDS = ("presets", "phi", "cfun", "transform", "invert", "plancherel",
+               "expansion", "seminorm", "membership", "roundtrip")
+PRESETS = ("SL2R", "H3", "CH2")
+FORMATS = ("csv", "json")
+RUN_TIMEOUT_S = 1800
+WORKERS = 2
+
+
+def commands() -> dict[str, list[str]]:
+    """Artifact file name -> the CLI arguments that write it (without --out)."""
+    out = {f"{sub}-{preset}.{fmt}": [sub, "--preset", preset, "--format", fmt, "--lam", "2.5"]
+           for sub in SUBCOMMANDS for preset in PRESETS for fmt in FORMATS}
+    out["accept.json"] = ["accept"]
+    return out
+
+
+def run_side(root: Path, out_dir: Path) -> dict[str, int]:
+    """Write every artifact of the side at ``root`` into ``out_dir``; exit code by artifact."""
+    out_dir.mkdir()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+    def run(item):
+        name, args = item
+        cmd = [sys.executable, "-m", "sphtrans.cli", *args, "--out", str(out_dir / name)]
+        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
+                              timeout=RUN_TIMEOUT_S)
+        return name, proc.returncode
+
+    with ThreadPoolExecutor(WORKERS) as pool:
+        return dict(pool.map(run, commands().items()))
+
+
+def leaves(path: Path) -> list[tuple[str, object]]:
+    """(place, value) for every cell of a CSV or leaf of a JSON artifact, numbers as floats.
+
+    Subcommands without a JSON form write CSV whatever ``--format`` says, so
+    the content, not the file name, tells the two apart."""
+    text = path.read_text(encoding="utf-8")
+    if not text.startswith("{"):
+        return [(f"line {i + 1} column {j + 1}", _number(cell))
+                for i, line in enumerate(text.splitlines())
+                for j, cell in enumerate(line.split(","))]
+    out = []
+
+    def walk(node, where):
+        if isinstance(node, dict):
+            for key, item in node.items():
+                if key != "runtime":
+                    walk(item, f"{where}.{key}" if where else key)
+        elif isinstance(node, list):
+            for i, item in enumerate(node):
+                walk(item, f"{where}[{i}]")
+        else:
+            out.append((where, float(node) if isinstance(node, (int, float))
+                        and not isinstance(node, bool) else node))
+
+    walk(json.loads(text), "")
+    return out
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _same(a, b) -> bool:
+    return a == b or (isinstance(a, float) and isinstance(b, float)
+                      and math.isnan(a) and math.isnan(b))
+
+
+def compare(base: Path, head: Path) -> str:
+    """'identical', or the largest differences between two artifacts of one command."""
+    if base.read_bytes() == head.read_bytes():
+        return "identical"
+    a, b = leaves(base), leaves(head)
+    if [p for p, _ in a] != [p for p, _ in b]:
+        first = next((pa for (pa, _), (pb, _) in zip(a, b) if pa != pb), None)
+        return (f"different shape, first at {first}" if first else
+                f"different shape, {len(a)} vs {len(b)} values")
+    worst_abs = worst_rel = 0.0
+    for (where, x), (_, y) in zip(a, b):
+        if _same(x, y):
+            continue
+        if not (isinstance(x, float) and isinstance(y, float)):
+            return f"different text at {where}: {x!r} vs {y!r}"
+        diff = abs(x - y)
+        worst_abs = max(worst_abs, diff)
+        worst_rel = max(worst_rel, diff / max(abs(x), abs(y)))
+    if worst_abs == 0.0:
+        return "identical (runtime ignored)"
+    return f"max abs diff {worst_abs:.3g}, max rel diff {worst_rel:.3g}"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, help="git revision of the base side")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
+        tmp = Path(tmp)
+        base_root = tmp / "tree"
+        base_sha = export_rev(args.base, base_root)
+        codes = {"base": run_side(base_root, tmp / "base"), "head": run_side(ROOT, tmp / "head")}
+        print(f"base {base_sha}, head: working tree of {ROOT}")
+        failed = False
+        for name in commands():
+            rc_base, rc_head = codes["base"][name], codes["head"][name]
+            files = [tmp / side / name for side in ("base", "head")]
+            present = [f.exists() for f in files]
+            if rc_base != rc_head:
+                verdict, failed = f"exit codes differ: base {rc_base}, head {rc_head}", True
+            elif present[0] != present[1]:
+                side = "base" if present[0] else "head"
+                verdict, failed = f"artifact only on the {side} side", True
+            elif not present[0]:
+                verdict = "no artifact on either side"
+            else:
+                verdict = compare(*files)
+            print(f"{name:<24} exit {rc_head}  {verdict}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
