@@ -1,9 +1,10 @@
 """Acceptance suite: the end-to-end checks that gate a build.
 
 Each criterion function returns a CriterionOutcome with the measured
-error, its tolerance, and pass/fail; ``run_all`` executes the whole
-suite and is what both the CLI ``accept`` subcommand and the acceptance
-tests drive.  Tolerances are pinned here, not configurable.
+error, its tolerance, and pass/fail; ``timed`` runs one and records its
+wall time.  ``run_all`` times the whole suite for the CLI ``accept``
+subcommand, and the acceptance tests time each criterion alike.
+Tolerances are pinned here, not configurable.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .groups import preset
 from .spherical import phi
 from .transform import SpectralDecay, SpectralFunction, default_spectral_grid
 
-__all__ = ["CriterionOutcome", "run_all", "CRITERIA"]
+__all__ = ["CriterionOutcome", "run_all", "timed", "CRITERIA"]
 
 
 @dataclass
@@ -28,7 +29,7 @@ class CriterionOutcome:
     passed: bool
     measured: float
     tolerance: float
-    runtime: float
+    runtime: float = 0.0  # seconds, set by ``timed``
     detail: str = ""
 
     def __post_init__(self):
@@ -88,7 +89,6 @@ def counterexample(name: str, grid: np.ndarray) -> SpectralFunction:
 
 
 def _inversion(preset_name: str, tol_factor: float) -> CriterionOutcome:
-    t0 = time.time()
     G = preset(preset_name)
     out_grid = np.linspace(-6.0, 6.0, 241)
     worst = 0.0
@@ -111,7 +111,6 @@ def _inversion(preset_name: str, tol_factor: float) -> CriterionOutcome:
         passed=passed,
         measured=worst,
         tolerance=worst_tol,
-        runtime=time.time() - t0,
         detail=" ".join(detail),
     )
 
@@ -125,7 +124,6 @@ def a1_inversion_h3() -> CriterionOutcome:
 
 
 def a2_plancherel() -> CriterionOutcome:
-    t0 = time.time()
     G = preset("SL2R")
     names = ["exp(-x^2)", "x^2 exp(-x^2)", "exp(-x^2/4)"]
     packs = {}
@@ -148,12 +146,10 @@ def a2_plancherel() -> CriterionOutcome:
         passed=passed,
         measured=worst,
         tolerance=1e-5,
-        runtime=time.time() - t0,
     )
 
 
 def a3_weyl() -> CriterionOutcome:
-    t0 = time.time()
     defect = 0.0
     for preset_name in ("SL2R", "H3"):
         G = preset(preset_name)
@@ -171,13 +167,11 @@ def a3_weyl() -> CriterionOutcome:
         passed=passed,
         measured=max(defect, phi_defect),
         tolerance=1e-10,
-        runtime=time.time() - t0,
         detail=f"transform defect {defect:.1e}, phi defect {phi_defect:.1e}",
     )
 
 
 def a4_casimir() -> CriterionOutcome:
-    t0 = time.time()
     G = preset("SL2R")
     a = make_symbol(INVERSION_SYMBOLS["exp(-x^2)"], "gauss")
     psi = tr.wave_packet(G, a)
@@ -194,12 +188,10 @@ def a4_casimir() -> CriterionOutcome:
         passed=err <= tol,
         measured=err,
         tolerance=tol,
-        runtime=time.time() - t0,
     )
 
 
 def a5_expansion() -> CriterionOutcome:
-    t0 = time.time()
     G = preset("SL2R")
     passed = True
     worst_final = 0.0
@@ -226,13 +218,11 @@ def a5_expansion() -> CriterionOutcome:
         passed=passed,
         measured=worst_final,
         tolerance=5e-3,
-        runtime=time.time() - t0,
         detail=" ".join(detail),
     )
 
 
 def a6_stability() -> CriterionOutcome:
-    t0 = time.time()
     G = preset("SL2R")
     base = make_symbol(INVERSION_SYMBOLS["x^2 exp(-x^2)"], "base")
     psi0 = tr.wave_packet(G, base)
@@ -251,12 +241,10 @@ def a6_stability() -> CriterionOutcome:
         passed=worst_ratio <= 10.0,
         measured=worst_ratio,
         tolerance=10.0,
-        runtime=time.time() - t0,
     )
 
 
 def a7_c_oracle() -> CriterionOutcome:
-    t0 = time.time()
     worst = 0.0
     passed = True
     for name, T in (("SL2R", 25.0), ("H3", 12.0)):
@@ -272,12 +260,10 @@ def a7_c_oracle() -> CriterionOutcome:
         passed=passed,
         measured=worst,
         tolerance=1e-4,
-        runtime=time.time() - t0,
     )
 
 
 def a8_eigenfunction_identity() -> CriterionOutcome:
-    t0 = time.time()
     G = preset("SL2R")
     family = [
         profiles.gaussian_profile(G, width=1.0),
@@ -301,12 +287,10 @@ def a8_eigenfunction_identity() -> CriterionOutcome:
         passed=passed,
         measured=worst,
         tolerance=1e-8,
-        runtime=time.time() - t0,
     )
 
 
 def a9_membership() -> CriterionOutcome:
-    t0 = time.time()
     G = preset("SL2R")
     passed = True
     detail = []
@@ -330,7 +314,6 @@ def a9_membership() -> CriterionOutcome:
         passed=passed,
         measured=0.0 if passed else 1.0,
         tolerance=0.0,
-        runtime=time.time() - t0,
         detail=" ".join(detail),
     )
 
@@ -349,10 +332,18 @@ CRITERIA = (
 )
 
 
+def timed(criterion) -> CriterionOutcome:
+    """Run one criterion and record its wall time in the outcome's ``runtime``."""
+    t0 = time.time()
+    outcome = criterion()
+    outcome.runtime = time.time() - t0
+    return outcome
+
+
 def run_all(echo=print) -> list[CriterionOutcome]:
     outcomes = []
     for criterion in CRITERIA:
-        outcome = criterion()
+        outcome = timed(criterion)
         outcomes.append(outcome)
         if echo is not None:
             echo(outcome.row())

@@ -105,9 +105,6 @@ class CFit:
     residual: float
     window: tuple[float, float]
 
-    def __complex__(self):
-        return self.c_plus
-
 
 def asymptotic_c_oracle(G: GroupDatum, lam: float, T: float, n_samples: int = 161) -> CFit:
     """Independent determination of c(lam) from the large-t wave field.

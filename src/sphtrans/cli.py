@@ -8,9 +8,11 @@ and the flags, written into the parsed document at their dotted paths
 in one strict pass that rejects an unknown key or an ill-typed value with
 a ``ConfigError`` naming its dotted path, before anything is computed.
 Each subcommand is one entry of ``_COMMANDS``: its runner, the layer its
-errors name, and whether its grid is spectral.  Output is written
-atomically (temp file + rename) with shortest-round-trip float
-formatting, so identical runs produce byte-identical artifacts.
+errors name, and whether its grid is spectral.  A runner returns its one
+artifact form, a ``Table`` (CSV) or a dict (JSON, after the ``preset`` and
+``operation`` keys), and ``main`` writes it atomically (temp file +
+rename) with shortest-round-trip floats, so identical runs produce
+byte-identical artifacts.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical-accuracy failure.
 """
@@ -51,7 +53,6 @@ SYMBOLS = {
 }
 
 _FAMILIES = ("gaussian", "cosh", "xi_poly", "wave_packet", "counterexample")
-_FORMATS = ("csv", "json")
 
 
 @dataclass
@@ -63,7 +64,6 @@ class GridSpec:
 
 @dataclass
 class OutputSpec:
-    format: str = "csv"
     path: str | None = None
 
 
@@ -143,7 +143,7 @@ def validate_config(cfg: RunConfig):
             f"preset: unknown preset {cfg.preset!r}; valid: {', '.join(PRESET_NAMES)}",
             path="preset",
         )
-    if cfg.subcommand not in SUBCOMMANDS:
+    if cfg.subcommand not in _COMMANDS:
         raise ConfigError(f"subcommand: unknown {cfg.subcommand!r}", path="subcommand")
     if cfg.grid.count < 3:
         raise ConfigError("grid.count: need at least 3 points", path="grid.count")
@@ -173,9 +173,6 @@ def validate_config(cfg: RunConfig):
             f"valid: {', '.join(SYMBOLS)}",
             path="profile.symbol",
         )
-    if cfg.output.format not in _FORMATS:
-        raise ConfigError(f"output.format: unknown format {cfg.output.format!r}; "
-                          f"valid: {', '.join(_FORMATS)}", path="output.format")
     out = cfg.output.path
     if out is not None and (os.path.isdir(out) or not os.path.isdir(_directory(out))):
         raise ConfigError(
@@ -223,9 +220,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(header: list[str], rows: list[list], path: str | None):
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-    _emit("\n".join(lines) + "\n", path)
+class Table(NamedTuple):
+    """A CSV artifact: its header and its rows."""
+    header: list[str]
+    rows: list[list]
 
 
 def _json_default(obj):
@@ -238,15 +236,16 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def write_json(payload: dict, path: str | None):
-    _emit(json.dumps(payload, indent=2, default=_json_default) + "\n", path)
-
-
 def _directory(path: str) -> str:
     return os.path.dirname(os.path.abspath(path))
 
 
-def _emit(text: str, path: str | None):
+def _emit(artifact: Table | dict, path: str | None):
+    """Write a Table as CSV or a dict as JSON, atomically to ``path`` or to stdout."""
+    if isinstance(artifact, Table):
+        text = "".join(",".join(map(_fmt, row)) + "\n" for row in [artifact.header, *artifact.rows])
+    else:
+        text = json.dumps(artifact, indent=2, default=_json_default) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -265,73 +264,53 @@ def _emit(text: str, path: str | None):
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _run_presets(cfg: RunConfig):
+def _run_presets(cfg: RunConfig) -> Table:
     header = ["name", "m_alpha", "m_2alpha", "rho", "jacobi_alpha", "jacobi_beta",
               "plancherel_constant", "weyl_order"]
-    rows = []
-    for name in PRESET_NAMES:
-        G = preset(name)
-        rows.append([G.name, G.m_alpha, G.m_2alpha, G.rho, G.jacobi_alpha,
-                     G.jacobi_beta, G.plancherel_constant, G.weyl_order])
-    if cfg.output.format == "json":
-        payload = {"operation": "presets",
-                   "presets": [dict(zip(header, row)) for row in rows]}
-        write_json(payload, cfg.output.path)
-    else:
-        write_csv(header, rows, cfg.output.path)
+    rows = [[G.name, G.m_alpha, G.m_2alpha, G.rho, G.jacobi_alpha, G.jacobi_beta,
+             G.plancherel_constant, G.weyl_order] for G in map(preset, PRESET_NAMES)]
+    return Table(header, rows)
 
 
-def _write_radial(cfg: RunConfig, name: str, ts: np.ndarray, vals: np.ndarray):
-    write_csv(["t", f"re_{name}", f"im_{name}"],
-              [[t, v.real, v.imag] for t, v in zip(ts, vals)], cfg.output.path)
+def _radial_table(name: str, ts: np.ndarray, vals: np.ndarray) -> Table:
+    return Table(["t", f"re_{name}", f"im_{name}"],
+                 [[t, v.real, v.imag] for t, v in zip(ts, vals)])
 
 
-def _run_phi(cfg: RunConfig):
+def _run_phi(cfg: RunConfig) -> Table:
     ts = _radial_grid(cfg)
-    _write_radial(cfg, "phi", ts, phi(preset(cfg.preset), cfg.lam, ts))
+    return _radial_table("phi", ts, phi(preset(cfg.preset), cfg.lam, ts))
 
 
-def _run_cfun(cfg: RunConfig):
+def _run_cfun(cfg: RunConfig) -> Table:
     G = preset(cfg.preset)
     grid = _spectral_grid(cfg)
     rows = []
     for lam in grid:
         try:
             c = c_function(G, lam)
-            re, im = c.real, c.imag
         except PoleError:
-            re = im = float("nan")
-        rows.append([lam, re, im, plancherel_density(G, lam)])
-    write_csv(["lambda", "re_c", "im_c", "density"], rows, cfg.output.path)
+            c = complex(math.nan, math.nan)
+        rows.append([lam, c.real, c.imag, plancherel_density(G, lam)])
+    return Table(["lambda", "re_c", "im_c", "density"], rows)
 
 
-def _run_transform(cfg: RunConfig):
+def _run_transform(cfg: RunConfig) -> Table:
     G = preset(cfg.preset)
     res = tr.hc_transform(G, _build_profile(G, cfg), _spectral_grid(cfg), cfg.quadrature)
-    samples = list(zip(res.spectral.grid, res.spectral.values, res.err_est))
-    if cfg.output.format == "json":
-        write_json({
-            "preset": cfg.preset,
-            "operation": "transform",
-            "inputs": {"profile": dataclasses.asdict(cfg.profile),
-                       "grid": dataclasses.asdict(cfg.grid)},
-            "max_error": float(np.max(res.err_est)),
-            "per_sample": [{"lambda": float(l), "re": v.real, "im": v.imag, "err_est": float(e)}
-                           for l, v, e in samples],
-        }, cfg.output.path)
-    else:
-        write_csv(["lambda", "re", "im", "err_est"],
-                  [[l, v.real, v.imag, e] for l, v, e in samples], cfg.output.path)
+    return Table(["lambda", "re", "im", "err_est"],
+                 [[l, v.real, v.imag, e]
+                  for l, v, e in zip(res.spectral.grid, res.spectral.values, res.err_est)])
 
 
-def _run_invert(cfg: RunConfig):
+def _run_invert(cfg: RunConfig) -> Table:
     G = preset(cfg.preset)
     psi = _packet(G, cfg, cfg.profile.symbol)
     ts = _radial_grid(cfg)
-    _write_radial(cfg, "psi", ts, np.atleast_1d(psi(ts)))
+    return _radial_table("psi", ts, np.atleast_1d(psi(ts)))
 
 
-def _run_plancherel(cfg: RunConfig):
+def _run_plancherel(cfg: RunConfig) -> dict:
     G = preset(cfg.preset)
     fa = _packet(G, cfg, cfg.profile.symbol)
     fb = _packet(G, cfg, cfg.profile.symbol2)
@@ -339,20 +318,15 @@ def _run_plancherel(cfg: RunConfig):
     hb = tr.hc_transform(G, fb, q=cfg.quadrature).spectral
     pairing = tr.plancherel_pairing(G, ha, hb, cfg.quadrature)
     convolve = tr.convolve_at_identity(G, fa, fb, cfg.quadrature)
-    write_json(
-        {
-            "preset": cfg.preset,
-            "operation": "plancherel",
-            "inputs": {"symbol": cfg.profile.symbol, "symbol2": cfg.profile.symbol2},
-            "max_error": abs(pairing - convolve),
-            "pairing": pairing,
-            "convolve_at_identity": convolve,
-        },
-        cfg.output.path,
-    )
+    return {
+        "inputs": {"symbol": cfg.profile.symbol, "symbol2": cfg.profile.symbol2},
+        "max_error": abs(pairing - convolve),
+        "pairing": pairing,
+        "convolve_at_identity": convolve,
+    }
 
 
-def _run_expansion(cfg: RunConfig):
+def _run_expansion(cfg: RunConfig) -> dict:
     G = preset(cfg.preset)
     psi = _packet(G, cfg, cfg.profile.symbol)
     hf = tr.hc_transform(G, psi, q=cfg.quadrature).spectral
@@ -367,72 +341,51 @@ def _run_expansion(cfg: RunConfig):
             max_err = max(max_err, err)
             records.append({"lambda": lam, "eps": eps, "value": total,
                             "reference": ref, "error": err})
-    write_json(
-        {
-            "preset": cfg.preset,
-            "operation": "expansion",
-            "inputs": {"symbol": cfg.profile.symbol, "lams": list(cfg.lams),
-                       "eps_ladder": list(cfg.eps_ladder)},
-            "max_error": max_err,
-            "per_sample": records,
-        },
-        cfg.output.path,
-    )
+    return {
+        "inputs": {"symbol": cfg.profile.symbol, "lams": list(cfg.lams),
+                   "eps_ladder": list(cfg.eps_ladder)},
+        "max_error": max_err,
+        "per_sample": records,
+    }
 
 
-def _run_seminorm(cfg: RunConfig):
+def _run_seminorm(cfg: RunConfig) -> dict:
     G = preset(cfg.preset)
     f = _build_profile(G, cfg)
-    records = []
-    for r in cfg.r_values:
-        for k in cfg.k_values:
-            rep = schwartz.schwartz_seminorm(G, f, r, k)
-            records.append(dataclasses.asdict(rep))
-    write_json(
-        {
-            "preset": cfg.preset,
-            "operation": "seminorm",
-            "inputs": {"profile": dataclasses.asdict(cfg.profile),
-                       "r_values": list(cfg.r_values), "k_values": list(cfg.k_values)},
-            "reports": records,
-        },
-        cfg.output.path,
-    )
+    return {
+        "inputs": {"profile": dataclasses.asdict(cfg.profile),
+                   "r_values": list(cfg.r_values), "k_values": list(cfg.k_values)},
+        "reports": [dataclasses.asdict(schwartz.schwartz_seminorm(G, f, r, k))
+                    for r in cfg.r_values for k in cfg.k_values],
+    }
 
 
-def _run_membership(cfg: RunConfig):
+def _run_membership(cfg: RunConfig) -> dict:
     G = preset(cfg.preset)
     if cfg.profile.family == "counterexample":
         A = acceptance.counterexample(cfg.profile.symbol, _spectral_grid(cfg))
     else:
         A = tr.hc_transform(G, _build_profile(G, cfg), _spectral_grid(cfg), cfg.quadrature).spectral
     rep = schwartz.image_membership(G, A)
-    write_json(
-        {
-            "preset": cfg.preset,
-            "operation": "membership",
-            "inputs": {"profile": dataclasses.asdict(cfg.profile)},
-            "passed": rep.passed,
-            "criteria": {
-                "weyl": dataclasses.asdict(rep.weyl),
-                "decay": {str(n): dataclasses.asdict(c) for n, c in rep.decay.items()},
-                "smoothness": dataclasses.asdict(rep.smoothness),
-            },
+    return {
+        "inputs": {"profile": dataclasses.asdict(cfg.profile)},
+        "passed": rep.passed,
+        "criteria": {
+            "weyl": dataclasses.asdict(rep.weyl),
+            "decay": {str(n): dataclasses.asdict(c) for n, c in rep.decay.items()},
+            "smoothness": dataclasses.asdict(rep.smoothness),
         },
-        cfg.output.path,
-    )
+    }
 
 
-def _run_roundtrip(cfg: RunConfig):
+def _run_roundtrip(cfg: RunConfig) -> dict:
     G = preset(cfg.preset)
     psi = _packet(G, cfg, cfg.profile.symbol)
     grid = _spectral_grid(cfg)
     res = tr.hc_transform(G, psi, grid, cfg.quadrature)
     target = SYMBOLS[cfg.profile.symbol](grid)
     errors = np.abs(res.spectral.values - target)
-    payload = {
-        "preset": cfg.preset,
-        "operation": "roundtrip",
+    return {
         "inputs": {"symbol": cfg.profile.symbol, "grid": dataclasses.asdict(cfg.grid)},
         "max_error": float(np.max(errors)),
         "per_sample": [
@@ -441,7 +394,6 @@ def _run_roundtrip(cfg: RunConfig):
             for l, v, w, e in zip(grid, res.spectral.values, target, errors)
         ],
     }
-    write_json(payload, cfg.output.path)
 
 
 def _run_accept(cfg: RunConfig) -> int:
@@ -449,13 +401,13 @@ def _run_accept(cfg: RunConfig) -> int:
     n_fail = sum(not o.passed for o in outcomes)
     print(f"\n{len(outcomes) - n_fail}/{len(outcomes)} acceptance criteria passed")
     if cfg.output.path is not None:
-        write_json({"operation": "accept", "outcomes": [dataclasses.asdict(o) for o in outcomes]},
-                   cfg.output.path)
+        _emit({"operation": "accept", "outcomes": [dataclasses.asdict(o) for o in outcomes]},
+              cfg.output.path)
     return 3 if n_fail else 0
 
 
 class _Command(NamedTuple):
-    run: Callable[[RunConfig], int | None]
+    run: Callable[[RunConfig], Table | dict | int]  # its artifact; accept's exit code
     context: str  # the layer named in its error messages
     spectral: bool = False  # its grid is a spectral grid: odd count, symmetric about 0
 
@@ -474,20 +426,16 @@ _COMMANDS = {
     "accept": _Command(_run_accept, "acceptance.run_all"),
 }
 
-SUBCOMMANDS = tuple(_COMMANDS)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Each flag's ``dest`` is the dotted config path it sets."""
     parser = argparse.ArgumentParser(
         prog="sphtrans",
         description="spherical transform engine for rank-one symmetric spaces",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_COMMANDS)
     parser.add_argument("--preset", help="group preset name")
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--out", dest="output.path", help="output path (default: stdout)")
-    parser.add_argument("--format", dest="output.format", choices=_FORMATS)
     parser.add_argument("--grid", help="spectral/radial grid as min:max:count")
     parser.add_argument("--tol", dest="quadrature.rel_tol", type=float,
                         help="relative quadrature tolerance")
@@ -554,7 +502,13 @@ def main(argv=None) -> int:
         cfg = config_from_args(args)
         command = _COMMANDS[cfg.subcommand]
         context = command.context
-        return int(command.run(cfg) or 0)
+        artifact = command.run(cfg)
+        if isinstance(artifact, int):
+            return artifact
+        if isinstance(artifact, dict):
+            artifact = {"preset": cfg.preset, "operation": cfg.subcommand, **artifact}
+        _emit(artifact, cfg.output.path)
+        return 0
     except (SphtransError, OSError) as exc:
         print(f"error in {context}: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, AccuracyError) else 2

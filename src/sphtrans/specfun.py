@@ -132,15 +132,16 @@ def composite_gl_nodes(lo: float, hi: float, n_panels: int, order: int):
 
 def _panel_estimates(f, lo: float, hi: float):
     """(coarse, fine) GL estimates of the integral of f over one panel, one per
-    component when f returns an (n_comp, n_t) array."""
+    component when f returns an (n_comp, n_t) array; f is called once, on the
+    15 coarse nodes followed by the 31 fine ones."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x1, w1 = gauss_legendre_rule(15)
     x2, w2 = gauss_legendre_rule(31)
-    f1 = np.asarray(f(mid + half * x1))
-    f2 = np.asarray(f(mid + half * x2))
-    if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
+    values = np.asarray(f(mid + half * np.concatenate([x1, x2])))
+    if not np.all(np.isfinite(values)):
         raise DomainError(f"integrand returned non-finite values on [{lo}, {hi}]")
+    f1, f2 = values[..., :15], values[..., 15:]
     return half * np.sum(w1 * f1, axis=-1), half * np.sum(w2 * f2, axis=-1)
 
 

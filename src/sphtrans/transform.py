@@ -91,10 +91,8 @@ def _require_symmetric(grid: np.ndarray, message: str):
         raise GridContractError(message)
 
 
-def default_spectral_grid(count: int = GRID_COUNT, lam_max: float = GRID_MAX) -> np.ndarray:
-    if count % 2 == 0:
-        raise GridContractError("spectral grid count must be odd (symmetric about 0)")
-    return np.linspace(-lam_max, lam_max, count)
+def default_spectral_grid() -> np.ndarray:
+    return np.linspace(-GRID_MAX, GRID_MAX, GRID_COUNT)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +105,6 @@ class SpectralDecay:
 
     coeff: float
     power: float
-
-    def bound(self, lam):
-        return self.coeff * (1.0 + np.abs(lam)) ** (-self.power)
 
 
 @dataclass(eq=False)
@@ -231,26 +226,19 @@ def _real_times(table: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class _RadialRule:
-    T: float
+class _Rule:
+    """A composite GL rule with its measure's density at the nodes."""
     nodes: np.ndarray
     weights: np.ndarray
-    delta: np.ndarray
+    density: np.ndarray
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _radial_rule(G: GroupDatum, T: float, order: int) -> _RadialRule:
+def _radial_rule(G: GroupDatum, T: float, order: int) -> _Rule:
+    """Radial rule on [0, T] with the Haar density."""
     n_panels = max(2, int(math.ceil(T / _T_PANEL)))
     nodes, weights = composite_gl_nodes(0.0, T, n_panels, order)
-    return _RadialRule(T, nodes, weights, haar_density(G, nodes))
-
-
-@dataclass(eq=False)
-class _SpectralRule:
-    L: float
-    nodes: np.ndarray  # on (0, L]
-    weights: np.ndarray
-    dens: np.ndarray
+    return _Rule(nodes, weights, haar_density(G, nodes))
 
 
 def _spectral_order(t_max: float = 12.0) -> int:
@@ -265,11 +253,12 @@ def _spectral_order(t_max: float = 12.0) -> int:
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _spectral_rule(G: GroupDatum, L: float, order: int) -> _SpectralRule:
-    """Half-line spectral rule on (0, L] with panels of the given order."""
+def _spectral_rule(G: GroupDatum, L: float, order: int) -> _Rule:
+    """Half-line spectral rule on (0, L] with panels of the given order and the
+    Plancherel density."""
     n_panels = max(2, int(math.ceil(L / _NU_PANEL)))
     nodes, weights = composite_gl_nodes(0.0, L, n_panels, order)
-    return _SpectralRule(L, nodes, weights, cfunction.plancherel_density(G, nodes))
+    return _Rule(nodes, weights, cfunction.plancherel_density(G, nodes))
 
 
 def _forward_envelope(G: GroupDatum, f: RadialProfile, strip: float = 0.0) -> ExpDecay:
@@ -316,7 +305,8 @@ def hc_transform(
     f_fine = np.asarray(f(fine.nodes), dtype=complex)
     f_coarse = np.asarray(f(coarse.nodes), dtype=complex)
     rows, fold = _mirror_fold(grid)
-    w_fine, w_coarse = fine.weights * fine.delta * f_fine, coarse.weights * coarse.delta * f_coarse
+    w_fine = fine.weights * fine.density * f_fine
+    w_coarse = coarse.weights * coarse.density * f_coarse
     vals_fine = _real_times(_phi_block(G, rows, fine.nodes), w_fine)[fold]
     vals_coarse = _real_times(_phi_block(G, rows, coarse.nodes), w_coarse)[fold]
     tail = env.tail_integral(T)
@@ -449,14 +439,14 @@ def wave_packet(
     L = float(a.grid[-1])
     # factor 2: even integrand reduced to (0, L]; 1/|W| folded against it
     prefactor = 2.0 * G.plancherel_constant / G.weyl_order
-    charges: dict[int, tuple[_SpectralRule, np.ndarray]] = {}
+    charges: dict[int, tuple[_Rule, np.ndarray]] = {}
 
     def _charged_rule(ts: np.ndarray):
         rule = _spectral_rule(G, L, _spectral_order(float(ts.max()) if ts.size else 1.0))
         hit = charges.get(id(rule))
         if hit is None:
             a_nodes = _symbol_node_values(a, rule.nodes)
-            hit = (rule, prefactor * rule.weights * a_nodes * rule.dens)
+            hit = (rule, prefactor * rule.weights * a_nodes * rule.density)
             charges[id(rule)] = hit
         return hit
 
@@ -552,7 +542,7 @@ def plancherel_pairing(
     prefactor = 2.0 * G.plancherel_constant / G.weyl_order
     # a*b first: elementwise products commute bitwise, so the pairing is
     # exactly symmetric in (A, B)
-    return complex(prefactor * np.sum((a_nodes * b_nodes) * (rule.weights * rule.dens)))
+    return complex(prefactor * np.sum((a_nodes * b_nodes) * (rule.weights * rule.density)))
 
 
 # ---------------------------------------------------------------------------

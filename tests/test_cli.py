@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from sphtrans.acceptance import CriterionOutcome
-from sphtrans.cli import (RunConfig, build_parser, config_from_args, load_config, main,
-                          validate_config, write_json)
+from sphtrans.cli import (RunConfig, Table, _emit, build_parser, config_from_args, load_config,
+                          main, validate_config)
 from sphtrans.errors import ConfigError
 
 
@@ -125,7 +125,7 @@ def test_accept_outcome_rows_serialize(tmp_path):
     row = CriterionOutcome("A1 inversion (SL2R)", passed, np.float64(1e-13), 1e-6, 0.5)
     assert type(row.passed) is bool
     out = tmp_path / "accept.json"
-    write_json({"operation": "accept", "outcomes": [dataclasses.asdict(row)]}, str(out))
+    _emit({"operation": "accept", "outcomes": [dataclasses.asdict(row)]}, str(out))
     doc = json.loads(out.read_text())
     assert doc["outcomes"] == [{"name": "A1 inversion (SL2R)", "passed": True, "measured": 1e-13,
                                 "tolerance": 1e-6, "runtime": 0.5, "detail": ""}]
@@ -215,11 +215,34 @@ def test_validate_config_catches_bad_family():
     cfg.subcommand = "transform"
     with pytest.raises(ConfigError):
         validate_config(cfg)
-    cfg = RunConfig()
-    cfg.output.format = "xml"
-    with pytest.raises(ConfigError) as err:
-        validate_config(cfg)
-    assert err.value.path == "output.format"
+
+
+def test_format_option_is_gone(tmp_path, capsys):
+    # each subcommand writes one form; a request for another is an error, not ignored
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(["transform", "--format", "json"])
+    assert exit_.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output": {"format": "json"}}))
+    assert run_cli(["transform", "--config", str(cfg)]) == 2
+    assert "output.format" in capsys.readouterr().err
+
+
+def test_main_writes_what_the_runner_returns(tmp_path, monkeypatch):
+    from sphtrans import cli
+
+    artifacts = {"phi": Table(["t", "x"], [[0.5, 1], [1.0, float("nan")]]),
+                 "seminorm": {"reports": [np.float64(0.25)]}}
+    for name, artifact in artifacts.items():
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            cli._COMMANDS[name]._replace(run=lambda cfg, a=artifact: a))
+    csv, js = tmp_path / "a.csv", tmp_path / "a.json"
+    assert run_cli(["phi", "--out", str(csv)]) == 0
+    assert csv.read_text() == "t,x\n0.5,1\n1.0,nan\n"
+    assert run_cli(["seminorm", "--preset", "H3", "--out", str(js)]) == 0
+    doc = json.loads(js.read_text())
+    assert list(doc) == ["preset", "operation", "reports"]
+    assert doc == {"preset": "H3", "operation": "seminorm", "reports": [0.25]}
 
 
 def test_cli_import_leaves_out_scipy_integrate():

@@ -2,11 +2,12 @@
 
     python3 tools/artifact_diff.py --base REV
 
-Both sides run the same 61 commands, each as ``python3 -m sphtrans.cli``
+Both sides run the same 31 commands, each as ``python3 -m sphtrans.cli``
 from the side's root with its own ``src`` first on PYTHONPATH: the ten
-subcommands other than ``accept`` on SL2R, H3 and CH2, each with
-``--format csv`` and ``--format json`` at ``--lam 2.5``, and ``accept``.
-Every command writes its artifact with ``--out``.  The base side is the
+subcommands other than ``accept`` on SL2R, H3 and CH2 at ``--lam 2.5``,
+and ``accept``.  Every command writes its artifact with ``--out``, into a
+file named for its form: ``.csv`` for the subcommands in ``CSV`` and
+``.json`` for the others.  The base side is the
 committed tree of REV, exported with ``git archive`` into a temporary
 directory.  Per artifact the tool prints "identical", or the largest
 absolute and relative difference between numbers at the same place; fields
@@ -32,16 +33,19 @@ from bench_pairs import ROOT, export_rev
 
 SUBCOMMANDS = ("presets", "phi", "cfun", "transform", "invert", "plancherel",
                "expansion", "seminorm", "membership", "roundtrip")
+CSV = ("presets", "phi", "cfun", "transform", "invert")
 PRESETS = ("SL2R", "H3", "CH2")
-FORMATS = ("csv", "json")
 RUN_TIMEOUT_S = 1800
 WORKERS = 2
 
 
 def commands() -> dict[str, list[str]]:
     """Artifact file name -> the CLI arguments that write it (without --out)."""
-    out = {f"{sub}-{preset}.{fmt}": [sub, "--preset", preset, "--format", fmt, "--lam", "2.5"]
-           for sub in SUBCOMMANDS for preset in PRESETS for fmt in FORMATS}
+    out = {}
+    for sub in SUBCOMMANDS:
+        form = "csv" if sub in CSV else "json"
+        for preset in PRESETS:
+            out[f"{sub}-{preset}.{form}"] = [sub, "--preset", preset, "--lam", "2.5"]
     out["accept.json"] = ["accept"]
     return out
 
@@ -64,12 +68,9 @@ def run_side(root: Path, out_dir: Path) -> dict[str, int]:
 
 
 def leaves(path: Path) -> list[tuple[str, object]]:
-    """(place, value) for every cell of a CSV or leaf of a JSON artifact, numbers as floats.
-
-    Subcommands without a JSON form write CSV whatever ``--format`` says, so
-    the content, not the file name, tells the two apart."""
+    """(place, value) for every cell of a CSV or leaf of a JSON artifact, numbers as floats."""
     text = path.read_text(encoding="utf-8")
-    if not text.startswith("{"):
+    if path.suffix == ".csv":
         return [(f"line {i + 1} column {j + 1}", _number(cell))
                 for i, line in enumerate(text.splitlines())
                 for j, cell in enumerate(line.split(","))]
