@@ -40,7 +40,6 @@ from .transform import (
     wave_packet,
 )
 from .schwartz import (
-    MembershipBudget,
     TubeSpec,
     image_membership,
     schwartz_seminorm,
@@ -80,7 +79,6 @@ __all__ = [
     "expansion_term",
     "casimir_radial",
     "spectral_multiplier",
-    "MembershipBudget",
     "TubeSpec",
     "schwartz_seminorm",
     "weyl_symmetry_defect",

@@ -61,6 +61,7 @@ def plancherel_density(G: GroupDatum, lam):
 
 
 _ODE_T0 = 1.2  # the oracle's ODE starts from the Pfaff series here
+_FIT_SAMPLES = 161  # points of the oracle's least-squares fit on [T, T + 10]
 
 
 def _g_remainder(G: GroupDatum, t):
@@ -106,7 +107,7 @@ class CFit:
     window: tuple[float, float]
 
 
-def asymptotic_c_oracle(G: GroupDatum, lam: float, T: float, n_samples: int = 161) -> CFit:
+def asymptotic_c_oracle(G: GroupDatum, lam: float, T: float) -> CFit:
     """Independent determination of c(lam) from the large-t wave field.
 
     Propagates w(t) = e^{rho t} phi_lam(t) with the radial ODE from the
@@ -131,7 +132,7 @@ def asymptotic_c_oracle(G: GroupDatum, lam: float, T: float, n_samples: int = 16
         )
     t_hi = T + 10.0
     sol = _ode_solution(G, complex(lam), t_hi)
-    ts = np.linspace(T, t_hi, n_samples)
+    ts = np.linspace(T, t_hi, _FIT_SAMPLES)
     y = sol.sol(ts)
     w = y[0] + 1j * y[1]
     design = np.column_stack([np.exp(1j * lam * ts), np.exp(-1j * lam * ts)])

@@ -8,11 +8,12 @@ and the flags, written into the parsed document at their dotted paths
 in one strict pass that rejects an unknown key or an ill-typed value with
 a ``ConfigError`` naming its dotted path, before anything is computed.
 Each subcommand is one entry of ``_COMMANDS``: its runner, the layer its
-errors name, and whether its grid is spectral.  A runner returns its one
+errors name, the config paths it reads (a path set but not read is rejected
+in the same way) and whether its grid is radial.  A runner returns its one
 artifact form, a ``Table`` (CSV) or a dict (JSON, after the ``preset`` and
-``operation`` keys), and ``main`` writes it atomically (temp file +
-rename) with shortest-round-trip floats, so identical runs produce
-byte-identical artifacts.
+``operation`` keys), and ``main`` writes it atomically (temp file + rename)
+with shortest-round-trip floats, so identical runs give byte-identical
+artifacts.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical-accuracy failure.
 """
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -52,7 +52,15 @@ SYMBOLS = {
     "flat4": acceptance.flat_top(3.2),
 }
 
-_FAMILIES = ("gaussian", "cosh", "xi_poly", "wave_packet", "counterexample")
+# family -> (its radial profile from the preset and the ProfileSpec, the fields it reads)
+_FAMILIES = {
+    "gaussian": (lambda G, p: profiles.gaussian_profile(G, p.width, p.scale), ("width", "scale")),
+    "cosh": (lambda G, p: profiles.cosh_profile(G, p.power), ("power",)),
+    "xi_poly": (lambda G, p: profiles.xi_poly_profile(G, p.p), ("p",)),
+    "wave_packet": (lambda G, p: _packet(G, p.symbol), ("symbol",)),
+    "counterexample": (None, ("symbol",)),  # a spectral function, with no radial profile
+}
+_TOLS = ("quadrature.rel_tol", "quadrature.abs_tol")
 
 
 @dataclass
@@ -81,7 +89,6 @@ class ProfileSpec:
 @dataclass
 class RunConfig:
     preset: str = "SL2R"
-    subcommand: str = "presets"
     lam: float = 1.0
     grid: GridSpec = field(default_factory=GridSpec)
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
@@ -97,18 +104,13 @@ class RunConfig:
 # the one strict loader
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _field_types(cls) -> dict:
-    return typing.get_type_hints(cls)
-
-
 def _load(tp, value, path: str):
     """``value`` from the JSON document as an instance of annotation ``tp``."""
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
             where = path or "config"
             raise ConfigError(f"{where}: expected an object, got {value!r}", path=where)
-        types = _field_types(tp)
+        types = typing.get_type_hints(tp)
         kwargs = {}
         for key, item in value.items():
             where = f"{path}.{key}" if path else key
@@ -137,74 +139,68 @@ def load_config(doc: dict) -> RunConfig:
     return _load(RunConfig, doc, "")
 
 
-def validate_config(cfg: RunConfig):
-    if cfg.preset not in PRESET_NAMES:
-        raise ConfigError(
-            f"preset: unknown preset {cfg.preset!r}; valid: {', '.join(PRESET_NAMES)}",
-            path="preset",
-        )
-    if cfg.subcommand not in _COMMANDS:
-        raise ConfigError(f"subcommand: unknown {cfg.subcommand!r}", path="subcommand")
+def _reject_unread(doc: dict, reads: set[str], subcommand: str, prefix: str = ""):
+    """ConfigError at the first set path not in ``reads``; a section in ``reads`` is read whole."""
+    for key, value in doc.items():
+        path = prefix + key
+        if isinstance(value, dict) and path not in reads:
+            _reject_unread(value, reads, subcommand, path + ".")
+        elif path not in reads:
+            raise ConfigError(f"{path}: the {subcommand} subcommand does not read it", path=path)
+
+
+def _reads(subcommand: str, cfg: RunConfig) -> set[str]:
+    """The paths ``subcommand`` reads: output.path, its entry's, and its profile family's."""
+    reads = {"output.path", *_COMMANDS[subcommand].reads}
+    if "profile.family" in reads:
+        family = cfg.profile.family
+        reads.update(f"profile.{f}" for f in _FAMILIES.get(family, (None, ()))[1])
+        if family == "counterexample" and subcommand == "membership":  # nothing to transform
+            reads.difference_update(_TOLS)
+    return reads
+
+
+def validate_config(cfg: RunConfig, subcommand: str):
     if cfg.grid.count < 3:
         raise ConfigError("grid.count: need at least 3 points", path="grid.count")
     if not -math.inf < cfg.grid.min < cfg.grid.max < math.inf:
         raise ConfigError("grid: need finite min < max", path="grid")
-    if _COMMANDS[cfg.subcommand].spectral:
+    command = _COMMANDS[subcommand]
+    if command.radial and cfg.grid.min < 0:
+        raise ConfigError("grid.min: radial grids need min >= 0", path="grid.min")
+    if "grid" in command.reads and not command.radial:
         if cfg.grid.count % 2 == 0:
-            raise ConfigError(
-                "grid.count: spectral grids must have an odd point count",
-                path="grid.count",
-            )
+            raise ConfigError("grid.count: spectral grids must have an odd point count",
+                              path="grid.count")
         if abs(cfg.grid.min + cfg.grid.max) > 1e-12:
             raise ConfigError("grid: spectral grids must be symmetric about 0", path="grid")
-    if cfg.profile.family not in _FAMILIES:
-        raise ConfigError(
-            f"profile.family: unknown family {cfg.profile.family!r}", path="profile.family"
-        )
-    counterexamples = acceptance.COUNTEREXAMPLES
-    if cfg.profile.family == "counterexample" and cfg.profile.symbol not in counterexamples:
-        raise ConfigError(
-            f"profile.symbol: unknown counterexample {cfg.profile.symbol!r}",
-            path="profile.symbol",
-        )
-    if cfg.profile.family == "wave_packet" and cfg.profile.symbol not in SYMBOLS:
-        raise ConfigError(
-            f"profile.symbol: unknown symbol {cfg.profile.symbol!r}; "
-            f"valid: {', '.join(SYMBOLS)}",
-            path="profile.symbol",
-        )
+    prof = cfg.profile
+    symbols = acceptance.COUNTEREXAMPLES if prof.family == "counterexample" else SYMBOLS
+    for path, name, valid in (("preset", cfg.preset, PRESET_NAMES),
+                              ("profile.family", prof.family, _FAMILIES),
+                              ("profile.symbol", prof.symbol, symbols),
+                              ("profile.symbol2", prof.symbol2, SYMBOLS)):
+        if name not in valid:
+            raise ConfigError(f"{path}: unknown {name!r}; valid: {', '.join(valid)}", path=path)
+    if prof.family == "counterexample" and subcommand != "membership":
+        raise ConfigError(f"profile.family: {subcommand} needs a radial profile, not a "
+                          "counterexample", path="profile.family")
     out = cfg.output.path
     if out is not None and (os.path.isdir(out) or not os.path.isdir(_directory(out))):
-        raise ConfigError(
-            f"output.path: {out!r} is not a file in an existing directory", path="output.path"
-        )
+        raise ConfigError(f"output.path: {out!r} is not a file in an existing directory",
+                          path="output.path")
 
 
-def _spectral_grid(cfg: RunConfig) -> np.ndarray:
+def _grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.grid.min, cfg.grid.max, cfg.grid.count)
 
 
-def _radial_grid(cfg: RunConfig) -> np.ndarray:
-    lo = max(cfg.grid.min, 0.0)
-    hi = cfg.grid.max if cfg.grid.max > 0 else 10.0
-    return np.linspace(lo, hi, cfg.grid.count)
-
-
-def _packet(G, cfg: RunConfig, name: str) -> tr.RadialProfile:
-    return tr.wave_packet(G, acceptance.make_symbol(SYMBOLS[name], name), q=cfg.quadrature)
+def _packet(G, name: str) -> tr.RadialProfile:
+    return tr.wave_packet(G, acceptance.make_symbol(SYMBOLS[name], name))
 
 
 def _build_profile(G, cfg: RunConfig):
-    fam = cfg.profile.family
-    if fam == "gaussian":
-        return profiles.gaussian_profile(G, width=cfg.profile.width, scale=cfg.profile.scale)
-    if fam == "cosh":
-        return profiles.cosh_profile(G, power=cfg.profile.power)
-    if fam == "xi_poly":
-        return profiles.xi_poly_profile(G, p=cfg.profile.p)
-    if fam == "wave_packet":
-        return _packet(G, cfg, cfg.profile.symbol)
-    raise ConfigError(f"profile.family {fam!r} has no radial realization", path="profile.family")
+    return _FAMILIES[cfg.profile.family][0](G, cfg.profile)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +274,13 @@ def _radial_table(name: str, ts: np.ndarray, vals: np.ndarray) -> Table:
 
 
 def _run_phi(cfg: RunConfig) -> Table:
-    ts = _radial_grid(cfg)
+    ts = _grid(cfg)
     return _radial_table("phi", ts, phi(preset(cfg.preset), cfg.lam, ts))
 
 
 def _run_cfun(cfg: RunConfig) -> Table:
     G = preset(cfg.preset)
-    grid = _spectral_grid(cfg)
+    grid = _grid(cfg)
     rows = []
     for lam in grid:
         try:
@@ -297,26 +293,23 @@ def _run_cfun(cfg: RunConfig) -> Table:
 
 def _run_transform(cfg: RunConfig) -> Table:
     G = preset(cfg.preset)
-    res = tr.hc_transform(G, _build_profile(G, cfg), _spectral_grid(cfg), cfg.quadrature)
+    res = tr.hc_transform(G, _build_profile(G, cfg), _grid(cfg), cfg.quadrature)
     return Table(["lambda", "re", "im", "err_est"],
                  [[l, v.real, v.imag, e]
                   for l, v, e in zip(res.spectral.grid, res.spectral.values, res.err_est)])
 
 
 def _run_invert(cfg: RunConfig) -> Table:
-    G = preset(cfg.preset)
-    psi = _packet(G, cfg, cfg.profile.symbol)
-    ts = _radial_grid(cfg)
+    psi = _packet(preset(cfg.preset), cfg.profile.symbol)
+    ts = _grid(cfg)
     return _radial_table("psi", ts, np.atleast_1d(psi(ts)))
 
 
 def _run_plancherel(cfg: RunConfig) -> dict:
     G = preset(cfg.preset)
-    fa = _packet(G, cfg, cfg.profile.symbol)
-    fb = _packet(G, cfg, cfg.profile.symbol2)
-    ha = tr.hc_transform(G, fa, q=cfg.quadrature).spectral
-    hb = tr.hc_transform(G, fb, q=cfg.quadrature).spectral
-    pairing = tr.plancherel_pairing(G, ha, hb, cfg.quadrature)
+    fa, fb = (_packet(G, name) for name in (cfg.profile.symbol, cfg.profile.symbol2))
+    ha, hb = (tr.hc_transform(G, f, q=cfg.quadrature).spectral for f in (fa, fb))
+    pairing = tr.plancherel_pairing(G, ha, hb)
     convolve = tr.convolve_at_identity(G, fa, fb, cfg.quadrature)
     return {
         "inputs": {"symbol": cfg.profile.symbol, "symbol2": cfg.profile.symbol2},
@@ -328,7 +321,7 @@ def _run_plancherel(cfg: RunConfig) -> dict:
 
 def _run_expansion(cfg: RunConfig) -> dict:
     G = preset(cfg.preset)
-    psi = _packet(G, cfg, cfg.profile.symbol)
+    psi = _packet(G, cfg.profile.symbol)
     hf = tr.hc_transform(G, psi, q=cfg.quadrature).spectral
     records = []
     max_err = 0.0
@@ -363,9 +356,9 @@ def _run_seminorm(cfg: RunConfig) -> dict:
 def _run_membership(cfg: RunConfig) -> dict:
     G = preset(cfg.preset)
     if cfg.profile.family == "counterexample":
-        A = acceptance.counterexample(cfg.profile.symbol, _spectral_grid(cfg))
+        A = acceptance.counterexample(cfg.profile.symbol, _grid(cfg))
     else:
-        A = tr.hc_transform(G, _build_profile(G, cfg), _spectral_grid(cfg), cfg.quadrature).spectral
+        A = tr.hc_transform(G, _build_profile(G, cfg), _grid(cfg), cfg.quadrature).spectral
     rep = schwartz.image_membership(G, A)
     return {
         "inputs": {"profile": dataclasses.asdict(cfg.profile)},
@@ -380,8 +373,8 @@ def _run_membership(cfg: RunConfig) -> dict:
 
 def _run_roundtrip(cfg: RunConfig) -> dict:
     G = preset(cfg.preset)
-    psi = _packet(G, cfg, cfg.profile.symbol)
-    grid = _spectral_grid(cfg)
+    psi = _packet(G, cfg.profile.symbol)
+    grid = _grid(cfg)
     res = tr.hc_transform(G, psi, grid, cfg.quadrature)
     target = SYMBOLS[cfg.profile.symbol](grid)
     errors = np.abs(res.spectral.values - target)
@@ -409,34 +402,40 @@ def _run_accept(cfg: RunConfig) -> int:
 class _Command(NamedTuple):
     run: Callable[[RunConfig], Table | dict | int]  # its artifact; accept's exit code
     context: str  # the layer named in its error messages
-    spectral: bool = False  # its grid is a spectral grid: odd count, symmetric about 0
+    reads: tuple[str, ...]  # the config paths it reads, besides output.path (see _reads)
+    radial: bool = False  # a radial grid, 0:12:481 by default; else spectral (odd, symmetric)
 
 
 _COMMANDS = {
-    "presets": _Command(_run_presets, "groups.preset"),
-    "phi": _Command(_run_phi, "spherical.phi"),
-    "cfun": _Command(_run_cfun, "cfunction.c_function", spectral=True),
-    "transform": _Command(_run_transform, "transform.hc_transform", spectral=True),
-    "invert": _Command(_run_invert, "transform.wave_packet"),
-    "plancherel": _Command(_run_plancherel, "transform.plancherel_pairing"),
-    "expansion": _Command(_run_expansion, "transform.expansion_term"),
-    "seminorm": _Command(_run_seminorm, "schwartz.schwartz_seminorm"),
-    "membership": _Command(_run_membership, "schwartz.image_membership", spectral=True),
-    "roundtrip": _Command(_run_roundtrip, "transform.hc_transform", spectral=True),
-    "accept": _Command(_run_accept, "acceptance.run_all"),
+    "presets": _Command(_run_presets, "groups.preset", ()),
+    "phi": _Command(_run_phi, "spherical.phi", ("preset", "lam", "grid"), radial=True),
+    "cfun": _Command(_run_cfun, "cfunction.c_function", ("preset", "grid")),
+    "transform": _Command(_run_transform, "transform.hc_transform",
+                          ("preset", "grid", *_TOLS, "profile.family")),
+    "invert": _Command(_run_invert, "transform.wave_packet",
+                       ("preset", "grid", "profile.symbol"), radial=True),
+    "plancherel": _Command(_run_plancherel, "transform.plancherel_pairing",
+                           ("preset", "profile.symbol", "profile.symbol2", "quadrature")),
+    "expansion": _Command(_run_expansion, "transform.expansion_term",
+                          ("preset", "profile.symbol", "quadrature", "lams", "eps_ladder")),
+    "seminorm": _Command(_run_seminorm, "schwartz.schwartz_seminorm",
+                         ("preset", "profile.family", "r_values", "k_values")),
+    "membership": _Command(_run_membership, "schwartz.image_membership",
+                           ("preset", "grid", *_TOLS, "profile.family")),
+    "roundtrip": _Command(_run_roundtrip, "transform.hc_transform",
+                          ("preset", "grid", *_TOLS, "profile.symbol")),
+    "accept": _Command(_run_accept, "acceptance.run_all", ()),
 }
 
 def build_parser() -> argparse.ArgumentParser:
     """Each flag's ``dest`` is the dotted config path it sets."""
     parser = argparse.ArgumentParser(
-        prog="sphtrans",
-        description="spherical transform engine for rank-one symmetric spaces",
-    )
+        prog="sphtrans", description="spherical transform engine for rank-one symmetric spaces")
     parser.add_argument("subcommand", choices=_COMMANDS)
     parser.add_argument("--preset", help="group preset name")
     parser.add_argument("--config", help="path to a JSON config file")
     parser.add_argument("--out", dest="output.path", help="output path (default: stdout)")
-    parser.add_argument("--grid", help="spectral/radial grid as min:max:count")
+    parser.add_argument("--grid", help="spectral or radial grid as min:max:count")
     parser.add_argument("--tol", dest="quadrature.rel_tol", type=float,
                         help="relative quadrature tolerance")
     parser.add_argument("--lam", type=float, help="spectral point for `phi`")
@@ -468,9 +467,10 @@ def _flag_number(text: str):
 
 
 def config_from_args(args) -> RunConfig:
-    """The config file with the flags written over it, loaded and validated."""
+    """The config file with the flags written over it, loaded, checked against the
+    paths the subcommand reads, and validated."""
     flags = dict(vars(args))
-    config, grid = flags.pop("config"), flags.pop("grid")
+    subcommand, config, grid = flags.pop("subcommand"), flags.pop("config"), flags.pop("grid")
     doc = {}
     if config is not None:
         try:
@@ -487,26 +487,25 @@ def config_from_args(args) -> RunConfig:
         if value is not None:
             _put(doc, path, value)
     cfg = load_config(doc)
-    # --symbol on a radial family means its wave packet, unless --profile names the family
-    if flags["profile.symbol"] is not None and flags["profile.family"] is None and \
-            cfg.profile.family not in ("wave_packet", "counterexample"):
-        cfg.profile.family = "wave_packet"
-    validate_config(cfg)
+    _reject_unread(doc, _reads(subcommand, cfg), subcommand)
+    if _COMMANDS[subcommand].radial and "min" not in doc.get("grid", {}):
+        cfg.grid.min = 0.0
+    validate_config(cfg, subcommand)
     return cfg
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.subcommand]
     context = "cli.config"
     try:
         cfg = config_from_args(args)
-        command = _COMMANDS[cfg.subcommand]
         context = command.context
         artifact = command.run(cfg)
         if isinstance(artifact, int):
             return artifact
         if isinstance(artifact, dict):
-            artifact = {"preset": cfg.preset, "operation": cfg.subcommand, **artifact}
+            artifact = {"preset": cfg.preset, "operation": args.subcommand, **artifact}
         _emit(artifact, cfg.output.path)
         return 0
     except (SphtransError, OSError) as exc:

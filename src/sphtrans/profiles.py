@@ -102,15 +102,3 @@ def xi_poly_profile(G: GroupDatum, p: int = 3) -> RadialProfile:
         label=f"xi*(1+t)^-{p}",
     )
 
-
-def zero_profile(G: GroupDatum) -> RadialProfile:
-    def f(t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    return RadialProfile(
-        eval=f,
-        decay=ExpDecay(coeff=1e-300, rate=2.0 * G.rho + 2.0, degree=0),
-        d1=f,
-        d2=f,
-        label="zero",
-    )

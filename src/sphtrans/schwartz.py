@@ -33,7 +33,6 @@ from .transform import (
 __all__ = [
     "SeminormReport",
     "TubeSpec",
-    "MembershipBudget",
     "MembershipReport",
     "TubeReport",
     "schwartz_seminorm",
@@ -108,13 +107,13 @@ def weyl_symmetry_defect(A: SpectralFunction) -> float:
 # image membership (the transform-side Schwartz test)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MembershipBudget:
-    weyl_tol: float = 1e-8
-    decay_powers: tuple[int, ...] = (2, 4, 6)
-    decay_bound: float = 1e3
-    smooth_order: int = 4
-    smooth_bound: float = 50.0
+# the membership budget: Weyl defect, sup (1+|lam|)^N |A| for each N, and the
+# largest divided difference up to the smoothness order
+_WEYL_TOL = 1e-8
+_DECAY_POWERS = (2, 4, 6)
+_DECAY_BOUND = 1e3
+_SMOOTH_ORDER = 4
+_SMOOTH_BOUND = 50.0
 
 
 @dataclass(frozen=True)
@@ -139,9 +138,7 @@ def _divided_differences(grid: np.ndarray, values: np.ndarray, order: int):
         yield j, dd
 
 
-def image_membership(
-    G: GroupDatum, A: SpectralFunction, budget: MembershipBudget = MembershipBudget()
-) -> MembershipReport:
+def image_membership(G: GroupDatum, A: SpectralFunction) -> MembershipReport:
     """Diagnostic membership test for the transform image algebra.
 
     Checks (i) Weyl evenness, (ii) rapid decay through polynomially
@@ -150,25 +147,25 @@ def image_membership(
     """
     defect = weyl_symmetry_defect(A)
     k = int(np.argmax(np.abs(A.values - A.values[::-1])))
-    weyl = CriterionResult(defect <= budget.weyl_tol, defect, float(A.grid[k]))
+    weyl = CriterionResult(defect <= _WEYL_TOL, defect, float(A.grid[k]))
 
     decay = {}
-    for N in budget.decay_powers:
+    for N in _DECAY_POWERS:
         weighted = np.abs(A.values) * (1.0 + np.abs(A.grid)) ** N
         j = int(np.argmax(weighted))
         decay[N] = CriterionResult(
-            float(weighted[j]) <= budget.decay_bound, float(weighted[j]), float(A.grid[j])
+            float(weighted[j]) <= _DECAY_BOUND, float(weighted[j]), float(A.grid[j])
         )
 
     worst = 0.0
     worst_at = 0.0
-    for order, dd in _divided_differences(A.grid, A.values, budget.smooth_order):
+    for order, dd in _divided_differences(A.grid, A.values, _SMOOTH_ORDER):
         mags = np.abs(dd)
         j = int(np.argmax(mags))
         if mags[j] > worst:
             worst = float(mags[j])
             worst_at = float(A.grid[j])
-    smooth = CriterionResult(worst <= budget.smooth_bound, worst, worst_at)
+    smooth = CriterionResult(worst <= _SMOOTH_BOUND, worst, worst_at)
 
     passed = weyl.passed and smooth.passed and all(c.passed for c in decay.values())
     return MembershipReport(weyl=weyl, decay=decay, smoothness=smooth, passed=passed)

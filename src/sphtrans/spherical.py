@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import loggamma
@@ -54,9 +54,6 @@ __all__ = [
     "phi_d2",
     "xi",
 ]
-
-# finite-difference step used whenever a profile has no analytic derivative
-FD_STEP = 1e-4
 
 _MAX_HC_TERMS = 500
 _HC_CHUNK = 25
@@ -87,13 +84,13 @@ class RadialProfile:
     reflected to |t|, which realizes the evenness of K-biinvariant
     functions.  ``decay`` is an actual envelope bound, spot-checkable
     via :meth:`check_decay`.  Derivatives of order 1 and 2 come from
-    ``d1`` and ``d2`` when given, else from central differences.
+    ``d1`` and ``d2``, evaluated at t >= 0.
     """
 
     eval: Callable
     decay: ExpDecay
-    d1: Optional[Callable] = None
-    d2: Optional[Callable] = None
+    d1: Callable
+    d2: Callable
     label: str = ""
 
     def __call__(self, t):
@@ -104,19 +101,14 @@ class RadialProfile:
         return np.asarray(out)
 
     def deriv(self, t, k: int):
-        """k-th derivative at t (k <= 2); central differences as fallback."""
+        """k-th derivative at t (k <= 2)."""
         if k == 0:
             return self(t)
         if k == 1:
-            if self.d1 is not None:
-                return self._signed(self.d1, t)
-            return (self(np.asarray(t) + FD_STEP) - self(np.asarray(t) - FD_STEP)) / (2 * FD_STEP)
+            return self._signed(self.d1, t)
         if k == 2:
-            if self.d2 is not None:
-                out = self.d2(np.abs(np.asarray(t, dtype=float)))
-                return out if np.ndim(t) else complex(np.asarray(out).reshape(()))
-            t_arr = np.asarray(t, dtype=float)
-            return (self(t_arr + FD_STEP) - 2 * self(t_arr) + self(t_arr - FD_STEP)) / FD_STEP**2
+            out = self.d2(np.abs(np.asarray(t, dtype=float)))
+            return out if np.ndim(t) else complex(np.asarray(out).reshape(()))
         raise DomainError("only derivative orders 0, 1, 2 are supported")
 
     def _signed(self, fn, t):
@@ -418,10 +410,12 @@ def _evaluate(G: GroupDatum, lam, t, order: int):
     if order == 2:  # phi'' = -(Delta'/Delta) phi' - (lam^2 + rho^2) phi
         val, der = outs
         ev = (rows.real**2 if real else rows * rows)[:, None] + G.rho * G.rho
+        # the t = 0 limit, only where its O(t^2 (lam^2 + rho^2)) remainder is below roundoff
+        at0 = ts * ts * np.abs(ev) <= _EPS
         out = -ev * val
-        far = ts > 1e-3
+        far = ~at0.all(axis=0)
         out[:, far] -= haar_log_derivative(G, ts[far]) * der[:, far]
-        out[:, ~far] = -ev / (2.0 * (G.jacobi_alpha + 1.0))
+        out = np.where(at0, -ev / (2.0 * (G.jacobi_alpha + 1.0)), out)
     if lam_arr.ndim == 0:
         out = out[0].astype(complex)
         return complex(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
@@ -442,8 +436,9 @@ def phi_d1(G: GroupDatum, lam, t):
 
 
 def phi_d2(G: GroupDatum, lam, t):
-    """Second radial derivative of phi_lam, from the radial equation (t > 1e-3)
-    or its exact limit -(lam^2 + rho^2)/(2 (alpha + 1)) at 0; shapes as in :func:`phi`."""
+    """Second radial derivative of phi_lam, from the radial equation, or its exact
+    limit -(lam^2 + rho^2)/(2 (alpha + 1)) at 0 where t^2 |lam^2 + rho^2| is below
+    roundoff; shapes as in :func:`phi`."""
     return _evaluate(G, lam, t, 2)
 
 

@@ -424,16 +424,16 @@ def wave_packet(
     G: GroupDatum,
     a: SpectralFunction,
     t=None,
-    q: QuadratureSpec = DEFAULT_QUAD,
 ) -> RadialProfile | complex:
     """Wave packet psi_a(t) = (c_P/|W|) int_R a(nu) phi_nu(t) |c(nu)|^-2 dnu.
 
     With ``t`` given, returns the value psi_a(t); otherwise returns the
     whole packet as a RadialProfile (evaluator plus inferred decay
     metadata).  The symbol must be Weyl-even with decay power >= 4.  The
-    spectral node count adapts to the largest |t| requested per call;
-    results for different call batches agree within the quadrature
-    tolerance.
+    integral is a fixed composite Gauss-Legendre rule on (0, L], L the end
+    of the symbol's grid, so it takes no tolerance; its panel order adapts
+    to the largest |t| requested per call, and results for different call
+    batches agree to the rule's accuracy.
     """
     _check_symbol(a, "wave-packet symbol")
     L = float(a.grid[-1])
@@ -527,11 +527,12 @@ def plancherel_pairing(
     G: GroupDatum,
     A: SpectralFunction,
     B: SpectralFunction,
-    q: QuadratureSpec = DEFAULT_QUAD,
 ) -> complex:
     """(c_P/|W|) int_R A(nu) B(nu) |c(nu)|^-2 dnu.
 
-    For A = Hf and B = Hg this equals (f*g)(1); symmetric in (A, B).
+    For A = Hf and B = Hg this equals (f*g)(1); symmetric in (A, B).  The
+    integral is the fixed composite Gauss-Legendre spectral rule on (0, L],
+    L the smaller end of the two grids, so it takes no tolerance.
     """
     _check_symbol(A, "pairing factor")
     _check_symbol(B, "pairing factor")
@@ -610,9 +611,8 @@ def expansion_term(
 def casimir_radial(G: GroupDatum, p: RadialProfile, t) -> complex:
     """(Lp)(t) = p''(t) + (Delta'/Delta)(t) p'(t), the radial Casimir.
 
-    Derivatives use the profile's analytic evaluators when present and
-    central differences with step 1e-4 otherwise.  t must be positive
-    (Delta'/Delta has a pole at 0).
+    Derivatives come from the profile's analytic evaluators.  t must be
+    positive (Delta'/Delta has a pole at 0).
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr <= 0.0):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from sphtrans import acceptance, cli
 from sphtrans.acceptance import CriterionOutcome
 from sphtrans.cli import (RunConfig, Table, _emit, build_parser, config_from_args, load_config,
                           main, validate_config)
@@ -172,7 +173,7 @@ def test_expansion_subcommand(tmp_path):
     out = tmp_path / "e.json"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "profile": {"family": "wave_packet", "symbol": "flat4"},
+        "profile": {"symbol": "flat4"},
         "lams": [1.0],
         "eps_ladder": [0.2, 0.1],
     }))
@@ -209,12 +210,21 @@ def test_load_config_strictness():
     assert cfg.lams == (1.0,) and cfg.quadrature == RunConfig().quadrature
 
 
-def test_validate_config_catches_bad_family():
+def test_validate_config_catches_bad_family(capsys):
     cfg = RunConfig()
     cfg.profile.family = "mystery"
-    cfg.subcommand = "transform"
     with pytest.raises(ConfigError):
-        validate_config(cfg)
+        validate_config(cfg, "transform")
+    # a counterexample is a spectral function: only membership takes one
+    cfg.profile.family, cfg.profile.symbol = "counterexample", "odd"
+    validate_config(cfg, "membership")
+    for subcommand in ("transform", "seminorm"):
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg, subcommand)
+        assert err.value.path == "profile.family"
+    # named before the tolerance, which transform reads for every radial family
+    assert run_cli(["transform", "--profile=counterexample", "--symbol=odd", "--tol=1e-9"]) == 2
+    assert "error in cli.config: profile.family" in capsys.readouterr().err
 
 
 def test_format_option_is_gone(tmp_path, capsys):
@@ -283,7 +293,8 @@ def test_malformed_config_names_its_path(doc, path, tmp_path, capsys):
 
 def test_flags_load_at_their_config_paths(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"quadrature": {"abs_tol": 1e-11}, "profile": {"family": "cosh"}}))
+    cfg.write_text(json.dumps({"quadrature": {"abs_tol": 1e-11},
+                               "profile": {"family": "wave_packet"}}))
     args = build_parser().parse_args([
         "transform", "--config", str(cfg), "--tol", "1e-9", "--grid=-4:4:9",
         "--symbol", "wide", "--out", str(tmp_path / "x.csv"),
@@ -292,8 +303,12 @@ def test_flags_load_at_their_config_paths(tmp_path):
     assert (run.quadrature.rel_tol, run.quadrature.abs_tol) == (1e-9, 1e-11)
     assert (run.grid.min, run.grid.max, run.grid.count) == (-4.0, 4.0, 9)
     assert run.output.path == str(tmp_path / "x.csv")
-    # --symbol on a radial family selects its wave packet
     assert (run.profile.family, run.profile.symbol) == ("wave_packet", "wide")
+    # --symbol does not override the file's family: a cosh profile reads no symbol
+    cfg.write_text(json.dumps({"profile": {"family": "cosh"}}))
+    with pytest.raises(ConfigError) as err:
+        config_from_args(args)
+    assert err.value.path == "profile.symbol"
 
 
 @pytest.mark.parametrize("flag, path", [
@@ -326,3 +341,138 @@ def test_out_into_missing_directory_fails_before_computing(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert "error in cli.config: output.path" in err
     assert ".sphtrans-" not in err
+
+
+# ---------------------------------------------------------------------------
+# a subcommand accepts only the config paths it reads
+# ---------------------------------------------------------------------------
+
+GRID = {"grid.min", "grid.max", "grid.count"}
+TOLS = {"quadrature.rel_tol", "quadrature.abs_tol"}
+QUADRATURE = TOLS | {"quadrature.max_subdivisions"}
+FAMILY_FIELDS = {"gaussian": {"width", "scale"}, "cosh": {"power"}, "xi_poly": {"p"},
+                 "wave_packet": {"symbol"}, "counterexample": {"symbol"}}
+
+
+def expected_reads(subcommand, family):
+    """The leaves each subcommand reads besides output.path, by the runners' code."""
+    profile = {"profile.family"} | {f"profile.{f}" for f in FAMILY_FIELDS[family]}
+    return {
+        "presets": set(),
+        "phi": {"preset", "lam"} | GRID,
+        "cfun": {"preset"} | GRID,
+        "transform": {"preset"} | GRID | TOLS | profile,
+        "invert": {"preset", "profile.symbol"} | GRID,
+        "plancherel": {"preset", "profile.symbol", "profile.symbol2"} | QUADRATURE,
+        "expansion": {"preset", "profile.symbol", "lams", "eps_ladder"} | QUADRATURE,
+        "seminorm": {"preset", "r_values", "k_values"} | profile,
+        "membership": {"preset"} | GRID | profile | (set() if family == "counterexample" else TOLS),
+        "roundtrip": {"preset", "profile.symbol"} | GRID | TOLS,
+        "accept": set(),
+    }[subcommand]
+
+
+def leaves(obj, prefix=""):
+    """(dotted path, JSON value) of every leaf of a config dataclass."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, list(value) if isinstance(value, tuple) else value
+
+
+def declared(subcommand, cfg):
+    """The leaves ``cli._reads`` declares for ``subcommand`` under ``cfg``, without output.path."""
+    reads = cli._reads(subcommand, cfg)
+    return {path for path, _ in leaves(cfg) if path != "output.path" and
+            any(path == read or path.startswith(read + ".") for read in reads)}
+
+
+def profile_sections(subcommand):
+    """The profile section of each family a subcommand can be given, or none; only
+    membership takes a counterexample, which is spectral."""
+    if "profile.family" not in expected_reads(subcommand, "wave_packet"):
+        return [("wave_packet", {})]
+    families = [f for f in FAMILY_FIELDS if f != "counterexample" or subcommand == "membership"]
+    return [(f, {"family": f, **({"symbol": "odd"} if f == "counterexample" else {})})
+            for f in families]
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli._COMMANDS))
+def test_every_path_and_flag_is_read_or_rejected(subcommand, tmp_path, monkeypatch, capsys):
+    for name, command in cli._COMMANDS.items():  # nothing is computed
+        monkeypatch.setitem(cli._COMMANDS, name, command._replace(run=lambda cfg: Table([], [])))
+    defaults = config_from_args(build_parser().parse_args([subcommand]))
+    radial = cli._COMMANDS[subcommand].radial
+    assert defaults.grid == (cli.GridSpec(0.0, 12.0, 481) if radial else cli.GridSpec())
+    g = defaults.grid
+    # each flag, with the first path it sets
+    flags = [("--preset=H3", "preset"), ("--lam=2.5", "lam"),
+             (f"--grid={g.min}:{g.max}:{g.count}", "grid.min"),
+             ("--tol=1e-9", "quadrature.rel_tol"), ("--symbol=gauss", "profile.symbol"),
+             ("--profile=wave_packet", "profile.family"),
+             (f"--out={tmp_path / 'out'}", "output.path")]
+    doc_path = tmp_path / "cfg.json"
+    for family, profile in profile_sections(subcommand):
+        reads = expected_reads(subcommand, family)
+        cfg = load_config({"profile": profile})
+        assert declared(subcommand, cfg) == reads
+        cases = []
+        for path, value in leaves(defaults):
+            section, _, key = path.partition(".")
+            if section == "profile" and profile:
+                value = profile.get(key, value)
+            cases.append((path, [], {section: {key: value}} if key else {path: value}))
+        if family == "wave_packet":
+            cases += [(path, [flag], {}) for flag, path in flags]
+        for path, argv, doc in cases:
+            if profile:
+                doc = {**doc, "profile": {**profile, **doc.get("profile", {})}}
+            doc_path.write_text(json.dumps(doc))
+            rc = run_cli([subcommand, f"--config={doc_path}", *argv])
+            err = capsys.readouterr().err
+            if path in reads or path == "output.path":
+                assert rc == 0, (family, path, argv, err)
+            else:
+                assert rc == 2, (family, path, argv)
+                assert f"error in cli.config: {path}: the {subcommand} subcommand" in err
+
+
+def recording(obj, log, prefix=""):
+    """A copy of config dataclass ``obj`` that logs each field read at its dotted path."""
+    names = {f.name for f in dataclasses.fields(obj)}
+
+    class Recording(type(obj)):
+        def __getattribute__(self, name):
+            if name in names:
+                log.add(prefix + name)
+            return object.__getattribute__(self, name)
+
+    copy = object.__new__(Recording)
+    for name in names:
+        value = getattr(obj, name)
+        if dataclasses.is_dataclass(value):
+            value = recording(value, log, f"{prefix}{name}.")
+        object.__setattr__(copy, name, value)
+    return copy
+
+
+def test_each_runner_reads_every_path_it_declares(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "run_all", lambda echo: [])
+    for subcommand, command in cli._COMMANDS.items():
+        argv = [subcommand]
+        if "preset" in command.reads:
+            argv.append("--preset=H3")
+        if "grid" in command.reads:  # small grids and ladders keep this quick
+            argv.append("--grid=0:2:5" if command.radial else "--grid=-2:2:5")
+        cfg = config_from_args(build_parser().parse_args(argv))
+        if subcommand == "seminorm":
+            cfg.r_values, cfg.k_values = (1.0,), (2,)
+        if subcommand == "expansion":
+            cfg.lams, cfg.eps_ladder = (1.0,), (0.4,)
+        log = set()
+        command.run(recording(cfg, log))
+        reads = declared(subcommand, cfg)
+        assert reads == expected_reads(subcommand, cfg.profile.family)
+        assert reads <= log, (subcommand, reads - log)

@@ -129,6 +129,19 @@ def test_circle_row_derivatives_meet_h3_closed_form():
         assert np.max(np.abs(fn(G, lams, ts) - exact[:, :, k]) / env) <= 1e-13
 
 
+def test_d2_near_zero_meets_h3_closed_form():
+    # the t = 0 limit of phi'' is off by O(t^2 (lam^2 + rho^2)): 7.5e-4 relative
+    # at lam = 50, t = 1e-3; only t = 0 and t with that below roundoff may take it
+    G = preset("H3")
+    ts = np.array([0.0, 1e-6, 1e-5, 1e-4, 1e-3, 2e-3])
+    lams = np.array([1.0, 10.0, 50.0, 300.0])
+    exact = np.array([[h3_closed_form_derivatives(lam, t)[1] for t in ts] for lam in lams])
+    for got in (phi_d2(G, lams, ts), np.array([phi_d2(G, lam, ts) for lam in lams])):
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-14
+    # where Delta'/Delta would overflow, the limit is exact to roundoff
+    np.testing.assert_array_equal(phi_d2(G, lams, np.array([1e-310])), exact[:, :1])
+
+
 def hypergeometric_phi(G, lam, t):
     """phi_lam(t) = 2F1((rho + i lam)/2, (rho - i lam)/2; alpha + 1; -sinh^2 t) at 30 digits."""
     with mpmath.workdps(30):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from sphtrans import schwartz
 from sphtrans.errors import DomainError, EvaluationError, GridContractError, PreconditionError
 from sphtrans.groups import haar_density, preset
-from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile, zero_profile
+from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile
 from sphtrans.schwartz import (
-    MembershipBudget,
     TubeSpec,
     image_membership,
     schwartz_seminorm,
@@ -41,7 +41,12 @@ def gauss_symbol():
 
 def test_seminorm_zero_profile():
     G = preset("SL2R")
-    rep = schwartz_seminorm(G, zero_profile(G), 2.0, 0)
+
+    def zero(t):
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+    f = RadialProfile(eval=zero, decay=ExpDecay(1e-300, 4.0, 0), d1=zero, d2=zero)
+    rep = schwartz_seminorm(G, f, 2.0, 0)
     assert rep.value == 0.0
 
 
@@ -95,7 +100,9 @@ def test_seminorm_nonfinite_sample_reporting():
         out = np.exp(-t * t)
         return np.where(np.abs(t - 2.0) < 0.05, np.nan, out)
 
-    f = RadialProfile(eval=bad, decay=ExpDecay(10.0, 3.0, 0), label="bad")
+    gauss = gaussian_profile(G)  # exp(-t^2) away from the NaN patch
+    f = RadialProfile(eval=bad, decay=ExpDecay(10.0, 3.0, 0), d1=gauss.d1, d2=gauss.d2,
+                      label="bad")
     with pytest.raises(EvaluationError) as err:
         schwartz_seminorm(G, f, 1.0, 0)
     assert "t = " in str(err.value)
@@ -158,12 +165,13 @@ def test_membership_counterexamples():
     assert not rep.passed and not rep.smoothness.passed
 
 
-def test_membership_budget_is_respected():
+def test_membership_budget_is_respected(monkeypatch):
     G = preset("SL2R")
     grid = default_spectral_grid()
     slow = SpectralFunction(grid, 1.0 / (1.0 + grid**2), SpectralDecay(2.0, 2.0))
-    lenient = MembershipBudget(decay_bound=1e9, smooth_bound=1e9)
-    assert image_membership(G, slow, lenient).passed
+    monkeypatch.setattr(schwartz, "_DECAY_BOUND", 1e9)
+    monkeypatch.setattr(schwartz, "_SMOOTH_BOUND", 1e9)
+    assert image_membership(G, slow).passed
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +262,8 @@ def test_tube_precondition_on_decay():
     weak = RadialProfile(
         eval=lambda t: np.exp(-0.6 * np.asarray(t, dtype=float)),
         decay=ExpDecay(1.0, 0.6, 0),
+        d1=lambda t: -0.6 * np.exp(-0.6 * np.asarray(t, dtype=float)),
+        d2=lambda t: 0.36 * np.exp(-0.6 * np.asarray(t, dtype=float)),
         label="weak",
     )
     with pytest.raises(PreconditionError):

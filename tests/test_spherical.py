@@ -5,7 +5,6 @@ from sphtrans.errors import DomainError
 from sphtrans.groups import haar_log_derivative, preset
 from sphtrans.profiles import gaussian_profile
 from sphtrans.spherical import (
-    RadialProfile,
     phi,
     phi_d1,
     phi_d2,
@@ -150,14 +149,5 @@ def test_radial_profile_evenness_and_decay_check():
     assert f(-1.3) == f(1.3)
     ts = np.geomspace(0.1, 8.0, 40)
     assert f.check_decay(ts) <= 1.0 + 1e-12
-
-
-def test_radial_profile_fd_fallback():
-    G = preset("SL2R")
-    f = gaussian_profile(G)
-    bare = RadialProfile(eval=f.eval, decay=f.decay, label="no-derivs")
-    for t in (0.4, 1.1):
-        assert abs(bare.deriv(t, 1) - f.d1(np.asarray(t))) < 1e-7
-        assert abs(bare.deriv(t, 2) - f.d2(np.asarray(t))) < 1e-6
     with pytest.raises(DomainError):
-        bare.deriv(1.0, 3)
+        f.deriv(1.0, 3)

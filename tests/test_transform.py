@@ -13,9 +13,9 @@ from sphtrans.errors import (
     SingularPointError,
 )
 from sphtrans.groups import PRESET_NAMES, GroupDatum, haar_density, preset
-from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile, zero_profile
+from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile
 from sphtrans.specfun import ExpDecay, gauss_legendre_rule, integrate_interval
-from sphtrans.spherical import phi
+from sphtrans.spherical import RadialProfile, phi
 from sphtrans.transform import (
     SpectralDecay,
     SpectralFunction,
@@ -43,6 +43,14 @@ def make_symbol(fn, label=""):
 
 def gauss_symbol(scale=1.0):
     return make_symbol(lambda x: np.exp(-scale * x**2), label=f"gauss{scale}")
+
+
+def zero_profile(G):
+    def zero(t):
+        return np.zeros_like(np.asarray(t, dtype=float))
+
+    return RadialProfile(eval=zero, decay=ExpDecay(1e-300, 2.0 * G.rho + 2.0, 0),
+                         d1=zero, d2=zero, label="zero")
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +425,7 @@ def test_casimir_constant_profile_is_zero():
 
 def test_casimir_eigenfunction_identity():
     # L phi_lam = -(lam^2 + rho^2) phi_lam
-    from sphtrans.spherical import RadialProfile, phi_d1, phi_d2
+    from sphtrans.spherical import phi_d1, phi_d2
 
     for name in ("SL2R", "CH2"):
         G = preset(name)

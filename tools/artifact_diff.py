@@ -4,8 +4,10 @@
 
 Both sides run the same 31 commands, each as ``python3 -m sphtrans.cli``
 from the side's root with its own ``src`` first on PYTHONPATH: the ten
-subcommands other than ``accept`` on SL2R, H3 and CH2 at ``--lam 2.5``,
-and ``accept``.  Every command writes its artifact with ``--out``, into a
+subcommands other than ``accept`` once for each of SL2R, H3 and CH2, and
+``accept``.  A subcommand is given only the flags it reads: ``--preset``
+to all but ``presets``, whose three commands are the same, and
+``--lam 2.5`` to ``phi`` alone.  Every command writes its artifact with ``--out``, into a
 file named for its form: ``.csv`` for the subcommands in ``CSV`` and
 ``.json`` for the others.  The base side is the
 committed tree of REV, exported with ``git archive`` into a temporary
@@ -45,7 +47,8 @@ def commands() -> dict[str, list[str]]:
     for sub in SUBCOMMANDS:
         form = "csv" if sub in CSV else "json"
         for preset in PRESETS:
-            out[f"{sub}-{preset}.{form}"] = [sub, "--preset", preset, "--lam", "2.5"]
+            args = [sub] if sub == "presets" else [sub, "--preset", preset]
+            out[f"{sub}-{preset}.{form}"] = args + ["--lam", "2.5"] if sub == "phi" else args
     out["accept.json"] = ["accept"]
     return out
 
