@@ -52,13 +52,23 @@ SYMBOLS = {
     "flat4": acceptance.flat_top(3.2),
 }
 
-# family -> (its radial profile from the preset and the ProfileSpec, the fields it reads)
+
+class _Family(NamedTuple):
+    build: Callable | None  # its radial profile from the preset and the ProfileSpec
+    fields: tuple[str, ...]  # the profile fields it reads
+    serves: tuple[str, ...]  # the subcommands that take it
+
+
+_RADIAL = ("transform", "seminorm", "membership")
 _FAMILIES = {
-    "gaussian": (lambda G, p: profiles.gaussian_profile(G, p.width, p.scale), ("width", "scale")),
-    "cosh": (lambda G, p: profiles.cosh_profile(G, p.power), ("power",)),
-    "xi_poly": (lambda G, p: profiles.xi_poly_profile(G, p.p), ("p",)),
-    "wave_packet": (lambda G, p: _packet(G, p.symbol), ("symbol",)),
-    "counterexample": (None, ("symbol",)),  # a spectral function, with no radial profile
+    "gaussian": _Family(lambda G, p: profiles.gaussian_profile(G, p.width, p.scale),
+                        ("width", "scale"), _RADIAL),
+    "cosh": _Family(lambda G, p: profiles.cosh_profile(G, p.power), ("power",), _RADIAL),
+    # its decay e^(-rho t) (1+t)^-2 sits on the Schwartz boundary: too weak to transform
+    "xi_poly": _Family(lambda G, p: profiles.xi_poly_profile(G, p.p), ("p",), ("seminorm",)),
+    "wave_packet": _Family(lambda G, p: _packet(G, p.symbol), ("symbol",), _RADIAL),
+    # a spectral function, with no radial profile
+    "counterexample": _Family(None, ("symbol",), ("membership",)),
 }
 _TOLS = ("quadrature.rel_tol", "quadrature.abs_tol")
 
@@ -154,7 +164,8 @@ def _reads(subcommand: str, cfg: RunConfig) -> set[str]:
     reads = {"output.path", *_COMMANDS[subcommand].reads}
     if "profile.family" in reads:
         family = cfg.profile.family
-        reads.update(f"profile.{f}" for f in _FAMILIES.get(family, (None, ()))[1])
+        if family in _FAMILIES:
+            reads.update(f"profile.{f}" for f in _FAMILIES[family].fields)
         if family == "counterexample" and subcommand == "membership":  # nothing to transform
             reads.difference_update(_TOLS)
     return reads
@@ -182,9 +193,10 @@ def validate_config(cfg: RunConfig, subcommand: str):
                               ("profile.symbol2", prof.symbol2, SYMBOLS)):
         if name not in valid:
             raise ConfigError(f"{path}: unknown {name!r}; valid: {', '.join(valid)}", path=path)
-    if prof.family == "counterexample" and subcommand != "membership":
-        raise ConfigError(f"profile.family: {subcommand} needs a radial profile, not a "
-                          "counterexample", path="profile.family")
+    if "profile.family" in command.reads and subcommand not in _FAMILIES[prof.family].serves:
+        valid = ", ".join(name for name, fam in _FAMILIES.items() if subcommand in fam.serves)
+        raise ConfigError(f"profile.family: the {subcommand} subcommand does not take "
+                          f"{prof.family!r}; valid: {valid}", path="profile.family")
     out = cfg.output.path
     if out is not None and (os.path.isdir(out) or not os.path.isdir(_directory(out))):
         raise ConfigError(f"output.path: {out!r} is not a file in an existing directory",
@@ -200,7 +212,7 @@ def _packet(G, name: str) -> tr.RadialProfile:
 
 
 def _build_profile(G, cfg: RunConfig):
-    return _FAMILIES[cfg.profile.family][0](G, cfg.profile)
+    return _FAMILIES[cfg.profile.family].build(G, cfg.profile)
 
 
 # ---------------------------------------------------------------------------

@@ -130,19 +130,23 @@ def composite_gl_nodes(lo: float, hi: float, n_panels: int, order: int):
     return nodes, weights
 
 
-def _panel_estimates(f, lo: float, hi: float):
-    """(coarse, fine) GL estimates of the integral of f over one panel, one per
-    component when f returns an (n_comp, n_t) array; f is called once, on the
-    15 coarse nodes followed by the 31 fine ones."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
+def _panel_estimates(f, edges) -> list:
+    """(coarse, fine) GL estimates of the integral of f over each panel between
+    consecutive ``edges``, one per component when f returns an (n_comp, n_t)
+    array; f is called once, on the 15 coarse nodes and then the 31 fine ones
+    of each panel in turn."""
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
     x1, w1 = gauss_legendre_rule(15)
     x2, w2 = gauss_legendre_rule(31)
-    values = np.asarray(f(mid + half * np.concatenate([x1, x2])))
+    values = np.asarray(f((mid[:, None] + half[:, None] * np.concatenate([x1, x2])).ravel()))
     if not np.all(np.isfinite(values)):
-        raise DomainError(f"integrand returned non-finite values on [{lo}, {hi}]")
-    f1, f2 = values[..., :15], values[..., 15:]
-    return half * np.sum(w1 * f1, axis=-1), half * np.sum(w2 * f2, axis=-1)
+        raise DomainError(f"integrand returned non-finite values on [{edges[0]}, {edges[-1]}]")
+    values = values.reshape(values.shape[:-1] + (len(half), -1))
+    coarse = half * np.sum(w1 * values[..., :15], axis=-1)
+    fine = half * np.sum(w2 * values[..., 15:], axis=-1)
+    return [(coarse[..., i], fine[..., i]) for i in range(len(half))]
 
 
 def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD):
@@ -156,13 +160,14 @@ def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD
     when the subdivision budget runs out.  The panel split next is the one
     with the worst err_k / s_k, where s_k is the tolerance of the first
     whole-interval estimate of component k; a scalar integrand is the
-    one-component case.
+    one-component case.  ``f`` is called once on [lo, hi] and once per split,
+    on the nodes of both halves.
     """
     lo = float(lo)
     hi = float(hi)
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    coarse, fine = _panel_estimates(f, lo, hi)
+    [(coarse, fine)] = _panel_estimates(f, (lo, hi))
     scale = q.tolerance(fine)
 
     def panel(a, b, coarse, fine):
@@ -196,8 +201,8 @@ def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD
         _, _, a, b, value, value_err = heapq.heappop(heap)
         total, err = total - value, err - value_err
         m = 0.5 * (a + b)
-        for lo_p, hi_p in ((a, m), (m, b)):
-            item = panel(lo_p, hi_p, *_panel_estimates(f, lo_p, hi_p))
+        for lo_p, hi_p, estimates in zip((a, m), (m, b), _panel_estimates(f, (a, m, b))):
+            item = panel(lo_p, hi_p, *estimates)
             heapq.heappush(heap, item)
             total, err = total + item[4], err + item[5]
         n_splits += 1

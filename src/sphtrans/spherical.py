@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import AccuracyError, DomainError
 from .groups import GroupDatum, haar_log_derivative
@@ -273,6 +272,85 @@ def _hc_series(G: GroupDatum, sides: np.ndarray, t: np.ndarray, t_min: np.ndarra
 # Gamma-quotient c(lam) shared with the cfunction module
 # ---------------------------------------------------------------------------
 
+_LOG_PI = math.log(math.pi)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# B_2k / (2k (2k - 1)) for k = 8, ..., 1: the Stirling series in 1/w^2 (DLMF 5.11.1)
+_STIRLING = (-3617 / 122400, 1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260,
+             -1 / 360, 1 / 12)
+# (-1)^k zeta(k) / k for k = 23, ..., 2, then -gamma: log Gamma(1 + x) = sum_k of them
+# times x^k (DLMF 5.7.3)
+_TAYLOR = (-0.04347826605304026, 0.04545455629320467, -0.047619070330142226,
+           0.05000004769810169, -0.05263167937961666, 0.055555767627403614,
+           -0.058823978658684585, 0.06250095514121304, -0.06666870588242046,
+           0.07143294629536133, -0.0769325164113522, 0.083353840546109,
+           -0.09095401714582904, 0.1000994575127818, -0.11133426586956469,
+           0.12550966952474304, -0.1440498967688461, 0.1695571769974082,
+           -0.20738555102867398, 0.27058080842778454, -0.40068563438653143,
+           0.8224670334241132, -0.5772156649015329)
+
+
+def _horner(coefs, x: np.ndarray) -> np.ndarray:
+    # numpy's in-place complex multiply rounds a 1-element array differently
+    # from a longer one, which would make an entry depend on the array's length
+    acc = coefs[0] * x + coefs[1]
+    for c in coefs[2:]:
+        acc = acc * x + c
+    return acc
+
+
+def log_gamma(z) -> np.ndarray:
+    """log Gamma(z) modulo 2 pi i, elementwise on a finite complex array; NaN at
+    the poles z in Z<=0.
+
+    Hare's scheme (J. Algorithms 25, 1997), on Im z >= 0 by conjugation: z with
+    Re z < 0.1 and Im z <= 7 is reflected,
+    log Gamma(z) = log pi - log sin(pi z) - log Gamma(1 - z), with log sin(pi z)
+    taken through expm1(2 pi i (z - k)), k = round(Re z), which keeps its digits
+    near the poles and cannot overflow.  Then w = z or 1 - z.  On the discs
+    |w - 1| <= 0.2 and |w - 2| <= 0.2, where log Gamma has its zeros, w is the
+    Taylor series about 1 (after log Gamma(w) = log(w - 1) + log Gamma(w - 1) on
+    the second); elsewhere it is the Stirling series at w + n, where n = 0 if
+    Re w > 7 or |Im w| > 7, else the least n with Re(w + n) > 7.  No entry's
+    value depends on the other entries.
+    """
+    z = np.asarray(z, dtype=complex)
+    shape, z = z.shape, z.ravel()
+    lower = z.imag < 0.0  # log Gamma(conj z) = conj log Gamma(z)
+    z = np.where(lower, z.conj(), z)
+    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+    z[pole] = 0.5  # any regular point: the entry becomes NaN at the end
+    left = (z.real < 0.1) & (z.imag <= 7.0)
+    w = np.where(left, 1.0 - z, z)
+    small = (w.real <= 7.0) & (np.abs(w.imag) <= 7.0)
+    center = np.clip(np.rint(w.real), 1.0, 2.0)
+    taylor = small & (np.abs(w - center) <= 0.2)
+    shift = small & ~taylor
+    n = np.where(shift, np.floor(7.0 - w.real) + 1.0, 0.0)
+    v = w + n
+    r = 1.0 / v
+    out = (v - 0.5) * np.log(v) - v + _HALF_LOG_2PI + r * _horner(_STIRLING, r * r)
+    if shift.any():  # log Gamma(w) = log Gamma(w + n) - log of the product of w + j, j < n
+        j = np.arange(7)[:, None]
+        factors = np.where(j < n[shift], w[shift] + j, 1.0)
+        prod = factors[0]
+        # not np.prod: over axis 1 it is slow, over axis 0 its rounding depends on the length
+        for f in factors[1:]:
+            prod = prod * f
+        out[shift] -= np.log(prod)
+    if taylor.any():
+        x = w[taylor] - center[taylor]
+        out[taylor] = x * _horner(_TAYLOR, x) + np.where(center[taylor] == 2.0, np.log1p(x), 0.0)
+    if left.any():
+        zl = z[left]
+        k = np.rint(zl.real)
+        x = zl - k
+        # sin(pi z) = (-1)^k e^(-i pi x) (1 - e^(2 pi i x)) i / 2, |e^(2 pi i x)| <= 1
+        log_sin = np.log(-np.expm1(2j * np.pi * x)) - 1j * np.pi * (x - 0.5 - k % 2.0) - _LOG_2
+        out[left] = _LOG_PI - log_sin - out[left]
+    out[pole] = np.nan
+    return np.where(lower, out.conj(), out).reshape(shape)
+
+
 def c_log(G: GroupDatum, lam: np.ndarray) -> np.ndarray:
     """log of the rank-one c-function in this normalization, on a finite 1-D ``lam`` array.
 
@@ -280,7 +358,7 @@ def c_log(G: GroupDatum, lam: np.ndarray) -> np.ndarray:
              / [Gamma((rho + i lam)/2) Gamma((alpha - beta + 1 + i lam)/2)]
 
     The three Gamma arguments of every element go through one
-    ``scipy.special.loggamma`` call.  The entry is +inf at a pole of c
+    :func:`log_gamma` call.  The entry is +inf at a pole of c
     (lam in i*Z>=0) and -inf at a zero (a denominator pole; where both
     meet the zero wins).  The five log terms grow like |lam| log|lam| and
     cancel; once roundoff on their sum passes 1e-10 (from |lam| about
@@ -293,7 +371,7 @@ def c_log(G: GroupDatum, lam: np.ndarray) -> np.ndarray:
     args[1:] *= 0.5
     terms = np.empty((4, len(lam)), dtype=complex)
     terms[0] = (G.rho - args[0]) * _LOG_2
-    loggamma(args, out=terms[1:])
+    terms[1:] = log_gamma(args)
     b = math.lgamma(G.jacobi_alpha + 1.0)
     log_c = terms[0] + b + terms[1] - (terms[2] + terms[3])
     lost = _EPS * (np.abs(terms.view(float)).reshape(4, -1, 2).sum(axis=(0, 2)) + abs(b))

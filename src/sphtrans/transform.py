@@ -155,6 +155,8 @@ class SpectralFunction:
 
 
 def _local_interp(grid: np.ndarray, values: np.ndarray, x) -> np.ndarray:
+    """Order-6 Lagrange interpolation of the samples at every query point, shaped
+    like ``np.atleast_1d(x)``, from the 7 grid points about each query."""
     order = _INTERP_ORDER
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     n = len(grid)
@@ -163,19 +165,16 @@ def _local_interp(grid: np.ndarray, values: np.ndarray, x) -> np.ndarray:
     spacing = grid[-1] - grid[-2]
     if np.any(x_arr < grid[0] - spacing) or np.any(x_arr > grid[-1] + spacing):
         raise DomainError("interpolation query outside the sampled grid")
-    xq = np.clip(x_arr, grid[0], grid[-1])
+    xq = np.clip(x_arr.ravel(), grid[0], grid[-1])
     start = np.clip(np.searchsorted(grid, xq) - (order + 1) // 2, 0, n - (order + 1))
-    out = np.zeros(xq.shape, dtype=complex)
-    for j in range(order + 1):
-        lj = np.ones_like(xq)
-        xj = grid[start + j]
-        for k in range(order + 1):
-            if k == j:
-                continue
-            xk = grid[start + k]
-            lj = lj * (xq - xk) / (xj - xk)
-        out += lj * values[start + j]
-    return out
+    stencil = start + np.arange(order + 1)[:, None]
+    xs = grid[stencil]
+    # weight j of query i is the product over k != j of (xq_i - x_k) / (x_j - x_k), at
+    # [j, k, i]: the query axis last keeps the two reductions elementwise
+    diag = np.eye(order + 1, dtype=bool)
+    quot = (xq - xs) / (xs[:, None] - xs + diag[:, :, None])
+    quot[diag] = 1.0
+    return np.sum(np.prod(quot, axis=1) * values[stencil], axis=0).reshape(x_arr.shape)
 
 
 @dataclass(eq=False)

@@ -117,7 +117,7 @@ def test_density_continuity_near_origin():
 
 
 # ---------------------------------------------------------------------------
-# the array c-function: one loggamma call per block
+# the array c-function: one log_gamma call per block
 # ---------------------------------------------------------------------------
 
 def _mp_c(G, lam):

@@ -227,6 +227,24 @@ def test_validate_config_catches_bad_family(capsys):
     assert "error in cli.config: profile.family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["transform", "membership"])
+def test_xi_poly_is_rejected_before_anything_is_built(subcommand, monkeypatch, capsys):
+    # its decay e^(-rho t) (1+t)^-2 is too weak for the forward transform
+    def never(*args):
+        raise AssertionError("the profile was built")
+
+    monkeypatch.setitem(cli._FAMILIES, "xi_poly", cli._FAMILIES["xi_poly"]._replace(build=never))
+    cfg = RunConfig()
+    cfg.profile.family = "xi_poly"
+    with pytest.raises(ConfigError, match=f"{subcommand} subcommand does not take 'xi_poly'") as err:
+        validate_config(cfg, subcommand)
+    assert err.value.path == "profile.family"
+    assert run_cli([subcommand, "--preset=H3", "--profile=xi_poly", "--grid=-2:2:5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error in cli.config: profile.family: the {subcommand} subcommand")
+    validate_config(cfg, "seminorm")
+
+
 def test_format_option_is_gone(tmp_path, capsys):
     # each subcommand writes one form; a request for another is an error, not ignored
     with pytest.raises(SystemExit) as exit_:
@@ -255,12 +273,21 @@ def test_main_writes_what_the_runner_returns(tmp_path, monkeypatch):
     assert doc == {"preset": "H3", "operation": "seminorm", "reports": [0.25]}
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # scipy.integrate is the A7 oracle's alone; every CLI process would pay its import
-    code = "import sys, sphtrans, sphtrans.cli; print('scipy.integrate' in sys.modules)"
+def test_cli_start_up_loads_no_scipy(tmp_path):
+    # scipy.integrate is the A7 oracle's alone, and the c-function is numpy's:
+    # every CLI process would pay for a scipy import
+    code = (
+        "import sys, sphtrans, sphtrans.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        f"argv = ['cfun', '--preset', 'SL2R', '--grid=-2:2:5', '--out', {str(tmp_path / 'c.csv')!r}]\n"
+        "sphtrans.cli.main(argv)\n"
+        "print(loaded())\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n") == ["[]", "[]", ""]
+    assert (tmp_path / "c.csv").read_text().count("\n") == 6
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +379,11 @@ TOLS = {"quadrature.rel_tol", "quadrature.abs_tol"}
 QUADRATURE = TOLS | {"quadrature.max_subdivisions"}
 FAMILY_FIELDS = {"gaussian": {"width", "scale"}, "cosh": {"power"}, "xi_poly": {"p"},
                  "wave_packet": {"symbol"}, "counterexample": {"symbol"}}
+# the subcommands each family can be given: a counterexample is spectral, and
+# xi_poly decays too weakly to transform
+RADIAL = {"transform", "seminorm", "membership"}
+FAMILY_SUBCOMMANDS = {"gaussian": RADIAL, "cosh": RADIAL, "xi_poly": {"seminorm"},
+                      "wave_packet": RADIAL, "counterexample": {"membership"}}
 
 
 def expected_reads(subcommand, family):
@@ -390,11 +422,10 @@ def declared(subcommand, cfg):
 
 
 def profile_sections(subcommand):
-    """The profile section of each family a subcommand can be given, or none; only
-    membership takes a counterexample, which is spectral."""
+    """The profile section of each family a subcommand can be given, or none."""
     if "profile.family" not in expected_reads(subcommand, "wave_packet"):
         return [("wave_packet", {})]
-    families = [f for f in FAMILY_FIELDS if f != "counterexample" or subcommand == "membership"]
+    families = [f for f in FAMILY_FIELDS if subcommand in FAMILY_SUBCOMMANDS[f]]
     return [(f, {"family": f, **({"symbol": "odd"} if f == "counterexample" else {})})
             for f in families]
 

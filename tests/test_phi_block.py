@@ -299,8 +299,9 @@ def test_phi_cache_stays_under_byte_cap(monkeypatch):
 
 def resumming_integrate(f, lo, hi, q):
     """The adaptive rule re-summing its whole heap on every split, for scalar and
-    vector integrands, splitting the panel with the worst err_k / s_k first."""
-    coarse, fine = specfun._panel_estimates(f, lo, hi)
+    vector integrands, splitting the panel with the worst err_k / s_k first and
+    estimating both halves of a split from one integrand call."""
+    [(coarse, fine)] = specfun._panel_estimates(f, (lo, hi))
     scale = q.tolerance(fine)
 
     def item(a, b, coarse, fine):
@@ -318,8 +319,9 @@ def resumming_integrate(f, lo, hi, q):
             raise AccuracyError("budget exhausted", value=total, err_est=err)
         _, _, a, b, _, _ = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        for panel in ((a, m), (m, b)):
-            heapq.heappush(heap, item(*panel, *specfun._panel_estimates(f, *panel)))
+        halves = zip(((a, m), (m, b)), specfun._panel_estimates(f, (a, m, b)))
+        for panel, estimates in halves:
+            heapq.heappush(heap, item(*panel, *estimates))
         n_splits += 1
 
 

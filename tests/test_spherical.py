@@ -1,3 +1,6 @@
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from sphtrans.errors import DomainError
 from sphtrans.groups import haar_log_derivative, preset
 from sphtrans.profiles import gaussian_profile
 from sphtrans.spherical import (
+    log_gamma,
     phi,
     phi_d1,
     phi_d2,
@@ -151,3 +155,53 @@ def test_radial_profile_evenness_and_decay_check():
     assert f.check_decay(ts) <= 1.0 + 1e-12
     with pytest.raises(DomainError):
         f.deriv(1.0, 3)
+
+
+# ---------------------------------------------------------------------------
+# log_gamma against mpmath, modulo 2 pi i
+# ---------------------------------------------------------------------------
+
+def _log_gamma_points():
+    rng = np.random.default_rng(12)
+    random = rng.uniform(-60.0, 60.0, 300) + 1j * rng.uniform(-60.0, 60.0, 300)
+    # 16 points about each center, none on the real axis
+    ring = 0.01 * np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
+    centers = np.array([0.0, -1.0, -2.0, 0.5, -0.5, 1.0, 2.0])
+    circles = (centers[:, None] + ring).ravel()
+    lines = (np.array([0.0, 0.5, 1.0])[:, None] + 1j * np.linspace(-50.0, 50.0, 100)).ravel()
+    tall = np.array([-3.7, 0.0, 0.05, 0.5, 1.0, 5.0])[:, None] + 1j * np.geomspace(1e2, 2e4, 5)
+    far_left = -np.geomspace(10.0, 1e5, 8)[:, None] + np.array([0.25, 0.5 + 1e-3j, 0.7 - 0.5j])
+    return np.concatenate([random, circles, 1j * circles, lines, tall.ravel(), -tall.ravel(),
+                           far_left.ravel()])
+
+
+def test_log_gamma_matches_mpmath_modulo_2_pi_i():
+    z = _log_gamma_points()
+    got = log_gamma(z)
+    with mpmath.workdps(30):
+        exact = np.array([complex(mpmath.loggamma(mpmath.mpc(x))) for x in z])
+    diff = got - exact
+    diff.imag = (diff.imag + np.pi) % (2.0 * np.pi) - np.pi
+    # scipy's loggamma (the same scheme) reads up to 20 eps here
+    ulps = np.abs(diff) / (np.finfo(float).eps * np.maximum(1.0, np.abs(exact)))
+    assert ulps.max() <= 30.0, z[np.argmax(ulps)]
+
+
+def test_log_gamma_block_entries_are_their_own():
+    z = _log_gamma_points()
+    block = log_gamma(z)
+    assert block.shape == z.shape
+    alone = np.array([log_gamma(z[i:i + 1])[0] for i in range(len(z))])
+    assert block.tobytes() == alone.tobytes()
+    # c_log's (3, n) form, and a scalar
+    assert log_gamma(z[:900].reshape(3, -1)).tobytes() == block[:900].tobytes()
+    assert log_gamma(z[5]).shape == () and log_gamma(z[5]) == block[5]
+
+
+def test_log_gamma_poles_and_empty_input():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_poles = log_gamma(np.array([0.0, -1.0, -3.0, complex(-2.0, -0.0)]))
+        assert np.isnan(at_poles).all()
+        assert log_gamma(np.array([], dtype=complex)).shape == (0,)
+    assert log_gamma(np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
