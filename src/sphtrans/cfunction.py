@@ -53,6 +53,8 @@ def plancherel_density(G: GroupDatum, lam):
 
     Accepts scalars or arrays.
     """
+    if np.iscomplexobj(lam):
+        raise DomainError(f"plancherel_density requires real lam, got {lam!r}")
     lam_arr = np.asarray(lam, dtype=float)
     if not np.all(np.isfinite(lam_arr)):
         raise DomainError(f"plancherel_density requires finite lam, got {lam!r}")

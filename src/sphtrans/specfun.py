@@ -120,14 +120,12 @@ def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def composite_gl_nodes(lo: float, hi: float, n_panels: int, order: int):
-    """Nodes and weights of a composite GL rule with equal panels on [lo, hi]."""
+    """Nodes and weights of a composite GL rule with equal panels on [lo, hi], and
+    their panel split (mid, offsets): node P * order + j is mid[P] + offsets[j]."""
     x, w = gauss_legendre_rule(order)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    half = 0.5 * (hi - lo) / n_panels
+    mid = lo + half * np.arange(1.0, 2.0 * n_panels, 2.0)
+    return (mid[:, None] + half * x).ravel(), np.tile(half * w, n_panels), (mid, half * x)
 
 
 def _panel_estimates(f, edges) -> list:

@@ -23,8 +23,9 @@ map u = tanh^2 t; larger t uses the exponential-series representation
 
 with recursive coefficients and the Gamma-quotient c(lam) (see
 :mod:`sphtrans.cfunction`).  Each series is one product of a coefficient
-matrix (a row per lam) with a matrix of powers (a column per t).  For
-real lam the block is real: phi = 2 Re(c(lam) Phi_lam), one side summed.
+matrix (a row per lam) with powers (a column per t), times e^{i lam t}, once
+per block: e^{i lam mid_P} e^{i lam o_q} on the nodes mid_P + o_q of a composite
+rule.  For real lam the block is real: phi = 2 Re(c(lam) Phi_lam), one side summed.
 The switch point shrinks with |lam| to keep the Pfaff series free of
 cancellation; past the spectral windows used here the lost digits are
 measured and raise AccuracyError.  Near lam = i*k (integer k), where the
@@ -100,21 +101,15 @@ class RadialProfile:
         return np.asarray(out)
 
     def deriv(self, t, k: int):
-        """k-th derivative at t (k <= 2)."""
+        """k-th derivative at t (k <= 2): d1 continued oddly, d2 evenly."""
         if k == 0:
             return self(t)
-        if k == 1:
-            return self._signed(self.d1, t)
-        if k == 2:
-            out = self.d2(np.abs(np.asarray(t, dtype=float)))
-            return out if np.ndim(t) else complex(np.asarray(out).reshape(()))
-        raise DomainError("only derivative orders 0, 1, 2 are supported")
-
-    def _signed(self, fn, t):
-        # odd continuation of the first derivative of an even function
+        if k not in (1, 2):
+            raise DomainError("only derivative orders 0, 1, 2 are supported")
         t_arr = np.asarray(t, dtype=float)
-        out = np.sign(t_arr) * np.asarray(fn(np.abs(t_arr)))
-        return out if np.ndim(t) else complex(np.asarray(out).reshape(()))
+        out = np.asarray((self.d1 if k == 1 else self.d2)(np.abs(t_arr)))
+        out = np.sign(t_arr) * out if k == 1 else out
+        return out if np.ndim(t) else complex(out.reshape(()))
 
     def check_decay(self, ts) -> float:
         """Max ratio |f(t)| / envelope(t) over the given grid (should be <= 1)."""
@@ -205,7 +200,7 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
     return [pref * sums[0], pref * (-s * th * sums[0] + sums[1] * 2.0 * th * (1.0 - th * th))]
 
 
-def _hc_series(G: GroupDatum, sides: np.ndarray, t: np.ndarray, t_min: np.ndarray,
+def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndarray,
                want_d1: bool, weight: np.ndarray, real: bool):
     """weight g(s), g(s) = c(s) Phi_s (and its t-derivative) on sides x t, one
     side s per row, where
@@ -218,9 +213,13 @@ def _hc_series(G: GroupDatum, sides: np.ndarray, t: np.ndarray, t_min: np.ndarra
     running sums of d_m = a_m (mu - 2m) over all m and over each parity
     make a step O(1).  Row i stops at the first k >= 6 where |a_k| x^k and
     |a_{k-1}| x^{k-1} are below 1e-19 max(1, |a_1|, ..., |a_k|), with
-    x = e^{-2 t_min[i]}.  ``real`` keeps the real part only: phi = 2 Re g(lam)
-    for real lam.
+    x = e^{-2 t_min[i]}.  The columns are t = mid[P] + offsets[j] from the
+    ``lo``-th on, so e^{i s t} is e^{i s mid} e^{i s offsets}.  ``real`` keeps
+    the real part only: phi = 2 Re g(lam) for real lam.
     """
+    mid, offsets = panels
+    t = (mid[:, None] + offsets).ravel()[lo:]
+    weighted_c = weight * c_value(G, sides)  # first: it names a lam too large for any digits
     x = np.exp(-2.0 * t_min)
     mu = 1j * sides - G.rho
     total = mu.copy()  # sum of d_m over m < k
@@ -249,23 +248,25 @@ def _hc_series(G: GroupDatum, sides: np.ndarray, t: np.ndarray, t_min: np.ndarra
                 f"exponential series for phi did not settle within {_MAX_HC_TERMS} terms "
                 f"at lam = {_lam_text(sides[i])}, t = {-0.5 * math.log(x[i])!r}"
             )
-    coef = _truncate(A, pair) * (weight * c_value(G, sides))[:, None]
+    coef = _truncate(A, pair) * weighted_c[:, None]
     blocks = [coef]
     if want_d1:
         blocks.append(coef * (mu[:, None] - 2.0 * np.arange(coef.shape[1])))
     # e^{mu t} = e^{-rho t} e^{i s t}; the first factor rides on the powers
     sums = _times_real(blocks, _powers(np.exp(-2.0 * t), coef.shape[1] - 1) * np.exp(-G.rho * t))
+    # e^{i s t}, complex s carrying its own e^{-Im s t}; plain columns are their mid
+    start, skip = divmod(lo, len(offsets))
+    front = np.exp(np.multiply.outer(1j * sides, mid[start:]))
+    if len(offsets) > 1:
+        front = front[:, :, None] * np.exp(np.multiply.outer(1j * sides, offsets))[:, None]
+        front = front.reshape(len(sides), -1)[:, skip:]
     if not real:
-        front = np.exp(1j * np.outer(sides, t))
         return [front * (re + 1j * im) for re, im in sums]
-    phase = np.outer(sides.real, t)
-    vals = [np.cos(phase) * re - np.sin(phase) * im for re, im in sums]
-    off = np.flatnonzero(sides.imag)
-    if off.size:  # |e^{i s t}| = e^{-Im s t}
-        damp = np.exp(-np.outer(sides.imag[off], t))
-        for v in vals:
-            v[off] *= damp
-    return vals
+    re, im = sums[:, 0], sums[:, 1]  # Re(front (re + i im)), written over re
+    re *= front.real
+    im *= front.imag
+    re -= im
+    return list(re)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +372,11 @@ def c_log(G: GroupDatum, lam: np.ndarray) -> np.ndarray:
     args[1:] *= 0.5
     terms = np.empty((4, len(lam)), dtype=complex)
     terms[0] = (G.rho - args[0]) * _LOG_2
-    terms[1:] = log_gamma(args)
     b = math.lgamma(G.jacobi_alpha + 1.0)
-    log_c = terms[0] + b + terms[1] - (terms[2] + terms[3])
-    lost = _EPS * (np.abs(terms.view(float)).reshape(4, -1, 2).sum(axis=(0, 2)) + abs(b))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms fail the guard
+        terms[1:] = log_gamma(args)
+        log_c = terms[0] + b + terms[1] - (terms[2] + terms[3])
+        lost = _EPS * (np.abs(terms.view(float)).reshape(4, -1, 2).sum(axis=(0, 2)) + abs(b))
     if not np.all(lost <= _LOST_DIGITS_TOL):  # too large, or NaN at a Gamma pole
         pole = (args.imag == 0.0) & (args.real <= 0.0) & (args.real == np.floor(args.real))
         log_c[pole[0]] = np.inf
@@ -431,8 +433,9 @@ def _exp_sides(far: np.ndarray, near: np.ndarray, t_min: np.ndarray, radius: flo
             np.concatenate([t_side, np.repeat(t_min[len(far):], z.shape[1])]))
 
 
-def _phi_rows(G: GroupDatum, lam: np.ndarray, t: np.ndarray, want_d1: bool, real: bool):
-    """[phi] or [phi, phi'] on the block of complex rows lam x t, float64 when ``real``.
+def _phi_rows(G: GroupDatum, lam: np.ndarray, panels, want_d1: bool, real: bool):
+    """[phi] or [phi, phi'] on complex rows lam x ascending columns t = mid[P] +
+    offsets[j], ``panels`` = (mid, offsets) (plain t is (t, [0])), real if ``real``.
 
     A row leaves the Pfaff series at max(0.19, 9.6/|lam|) (1.2 for
     |lam| <= 8) for the exponential series, which a row within a tenth of
@@ -440,8 +443,10 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, t: np.ndarray, want_d1: bool, real
     (see :func:`_exp_sides`).  The radius is small enough that the Taylor
     coefficients of phi in lam, of size t^n / n!, alias below roundoff, and
     large enough that the one-sided rows, of size 1 / radius, keep their
-    digits.  Row chunks keep temporaries small.
+    digits.  A branch fills a column range of a row chunk; chunks keep
+    temporaries small.
     """
+    t = (panels[0][:, None] + panels[1]).ravel()
     val = np.empty((len(lam), len(t)), dtype=float if real else complex)
     outs = [val, np.empty_like(val)] if want_d1 else [val]
     mod = np.abs(lam)
@@ -451,23 +456,23 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, t: np.ndarray, want_d1: bool, real
     step = max(1, _BLOCK_ENTRIES // max(len(t), 1))
     for r in range(0, len(lam), step):
         rows = slice(r, r + step)
-        cols = np.flatnonzero(t > switch[rows].min())
-        if cols.size:
+        lo = int(np.searchsorted(t, switch[rows].min(), side="right"))
+        if lo < len(t):
             far, on = r + np.flatnonzero(~near[rows]), r + np.flatnonzero(near[rows])
-            order = np.concatenate([far, on])
-            t_min = np.where(t[cols] > switch[order, None], t[cols], np.inf).min(axis=1)
+            # each row's first column past its own switch point
+            t_min = np.append(t, np.inf)[np.searchsorted(t, switch[np.r_[far, on]], side="right")]
             sides, weight, t_min = _exp_sides(lam[far], lam[on], t_min, radius, real)
-            parts = _hc_series(G, sides, t[cols], t_min, want_d1, weight, real)
+            parts = _hc_series(G, sides, panels, lo, t_min, want_d1, weight, real)
             n = len(far) if real else 2 * len(far)
             for out, part in zip(outs, parts):
-                out[np.ix_(far, cols)] = part[:n] if real else part[:n:2] + part[1:n:2]
+                out[far, lo:] = part[:n] if real else part[:n:2] + part[1:n:2]
                 if on.size:
-                    out[np.ix_(on, cols)] = part[n:].reshape(len(on), -1, len(cols)).sum(axis=1)
-        cols = np.flatnonzero(t <= switch[rows].max())
-        if cols.size:
-            own = t[cols] <= switch[rows, None]
-            for out, part in zip(outs, _pfaff_series(G, lam[rows], t[cols], own, want_d1)):
-                out[rows, cols] = np.where(own, part.real if real else part, out[rows, cols])
+                    out[on, lo:] = part[n:].reshape(len(on), -1, len(t) - lo).sum(axis=1)
+        hi = int(np.searchsorted(t, switch[rows].max(), side="right"))
+        if hi:
+            own = t[:hi] <= switch[rows, None]
+            for out, part in zip(outs, _pfaff_series(G, lam[rows], t[:hi], own, want_d1)):
+                out[rows, :hi] = np.where(own, part.real if real else part, out[rows, :hi])
     return outs
 
 
@@ -483,7 +488,10 @@ def _evaluate(G: GroupDatum, lam, t, order: int):
     rows = np.atleast_1d(lam_arr).astype(complex)
     real = not np.any(rows.imag)
     ts = t_arr.ravel()
-    outs = _phi_rows(G, rows, ts, order > 0, real)
+    perm = None if np.all(ts[1:] >= ts[:-1]) else np.argsort(ts, kind="stable")
+    outs = _phi_rows(G, rows, (ts if perm is None else ts[perm], np.zeros(1)), order > 0, real)
+    if perm is not None:  # the branches fill column ranges of ascending t
+        outs = [o[:, np.argsort(perm)] for o in outs]
     out = outs[min(order, 1)]
     if order == 2:  # phi'' = -(Delta'/Delta) phi' - (lam^2 + rho^2) phi
         val, der = outs
@@ -500,6 +508,14 @@ def _evaluate(G: GroupDatum, lam, t, order: int):
     if np.iscomplexobj(lam_arr):
         out = out.astype(complex, copy=False)
     return out.reshape((len(rows),) + t_arr.shape)
+
+
+def phi_panels(G: GroupDatum, lam: np.ndarray, panels) -> np.ndarray:
+    """The real table [phi_{lam[i]}(t_j)] for finite real 1-D ``lam`` on the ascending
+    nodes t = mid[P] + offsets[j] of a composite rule, ``panels`` = (mid, offsets)."""
+    if not np.all(np.isfinite(lam)):
+        raise DomainError(f"phi requires finite lam, got {lam!r}")
+    return _phi_rows(G, lam.astype(complex), panels, False, True)[0]
 
 
 def phi(G: GroupDatum, lam, t):

@@ -46,7 +46,7 @@ from .specfun import (
     integrate_interval,
     truncation_point,
 )
-from .spherical import RadialProfile, phi, phi_d1, phi_d2
+from .spherical import RadialProfile, phi, phi_d1, phi_d2, phi_panels
 
 __all__ = [
     "SpectralDecay",
@@ -193,6 +193,8 @@ class TransformResult:
 # real phi tables; the oldest go once the byte cap is passed, a larger one is not kept
 _PHI_CACHE: dict[tuple, np.ndarray] = {}
 _PHI_CACHE_BYTES = 256 * 2**20
+# panel split (mid, offsets) of radial rule nodes by their bytes, one per (T, order)
+_PANELS: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -201,7 +203,8 @@ def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray) -> np.ndarray:
     hit = _PHI_CACHE.get(key)
     if hit is not None:
         return hit
-    out = phi(G, lams, ts)
+    panels = _PANELS.get(key[2])
+    out = phi(G, lams, ts) if panels is None else phi_panels(G, lams, panels)
     if out.nbytes <= _PHI_CACHE_BYTES:
         while sum(v.nbytes for v in _PHI_CACHE.values()) + out.nbytes > _PHI_CACHE_BYTES:
             _PHI_CACHE.pop(next(iter(_PHI_CACHE)))
@@ -236,7 +239,8 @@ class _Rule:
 def _radial_rule(G: GroupDatum, T: float, order: int) -> _Rule:
     """Radial rule on [0, T] with the Haar density."""
     n_panels = max(2, int(math.ceil(T / _T_PANEL)))
-    nodes, weights = composite_gl_nodes(0.0, T, n_panels, order)
+    nodes, weights, panels = composite_gl_nodes(0.0, T, n_panels, order)
+    _PANELS[nodes.tobytes()] = panels
     return _Rule(nodes, weights, haar_density(G, nodes))
 
 
@@ -256,7 +260,7 @@ def _spectral_rule(G: GroupDatum, L: float, order: int) -> _Rule:
     """Half-line spectral rule on (0, L] with panels of the given order and the
     Plancherel density."""
     n_panels = max(2, int(math.ceil(L / _NU_PANEL)))
-    nodes, weights = composite_gl_nodes(0.0, L, n_panels, order)
+    nodes, weights, _ = composite_gl_nodes(0.0, L, n_panels, order)
     return _Rule(nodes, weights, cfunction.plancherel_density(G, nodes))
 
 

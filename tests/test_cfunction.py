@@ -9,7 +9,7 @@ from sphtrans.cfunction import (
 )
 from sphtrans.errors import AccuracyError, ConditioningError, DomainError, PoleError
 from sphtrans.groups import PRESET_NAMES, preset
-from sphtrans.spherical import c_value
+from sphtrans.spherical import c_value, phi
 
 PRESETS = ("SL2R", "H3", "H4", "CH2")
 _WINDOW = {"SL2R": 25.0, "SL2C": 12.0, "H3": 12.0, "H4": 10.0, "CH2": 8.0}
@@ -175,3 +175,21 @@ def test_guard_names_the_large_lam_in_a_block(name):
     for fn in (plancherel_density, c_value):
         with pytest.raises(AccuracyError, match=r"c-function loses too many digits at lam = 30000\.0:"):
             fn(G, block)
+
+
+@pytest.mark.parametrize("lam", [1e306, 1.7e308, -1e306])
+def test_huge_lam_raises_accuracy_error_not_a_warning(lam):
+    # Tier-1 turns warnings into errors: an overflow inside log Gamma would fail here
+    G = preset("H3")
+    text = f"lam = {lam!r}:"
+    for call in (lambda: phi(G, lam, 1.0), lambda: c_function(G, lam),
+                 lambda: plancherel_density(G, lam),
+                 lambda: plancherel_density(G, np.array([2.0, lam]))):
+        with pytest.raises(AccuracyError, match=text.replace("+", r"\+")):
+            call()
+
+
+@pytest.mark.parametrize("lam", [2.0 + 1.0j, 3.0 + 0.0j, np.array([1.0, 2.0 + 0.5j])])
+def test_density_rejects_complex_lam(lam):
+    with pytest.raises(DomainError, match="plancherel_density requires real lam"):
+        plancherel_density(preset("H3"), lam)

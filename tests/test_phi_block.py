@@ -15,7 +15,7 @@ from sphtrans.errors import AccuracyError, DomainError
 from sphtrans.groups import PRESET_NAMES, preset
 from sphtrans.profiles import gaussian_profile
 from sphtrans.schwartz import TubeSpec, tube_extension_check
-from sphtrans.spherical import phi, phi_d1, phi_d2
+from sphtrans.spherical import phi, phi_d1, phi_d2, xi
 
 from integral_oracle import phi_integral_oracle
 
@@ -263,13 +263,14 @@ def test_hc_transform_folds_mirrored_rows(monkeypatch):
     G = preset("SL2R")
     f = gaussian_profile(G)
     rows = []
-    real_phi = transform.phi
+    real_phi_panels = transform.phi_panels
 
-    def counting_phi(G, lam, t):
+    # the tables on radial rule nodes are built by phi_panels
+    def counting_phi_panels(G, lam, panels):
         rows.append(np.size(lam))
-        return real_phi(G, lam, t)
+        return real_phi_panels(G, lam, panels)
 
-    monkeypatch.setattr(transform, "phi", counting_phi)
+    monkeypatch.setattr(transform, "phi_panels", counting_phi_panels)
     monkeypatch.setattr(transform, "_PHI_CACHE", {})
     for grid in (GRID, np.linspace(-11.5, 11.5, 481)):
         res = transform.hc_transform(G, f, grid)
@@ -291,6 +292,49 @@ def test_phi_cache_stays_under_byte_cap(monkeypatch):
     assert big.shape == (400, 1000)
     assert all(v is not big for v in transform._PHI_CACHE.values())
     assert sum(v.nbytes for v in transform._PHI_CACHE.values()) <= cap
+
+
+# --------------------------------------------------------------------------
+# tables on panel nodes, and the independence of an entry from its position
+# --------------------------------------------------------------------------
+
+# rows inside the Cauchy band about 0 (0, 1e-5, 3e-4) and just outside it (0.02)
+CIRCLE_ROWS = np.array([0.0, 1e-5, 3e-4, 0.02])
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_panel_tables_match_plain_phi(name, monkeypatch):
+    G = preset(name)
+    monkeypatch.setattr(transform, "_PHI_CACHE", {})
+    folded = transform._mirror_fold(np.linspace(-12.0, 12.0, 241))[0]
+    spectral = transform._spectral_rule(G, 12.0, transform._NU_ORDER).nodes
+    rows = np.concatenate([folded, spectral, CIRCLE_ROWS])
+    # the switch points, 1.2 and 9.6 / |lam| for |lam| > 8, lie inside panels of
+    # width 0.5, so the exponential series of a row starts mid-panel
+    for T in (4.0, 16.0, 40.0):
+        for order in (16, 10):
+            nodes = transform._radial_rule(G, T, order).nodes
+            assert nodes.tobytes() in transform._PANELS
+            table = transform._phi_block(G, rows, nodes)
+            err = np.abs(table - phi(G, rows, nodes)) / xi(G, nodes)
+            assert err.max() <= 1e-13, (T, order)
+
+
+def test_entries_do_not_depend_on_column_order_or_row_position():
+    G = preset("CH2")
+    rng = np.random.default_rng(13)
+    t = np.sort(rng.uniform(0.0, 30.0, 301))
+    # far rows on both sides of the switch points, and rows in the Cauchy band
+    lams = np.concatenate([CIRCLE_ROWS, [0.7, 2.5, 9.0, 11.9, 30.0]])
+    block = phi(G, lams, t)
+    cols = rng.permutation(len(t))
+    np.testing.assert_array_equal(phi(G, lams, t[cols]), block[:, cols])
+    rows = rng.permutation(len(lams))
+    np.testing.assert_array_equal(phi(G, lams[rows], t), block[rows])
+    np.testing.assert_array_equal(phi(G, lams[rows], t[cols]), block[np.ix_(rows, cols)])
+    for fn in (phi_d1, phi_d2):
+        block = fn(G, lams, t)
+        np.testing.assert_array_equal(fn(G, lams[rows], t[cols]), block[np.ix_(rows, cols)])
 
 
 # --------------------------------------------------------------------------
