@@ -128,6 +128,12 @@ def composite_gl_nodes(lo: float, hi: float, n_panels: int, order: int):
     return (mid[:, None] + half * x).ravel(), np.tile(half * w, n_panels), (mid, half * x)
 
 
+# the first estimate of integrate_interval is on this many equal panels, in one call
+_START_PANELS = 4
+# bounds below half the largest float keep every panel sum a + b finite
+_MAX_BOUND = 0.5 * np.finfo(float).max
+
+
 def _panel_estimates(f, edges) -> list:
     """(coarse, fine) GL estimates of the integral of f over each panel between
     consecutive ``edges``, one per component when f returns an (n_comp, n_t)
@@ -156,17 +162,22 @@ def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD
     (n_comp,), with err_est_k <= max(abs_tol, rel_tol*|value_k|) for every
     component k; raises AccuracyError with the partial values attached
     when the subdivision budget runs out.  The panel split next is the one
-    with the worst err_k / s_k, where s_k is the tolerance of the first
-    whole-interval estimate of component k; a scalar integrand is the
-    one-component case.  ``f`` is called once on [lo, hi] and once per split,
-    on the nodes of both halves.
+    with the worst err_k / s_k, where s_k is the tolerance of component k's
+    first estimate; a scalar integrand is the one-component case.  ``f`` is
+    called once on the nodes of _START_PANELS equal panels of [lo, hi], which
+    give that first estimate, and once per split, on the nodes of both halves.
     """
     lo = float(lo)
     hi = float(hi)
+    # a panel sum a + b near a bound must stay finite; NaN fails the test too
+    if not (abs(lo) < _MAX_BOUND and abs(hi) < _MAX_BOUND):
+        raise DomainError(f"need finite bounds below {_MAX_BOUND:.4g} in magnitude, "
+                          f"got lo = {lo!r}, hi = {hi!r}")
     if not lo < hi:
-        raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    [(coarse, fine)] = _panel_estimates(f, (lo, hi))
-    scale = q.tolerance(fine)
+        raise DomainError(f"need lo < hi, got lo = {lo!r}, hi = {hi!r}")
+    edges = np.linspace(lo, hi, _START_PANELS + 1).tolist()
+    estimates = _panel_estimates(f, edges)
+    scale = q.tolerance(sum(fine for _, fine in estimates))
 
     def panel(a, b, coarse, fine):
         # builtin abs: on a numpy scalar it is the scalar hypot, from which the
@@ -176,10 +187,12 @@ def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD
         # integrand splits in the order of its errors, then on the interval
         return (-np.max(err / scale), -np.max(err), a, b, fine, err)
 
-    heap = [panel(lo, hi, coarse, fine)]
+    heap = [panel(a, b, *est) for a, b, est in zip(edges[:-1], edges[1:], estimates)]
+    heapq.heapify(heap)
     # running totals steer; near a decision, or once some err_k fell 1000-fold
     # (to keep their drift relative), the heap sums replace them and decide
-    total, err = heap[0][4], heap[0][5]
+    total = sum(item[4] for item in heap)
+    err = sum(item[5] for item in heap)
     synced, n_splits = err, 0
     while True:
         done = n_splits >= q.max_subdivisions

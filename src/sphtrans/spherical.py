@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, EvaluationError
 from .groups import GroupDatum, haar_log_derivative
 from .specfun import ExpDecay
 
@@ -201,7 +201,7 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
 
 
 def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndarray,
-               want_d1: bool, weight: np.ndarray, real: bool):
+               want_d1: bool, weight: np.ndarray, real: bool, names: np.ndarray):
     """weight g(s), g(s) = c(s) Phi_s (and its t-derivative) on sides x t, one
     side s per row, where
 
@@ -215,11 +215,12 @@ def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndar
     |a_{k-1}| x^{k-1} are below 1e-19 max(1, |a_1|, ..., |a_k|), with
     x = e^{-2 t_min[i]}.  The columns are t = mid[P] + offsets[j] from the
     ``lo``-th on, so e^{i s t} is e^{i s mid} e^{i s offsets}.  ``real`` keeps
-    the real part only: phi = 2 Re g(lam) for real lam.
+    the real part only: phi = 2 Re g(lam) for real lam.  Errors name the
+    caller's lam of each side, ``names``.
     """
     mid, offsets = panels
     t = (mid[:, None] + offsets).ravel()[lo:]
-    weighted_c = weight * c_value(G, sides)  # first: it names a lam too large for any digits
+    weighted_c = weight * c_value(G, sides, names)  # first: it names a lam too large for any digits
     x = np.exp(-2.0 * t_min)
     mu = 1j * sides - G.rho
     total = mu.copy()  # sum of d_m over m < k
@@ -246,19 +247,22 @@ def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndar
             i = int(np.argmin(pair.any(axis=1)))
             raise AccuracyError(
                 f"exponential series for phi did not settle within {_MAX_HC_TERMS} terms "
-                f"at lam = {_lam_text(sides[i])}, t = {-0.5 * math.log(x[i])!r}"
+                f"at lam = {_lam_text(names[i])}, t = {-0.5 * math.log(x[i])!r}"
             )
     coef = _truncate(A, pair) * weighted_c[:, None]
     blocks = [coef]
     if want_d1:
         blocks.append(coef * (mu[:, None] - 2.0 * np.arange(coef.shape[1])))
-    # e^{mu t} = e^{-rho t} e^{i s t}; the first factor rides on the powers
-    sums = _times_real(blocks, _powers(np.exp(-2.0 * t), coef.shape[1] - 1) * np.exp(-G.rho * t))
-    # e^{i s t}, complex s carrying its own e^{-Im s t}; plain columns are their mid
+    # e^{mu t} = e^{-rho t} e^{i s t}; for real lam the first factor rides on the
+    # powers, a complex block takes e^{mu t} whole, in range while phi is
+    sums = _times_real(blocks, _powers(np.exp(-2.0 * t), coef.shape[1] - 1)
+                       * (np.exp(-G.rho * t) if real else 1.0))
+    # e^{i s t} (e^{mu t}), complex s carrying its own e^{-Im s t}; plain columns are their mid
     start, skip = divmod(lo, len(offsets))
-    front = np.exp(np.multiply.outer(1j * sides, mid[start:]))
+    rate = 1j * sides if real else mu
+    front = np.exp(np.multiply.outer(rate, mid[start:]))
     if len(offsets) > 1:
-        front = front[:, :, None] * np.exp(np.multiply.outer(1j * sides, offsets))[:, None]
+        front = front[:, :, None] * np.exp(np.multiply.outer(rate, offsets))[:, None]
         front = front.reshape(len(sides), -1)[:, skip:]
     if not real:
         return [front * (re + 1j * im) for re, im in sums]
@@ -352,7 +356,7 @@ def log_gamma(z) -> np.ndarray:
     return np.where(lower, out.conj(), out).reshape(shape)
 
 
-def c_log(G: GroupDatum, lam: np.ndarray) -> np.ndarray:
+def c_log(G: GroupDatum, lam: np.ndarray, names=None) -> np.ndarray:
     """log of the rank-one c-function in this normalization, on a finite 1-D ``lam`` array.
 
     c(lam) = 2^(rho - i lam) Gamma(alpha+1) Gamma(i lam)
@@ -364,7 +368,7 @@ def c_log(G: GroupDatum, lam: np.ndarray) -> np.ndarray:
     meet the zero wins).  The five log terms grow like |lam| log|lam| and
     cancel; once roundoff on their sum passes 1e-10 (from |lam| about
     2.1e4) the result has no digits to spare and AccuracyError names the
-    first such lam.
+    first such lam, or its entry of ``names`` when given.
     """
     lam = np.asarray(lam, dtype=complex)
     # rows: i lam, (rho + i lam)/2, (alpha - beta + 1 + i lam)/2
@@ -385,24 +389,25 @@ def c_log(G: GroupDatum, lam: np.ndarray) -> np.ndarray:
         if bad.any():
             i = int(np.argmax(bad))
             raise AccuracyError(
-                f"c-function loses too many digits at lam = {_lam_text(lam[i])}: roundoff "
+                f"c-function loses too many digits at lam = "
+                f"{_lam_text((lam if names is None else names)[i])}: roundoff "
                 f"{lost[i]:.2e} on log c exceeds {_LOST_DIGITS_TOL:g}", err_est=float(lost[i])
             )
     return log_c
 
 
-def c_value(G: GroupDatum, lam: np.ndarray) -> np.ndarray:
+def c_value(G: GroupDatum, lam: np.ndarray, names=None) -> np.ndarray:
     """c(lam) on a finite 1-D ``lam`` array; 0 at the denominator poles."""
-    return np.exp(c_log(G, lam))
+    return np.exp(c_log(G, lam, names))
 
 
 # ---------------------------------------------------------------------------
 # block evaluator and public functions
 # ---------------------------------------------------------------------------
 
-def _exp_sides(far: np.ndarray, near: np.ndarray, t_min: np.ndarray, radius: float, real: bool):
-    """One-sided rows s for the exponential series of the rows far, then near,
-    with weights W and the t_min of each side, such that
+def _exp_sides(lam: np.ndarray, far: np.ndarray, near: np.ndarray, radius: float, real: bool):
+    """One-sided rows s for the exponential series of the rows lam[far], then
+    lam[near], with weights W and the row of lam each side belongs to, such that
 
         phi_lam = sum over its sides of W g(s)  (of Re W g(s) when ``real``),
 
@@ -416,21 +421,21 @@ def _exp_sides(far: np.ndarray, near: np.ndarray, t_min: np.ndarray, radius: flo
     g(-conj z) = conj(g(z)) leave the N/2 sides with Re z > 0 for real lam.
     """
     if real:
-        sides, weight, t_side = far, np.full(len(far), 2.0), t_min[:len(far)]
+        sides, weight, owner = lam[far], np.full(len(far), 2.0), far
     else:
-        sides, weight = np.column_stack([far, -far]).ravel(), np.ones(2 * len(far))
-        t_side = np.repeat(t_min[:len(far)], 2)
+        sides, weight = np.column_stack([lam[far], -lam[far]]).ravel(), np.ones(2 * len(far))
+        owner = np.repeat(far, 2)
     if not len(near):
-        return sides, weight, t_side
-    z = 1j * np.round(near.imag)[:, None] + radius * _CIRCLE
-    w = radius * _CIRCLE / (len(_CIRCLE) * (z - near[:, None]))
+        return sides, weight, owner
+    z = 1j * np.round(lam[near].imag)[:, None] + radius * _CIRCLE
+    w = radius * _CIRCLE / (len(_CIRCLE) * (z - lam[near, None]))
     half = len(_CIRCLE) // 2
     if real:  # z_{j+N/2} = -z_j
         z, w = z[:, :half], 2.0 * (w[:, :half] + w[:, half:])
     else:
         z, w = np.hstack([z, -z]), np.hstack([w, w])
     return (np.concatenate([sides, z.ravel()]), np.concatenate([weight, w.ravel()]),
-            np.concatenate([t_side, np.repeat(t_min[len(far):], z.shape[1])]))
+            np.concatenate([owner, np.repeat(near, z.shape[1])]))
 
 
 def _phi_rows(G: GroupDatum, lam: np.ndarray, panels, want_d1: bool, real: bool):
@@ -459,10 +464,10 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, panels, want_d1: bool, real: bool)
         lo = int(np.searchsorted(t, switch[rows].min(), side="right"))
         if lo < len(t):
             far, on = r + np.flatnonzero(~near[rows]), r + np.flatnonzero(near[rows])
-            # each row's first column past its own switch point
-            t_min = np.append(t, np.inf)[np.searchsorted(t, switch[np.r_[far, on]], side="right")]
-            sides, weight, t_min = _exp_sides(lam[far], lam[on], t_min, radius, real)
-            parts = _hc_series(G, sides, panels, lo, t_min, want_d1, weight, real)
+            sides, weight, owner = _exp_sides(lam, far, on, radius, real)
+            # each side's first column past its row's switch point
+            t_min = np.append(t, np.inf)[np.searchsorted(t, switch[owner], side="right")]
+            parts = _hc_series(G, sides, panels, lo, t_min, want_d1, weight, real, lam[owner])
             n = len(far) if real else 2 * len(far)
             for out, part in zip(outs, parts):
                 out[far, lo:] = part[:n] if real else part[:n:2] + part[1:n:2]
@@ -489,19 +494,24 @@ def _evaluate(G: GroupDatum, lam, t, order: int):
     real = not np.any(rows.imag)
     ts = t_arr.ravel()
     perm = None if np.all(ts[1:] >= ts[:-1]) else np.argsort(ts, kind="stable")
-    outs = _phi_rows(G, rows, (ts if perm is None else ts[perm], np.zeros(1)), order > 0, real)
-    if perm is not None:  # the branches fill column ranges of ascending t
-        outs = [o[:, np.argsort(perm)] for o in outs]
-    out = outs[min(order, 1)]
-    if order == 2:  # phi'' = -(Delta'/Delta) phi' - (lam^2 + rho^2) phi
-        val, der = outs
-        ev = (rows.real**2 if real else rows * rows)[:, None] + G.rho * G.rho
-        # the t = 0 limit, only where its O(t^2 (lam^2 + rho^2)) remainder is below roundoff
-        at0 = ts * ts * np.abs(ev) <= _EPS
-        out = -ev * val
-        far = ~at0.all(axis=0)
-        out[:, far] -= haar_log_derivative(G, ts[far]) * der[:, far]
-        out = np.where(at0, -ev / (2.0 * (G.jacobi_alpha + 1.0)), out)
+    with np.errstate(all="ignore"):  # a value past float range is reported below
+        outs = _phi_rows(G, rows, (ts if perm is None else ts[perm], np.zeros(1)), order > 0, real)
+        if perm is not None:  # the branches fill column ranges of ascending t
+            outs = [o[:, np.argsort(perm)] for o in outs]
+        out = outs[min(order, 1)]
+        if order == 2:  # phi'' = -(Delta'/Delta) phi' - (lam^2 + rho^2) phi
+            val, der = outs
+            ev = (rows.real**2 if real else rows * rows)[:, None] + G.rho * G.rho
+            # the t = 0 limit, only where its O(t^2 (lam^2 + rho^2)) remainder is below roundoff
+            at0 = ts * ts * np.abs(ev) <= _EPS
+            out = -ev * val
+            far = ~at0.all(axis=0)
+            out[:, far] -= haar_log_derivative(G, ts[far]) * der[:, far]
+            out = np.where(at0, -ev / (2.0 * (G.jacobi_alpha + 1.0)), out)
+    if not np.all(np.isfinite(out)):
+        i, j = np.unravel_index(np.argmax(~np.isfinite(out)), out.shape)
+        raise EvaluationError(f"{('phi', 'phi_d1', 'phi_d2')[order]} leaves float range at "
+                              f"lam = {_lam_text(rows[i])}, t = {float(ts[j])!r}")
     if lam_arr.ndim == 0:
         out = out[0].astype(complex)
         return complex(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)

@@ -3,6 +3,7 @@ plus the table cache, the mirror fold and the adaptive rule's running totals."""
 
 import heapq
 import math
+import re
 import time
 
 import mpmath
@@ -11,7 +12,7 @@ import pytest
 
 from sphtrans import specfun, transform
 from sphtrans.cfunction import _ode_solution, c_function, plancherel_density
-from sphtrans.errors import AccuracyError, DomainError
+from sphtrans.errors import AccuracyError, DomainError, EvaluationError
 from sphtrans.groups import PRESET_NAMES, preset
 from sphtrans.profiles import gaussian_profile
 from sphtrans.schwartz import TubeSpec, tube_extension_check
@@ -224,6 +225,30 @@ def test_c_function_guard_fires_where_its_digits_are_gone(lam):
         phi(preset("H3"), lam, 1.0)
 
 
+@pytest.mark.parametrize("lam", [1e5j, 1e306j])
+def test_c_function_guard_names_the_callers_lam_near_iz(lam):
+    # the row lies on i*Z, so its series runs on a Cauchy circle about it
+    with pytest.raises(AccuracyError, match=re.escape(f"at lam = {lam!r}:")):
+        phi(preset("H3"), lam, 1.0)
+
+
+@pytest.mark.parametrize("fn", [phi, phi_d1])
+@pytest.mark.parametrize("lam, t", [(800j, 1.0), (2j, 800.0)])
+def test_values_past_float_range_raise_a_typed_error(fn, lam, t):
+    # sinh(y t) / (y sinh t) is about 3e344 and 1e347 there
+    with pytest.raises(EvaluationError, match=re.escape(f"lam = {lam!r}, t = {t!r}")):
+        fn(preset("H3"), np.array([0.5j, lam]), np.array([0.5, t]))
+
+
+@pytest.mark.parametrize("lam, t", [(700j, 1.0), (2j, 700.0)])
+def test_values_near_float_range_meet_h3_closed_form(lam, t):
+    # sinh(y t) / (y sinh t) = e^((y - 1) t) (1 - e^(-2 y t)) / (y (1 - e^(-2t))),
+    # about 6e300 and 5e303; the second overflows e^(y t) on its own
+    y = lam.imag
+    exact = math.exp((y - 1.0) * t) * -math.expm1(-2.0 * y * t) / (y * -math.expm1(-2.0 * t))
+    assert abs(phi(preset("H3"), lam, t) - exact) <= 1e-12 * exact
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_lost_digits_guard_silent_on_spectral_window(name):
     G = preset(name)
@@ -344,15 +369,18 @@ def test_entries_do_not_depend_on_column_order_or_row_position():
 def resumming_integrate(f, lo, hi, q):
     """The adaptive rule re-summing its whole heap on every split, for scalar and
     vector integrands, splitting the panel with the worst err_k / s_k first and
-    estimating both halves of a split from one integrand call."""
-    [(coarse, fine)] = specfun._panel_estimates(f, (lo, hi))
-    scale = q.tolerance(fine)
+    estimating four equal starting panels, and both halves of a split, from one
+    integrand call each."""
+    edges = np.linspace(lo, hi, 5).tolist()
+    estimates = specfun._panel_estimates(f, edges)
+    scale = q.tolerance(sum(fine for _, fine in estimates))
 
     def item(a, b, coarse, fine):
         err = abs(fine - coarse)
         return (-np.max(err / scale), -np.max(err), a, b, fine, err)
 
-    heap = [item(lo, hi, coarse, fine)]
+    heap = [item(a, b, *est) for a, b, est in zip(edges[:-1], edges[1:], estimates)]
+    heapq.heapify(heap)
     n_splits = 0
     while True:
         total = sum(it[4] for it in heap)
@@ -400,6 +428,36 @@ def test_running_totals_reproduce_resummed_results(monkeypatch):
             integrate(lambda x: np.sin(1e6 * x * x), 0.0, 1.0, q)
         errors.append((info.value.value, info.value.err_est))
     assert errors[0] == errors[1]
+
+
+def test_pointwise_integrals_converge_in_one_integrand_call(monkeypatch):
+    G = preset("H3")
+    f = gaussian_profile(G, width=1.0)
+    calls, integrals = [], []
+    estimates = specfun._panel_estimates
+
+    def counted_estimates(g, edges):
+        calls.append(len(edges) - 1)
+        return estimates(g, edges)
+
+    def counted_integral(*args, **kwargs):
+        integrals.append(1)
+        return specfun.integrate_interval(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_panel_estimates", counted_estimates)
+    monkeypatch.setattr(transform, "integrate_interval", counted_integral)
+    ops = [lambda lam=lam: transform.hc_transform_at(G, f, lam) for lam in (1.0, 2.0, 3.0)]
+    ops.append(lambda: transform.convolve_at_identity(
+        G, gaussian_profile(G, 1.0), gaussian_profile(G, 0.5)))
+    ops += [lambda lam=lam, eps=eps: transform.expansion_term(G, "split", f, lam, eps)
+            for lam in (0.5, 1.5, 2.5) for eps in (0.4, 0.2, 0.1)]
+    ops.append(lambda: tube_extension_check(G, f, TubeSpec.for_group(G, 0.1)))
+    for op in ops:
+        calls.clear()
+        integrals.clear()
+        op()
+        # one integral, estimated on its four starting panels and never split
+        assert (len(integrals), calls) == (1, [4])
 
 
 def test_exhausted_budget_sums_the_heap_a_few_times(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -183,6 +184,19 @@ def test_vector_budget_exhaustion_carries_partial_values():
     assert err.value.value.shape == err.value.err_est.shape == (2,)
     assert abs(err.value.value[0] - (1.0 - math.cos(1.0))) <= 1e-13
     assert err.value.err_est[1] > q.tolerance(err.value.value[1])
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308), (0.0, 1e308)])
+def test_interval_rejects_bounds_out_of_float_range(lo, hi):
+    # non-finite bounds, a width past float range, a panel sum a + b past float range
+    with pytest.raises(DomainError, match=re.escape(f"lo = {lo!r}, hi = {hi!r}")):
+        integrate_interval(np.sin, lo, hi)
+
+
+def test_interval_bound_of_1e300_is_in_range():
+    # the budget runs out, with no overflow on the way
+    with pytest.raises(AccuracyError, match="budget 3 exhausted"):
+        integrate_interval(np.sin, 0.0, 1e300, QuadratureSpec(max_subdivisions=3))
 
 
 def test_quadrature_spec_validation():
