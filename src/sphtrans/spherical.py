@@ -23,9 +23,9 @@ map u = tanh^2 t; larger t uses the exponential-series representation
 
 with recursive coefficients and the Gamma-quotient c(lam) (see
 :mod:`sphtrans.cfunction`).  Each series is one product of a coefficient
-matrix (a row per lam) with powers (a column per t), times e^{i lam t}, once
-per block: e^{i lam mid_P} e^{i lam o_q} on the nodes mid_P + o_q of a composite
-rule.  For real lam the block is real: phi = 2 Re(c(lam) Phi_lam), one side summed.
+matrix (a row per lam) with powers (a column per t), times e^{(i*lam - rho) t},
+once per block: its factors at mid_P and at o_q on the nodes mid_P + o_q of a
+composite rule.  For real lam the block is real: phi = 2 Re(c(lam) Phi_lam), one side summed.
 The switch point shrinks with |lam| to keep the Pfaff series free of
 cancellation; past the spectral windows used here the lost digits are
 measured and raise AccuracyError.  Near lam = i*k (integer k), where the
@@ -214,7 +214,7 @@ def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndar
     make a step O(1).  Row i stops at the first k >= 6 where |a_k| x^k and
     |a_{k-1}| x^{k-1} are below 1e-19 max(1, |a_1|, ..., |a_k|), with
     x = e^{-2 t_min[i]}.  The columns are t = mid[P] + offsets[j] from the
-    ``lo``-th on, so e^{i s t} is e^{i s mid} e^{i s offsets}.  ``real`` keeps
+    ``lo``-th on, so e^{mu t} is e^{mu mid} e^{mu offsets}.  ``real`` keeps
     the real part only: phi = 2 Re g(lam) for real lam.  Errors name the
     caller's lam of each side, ``names``.
     """
@@ -253,16 +253,13 @@ def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndar
     blocks = [coef]
     if want_d1:
         blocks.append(coef * (mu[:, None] - 2.0 * np.arange(coef.shape[1])))
-    # e^{mu t} = e^{-rho t} e^{i s t}; for real lam the first factor rides on the
-    # powers, a complex block takes e^{mu t} whole, in range while phi is
-    sums = _times_real(blocks, _powers(np.exp(-2.0 * t), coef.shape[1] - 1)
-                       * (np.exp(-G.rho * t) if real else 1.0))
-    # e^{i s t} (e^{mu t}), complex s carrying its own e^{-Im s t}; plain columns are their mid
+    sums = _times_real(blocks, _powers(np.exp(-2.0 * t), coef.shape[1] - 1))
+    # e^{mu t} in one exponent, in range while phi is (e^{i s t} alone need not be);
+    # plain columns are their mid
     start, skip = divmod(lo, len(offsets))
-    rate = 1j * sides if real else mu
-    front = np.exp(np.multiply.outer(rate, mid[start:]))
+    front = np.exp(np.multiply.outer(mu, mid[start:]))
     if len(offsets) > 1:
-        front = front[:, :, None] * np.exp(np.multiply.outer(rate, offsets))[:, None]
+        front = front[:, :, None] * np.exp(np.multiply.outer(mu, offsets))[:, None]
         front = front.reshape(len(sides), -1)[:, skip:]
     if not real:
         return [front * (re + 1j * im) for re, im in sums]
@@ -494,24 +491,25 @@ def _evaluate(G: GroupDatum, lam, t, order: int):
     real = not np.any(rows.imag)
     ts = t_arr.ravel()
     perm = None if np.all(ts[1:] >= ts[:-1]) else np.argsort(ts, kind="stable")
-    with np.errstate(all="ignore"):  # a value past float range is reported below
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past float range is named below
         outs = _phi_rows(G, rows, (ts if perm is None else ts[perm], np.zeros(1)), order > 0, real)
-        if perm is not None:  # the branches fill column ranges of ascending t
-            outs = [o[:, np.argsort(perm)] for o in outs]
-        out = outs[min(order, 1)]
-        if order == 2:  # phi'' = -(Delta'/Delta) phi' - (lam^2 + rho^2) phi
-            val, der = outs
-            ev = (rows.real**2 if real else rows * rows)[:, None] + G.rho * G.rho
-            # the t = 0 limit, only where its O(t^2 (lam^2 + rho^2)) remainder is below roundoff
-            at0 = ts * ts * np.abs(ev) <= _EPS
-            out = -ev * val
-            far = ~at0.all(axis=0)
-            out[:, far] -= haar_log_derivative(G, ts[far]) * der[:, far]
-            out = np.where(at0, -ev / (2.0 * (G.jacobi_alpha + 1.0)), out)
-    if not np.all(np.isfinite(out)):
-        i, j = np.unravel_index(np.argmax(~np.isfinite(out)), out.shape)
-        raise EvaluationError(f"{('phi', 'phi_d1', 'phi_d2')[order]} leaves float range at "
-                              f"lam = {_lam_text(rows[i])}, t = {float(ts[j])!r}")
+    if perm is not None:  # the branches fill column ranges of ascending t
+        outs = [o[:, np.argsort(perm)] for o in outs]
+    for part in outs[1:] if order == 1 else outs:  # the values the result is made of
+        if not np.all(np.isfinite(part)):
+            i, j = np.unravel_index(np.argmax(~np.isfinite(part)), part.shape)
+            raise EvaluationError(f"{('phi', 'phi_d1', 'phi_d2')[order]} leaves float range at "
+                                  f"lam = {_lam_text(rows[i])}, t = {float(ts[j])!r}")
+    out = outs[min(order, 1)]
+    if order == 2:  # phi'' = -(Delta'/Delta) phi' - (lam^2 + rho^2) phi
+        val, der = outs
+        ev = (rows.real**2 if real else rows * rows)[:, None] + G.rho * G.rho
+        # the t = 0 limit, only where its O(t^2 (lam^2 + rho^2)) remainder is below roundoff
+        at0 = ts * ts * np.abs(ev) <= _EPS
+        out = -ev * val
+        far = ~at0.all(axis=0)
+        out[:, far] -= haar_log_derivative(G, ts[far]) * der[:, far]
+        out = np.where(at0, -ev / (2.0 * (G.jacobi_alpha + 1.0)), out)
     if lam_arr.ndim == 0:
         out = out[0].astype(complex)
         return complex(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
