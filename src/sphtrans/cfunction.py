@@ -35,17 +35,20 @@ __all__ = [
 ]
 
 
-def c_function(G: GroupDatum, lam) -> complex:
-    """c(lam) as a Gamma quotient; PoleError at lam in i*Z (pole of Gamma(i lam))."""
-    lam = complex(lam)
-    if not cmath.isfinite(lam):
-        raise DomainError(f"c_function requires finite lam, got {lam}")
-    il = 1j * lam
-    if il.imag == 0.0 and il.real <= 0.0 and il.real == math.floor(il.real):
-        raise PoleError(
-            f"c-function pole at lam = {lam} (Gamma(i*lam) pole)", pole=int(il.real)
-        )
-    return complex(c_value(G, np.array([lam]))[0])
+def c_function(G: GroupDatum, lam):
+    """c(lam) as a Gamma quotient for complex lam, a scalar or an array as in
+    :func:`plancherel_density`, each entry bit-equal to the scalar call.  PoleError
+    names the first lam in i*Z>=0 (a pole of Gamma(i lam)), DomainError a non-finite lam."""
+    lam_arr = np.asarray(lam, dtype=complex)
+    if not np.all(np.isfinite(lam_arr)):
+        raise DomainError(f"c_function requires finite lam, got {lam!r}")
+    flat = lam_arr.ravel()
+    pole = (flat.real == 0.0) & (flat.imag >= 0.0) & (flat.imag == np.floor(flat.imag))
+    if pole.any():
+        z = complex(flat[np.argmax(pole)])
+        raise PoleError(f"c-function pole at lam = {z} (Gamma(i*lam) pole)", pole=-int(z.imag))
+    out = c_value(G, flat)
+    return complex(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
 
 
 def plancherel_density(G: GroupDatum, lam):

@@ -36,7 +36,7 @@ import numpy as np
 from . import acceptance, profiles, schwartz
 from . import transform as tr
 from .cfunction import c_function, plancherel_density
-from .errors import AccuracyError, ConfigError, PoleError, SphtransError
+from .errors import AccuracyError, ConfigError, SphtransError
 from .groups import PRESET_NAMES, preset
 from .specfun import QuadratureSpec
 from .spherical import phi
@@ -293,14 +293,11 @@ def _run_phi(cfg: RunConfig) -> Table:
 def _run_cfun(cfg: RunConfig) -> Table:
     G = preset(cfg.preset)
     grid = _grid(cfg)
-    rows = []
-    for lam in grid:
-        try:
-            c = c_function(G, lam)
-        except PoleError:
-            c = complex(math.nan, math.nan)
-        rows.append([lam, c.real, c.imag, plancherel_density(G, lam)])
-    return Table(["lambda", "re_c", "im_c", "density"], rows)
+    c = np.full(len(grid), complex(math.nan, math.nan))
+    regular = grid != 0.0  # lam = 0 is the one pole of c on the real axis
+    c[regular] = c_function(G, grid[regular])
+    return Table(["lambda", "re_c", "im_c", "density"],
+                 [list(row) for row in zip(grid, c.real, c.imag, plancherel_density(G, grid))])
 
 
 def _run_transform(cfg: RunConfig) -> Table:

@@ -7,11 +7,16 @@ metadata is a genuine global envelope in every case.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import DomainError
 from .groups import GroupDatum
 from .specfun import ExpDecay
 from .spherical import RadialProfile, phi_d1, phi_d2, xi
+
+_LOG_MAX = math.log(np.finfo(float).max)  # e^x overflows past it
 
 
 def gaussian_profile(G: GroupDatum, width: float = 1.0, scale: float = 1.0) -> RadialProfile:
@@ -20,10 +25,13 @@ def gaussian_profile(G: GroupDatum, width: float = 1.0, scale: float = 1.0) -> R
     The envelope rate 2*rho + 2 keeps the profile admissible for every
     forward-transform and tube precondition.
     """
-    if width <= 0:
-        raise ValueError("width must be positive")
     rate = 2.0 * G.rho + 2.0
-    coeff = abs(scale) * np.exp(rate * rate / (4.0 * width))
+    if not (0.0 < width < math.inf and rate * rate / (4.0 * width) < _LOG_MAX):  # NaN fails
+        raise DomainError(f"gaussian_profile: width = {width!r} must be positive, with "
+                          f"e^({rate}^2 / (4 width)) finite")
+    coeff = abs(scale) * float(np.exp(rate * rate / (4.0 * width)))
+    if not math.isfinite(coeff):
+        raise DomainError(f"gaussian_profile: scale = {scale!r} gives envelope coefficient {coeff}")
 
     def f(t):
         return scale * np.exp(-width * t * t)
@@ -36,7 +44,7 @@ def gaussian_profile(G: GroupDatum, width: float = 1.0, scale: float = 1.0) -> R
 
     return RadialProfile(
         eval=f,
-        decay=ExpDecay(coeff=float(coeff), rate=rate, degree=0),
+        decay=ExpDecay(coeff=coeff, rate=rate, degree=0),
         d1=d1,
         d2=d2,
         label=f"gauss(w={width})",
@@ -46,8 +54,9 @@ def gaussian_profile(G: GroupDatum, width: float = 1.0, scale: float = 1.0) -> R
 def cosh_profile(G: GroupDatum, power: float | None = None) -> RadialProfile:
     """f(t) = cosh(t)^(-q) with q defaulting to 2*rho + 3."""
     q = float(power) if power is not None else 2.0 * G.rho + 3.0
-    if q <= 2.0 * G.rho:
-        raise ValueError("cosh power too small for Schwartz-class use")
+    if not 2.0 * G.rho < q < 1024.0:  # NaN fails; the coefficient 2^q overflows at 1024
+        raise DomainError(f"cosh_profile: power = {q!r} must lie in (2 rho, 1024) = "
+                          f"({2.0 * G.rho}, 1024) for Schwartz-class use")
 
     def f(t):
         return np.cosh(t) ** (-q)
@@ -76,8 +85,8 @@ def xi_poly_profile(G: GroupDatum, p: int = 3) -> RadialProfile:
     Not admissible for the forward transform (decay not strictly
     stronger than the Haar growth), which is also by design.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    if not 1 <= p < math.inf:
+        raise DomainError(f"xi_poly_profile: p = {p!r} must be finite and at least 1")
 
     def f(t):
         return xi(G, t) * (1.0 + t) ** (-p)

@@ -82,9 +82,8 @@ class RadialProfile:
 
     ``eval`` must accept float ndarrays.  Evaluation at negative t is
     reflected to |t|, which realizes the evenness of K-biinvariant
-    functions.  ``decay`` is an actual envelope bound, spot-checkable
-    via :meth:`check_decay`.  Derivatives of order 1 and 2 come from
-    ``d1`` and ``d2``, evaluated at t >= 0.
+    functions.  ``decay`` is an actual envelope bound.  Derivatives of
+    order 1 and 2 come from ``d1`` and ``d2``, evaluated at t >= 0.
     """
 
     eval: Callable
@@ -110,13 +109,6 @@ class RadialProfile:
         out = np.asarray((self.d1 if k == 1 else self.d2)(np.abs(t_arr)))
         out = np.sign(t_arr) * out if k == 1 else out
         return out if np.ndim(t) else complex(out.reshape(()))
-
-    def check_decay(self, ts) -> float:
-        """Max ratio |f(t)| / envelope(t) over the given grid (should be <= 1)."""
-        ts = np.asarray(ts, dtype=float)
-        vals = np.abs(self(ts))
-        env = self.decay.bound(ts)
-        return float(np.max(vals / env))
 
 
 # ---------------------------------------------------------------------------

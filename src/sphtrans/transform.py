@@ -33,6 +33,7 @@ from . import cfunction
 from .errors import (
     AccuracyError,
     DomainError,
+    EvaluationError,
     GridContractError,
     PreconditionError,
     SingularPointError,
@@ -197,14 +198,16 @@ _PHI_CACHE_BYTES = 256 * 2**20
 _PANELS: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Real matrix phi[lam_i, t_j] for real lam_i, held in the table cache."""
-    key = (G, lams.tobytes(), ts.tobytes())
+def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0) -> np.ndarray:
+    """Real matrix [phi_{lam_i}(t_j)] for real lam_i, or its t-derivative of ``order`` 1 or 2,
+    held in the table cache; values on radial rule nodes come from ``phi_panels``."""
+    key = (G, order, lams.tobytes(), ts.tobytes())
     hit = _PHI_CACHE.get(key)
     if hit is not None:
         return hit
-    panels = _PANELS.get(key[2])
-    out = phi(G, lams, ts) if panels is None else phi_panels(G, lams, panels)
+    panels = _PANELS.get(key[3]) if order == 0 else None
+    out = (phi_panels(G, lams, panels) if panels is not None
+           else (phi, phi_d1, phi_d2)[order](G, lams, ts))
     if out.nbytes <= _PHI_CACHE_BYTES:
         while sum(v.nbytes for v in _PHI_CACHE.values()) + out.nbytes > _PHI_CACHE_BYTES:
             _PHI_CACHE.pop(next(iter(_PHI_CACHE)))
@@ -318,7 +321,7 @@ def hc_transform(
     # loosen the floor by the integrand scale: the rule pair resolves to
     # machine precision relative to the largest sample
     scale_floor = 1e-13 * max(1.0, float(np.max(np.abs(vals_fine))))
-    bad = err > np.maximum(tol, scale_floor)
+    bad = ~(err <= np.maximum(tol, scale_floor))  # a NaN value fails too
     if np.any(bad):
         k = int(np.argmax(err))
         raise AccuracyError(
@@ -405,10 +408,10 @@ def convolve_at_identity(
 # ---------------------------------------------------------------------------
 
 def _check_symbol(a: SpectralFunction, what: str = "symbol"):
-    if a.decay.power < 4:
+    if not a.decay.power >= 4:
         raise PreconditionError(f"{what} decay power {a.decay.power} < 4")
     defect = a.weyl_defect()
-    if defect > 1e-8 * (1.0 + a.scale()):
+    if not defect <= 1e-8 * (1.0 + a.scale()):  # NaN values fail too
         raise PreconditionError(
             f"{what} has odd part {defect:.3e} above the 1e-8 Weyl-evenness tolerance"
         )
@@ -423,20 +426,16 @@ def _symbol_node_values(a: SpectralFunction, nodes: np.ndarray) -> np.ndarray:
     return _local_interp(a.grid, a.even_values(), nodes)
 
 
-def wave_packet(
-    G: GroupDatum,
-    a: SpectralFunction,
-    t=None,
-) -> RadialProfile | complex:
+def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     """Wave packet psi_a(t) = (c_P/|W|) int_R a(nu) phi_nu(t) |c(nu)|^-2 dnu.
 
-    With ``t`` given, returns the value psi_a(t); otherwise returns the
-    whole packet as a RadialProfile (evaluator plus inferred decay
+    Returns the packet as a RadialProfile (evaluator plus inferred decay
     metadata).  The symbol must be Weyl-even with decay power >= 4.  The
     integral is a fixed composite Gauss-Legendre rule on (0, L], L the end
     of the symbol's grid, so it takes no tolerance; its panel order adapts
     to the largest |t| requested per call, and results for different call
-    batches agree to the rule's accuracy.
+    batches agree to the rule's accuracy.  The values and both t-derivatives
+    read their blocks from the one table cache, :func:`_phi_block`.
     """
     _check_symbol(a, "wave-packet symbol")
     L = float(a.grid[-1])
@@ -453,15 +452,15 @@ def wave_packet(
             charges[id(rule)] = hit
         return hit
 
-    def charged(block):
-        # psi_a, or its t-derivative when ``block`` is phi_d1 or phi_d2
+    def charged(order):
+        # psi_a, or its t-derivative of ``order``
         def evaluate(ts):
             ts = np.atleast_1d(np.asarray(ts, dtype=float))
             rule, charge = _charged_rule(ts)
-            return _real_times(block(G, rule.nodes, ts).T, charge)
+            return _real_times(_phi_block(G, rule.nodes, ts, order).T, charge)
         return evaluate
 
-    eval_packet = charged(_phi_block)
+    eval_packet = charged(0)
 
     def noise_floor(ts):
         # evaluator noise: roundoff of the quadrature dot against the
@@ -471,16 +470,13 @@ def wave_packet(
         return kappa * (1.0 + ts) * np.exp(-G.rho * ts)
 
     decay = _infer_packet_decay(G, eval_packet, noise_floor)
-    profile = RadialProfile(
+    return RadialProfile(
         eval=eval_packet,
         decay=decay,
-        d1=charged(phi_d1),
-        d2=charged(phi_d2),
+        d1=charged(1),
+        d2=charged(2),
         label=f"psi[{a.label or 'a'}]",
     )
-    if t is not None:
-        return profile(t)
-    return profile
 
 
 def _infer_packet_decay(G: GroupDatum, eval_packet, noise_floor) -> ExpDecay:
@@ -505,6 +501,9 @@ def _infer_packet_decay(G: GroupDatum, eval_packet, noise_floor) -> ExpDecay:
     for T_probe in (12.0, 20.0, 32.0, 48.0):
         ts = np.linspace(0.0, T_probe, int(8 * T_probe) + 1)
         vals = np.abs(eval_packet(ts))
+        if not np.all(np.isfinite(vals)):  # else NaN would pass as the zero packet
+            t_bad = float(ts[np.argmax(~np.isfinite(vals))])
+            raise EvaluationError(f"wave packet is not finite at t = {t_bad!r}")
         signal = np.where(vals > noise_floor(ts), vals, 0.0)
         if float(np.max(signal)) == 0.0:  # numerically the zero packet
             return ExpDecay(coeff=1e-300, rate=2 * rho + 1.0, degree=0)

@@ -154,6 +154,26 @@ def test_density_block_is_bit_equal_to_pointwise_calls(name):
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
+def test_c_block_is_bit_equal_to_pointwise_calls(name):
+    G = preset(name)
+    real = np.linspace(-30.0, 30.0, 241)
+    lam = np.concatenate([real[real != 0.0], np.geomspace(1e-3, 2e4, 40),
+                          np.linspace(0.1, 8.0, 20) + 0.5j * G.rho])
+    assert c_function(G, lam).tolist() == [c_function(G, x) for x in lam]
+    assert c_function(G, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("lam, text, pole", [
+    (np.array([1.0, 0.0, 2.0, 3j]), "lam = 0j", 0),
+    (np.array([0.5, 2j, 1j]), "lam = 2j", -2),
+])
+def test_c_block_raises_at_its_first_pole(lam, text, pole):
+    with pytest.raises(PoleError, match=f"c-function pole at {text} ") as err:
+        c_function(preset("H3"), lam)
+    assert err.value.pole == pole
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_c_is_zero_at_denominator_poles_and_raises_at_numerator_poles(name):
     G = preset(name)
     k = np.arange(4.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -94,6 +95,44 @@ def test_cfun_csv_columns(capsys):
     row = dict(zip(lines[0].split(","), lines[-1].split(",")))
     assert float(row["lambda"]) == 1.0
     np.testing.assert_allclose(float(row["density"]), 1.0, rtol=1e-10)
+
+
+def test_cfun_makes_one_array_call_of_each_function(monkeypatch, capsys):
+    calls = {"c_function": 0, "plancherel_density": 0}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def call(G, lam):
+            calls[name] += 1
+            return original(G, lam)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    assert run_cli(["cfun", "--preset", "SL2R"]) == 0
+    assert calls == {"c_function": 1, "plancherel_density": 1}
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 482
+    assert lines[241] == "0.0,nan,nan,0.0"  # the pole row: no c, density 0
+
+
+@pytest.mark.parametrize("subcommand, profile, named", [
+    ("transform", {"family": "gaussian", "width": 0}, "width = 0.0"),
+    ("transform", {"family": "gaussian", "width": math.nan}, "width = nan"),
+    ("transform", {"family": "gaussian", "width": 1e-300}, "width = 1e-300"),
+    ("transform", {"family": "gaussian", "scale": math.inf}, "scale = inf"),
+    ("transform", {"family": "cosh", "power": 1}, "power = 1.0"),
+    ("transform", {"family": "cosh", "power": 1e300}, "power = 1e+300"),
+    ("seminorm", {"family": "xi_poly", "p": 0}, "p = 0"),
+])
+def test_bad_profile_parameters_exit_2_naming_them(subcommand, profile, named, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"profile": profile}))  # json writes NaN and Infinity
+    assert run_cli([subcommand, "--preset", "H3", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
 
 
 def test_invert_runs(capsys):

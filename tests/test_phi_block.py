@@ -273,6 +273,8 @@ def test_phi_rejects_non_finite_input(fn):
 def test_c_function_rejects_non_finite_lam():
     with pytest.raises(DomainError, match="lam"):
         c_function(preset("SL2R"), float("nan"))
+    with pytest.raises(DomainError, match="c_function requires finite lam"):
+        c_function(preset("SL2R"), np.array([1.0, np.nan]))
 
 
 def test_plancherel_density_rejects_non_finite_lam():

@@ -7,13 +7,16 @@ import pytest
 from sphtrans import transform
 from sphtrans.cfunction import plancherel_density
 from sphtrans.errors import (
+    AccuracyError,
     DomainError,
+    EvaluationError,
     GridContractError,
     PreconditionError,
     SingularPointError,
 )
 from sphtrans.groups import PRESET_NAMES, GroupDatum, haar_density, preset
 from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile
+from sphtrans.schwartz import schwartz_seminorm
 from sphtrans.specfun import ExpDecay, gauss_legendre_rule, integrate_interval
 from sphtrans.spherical import RadialProfile, phi
 from sphtrans.transform import (
@@ -259,12 +262,9 @@ def test_wave_packet_zero_symbol():
     assert np.max(np.abs(psi(np.linspace(0, 5, 21)))) == 0.0
 
 
-def test_wave_packet_value_mode_and_identity_normalization():
+def test_wave_packet_identity_normalization():
     G = preset("SL2R")
-    a = gauss_symbol()
-    psi = wave_packet(G, a)
-    val0 = wave_packet(G, a, t=0.0)
-    assert val0 == psi(0.0)
+    val0 = wave_packet(G, gauss_symbol())(0.0)
     # psi_a(0) = (c_P/|W|) int a * density (phi_nu(0) = 1), via the
     # package's independent adaptive quadrature
     ref, _ = integrate_interval(
@@ -297,6 +297,48 @@ def test_wave_packet_rejects_odd_symbol():
         wave_packet(G, odd)
 
 
+def test_wave_packet_rejects_a_symbol_with_nan_values():
+    nan_tail = make_symbol(lambda x: np.where(np.abs(x) > 5.0, np.nan, np.exp(-x**2)))
+    with pytest.raises(PreconditionError, match="odd part nan"):
+        wave_packet(preset("H3"), nan_tail)
+
+
+def test_packet_that_is_nan_raises_naming_t():
+    # finite samples pass the symbol checks; the evaluator the packet uses returns NaN
+    grid = default_spectral_grid()
+    a = SpectralFunction(grid, np.exp(-grid**2), SpectralDecay(2.0, 8.0),
+                         fn=lambda x: np.full(np.shape(x), np.nan))
+    with pytest.raises(EvaluationError, match=r"wave packet is not finite at t = 0\.0"):
+        wave_packet(preset("H3"), a)
+
+
+def test_hc_transform_fails_on_nan_values():
+    G = preset("H3")
+    g = gaussian_profile(G)
+    nan_tail = RadialProfile(eval=lambda t: np.where(t > 3.0, np.nan, g.eval(t)),
+                             decay=g.decay, d1=g.d1, d2=g.d2)
+    with pytest.raises(AccuracyError, match="failure at 481 samples"):
+        hc_transform(G, nan_tail)
+
+
+def test_packet_derivatives_build_one_block_per_order_and_window(monkeypatch):
+    # schwartz_seminorm over r = 0..3 asks for the same derivative points each time
+    monkeypatch.setattr(transform, "_PHI_CACHE", {})
+    built = {1: [], 2: []}
+    for order, name in ((1, "phi_d1"), (2, "phi_d2")):
+        def counted(G, lam, t, order=order, original=getattr(transform, name)):
+            built[order].append(np.asarray(t).tobytes())
+            return original(G, lam, t)
+        monkeypatch.setattr(transform, name, counted)
+    G = preset("H3")
+    psi = wave_packet(G, gauss_symbol())
+    for k in (1, 2):
+        for r in (0.0, 1.0, 2.0, 3.0):
+            schwartz_seminorm(G, psi, r, k)
+    for order in (1, 2):
+        assert built[order] and len(built[order]) == len(set(built[order]))
+
+
 def test_wave_packet_rejects_slow_decay_metadata():
     G = preset("SL2R")
     a = SpectralFunction.from_function(
@@ -310,7 +352,7 @@ def test_wave_packet_decay_metadata_is_a_bound():
     G = preset("H3")
     psi = wave_packet(G, gauss_symbol())
     ts = np.geomspace(0.05, 16.0, 60)
-    assert psi.check_decay(ts) <= 1.0 + 1e-9
+    assert np.max(np.abs(psi(ts)) / psi.decay.bound(ts)) <= 1.0 + 1e-9
 
 
 def test_wave_packet_real_for_real_even_symbol():

@@ -14,7 +14,10 @@ committed tree of REV, exported with ``git archive`` into a temporary
 directory.  Per artifact the tool prints "identical", or the largest
 absolute and relative difference between numbers at the same place; fields
 named ``runtime`` are left out of the comparison, and an artifact equal
-apart from them is "identical (runtime ignored)".  It exits 1 when a
+apart from them is "identical (runtime ignored)".  The last line counts
+the artifacts: "N identical, M differing, K exit-code changes", where
+differing is every artifact that is neither identical nor from a command
+whose exit code changed.  It exits 1 when a
 command's exit code differs between the sides or an artifact exists on one
 side only, and 0 otherwise.
 """
@@ -141,6 +144,7 @@ def main(argv=None) -> int:
         codes = {"base": run_side(base_root, tmp / "base"), "head": run_side(ROOT, tmp / "head")}
         print(f"base {base_sha}, head: working tree of {ROOT}")
         failed = False
+        tally = {"identical": 0, "differing": 0, "exit-code changes": 0}
         for name in commands():
             rc_base, rc_head = codes["base"][name], codes["head"][name]
             files = [tmp / side / name for side in ("base", "head")]
@@ -155,6 +159,10 @@ def main(argv=None) -> int:
             else:
                 verdict = compare(*files)
             print(f"{name:<24} exit {rc_head}  {verdict}")
+            kind = ("exit-code changes" if rc_base != rc_head else
+                    "identical" if verdict.startswith("identical") else "differing")
+            tally[kind] += 1
+        print(", ".join(f"{n} {kind}" for kind, n in tally.items()))
     return 1 if failed else 0
 
 
