@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, GridContractError
+from .errors import DomainError, EvaluationError
 from .groups import GroupDatum
 from .specfun import DEFAULT_QUAD, QuadratureSpec
 from .spherical import RadialProfile, xi
@@ -216,17 +216,12 @@ def tube_extension_check(
     every strip integral converges absolutely.  The row y = 0 is the
     forward transform on the real grid; with epsilon = 0 it is the only row.
     The off-axis points are one :func:`hc_transform_at` call on one panel
-    tree, each point to its own tolerance.  ``xs`` must be non-empty and
-    symmetric about 0.
+    tree, each point to its own tolerance.  ``xs`` must be a grid that
+    :func:`hc_transform` accepts.
     """
     _require_schwartz(f, (1.0 + tube.epsilon) * G.rho, "tube-check profile")
-    if xs is None:
-        xs = np.linspace(-3.0, 3.0, 7)
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        raise GridContractError("tube grid xs must not be empty")
-    _require_symmetric(xs, "tube grid must be symmetric in x")
-    axis = hc_transform(G, f, xs, q)
+    axis = hc_transform(G, f, np.linspace(-3.0, 3.0, 7) if xs is None else xs, q)
+    xs = axis.spectral.grid
     steps = [0.0] if tube.half_width == 0.0 else [-1.0, -0.5, 0.0, 0.5, 1.0]
     ys = np.array(steps) * tube.half_width
     off = ys != 0.0

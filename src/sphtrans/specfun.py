@@ -8,7 +8,6 @@ Nothing here is randomized, so downstream tolerances are stable run over run.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -69,8 +68,10 @@ class ExpDecay:
 
 def truncation_point(decay: ExpDecay, abs_tol: float) -> float:
     """Smallest T (within a factor) with tail_integral(T) <= abs_tol / 4."""
-    if decay.rate <= 0:
-        raise DomainError("half-line truncation needs a positive decay rate")
+    # written so that NaN fails: a NaN envelope ends the search at its first T
+    if not (0 < decay.rate < math.inf and 0 <= decay.coeff < math.inf):
+        raise DomainError(f"truncation needs 0 < rate < inf and 0 <= coeff < inf, "
+                          f"got rate = {decay.rate!r}, coeff = {decay.coeff!r}")
     target = max(abs_tol, 1e-300) / 4.0
     T = max(1.0, 5.0 / decay.rate)
     while decay.tail_integral(T) > target:
@@ -98,8 +99,9 @@ class QuadratureSpec:
             raise DomainError(f"rel_tol must be finite and at least 1e-14, got {self.rel_tol}")
         if not 0 < self.abs_tol < math.inf:
             raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if not (0 < self.max_subdivisions <= 2**20):
-            raise DomainError("max_subdivisions must lie in (0, 2^20]")
+        if not (isinstance(self.max_subdivisions, (int, np.integer))
+                and 0 < self.max_subdivisions <= 2**20):
+            raise DomainError("max_subdivisions must be an integer in (0, 2^20]")
 
     def tolerance(self, value_scale):
         """max(abs_tol, rel_tol |value_scale|), elementwise for an array."""
@@ -134,23 +136,21 @@ _START_PANELS = 4
 _MAX_BOUND = 0.5 * np.finfo(float).max
 
 
-def _panel_estimates(f, edges) -> list:
-    """(coarse, fine) GL estimates of the integral of f over each panel between
-    consecutive ``edges``, one per component when f returns an (n_comp, n_t)
-    array; f is called once, on the 15 coarse nodes and then the 31 fine ones
-    of each panel in turn."""
-    edges = np.asarray(edges, dtype=float)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
+def _panel_estimates(f, a, b):
+    """(coarse, fine) GL estimates of the integral of f over each panel [a_i, b_i],
+    arrays shaped (n_panels,), or (n_comp, n_panels) when f returns an (n_comp, n_t)
+    array; f is called once, on the 15 coarse nodes and then the 31 fine ones of
+    each panel in turn."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
     x1, w1 = gauss_legendre_rule(15)
     x2, w2 = gauss_legendre_rule(31)
     values = np.asarray(f((mid[:, None] + half[:, None] * np.concatenate([x1, x2])).ravel()))
     if not np.all(np.isfinite(values)):
-        raise DomainError(f"integrand returned non-finite values on [{edges[0]}, {edges[-1]}]")
+        raise DomainError(f"integrand returned non-finite values on [{a.min()}, {b.max()}]")
     values = values.reshape(values.shape[:-1] + (len(half), -1))
-    coarse = half * np.sum(w1 * values[..., :15], axis=-1)
-    fine = half * np.sum(w2 * values[..., 15:], axis=-1)
-    return [(coarse[..., i], fine[..., i]) for i in range(len(half))]
+    return (half * np.sum(w1 * values[..., :15], axis=-1),
+            half * np.sum(w2 * values[..., 15:], axis=-1))
 
 
 def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD):
@@ -160,60 +160,45 @@ def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD
     ``f`` maps an ndarray ``t`` of shape (n_t,) to values of shape (n_t,) or
     (n_comp, n_t).  Returns (value, err_est), scalars or arrays of shape
     (n_comp,), with err_est_k <= max(abs_tol, rel_tol*|value_k|) for every
-    component k; raises AccuracyError with the partial values attached
-    when the subdivision budget runs out.  The panel split next is the one
-    with the worst err_k / s_k, where s_k is the tolerance of component k's
-    first estimate; a scalar integrand is the one-component case.  ``f`` is
-    called once on the nodes of _START_PANELS equal panels of [lo, hi], which
-    give that first estimate, and once per split, on the nodes of both halves.
+    component k; raises AccuracyError with the partial values attached once
+    ``max_subdivisions`` panels were split.  ``f`` is called once on the nodes
+    of _START_PANELS equal panels of [lo, hi], and then once per round, on the
+    halves of every panel it splits: the fewest with the worst err_k / s_k (s_k
+    the tolerance of component k's first estimate) that leave the others' errors
+    within every tolerance, or all the budget allows when none do.
     """
-    lo = float(lo)
-    hi = float(hi)
+    lo, hi = float(lo), float(hi)
     # a panel sum a + b near a bound must stay finite; NaN fails the test too
     if not (abs(lo) < _MAX_BOUND and abs(hi) < _MAX_BOUND):
         raise DomainError(f"need finite bounds below {_MAX_BOUND:.4g} in magnitude, "
                           f"got lo = {lo!r}, hi = {hi!r}")
     if not lo < hi:
         raise DomainError(f"need lo < hi, got lo = {lo!r}, hi = {hi!r}")
-    edges = np.linspace(lo, hi, _START_PANELS + 1).tolist()
-    estimates = _panel_estimates(f, edges)
-    scale = q.tolerance(sum(fine for _, fine in estimates))
-
-    def panel(a, b, coarse, fine):
-        # builtin abs: on a numpy scalar it is the scalar hypot, from which the
-        # array ufunc np.abs can differ in the last bit
-        err = abs(fine - coarse)
-        # rounding ties of the worst ratio break on the worst error, so a scalar
-        # integrand splits in the order of its errors, then on the interval
-        return (-np.max(err / scale), -np.max(err), a, b, fine, err)
-
-    heap = [panel(a, b, *est) for a, b, est in zip(edges[:-1], edges[1:], estimates)]
-    heapq.heapify(heap)
-    # running totals steer; near a decision, or once some err_k fell 1000-fold
-    # (to keep their drift relative), the heap sums replace them and decide
-    total = sum(item[4] for item in heap)
-    err = sum(item[5] for item in heap)
-    synced, n_splits = err, 0
+    budget = q.max_subdivisions
+    edges = np.linspace(lo, hi, _START_PANELS + 1)
+    a, b = edges[:-1], edges[1:]
+    coarse, fine = _panel_estimates(f, a, b)
+    err = np.abs(fine - coarse)
+    scale = q.tolerance(np.sum(fine, axis=-1))
     while True:
-        done = n_splits >= q.max_subdivisions
-        if (done or np.all(err <= 1.01 * q.tolerance(total))
-                or np.any(err < 1e-3 * synced)):
-            total = sum(item[4] for item in heap)
-            err = synced = sum(item[5] for item in heap)
-            if np.all(err <= q.tolerance(total)):
-                return total, err
-            if done:
-                raise AccuracyError(
-                    f"subdivision budget {q.max_subdivisions} exhausted "
-                    f"(value ~{total}, err_est ~{np.max(err):.3e})",
-                    value=total,
-                    err_est=err,
-                )
-        _, _, a, b, value, value_err = heapq.heappop(heap)
-        total, err = total - value, err - value_err
-        m = 0.5 * (a + b)
-        for lo_p, hi_p, estimates in zip((a, m), (m, b), _panel_estimates(f, (a, m, b))):
-            item = panel(lo_p, hi_p, *estimates)
-            heapq.heappush(heap, item)
-            total, err = total + item[4], err + item[5]
-        n_splits += 1
+        # running sums in panel order; np.sum would pair the terms up and move the last bit
+        value, value_err = np.cumsum(fine, axis=-1).T[-1], np.cumsum(err, axis=-1).T[-1]
+        tol = q.tolerance(value)
+        if np.all(value_err <= tol):
+            return value, value_err
+        if budget == 0:
+            raise AccuracyError(f"subdivision budget {q.max_subdivisions} exhausted "
+                                f"(value ~{value}, err_est ~{np.max(value_err):.3e})",
+                                value=value, err_est=value_err)
+        worst = np.argsort(-np.atleast_2d(err / scale[..., None]).max(axis=0), kind="stable")
+        # rest[k - 1]: the error left on the panels after the worst k are split, none after all
+        rest = np.cumsum(err[..., worst[:0:-1]], axis=-1)[..., ::-1]
+        fits = np.append(np.all(np.atleast_2d(rest <= tol[..., None]), axis=0), True)
+        split, keep = np.split(worst, [min(1 + int(np.argmax(fits)), budget)])
+        m = 0.5 * (a[split] + b[split])
+        a = np.concatenate([a[keep], a[split], m])
+        b = np.concatenate([b[keep], m, b[split]])
+        coarse, halves = _panel_estimates(f, a[len(keep):], b[len(keep):])
+        fine = np.concatenate([fine[..., keep], halves], axis=-1)
+        err = np.concatenate([err[..., keep], np.abs(halves - coarse)], axis=-1)
+        budget -= len(split)

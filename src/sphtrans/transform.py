@@ -92,6 +92,18 @@ def _require_symmetric(grid: np.ndarray, message: str):
         raise GridContractError(message)
 
 
+def _checked_grid(grid) -> np.ndarray:
+    """``grid`` as a float array; GridContractError unless it is 1-d, non-empty,
+    strictly increasing and symmetric about 0."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise GridContractError(f"grid must be 1-d and non-empty, got shape {grid.shape}")
+    if np.any(np.diff(grid) <= 0):
+        raise GridContractError("grid must be strictly increasing")
+    _require_symmetric(grid, "grid must be symmetric about 0")  # a NaN fails here
+    return grid
+
+
 def default_spectral_grid() -> np.ndarray:
     return np.linspace(-GRID_MAX, GRID_MAX, GRID_COUNT)
 
@@ -124,13 +136,10 @@ class SpectralFunction:
     label: str = ""
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
+        self.grid = _checked_grid(self.grid)
         self.values = np.asarray(self.values, dtype=complex)
-        if self.grid.ndim != 1 or len(self.grid) != len(self.values):
+        if self.values.shape != self.grid.shape:
             raise GridContractError("grid and values must be 1-d and equally long")
-        if np.any(np.diff(self.grid) <= 0):
-            raise GridContractError("grid must be strictly increasing")
-        _require_symmetric(self.grid, "grid must be symmetric about 0")
 
     @classmethod
     def from_function(cls, fn, grid, decay: SpectralDecay, label: str = "") -> "SpectralFunction":
@@ -152,7 +161,7 @@ class SpectralFunction:
         return 0.5 * (self.values + self.values[::-1])
 
     def scale(self) -> float:
-        return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
+        return float(np.max(np.abs(self.values)))
 
 
 def _local_interp(grid: np.ndarray, values: np.ndarray, x) -> np.ndarray:
@@ -194,8 +203,8 @@ class TransformResult:
 # real phi tables; the oldest go once the byte cap is passed, a larger one is not kept
 _PHI_CACHE: dict[tuple, np.ndarray] = {}
 _PHI_CACHE_BYTES = 256 * 2**20
-# panel split (mid, offsets) of radial rule nodes by their bytes, one per (T, order)
-_PANELS: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+# radial rules by the bytes of their nodes, held while the rule cache or a caller holds them
+_PANELS: "weakref.WeakValueDictionary[bytes, _Rule]" = weakref.WeakValueDictionary()
 
 
 def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0) -> np.ndarray:
@@ -205,8 +214,8 @@ def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0) 
     hit = _PHI_CACHE.get(key)
     if hit is not None:
         return hit
-    panels = _PANELS.get(key[3]) if order == 0 else None
-    out = (phi_panels(G, lams, panels) if panels is not None
+    rule = _PANELS.get(key[3]) if order == 0 else None
+    out = (phi_panels(G, lams, rule.panels) if rule is not None
            else (phi, phi_d1, phi_d2)[order](G, lams, ts))
     if out.nbytes <= _PHI_CACHE_BYTES:
         while sum(v.nbytes for v in _PHI_CACHE.values()) + out.nbytes > _PHI_CACHE_BYTES:
@@ -232,10 +241,12 @@ def _real_times(table: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class _Rule:
-    """A composite GL rule with its measure's density at the nodes."""
+    """A composite GL rule with its measure's density at the nodes, and for a radial
+    rule its panel split (mid, offsets)."""
     nodes: np.ndarray
     weights: np.ndarray
     density: np.ndarray
+    panels: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
@@ -243,8 +254,8 @@ def _radial_rule(G: GroupDatum, T: float, order: int) -> _Rule:
     """Radial rule on [0, T] with the Haar density."""
     n_panels = max(2, int(math.ceil(T / _T_PANEL)))
     nodes, weights, panels = composite_gl_nodes(0.0, T, n_panels, order)
-    _PANELS[nodes.tobytes()] = panels
-    return _Rule(nodes, weights, haar_density(G, nodes))
+    rule = _PANELS[nodes.tobytes()] = _Rule(nodes, weights, haar_density(G, nodes), panels)
+    return rule
 
 
 def _spectral_order(t_max: float = 12.0) -> int:
@@ -295,15 +306,14 @@ def hc_transform(
 ) -> TransformResult:
     """Sampled forward transform (Hf)(lam) = int_0^oo f phi_lam Delta dt.
 
-    The output satisfies the SpectralFunction contract (symmetric grid,
+    The grid is checked against the SpectralFunction contract before any
+    table is built, and the output satisfies that contract (symmetric grid,
     Weyl-even values); per-sample err_est combines a coarse/fine rule
     difference with the envelope tail bound and must sit below the
     quadrature tolerance, else AccuracyError.
     """
+    grid = _checked_grid(default_spectral_grid() if grid is None else grid)
     _require_schwartz(f, G.rho, "hc_transform input")
-    if grid is None:
-        grid = default_spectral_grid()
-    grid = np.asarray(grid, dtype=float)
     env = _forward_envelope(G, f)
     T = 4.0 * math.ceil(truncation_point(env, q.abs_tol) / 4.0)  # bucket for table reuse
     fine = _radial_rule(G, T, _T_ORDER_FINE)

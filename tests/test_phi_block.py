@@ -1,7 +1,6 @@
 """The block evaluator of phi over (lam, t), checked against independent oracles,
-plus the table cache, the mirror fold and the adaptive rule's running totals."""
+plus the table cache, the mirror fold and the adaptive rule's rounds of splits."""
 
-import heapq
 import math
 import re
 import time
@@ -365,72 +364,8 @@ def test_entries_do_not_depend_on_column_order_or_row_position():
 
 
 # --------------------------------------------------------------------------
-# adaptive rule: running totals, same results as re-summing every split
+# adaptive rule: one integrand call per round of splits
 # --------------------------------------------------------------------------
-
-def resumming_integrate(f, lo, hi, q):
-    """The adaptive rule re-summing its whole heap on every split, for scalar and
-    vector integrands, splitting the panel with the worst err_k / s_k first and
-    estimating four equal starting panels, and both halves of a split, from one
-    integrand call each."""
-    edges = np.linspace(lo, hi, 5).tolist()
-    estimates = specfun._panel_estimates(f, edges)
-    scale = q.tolerance(sum(fine for _, fine in estimates))
-
-    def item(a, b, coarse, fine):
-        err = abs(fine - coarse)
-        return (-np.max(err / scale), -np.max(err), a, b, fine, err)
-
-    heap = [item(a, b, *est) for a, b, est in zip(edges[:-1], edges[1:], estimates)]
-    heapq.heapify(heap)
-    n_splits = 0
-    while True:
-        total = sum(it[4] for it in heap)
-        err = sum(it[5] for it in heap)
-        if np.all(err <= q.tolerance(total)):
-            return total, err
-        if n_splits >= q.max_subdivisions:
-            raise AccuracyError("budget exhausted", value=total, err_est=err)
-        _, _, a, b, _, _ = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        halves = zip(((a, m), (m, b)), specfun._panel_estimates(f, (a, m, b)))
-        for panel, estimates in halves:
-            heapq.heappush(heap, item(*panel, *estimates))
-        n_splits += 1
-
-
-def test_running_totals_reproduce_resummed_results(monkeypatch):
-    G = preset("H3")
-    compared = []
-
-    def checked(f, lo, hi, q=specfun.DEFAULT_QUAD):
-        got = specfun.integrate_interval(f, lo, hi, q)
-        want = resumming_integrate(f, lo, hi, q)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        compared.append(got)
-        return got
-
-    # the tube check's strip integrals run through transform.hc_transform_at
-    monkeypatch.setattr(transform, "integrate_interval", checked)
-    f = gaussian_profile(G, width=1.0)
-    transform.hc_transform_at(G, f, 1.7)
-    transform.convolve_at_identity(G, gaussian_profile(G, 1.0), gaussian_profile(G, 0.5))
-    for eps in (0.4, 0.2, 0.1):
-        transform.expansion_term(G, "split", f, 1.3, eps)
-    tube_extension_check(G, f, TubeSpec.for_group(G, 0.1), xs=np.array([-1.0, 0.0, 1.0]))
-    # one call each for the point, the convolution, the three two-component
-    # ladder rungs and the twelve off-axis tube points
-    assert len(compared) == 1 + 1 + 3 + 1
-    assert [np.shape(value) for value, _ in compared] == [(), (), (2,), (2,), (2,), (12,)]
-    # an exhausted budget reports the same partial sums
-    q = specfun.QuadratureSpec(max_subdivisions=300)
-    errors = []
-    for integrate in (specfun.integrate_interval, resumming_integrate):
-        with pytest.raises(AccuracyError) as info:
-            integrate(lambda x: np.sin(1e6 * x * x), 0.0, 1.0, q)
-        errors.append((info.value.value, info.value.err_est))
-    assert errors[0] == errors[1]
-
 
 def test_pointwise_integrals_converge_in_one_integrand_call(monkeypatch):
     G = preset("H3")
@@ -438,13 +373,14 @@ def test_pointwise_integrals_converge_in_one_integrand_call(monkeypatch):
     calls, integrals = [], []
     estimates = specfun._panel_estimates
 
-    def counted_estimates(g, edges):
-        calls.append(len(edges) - 1)
-        return estimates(g, edges)
+    def counted_estimates(g, a, b):
+        calls.append(len(a))
+        return estimates(g, a, b)
 
     def counted_integral(*args, **kwargs):
-        integrals.append(1)
-        return specfun.integrate_interval(*args, **kwargs)
+        value, err = specfun.integrate_interval(*args, **kwargs)
+        integrals.append(np.shape(value))
+        return value, err
 
     monkeypatch.setattr(specfun, "_panel_estimates", counted_estimates)
     monkeypatch.setattr(transform, "integrate_interval", counted_integral)
@@ -454,25 +390,50 @@ def test_pointwise_integrals_converge_in_one_integrand_call(monkeypatch):
     ops += [lambda lam=lam, eps=eps: transform.expansion_term(G, "split", f, lam, eps)
             for lam in (0.5, 1.5, 2.5) for eps in (0.4, 0.2, 0.1)]
     ops.append(lambda: tube_extension_check(G, f, TubeSpec.for_group(G, 0.1)))
+    shapes = []
     for op in ops:
         calls.clear()
         integrals.clear()
         op()
         # one integral, estimated on its four starting panels and never split
         assert (len(integrals), calls) == (1, [4])
+        shapes += integrals
+    # scalars for the points and the convolution, two-component ladder rungs,
+    # and the 28 off-axis points of the tube check as one vector integrand
+    assert shapes == [()] * 4 + [(2,)] * 9 + [(28,)]
 
 
-def test_exhausted_budget_sums_the_heap_a_few_times(monkeypatch):
+def test_peaked_integrand_splits_its_worst_panels_in_one_call(monkeypatch):
     calls = []
+    estimates = specfun._panel_estimates
 
-    def counting_sum(items):
-        calls.append(1)
-        return sum(items)
+    def counted_estimates(g, a, b):
+        calls.append(len(a))
+        return estimates(g, a, b)
 
-    monkeypatch.setattr(specfun, "sum", counting_sum, raising=False)
+    monkeypatch.setattr(specfun, "_panel_estimates", counted_estimates)
+    value, err = specfun.integrate_interval(lambda x: 1.0 / (1e-4 + (x - 0.5) ** 2), 0.0, 1.0)
+    exact = 200.0 * math.atan(50.0)
+    assert abs(value - exact) <= specfun.DEFAULT_QUAD.tolerance(exact)
+    assert err <= specfun.DEFAULT_QUAD.tolerance(value)
+    # the peak sits on the edge of two starting panels: rounds split both sides at once
+    splits = sum(calls[1:]) // 2
+    assert len(calls) < splits + 1
+
+
+def test_exhausted_budget_takes_few_integrand_calls(monkeypatch):
+    calls = []
+    estimates = specfun._panel_estimates
+
+    def counted_estimates(g, a, b):
+        calls.append(len(a))
+        return estimates(g, a, b)
+
+    monkeypatch.setattr(specfun, "_panel_estimates", counted_estimates)
     q = specfun.QuadratureSpec(max_subdivisions=4096)
     start = time.process_time()
     with pytest.raises(AccuracyError, match="budget 4096 exhausted"):
         specfun.integrate_interval(lambda x: np.sin(1e6 * x * x), 0.0, 1.0, q)
     assert time.process_time() - start < 1.5
-    assert len(calls) <= 40
+    assert sum(calls[1:]) == 2 * 4096
+    assert len(calls) <= 100

@@ -206,8 +206,10 @@ def test_quadrature_spec_validation():
     for abs_tol in (0.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=abs_tol)
-    with pytest.raises(DomainError):
-        QuadratureSpec(max_subdivisions=2**21)
+    for max_subdivisions in (2**21, 0, 2.5, 4096.0, math.nan):
+        with pytest.raises(DomainError, match="max_subdivisions"):
+            QuadratureSpec(max_subdivisions=max_subdivisions)
+    assert QuadratureSpec(max_subdivisions=np.int64(3)).max_subdivisions == 3
 
 
 def test_decay_hint_tail_bound():
@@ -222,3 +224,16 @@ def test_decay_hint_tail_bound():
 def test_halfline_requires_positive_rate():
     with pytest.raises(DomainError):
         truncation_point(ExpDecay(1.0, 0.0), 1e-12)
+
+
+@pytest.mark.parametrize("decay, named", [
+    (ExpDecay(1.0, math.nan), "rate = nan"),
+    (ExpDecay(1.0, math.inf), "rate = inf"),
+    (ExpDecay(math.nan, 2.0), "coeff = nan"),
+    (ExpDecay(math.inf, 2.0), "coeff = inf"),
+    (ExpDecay(-1.0, 2.0), "coeff = -1.0"),
+])
+def test_truncation_rejects_a_non_finite_envelope(decay, named):
+    # a NaN envelope used to stop the search at once: T = 1.0 or 2.5
+    with pytest.raises(DomainError, match=named):
+        truncation_point(decay, 1e-12)

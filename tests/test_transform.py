@@ -120,6 +120,32 @@ def test_hc_transform_output_contracts():
     assert res.group == G
 
 
+@pytest.mark.parametrize("grid, words", [
+    ([], "non-empty"),
+    (np.zeros((3, 3)), "1-d"),
+    (np.linspace(-2.0, 3.0, 9), "symmetric"),
+])
+def test_hc_transform_checks_its_grid_before_building_tables(grid, words, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built for a bad grid")
+
+    monkeypatch.setattr(transform, "_phi_block", no_table)
+    G = preset("H3")
+    with pytest.raises(GridContractError, match=words):
+        hc_transform(G, gaussian_profile(G), grid)
+
+
+def test_pointwise_integrals_reject_a_nan_envelope_naming_coeff():
+    # a width-0.05 Gaussian whose envelope coefficient is NaN
+    G = preset("H3")
+    f = gaussian_profile(G, width=0.05)
+    f = RadialProfile(f.eval, ExpDecay(math.nan, f.decay.rate), f.d1, f.d2)
+    with pytest.raises(DomainError, match="coeff = nan"):
+        hc_transform_at(G, f, 1.0)
+    with pytest.raises(DomainError, match="coeff = nan"):
+        convolve_at_identity(G, f, f)
+
+
 def test_hc_transform_rejects_weak_decay():
     G = preset("SL2R")
     with pytest.raises(PreconditionError):
@@ -533,6 +559,7 @@ def test_sl2c_shares_the_h3_tables(monkeypatch):
 def test_rule_caches_stay_at_their_maxsize():
     G = preset("SL2R")
     order = transform._spectral_order()
+    held = transform._radial_rule(G, 3.0, 10)  # still in use after the cache drops it
     for k in range(200):
         transform._spectral_rule(G, 6.0 + 0.01 * k, order)
         transform._radial_rule(G, 4.0 + 0.5 * k, 10)
@@ -541,3 +568,6 @@ def test_rule_caches_stay_at_their_maxsize():
     for cached in (transform._spectral_rule, transform._radial_rule, gauss_legendre_rule):
         info = cached.cache_info()
         assert info.currsize == info.maxsize == 64
+    # a radial rule keeps its panel split, for phi_panels, as long as it is held
+    assert len(transform._PANELS) <= 64 + 1
+    assert transform._PANELS[held.nodes.tobytes()] is held
