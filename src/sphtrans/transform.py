@@ -88,7 +88,7 @@ CARTAN_CLASSES = ("split", "compact")
 
 def _require_symmetric(grid: np.ndarray, message: str):
     """GridContractError unless grid[i] = -grid[n-1-i] to 1e-12 absolute."""
-    if not np.allclose(grid, -grid[::-1], rtol=0.0, atol=1e-12):
+    if not np.all(np.abs(grid + grid[::-1]) <= 1e-12):  # NaN and infinite entries fail too
         raise GridContractError(message)
 
 
@@ -100,7 +100,7 @@ def _checked_grid(grid) -> np.ndarray:
         raise GridContractError(f"grid must be 1-d and non-empty, got shape {grid.shape}")
     if np.any(np.diff(grid) <= 0):
         raise GridContractError("grid must be strictly increasing")
-    _require_symmetric(grid, "grid must be symmetric about 0")  # a NaN fails here
+    _require_symmetric(grid, "grid must be symmetric about 0")
     return grid
 
 

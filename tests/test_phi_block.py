@@ -367,22 +367,29 @@ def test_entries_do_not_depend_on_column_order_or_row_position():
 # adaptive rule: one integrand call per round of splits
 # --------------------------------------------------------------------------
 
-def test_pointwise_integrals_converge_in_one_integrand_call(monkeypatch):
-    G = preset("H3")
-    f = gaussian_profile(G, width=1.0)
-    calls, integrals = [], []
+def count_integrand_calls(monkeypatch) -> list:
+    """A list that receives the panel count of every later integrand call of the adaptive rule."""
+    calls = []
     estimates = specfun._panel_estimates
 
     def counted_estimates(g, a, b):
         calls.append(len(a))
         return estimates(g, a, b)
 
+    monkeypatch.setattr(specfun, "_panel_estimates", counted_estimates)
+    return calls
+
+
+def test_pointwise_integrals_converge_in_one_integrand_call(monkeypatch):
+    G = preset("H3")
+    f = gaussian_profile(G, width=1.0)
+    calls, integrals = count_integrand_calls(monkeypatch), []
+
     def counted_integral(*args, **kwargs):
         value, err = specfun.integrate_interval(*args, **kwargs)
         integrals.append(np.shape(value))
         return value, err
 
-    monkeypatch.setattr(specfun, "_panel_estimates", counted_estimates)
     monkeypatch.setattr(transform, "integrate_interval", counted_integral)
     ops = [lambda lam=lam: transform.hc_transform_at(G, f, lam) for lam in (1.0, 2.0, 3.0)]
     ops.append(lambda: transform.convolve_at_identity(
@@ -404,14 +411,7 @@ def test_pointwise_integrals_converge_in_one_integrand_call(monkeypatch):
 
 
 def test_peaked_integrand_splits_its_worst_panels_in_one_call(monkeypatch):
-    calls = []
-    estimates = specfun._panel_estimates
-
-    def counted_estimates(g, a, b):
-        calls.append(len(a))
-        return estimates(g, a, b)
-
-    monkeypatch.setattr(specfun, "_panel_estimates", counted_estimates)
+    calls = count_integrand_calls(monkeypatch)
     value, err = specfun.integrate_interval(lambda x: 1.0 / (1e-4 + (x - 0.5) ** 2), 0.0, 1.0)
     exact = 200.0 * math.atan(50.0)
     assert abs(value - exact) <= specfun.DEFAULT_QUAD.tolerance(exact)
@@ -422,14 +422,7 @@ def test_peaked_integrand_splits_its_worst_panels_in_one_call(monkeypatch):
 
 
 def test_exhausted_budget_takes_few_integrand_calls(monkeypatch):
-    calls = []
-    estimates = specfun._panel_estimates
-
-    def counted_estimates(g, a, b):
-        calls.append(len(a))
-        return estimates(g, a, b)
-
-    monkeypatch.setattr(specfun, "_panel_estimates", counted_estimates)
+    calls = count_integrand_calls(monkeypatch)
     q = specfun.QuadratureSpec(max_subdivisions=4096)
     start = time.process_time()
     with pytest.raises(AccuracyError, match="budget 4096 exhausted"):

@@ -234,6 +234,6 @@ def test_halfline_requires_positive_rate():
     (ExpDecay(-1.0, 2.0), "coeff = -1.0"),
 ])
 def test_truncation_rejects_a_non_finite_envelope(decay, named):
-    # a NaN envelope used to stop the search at once: T = 1.0 or 2.5
+    # NaN compares false, so a NaN envelope would end the search at once (T = 1.0 or 2.5)
     with pytest.raises(DomainError, match=named):
         truncation_point(decay, 1e-12)
