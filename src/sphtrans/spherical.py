@@ -153,13 +153,16 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
     a = 0.5 * (G.rho + 1j * lam)[:, None]
     q = 0.5 * (G.jacobi_alpha - G.jacobi_beta + 1.0 + 1j * lam)[:, None]
     coef = np.ones((len(lam), 1), dtype=complex)
+    term = np.ones((len(lam), 1), dtype=complex)  # C_n u_max^n of the last n
     bound = np.empty((len(lam), 0))  # bound[:, k] belongs to n = k + 1
     while True:
         n = np.arange(coef.shape[1] - 1, coef.shape[1] + _SERIES_CHUNK - 1, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             ratio = (a + n) * (q + n) / ((G.jacobi_alpha + 1.0 + n) * (n + 1.0))
             new = np.cumprod(np.hstack([coef[:, -1:], ratio]), axis=1)[:, 1:]
-            bound = np.hstack([bound, np.abs(new) * u_max[:, None] ** (n + 1.0)])
+            # C_n alone overflows for large |lam| where C_n u_max^n need not (u_max = 0 at t = 0)
+            term = np.cumprod(np.hstack([term[:, -1:], ratio * u_max[:, None]]), axis=1)
+            bound = np.hstack([bound, np.abs(term[:, 1:])])
         coef = np.hstack([coef, new])
         below = bound * (1.0 + u_max / (1.0 - u_max))[:, None] < 1e-17
         pair = below[:, 5:] & below[:, 4:-1]
@@ -470,7 +473,10 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, panels, want_d1: bool, real: bool)
     return outs
 
 
-def _evaluate(G: GroupDatum, lam, t, order: int):
+def _evaluate(G: GroupDatum, lam, t, order: int, panels=None):
+    """phi, or its t-derivative of ``order`` 1 or 2, shaped as in :func:`phi`.  When
+    ``t`` are the ascending nodes mid[P] + offsets[j] of a composite rule, ``panels`` =
+    (mid, offsets) lets every order factor e^{mu t} per panel (see :func:`_hc_series`)."""
     lam_arr, t_arr = np.asarray(lam), np.asarray(t, dtype=float)
     if lam_arr.ndim > 1:
         raise DomainError("lam must be a scalar or a 1-D array")
@@ -483,8 +489,10 @@ def _evaluate(G: GroupDatum, lam, t, order: int):
     real = not np.any(rows.imag)
     ts = t_arr.ravel()
     perm = None if np.all(ts[1:] >= ts[:-1]) else np.argsort(ts, kind="stable")
+    if panels is None:
+        panels = (ts if perm is None else ts[perm], np.zeros(1))
     with np.errstate(over="ignore", invalid="ignore"):  # a value past float range is named below
-        outs = _phi_rows(G, rows, (ts if perm is None else ts[perm], np.zeros(1)), order > 0, real)
+        outs = _phi_rows(G, rows, panels, order > 0, real)
     if perm is not None:  # the branches fill column ranges of ascending t
         outs = [o[:, np.argsort(perm)] for o in outs]
     for part in outs[1:] if order == 1 else outs:  # the values the result is made of
@@ -508,14 +516,6 @@ def _evaluate(G: GroupDatum, lam, t, order: int):
     if np.iscomplexobj(lam_arr):
         out = out.astype(complex, copy=False)
     return out.reshape((len(rows),) + t_arr.shape)
-
-
-def phi_panels(G: GroupDatum, lam: np.ndarray, panels) -> np.ndarray:
-    """The real table [phi_{lam[i]}(t_j)] for finite real 1-D ``lam`` on the ascending
-    nodes t = mid[P] + offsets[j] of a composite rule, ``panels`` = (mid, offsets)."""
-    if not np.all(np.isfinite(lam)):
-        raise DomainError(f"phi requires finite lam, got {lam!r}")
-    return _phi_rows(G, lam.astype(complex), panels, False, True)[0]
 
 
 def phi(G: GroupDatum, lam, t):

@@ -47,7 +47,7 @@ from .specfun import (
     integrate_interval,
     truncation_point,
 )
-from .spherical import RadialProfile, phi, phi_d1, phi_d2, phi_panels
+from .spherical import RadialProfile, _evaluate, phi, phi_d1, phi_d2
 
 __all__ = [
     "SpectralDecay",
@@ -208,14 +208,15 @@ _PANELS: "weakref.WeakValueDictionary[bytes, _Rule]" = weakref.WeakValueDictiona
 
 
 def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0) -> np.ndarray:
-    """Real matrix [phi_{lam_i}(t_j)] for real lam_i, or its t-derivative of ``order`` 1 or 2,
-    held in the table cache; values on radial rule nodes come from ``phi_panels``."""
+    """Real matrix [phi_{lam_i}(t_j)] for real lam_i and 1-D ``ts``, or its t-derivative of
+    ``order`` 1 or 2, held in the table cache: on radial rule nodes one evaluator call on
+    the rule's panel split, elsewhere the public ``phi``, ``phi_d1`` or ``phi_d2``."""
     key = (G, order, lams.tobytes(), ts.tobytes())
     hit = _PHI_CACHE.get(key)
     if hit is not None:
         return hit
-    rule = _PANELS.get(key[3]) if order == 0 else None
-    out = (phi_panels(G, lams, rule.panels) if rule is not None
+    rule = _PANELS.get(key[3])
+    out = (_evaluate(G, lams, ts, order, rule.panels) if rule is not None
            else (phi, phi_d1, phi_d2)[order](G, lams, ts))
     if out.nbytes <= _PHI_CACHE_BYTES:
         while sum(v.nbytes for v in _PHI_CACHE.values()) + out.nbytes > _PHI_CACHE_BYTES:
@@ -430,9 +431,7 @@ def _check_symbol(a: SpectralFunction, what: str = "symbol"):
 def _symbol_node_values(a: SpectralFunction, nodes: np.ndarray) -> np.ndarray:
     """Even part of the symbol at positive quadrature nodes."""
     if a.fn is not None:
-        vp = np.asarray(a.fn(nodes), dtype=complex)
-        vm = np.asarray(a.fn(-nodes), dtype=complex)
-        return 0.5 * (vp + vm)
+        return 0.5 * (a(nodes) + a(-nodes))
     return _local_interp(a.grid, a.even_values(), nodes)
 
 
@@ -445,29 +444,27 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     of the symbol's grid, so it takes no tolerance; its panel order adapts
     to the largest |t| requested per call, and results for different call
     batches agree to the rule's accuracy.  The values and both t-derivatives
-    read their blocks from the one table cache, :func:`_phi_block`.
+    take ``t`` of any shape, and read their blocks, on the flattened ``t``,
+    from the one table cache, :func:`_phi_block`.
     """
     _check_symbol(a, "wave-packet symbol")
     L = float(a.grid[-1])
     # factor 2: even integrand reduced to (0, L]; 1/|W| folded against it
     prefactor = 2.0 * G.plancherel_constant / G.weyl_order
-    charges: dict[int, tuple[_Rule, np.ndarray]] = {}
 
-    def _charged_rule(ts: np.ndarray):
-        rule = _spectral_rule(G, L, _spectral_order(float(ts.max()) if ts.size else 1.0))
-        hit = charges.get(id(rule))
-        if hit is None:
-            a_nodes = _symbol_node_values(a, rule.nodes)
-            hit = (rule, prefactor * rule.weights * a_nodes * rule.density)
-            charges[id(rule)] = hit
-        return hit
+    @functools.cache
+    def charges(n: int):
+        # the spectral rule of panel order n, and the symbol's charge at each of its nodes
+        rule = _spectral_rule(G, L, n)
+        return rule, prefactor * rule.weights * _symbol_node_values(a, rule.nodes) * rule.density
 
     def charged(order):
         # psi_a, or its t-derivative of ``order``
-        def evaluate(ts):
-            ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            rule, charge = _charged_rule(ts)
-            return _real_times(_phi_block(G, rule.nodes, ts, order).T, charge)
+        def evaluate(t):
+            ts = np.asarray(t, dtype=float)
+            rule, charge = charges(_spectral_order(ts.max(initial=1.0)))
+            return _real_times(_phi_block(G, rule.nodes, ts.ravel(), order).T,
+                               charge).reshape(ts.shape)
         return evaluate
 
     eval_packet = charged(0)
@@ -475,7 +472,7 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     def noise_floor(ts):
         # evaluator noise: roundoff of the quadrature dot against the
         # spherical-function envelope |phi_nu(t)| <= 2 (1+t) e^{-rho t}
-        _, charge = _charged_rule(ts)
+        _, charge = charges(_spectral_order(ts.max(initial=1.0)))
         kappa = 1e-14 * float(np.sum(np.abs(charge)))
         return kappa * (1.0 + ts) * np.exp(-G.rho * ts)
 
@@ -562,15 +559,9 @@ def plancherel_pairing(
 # mollified expansion terms (the two-Cartan-class sum)
 # ---------------------------------------------------------------------------
 
-_HF_CACHE: "weakref.WeakKeyDictionary[RadialProfile, dict]" = weakref.WeakKeyDictionary()
-
-
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _cached_transform(G: GroupDatum, f: RadialProfile, q: QuadratureSpec) -> SpectralFunction:
-    per_profile = _HF_CACHE.setdefault(f, {})
-    key = (G, q.rel_tol, q.abs_tol)
-    if key not in per_profile:
-        per_profile[key] = hc_transform(G, f, None, q).spectral
-    return per_profile[key]
+    return hc_transform(G, f, None, q).spectral
 
 
 def expansion_term(
@@ -591,16 +582,21 @@ def expansion_term(
     compact: identically 0 on spherical inputs (discrete-series
              characters annihilate them); kept so the two-term structure
              of the expansion stays visible.
+
+    Both need the window lam +- 9 eps inside the sampled grid: |lam| + 9 eps <= GRID_MAX.
     """
     if cartan_class not in CARTAN_CLASSES:
         raise DomainError(f"cartan_class must be one of {CARTAN_CLASSES}")
     if not (0.0 < eps <= 1.0):
         raise DomainError(f"mollifier width must lie in (0, 1], got {eps}")
+    half_window = 9.0 * eps
+    if not abs(float(lam)) + half_window <= GRID_MAX:  # NaN fails too
+        raise DomainError(f"expansion_term requires finite lam with |lam| + 9 eps <= {GRID_MAX}, "
+                          f"got lam = {lam!r}, eps = {eps!r}")
     if cartan_class == "compact":
         return 0.0 + 0.0j
     lam = abs(float(lam))
     hf = _cached_transform(G, f, q)
-    half_window = 9.0 * eps
     lo, hi = lam - half_window, lam + half_window
     pref = G.plancherel_constant / G.weyl_order
 
@@ -643,8 +639,9 @@ def spectral_multiplier(a: SpectralFunction, m, degree: int = 2) -> SpectralFunc
     ``degree`` is the polynomial growth order of m, used to reduce the
     decay metadata honestly.
     """
-    new_values = a.values * np.asarray(m(a.grid), dtype=complex)
-    growth = np.abs(np.asarray(m(a.grid))) / (1.0 + np.abs(a.grid)) ** degree
+    m_grid = np.asarray(m(a.grid))
+    new_values = a.values * m_grid
+    growth = np.abs(m_grid) / (1.0 + np.abs(a.grid)) ** degree
     c_m = float(np.max(growth)) if len(a.grid) else 0.0
     new_fn = None
     if a.fn is not None:

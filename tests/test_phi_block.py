@@ -207,15 +207,19 @@ def test_lost_digits_guard_fires_at_large_lam(lam):
         phi(preset("H3"), lam, 0.175)
 
 
-@pytest.mark.parametrize("lam", [10.0**k for k in range(1, 19)] + [1e300])
+@pytest.mark.parametrize("lam", [10.0**k for k in range(1, 19)] + [2000.0, 1e300])
 def test_large_lam_is_accurate_or_raises(lam):
-    # relative to the envelope 1/(lam sinh t) of sin(lam t)/(lam sinh t) on H3
-    try:
-        val = phi(preset("H3"), lam, 1.0)
-    except AccuracyError as err:
-        assert "lam = " in str(err)
-        return
-    assert abs(val - math.sin(lam) / (lam * math.sinh(1.0))) * lam * math.sinh(1.0) <= 1e-10
+    # relative to min(Xi(t), 1/(lam sinh t)), the envelope of sin(lam t)/(lam sinh t) on
+    # H3; a Pfaff row owning only t = 0 or 1e-9 must not fail, only the c-function guard
+    for t in ([1.0], [0.0, 1.0], [1e-9, 1.0]):
+        t = np.array(t)
+        try:
+            val = phi(preset("H3"), lam, t)
+        except AccuracyError as err:
+            assert lam > 2e4 and "c-function loses too many digits at lam = " in str(err)
+            continue
+        env = xi_h3(t) / np.maximum(1.0, lam * t)
+        assert np.all(np.abs(val - h3_closed_form([lam], t)[0]) <= 1e-10 * env), t
 
 
 @pytest.mark.parametrize("lam", [1e18, 1e300])
@@ -289,14 +293,14 @@ def test_hc_transform_folds_mirrored_rows(monkeypatch):
     G = preset("SL2R")
     f = gaussian_profile(G)
     rows = []
-    real_phi_panels = transform.phi_panels
+    real_evaluate = transform._evaluate
 
-    # the tables on radial rule nodes are built by phi_panels
-    def counting_phi_panels(G, lam, panels):
+    # the tables on radial rule nodes are one evaluator call each
+    def counting_evaluate(G, lam, t, order, panels=None):
         rows.append(np.size(lam))
-        return real_phi_panels(G, lam, panels)
+        return real_evaluate(G, lam, t, order, panels)
 
-    monkeypatch.setattr(transform, "phi_panels", counting_phi_panels)
+    monkeypatch.setattr(transform, "_evaluate", counting_evaluate)
     monkeypatch.setattr(transform, "_PHI_CACHE", {})
     for grid in (GRID, np.linspace(-11.5, 11.5, 481)):
         res = transform.hc_transform(G, f, grid)
@@ -338,12 +342,14 @@ def test_panel_tables_match_plain_phi(name, monkeypatch):
     # the switch points, 1.2 and 9.6 / |lam| for |lam| > 8, lie inside panels of
     # width 0.5, so the exponential series of a row starts mid-panel
     for T in (4.0, 16.0, 40.0):
-        for order in (16, 10):
-            nodes = transform._radial_rule(G, T, order).nodes
+        for rule_order in (16, 10):
+            nodes = transform._radial_rule(G, T, rule_order).nodes
             assert nodes.tobytes() in transform._PANELS
-            table = transform._phi_block(G, rows, nodes)
-            err = np.abs(table - phi(G, rows, nodes)) / xi(G, nodes)
-            assert err.max() <= 1e-13, (T, order)
+            for k, plain in enumerate((phi, phi_d1, phi_d2)):
+                table = transform._phi_block(G, rows, nodes, k)
+                err = np.abs(table - plain(G, rows, nodes)) / xi(G, nodes)
+                tol = (1e-13, 1e-12, 1e-12)[k] * (1.0 + np.abs(rows[:, None])) ** k
+                assert np.all(err <= tol), (T, rule_order, k)
 
 
 def test_entries_do_not_depend_on_column_order_or_row_position():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -17,11 +18,13 @@ from sphtrans.errors import (
 from sphtrans.groups import PRESET_NAMES, GroupDatum, haar_density, preset
 from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile
 from sphtrans.schwartz import schwartz_seminorm
-from sphtrans.specfun import ExpDecay, gauss_legendre_rule, integrate_interval
+from sphtrans.specfun import DEFAULT_QUAD, ExpDecay, gauss_legendre_rule, integrate_interval
 from sphtrans.spherical import RadialProfile, phi
 from sphtrans.transform import (
+    CARTAN_CLASSES,
     SpectralDecay,
     SpectralFunction,
+    TransformResult,
     casimir_radial,
     convolve_at_identity,
     default_spectral_grid,
@@ -388,6 +391,22 @@ def test_wave_packet_real_for_real_even_symbol():
     assert np.max(np.abs(vals.imag)) < 1e-12
 
 
+@pytest.mark.parametrize("family", ["gaussian", "cosh", "xi_poly", "packet"])
+def test_profiles_take_t_of_any_shape(family, monkeypatch):
+    # a packet's table is keyed on the flattened t, so a 2-d t must give the same
+    # entries as the flat one, whichever of the two fills the table cache
+    G = preset("H3")
+    make = {"gaussian": gaussian_profile, "cosh": cosh_profile, "xi_poly": xi_poly_profile,
+            "packet": lambda G: wave_packet(G, gauss_symbol())}[family]
+    f = make(G)
+    t2 = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    for k in (0, 1, 2):
+        for calls in ((t2, t2.ravel()), (t2.ravel(), t2)):
+            monkeypatch.setattr(transform, "_PHI_CACHE", {})
+            out = {t.ndim: f.deriv(t, k) for t in calls}  # in call order
+            np.testing.assert_array_equal(out[2], out[1].reshape(t2.shape))
+
+
 # ---------------------------------------------------------------------------
 # the measure constant
 # ---------------------------------------------------------------------------
@@ -448,6 +467,13 @@ def test_expansion_domain_errors():
         expansion_term(G, "split", psi, 1.0, 1.5)
     with pytest.raises(DomainError):
         expansion_term(G, "parabolic", psi, 1.0, 0.3)
+    # the window lam +- 9 eps must fit the transform's grid, |lam| <= 12
+    for lam, eps in ((math.nan, 0.2), (math.inf, 0.2), (10.3, 0.2), (12.5, 0.2),
+                     (20.0, 0.2), (1e6, 0.2), (-20.0, 0.2)):
+        for cartan_class in CARTAN_CLASSES:
+            with pytest.raises(DomainError, match=re.escape(
+                    f"|lam| + 9 eps <= 12.0, got lam = {lam!r}, eps = {eps!r}")):
+                expansion_term(G, cartan_class, psi, lam, eps)
 
 
 def test_expansion_weyl_flip():
@@ -556,7 +582,7 @@ def test_sl2c_shares_the_h3_tables(monkeypatch):
     assert sl2c.group.name == "SL2C"
 
 
-def test_rule_caches_stay_at_their_maxsize():
+def test_rule_caches_stay_at_their_maxsize(monkeypatch):
     G = preset("SL2R")
     order = transform._spectral_order()
     held = transform._radial_rule(G, 3.0, 10)  # still in use after the cache drops it
@@ -565,9 +591,17 @@ def test_rule_caches_stay_at_their_maxsize():
         transform._radial_rule(G, 4.0 + 0.5 * k, 10)
     for n in range(2, 102):
         gauss_legendre_rule(n)
-    for cached in (transform._spectral_rule, transform._radial_rule, gauss_legendre_rule):
-        info = cached.cache_info()
+    # expansion_term's transforms, one per profile: a stand-in keeps them cheap
+    monkeypatch.setattr(transform, "hc_transform",
+                        lambda G, f, grid, q: TransformResult(None, None, G))
+    for _ in range(100):
+        transform._cached_transform(G, gaussian_profile(G), DEFAULT_QUAD)
+    caches = (transform._spectral_rule, transform._radial_rule, gauss_legendre_rule,
+              transform._cached_transform)
+    infos = [cached.cache_info() for cached in caches]
+    transform._cached_transform.cache_clear()  # drop the stand-in results
+    for info in infos:
         assert info.currsize == info.maxsize == 64
-    # a radial rule keeps its panel split, for phi_panels, as long as it is held
+    # a radial rule keeps its panel split, for its tables, as long as it is held
     assert len(transform._PANELS) <= 64 + 1
     assert transform._PANELS[held.nodes.tobytes()] is held
