@@ -82,7 +82,10 @@ class RadialProfile:
 
     ``eval`` must accept float ndarrays.  Evaluation at negative t is
     reflected to |t|, which realizes the evenness of K-biinvariant
-    functions.  ``decay`` is an actual envelope bound.  Derivatives of
+    functions.  ``decay`` is an envelope bound: of the function itself for
+    the shipped profiles, and for a wave packet of the exact packet, which
+    the evaluated one matches to its roundoff floor (see
+    :func:`sphtrans.transform.wave_packet`).  Derivatives of
     order 1 and 2 come from ``d1`` and ``d2``, evaluated at t >= 0.
     """
 
@@ -195,28 +198,19 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
     return [pref * sums[0], pref * (-s * th * sums[0] + sums[1] * 2.0 * th * (1.0 - th * th))]
 
 
-def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndarray,
-               want_d1: bool, weight: np.ndarray, real: bool, names: np.ndarray):
-    """weight g(s), g(s) = c(s) Phi_s (and its t-derivative) on sides x t, one
-    side s per row, where
+def _hc_coefficients(G: GroupDatum, sides: np.ndarray, x: np.ndarray, names: np.ndarray):
+    """Coefficients a_k of Phi_s(t) = e^{mu t} sum_k a_k e^{-2kt}, mu = i s - rho, one
+    side s per row, from the radial equation
 
-        Phi_lam(t) = e^{mu t} sum_k a_k e^{-2kt},   mu = i lam - rho,
-        4 k (k - i lam) a_k = - sum_{j=1}^{k} b_j a_{k-j} (mu - 2(k-j)),  a_0 = 1,
-        b_j = 2 m_alpha + 4 m_2alpha [j even]
+        4 k (k - i s) a_k = - sum_{j=1}^{k} b_j a_{k-j} (mu - 2(k-j)),  a_0 = 1,
+        b_j = 2 m_alpha + 4 m_2alpha [j even].
 
-    from the radial equation.  b_j depends only on the parity of j, so
-    running sums of d_m = a_m (mu - 2m) over all m and over each parity
-    make a step O(1).  Row i stops at the first k >= 6 where |a_k| x^k and
-    |a_{k-1}| x^{k-1} are below 1e-19 max(1, |a_1|, ..., |a_k|), with
-    x = e^{-2 t_min[i]}.  The columns are t = mid[P] + offsets[j] from the
-    ``lo``-th on, so e^{mu t} is e^{mu mid} e^{mu offsets}.  ``real`` keeps
-    the real part only: phi = 2 Re g(lam) for real lam.  Errors name the
-    caller's lam of each side, ``names``.
+    b_j depends only on the parity of j, so running sums of d_m = a_m (mu - 2m)
+    over all m and over each parity make a step O(1).  Row i stops at the first
+    k >= 6 where |a_k| x_i^k and |a_{k-1}| x_i^{k-1} are below
+    1e-19 max(1, |a_1|, ..., |a_k|); its later entries are 0.  Past
+    ``_MAX_HC_TERMS`` AccuracyError names the row's entry of ``names``.
     """
-    mid, offsets = panels
-    t = (mid[:, None] + offsets).ravel()[lo:]
-    weighted_c = weight * c_value(G, sides, names)  # first: it names a lam too large for any digits
-    x = np.exp(-2.0 * t_min)
     mu = 1j * sides - G.rho
     total = mu.copy()  # sum of d_m over m < k
     parity = [mu.copy(), np.zeros_like(mu)]  # over even, odd m
@@ -237,14 +231,29 @@ def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndar
         term = mag * x[:, None] ** np.arange(A.shape[1])
         pair = (term[:, 6:] < scale) & (term[:, 5:-1] < scale)
         if pair.any(axis=1).all():
-            break
+            return _truncate(A, pair)
         if A.shape[1] > _MAX_HC_TERMS:
             i = int(np.argmin(pair.any(axis=1)))
             raise AccuracyError(
                 f"exponential series for phi did not settle within {_MAX_HC_TERMS} terms "
                 f"at lam = {_lam_text(names[i])}, t = {-0.5 * math.log(x[i])!r}"
             )
-    coef = _truncate(A, pair) * weighted_c[:, None]
+
+
+def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndarray,
+               want_d1: bool, weight: np.ndarray, real: bool, names: np.ndarray):
+    """weight g(s), g(s) = c(s) Phi_s (and its t-derivative) on sides x t, one
+    side s per row, with the coefficients of :func:`_hc_coefficients` for
+    x = e^{-2 t_min[i]} on row i.  The columns are t = mid[P] + offsets[j] from
+    the ``lo``-th on, so e^{mu t} is e^{mu mid} e^{mu offsets}.  ``real`` keeps
+    the real part only: phi = 2 Re g(lam) for real lam.  Errors name the
+    caller's lam of each side, ``names``.
+    """
+    mid, offsets = panels
+    t = (mid[:, None] + offsets).ravel()[lo:]
+    weighted_c = weight * c_value(G, sides, names)  # first: it names a lam too large for any digits
+    mu = 1j * sides - G.rho
+    coef = _hc_coefficients(G, sides, np.exp(-2.0 * t_min), names) * weighted_c[:, None]
     blocks = [coef]
     if want_d1:
         blocks.append(coef * (mu[:, None] - 2.0 * np.arange(coef.shape[1])))

@@ -47,7 +47,7 @@ from .specfun import (
     integrate_interval,
     truncation_point,
 )
-from .spherical import RadialProfile, _evaluate, phi, phi_d1, phi_d2
+from .spherical import RadialProfile, _evaluate, _hc_coefficients, c_log, phi, phi_d1, phi_d2
 
 __all__ = [
     "SpectralDecay",
@@ -82,6 +82,19 @@ _INTERP_ORDER = 6
 # bound for Xi(t) e^{rho t} / (1 + t) on the shipped presets, used only
 # for truncation planning of forward integrals
 _XI_ENVELOPE = 2.0
+
+# contour shifts Im nu = sigma tried for a packet envelope: non-integer, so that no
+# c-function pole sits on the contour; the bound holds from t0 on, and its integral
+# over x runs on [-_CONTOUR_X, _CONTOUR_X] in GL panels of _CONTOUR_PANEL (C_sigma
+# within 1e-7 of a 4x finer rule on the shipped symbols), whose ends must be below
+# _CONTOUR_END_TOL of the whole
+_SIGMAS = np.arange(0.45, 5.5, 0.5)
+_CONTOUR_T0 = 1.0
+_CONTOUR_X = 2.0 * GRID_MAX
+_CONTOUR_PANEL = 1.5
+_CONTOUR_END_TOL = 1e-12
+# the measured envelope's margin over the largest value it was taken from
+_ENVELOPE_MARGIN = 1.15
 
 CARTAN_CLASSES = ("split", "compact")
 
@@ -279,11 +292,16 @@ def _spectral_rule(G: GroupDatum, L: float, order: int) -> _Rule:
     return _Rule(nodes, weights, cfunction.plancherel_density(G, nodes))
 
 
-def _forward_envelope(G: GroupDatum, f: RadialProfile, strip: float = 0.0) -> ExpDecay:
-    """Envelope of f phi_lam Delta for |Im lam| <= strip, since
-    |phi_lam(t)| <= e^{strip t} Xi(t)."""
-    return ExpDecay(f.decay.coeff * _XI_ENVELOPE, f.decay.rate - G.rho - strip,
-                    f.decay.degree + 1)
+def _forward_envelope(G: GroupDatum, decay: ExpDecay, strip: float = 0.0) -> ExpDecay:
+    """Envelope of f phi_lam Delta for |Im lam| <= strip and f of envelope ``decay``,
+    since |phi_lam(t)| <= e^{strip t} Xi(t)."""
+    return ExpDecay(decay.coeff * _XI_ENVELOPE, decay.rate - G.rho - strip, decay.degree + 1)
+
+
+def _radial_cutoff(G: GroupDatum, decay: ExpDecay, abs_tol: float) -> float:
+    """hc_transform's truncation T for a profile of envelope ``decay``, in steps of 4
+    so that tables are shared."""
+    return 4.0 * math.ceil(truncation_point(_forward_envelope(G, decay), abs_tol) / 4.0)
 
 
 def _require_schwartz(f: RadialProfile, rate: float, what: str):
@@ -315,8 +333,8 @@ def hc_transform(
     """
     grid = _checked_grid(default_spectral_grid() if grid is None else grid)
     _require_schwartz(f, G.rho, "hc_transform input")
-    env = _forward_envelope(G, f)
-    T = 4.0 * math.ceil(truncation_point(env, q.abs_tol) / 4.0)  # bucket for table reuse
+    env = _forward_envelope(G, f.decay)
+    T = _radial_cutoff(G, f.decay, q.abs_tol)
     fine = _radial_rule(G, T, _T_ORDER_FINE)
     coarse = _radial_rule(G, T, _T_ORDER_COARSE)
     f_fine = np.asarray(f(fine.nodes), dtype=complex)
@@ -375,7 +393,7 @@ def hc_transform_at(G: GroupDatum, f: RadialProfile, lam, q: QuadratureSpec = DE
         return lams
     strip = float(np.max(np.abs(lams.imag)))
     _require_schwartz(f, G.rho + strip, "hc_transform input")
-    T = truncation_point(_forward_envelope(G, f, strip), q.abs_tol)
+    T = truncation_point(_forward_envelope(G, f.decay, strip), q.abs_tol)
 
     def integrand(t):
         return np.asarray(f(t), dtype=complex) * phi(G, lams, t) * haar_density(G, t)
@@ -438,14 +456,22 @@ def _symbol_node_values(a: SpectralFunction, nodes: np.ndarray) -> np.ndarray:
 def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     """Wave packet psi_a(t) = (c_P/|W|) int_R a(nu) phi_nu(t) |c(nu)|^-2 dnu.
 
-    Returns the packet as a RadialProfile (evaluator plus inferred decay
-    metadata).  The symbol must be Weyl-even with decay power >= 4.  The
-    integral is a fixed composite Gauss-Legendre rule on (0, L], L the end
-    of the symbol's grid, so it takes no tolerance; its panel order adapts
-    to the largest |t| requested per call, and results for different call
-    batches agree to the rule's accuracy.  The values and both t-derivatives
-    take ``t`` of any shape, and read their blocks, on the flattened ``t``,
-    from the one table cache, :func:`_phi_block`.
+    Returns the packet as a RadialProfile.  The symbol must be Weyl-even
+    with decay power >= 4.  The integral is a fixed composite Gauss-Legendre
+    rule on (0, L], L the end of the symbol's grid, so it takes no
+    tolerance; its panel order adapts to the largest |t| requested per call,
+    and results for different call batches agree to the rule's accuracy.
+    The values and both t-derivatives take finite ``t`` of any shape, and
+    read their blocks, on the flattened ``t``, from the one table cache,
+    :func:`_phi_block`.
+
+    ``decay`` bounds the exact packet; the evaluated one is within its
+    roundoff floor 1e-14 sum|charge| (1 + t) e^{-rho t} of it.  For a symbol
+    with an evaluator ``fn`` the envelope comes from a contour shift
+    (:func:`_contour_envelope`); without one, or when the packet on [0, 12]
+    leaves that envelope by more than the floor (an ``fn`` that is not the
+    symbol's analytic continuation), from sampling the packet
+    (:func:`_infer_packet_decay`).
     """
     _check_symbol(a, "wave-packet symbol")
     L = float(a.grid[-1])
@@ -462,6 +488,8 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
         # psi_a, or its t-derivative of ``order``
         def evaluate(t):
             ts = np.asarray(t, dtype=float)
+            if not np.all(np.isfinite(ts)):  # else the spectral order of a NaN t is taken
+                raise DomainError(f"wave packet requires finite t, got t = {t!r}")
             rule, charge = charges(_spectral_order(ts.max(initial=1.0)))
             return _real_times(_phi_block(G, rule.nodes, ts.ravel(), order).T,
                                charge).reshape(ts.shape)
@@ -476,7 +504,12 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
         kappa = 1e-14 * float(np.sum(np.abs(charge)))
         return kappa * (1.0 + ts) * np.exp(-G.rho * ts)
 
-    decay = _infer_packet_decay(G, eval_packet, noise_floor)
+    decay = None
+    if a.fn is not None:
+        charge_sum = float(np.sum(np.abs(charges(_spectral_order())[1])))
+        decay = _contour_envelope(G, a.fn, charge_sum, eval_packet, noise_floor)
+    if decay is None:
+        decay = _infer_packet_decay(G, eval_packet, noise_floor)
     return RadialProfile(
         eval=eval_packet,
         decay=decay,
@@ -484,6 +517,86 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
         d2=charged(2),
         label=f"psi[{a.label or 'a'}]",
     )
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
+    """(sigma, C_sigma) for each sigma of ``_SIGMAS`` with a usable bound, where
+
+        C_sigma = (2 c_P/|W|) int_R |a(x + i sigma)| |c(-x - i sigma)|^-1
+                  sum_k |a_k(x + i sigma)| e^{-2 k t0} dx,
+
+    a = ``fn`` on the line Im nu = sigma and a_k the coefficients of Phi_nu
+    (:func:`_hc_coefficients`).  c and a_k are real functions of i nu, so
+    their moduli are even in x, and the integral is composite GL on
+    (0, X] over |a(x + i sigma)| + |a(-x + i sigma)|.  A sigma is usable
+    when C_sigma is finite and the integrand at x = X is below
+    ``_CONTOUR_END_TOL`` of it.  An ``fn`` that rejects complex input has none.
+    """
+    n_panels = int(math.ceil(_CONTOUR_X / _CONTOUR_PANEL))
+    nodes, weights, _ = composite_gl_nodes(0.0, _CONTOUR_X, n_panels, _NU_ORDER)
+    z = (np.append(nodes, _CONTOUR_X) + 1j * _SIGMAS[:, None]).ravel()  # a row per sigma
+    with np.errstate(all="ignore"):  # a non-finite C_sigma only disqualifies its sigma
+        try:
+            a_abs = (np.abs(np.asarray(fn(z), dtype=complex))
+                     + np.abs(np.asarray(fn(-z.conj()), dtype=complex)))
+        except (TypeError, ValueError):
+            return ()
+        x0 = math.exp(-2.0 * _CONTOUR_T0)
+        coef = _hc_coefficients(G, z, np.full(len(z), x0), z)
+        series = np.abs(coef) @ x0 ** np.arange(coef.shape[1])
+        integrand = (a_abs * series * np.exp(-c_log(G, -z).real)).reshape(len(_SIGMAS), -1)
+        C = 2.0 * G.plancherel_constant / G.weyl_order * (integrand[:, :-1] @ weights)
+        usable = np.isfinite(C) & (integrand[:, -1] <= _CONTOUR_END_TOL * C)
+    return tuple(zip(_SIGMAS[usable].tolist(), C[usable].tolist()))
+
+
+def _contour_envelope(G: GroupDatum, fn, charge_sum: float, eval_packet,
+                      noise_floor) -> Optional[ExpDecay]:
+    """Envelope of the exact packet from a contour shift, or None when the packet
+    leaves it.
+
+    For real nu, phi_nu |c(nu)|^-2 = Phi_nu / c(-nu) + Phi_{-nu} / c(nu), so for
+    an even symbol psi_a(t) = (2 c_P/|W|) int_R a(nu) Phi_nu(t) / c(-nu) dnu.
+    Neither factor has a pole on Im nu > 0 (Koornwinder 1984), so the line
+    moves to Im nu = sigma, where |e^{i nu t}| = e^{-sigma t}: for t >= t0,
+    |psi(t)| <= C_sigma e^{-(rho + sigma) t} (:func:`_contour_ladder`), and for
+    t < t0, |psi(t)| <= sum |charge|, since |phi_nu| <= Xi <= 1.  Of the usable
+    sigma, the one that gives :func:`hc_transform` the shortest T wins, ties
+    going to the smaller tail bound; an unhashable ``fn`` computes its ladder
+    uncached.  The packet is then checked once on the probe's first window;
+    past the envelope by more than ``noise_floor`` (an ``fn`` that is not the
+    symbol's continuation) the result is None.
+    """
+    try:
+        ladder = _contour_ladder(G, fn)
+    except TypeError:  # an unhashable fn is not cached
+        ladder = _contour_ladder.__wrapped__(G, fn)
+    envs = []
+    for sigma, C in ladder:
+        rate = G.rho + sigma
+        coeff = _ENVELOPE_MARGIN * max(C, charge_sum * math.exp(rate * _CONTOUR_T0))
+        envs.append(ExpDecay(coeff=coeff + 1e-300, rate=rate, degree=0))
+    if not envs:
+        return None
+
+    def cost(env):
+        T = _radial_cutoff(G, env, DEFAULT_QUAD.abs_tol)
+        return T, _forward_envelope(G, env).tail_integral(T)
+
+    env = min(envs, key=cost)
+    ts = np.linspace(0.0, 12.0, 97)  # the probe's first window, so a fallback reuses its table
+    vals = _packet_magnitude(eval_packet, ts)
+    return env if np.all(vals <= env.bound(ts) + noise_floor(ts)) else None
+
+
+def _packet_magnitude(eval_packet, ts: np.ndarray) -> np.ndarray:
+    """|psi| on ``ts``; EvaluationError naming the first t where it is not finite."""
+    vals = np.abs(eval_packet(ts))
+    if not np.all(np.isfinite(vals)):  # else NaN would pass as the zero packet
+        t_bad = float(ts[np.argmax(~np.isfinite(vals))])
+        raise EvaluationError(f"wave packet is not finite at t = {t_bad!r}")
+    return vals
 
 
 def _infer_packet_decay(G: GroupDatum, eval_packet, noise_floor) -> ExpDecay:
@@ -507,10 +620,7 @@ def _infer_packet_decay(G: GroupDatum, eval_packet, noise_floor) -> ExpDecay:
     ladder = [r for r in ladder if r > rho]
     for T_probe in (12.0, 20.0, 32.0, 48.0):
         ts = np.linspace(0.0, T_probe, int(8 * T_probe) + 1)
-        vals = np.abs(eval_packet(ts))
-        if not np.all(np.isfinite(vals)):  # else NaN would pass as the zero packet
-            t_bad = float(ts[np.argmax(~np.isfinite(vals))])
-            raise EvaluationError(f"wave packet is not finite at t = {t_bad!r}")
+        vals = _packet_magnitude(eval_packet, ts)
         signal = np.where(vals > noise_floor(ts), vals, 0.0)
         if float(np.max(signal)) == 0.0:  # numerically the zero packet
             return ExpDecay(coeff=1e-300, rate=2 * rho + 1.0, degree=0)
@@ -521,7 +631,7 @@ def _infer_packet_decay(G: GroupDatum, eval_packet, noise_floor) -> ExpDecay:
             seg1 = float(np.max(scaled[cut1 & ~cut2]))
             seg2 = float(np.max(scaled[cut2]))
             if seg2 < 1e-3 * peak and seg2 <= seg1:
-                return ExpDecay(coeff=1.15 * peak + 1e-300, rate=rate, degree=0)
+                return ExpDecay(coeff=_ENVELOPE_MARGIN * peak + 1e-300, rate=rate, degree=0)
     raise AccuracyError(
         "could not certify an exponential envelope for the wave packet "
         "within the probe window"

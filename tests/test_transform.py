@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sphtrans import transform
+from sphtrans.acceptance import INVERSION_SYMBOLS, flat_top
 from sphtrans.cfunction import plancherel_density
 from sphtrans.errors import (
     AccuracyError,
@@ -377,11 +378,94 @@ def test_wave_packet_rejects_slow_decay_metadata():
         wave_packet(G, a)
 
 
+def h3_gauss_packet(scale, t):
+    """The exact packet of a(nu) = exp(-scale nu^2) on H3."""
+    return (t * np.exp(-t * t / (4.0 * scale))
+            / (8.0 * scale**1.5 * math.sqrt(math.pi) * np.sinh(t)))
+
+
+def packet_noise_floor(G, a, ts):
+    """1e-14 sum|charge| (1 + t) e^{-rho t}: how far the packet evaluated on ``ts`` may
+    be from the exact one."""
+    order = transform._spectral_order(float(np.max(ts)))
+    rule = transform._spectral_rule(G, float(a.grid[-1]), order)
+    charge = rule.weights * rule.density * transform._symbol_node_values(a, rule.nodes)
+    kappa = 1e-14 * 2.0 * G.plancherel_constant / G.weyl_order * np.sum(np.abs(charge))
+    return kappa * (1.0 + ts) * np.exp(-G.rho * ts)
+
+
 def test_wave_packet_decay_metadata_is_a_bound():
+    # the envelope bounds the exact packet, and the evaluated packet is within its
+    # noise floor of the exact one; that roundoff decays only like e^{-rho t}, so it
+    # passes an envelope of a steeper rate at large t (1.2e-22 against 3.7e-28 at
+    # t = 14.5 for exp(-nu^2))
     G = preset("H3")
-    psi = wave_packet(G, gauss_symbol())
-    ts = np.geomspace(0.05, 16.0, 60)
-    assert np.max(np.abs(psi(ts)) / psi.decay.bound(ts)) <= 1.0 + 1e-9
+    ts = np.geomspace(0.05, 40.0, 80)
+    for scale in (1.0, 0.25):
+        a = gauss_symbol(scale)
+        psi = wave_packet(G, a)
+        exact = h3_gauss_packet(scale, ts)
+        assert np.max(exact / psi.decay.bound(ts)) <= 1.0 + 1e-9
+        assert np.max(np.abs(psi(ts) - exact) / packet_noise_floor(G, a, ts)) <= 1.0
+
+
+@pytest.mark.parametrize("name", ["SL2R", "H3", "CH2"])
+@pytest.mark.parametrize("label", list(INVERSION_SYMBOLS) + ["flat4"])
+def test_packet_stays_within_envelope_and_noise_floor(name, label):
+    G = preset(name)
+    a = make_symbol(INVERSION_SYMBOLS.get(label, flat_top(3.2)), label)
+    psi = wave_packet(G, a)
+    assert psi.decay.rate > G.rho + 0.4  # from the contour shift, not the probe's floor
+    ts = np.linspace(0.0, 40.0, 321)
+    assert np.all(np.abs(psi(ts)) <= psi.decay.bound(ts) + packet_noise_floor(G, a, ts))
+
+
+def test_symbol_that_does_not_continue_analytically_falls_back_to_the_probe(monkeypatch):
+    # np.real drops the growth of exp(-nu^2) off the real line, so its contour
+    # constants are too small, and the check on [0, 12] catches it
+    probed = []
+    infer = transform._infer_packet_decay
+    monkeypatch.setattr(transform, "_infer_packet_decay",
+                        lambda *args: probed.append(1) or infer(*args))
+    G = preset("H3")
+    a = make_symbol(lambda x: np.exp(-np.real(x) ** 2), "real part")
+    psi = wave_packet(G, a)
+    assert probed == [1]
+    ts = np.geomspace(0.05, 40.0, 80)
+    assert np.all(h3_gauss_packet(1.0, ts) <= psi.decay.bound(ts) * (1.0 + 1e-9))
+    assert np.all(np.abs(psi(ts)) <= psi.decay.bound(ts) + packet_noise_floor(G, a, ts))
+
+
+def test_contour_constants_are_computed_once_per_group_and_symbol(monkeypatch):
+    # the ladder's series coefficients are the only _hc_coefficients call through transform
+    ladders = []
+    coefficients = transform._hc_coefficients
+    monkeypatch.setattr(transform, "_hc_coefficients",
+                        lambda *args: ladders.append(1) or coefficients(*args))
+    fn = lambda x: np.exp(-(x**2))
+    G = preset("CH2")
+    first, second = (wave_packet(G, make_symbol(fn, "gauss")) for _ in range(2))
+    assert ladders == [1]
+    assert first.decay == second.decay
+
+    class Unhashable:  # skips the cache, so each packet takes its own ladder
+        __hash__ = None
+
+        def __call__(self, x):
+            return fn(x)
+
+    third = wave_packet(G, make_symbol(Unhashable(), "gauss"))
+    wave_packet(G, make_symbol(Unhashable(), "gauss"))
+    assert ladders == [1, 1, 1]
+    assert third.decay == first.decay
+
+
+@pytest.mark.parametrize("t", [math.nan, [0.1, math.nan], math.inf, [[0.2], [-math.inf]]])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_packet_at_a_non_finite_t_raises_naming_t(t, k):
+    psi = wave_packet(preset("H3"), gauss_symbol())
+    with pytest.raises(DomainError, match="finite t, got t = "):
+        psi.deriv(t, k)
 
 
 def test_wave_packet_real_for_real_even_symbol():

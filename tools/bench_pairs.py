@@ -11,8 +11,10 @@ side's root, where X is the benchmark's ``run_seconds``.  The summary goes to
 BENCH_<tag>.json in this repository.  It holds, per workload and end-to-end
 metric, each side's values, median and quartiles, the head/base ratio of
 medians and the number of pairs the head won (ties count for neither); per
-workload the failed ops and the worst error/tolerance ratio of each side; and
-the seeds, run length and machine facts.
+workload and op kind each side's median over runs of the run's median op time
+(from its ``op_s``) and their ratio, which shows the ops that carry a change;
+per workload the failed ops and the worst error/tolerance ratio of each side;
+and the seeds, run length and machine facts.
 """
 
 from __future__ import annotations
@@ -74,6 +76,12 @@ def spread(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
+def op_medians(records: list[dict]) -> dict:
+    """Per op kind, the median over runs of each run's median op time."""
+    return {label: statistics.median(statistics.median(r["op_s"][label]) for r in records)
+            for label in records[0]["op_s"]}
+
+
 def summarise(runs: dict, end_to_end: list[dict]) -> dict:
     """Per-metric spreads and wins for one workload; runs[side] lists records by pair."""
     base, head = runs["base"], runs["head"]
@@ -90,8 +98,14 @@ def summarise(runs: dict, end_to_end: list[dict]) -> dict:
             "head_over_base": head_s["median"] / base_s["median"],
             "head_wins": wins, "pairs": len(b),
         }
+    ops = {side: op_medians(rs) for side, rs in runs.items()}
     return {
         "metrics": metrics,
+        "op_s_median": {
+            label: {"base": base_s, "head": ops["head"][label],
+                    "head_over_base": ops["head"][label] / base_s}
+            for label, base_s in ops["base"].items()
+        },
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
         "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
         "worst_error_to_tolerance": {
