@@ -529,7 +529,8 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
     a = ``fn`` on the line Im nu = sigma and a_k the coefficients of Phi_nu
     (:func:`_hc_coefficients`).  c and a_k are real functions of i nu, so
     their moduli are even in x, and the integral is composite GL on
-    (0, X] over |a(x + i sigma)| + |a(-x + i sigma)|.  A sigma is usable
+    (0, X] over |a(x + i sigma)| + |a(-x + i sigma)|, taken as 0 where that is
+    below 1e-20 of its peak on the line.  A sigma is usable
     when C_sigma is finite and the integrand at x = X is below
     ``_CONTOUR_END_TOL`` of it.  An ``fn`` that rejects complex input has none.
     """
@@ -542,10 +543,17 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
                      + np.abs(np.asarray(fn(-z.conj()), dtype=complex)))
         except (TypeError, ValueError):
             return ()
+        # the other factors grow at most polynomially in x: rows where |a| is below
+        # 1e-20 of its peak on the line add nothing (NaN and inf rows stay, and rule out
+        # their sigma)
+        peak = np.max(a_abs.reshape(len(_SIGMAS), -1), axis=1)
+        live = ~(a_abs < 1e-20 * np.repeat(peak, len(nodes) + 1))
         x0 = math.exp(-2.0 * _CONTOUR_T0)
-        coef = _hc_coefficients(G, z, np.full(len(z), x0), z)
-        series = np.abs(coef) @ x0 ** np.arange(coef.shape[1])
-        integrand = (a_abs * series * np.exp(-c_log(G, -z).real)).reshape(len(_SIGMAS), -1)
+        coef = _hc_coefficients(G, z[live], np.full(live.sum(), x0), z[live])
+        integrand = np.zeros(len(z))
+        integrand[live] = (a_abs[live] * (np.abs(coef) @ x0 ** np.arange(coef.shape[1]))
+                           * np.exp(-c_log(G, -z[live]).real))
+        integrand = integrand.reshape(len(_SIGMAS), -1)
         C = 2.0 * G.plancherel_constant / G.weyl_order * (integrand[:, :-1] @ weights)
         usable = np.isfinite(C) & (integrand[:, -1] <= _CONTOUR_END_TOL * C)
     return tuple(zip(_SIGMAS[usable].tolist(), C[usable].tolist()))
