@@ -528,11 +528,11 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
 
     a = ``fn`` on the line Im nu = sigma and a_k the coefficients of Phi_nu
     (:func:`_hc_coefficients`).  c and a_k are real functions of i nu, so
-    their moduli are even in x, and the integral is composite GL on
-    (0, X] over |a(x + i sigma)| + |a(-x + i sigma)|, taken as 0 where that is
-    below 1e-20 of its peak on the line.  A sigma is usable
-    when C_sigma is finite and the integrand at x = X is below
-    ``_CONTOUR_END_TOL`` of it.  An ``fn`` that rejects complex input has none.
+    their moduli are even in x, and the integral is composite GL on (0, X]
+    over |a(x + i sigma)| + |a(-x + i sigma)|, taken as 0 where that is below
+    1e-20 of its peak on the line.  A sigma is usable when C_sigma is finite
+    and the integrand at x = X is below ``_CONTOUR_END_TOL`` of it.  An
+    ``fn`` that rejects complex input has none.
     """
     n_panels = int(math.ceil(_CONTOUR_X / _CONTOUR_PANEL))
     nodes, weights, _ = composite_gl_nodes(0.0, _CONTOUR_X, n_panels, _NU_ORDER)
