@@ -2,6 +2,8 @@
 
 Integration is adaptive composite Gauss-Legendre on intervals,
 with an explicit decay-driven truncation rule for half-line integrals.
+The fixed-grid transforms take their Gauss-Legendre and Gauss-Kronrod
+rules, and the composite rules built from them, from here too.
 Nothing here is randomized, so downstream tolerances are stable run over run.
 """
 
@@ -21,7 +23,8 @@ __all__ = [
     "integrate_interval",
     "truncation_point",
     "gauss_legendre_rule",
-    "composite_gl_nodes",
+    "gauss_kronrod_rule",
+    "composite_nodes",
 ]
 
 
@@ -112,7 +115,7 @@ DEFAULT_QUAD = QuadratureSpec()
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre rules
+# Gauss-Legendre and Gauss-Kronrod rules
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
@@ -121,13 +124,62 @@ def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def composite_gl_nodes(lo: float, hi: float, n_panels: int, order: int):
-    """Nodes and weights of a composite GL rule with equal panels on [lo, hi], and
-    their panel split (mid, offsets): node P * order + j is mid[P] + offsets[j]."""
-    x, w = gauss_legendre_rule(order)
+@functools.lru_cache(maxsize=64)
+def gauss_kronrod_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the (2n + 1)-point Gauss-Kronrod rule on [-1, 1]: ascending
+    nodes, of which those at odd positions are the n Gauss-Legendre nodes, and weights
+    shaped (2n + 1, 2), the Kronrod rule and the embedded Gauss rule (zero at the other
+    nodes).
+
+    Laurie's algorithm (Math. Comp. 66, 1997) extends the Legendre recurrence
+    b_k = k^2 / (4 k^2 - 1) to the Jacobi-Kronrod matrix, whose eigenvalues are the
+    nodes and whose first eigenvector components give the weights (Golub-Welsch).
+    """
+    a, b = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
+    k = np.arange(1.0, (3 * n + 1) // 2 + 1)
+    b[0], b[1:len(k) + 1] = 2.0, k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            i = m - k
+            u += (a[k + n + 1] - a[i]) * t[k + 1] + b[k + n + 1] * s[k] - b[i] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            i, j = m - k, n - 1 - m + k
+            u -= (a[k + n + 1] - a[i]) * t[j + 1] + b[k + n + 1] * s[j + 1] - b[i] * s[j + 2]
+            s[j + 1] = u
+        k = (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    off = np.sqrt(b[1:])
+    x, v = np.linalg.eigh(np.diag(a) + np.diag(off, 1) + np.diag(off, -1))
+    w = b[0] * v[0] ** 2
+    weights = np.zeros((2 * n + 1, 2))
+    # the rule is symmetric about 0: its nodes and weights are made so exactly
+    weights[:, 0] = 0.5 * (w + w[::-1])
+    weights[1::2, 1] = gauss_legendre_rule(n)[1]
+    return 0.5 * (x - x[::-1]), weights
+
+
+def composite_nodes(lo: float, hi: float, n_panels: int, rule: tuple[np.ndarray, np.ndarray]):
+    """Nodes and weights of the composite ``rule`` (nodes and weights on [-1, 1], the
+    weights possibly one column per estimate) with equal panels on [lo, hi], and their
+    panel split (mid, offsets): node P * len(offsets) + j is mid[P] + offsets[j]."""
+    x, w = rule
     half = 0.5 * (hi - lo) / n_panels
     mid = lo + half * np.arange(1.0, 2.0 * n_panels, 2.0)
-    return (mid[:, None] + half * x).ravel(), np.tile(half * w, n_panels), (mid, half * x)
+    weights = np.tile(half * w, (n_panels,) + (1,) * (w.ndim - 1))
+    return (mid[:, None] + half * x).ravel(), weights, (mid, half * x)
 
 
 # the first estimate of integrate_interval is on this many equal panels, in one call

@@ -1,12 +1,13 @@
 """Forward spherical transform, wave-packet inverse, Plancherel pairing,
 mollified expansion terms, and the radial Casimir multiplier identity.
 
-All spectral and radial integrals run on fixed composite Gauss-Legendre
-grids (nodes independent of the evaluation point), so results are
-deterministic, evaluation errors vary smoothly, and the expensive
-spherical-function tables are shared across operations.  Error estimates
-come from a coarse/fine rule pair on identical panels plus explicit
-envelope tail bounds; reductions are numpy dots (fixed pairwise order).
+All spectral and radial integrals run on fixed composite grids (nodes
+independent of the evaluation point): Gauss-Kronrod K21 on the radial side,
+Gauss-Legendre on the spectral side.  So results are deterministic,
+evaluation errors vary smoothly, and the expensive spherical-function tables
+are shared across operations.  Forward error estimates compare K21 with its
+embedded G10 on the same nodes, one table for both, plus explicit envelope
+tail bounds; reductions are numpy dots (fixed pairwise order).
 
 One constant per preset ties the radial Haar normalization to the
 spectral density:
@@ -43,7 +44,9 @@ from .specfun import (
     DEFAULT_QUAD,
     ExpDecay,
     QuadratureSpec,
-    composite_gl_nodes,
+    composite_nodes,
+    gauss_kronrod_rule,
+    gauss_legendre_rule,
     integrate_interval,
     truncation_point,
 )
@@ -70,8 +73,9 @@ GRID_COUNT = 481
 
 # fixed engine rules
 _T_PANEL = 0.5
-_T_ORDER_FINE = 16
-_T_ORDER_COARSE = 10
+# the radial rule is the Kronrod extension of this Gauss order: K21 (exact to degree
+# 31, as GL16) over its embedded G10
+_T_GAUSS_ORDER = 10
 _NU_PANEL = 0.75
 _NU_ORDER = 20
 # rules held per cache: a shared perfbench warm-up holds 10 radial and 6 spectral rules
@@ -190,14 +194,22 @@ def _local_interp(grid: np.ndarray, values: np.ndarray, x) -> np.ndarray:
         raise DomainError("interpolation query outside the sampled grid")
     xq = np.clip(x_arr.ravel(), grid[0], grid[-1])
     start = np.clip(np.searchsorted(grid, xq) - (order + 1) // 2, 0, n - (order + 1))
-    stencil = start + np.arange(order + 1)[:, None]
-    xs = grid[stencil]
-    # weight j of query i is the product over k != j of (xq_i - x_k) / (x_j - x_k), at
-    # [j, k, i]: the query axis last keeps the two reductions elementwise
+    # first barycentric form, l(xq) sum_j w_j v_j / (xq - x_j) with l(xq) = prod_k (xq - x_k):
+    # the weights w_j = 1 / prod_{k != j} (x_j - x_k) depend on the stencil alone, so they are
+    # taken once per distinct start (starts[which] is start, without np.unique's sort)
+    seen = np.zeros(n - order, dtype=bool)
+    seen[start] = True
+    starts, which = np.flatnonzero(seen), np.cumsum(seen)[start] - 1
+    xs = grid[starts + np.arange(order + 1)[:, None]]
     diag = np.eye(order + 1, dtype=bool)
-    quot = (xq - xs) / (xs[:, None] - xs + diag[:, :, None])
-    quot[diag] = 1.0
-    return np.sum(np.prod(quot, axis=1) * values[stencil], axis=0).reshape(x_arr.shape)
+    weight = 1.0 / np.prod(xs[:, None] - xs + diag[:, :, None], axis=1)
+    stencil = start + np.arange(order + 1)[:, None]
+    d = xq - grid[stencil]
+    hit = d == 0.0  # a query on a grid point takes its sample
+    d[hit] = 1.0
+    out = np.prod(d, axis=0) * np.sum(weight[:, which] / d * values[stencil], axis=0)
+    out[hit.any(axis=0)] = values[stencil.T[hit.T]]
+    return out.reshape(x_arr.shape)
 
 
 @dataclass(eq=False)
@@ -248,15 +260,17 @@ def _mirror_fold(lams: np.ndarray):
 
 
 def _real_times(table: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """table @ w for a real table and a complex vector, without a complex copy of the table."""
-    out = table @ np.stack([w.real, w.imag], axis=1)
-    return out[:, 0] + 1j * out[:, 1]
+    """table @ w for a real table and a complex vector or matrix, without a complex copy
+    of the table: one real product against the real and imaginary parts side by side."""
+    out = table @ np.stack([w.real, w.imag], axis=-1).reshape(len(w), -1)
+    out = out.reshape(out.shape[:1] + w.shape[1:] + (2,))
+    return out[..., 0] + 1j * out[..., 1]
 
 
 @dataclass(eq=False)
 class _Rule:
-    """A composite GL rule with its measure's density at the nodes, and for a radial
-    rule its panel split (mid, offsets)."""
+    """A composite rule with its measure's density at the nodes, and for a radial
+    rule its panel split (mid, offsets) and a weight column per estimate."""
     nodes: np.ndarray
     weights: np.ndarray
     density: np.ndarray
@@ -264,10 +278,11 @@ class _Rule:
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _radial_rule(G: GroupDatum, T: float, order: int) -> _Rule:
-    """Radial rule on [0, T] with the Haar density."""
+def _radial_rule(G: GroupDatum, T: float) -> _Rule:
+    """Composite K21 rule on [0, T] with the Haar density; its weights are shaped
+    (n, 2): K21, and the embedded G10 (zero at the Kronrod nodes)."""
     n_panels = max(2, int(math.ceil(T / _T_PANEL)))
-    nodes, weights, panels = composite_gl_nodes(0.0, T, n_panels, order)
+    nodes, weights, panels = composite_nodes(0.0, T, n_panels, gauss_kronrod_rule(_T_GAUSS_ORDER))
     rule = _PANELS[nodes.tobytes()] = _Rule(nodes, weights, haar_density(G, nodes), panels)
     return rule
 
@@ -288,7 +303,7 @@ def _spectral_rule(G: GroupDatum, L: float, order: int) -> _Rule:
     """Half-line spectral rule on (0, L] with panels of the given order and the
     Plancherel density."""
     n_panels = max(2, int(math.ceil(L / _NU_PANEL)))
-    nodes, weights, _ = composite_gl_nodes(0.0, L, n_panels, order)
+    nodes, weights, _ = composite_nodes(0.0, L, n_panels, gauss_legendre_rule(order))
     return _Rule(nodes, weights, cfunction.plancherel_density(G, nodes))
 
 
@@ -327,23 +342,19 @@ def hc_transform(
 
     The grid is checked against the SpectralFunction contract before any
     table is built, and the output satisfies that contract (symmetric grid,
-    Weyl-even values); per-sample err_est combines a coarse/fine rule
-    difference with the envelope tail bound and must sit below the
-    quadrature tolerance, else AccuracyError.
+    Weyl-even values); per-sample err_est combines the difference of the
+    K21 value and its embedded G10 estimate with the envelope tail bound and
+    must sit below the quadrature tolerance, else AccuracyError.  ``f`` is
+    evaluated once, on the K21 nodes, and one table serves both estimates.
     """
     grid = _checked_grid(default_spectral_grid() if grid is None else grid)
     _require_schwartz(f, G.rho, "hc_transform input")
     env = _forward_envelope(G, f.decay)
     T = _radial_cutoff(G, f.decay, q.abs_tol)
-    fine = _radial_rule(G, T, _T_ORDER_FINE)
-    coarse = _radial_rule(G, T, _T_ORDER_COARSE)
-    f_fine = np.asarray(f(fine.nodes), dtype=complex)
-    f_coarse = np.asarray(f(coarse.nodes), dtype=complex)
+    rule = _radial_rule(G, T)
     rows, fold = _mirror_fold(grid)
-    w_fine = fine.weights * fine.density * f_fine
-    w_coarse = coarse.weights * coarse.density * f_coarse
-    vals_fine = _real_times(_phi_block(G, rows, fine.nodes), w_fine)[fold]
-    vals_coarse = _real_times(_phi_block(G, rows, coarse.nodes), w_coarse)[fold]
+    w = rule.weights * (rule.density * np.asarray(f(rule.nodes), dtype=complex))[:, None]
+    vals_fine, vals_coarse = _real_times(_phi_block(G, rows, rule.nodes), w)[fold].T
     tail = env.tail_integral(T)
     err = np.abs(vals_fine - vals_coarse) + tail
     tol = np.maximum(q.abs_tol, q.rel_tol * np.abs(vals_fine))
@@ -535,7 +546,7 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
     ``fn`` that rejects complex input has none.
     """
     n_panels = int(math.ceil(_CONTOUR_X / _CONTOUR_PANEL))
-    nodes, weights, _ = composite_gl_nodes(0.0, _CONTOUR_X, n_panels, _NU_ORDER)
+    nodes, weights, _ = composite_nodes(0.0, _CONTOUR_X, n_panels, gauss_legendre_rule(_NU_ORDER))
     z = (np.append(nodes, _CONTOUR_X) + 1j * _SIGMAS[:, None]).ravel()  # a row per sigma
     with np.errstate(all="ignore"):  # a non-finite C_sigma only disqualifies its sigma
         try:

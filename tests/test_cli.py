@@ -314,18 +314,19 @@ def test_main_writes_what_the_runner_returns(tmp_path, monkeypatch):
 
 def test_cli_start_up_loads_no_scipy(tmp_path):
     # scipy.integrate is the A7 oracle's alone, and the c-function is numpy's:
-    # every CLI process would pay for a scipy import
+    # every CLI process would pay for a scipy import; nor does the import build the
+    # radial rule, which the first forward transform does
     code = (
         "import sys, sphtrans, sphtrans.cli\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(loaded())\n"
+        "print(loaded(), sphtrans.specfun.gauss_kronrod_rule.cache_info().misses)\n"
         f"argv = ['cfun', '--preset', 'SL2R', '--grid=-2:2:5', '--out', {str(tmp_path / 'c.csv')!r}]\n"
         "sphtrans.cli.main(argv)\n"
         "print(loaded())\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
-    assert out.stdout.split("\n") == ["[]", "[]", ""]
+    assert out.stdout.split("\n") == ["[] 0", "[]", ""]
     assert (tmp_path / "c.csv").read_text().count("\n") == 6
 
 

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sphtrans import specfun, transform
+from sphtrans import specfun, spherical, transform
 from sphtrans.cfunction import _ode_solution, c_function, plancherel_density
 from sphtrans.errors import AccuracyError, DomainError, EvaluationError
 from sphtrans.groups import PRESET_NAMES, preset
@@ -308,6 +308,29 @@ def test_hc_transform_folds_mirrored_rows(monkeypatch):
     assert rows and max(rows) <= 241
 
 
+def test_fresh_packet_round_trip_makes_three_evaluator_calls(monkeypatch):
+    G = preset("H3")
+    symbol = transform.SpectralFunction.from_function(
+        lambda x: np.exp(-x**2), GRID, transform.SpectralDecay(180.0, 8.0), label="gauss")
+    calls = []
+    real_evaluate = spherical._evaluate
+
+    # the public phi reaches the evaluator through spherical, the tables on radial rule
+    # nodes through transform
+    def counting_evaluate(G, lam, t, order, panels=None):
+        calls.append(np.shape(t))
+        return real_evaluate(G, lam, t, order, panels)
+
+    monkeypatch.setattr(spherical, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(transform, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(transform, "_PHI_CACHE", {})
+    packet = transform.wave_packet(G, symbol)
+    transform.hc_transform(G, packet, np.linspace(-11.3, 11.3, 481))
+    # the envelope check, the packet on the K21 nodes and the forward table
+    assert len(calls) == 3
+    assert calls[0] == (97,) and calls[1] == calls[2]
+
+
 def test_phi_cache_stays_under_byte_cap(monkeypatch):
     G = preset("H3")
     cap = 3 * 2**20
@@ -342,14 +365,13 @@ def test_panel_tables_match_plain_phi(name, monkeypatch):
     # the switch points, 1.2 and 9.6 / |lam| for |lam| > 8, lie inside panels of
     # width 0.5, so the exponential series of a row starts mid-panel
     for T in (4.0, 16.0, 40.0):
-        for rule_order in (16, 10):
-            nodes = transform._radial_rule(G, T, rule_order).nodes
-            assert nodes.tobytes() in transform._PANELS
-            for k, plain in enumerate((phi, phi_d1, phi_d2)):
-                table = transform._phi_block(G, rows, nodes, k)
-                err = np.abs(table - plain(G, rows, nodes)) / xi(G, nodes)
-                tol = (1e-13, 1e-12, 1e-12)[k] * (1.0 + np.abs(rows[:, None])) ** k
-                assert np.all(err <= tol), (T, rule_order, k)
+        nodes = transform._radial_rule(G, T).nodes
+        assert nodes.tobytes() in transform._PANELS
+        for k, plain in enumerate((phi, phi_d1, phi_d2)):
+            table = transform._phi_block(G, rows, nodes, k)
+            err = np.abs(table - plain(G, rows, nodes)) / xi(G, nodes)
+            tol = (1e-13, 1e-12, 1e-12)[k] * (1.0 + np.abs(rows[:, None])) ** k
+            assert np.all(err <= tol), (T, k)
 
 
 def test_entries_do_not_depend_on_column_order_or_row_position():

@@ -11,6 +11,8 @@ from sphtrans.specfun import (
     DEFAULT_QUAD,
     ExpDecay,
     QuadratureSpec,
+    gauss_kronrod_rule,
+    gauss_legendre_rule,
     integrate_interval,
     truncation_point,
 )
@@ -84,6 +86,26 @@ def test_2f1_against_conjugate_pair():
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
+
+def test_gauss_kronrod_rule_is_exact():
+    for n, degree in ((10, 31), (15, 47)):
+        x, w = gauss_kronrod_rule(n)
+        assert x.shape == (2 * n + 1,) and w.shape == (2 * n + 1, 2)
+        assert np.all(np.diff(x) > 0)
+        moments = np.array([2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(degree + 2)])
+        powers = x[:, None] ** np.arange(degree + 2)
+        kronrod = np.abs(w[:, 0] @ powers - moments)
+        assert np.all(kronrod[:degree + 1] <= 1e-14), n
+        # the embedded Gauss rule: n of the nodes, zero weight at the others
+        xg, wg = gauss_legendre_rule(n)
+        assert np.all(np.abs(x[1::2] - xg) <= 1e-15) and np.all(w[::2, 1] == 0.0)
+        assert np.all(np.abs(w[1::2, 1] - wg) <= 1e-15)
+        assert np.all(np.abs(w[:, 1] @ powers[:, :2 * n] - moments[:2 * n]) <= 1e-14)
+    # and K21 is off at degree 32: it is the Kronrod extension, of degree 3n + 1, and not
+    # merely some rule exact to 31
+    x, w = gauss_kronrod_rule(10)
+    assert abs(w[:, 0] @ x**32 - 2.0 / 33.0) > 1e-13
+
 
 def test_interval_trivial_values():
     v, e = integrate_interval(np.sin, 0.0, math.pi)

@@ -90,6 +90,31 @@ def test_spectral_function_interpolation_accuracy():
     assert err < 1e-7  # order-6 local interpolation on a 0.05 grid
 
 
+def reference_interp(grid, values, x):
+    """Order-6 Lagrange interpolation as products of quotients (xq - x_k) / (x_j - x_k), one
+    per query, stencil and pair."""
+    xq = np.clip(x, grid[0], grid[-1])
+    start = np.clip(np.searchsorted(grid, xq) - 3, 0, len(grid) - 7)
+    stencil = start + np.arange(7)[:, None]
+    xs = grid[stencil]
+    diag = np.eye(7, dtype=bool)
+    quot = (xq - xs) / (xs[:, None] - xs + diag[:, :, None])
+    quot[diag] = 1.0
+    return np.sum(np.prod(quot, axis=1) * values[stencil], axis=0)
+
+
+@pytest.mark.parametrize("n_query", [46, 500, 5000])
+def test_interpolation_matches_the_quotient_products(n_query):
+    rng = np.random.default_rng(n_query)
+    grid = np.sinh(np.linspace(-3.0, 3.0, 241))  # non-uniform, dense about 0
+    values = np.exp(-0.05 * grid**2) * (1.0 + 0.5j) + 2.0
+    x = rng.uniform(grid[0], grid[-1], n_query)
+    x[:10] = grid[rng.integers(0, len(grid), 10)]  # queries on nodes too
+    x[10:12] = grid[0] - 0.5 * (grid[1] - grid[0]), grid[-1] + 0.5 * (grid[1] - grid[0])
+    got = transform._local_interp(grid, values, x)
+    np.testing.assert_allclose(got, reference_interp(grid, values, x), rtol=1e-14, atol=0)
+
+
 def test_spectral_function_interpolation_rejects_far_outside():
     a = gauss_symbol()
     with pytest.raises(DomainError):
@@ -179,6 +204,22 @@ def test_hc_transform_at_complex_lam_matches_h3_closed_form():
     for lam in lams:
         exact = gauss_transform_h3(lam)
         assert abs(hc_transform_at(G, f, lam) - exact) <= max(1e-12, 1e-10 * abs(exact))
+
+
+@pytest.mark.parametrize("width", [1.0, 0.5, 0.25, 0.1])
+def test_hc_transform_error_estimate_bounds_the_h3_closed_form(width):
+    # err_est = |K21 - G10| + tail, checked against the exact transform with the floor of
+    # hc_transform's own gate
+    G = preset("H3")
+    res = hc_transform(G, gaussian_profile(G, width))
+    grid, values = res.spectral.grid, res.spectral.values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = np.where(grid == 0.0,  # the lam -> 0 limit of the closed form
+                         math.sqrt(math.pi / width) * math.exp(0.25 / width) / width,
+                         gauss_transform_h3(grid, width))
+    floor = 1e-13 * max(1.0, float(np.max(np.abs(values))))
+    assert len(grid) == 481
+    assert np.all(np.abs(values - exact) <= res.err_est + floor)
 
 
 def test_hc_transform_at_rejects_too_wide_a_strip():
@@ -669,10 +710,10 @@ def test_sl2c_shares_the_h3_tables(monkeypatch):
 def test_rule_caches_stay_at_their_maxsize(monkeypatch):
     G = preset("SL2R")
     order = transform._spectral_order()
-    held = transform._radial_rule(G, 3.0, 10)  # still in use after the cache drops it
+    held = transform._radial_rule(G, 3.0)  # still in use after the cache drops it
     for k in range(200):
         transform._spectral_rule(G, 6.0 + 0.01 * k, order)
-        transform._radial_rule(G, 4.0 + 0.5 * k, 10)
+        transform._radial_rule(G, 4.0 + 0.5 * k)
     for n in range(2, 102):
         gauss_legendre_rule(n)
     # expansion_term's transforms, one per profile: a stand-in keeps them cheap

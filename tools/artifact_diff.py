@@ -12,9 +12,11 @@ file named for its form: ``.csv`` for the subcommands in ``CSV`` and
 ``.json`` for the others.  The base side is the
 committed tree of REV, exported with ``git archive`` into a temporary
 directory.  Per artifact the tool prints "identical", or the largest
-absolute and relative difference between numbers at the same place; fields
-named ``runtime`` are left out of the comparison, and an artifact equal
-apart from them is "identical (runtime ignored)".  The last line counts
+absolute and relative difference between numbers at the same place, each
+with its place: the line and column header of a CSV cell, the path of a JSON
+leaf; a text difference is named at its first place, before them.  Fields
+named ``runtime`` are left out of the comparison, and an artifact equal apart
+from them is "identical (runtime ignored)".  The last line counts
 the artifacts: "N identical, M differing, K exit-code changes", where
 differing is every artifact that is neither identical nor from a command
 whose exit code changed.  It exits 1 when a
@@ -74,11 +76,15 @@ def run_side(root: Path, out_dir: Path) -> dict[str, int]:
 
 
 def leaves(path: Path) -> list[tuple[str, object]]:
-    """(place, value) for every cell of a CSV or leaf of a JSON artifact, numbers as floats."""
+    """(place, value) for every cell of a CSV or leaf of a JSON artifact, numbers as floats;
+    a CSV cell's place is its line and its column's header."""
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".csv":
-        return [(f"line {i + 1} column {j + 1}", _number(cell))
-                for i, line in enumerate(text.splitlines())
+        lines = text.splitlines()
+        header = lines[0].split(",") if lines else []
+        return [(f"line {i + 1} column {header[j] if j < len(header) else j + 1}",
+                 _number(cell))
+                for i, line in enumerate(lines)
                 for j, cell in enumerate(line.split(","))]
     out = []
 
@@ -119,18 +125,24 @@ def compare(base: Path, head: Path) -> str:
         first = next((pa for (pa, _), (pb, _) in zip(a, b) if pa != pb), None)
         return (f"different shape, first at {first}" if first else
                 f"different shape, {len(a)} vs {len(b)} values")
-    worst_abs = worst_rel = 0.0
+    text, (worst_abs, at_abs), (worst_rel, at_rel) = None, (0.0, None), (0.0, None)
     for (where, x), (_, y) in zip(a, b):
         if _same(x, y):
             continue
         if not (isinstance(x, float) and isinstance(y, float)):
-            return f"different text at {where}: {x!r} vs {y!r}"
+            text = text or f"different text at {where}: {x!r} vs {y!r}"
+            continue
         diff = abs(x - y)
-        worst_abs = max(worst_abs, diff)
-        worst_rel = max(worst_rel, diff / max(abs(x), abs(y)))
-    if worst_abs == 0.0:
-        return "identical (runtime ignored)"
-    return f"max abs diff {worst_abs:.3g}, max rel diff {worst_rel:.3g}"
+        rel = diff / max(abs(x), abs(y))
+        if diff > worst_abs:
+            worst_abs, at_abs = diff, where
+        if rel > worst_rel:
+            worst_rel, at_rel = rel, where
+    numbers = (f"max abs diff {worst_abs:.3g} at {at_abs}, "
+               f"max rel diff {worst_rel:.3g} at {at_rel}") if worst_abs else None
+    if text:
+        return f"{text}; {numbers}" if numbers else text
+    return numbers or "identical (runtime ignored)"
 
 
 def main(argv=None) -> int:
