@@ -194,22 +194,14 @@ def _local_interp(grid: np.ndarray, values: np.ndarray, x) -> np.ndarray:
         raise DomainError("interpolation query outside the sampled grid")
     xq = np.clip(x_arr.ravel(), grid[0], grid[-1])
     start = np.clip(np.searchsorted(grid, xq) - (order + 1) // 2, 0, n - (order + 1))
-    # first barycentric form, l(xq) sum_j w_j v_j / (xq - x_j) with l(xq) = prod_k (xq - x_k):
-    # the weights w_j = 1 / prod_{k != j} (x_j - x_k) depend on the stencil alone, so they are
-    # taken once per distinct start (starts[which] is start, without np.unique's sort)
-    seen = np.zeros(n - order, dtype=bool)
-    seen[start] = True
-    starts, which = np.flatnonzero(seen), np.cumsum(seen)[start] - 1
-    xs = grid[starts + np.arange(order + 1)[:, None]]
-    diag = np.eye(order + 1, dtype=bool)
-    weight = 1.0 / np.prod(xs[:, None] - xs + diag[:, :, None], axis=1)
     stencil = start + np.arange(order + 1)[:, None]
-    d = xq - grid[stencil]
-    hit = d == 0.0  # a query on a grid point takes its sample
-    d[hit] = 1.0
-    out = np.prod(d, axis=0) * np.sum(weight[:, which] / d * values[stencil], axis=0)
-    out[hit.any(axis=0)] = values[stencil.T[hit.T]]
-    return out.reshape(x_arr.shape)
+    xs = grid[stencil]
+    # weight j of query i is the product over k != j of (xq_i - x_k) / (x_j - x_k), at
+    # [j, k, i]: the query axis last keeps the two reductions elementwise
+    diag = np.eye(order + 1, dtype=bool)
+    quot = (xq - xs) / (xs[:, None] - xs + diag[:, :, None])
+    quot[diag] = 1.0
+    return np.sum(np.prod(quot, axis=1) * values[stencil], axis=0).reshape(x_arr.shape)
 
 
 @dataclass(eq=False)
