@@ -25,7 +25,8 @@ with recursive coefficients and the Gamma-quotient c(lam) (see
 :mod:`sphtrans.cfunction`).  Each series is one product of a coefficient
 matrix (a row per lam) with powers (a column per t), times e^{(i*lam - rho) t},
 once per block: its factors at mid_P and at o_q on the nodes mid_P + o_q of a
-composite rule.  For real lam the block is real: phi = 2 Re(c(lam) Phi_lam), one side summed.
+composite rule registered in ``_PANELS`` (the radial rules of sphtrans.transform, for
+any caller).  For real lam the block is real: phi = 2 Re(c(lam) Phi_lam), one side summed.
 The switch point shrinks with |lam| to keep the Pfaff series free of
 cancellation; past the spectral windows used here the lost digits are
 measured and raise AccuracyError.  Near lam = i*k (integer k), where the
@@ -38,6 +39,7 @@ exponential-series product.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,6 +72,8 @@ _CIRCLE = np.exp(1j * np.pi * (np.arange(8) - 3.5) / 8)
 _CIRCLE = np.concatenate([_CIRCLE, -_CIRCLE])
 # row chunks of a block keep every temporary below this many entries
 _BLOCK_ENTRIES = 1 << 18
+# composite rules with a ``panels`` split, by their nodes' bytes, held while their owner holds them
+_PANELS: "weakref.WeakValueDictionary[bytes, object]" = weakref.WeakValueDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +486,10 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, panels, want_d1: bool, real: bool)
     return outs
 
 
-def _evaluate(G: GroupDatum, lam, t, order: int, panels=None):
-    """phi, or its t-derivative of ``order`` 1 or 2, shaped as in :func:`phi`.  When
-    ``t`` are the ascending nodes mid[P] + offsets[j] of a composite rule, ``panels`` =
-    (mid, offsets) lets every order factor e^{mu t} per panel (see :func:`_hc_series`)."""
+def _evaluate(G: GroupDatum, lam, t, order: int):
+    """phi, or its t-derivative of ``order`` 1 or 2, shaped as in :func:`phi`.  On the
+    nodes mid[P] + offsets[j] of a rule in ``_PANELS`` every order factors e^{mu t} per
+    panel (see :func:`_hc_series`); other ``t`` are one panel per column."""
     lam_arr, t_arr = np.asarray(lam), np.asarray(t, dtype=float)
     if lam_arr.ndim > 1:
         raise DomainError("lam must be a scalar or a 1-D array")
@@ -498,8 +502,8 @@ def _evaluate(G: GroupDatum, lam, t, order: int, panels=None):
     real = not np.any(rows.imag)
     ts = t_arr.ravel()
     perm = None if np.all(ts[1:] >= ts[:-1]) else np.argsort(ts, kind="stable")
-    if panels is None:
-        panels = (ts if perm is None else ts[perm], np.zeros(1))
+    rule = _PANELS.get(ts.tobytes())
+    panels = rule.panels if rule is not None else (ts if perm is None else ts[perm], np.zeros(1))
     with np.errstate(over="ignore", invalid="ignore"):  # a value past float range is named below
         outs = _phi_rows(G, rows, panels, order > 0, real)
     if perm is not None:  # the branches fill column ranges of ascending t

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import cfunction
+from . import cfunction, spherical
 from .errors import (
     AccuracyError,
     DomainError,
@@ -50,7 +49,7 @@ from .specfun import (
     integrate_interval,
     truncation_point,
 )
-from .spherical import RadialProfile, _evaluate, _hc_coefficients, c_log, phi, phi_d1, phi_d2
+from .spherical import RadialProfile, _hc_coefficients, c_log, phi, phi_d1, phi_d2
 
 __all__ = [
     "SpectralDecay",
@@ -220,21 +219,17 @@ class TransformResult:
 # real phi tables; the oldest go once the byte cap is passed, a larger one is not kept
 _PHI_CACHE: dict[tuple, np.ndarray] = {}
 _PHI_CACHE_BYTES = 256 * 2**20
-# radial rules by the bytes of their nodes, held while the rule cache or a caller holds them
-_PANELS: "weakref.WeakValueDictionary[bytes, _Rule]" = weakref.WeakValueDictionary()
 
 
 def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0) -> np.ndarray:
     """Real matrix [phi_{lam_i}(t_j)] for real lam_i and 1-D ``ts``, or its t-derivative of
-    ``order`` 1 or 2, held in the table cache: on radial rule nodes one evaluator call on
-    the rule's panel split, elsewhere the public ``phi``, ``phi_d1`` or ``phi_d2``."""
+    ``order`` 1 or 2, held in the table cache: one call of the public ``phi``, ``phi_d1``
+    or ``phi_d2``, which reads the panel split of radial rule nodes from its registry."""
     key = (G, order, lams.tobytes(), ts.tobytes())
     hit = _PHI_CACHE.get(key)
     if hit is not None:
         return hit
-    rule = _PANELS.get(key[3])
-    out = (_evaluate(G, lams, ts, order, rule.panels) if rule is not None
-           else (phi, phi_d1, phi_d2)[order](G, lams, ts))
+    out = (phi, phi_d1, phi_d2)[order](G, lams, ts)
     if out.nbytes <= _PHI_CACHE_BYTES:
         while sum(v.nbytes for v in _PHI_CACHE.values()) + out.nbytes > _PHI_CACHE_BYTES:
             _PHI_CACHE.pop(next(iter(_PHI_CACHE)))
@@ -275,7 +270,8 @@ def _radial_rule(G: GroupDatum, T: float) -> _Rule:
     (n, 2): K21, and the embedded G10 (zero at the Kronrod nodes)."""
     n_panels = max(2, int(math.ceil(T / _T_PANEL)))
     nodes, weights, panels = composite_nodes(0.0, T, n_panels, gauss_kronrod_rule(_T_GAUSS_ORDER))
-    rule = _PANELS[nodes.tobytes()] = _Rule(nodes, weights, haar_density(G, nodes), panels)
+    rule = _Rule(nodes, weights, haar_density(G, nodes), panels)
+    spherical._PANELS[nodes.tobytes()] = rule
     return rule
 
 
@@ -466,15 +462,16 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     and results for different call batches agree to the rule's accuracy.
     The values and both t-derivatives take finite ``t`` of any shape, and
     read their blocks, on the flattened ``t``, from the one table cache,
-    :func:`_phi_block`.
+    :func:`_phi_block`; the values of the last ``t`` are held (a copy each call).
 
     ``decay`` bounds the exact packet; the evaluated one is within its
     roundoff floor 1e-14 sum|charge| (1 + t) e^{-rho t} of it.  For a symbol
     with an evaluator ``fn`` the envelope comes from a contour shift
-    (:func:`_contour_envelope`); without one, or when the packet on [0, 12]
-    leaves that envelope by more than the floor (an ``fn`` that is not the
-    symbol's analytic continuation), from sampling the packet
-    (:func:`_infer_packet_decay`).
+    (:func:`_contour_envelope`), checked on the K21 nodes of [0, T] where
+    :func:`hc_transform` then finds the values held; without ``fn``, or when
+    the packet leaves that envelope by more than the floor (an ``fn`` that is
+    not the symbol's analytic continuation), from sampling the packet on
+    tables of its own (:func:`_infer_packet_decay`).
     """
     _check_symbol(a, "wave-packet symbol")
     L = float(a.grid[-1])
@@ -498,7 +495,14 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
                                charge).reshape(ts.shape)
         return evaluate
 
-    eval_packet = charged(0)
+    values, last = charged(0), [None, None]  # the last (shape, t bytes) and its values
+
+    def eval_packet(t):
+        # one product: hc_transform reads the packet where the envelope check just did
+        key = (np.shape(t), np.asarray(t, dtype=float).tobytes())
+        if last[0] != key:
+            last[:] = key, values(t)
+        return last[1].copy()
 
     def noise_floor(ts):
         # evaluator noise: roundoff of the quadrature dot against the
@@ -575,9 +579,10 @@ def _contour_envelope(G: GroupDatum, fn, charge_sum: float, eval_packet,
     t < t0, |psi(t)| <= sum |charge|, since |phi_nu| <= Xi <= 1.  Of the usable
     sigma, the one that gives :func:`hc_transform` the shortest T wins, ties
     going to the smaller tail bound; an unhashable ``fn`` computes its ladder
-    uncached.  The packet is then checked once on the probe's first window;
-    past the envelope by more than ``noise_floor`` (an ``fn`` that is not the
-    symbol's continuation) the result is None.
+    uncached.  The packet is then checked once, on the K21 nodes of [0, T]
+    where :func:`hc_transform` at the default tolerance reads it, T that
+    sigma's cutoff; past the envelope by more than ``noise_floor`` (an ``fn``
+    that is not the symbol's continuation) the result is None.
     """
     try:
         ladder = _contour_ladder(G, fn)
@@ -595,8 +600,8 @@ def _contour_envelope(G: GroupDatum, fn, charge_sum: float, eval_packet,
         T = _radial_cutoff(G, env, DEFAULT_QUAD.abs_tol)
         return T, _forward_envelope(G, env).tail_integral(T)
 
-    env = min(envs, key=cost)
-    ts = np.linspace(0.0, 12.0, 97)  # the probe's first window, so a fallback reuses its table
+    (T, _), env = min(((cost(env), env) for env in envs), key=lambda pair: pair[0])
+    ts = _radial_rule(G, T).nodes  # where hc_transform reads the packet: its table is then held
     vals = _packet_magnitude(eval_packet, ts)
     return env if np.all(vals <= env.bound(ts) + noise_floor(ts)) else None
 

@@ -293,14 +293,14 @@ def test_hc_transform_folds_mirrored_rows(monkeypatch):
     G = preset("SL2R")
     f = gaussian_profile(G)
     rows = []
-    real_evaluate = transform._evaluate
+    real_evaluate = spherical._evaluate
 
     # the tables on radial rule nodes are one evaluator call each
-    def counting_evaluate(G, lam, t, order, panels=None):
+    def counting_evaluate(G, lam, t, order):
         rows.append(np.size(lam))
-        return real_evaluate(G, lam, t, order, panels)
+        return real_evaluate(G, lam, t, order)
 
-    monkeypatch.setattr(transform, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(spherical, "_evaluate", counting_evaluate)
     monkeypatch.setattr(transform, "_PHI_CACHE", {})
     for grid in (GRID, np.linspace(-11.5, 11.5, 481)):
         res = transform.hc_transform(G, f, grid)
@@ -308,27 +308,59 @@ def test_hc_transform_folds_mirrored_rows(monkeypatch):
     assert rows and max(rows) <= 241
 
 
-def test_fresh_packet_round_trip_makes_three_evaluator_calls(monkeypatch):
-    G = preset("H3")
-    symbol = transform.SpectralFunction.from_function(
+def gauss_symbol():
+    return transform.SpectralFunction.from_function(
         lambda x: np.exp(-x**2), GRID, transform.SpectralDecay(180.0, 8.0), label="gauss")
+
+
+def test_fresh_packet_round_trip_makes_two_evaluator_calls(monkeypatch):
+    G = preset("H3")
     calls = []
     real_evaluate = spherical._evaluate
 
-    # the public phi reaches the evaluator through spherical, the tables on radial rule
-    # nodes through transform
-    def counting_evaluate(G, lam, t, order, panels=None):
-        calls.append(np.shape(t))
-        return real_evaluate(G, lam, t, order, panels)
+    def counting_evaluate(G, lam, t, order):
+        calls.append(np.asarray(t).tobytes())
+        return real_evaluate(G, lam, t, order)
 
     monkeypatch.setattr(spherical, "_evaluate", counting_evaluate)
-    monkeypatch.setattr(transform, "_evaluate", counting_evaluate)
     monkeypatch.setattr(transform, "_PHI_CACHE", {})
-    packet = transform.wave_packet(G, symbol)
+    packet = transform.wave_packet(G, gauss_symbol())
     transform.hc_transform(G, packet, np.linspace(-11.3, 11.3, 481))
-    # the envelope check, the packet on the K21 nodes and the forward table
-    assert len(calls) == 3
-    assert calls[0] == (97,) and calls[1] == calls[2]
+    # the packet on the K21 nodes, which the envelope check reads and hc_transform finds
+    # held, and the forward table on the same nodes
+    T = transform._radial_cutoff(G, packet.decay, specfun.DEFAULT_QUAD.abs_tol)
+    assert calls == [transform._radial_rule(G, T).nodes.tobytes()] * 2
+
+
+def test_fresh_round_trip_calls_public_phi_twice_and_charges_the_packet_once(monkeypatch):
+    G = preset("CH2")
+    phi_calls, products = [], []
+    real_phi, real_times = transform.phi, transform._real_times
+
+    # phi as bound in transform, which is what an outside tracer wraps
+    def counting_phi(G, lam, t):
+        phi_calls.append(np.shape(t))
+        return real_phi(G, lam, t)
+
+    # a packet's charge is a vector, hc_transform's weights a column per estimate
+    def counting_times(table, w):
+        products.append(np.ndim(w))
+        return real_times(table, w)
+
+    monkeypatch.setattr(transform, "phi", counting_phi)
+    monkeypatch.setattr(transform, "_real_times", counting_times)
+    monkeypatch.setattr(transform, "_PHI_CACHE", {})
+    packet = transform.wave_packet(G, gauss_symbol())
+    transform.hc_transform(G, packet, np.linspace(-11.7, 11.7, 481))
+    assert len(phi_calls) == 2 and phi_calls[0] == phi_calls[1]
+    assert sorted(products) == [1, 2]
+    # the held product is handed out as a copy
+    ts = np.linspace(0.0, 6.0, 25)
+    first = packet.eval(ts)
+    expected = first.copy()
+    first[:] = 7.0
+    np.testing.assert_array_equal(packet.eval(ts), expected)
+    np.testing.assert_array_equal(packet(ts), expected)
 
 
 def test_phi_cache_stays_under_byte_cap(monkeypatch):
@@ -366,10 +398,13 @@ def test_panel_tables_match_plain_phi(name, monkeypatch):
     # width 0.5, so the exponential series of a row starts mid-panel
     for T in (4.0, 16.0, 40.0):
         nodes = transform._radial_rule(G, T).nodes
-        assert nodes.tobytes() in transform._PANELS
+        assert nodes.tobytes() in spherical._PANELS
+        # one more column, and the registry misses: plain columns, one panel each
+        extended = np.append(nodes, T + 1.0)
+        assert extended.tobytes() not in spherical._PANELS
         for k, plain in enumerate((phi, phi_d1, phi_d2)):
             table = transform._phi_block(G, rows, nodes, k)
-            err = np.abs(table - plain(G, rows, nodes)) / xi(G, nodes)
+            err = np.abs(table - plain(G, rows, extended)[:, :-1]) / xi(G, nodes)
             tol = (1e-13, 1e-12, 1e-12)[k] * (1.0 + np.abs(rows[:, None])) ** k
             assert np.all(err <= tol), (T, k)
 

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sphtrans import transform
+from sphtrans import spherical, transform
 from sphtrans.acceptance import INVERSION_SYMBOLS, flat_top
 from sphtrans.cfunction import plancherel_density
 from sphtrans.errors import (
@@ -712,5 +712,5 @@ def test_rule_caches_stay_at_their_maxsize(monkeypatch):
     for info in infos:
         assert info.currsize == info.maxsize == 64
     # a radial rule keeps its panel split, for its tables, as long as it is held
-    assert len(transform._PANELS) <= 64 + 1
-    assert transform._PANELS[held.nodes.tobytes()] is held
+    assert len(spherical._PANELS) <= 64 + 1
+    assert spherical._PANELS[held.nodes.tobytes()] is held

@@ -1,19 +1,25 @@
 """Alternating base/head pairs of perfbench runs, summarised as one BENCH_<tag>.json.
 
-    python3 tools/bench_pairs.py --base REV --tag N [--seed0 S]
+    python3 tools/bench_pairs.py --base REV [--head REV] --tag N [--seed0 S]
 
-The base side is the committed tree of ``REV``, exported with ``git archive``
-into a temporary directory; the head side is this repository's working tree.
+Both sides are committed trees, exported with ``git archive`` into the sibling
+directories ``base`` and ``head`` of one temporary directory, so that neither
+side brings a ``__pycache__`` and both paths have the same length.  Without
+``--head`` the head side is this repository's working tree as ``git stash
+create`` records it (tracked files only, untracked ones are left out), or
+HEAD when the tree is clean; ``--head`` equal to ``--base`` is an A/A run.
 Pair i of 10 runs every workload of BENCHMARK.json once on each side with
 seed ``seed0 + i``, base first in even pairs and head first in odd ones, each
 as ``python3 perfbench/run.py --workload W --seed S --seconds X`` from the
 side's root, where X is the benchmark's ``run_seconds``.  The summary goes to
-BENCH_<tag>.json in this repository.  It holds, per workload and end-to-end
-metric, each side's values, median and quartiles, the head/base ratio of
-medians and the number of pairs the head won (ties count for neither); per
-workload and op kind each side's median over runs of the run's median op time
-(from its ``op_s``) and their ratio, which shows the ops that carry a change;
-per workload the failed ops and the worst error/tolerance ratio of each side;
+BENCH_<tag>.json in this repository.  It holds both commit hashes; per
+workload and end-to-end metric, each side's values, median and quartiles, the
+head/base ratio of medians, the head/base ratio of each pair, the base's
+quartiles over its median (the band an A/A ratio of medians should fall in)
+and the number of pairs the head won (ties count for neither); per workload
+and op kind each side's median over runs of the run's median op time (from
+its ``op_s``) and their ratio, which shows the ops that carry a change; per
+workload the failed ops and the worst error/tolerance ratio of each side;
 and the seeds, run length and machine facts.
 """
 
@@ -34,10 +40,14 @@ RUN_TIMEOUT_S = 600
 PAIRS = 10
 
 
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
 def export_rev(rev: str, dest: Path) -> str:
     """Write the committed files of ``rev`` under ``dest``; return its full hash."""
-    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
-                         capture_output=True, text=True).stdout.strip()
+    sha = git("rev-parse", "--verify", rev + "^{commit}")
     archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -45,14 +55,13 @@ def export_rev(rev: str, dest: Path) -> str:
     return sha
 
 
-def describe_head() -> str:
-    """This repository's commit, marked when its working tree differs from it."""
-    git = ["git", "-C", str(ROOT)]
-    sha = subprocess.run(git + ["rev-parse", "HEAD"], check=True,
-                         capture_output=True, text=True).stdout.strip()
-    dirty = subprocess.run(git + ["status", "--porcelain", "--untracked-files=no"],
-                           check=True, capture_output=True, text=True).stdout.strip()
-    return f"{sha} with uncommitted changes" if dirty else sha
+def working_tree() -> tuple[str, str]:
+    """A commit of the working tree's tracked files, and what it is."""
+    head = git("rev-parse", "HEAD")
+    stash = git("stash", "create")
+    if not stash:
+        return head, "HEAD, a clean working tree"
+    return stash, f"the working tree on {head}, by git stash create"
 
 
 def run_once(side: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -96,6 +105,8 @@ def summarise(runs: dict, end_to_end: list[dict]) -> dict:
             "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
             "base": base_s, "head": head_s,
             "head_over_base": head_s["median"] / base_s["median"],
+            "pair_ratios": [hv / bv for bv, hv in zip(b, h)],
+            "base_band": [base_s["q1"] / base_s["median"], base_s["q3"] / base_s["median"]],
             "head_wins": wins, "pairs": len(b),
         }
     ops = {side: op_medians(rs) for side, rs in runs.items()}
@@ -117,6 +128,7 @@ def summarise(runs: dict, end_to_end: list[dict]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision of the base side")
+    ap.add_argument("--head", help="git revision of the head side (default: the working tree)")
     ap.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
     ap.add_argument("--seed0", type=int, default=1000, help="seed of the first pair")
     args = ap.parse_args(argv)
@@ -125,10 +137,11 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     seeds = [args.seed0 + i for i in range(PAIRS)]
 
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        base = Path(tmp)
-        base_sha = export_rev(args.base, base)
-        sides = {"base": base, "head": ROOT}
+    head_rev, head_source = (args.head, args.head) if args.head else working_tree()
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        sides = {"base": Path(tmp) / "base", "head": Path(tmp) / "head"}
+        base_sha = export_rev(args.base, sides["base"])
+        head_sha = export_rev(head_rev, sides["head"])
         runs = {w: {"base": [], "head": []} for w in workloads}
         machine = None
         for i, seed in enumerate(seeds):
@@ -145,7 +158,8 @@ def main(argv=None) -> int:
     out = {
         "tag": args.tag,
         "base": base_sha,
-        "head": describe_head(),
+        "head": head_sha,
+        "head_source": head_source,
         "command": "python3 perfbench/run.py --workload W --seed S --seconds X",
         "seconds": seconds,
         "seeds": seeds,
