@@ -25,8 +25,8 @@ with recursive coefficients and the Gamma-quotient c(lam) (see
 :mod:`sphtrans.cfunction`).  Each series is one product of a coefficient
 matrix (a row per lam) with powers (a column per t), times e^{(i*lam - rho) t},
 once per block: its factors at mid_P and at o_q on the nodes mid_P + o_q of a
-composite rule registered in ``_PANELS`` (the radial rules of sphtrans.transform, for
-any caller).  For real lam the block is real: phi = 2 Re(c(lam) Phi_lam), one side summed.
+composite rule registered in ``_PANELS`` (sphtrans.transform's radial rules), whoever
+asks.  For real lam the block is real: phi = 2 Re(c(lam) Phi_lam), one side summed.
 The switch point shrinks with |lam| to keep the Pfaff series free of
 cancellation; past the spectral windows used here the lost digits are
 measured and raise AccuracyError.  Near lam = i*k (integer k), where the

@@ -15,7 +15,7 @@ side's root, where X is the benchmark's ``run_seconds``.  The summary goes to
 BENCH_<tag>.json in this repository.  It holds both commit hashes; per
 workload and end-to-end metric, each side's values, median and quartiles, the
 head/base ratio of medians, the head/base ratio of each pair, the base's
-quartiles over its median (the band an A/A ratio of medians should fall in)
+quartiles over its median (the band to read an A/A ratio of medians against)
 and the number of pairs the head won (ties count for neither); per workload
 and op kind each side's median over runs of the run's median op time (from
 its ``op_s``) and their ratio, which shows the ops that carry a change; per
