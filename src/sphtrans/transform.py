@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -98,6 +99,8 @@ _CONTOUR_PANEL = 1.5
 _CONTOUR_END_TOL = 1e-12
 # the measured envelope's margin over the largest value it was taken from
 _ENVELOPE_MARGIN = 1.15
+# numpy's warning for a complex-to-real cast: np.exceptions is numpy >= 1.25
+_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
 CARTAN_CLASSES = ("split", "compact")
 
@@ -456,7 +459,8 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     """Wave packet psi_a(t) = (c_P/|W|) int_R a(nu) phi_nu(t) |c(nu)|^-2 dnu.
 
     Returns the packet as a RadialProfile.  The symbol must be Weyl-even
-    with decay power >= 4.  The integral is a fixed composite Gauss-Legendre
+    with decay power >= 4, and carry an evaluator ``fn`` that is its
+    analytic continuation.  The integral is a fixed composite Gauss-Legendre
     rule on (0, L], L the end of the symbol's grid, so it takes no
     tolerance; its panel order adapts to the largest |t| requested per call,
     and results for different call batches agree to the rule's accuracy.
@@ -465,15 +469,19 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     :func:`_phi_block`; the values of the last ``t`` are held (a copy each call).
 
     ``decay`` bounds the exact packet; the evaluated one is within its
-    roundoff floor 1e-14 sum|charge| (1 + t) e^{-rho t} of it.  For a symbol
-    with an evaluator ``fn`` the envelope comes from a contour shift
-    (:func:`_contour_envelope`), checked on the K21 nodes of [0, T] where
-    :func:`hc_transform` then finds the values held; without ``fn``, or when
-    the packet leaves that envelope by more than the floor (an ``fn`` that is
-    not the symbol's analytic continuation), from sampling the packet on
-    tables of its own (:func:`_infer_packet_decay`).
+    roundoff floor 1e-14 sum|charge| (1 + t) e^{-rho t} of it.  It comes from
+    a contour shift of ``fn`` (:func:`_contour_envelope`), checked on the
+    K21 nodes of [0, T] where :func:`hc_transform` then finds the values
+    held.  PreconditionError naming the symbol when it has no ``fn``, when
+    no contour shift is usable, or when the packet leaves the envelope by
+    more than the floor (an ``fn`` that is not the symbol's continuation);
+    EvaluationError naming the first t there where the packet is not finite.
     """
     _check_symbol(a, "wave-packet symbol")
+    name = a.label or "a"
+    if a.fn is None:
+        raise PreconditionError(f"wave-packet symbol {name!r} has no evaluator fn, "
+                                "so its packet has no contour envelope")
     L = float(a.grid[-1])
     # factor 2: even integrand reduced to (0, L]; 1/|W| folded against it
     prefactor = 2.0 * G.plancherel_constant / G.weyl_order
@@ -511,18 +519,13 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
         kappa = 1e-14 * float(np.sum(np.abs(charge)))
         return kappa * (1.0 + ts) * np.exp(-G.rho * ts)
 
-    decay = None
-    if a.fn is not None:
-        charge_sum = float(np.sum(np.abs(charges(_spectral_order())[1])))
-        decay = _contour_envelope(G, a.fn, charge_sum, eval_packet, noise_floor)
-    if decay is None:
-        decay = _infer_packet_decay(G, eval_packet, noise_floor)
+    charge_sum = float(np.sum(np.abs(charges(_spectral_order())[1])))
     return RadialProfile(
         eval=eval_packet,
-        decay=decay,
+        decay=_contour_envelope(G, a.fn, name, charge_sum, eval_packet, noise_floor),
         d1=charged(1),
         d2=charged(2),
-        label=f"psi[{a.label or 'a'}]",
+        label=f"psi[{name}]",
     )
 
 
@@ -539,16 +542,19 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
     over |a(x + i sigma)| + |a(-x + i sigma)|, taken as 0 where that is below
     1e-20 of its peak on the line.  A sigma is usable when C_sigma is finite
     and the integrand at x = X is below ``_CONTOUR_END_TOL`` of it.  An
-    ``fn`` that rejects complex input has none.
+    ``fn`` that rejects complex input, by TypeError, ValueError or numpy's
+    ComplexWarning on a cast to real, has none.
     """
     n_panels = int(math.ceil(_CONTOUR_X / _CONTOUR_PANEL))
     nodes, weights, _ = composite_nodes(0.0, _CONTOUR_X, n_panels, gauss_legendre_rule(_NU_ORDER))
     z = (np.append(nodes, _CONTOUR_X) + 1j * _SIGMAS[:, None]).ravel()  # a row per sigma
     with np.errstate(all="ignore"):  # a non-finite C_sigma only disqualifies its sigma
         try:
-            a_abs = (np.abs(np.asarray(fn(z), dtype=complex))
-                     + np.abs(np.asarray(fn(-z.conj()), dtype=complex)))
-        except (TypeError, ValueError):
+            with warnings.catch_warnings():  # a cast to real drops Im nu: fn rejects it
+                warnings.simplefilter("error", _ComplexWarning)
+                a_abs = (np.abs(np.asarray(fn(z), dtype=complex))
+                         + np.abs(np.asarray(fn(-z.conj()), dtype=complex)))
+        except (TypeError, ValueError, _ComplexWarning):
             return ()
         # the other factors grow at most polynomially in x: rows where |a| is below
         # 1e-20 of its peak on the line add nothing (NaN and inf rows stay, and rule out
@@ -566,10 +572,9 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
     return tuple(zip(_SIGMAS[usable].tolist(), C[usable].tolist()))
 
 
-def _contour_envelope(G: GroupDatum, fn, charge_sum: float, eval_packet,
-                      noise_floor) -> Optional[ExpDecay]:
-    """Envelope of the exact packet from a contour shift, or None when the packet
-    leaves it.
+def _contour_envelope(G: GroupDatum, fn, name: str, charge_sum: float, eval_packet,
+                      noise_floor) -> ExpDecay:
+    """Envelope of the exact packet of the symbol ``name`` from a contour shift.
 
     For real nu, phi_nu |c(nu)|^-2 = Phi_nu / c(-nu) + Phi_{-nu} / c(nu), so for
     an even symbol psi_a(t) = (2 c_P/|W|) int_R a(nu) Phi_nu(t) / c(-nu) dnu.
@@ -581,8 +586,8 @@ def _contour_envelope(G: GroupDatum, fn, charge_sum: float, eval_packet,
     going to the smaller tail bound; an unhashable ``fn`` computes its ladder
     uncached.  The packet is then checked once, on the K21 nodes of [0, T]
     where :func:`hc_transform` at the default tolerance reads it, T that
-    sigma's cutoff; past the envelope by more than ``noise_floor`` (an ``fn``
-    that is not the symbol's continuation) the result is None.
+    sigma's cutoff, and ``noise_floor`` is the margin it allows.  The errors,
+    naming ``name``, are :func:`wave_packet`'s.
     """
     try:
         ladder = _contour_ladder(G, fn)
@@ -594,7 +599,8 @@ def _contour_envelope(G: GroupDatum, fn, charge_sum: float, eval_packet,
         coeff = _ENVELOPE_MARGIN * max(C, charge_sum * math.exp(rate * _CONTOUR_T0))
         envs.append(ExpDecay(coeff=coeff + 1e-300, rate=rate, degree=0))
     if not envs:
-        return None
+        raise PreconditionError(f"wave-packet symbol {name!r} has no usable contour shift: its "
+                                "fn rejects complex input or is not finite on Im nu = sigma")
 
     def cost(env):
         T = _radial_cutoff(G, env, DEFAULT_QUAD.abs_tol)
@@ -602,56 +608,15 @@ def _contour_envelope(G: GroupDatum, fn, charge_sum: float, eval_packet,
 
     (T, _), env = min(((cost(env), env) for env in envs), key=lambda pair: pair[0])
     ts = _radial_rule(G, T).nodes  # where hc_transform reads the packet: its table is then held
-    vals = _packet_magnitude(eval_packet, ts)
-    return env if np.all(vals <= env.bound(ts) + noise_floor(ts)) else None
-
-
-def _packet_magnitude(eval_packet, ts: np.ndarray) -> np.ndarray:
-    """|psi| on ``ts``; EvaluationError naming the first t where it is not finite."""
     vals = np.abs(eval_packet(ts))
-    if not np.all(np.isfinite(vals)):  # else NaN would pass as the zero packet
+    if not np.all(np.isfinite(vals)):  # else NaN would pass the envelope check
         t_bad = float(ts[np.argmax(~np.isfinite(vals))])
         raise EvaluationError(f"wave packet is not finite at t = {t_bad!r}")
-    return vals
-
-
-def _infer_packet_decay(G: GroupDatum, eval_packet, noise_floor) -> ExpDecay:
-    """Measured envelope c * e^{-r t} for a wave packet.
-
-    Tries rates from a ladder starting at 2*rho + 1 (every rate stays
-    strictly above rho, so the packet remains admissible for the forward
-    transform).  Probe samples below the evaluator noise floor are
-    treated as zero, so only genuine signal enters the certification.  A
-    rate is certified once the scaled signal |psi| e^{rt} has visibly
-    peaked inside the probe window: the trailing-segment maximum must
-    drop below 1e-3 of the peak and decrease from one segment to the
-    next.  Wave packets of rapidly decaying symbols pass at the top
-    rate; stretched-exponential tails settle on a lower one.
-    """
-    rho = G.rho
-    ladder = sorted(
-        {2 * rho + 1.0, 2 * rho + 0.5, 2 * rho, 1.5 * rho, rho + 0.6, rho + 0.5},
-        reverse=True,
-    )
-    ladder = [r for r in ladder if r > rho]
-    for T_probe in (12.0, 20.0, 32.0, 48.0):
-        ts = np.linspace(0.0, T_probe, int(8 * T_probe) + 1)
-        vals = _packet_magnitude(eval_packet, ts)
-        signal = np.where(vals > noise_floor(ts), vals, 0.0)
-        if float(np.max(signal)) == 0.0:  # numerically the zero packet
-            return ExpDecay(coeff=1e-300, rate=2 * rho + 1.0, degree=0)
-        for rate in ladder:
-            scaled = signal * np.exp(rate * ts)
-            peak = float(np.max(scaled))
-            cut1, cut2 = ts > 0.7 * T_probe, ts > 0.85 * T_probe
-            seg1 = float(np.max(scaled[cut1 & ~cut2]))
-            seg2 = float(np.max(scaled[cut2]))
-            if seg2 < 1e-3 * peak and seg2 <= seg1:
-                return ExpDecay(coeff=_ENVELOPE_MARGIN * peak + 1e-300, rate=rate, degree=0)
-    raise AccuracyError(
-        "could not certify an exponential envelope for the wave packet "
-        "within the probe window"
-    )
+    outside = vals > env.bound(ts) + noise_floor(ts)
+    if np.any(outside):
+        raise PreconditionError(f"wave packet of {name!r} leaves its contour envelope at t = "
+                                f"{float(ts[np.argmax(outside)])!r}: fn is not its continuation")
+    return env
 
 
 # ---------------------------------------------------------------------------

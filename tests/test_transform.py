@@ -307,14 +307,12 @@ def test_homomorphism_in_wave_packet_parametrization():
 # ---------------------------------------------------------------------------
 
 def test_wave_packet_zero_symbol():
+    # C_sigma = 0 on every contour: the envelope's coefficient is its 1e-300 floor
     G = preset("SL2R")
-    z = SpectralFunction(
-        default_spectral_grid(),
-        np.zeros(481, dtype=complex),
-        SpectralDecay(1e-300, 8),
-    )
-    psi = wave_packet(G, z)
+    psi = wave_packet(G, make_symbol(lambda x: 0.0 * x, "zero"))
+    assert psi.decay.coeff == 1e-300
     assert np.max(np.abs(psi(np.linspace(0, 5, 21)))) == 0.0
+    assert np.max(np.abs(hc_transform(G, psi).spectral.values)) == 0.0
 
 
 def test_wave_packet_identity_normalization():
@@ -359,11 +357,13 @@ def test_wave_packet_rejects_a_symbol_with_nan_values():
 
 
 def test_packet_that_is_nan_raises_naming_t():
-    # finite samples pass the symbol checks; the evaluator the packet uses returns NaN
+    # finite samples pass the symbol checks, and fn continues to Im nu > 0, so the
+    # contour envelope exists; the packet's charges read fn on the real line, where it
+    # is NaN, so the check fails at the first K21 node
     grid = default_spectral_grid()
     a = SpectralFunction(grid, np.exp(-grid**2), SpectralDecay(2.0, 8.0),
-                         fn=lambda x: np.full(np.shape(x), np.nan))
-    with pytest.raises(EvaluationError, match=r"wave packet is not finite at t = 0\.0"):
+                         fn=lambda x: np.where(np.imag(x) == 0.0, np.nan, np.exp(-x**2)))
+    with pytest.raises(EvaluationError, match=r"wave packet is not finite at t = 0\.0010857"):
         wave_packet(preset("H3"), a)
 
 
@@ -440,25 +440,42 @@ def test_packet_stays_within_envelope_and_noise_floor(name, label):
     G = preset(name)
     a = make_symbol(INVERSION_SYMBOLS.get(label, flat_top(3.2)), label)
     psi = wave_packet(G, a)
-    assert psi.decay.rate > G.rho + 0.4  # from the contour shift, not the probe's floor
+    assert psi.decay.rate > G.rho + 0.4  # a contour shift sigma >= 0.45
     ts = np.linspace(0.0, 40.0, 321)
     assert np.all(np.abs(psi(ts)) <= psi.decay.bound(ts) + packet_noise_floor(G, a, ts))
 
 
-def test_symbol_that_does_not_continue_analytically_falls_back_to_the_probe(monkeypatch):
+def test_symbol_that_does_not_continue_analytically_raises():
     # np.real drops the growth of exp(-nu^2) off the real line, so its contour
-    # constants are too small, and the check on [0, 12] catches it
-    probed = []
-    infer = transform._infer_packet_decay
-    monkeypatch.setattr(transform, "_infer_packet_decay",
-                        lambda *args: probed.append(1) or infer(*args))
-    G = preset("H3")
+    # constants are too small, and the check on the K21 nodes catches it
     a = make_symbol(lambda x: np.exp(-np.real(x) ** 2), "real part")
-    psi = wave_packet(G, a)
-    assert probed == [1]
-    ts = np.geomspace(0.05, 40.0, 80)
-    assert np.all(h3_gauss_packet(1.0, ts) <= psi.decay.bound(ts) * (1.0 + 1e-9))
-    assert np.all(np.abs(psi(ts)) <= psi.decay.bound(ts) + packet_noise_floor(G, a, ts))
+    with pytest.raises(PreconditionError,
+                       match=r"'real part' leaves its contour envelope at t = 1\.109"):
+        wave_packet(preset("H3"), a)
+
+
+def _real_only(x):
+    if np.iscomplexobj(x):
+        raise TypeError("real input only")
+    return np.exp(-(x**2))
+
+
+@pytest.mark.parametrize("symbol, message", [
+    (lambda G: hc_transform(G, gaussian_profile(G)).spectral,
+     r"'H\[gauss\(w=1\.0\)\]' has no evaluator fn"),
+    (lambda G: make_symbol(_real_only, "real only"), r"'real only' has no usable contour shift"),
+    # numpy warns on the cast to float and drops Im nu: the fn rejects complex input
+    (lambda G: make_symbol(lambda x: np.exp(-np.asarray(x, dtype=float) ** 2), "cast"),
+     r"'cast' has no usable contour shift"),
+    (lambda G: SpectralFunction(default_spectral_grid(), np.exp(-default_spectral_grid()**2),
+                                SpectralDecay(2.0, 8.0), fn=lambda x: np.full(np.shape(x), np.nan),
+                                label="nan"),
+     r"'nan' has no usable contour shift"),
+], ids=["sampled", "type-error", "complex-cast", "nan-everywhere"])
+def test_wave_packet_without_a_contour_envelope_raises(symbol, message):
+    G = preset("H3")
+    with pytest.raises(PreconditionError, match=message):
+        wave_packet(G, symbol(G))
 
 
 def test_contour_constants_are_computed_once_per_group_and_symbol(monkeypatch):
