@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, GridContractError
 from .groups import GroupDatum
 from .specfun import DEFAULT_QUAD, QuadratureSpec
 from .spherical import RadialProfile, xi
@@ -143,8 +143,12 @@ def image_membership(G: GroupDatum, A: SpectralFunction) -> MembershipReport:
 
     Checks (i) Weyl evenness, (ii) rapid decay through polynomially
     weighted sups, (iii) a smoothness proxy through divided differences
-    up to order 4.  Pure diagnostic: never raises on failure.
+    up to order 4.  Pure diagnostic: never raises on failure, but a grid of fewer
+    than 5 points, which has no differences of order 4, raises GridContractError.
     """
+    if len(A.grid) <= _SMOOTH_ORDER:
+        raise GridContractError(f"image membership's divided differences of order {_SMOOTH_ORDER} "
+                                f"need {_SMOOTH_ORDER + 1} grid points; the grid has {len(A.grid)}")
     defect = weyl_symmetry_defect(A)
     k = int(np.argmax(np.abs(A.values - A.values[::-1])))
     weyl = CriterionResult(defect <= _WEYL_TOL, defect, float(A.grid[k]))

@@ -59,6 +59,7 @@ __all__ = [
 
 _MAX_HC_TERMS = 500
 _HC_CHUNK = 25
+_HC_MARGIN = 2  # terms past the first k with x^k < 1e-19 in the series' first chunk
 _SERIES_CHUNK = 128
 # the Pfaff series fails once roundoff times its largest term passes 1e-10 Xi(t),
 # and c_log once roundoff on its five log terms passes 1e-10
@@ -72,6 +73,8 @@ _CIRCLE = np.exp(1j * np.pi * (np.arange(8) - 3.5) / 8)
 _CIRCLE = np.concatenate([_CIRCLE, -_CIRCLE])
 # row chunks of a block keep every temporary below this many entries
 _BLOCK_ENTRIES = 1 << 18
+# an exponential-series group of whole panels holds about this many entries
+_GROUP_ENTRIES = 1 << 15
 # composite rules with a ``panels`` split, by their nodes' bytes, held while their owner holds them
 _PANELS: "weakref.WeakValueDictionary[bytes, object]" = weakref.WeakValueDictionary()
 
@@ -213,14 +216,19 @@ def _hc_coefficients(G: GroupDatum, sides: np.ndarray, x: np.ndarray, names: np.
     over all m and over each parity make a step O(1).  Row i stops at the first
     k >= 6 where |a_k| x_i^k and |a_{k-1}| x_i^{k-1} are below
     1e-19 max(1, |a_1|, ..., |a_k|); its later entries are 0.  Past
-    ``_MAX_HC_TERMS`` AccuracyError names the row's entry of ``names``.
+    ``_MAX_HC_TERMS`` AccuracyError names the row's entry of ``names``.  The first
+    chunk of terms reaches the k where the largest x^k is below 1e-19, plus a margin.
     """
     mu = 1j * sides - G.rho
     total = mu.copy()  # sum of d_m over m < k
     parity = [mu.copy(), np.zeros_like(mu)]  # over even, odd m
     cols = [np.ones_like(mu)]
+    x_top = min(max(float(np.max(x, initial=0.0)), 1e-300), 0.99)  # x = 0 past t_min = 372
+    chunk = math.ceil(math.log(1e-19) / math.log(x_top)) + _HC_MARGIN
     while True:
-        ks = np.arange(len(cols), len(cols) + _HC_CHUNK, dtype=float)
+        # chunks end at _MAX_HC_TERMS + 1 columns, where the cap is checked
+        ks = np.arange(len(cols), min(len(cols) + chunk, _MAX_HC_TERMS + 1), dtype=float)
+        chunk = _HC_CHUNK
         inv = (-1.0 / (4.0 * ks * (ks - 1j * sides[:, None]))).T
         shift = (mu[:, None] - 2.0 * ks).T
         for j, k in enumerate(ks.astype(int)):
@@ -251,31 +259,43 @@ def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndar
     x = e^{-2 t_min[i]} on row i.  The columns are t = mid[P] + offsets[j] from
     the ``lo``-th on, so e^{mu t} is e^{mu mid} e^{mu offsets}.  ``real`` keeps
     the real part only: phi = 2 Re g(lam) for real lam.  Errors name the
-    caller's lam of each side, ``names``.
+    caller's lam of each side, ``names``.  Yields (cols, parts), each order's
+    values on the column slice ``cols`` of a group of whole panels of about
+    ``_GROUP_ENTRIES`` entries: one real product and one phase product, in buffers
+    that the next group reuses once the caller has written them into its table.
     """
     mid, offsets = panels
-    t = (mid[:, None] + offsets).ravel()[lo:]
+    width = len(offsets)
     weighted_c = weight * c_value(G, sides, names)  # first: it names a lam too large for any digits
     mu = 1j * sides - G.rho
     coef = _hc_coefficients(G, sides, np.exp(-2.0 * t_min), names) * weighted_c[:, None]
     blocks = [coef]
     if want_d1:
         blocks.append(coef * (mu[:, None] - 2.0 * np.arange(coef.shape[1])))
-    sums = _times_real(blocks, _powers(np.exp(-2.0 * t), coef.shape[1] - 1))
+    stacked = np.concatenate([part for B in blocks for part in (B.real, B.imag)])
+    powers = _powers(np.exp(-2.0 * (mid[:, None] + offsets).ravel()[lo:]), coef.shape[1] - 1)
     # e^{mu t} in one exponent, in range while phi is (e^{i s t} alone need not be);
     # plain columns are their mid
-    start, skip = divmod(lo, len(offsets))
-    front = np.exp(np.multiply.outer(mu, mid[start:]))
-    if len(offsets) > 1:
-        front = front[:, :, None] * np.exp(np.multiply.outer(mu, offsets))[:, None]
-        front = front.reshape(len(sides), -1)[:, skip:]
-    if not real:
-        return [front * (re + 1j * im) for re, im in sums]
-    re, im = sums[:, 0], sums[:, 1]  # Re(front (re + i im)), written over re
-    re *= front.real
-    im *= front.imag
-    re -= im
-    return list(re)
+    e_offsets = np.exp(np.multiply.outer(mu, offsets))[:, None]
+    per = max(1, _GROUP_ENTRIES // (len(sides) * width))  # panels per group
+    work = np.empty(len(stacked) * per * width)
+    phase = np.empty(len(sides) * per * width, dtype=complex)
+    for p in range(lo // width, len(mid), per):
+        q = min(p + per, len(mid))
+        a, b = max(lo, p * width), q * width  # the group's columns, from the lo-th on
+        sums = np.matmul(stacked, powers[:, a - lo:b - lo],
+                         out=work[:len(stacked) * (b - a)].reshape(-1, b - a))
+        front = np.exp(np.multiply.outer(mu, mid[p:q]))
+        if width > 1:
+            front = np.multiply(front[:, :, None], e_offsets, out=phase[:front.size * width]
+                                .reshape(len(sides), q - p, width))
+        front = front.reshape(len(sides), -1)[:, a - p * width:]
+        re, im = sums.reshape(len(blocks), 2, len(sides), b - a).swapaxes(0, 1)
+        if real:  # Re(front (re + i im)), written over re
+            re *= front.real
+            im *= front.imag
+            re -= im
+        yield slice(a, b), list(re) if real else [front * (r + 1j * i) for r, i in zip(re, im)]
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +492,13 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, panels, want_d1: bool, real: bool)
             sides, weight, owner = _exp_sides(lam, far, on, radius, real)
             # each side's first column past its row's switch point
             t_min = np.append(t, np.inf)[np.searchsorted(t, switch[owner], side="right")]
-            parts = _hc_series(G, sides, panels, lo, t_min, want_d1, weight, real, lam[owner])
             n = len(far) if real else 2 * len(far)
-            for out, part in zip(outs, parts):
-                out[far, lo:] = part[:n] if real else part[:n:2] + part[1:n:2]
-                if on.size:
-                    out[on, lo:] = part[n:].reshape(len(on), -1, len(t) - lo).sum(axis=1)
+            for cols, parts in _hc_series(G, sides, panels, lo, t_min, want_d1, weight, real,
+                                          lam[owner]):
+                for out, part in zip(outs, parts):
+                    out[far, cols] = part[:n] if real else part[:n:2] + part[1:n:2]
+                    if on.size:
+                        out[on, cols] = part[n:].reshape(len(on), -1, part.shape[1]).sum(axis=1)
         hi = int(np.searchsorted(t, switch[rows].max(), side="right"))
         if hi:
             own = t[:hi] <= switch[rows, None]

@@ -99,6 +99,9 @@ _CONTOUR_PANEL = 1.5
 _CONTOUR_END_TOL = 1e-12
 # the measured envelope's margin over the largest value it was taken from
 _ENVELOPE_MARGIN = 1.15
+# a packet drops its smallest charges while their moduli add up to less than this share
+# of sum|charge|, which moves it by less than that share of sum|charge| Xi(t)
+_CHARGE_DROP = 2.0**-60
 # numpy's warning for a complex-to-real cast: np.exceptions is numpy >= 1.25
 _ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
@@ -464,6 +467,9 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     rule on (0, L], L the end of the symbol's grid, so it takes no
     tolerance; its panel order adapts to the largest |t| requested per call,
     and results for different call batches agree to the rule's accuracy.
+    Only the nodes that carry charge get a table row: the smallest charges
+    go while their moduli add up to less than 2^-60 sum|charge|, which moves the
+    packet by less than that times Xi(t), as |phi_nu(t)| <= Xi(t) for real nu.
     The values and both t-derivatives take finite ``t`` of any shape, and
     read their blocks, on the flattened ``t``, from the one table cache,
     :func:`_phi_block`; the values of the last ``t`` are held (a copy each call).
@@ -488,9 +494,15 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
 
     @functools.cache
     def charges(n: int):
-        # the spectral rule of panel order n, and the symbol's charge at each of its nodes
+        # the nodes of the spectral rule of panel order n that carry charge, and their
+        # charges: the smallest go while their moduli add up to less than _CHARGE_DROP of
+        # all, so a NaN sum or an all-zero symbol keeps every node
         rule = _spectral_rule(G, L, n)
-        return rule, prefactor * rule.weights * _symbol_node_values(a, rule.nodes) * rule.density
+        charge = prefactor * rule.weights * _symbol_node_values(a, rule.nodes) * rule.density
+        mod = np.abs(charge)
+        smallest = np.argsort(mod, kind="stable")
+        drop = smallest[np.cumsum(mod[smallest]) < _CHARGE_DROP * np.sum(mod)]
+        return np.delete(rule.nodes, drop), np.delete(charge, drop)
 
     def charged(order):
         # psi_a, or its t-derivative of ``order``
@@ -498,8 +510,8 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
             ts = np.asarray(t, dtype=float)
             if not np.all(np.isfinite(ts)):  # else the spectral order of a NaN t is taken
                 raise DomainError(f"wave packet requires finite t, got t = {t!r}")
-            rule, charge = charges(_spectral_order(ts.max(initial=1.0)))
-            return _real_times(_phi_block(G, rule.nodes, ts.ravel(), order).T,
+            nodes, charge = charges(_spectral_order(ts.max(initial=1.0)))
+            return _real_times(_phi_block(G, nodes, ts.ravel(), order).T,
                                charge).reshape(ts.shape)
         return evaluate
 
@@ -522,7 +534,7 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     charge_sum = float(np.sum(np.abs(charges(_spectral_order())[1])))
     return RadialProfile(
         eval=eval_packet,
-        decay=_contour_envelope(G, a.fn, name, charge_sum, eval_packet, noise_floor),
+        decay=_contour_envelope(G, a, name, charge_sum, eval_packet, noise_floor),
         d1=charged(1),
         d2=charged(2),
         label=f"psi[{name}]",
@@ -572,9 +584,9 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
     return tuple(zip(_SIGMAS[usable].tolist(), C[usable].tolist()))
 
 
-def _contour_envelope(G: GroupDatum, fn, name: str, charge_sum: float, eval_packet,
-                      noise_floor) -> ExpDecay:
-    """Envelope of the exact packet of the symbol ``name`` from a contour shift.
+def _contour_envelope(G: GroupDatum, a: SpectralFunction, name: str, charge_sum: float,
+                      eval_packet, noise_floor) -> ExpDecay:
+    """Envelope of the exact packet of the symbol ``a``, ``name``, from a contour shift.
 
     For real nu, phi_nu |c(nu)|^-2 = Phi_nu / c(-nu) + Phi_{-nu} / c(nu), so for
     an even symbol psi_a(t) = (2 c_P/|W|) int_R a(nu) Phi_nu(t) / c(-nu) dnu.
@@ -587,12 +599,13 @@ def _contour_envelope(G: GroupDatum, fn, name: str, charge_sum: float, eval_pack
     uncached.  The packet is then checked once, on the K21 nodes of [0, T]
     where :func:`hc_transform` at the default tolerance reads it, T that
     sigma's cutoff, and ``noise_floor`` is the margin it allows.  The errors,
-    naming ``name``, are :func:`wave_packet`'s.
+    naming ``name``, are :func:`wave_packet`'s; leaving the envelope also names
+    the grid end L, where the spectral integral stops, and |a(L)| / max|a|.
     """
     try:
-        ladder = _contour_ladder(G, fn)
+        ladder = _contour_ladder(G, a.fn)
     except TypeError:  # an unhashable fn is not cached
-        ladder = _contour_ladder.__wrapped__(G, fn)
+        ladder = _contour_ladder.__wrapped__(G, a.fn)
     envs = []
     for sigma, C in ladder:
         rate = G.rho + sigma
@@ -614,8 +627,11 @@ def _contour_envelope(G: GroupDatum, fn, name: str, charge_sum: float, eval_pack
         raise EvaluationError(f"wave packet is not finite at t = {t_bad!r}")
     outside = vals > env.bound(ts) + noise_floor(ts)
     if np.any(outside):
+        cut = abs(a.values[-1]) / a.scale()
         raise PreconditionError(f"wave packet of {name!r} leaves its contour envelope at t = "
-                                f"{float(ts[np.argmax(outside)])!r}: fn is not its continuation")
+                                f"{float(ts[np.argmax(outside)])!r}: fn is not its continuation, "
+                                f"or the spectral integral's end L = {float(a.grid[-1])!r} cuts "
+                                f"the symbol off at |a(L)| / max|a| = {cut:.3g}")
     return env
 
 

@@ -208,6 +208,15 @@ def test_membership_subcommand(tmp_path):
     assert doc["criteria"]["weyl"]["passed"] is False
 
 
+def test_membership_on_three_points_exits_2_naming_the_count(tmp_path, capsys):
+    rc = run_cli(["membership", "--preset", "H3", "--grid=-1:1:3",
+                  "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "need 5 grid points; the grid has 3" in err and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_expansion_subcommand(tmp_path):
     out = tmp_path / "e.json"
     cfg = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ plus the table cache, the mirror fold and the adaptive rule's rounds of splits."
 import math
 import re
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -424,6 +425,23 @@ def test_entries_do_not_depend_on_column_order_or_row_position():
     for fn in (phi_d1, phi_d2):
         block = fn(G, lams, t)
         np.testing.assert_array_equal(fn(G, lams[rows], t[cols]), block[np.ix_(rows, cols)])
+
+
+def test_table_build_peaks_below_four_times_the_table():
+    # the exponential series goes through the columns in groups of whole panels, so
+    # its transients do not grow with the table's width (5.3x when they did)
+    G = preset("H3")
+    lams = transform._spectral_rule(G, GRID[-1], transform._NU_ORDER).nodes
+    rule = transform._radial_rule(G, 16.0)
+    phi(G, lams, rule.nodes)  # the cached rules and coefficients are not the build's
+    tracemalloc.start()
+    try:
+        table = phi(G, lams, rule.nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (320, 672)
+    assert peak <= 4.0 * table.nbytes
 
 
 # --------------------------------------------------------------------------

@@ -165,6 +165,14 @@ def test_membership_counterexamples():
     assert not rep.passed and not rep.smoothness.passed
 
 
+@pytest.mark.parametrize("count", [3, 4])
+def test_membership_on_a_grid_too_short_for_order_4_differences_raises(count):
+    grid = np.linspace(-1.0, 1.0, count)
+    A = SpectralFunction(grid, np.exp(-grid**2), SpectralDecay(2.0, 8.0))
+    with pytest.raises(GridContractError, match=f"need 5 grid points; the grid has {count}"):
+        image_membership(preset("H3"), A)
+
+
 def test_membership_budget_is_respected(monkeypatch):
     G = preset("SL2R")
     grid = default_spectral_grid()

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sphtrans import spherical, transform
+from sphtrans import cli, spherical, transform
 from sphtrans.acceptance import INVERSION_SYMBOLS, flat_top
 from sphtrans.cfunction import plancherel_density
 from sphtrans.errors import (
@@ -20,9 +20,10 @@ from sphtrans.groups import PRESET_NAMES, GroupDatum, haar_density, preset
 from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile
 from sphtrans.schwartz import schwartz_seminorm
 from sphtrans.specfun import DEFAULT_QUAD, ExpDecay, gauss_legendre_rule, integrate_interval
-from sphtrans.spherical import RadialProfile, phi
+from sphtrans.spherical import RadialProfile, phi, phi_d1, phi_d2
 from sphtrans.transform import (
     CARTAN_CLASSES,
+    GRID_MAX,
     SpectralDecay,
     SpectralFunction,
     TransformResult,
@@ -445,12 +446,64 @@ def test_packet_stays_within_envelope_and_noise_floor(name, label):
     assert np.all(np.abs(psi(ts)) <= psi.decay.bound(ts) + packet_noise_floor(G, a, ts))
 
 
+def full_rule_packet(G, a, ts, order):
+    """The packet's t-derivative of ``order`` on ``ts`` from every node of its spectral
+    rule, charged or not."""
+    rule = transform._spectral_rule(G, float(a.grid[-1]), transform._spectral_order(ts.max()))
+    charge = (2.0 * G.plancherel_constant / G.weyl_order * rule.weights * rule.density
+              * transform._symbol_node_values(a, rule.nodes))
+    return (phi, phi_d1, phi_d2)[order](G, rule.nodes, ts).T @ charge
+
+
+@pytest.mark.parametrize("name", ["SL2R", "H3", "CH2"])
+@pytest.mark.parametrize("label", list(cli.SYMBOLS))
+def test_packet_on_its_charged_nodes_matches_the_full_rule(name, label):
+    # the dropped charges add up to at most 2^-60 sum|charge|, four orders below the
+    # noise floor; a derivative of order k scales phi by up to (L^2 + rho^2)^(k/2)
+    G = preset(name)
+    a = make_symbol(cli.SYMBOLS[label], label)
+    psi = wave_packet(G, a)
+    T = transform._radial_cutoff(G, psi.decay, DEFAULT_QUAD.abs_tol)
+    ts = transform._radial_rule(G, T).nodes
+    floor = packet_noise_floor(G, a, ts)
+    for k in (0, 1, 2):
+        scale = 1.0 if k == 0 else float(a.grid[-1]) ** 2 + G.rho**2
+        assert np.all(np.abs(psi.deriv(ts, k) - full_rule_packet(G, a, ts, k)) <= scale * floor)
+
+
+@pytest.mark.parametrize("label, most", [("wide", 1.0), ("gauss", 2.0 / 3.0)])
+def test_packet_tables_have_a_row_per_charged_node(label, most, monkeypatch):
+    # exp(-nu^2/4) is still 2e-16 of its peak at L = 12, so every node carries charge;
+    # exp(-nu^2) drops below 2^-60 of it past nu of about 6.5
+    rows = []
+    monkeypatch.setattr(transform, "_PHI_CACHE", {})
+    monkeypatch.setattr(transform, "phi",
+                        lambda G, lam, t, phi=transform.phi: rows.append(len(lam)) or phi(G, lam, t))
+    G = preset("H3")
+    psi = wave_packet(G, make_symbol(cli.SYMBOLS[label], label))
+    T = transform._radial_cutoff(G, psi.decay, DEFAULT_QUAD.abs_tol)
+    nodes = transform._spectral_rule(G, GRID_MAX, transform._spectral_order(T)).nodes
+    assert len(rows) == 1 and rows[0] <= most * len(nodes)
+    assert rows[0] == len(nodes) or label != "wide"
+
+
 def test_symbol_that_does_not_continue_analytically_raises():
     # np.real drops the growth of exp(-nu^2) off the real line, so its contour
     # constants are too small, and the check on the K21 nodes catches it
     a = make_symbol(lambda x: np.exp(-np.real(x) ** 2), "real part")
     with pytest.raises(PreconditionError,
                        match=r"'real part' leaves its contour envelope at t = 1\.109"):
+        wave_packet(preset("H3"), a)
+
+
+def test_symbol_cut_off_by_its_grid_end_names_l_and_the_symbol_there():
+    # exp(-nu^2) is its own continuation, but the spectral integral stops at L = 0.5,
+    # where the symbol is still 0.78 of its peak
+    grid = np.linspace(-0.5, 0.5, 7)
+    a = SpectralFunction.from_function(lambda x: np.exp(-x**2), grid, SpectralDecay(300.0, 8.0),
+                                       label="short")
+    with pytest.raises(PreconditionError, match=r"'short' leaves its contour envelope at t = 6\.287"
+                       r".*end L = 0\.5 cuts the symbol off at \|a\(L\)\| / max\|a\| = 0\.779"):
         wave_packet(preset("H3"), a)
 
 
