@@ -277,9 +277,10 @@ def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndar
     # e^{mu t} in one exponent, in range while phi is (e^{i s t} alone need not be);
     # plain columns are their mid
     e_offsets = np.exp(np.multiply.outer(mu, offsets))[:, None]
-    per = max(1, _GROUP_ENTRIES // (len(sides) * width))  # panels per group
+    # panels per group, no more than the block has
+    per = max(1, min(_GROUP_ENTRIES // (len(sides) * width), len(mid) - lo // width))
     work = np.empty(len(stacked) * per * width)
-    phase = np.empty(len(sides) * per * width, dtype=complex)
+    phase = np.empty(len(sides) * per * width, dtype=complex) if width > 1 else None
     for p in range(lo // width, len(mid), per):
         q = min(p + per, len(mid))
         a, b = max(lo, p * width), q * width  # the group's columns, from the lo-th on
