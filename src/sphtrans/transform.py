@@ -480,8 +480,9 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     K21 nodes of [0, T] where :func:`hc_transform` then finds the values
     held.  PreconditionError naming the symbol when it has no ``fn``, when
     no contour shift is usable, or when the packet leaves the envelope by
-    more than the floor (an ``fn`` that is not the symbol's continuation);
-    EvaluationError naming the first t there where the packet is not finite.
+    more than the floor (an ``fn`` that is not the symbol's continuation, or a
+    grid end L that cuts the symbol off); EvaluationError naming the first t
+    there where the packet is not finite.
     """
     _check_symbol(a, "wave-packet symbol")
     name = a.label or "a"
@@ -494,9 +495,8 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
 
     @functools.cache
     def charges(n: int):
-        # the nodes of the spectral rule of panel order n that carry charge, and their
-        # charges: the smallest go while their moduli add up to less than _CHARGE_DROP of
-        # all, so a NaN sum or an all-zero symbol keeps every node
+        # the charged nodes of the spectral rule of panel order n, and their charges: the
+        # smallest go while below _CHARGE_DROP of the sum (a NaN or zero sum keeps them all)
         rule = _spectral_rule(G, L, n)
         charge = prefactor * rule.weights * _symbol_node_values(a, rule.nodes) * rule.density
         mod = np.abs(charge)
