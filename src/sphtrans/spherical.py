@@ -59,7 +59,6 @@ __all__ = [
 
 _MAX_HC_TERMS = 500
 _HC_CHUNK = 25
-_HC_MARGIN = 2  # terms past the first k with x^k < 1e-19 in the series' first chunk
 _SERIES_CHUNK = 128
 # the Pfaff series fails once roundoff times its largest term passes 1e-10 Xi(t),
 # and c_log once roundoff on its five log terms passes 1e-10
@@ -130,10 +129,9 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
     return np.cumprod(np.vstack([np.ones_like(z), np.broadcast_to(z, (n, len(z)))]), axis=0)
 
 
-def _times_real(blocks, powers: np.ndarray):
-    """(Re, Im) of B @ powers for each complex B, in one real matrix product."""
-    prod = np.concatenate([part for B in blocks for part in (B.real, B.imag)]) @ powers
-    return prod.reshape(len(blocks), 2, len(blocks[0]), -1)
+def _real_rows(blocks) -> np.ndarray:
+    """Re B and Im B of each complex B as the rows of one real matrix."""
+    return np.concatenate([part for B in blocks for part in (B.real, B.imag)])
 
 
 def _lam_text(lam: complex) -> str:
@@ -197,7 +195,8 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
     if want_d1:
         blocks.append(np.hstack([coef[:, 1:] * np.arange(1, coef.shape[1]), 0.0 * coef[:, :1]]))
     th = np.tanh(t)
-    sums = [re + 1j * im for re, im in _times_real(blocks, _powers(th * th, coef.shape[1] - 1))]
+    prod = _real_rows(blocks) @ _powers(th * th, coef.shape[1] - 1)
+    sums = [re + 1j * im for re, im in prod.reshape(len(blocks), 2, len(lam), -1)]
     s = (G.rho + 1j * lam)[:, None]
     pref = np.exp(-s * np.log(np.cosh(t)))
     if not want_d1:
@@ -216,15 +215,15 @@ def _hc_coefficients(G: GroupDatum, sides: np.ndarray, x: np.ndarray, names: np.
     over all m and over each parity make a step O(1).  Row i stops at the first
     k >= 6 where |a_k| x_i^k and |a_{k-1}| x_i^{k-1} are below
     1e-19 max(1, |a_1|, ..., |a_k|); its later entries are 0.  Past
-    ``_MAX_HC_TERMS`` AccuracyError names the row's entry of ``names``.  The first
-    chunk of terms reaches the k where the largest x^k is below 1e-19, plus a margin.
+    ``_MAX_HC_TERMS`` AccuracyError names the row's entry of ``names``.
     """
     mu = 1j * sides - G.rho
     total = mu.copy()  # sum of d_m over m < k
     parity = [mu.copy(), np.zeros_like(mu)]  # over even, odd m
     cols = [np.ones_like(mu)]
-    x_top = min(max(float(np.max(x, initial=0.0)), 1e-300), 0.99)  # x = 0 past t_min = 372
-    chunk = math.ceil(math.log(1e-19) / math.log(x_top)) + _HC_MARGIN
+    # the first chunk runs 2 terms past the k where the largest x^k < 1e-19: x < e^-0.38 (t_min
+    # past a switch point >= 0.19), and an x of 0 (t_min > 372) is clipped away from log(0)
+    chunk = math.ceil(math.log(1e-19) / math.log(max(float(np.max(x, initial=0.0)), 1e-300))) + 2
     while True:
         # chunks end at _MAX_HC_TERMS + 1 columns, where the cap is checked
         ks = np.arange(len(cols), min(len(cols) + chunk, _MAX_HC_TERMS + 1), dtype=float)
@@ -259,10 +258,9 @@ def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndar
     x = e^{-2 t_min[i]} on row i.  The columns are t = mid[P] + offsets[j] from
     the ``lo``-th on, so e^{mu t} is e^{mu mid} e^{mu offsets}.  ``real`` keeps
     the real part only: phi = 2 Re g(lam) for real lam.  Errors name the
-    caller's lam of each side, ``names``.  Yields (cols, parts), each order's
-    values on the column slice ``cols`` of a group of whole panels of about
-    ``_GROUP_ENTRIES`` entries: one real product and one phase product, in buffers
-    that the next group reuses once the caller has written them into its table.
+    caller's lam of each side, ``names``.  Yields (cols, parts), each order's values
+    on the column slice ``cols`` of a group of whole panels of about ``_GROUP_ENTRIES``
+    entries, in buffers that the next group reuses: the caller copies them out first.
     """
     mid, offsets = panels
     width = len(offsets)
@@ -272,7 +270,7 @@ def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndar
     blocks = [coef]
     if want_d1:
         blocks.append(coef * (mu[:, None] - 2.0 * np.arange(coef.shape[1])))
-    stacked = np.concatenate([part for B in blocks for part in (B.real, B.imag)])
+    stacked = _real_rows(blocks)
     powers = _powers(np.exp(-2.0 * (mid[:, None] + offsets).ravel()[lo:]), coef.shape[1] - 1)
     # e^{mu t} in one exponent, in range while phi is (e^{i s t} alone need not be);
     # plain columns are their mid

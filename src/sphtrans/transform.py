@@ -99,8 +99,8 @@ _CONTOUR_PANEL = 1.5
 _CONTOUR_END_TOL = 1e-12
 # the measured envelope's margin over the largest value it was taken from
 _ENVELOPE_MARGIN = 1.15
-# a packet drops its smallest charges while their moduli add up to less than this share
-# of sum|charge|, which moves it by less than that share of sum|charge| Xi(t)
+# a packet drops its highest spectral nodes while their charges' moduli add up to less than
+# this share of sum|charge|, which moves it by less than that share of sum|charge| Xi(t)
 _CHARGE_DROP = 2.0**-60
 # numpy's warning for a complex-to-real cast: np.exceptions is numpy >= 1.25
 _ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
@@ -227,15 +227,20 @@ _PHI_CACHE: dict[tuple, np.ndarray] = {}
 _PHI_CACHE_BYTES = 256 * 2**20
 
 
-def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0) -> np.ndarray:
+def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0,
+               rows: Optional[int] = None) -> np.ndarray:
     """Real matrix [phi_{lam_i}(t_j)] for real lam_i and 1-D ``ts``, or its t-derivative of
-    ``order`` 1 or 2, held in the table cache: one call of the public ``phi``, ``phi_d1``
+    ``order`` 1 or 2, on the first ``rows`` lam_i (all when None), held in the table cache
+    (a table held for fewer rows gains the rest): one call of the public ``phi``, ``phi_d1``
     or ``phi_d2``, which reads the panel split of radial rule nodes from its registry."""
+    rows = len(lams) if rows is None else rows
     key = (G, order, lams.tobytes(), ts.tobytes())
-    hit = _PHI_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = (phi, phi_d1, phi_d2)[order](G, lams, ts)
+    held = _PHI_CACHE.get(key)
+    if held is not None and len(held) >= rows:
+        return held[:rows]
+    out = (phi, phi_d1, phi_d2)[order](G, lams[0 if held is None else len(held):rows], ts)
+    if held is not None:
+        out = np.concatenate([_PHI_CACHE.pop(key), out])
     if out.nbytes <= _PHI_CACHE_BYTES:
         while sum(v.nbytes for v in _PHI_CACHE.values()) + out.nbytes > _PHI_CACHE_BYTES:
             _PHI_CACHE.pop(next(iter(_PHI_CACHE)))
@@ -467,9 +472,10 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     rule on (0, L], L the end of the symbol's grid, so it takes no
     tolerance; its panel order adapts to the largest |t| requested per call,
     and results for different call batches agree to the rule's accuracy.
-    Only the nodes that carry charge get a table row: the smallest charges
-    go while their moduli add up to less than 2^-60 sum|charge|, which moves the
-    packet by less than that times Xi(t), as |phi_nu(t)| <= Xi(t) for real nu.
+    Only the nodes that carry charge get a table row: the highest nodes go
+    while their charges add up to less than 2^-60 sum|charge| in modulus, which
+    moves the packet by less than that times Xi(t), as |phi_nu(t)| <= Xi(t) for
+    real nu; packets on one rule share the first rows of one table.
     The values and both t-derivatives take finite ``t`` of any shape, and
     read their blocks, on the flattened ``t``, from the one table cache,
     :func:`_phi_block`; the values of the last ``t`` are held (a copy each call).
@@ -495,14 +501,12 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
 
     @functools.cache
     def charges(n: int):
-        # the charged nodes of the spectral rule of panel order n, and their charges: the
-        # smallest go while below _CHARGE_DROP of the sum (a NaN or zero sum keeps them all)
+        # the spectral rule of panel order n, and the charges of its first nodes: the highest
+        # go while below _CHARGE_DROP of the sum (a NaN or zero sum keeps them all)
         rule = _spectral_rule(G, L, n)
         charge = prefactor * rule.weights * _symbol_node_values(a, rule.nodes) * rule.density
-        mod = np.abs(charge)
-        smallest = np.argsort(mod, kind="stable")
-        drop = smallest[np.cumsum(mod[smallest]) < _CHARGE_DROP * np.sum(mod)]
-        return np.delete(rule.nodes, drop), np.delete(charge, drop)
+        tail = np.cumsum(np.abs(charge[::-1]))[::-1]  # sum |charge| from each node up
+        return rule.nodes, charge[:len(charge) - np.count_nonzero(tail < _CHARGE_DROP * tail[0])]
 
     def charged(order):
         # psi_a, or its t-derivative of ``order``
@@ -511,7 +515,7 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
             if not np.all(np.isfinite(ts)):  # else the spectral order of a NaN t is taken
                 raise DomainError(f"wave packet requires finite t, got t = {t!r}")
             nodes, charge = charges(_spectral_order(ts.max(initial=1.0)))
-            return _real_times(_phi_block(G, nodes, ts.ravel(), order).T,
+            return _real_times(_phi_block(G, nodes, ts.ravel(), order, len(charge)).T,
                                charge).reshape(ts.shape)
         return evaluate
 
@@ -534,7 +538,7 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     charge_sum = float(np.sum(np.abs(charges(_spectral_order())[1])))
     return RadialProfile(
         eval=eval_packet,
-        decay=_contour_envelope(G, a, name, charge_sum, eval_packet, noise_floor),
+        decay=_contour_envelope(G, a, charge_sum, eval_packet, noise_floor),
         d1=charged(1),
         d2=charged(2),
         label=f"psi[{name}]",
@@ -584,9 +588,9 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
     return tuple(zip(_SIGMAS[usable].tolist(), C[usable].tolist()))
 
 
-def _contour_envelope(G: GroupDatum, a: SpectralFunction, name: str, charge_sum: float,
-                      eval_packet, noise_floor) -> ExpDecay:
-    """Envelope of the exact packet of the symbol ``a``, ``name``, from a contour shift.
+def _contour_envelope(G: GroupDatum, a: SpectralFunction, charge_sum: float, eval_packet,
+                      noise_floor) -> ExpDecay:
+    """Envelope of the exact packet of the symbol ``a`` from a contour shift.
 
     For real nu, phi_nu |c(nu)|^-2 = Phi_nu / c(-nu) + Phi_{-nu} / c(nu), so for
     an even symbol psi_a(t) = (2 c_P/|W|) int_R a(nu) Phi_nu(t) / c(-nu) dnu.
@@ -599,9 +603,10 @@ def _contour_envelope(G: GroupDatum, a: SpectralFunction, name: str, charge_sum:
     uncached.  The packet is then checked once, on the K21 nodes of [0, T]
     where :func:`hc_transform` at the default tolerance reads it, T that
     sigma's cutoff, and ``noise_floor`` is the margin it allows.  The errors,
-    naming ``name``, are :func:`wave_packet`'s; leaving the envelope also names
-    the grid end L, where the spectral integral stops, and |a(L)| / max|a|.
+    naming the symbol's label, are :func:`wave_packet`'s; leaving the envelope
+    also names the grid end L, where the spectral integral stops, and |a(L)| / max|a|.
     """
+    name = a.label or "a"
     try:
         ladder = _contour_ladder(G, a.fn)
     except TypeError:  # an unhashable fn is not cached

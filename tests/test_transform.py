@@ -487,6 +487,25 @@ def test_packet_tables_have_a_row_per_charged_node(label, most, monkeypatch):
     assert rows[0] == len(nodes) or label != "wide"
 
 
+def test_packets_on_one_rule_share_the_first_rows_of_one_table(monkeypatch):
+    # x2gauss, poly and flat4 are checked on the same K21 nodes (T = 16 on H3) and keep
+    # the first 185, 184 and 214 spectral nodes: poly reads x2gauss's table, and flat4
+    # adds the 29 rows past it
+    rows = []
+    monkeypatch.setattr(transform, "_PHI_CACHE", {})
+    monkeypatch.setattr(transform, "phi",
+                        lambda G, lam, t, phi=transform.phi: rows.append(len(lam)) or phi(G, lam, t))
+    G = preset("H3")
+    psis = {label: wave_packet(G, make_symbol(cli.SYMBOLS[label], label))
+            for label in ("x2gauss", "poly", "flat4")}
+    assert rows == [185, 29]
+    assert [len(table) for table in transform._PHI_CACHE.values()] == [214]
+    ts = transform._radial_rule(G, 16.0).nodes
+    a = make_symbol(cli.SYMBOLS["poly"], "poly")
+    assert np.all(np.abs(psis["poly"](ts) - full_rule_packet(G, a, ts, 0))
+                  <= packet_noise_floor(G, a, ts))
+
+
 def test_symbol_that_does_not_continue_analytically_raises():
     # np.real drops the growth of exp(-nu^2) off the real line, so its contour
     # constants are too small, and the check on the K21 nodes catches it
