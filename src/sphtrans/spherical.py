@@ -22,18 +22,18 @@ map u = tanh^2 t; larger t uses the exponential-series representation
     Phi_lam(t) = e^{(i*lam - rho) t} * sum_k  a_k(lam) e^{-2kt},
 
 with recursive coefficients and the Gamma-quotient c(lam) (see
-:mod:`sphtrans.cfunction`).  Each series is one product of a coefficient
-matrix (a row per lam) with powers (a column per t), times e^{(i*lam - rho) t},
-once per block: its factors at mid_P and at o_q on the nodes mid_P + o_q of a
-composite rule registered in ``_PANELS`` (sphtrans.transform's radial rules), whoever
-asks.  For real lam the block is real: phi = 2 Re(c(lam) Phi_lam), one side summed.
-The switch point shrinks with |lam| to keep the Pfaff series free of
-cancellation; past the spectral windows used here the lost digits are
-measured and raise AccuracyError.  Near lam = i*k (integer k), where the
-two terms cancel, phi_lam is entire in lam (Koornwinder 1984): such a row
-is the trapezoid-rule Cauchy integral over a small circle about ik
-(Trefethen & Weideman 2014), whose points are ordinary rows of the same
-exponential-series product.
+:mod:`sphtrans.cfunction`).  Each series is one product of a coefficient matrix (a row
+per lam) with powers (a column per t), times e^{(i*lam - rho) t}, once per block: its
+factors at mid_P and at o_q on the nodes mid_P + o_q of a composite rule registered in
+``_PANELS`` (sphtrans.transform's radial rules), whoever asks.  For real lam the block
+is real: phi = 2 Re(c(lam) Phi_lam), one side summed.  The switch point shrinks with
+|lam| to keep the Pfaff series free of cancellation; past the spectral windows used
+here the lost digits are measured and raise AccuracyError.  phi_lam is entire in lam
+(Koornwinder 1984).  Near lam = i*k (integer k), where the two terms cancel, a row is
+the trapezoid-rule Cauchy integral over a small circle about ik (Trefethen & Weideman
+2014), whose points are ordinary rows of the same product.  A real block with more rows
+than Chebyshev points in |lam| (32 on [0, 12]) interpolates its t <= 1.2 from those
+points' rows, to roundoff of Xi but not bit for bit a scalar call (see :func:`_band`).
 """
 
 from __future__ import annotations
@@ -138,9 +138,8 @@ def _lam_text(lam: complex) -> str:
     return repr(float(lam.real)) if lam.imag == 0.0 else repr(complex(lam))
 
 
-def _truncate(coef: np.ndarray, pair: np.ndarray) -> np.ndarray:
-    """Zero each row after its first stopping index (pair[:, k] stops at k + 6)."""
-    stop = np.argmax(pair, axis=1) + 6
+def _truncate(coef: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The first columns of ``coef`` through the last row's ``stop``, zero past each row's."""
     coef = coef[:, : stop.max() + 1]
     coef[np.arange(coef.shape[1]) > stop[:, None]] = 0.0
     return coef
@@ -190,7 +189,7 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
                 f"{_LOST_DIGITS_TOL:g} of the bound e^(|Im lam| t) Xi(t) = {env[i] * xi_t:.2e}",
                 err_est=lost[i] * env[i],
             )
-    coef = _truncate(coef, pair)
+    coef = _truncate(coef, np.argmax(pair, axis=1) + 6)  # pair[:, k] stops at k + 6
     blocks = [coef]
     if want_d1:
         blocks.append(np.hstack([coef[:, 1:] * np.arange(1, coef.shape[1]), 0.0 * coef[:, :1]]))
@@ -220,31 +219,33 @@ def _hc_coefficients(G: GroupDatum, sides: np.ndarray, x: np.ndarray, names: np.
     mu = 1j * sides - G.rho
     total = mu.copy()  # sum of d_m over m < k
     parity = [mu.copy(), np.zeros_like(mu)]  # over even, odd m
-    cols = [np.ones_like(mu)]
-    # the first chunk runs 2 terms past the k where the largest x^k < 1e-19: x < e^-0.38 (t_min
-    # past a switch point >= 0.19), and an x of 0 (t_min > 372) is clipped away from log(0)
-    chunk = math.ceil(math.log(1e-19) / math.log(max(float(np.max(x, initial=0.0)), 1e-300))) + 2
+    A = np.ones((_HC_CHUNK + 1, len(sides)), dtype=complex)  # row k holds a_k; it doubles
+    peak, stop, k0 = np.ones(len(sides)), np.full(len(sides), -1), 1  # max(1, |a_j|) so far
     while True:
-        # chunks end at _MAX_HC_TERMS + 1 columns, where the cap is checked
-        ks = np.arange(len(cols), min(len(cols) + chunk, _MAX_HC_TERMS + 1), dtype=float)
-        chunk = _HC_CHUNK
-        inv = (-1.0 / (4.0 * ks * (ks - 1j * sides[:, None]))).T
-        shift = (mu[:, None] - 2.0 * ks).T
-        for j, k in enumerate(ks.astype(int)):
-            a = (2.0 * G.m_alpha * total + 4.0 * G.m_2alpha * parity[k % 2]) * inv[j]
-            d = a * shift[j]
+        k1 = min(k0 + _HC_CHUNK, _MAX_HC_TERMS + 1)  # the last chunk ends at the cap
+        if k1 > len(A):  # a chunk is shorter than the buffer
+            A = np.concatenate([A, np.empty_like(A)])
+        ks = np.arange(k0, k1)
+        inv = -1.0 / (4.0 * ks[:, None] * (ks[:, None] - 1j * sides))
+        shift = mu - 2.0 * ks[:, None]
+        for j, k in enumerate(range(k0, k1)):
+            A[k] = (2.0 * G.m_alpha * total + 4.0 * G.m_2alpha * parity[k % 2]) * inv[j]
+            d = A[k] * shift[j]
             total += d
             parity[k % 2] += d
-            cols.append(a)
-        A = np.array(cols).T
-        mag = np.abs(A)
-        scale = 1e-19 * np.maximum.accumulate(np.maximum(mag, 1.0), axis=1)[:, 6:]
-        term = mag * x[:, None] ** np.arange(A.shape[1])
-        pair = (term[:, 6:] < scale) & (term[:, 5:-1] < scale)
-        if pair.any(axis=1).all():
-            return _truncate(A, pair)
-        if A.shape[1] > _MAX_HC_TERMS:
-            i = int(np.argmin(pair.any(axis=1)))
+        mag = np.abs(A[k0 - 1:k1])  # the chunk and the row before it
+        peaks = np.maximum(mag, peak)
+        for j in range(1, len(mag)):  # a running max by rows: faster than accumulate on axis 0
+            np.maximum(peaks[j - 1], peaks[j], out=peaks[j])
+        scale = 1e-19 * peaks[1:]
+        term = mag * x ** np.arange(k0 - 1, k1)[:, None]
+        pair = (term[1:] < scale) & (term[:-1] < scale) & (ks >= 6)[:, None]
+        stop = np.where((stop < 0) & pair.any(axis=0), k0 + np.argmax(pair, axis=0), stop)
+        peak, k0 = peaks[-1], k1
+        if np.all(stop >= 0):
+            return _truncate(A.T, stop)
+        if k1 > _MAX_HC_TERMS:
+            i = int(np.argmax(stop < 0))
             raise AccuracyError(
                 f"exponential series for phi did not settle within {_MAX_HC_TERMS} terms "
                 f"at lam = {_lam_text(names[i])}, t = {-0.5 * math.log(x[i])!r}"
@@ -462,24 +463,56 @@ def _exp_sides(lam: np.ndarray, far: np.ndarray, near: np.ndarray, radius: float
             np.concatenate([owner, np.repeat(near, z.shape[1])]))
 
 
+def _band(G: GroupDatum, mod: np.ndarray, t: np.ndarray, outs, want_d1: bool) -> int:
+    """Fill the columns t <= _PFAFF_T of ``outs`` (real rows of modulus ``mod``) by barycentric
+    interpolation in |lam| from n + 1 Chebyshev points of the second kind on [0, L = max mod];
+    return their count, or 0 if the rows are no more than the points or a point's row fails.
+    On the Bernstein ellipse e^s about [0, L], |phi_lam(t)| <= M Xi(t), M = e^{(L/2) sinh(s) t}
+    (times |lam| + rho for phi'), so n is the least with 4 M e^{-ns} / (e^s - 1) below roundoff
+    for some s (Trefethen, ATAP Thm 8.2).  The sums are np.einsum's, not BLAS's: one order over
+    the points whatever the row's position."""
+    nb = int(np.searchsorted(t, _PFAFF_T, side="right"))
+    h, s = 0.5 * mod.max(initial=0.0), np.linspace(0.05, 8.0, 160)
+    if not nb or h == 0.0:
+        return 0
+    log_m = h * np.sinh(s) * t[nb - 1] + (np.log(h + h * np.cosh(s) + G.rho) if want_d1 else 0.0)
+    n = np.ceil(np.min((log_m + math.log(4.0 / _EPS) - np.log(np.expm1(s))) / s))
+    if not n + 1 < len(mod):  # also where the bound overflows
+        return 0
+    nodes = 2.0 * h * np.sin(0.5 * np.pi * np.arange(n + 1) / n) ** 2
+    try:
+        at_nodes = _phi_rows(G, nodes.astype(complex), (t[:nb], np.zeros(1)), want_d1, True)
+    except AccuracyError:  # the block names its own lam
+        return 0
+    diff = mod[:, None] - nodes
+    hit = diff == 0.0
+    w = np.where(np.arange(n + 1) % 2, -1.0, 1.0) * np.where(np.arange(n + 1) % n, 1.0, 0.5)
+    c = np.where(hit.any(axis=1)[:, None], hit, w / np.where(hit, 1.0, diff))
+    for out, F in zip(outs, at_nodes):  # numerators and denominator in one sum
+        sums = np.einsum("ij,jk->ik", c, np.column_stack([F, np.ones(len(F))]))
+        out[:, :nb] = sums[:, :-1] / sums[:, -1:]
+    return nb
+
+
 def _phi_rows(G: GroupDatum, lam: np.ndarray, panels, want_d1: bool, real: bool):
     """[phi] or [phi, phi'] on complex rows lam x ascending columns t = mid[P] +
     offsets[j], ``panels`` = (mid, offsets) (plain t is (t, [0])), real if ``real``.
 
-    A row leaves the Pfaff series at max(0.19, 9.6/|lam|) (1.2 for
-    |lam| <= 8) for the exponential series, which a row within a tenth of
-    the circle radius of i*Z takes from a Cauchy circle of ordinary rows
-    (see :func:`_exp_sides`).  The radius is small enough that the Taylor
-    coefficients of phi in lam, of size t^n / n!, alias below roundoff, and
-    large enough that the one-sided rows, of size 1 / radius, keep their
-    digits.  A branch fills a column range of a row chunk; chunks keep
-    temporaries small.
+    A real block takes t <= 1.2 from :func:`_band` when it can.  Otherwise a row leaves
+    the Pfaff series at max(0.19, 9.6/|lam|) (1.2 for |lam| <= 8) for the exponential
+    series, which a row within a tenth of the circle radius of i*Z takes from a Cauchy
+    circle of ordinary rows (see :func:`_exp_sides`).  The radius is small enough that the
+    Taylor coefficients of phi in lam, of size t^n / n!, alias below roundoff, and large
+    enough that the one-sided rows, of size 1 / radius, keep their digits.  A branch
+    fills a column range of a row chunk; chunks keep temporaries small.
     """
     t = (panels[0][:, None] + panels[1]).ravel()
     val = np.empty((len(lam), len(t)), dtype=float if real else complex)
     outs = [val, np.empty_like(val)] if want_d1 else [val]
     mod = np.abs(lam)
     switch = np.where(mod <= 8.0, _PFAFF_T, np.maximum(0.19, 9.6 / np.maximum(mod, 8.0)))
+    nb = _band(G, mod, t, outs, want_d1) if real else 0
+    switch = np.full(len(lam), _PFAFF_T) if nb else switch  # all series start past a band
     radius = 0.64 / max(t.max(initial=0.0), 64.0)
     near = np.abs(lam - 1j * np.round(lam.imag)) < 0.1 * radius
     step = max(1, _BLOCK_ENTRIES // max(len(t), 1))
@@ -499,7 +532,7 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, panels, want_d1: bool, real: bool)
                     if on.size:
                         out[on, cols] = part[n:].reshape(len(on), -1, part.shape[1]).sum(axis=1)
         hi = int(np.searchsorted(t, switch[rows].max(), side="right"))
-        if hi:
+        if hi > nb:
             own = t[:hi] <= switch[rows, None]
             for out, part in zip(outs, _pfaff_series(G, lam[rows], t[:hi], own, want_d1)):
                 out[rows, :hi] = np.where(own, part.real if real else part, out[rows, :hi])

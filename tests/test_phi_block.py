@@ -410,38 +410,127 @@ def test_panel_tables_match_plain_phi(name, monkeypatch):
             assert np.all(err <= tol), (T, k)
 
 
-def test_entries_do_not_depend_on_column_order_or_row_position():
+def test_entries_do_not_depend_on_column_order_or_row_position(monkeypatch):
     G = preset("CH2")
     rng = np.random.default_rng(13)
     t = np.sort(rng.uniform(0.0, 30.0, 301))
-    # far rows on both sides of the switch points, and rows in the Cauchy band
-    lams = np.concatenate([CIRCLE_ROWS, [0.7, 2.5, 9.0, 11.9, 30.0]])
-    block = phi(G, lams, t)
-    cols = rng.permutation(len(t))
-    np.testing.assert_array_equal(phi(G, lams, t[cols]), block[:, cols])
-    rows = rng.permutation(len(lams))
-    np.testing.assert_array_equal(phi(G, lams[rows], t), block[rows])
-    np.testing.assert_array_equal(phi(G, lams[rows], t[cols]), block[np.ix_(rows, cols)])
-    for fn in (phi_d1, phi_d2):
-        block = fn(G, lams, t)
-        np.testing.assert_array_equal(fn(G, lams[rows], t[cols]), block[np.ix_(rows, cols)])
+    # far rows on both sides of the switch points, and rows in the Cauchy band; then the
+    # same with 241 more, a real block whose t <= 1.2 come from the band's interpolant
+    few = np.concatenate([CIRCLE_ROWS, [0.7, 2.5, 9.0, 11.9, 30.0]])
+    widths = record_band_widths(monkeypatch)
+    for lams in (few, np.concatenate([few, rng.uniform(-12.0, 12.0, 241)])):
+        block = phi(G, lams, t)
+        assert (widths[-1] > 0) == (len(lams) > len(few))
+        cols = rng.permutation(len(t))
+        np.testing.assert_array_equal(phi(G, lams, t[cols]), block[:, cols])
+        rows = rng.permutation(len(lams))
+        np.testing.assert_array_equal(phi(G, lams[rows], t), block[rows])
+        np.testing.assert_array_equal(phi(G, lams[rows], t[cols]), block[np.ix_(rows, cols)])
+        for fn in (phi_d1, phi_d2):
+            block = fn(G, lams, t)
+            np.testing.assert_array_equal(fn(G, lams[rows], t[cols]), block[np.ix_(rows, cols)])
 
 
 def test_table_build_peaks_below_four_times_the_table():
     # the exponential series goes through the columns in groups of whole panels, so
-    # its transients do not grow with the table's width (5.3x when they did)
+    # its transients do not grow with the table's width (5.3x when they did), and the
+    # Pfaff series runs on the band's points only (3.7x and 6.1x when it ran on every row)
     G = preset("H3")
     lams = transform._spectral_rule(G, GRID[-1], transform._NU_ORDER).nodes
     rule = transform._radial_rule(G, 16.0)
-    phi(G, lams, rule.nodes)  # the cached rules and coefficients are not the build's
-    tracemalloc.start()
-    try:
-        table = phi(G, lams, rule.nodes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.shape == (320, 672)
-    assert peak <= 4.0 * table.nbytes
+    for fn, bound in ((phi, 2.5), (phi_d1, 4.0)):
+        fn(G, lams, rule.nodes)  # the cached rules and coefficients are not the build's
+        tracemalloc.start()
+        try:
+            table = fn(G, lams, rule.nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (320, 672)
+        assert peak <= bound * table.nbytes, fn
+
+
+# --------------------------------------------------------------------------
+# the small-t band of a real block: an interpolant in |lam| on Chebyshev points
+# --------------------------------------------------------------------------
+
+def record_band_widths(monkeypatch) -> list:
+    """A list that receives the band's column count (0 for none) of every later block; the
+    band's own points, a block without a band, come before the block they serve."""
+    widths = []
+    band = spherical._band
+
+    def recorded(*args):
+        widths.append(band(*args))
+        return widths[-1]
+
+    monkeypatch.setattr(spherical, "_band", recorded)
+    return widths
+
+
+@pytest.mark.parametrize("half_width", [1.0, 12.0, 24.0, 50.0])
+def test_band_meets_h3_closed_form(half_width, monkeypatch):
+    G = preset("H3")
+    nodes = transform._radial_rule(G, 16.0).nodes
+    lams = np.linspace(-half_width, half_width, 481)
+    widths = record_band_widths(monkeypatch)
+    block = phi(G, lams, nodes)
+    nb = np.count_nonzero(nodes <= spherical._PFAFF_T)
+    assert widths[-1] == nb
+    t = nodes[:nb]
+    assert np.max(np.abs(block[:, :nb] - h3_closed_form(lams, t)) / xi_h3(t)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_band_rows_meet_scalar_calls(name, monkeypatch):
+    # a scalar call sums its own series; the first and last rows, 0 and L = 12, lie on
+    # points of the band and take those points' rows
+    G = preset(name)
+    nodes = transform._radial_rule(G, 4.0).nodes
+    nb = np.count_nonzero(nodes <= spherical._PFAFF_T)
+    lams = np.concatenate([[0.0], np.linspace(0.01, 12.0, 240)])
+    widths = record_band_widths(monkeypatch)
+    for k, fn in enumerate((phi, phi_d1, phi_d2)):
+        block = fn(G, lams, nodes)[:, :nb]
+        assert widths[-1] == nb
+        scalar = np.array([fn(G, lam, nodes[:nb]).real for lam in lams[::8]])
+        tol = 1e-13 * (1.0 + lams[::8, None]) ** k * xi(G, nodes[:nb])
+        assert np.all(np.abs(block[::8] - scalar) <= tol), k
+
+
+def test_band_sum_is_the_loop_over_points_in_order(monkeypatch):
+    G = preset("SL2R")
+    lams, t = np.linspace(0.0, 11.0, 300), np.linspace(0.0, 1.2, 25)
+    calls, rows = [], spherical._phi_rows
+    monkeypatch.setattr(spherical, "_phi_rows", lambda G, lam, *args: calls.append(lam.real)
+                        or rows(G, lam, *args))
+    outs = [np.empty((len(lams), len(t)))]
+    assert spherical._band(G, lams, t, outs, False) == len(t)
+    (points,) = calls
+    n = len(points) - 1
+    np.testing.assert_array_equal(points, 11.0 * np.sin(0.5 * np.pi * np.arange(n + 1) / n) ** 2)
+    values = phi(G, points, t)
+    w = (-1.0) ** np.arange(n + 1) * np.where(np.arange(n + 1) % n, 1.0, 0.5)
+    c = w / (lams[1:-1, None] - points)  # the rows off the points
+    num, den = np.zeros((len(lams) - 2, len(t))), np.zeros(len(lams) - 2)
+    for j in range(n + 1):
+        num += c[:, j, None] * values[j]
+        den += c[:, j]
+    np.testing.assert_array_equal(outs[0][1:-1], num / den[:, None])
+    np.testing.assert_array_equal(outs[0][[0, -1]], values[[0, -1]])
+
+
+def test_failing_band_names_the_callers_lam():
+    # the Pfaff series' guard fires at t = 0.175 from |lam| of about 105 on H3, for the
+    # band's points too: the block then goes without the band and names its own row
+    lams = np.linspace(0.0, 150.3, 2001)
+    with pytest.raises(AccuracyError, match=r"Pfaff series.*t = 0\.175") as err:
+        phi(preset("H3"), lams, np.array([0.175, 1.0]))
+    named = float(re.search(r"lam = ([0-9.e+-]+),", str(err.value)).group(1))
+    assert named in lams
+    # a bound on the points past float range means no band, not an error of its own
+    with pytest.raises(AccuracyError, match=r"c-function loses too many digits at lam = 1e\+306"):
+        phi(preset("H3"), np.append(np.linspace(0.0, 12.0, 300), 1e306), np.array([1.0]))
 
 
 # --------------------------------------------------------------------------
