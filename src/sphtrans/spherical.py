@@ -219,11 +219,15 @@ def _hc_coefficients(G: GroupDatum, sides: np.ndarray, x: np.ndarray, names: np.
     mu = 1j * sides - G.rho
     total = mu.copy()  # sum of d_m over m < k
     parity = [mu.copy(), np.zeros_like(mu)]  # over even, odd m
-    A = np.ones((_HC_CHUNK + 1, len(sides)), dtype=complex)  # row k holds a_k; it doubles
+    # the first chunk runs 2 terms past the k where the largest x^k < 1e-19: x < e^-0.38 (t_min
+    # past a switch point >= 0.19), and an x of 0 (t_min > 372) is clipped away from log(0)
+    chunk = math.ceil(math.log(1e-19) / math.log(max(float(np.max(x, initial=0.0)), 1e-300))) + 2
+    A = np.ones((max(chunk, _HC_CHUNK) + 1, len(sides)), dtype=complex)  # row k holds a_k
     peak, stop, k0 = np.ones(len(sides)), np.full(len(sides), -1), 1  # max(1, |a_j|) so far
     while True:
-        k1 = min(k0 + _HC_CHUNK, _MAX_HC_TERMS + 1)  # the last chunk ends at the cap
-        if k1 > len(A):  # a chunk is shorter than the buffer
+        k1 = min(k0 + chunk, _MAX_HC_TERMS + 1)  # the last chunk ends at the cap
+        chunk = _HC_CHUNK
+        if k1 > len(A):  # the buffer doubles: a chunk is shorter than it
             A = np.concatenate([A, np.empty_like(A)])
         ks = np.arange(k0, k1)
         inv = -1.0 / (4.0 * ks[:, None] * (ks[:, None] - 1j * sides))
