@@ -472,16 +472,14 @@ def _band(G: GroupDatum, mod: np.ndarray, t: np.ndarray, outs, want_d1: bool) ->
     interpolation in |lam| from n + 1 Chebyshev points of the second kind on [0, L = max mod];
     return their count, or 0 if the rows are no more than the points or a point's row fails.
     On the Bernstein ellipse e^s about [0, L], |phi_lam(t)| <= M Xi(t), M = e^{(L/2) sinh(s) t}
-    (times |lam| + rho for phi'), so n is the least with 4 M e^{-ns} / (e^s - 1) below roundoff
-    for some s (Trefethen, ATAP Thm 8.2).  The sums are np.einsum's, not BLAS's: one order over
-    the points whatever the row's position."""
+    (times |lam| + rho for phi'): n is the least with 4 M e^{-ns} / (e^s - 1) below roundoff
+    (Trefethen, ATAP Thm 8.2).  The sums are np.einsum's, not BLAS's: one order per entry."""
     nb = int(np.searchsorted(t, _PFAFF_T, side="right"))
     h, s = 0.5 * mod.max(initial=0.0), np.linspace(0.05, 8.0, 160)
-    if not nb or h == 0.0:
-        return 0
-    log_m = h * np.sinh(s) * t[nb - 1] + (np.log(h + h * np.cosh(s) + G.rho) if want_d1 else 0.0)
-    n = np.ceil(np.min((log_m + math.log(4.0 / _EPS) - np.log(np.expm1(s))) / s))
-    if not n + 1 < len(mod):  # also where the bound overflows
+    log_m = h * np.sinh(s) * t[:nb].max(initial=0.0) + math.log(4.0 / _EPS)
+    log_m += np.log(h + h * np.cosh(s) + G.rho) if want_d1 else 0.0
+    n = np.ceil(np.min((log_m - np.log(np.expm1(s))) / s))
+    if not (nb and h > 0.0 and n + 1 < len(mod)):  # n is inf where the bound overflows
         return 0
     nodes = 2.0 * h * np.sin(0.5 * np.pi * np.arange(n + 1) / n) ** 2
     try:
