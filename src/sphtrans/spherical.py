@@ -486,10 +486,9 @@ def _band(G: GroupDatum, mod: np.ndarray, t: np.ndarray, outs, want_d1: bool) ->
         at_nodes = _phi_rows(G, nodes.astype(complex), (t[:nb], np.zeros(1)), want_d1, True)
     except AccuracyError:  # the block names its own lam
         return 0
-    diff = mod[:, None] - nodes
-    hit = diff == 0.0
+    hit = mod[:, None] == nodes
     w = np.where(np.arange(n + 1) % 2, -1.0, 1.0) * np.where(np.arange(n + 1) % n, 1.0, 0.5)
-    c = np.where(hit.any(axis=1)[:, None], hit, w / np.where(hit, 1.0, diff))
+    c = np.where(hit.any(axis=1)[:, None], hit, w / np.where(hit, 1.0, mod[:, None] - nodes))
     for out, F in zip(outs, at_nodes):  # numerators and denominator in one sum
         sums = np.einsum("ij,jk->ik", c, np.column_stack([F, np.ones(len(F))]))
         out[:, :nb] = sums[:, :-1] / sums[:, -1:]
