@@ -58,8 +58,8 @@ __all__ = [
 ]
 
 _MAX_HC_TERMS = 500
-_HC_CHUNK = 25
-_SERIES_CHUNK = 128
+# a series grows by this many terms past its first chunk
+_CHUNK = 25
 # the Pfaff series fails once roundoff times its largest term passes 1e-10 Xi(t),
 # and c_log once roundoff on its five log terms passes 1e-10
 _LOST_DIGITS_TOL = 1e-10
@@ -70,8 +70,6 @@ _PFAFF_T = 1.2
 # the N = 16 points of the Cauchy circle about i*k: Re > 0 for j < N/2, z_{j+N/2} = -z_j
 _CIRCLE = np.exp(1j * np.pi * (np.arange(8) - 3.5) / 8)
 _CIRCLE = np.concatenate([_CIRCLE, -_CIRCLE])
-# row chunks of a block keep every temporary below this many entries
-_BLOCK_ENTRIES = 1 << 18
 # an exponential-series group of whole panels holds about this many entries
 _GROUP_ENTRIES = 1 << 15
 # composite rules with a ``panels`` split, by their nodes' bytes, held while their owner holds them
@@ -138,47 +136,63 @@ def _lam_text(lam: complex) -> str:
     return repr(float(lam.real)) if lam.imag == 0.0 else repr(complex(lam))
 
 
-def _truncate(coef: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """The first columns of ``coef`` through the last row's ``stop``, zero past each row's."""
-    coef = coef[:, : stop.max() + 1]
-    coef[np.arange(coef.shape[1]) > stop[:, None]] = 0.0
-    return coef
+def _grow(fill, n: int, tol: float, r: float, cap: float = math.inf):
+    """Coefficients C_k (row k, C_0 = 1) of n series in a buffer that doubles, filled by
+    ``fill(C, k0, k1)``, which writes rows k0 to k1 - 1 and returns their terms' moduli and
+    scales.  The first chunk ends 2 terms past the k where r^k < tol (r < 1), later ones are
+    ``_CHUNK`` long.  Series i stops at the first k >= 6 where terms k - 1 and k are below the
+    scale of k; filling ends once all have stopped, at a non-finite term or past ``cap``.
+    Returns C through the last stop, 0 past each series' own, and the stops (-1: none).
+    """
+    # an r of 0 (t_min > 372, or u_max = 0 at t = 0) is clipped away from log(0)
+    chunk = math.ceil(math.log(tol) / math.log(max(r, 1e-300))) + 2
+    C = np.ones((max(chunk, _CHUNK) + 1, n), dtype=complex)
+    stop, last, k0 = np.full(n, -1), np.full(n, np.inf), 1
+    while True:
+        k1, chunk = min(k0 + chunk, cap + 1), _CHUNK
+        if k1 > len(C):  # a chunk is shorter than the buffer
+            C = np.concatenate([C, np.empty_like(C)])
+        term, scale = fill(C, k0, k1)
+        pair = (term < scale) & (np.vstack([last, term[:-1]]) < scale)
+        pair &= (np.arange(k0, k1) >= 6)[:, None]
+        stop = np.where((stop < 0) & pair.any(axis=0), k0 + np.argmax(pair, axis=0), stop)
+        last, k0 = term[-1], k1
+        if np.all(stop >= 0) or k1 > cap or not np.all(np.isfinite(term)):
+            break
+    C = C[:stop.max(initial=0) + 1]
+    C[np.arange(len(C))[:, None] > stop] = 0.0
+    return C, stop
 
 
 def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: bool):
     """phi (and phi') on lam x t by the Pfaff series in u = tanh^2 t.
 
-    Row i is summed for its own columns ``own[i]`` (all when None); its
-    other entries are not meaningful.  It stops at the first n >= 6 where
-    the term bound |C_n| u^n times the tail factor 1 + u/(1 - u), at its
-    largest own u, is below 1e-17 for two consecutive n.  Roundoff times
-    the largest term is what cancellation costs; past 1e-10 of the bound
-    on |phi|, the row raises AccuracyError.
+    Row i is summed for its own columns ``own[i]`` (all when None); its other entries are
+    not meaningful.  Its terms for :func:`_grow` are |C_n| u^n times the tail factor
+    1 + u/(1 - u) at its largest own u, read against 1e-17 (the first chunk is sized for
+    1e-21: |C_n| reaches 1e3 at |lam| = 8).  Roundoff times the largest term is what
+    cancellation costs; past 1e-10 of the bound on |phi|, the row raises AccuracyError.
     """
     t_star = np.full(len(lam), t.max()) if own is None else np.where(own, t, 0.0).max(axis=1)
     u_max = np.tanh(t_star) ** 2
-    a = 0.5 * (G.rho + 1j * lam)[:, None]
-    q = 0.5 * (G.jacobi_alpha - G.jacobi_beta + 1.0 + 1j * lam)[:, None]
-    coef = np.ones((len(lam), 1), dtype=complex)
-    term = np.ones((len(lam), 1), dtype=complex)  # C_n u_max^n of the last n
-    bound = np.empty((len(lam), 0))  # bound[:, k] belongs to n = k + 1
-    while True:
-        n = np.arange(coef.shape[1] - 1, coef.shape[1] + _SERIES_CHUNK - 1, dtype=float)
+    a, q = 0.5 * (G.rho + 1j * lam), 0.5 * (G.jacobi_alpha - G.jacobi_beta + 1.0 + 1j * lam)
+    last, peak = np.ones(len(lam), dtype=complex), np.zeros(len(lam))  # C_n u_max^n, n = k0 - 1
+    def fill(C, k0, k1):
+        nonlocal last, peak
+        n = np.arange(k0 - 1, k1 - 1, dtype=float)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            ratio = (a + n) * (q + n) / ((G.jacobi_alpha + 1.0 + n) * (n + 1.0))
-            new = np.cumprod(np.hstack([coef[:, -1:], ratio]), axis=1)[:, 1:]
+            C[k0:k1] = (a + n) * (q + n) / ((G.jacobi_alpha + 1.0 + n) * (n + 1.0))
             # C_n alone overflows for large |lam| where C_n u_max^n need not (u_max = 0 at t = 0)
-            term = np.cumprod(np.hstack([term[:, -1:], ratio * u_max[:, None]]), axis=1)
-            bound = np.hstack([bound, np.abs(term[:, 1:])])
-        coef = np.hstack([coef, new])
-        below = bound * (1.0 + u_max / (1.0 - u_max))[:, None] < 1e-17
-        pair = below[:, 5:] & below[:, 4:-1]
-        if pair.any(axis=1).all() or not np.isfinite(bound).all():
-            break
+            term = np.cumprod(np.vstack([last, C[k0:k1] * u_max]), axis=0)[1:]
+            np.cumprod(C[k0 - 1:k1], axis=0, out=C[k0 - 1:k1])
+        last, bound = term[-1], np.abs(term)
+        peak = np.maximum(peak, np.nan_to_num(bound, nan=np.inf).max(axis=0))
+        return bound * (1.0 + u_max / (1.0 - u_max)), 1e-17
+
+    coef = np.ascontiguousarray(_grow(fill, len(lam), 1e-21, float(u_max.max(initial=0.0)))[0].T)
     # |phi_lam(t)| <= e^{|Im lam| t} Xi(t) and Xi(t) >= e^{-rho t}: only
     # rows past the cheap bound need Xi itself
     env = np.exp(np.abs(lam.imag) * t_star)
-    peak = np.nan_to_num(bound, nan=np.inf).max(axis=1)
     lost = _EPS * peak * np.cosh(t_star) ** (lam.imag - G.rho) / env
     for i in np.flatnonzero(~(lost <= _LOST_DIGITS_TOL * np.exp(-G.rho * t_star))):
         xi_t = _pfaff_series(G, np.zeros(1), t_star[i:i + 1], None, False)[0].real[0, 0]
@@ -189,18 +203,16 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
                 f"{_LOST_DIGITS_TOL:g} of the bound e^(|Im lam| t) Xi(t) = {env[i] * xi_t:.2e}",
                 err_est=lost[i] * env[i],
             )
-    coef = _truncate(coef, np.argmax(pair, axis=1) + 6)  # pair[:, k] stops at k + 6
-    blocks = [coef]
+    blocks = [coef]  # C-contiguous: BLAS rounds a transposed operand differently
     if want_d1:
         blocks.append(np.hstack([coef[:, 1:] * np.arange(1, coef.shape[1]), 0.0 * coef[:, :1]]))
     th = np.tanh(t)
     prod = _real_rows(blocks) @ _powers(th * th, coef.shape[1] - 1)
-    sums = [re + 1j * im for re, im in prod.reshape(len(blocks), 2, len(lam), -1)]
+    sums = [re + 1j * im for re, im in prod.reshape(len(blocks), 2, len(lam), len(t))]
     s = (G.rho + 1j * lam)[:, None]
     pref = np.exp(-s * np.log(np.cosh(t)))
-    if not want_d1:
-        return [pref * sums[0]]
-    return [pref * sums[0], pref * (-s * th * sums[0] + sums[1] * 2.0 * th * (1.0 - th * th))]
+    return [pref * sums[0]] + [pref * (-s * th * sums[0] + d1 * 2.0 * th * (1.0 - th * th))
+                               for d1 in sums[1:]]
 
 
 def _hc_coefficients(G: GroupDatum, sides: np.ndarray, x: np.ndarray, names: np.ndarray):
@@ -210,25 +222,16 @@ def _hc_coefficients(G: GroupDatum, sides: np.ndarray, x: np.ndarray, names: np.
         4 k (k - i s) a_k = - sum_{j=1}^{k} b_j a_{k-j} (mu - 2(k-j)),  a_0 = 1,
         b_j = 2 m_alpha + 4 m_2alpha [j even].
 
-    b_j depends only on the parity of j, so running sums of d_m = a_m (mu - 2m)
-    over all m and over each parity make a step O(1).  Row i stops at the first
-    k >= 6 where |a_k| x_i^k and |a_{k-1}| x_i^{k-1} are below
-    1e-19 max(1, |a_1|, ..., |a_k|); its later entries are 0.  Past
-    ``_MAX_HC_TERMS`` AccuracyError names the row's entry of ``names``.
+    b_j depends only on the parity of j, so running sums of d_m = a_m (mu - 2m) over all m
+    and over each parity make a step O(1).  Row i stops (see :func:`_grow`) on its terms
+    |a_k| x_i^k read against 1e-19 max(1, |a_1|, ..., |a_k|); its later entries are 0.
+    Past ``_MAX_HC_TERMS`` AccuracyError names the row's entry of ``names``.
     """
     mu = 1j * sides - G.rho
-    total = mu.copy()  # sum of d_m over m < k
-    parity = [mu.copy(), np.zeros_like(mu)]  # over even, odd m
-    # the first chunk runs 2 terms past the k where the largest x^k < 1e-19: x < e^-0.38 (t_min
-    # past a switch point >= 0.19), and an x of 0 (t_min > 372) is clipped away from log(0)
-    chunk = math.ceil(math.log(1e-19) / math.log(max(float(np.max(x, initial=0.0)), 1e-300))) + 2
-    A = np.ones((max(chunk, _HC_CHUNK) + 1, len(sides)), dtype=complex)  # row k holds a_k
-    peak, stop, k0 = np.ones(len(sides)), np.full(len(sides), -1), 1  # max(1, |a_j|) so far
-    while True:
-        k1 = min(k0 + chunk, _MAX_HC_TERMS + 1)  # the last chunk ends at the cap
-        chunk = _HC_CHUNK
-        if k1 > len(A):  # the buffer doubles: a chunk is shorter than it
-            A = np.concatenate([A, np.empty_like(A)])
+    total, peak = mu.copy(), np.ones(len(sides))  # sum of d_m over m < k; max(1, |a_j|) so far
+    parity = [mu.copy(), np.zeros_like(mu)]  # sum of d_m over even, odd m < k
+    def fill(A, k0, k1):
+        nonlocal total, peak
         ks = np.arange(k0, k1)
         inv = -1.0 / (4.0 * ks[:, None] * (ks[:, None] - 1j * sides))
         shift = mu - 2.0 * ks[:, None]
@@ -237,23 +240,19 @@ def _hc_coefficients(G: GroupDatum, sides: np.ndarray, x: np.ndarray, names: np.
             d = A[k] * shift[j]
             total += d
             parity[k % 2] += d
-        mag = np.abs(A[k0 - 1:k1])  # the chunk and the row before it
+        mag = np.abs(A[k0:k1])
         peaks = np.maximum(mag, peak)
         for j in range(1, len(mag)):  # a running max by rows: faster than accumulate on axis 0
             np.maximum(peaks[j - 1], peaks[j], out=peaks[j])
-        scale = 1e-19 * peaks[1:]
-        term = mag * x ** np.arange(k0 - 1, k1)[:, None]
-        pair = (term[1:] < scale) & (term[:-1] < scale) & (ks >= 6)[:, None]
-        stop = np.where((stop < 0) & pair.any(axis=0), k0 + np.argmax(pair, axis=0), stop)
-        peak, k0 = peaks[-1], k1
-        if np.all(stop >= 0):
-            return _truncate(A.T, stop)
-        if k1 > _MAX_HC_TERMS:
-            i = int(np.argmax(stop < 0))
-            raise AccuracyError(
-                f"exponential series for phi did not settle within {_MAX_HC_TERMS} terms "
-                f"at lam = {_lam_text(names[i])}, t = {-0.5 * math.log(x[i])!r}"
-            )
+        peak = peaks[-1]
+        return mag * x ** ks[:, None], 1e-19 * peaks
+
+    # the first chunk covers the largest x: x < e^-0.38 (t_min past a switch point >= 0.19)
+    A, stop = _grow(fill, len(sides), 1e-19, float(np.max(x, initial=0.0)), _MAX_HC_TERMS)
+    for i in np.flatnonzero(stop < 0)[:1]:  # the first side that did not settle
+        raise AccuracyError(f"exponential series for phi did not settle within {_MAX_HC_TERMS} "
+                            f"terms at lam = {_lam_text(names[i])}, t = {-0.5 * math.log(x[i])!r}")
+    return A.T
 
 
 def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndarray,
@@ -499,13 +498,12 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, panels, want_d1: bool, real: bool)
     """[phi] or [phi, phi'] on complex rows lam x ascending columns t = mid[P] +
     offsets[j], ``panels`` = (mid, offsets) (plain t is (t, [0])), real if ``real``.
 
-    A real block takes t <= 1.2 from :func:`_band` when it can.  Otherwise a row leaves
-    the Pfaff series at max(0.19, 9.6/|lam|) (1.2 for |lam| <= 8) for the exponential
-    series, which a row within a tenth of the circle radius of i*Z takes from a Cauchy
-    circle of ordinary rows (see :func:`_exp_sides`).  The radius is small enough that the
-    Taylor coefficients of phi in lam, of size t^n / n!, alias below roundoff, and large
-    enough that the one-sided rows, of size 1 / radius, keep their digits.  A branch
-    fills a column range of a row chunk; chunks keep temporaries small.
+    A real block takes t <= 1.2 from :func:`_band` when it can.  Otherwise a row leaves the
+    Pfaff series at max(0.19, 9.6/|lam|) (1.2 for |lam| <= 8) for the exponential series,
+    which a row within a tenth of the circle radius of i*Z takes from a Cauchy circle of
+    ordinary rows (see :func:`_exp_sides`).  The radius is small enough that the Taylor
+    coefficients of phi in lam, of size t^n / n!, alias below roundoff, and large enough that
+    the one-sided rows, of size 1 / radius, keep their digits.  Each branch is one pass.
     """
     t = (panels[0][:, None] + panels[1]).ravel()
     val = np.empty((len(lam), len(t)), dtype=float if real else complex)
@@ -516,27 +514,24 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, panels, want_d1: bool, real: bool)
     switch = np.full(len(lam), _PFAFF_T) if nb else switch  # all series start past a band
     radius = 0.64 / max(t.max(initial=0.0), 64.0)
     near = np.abs(lam - 1j * np.round(lam.imag)) < 0.1 * radius
-    step = max(1, _BLOCK_ENTRIES // max(len(t), 1))
-    for r in range(0, len(lam), step):
-        rows = slice(r, r + step)
-        lo = int(np.searchsorted(t, switch[rows].min(), side="right"))
-        if lo < len(t):
-            far, on = r + np.flatnonzero(~near[rows]), r + np.flatnonzero(near[rows])
-            sides, weight, owner = _exp_sides(lam, far, on, radius, real)
-            # each side's first column past its row's switch point
-            t_min = np.append(t, np.inf)[np.searchsorted(t, switch[owner], side="right")]
-            n = len(far) if real else 2 * len(far)
-            for cols, parts in _hc_series(G, sides, panels, lo, t_min, want_d1, weight, real,
-                                          lam[owner]):
-                for out, part in zip(outs, parts):
-                    out[far, cols] = part[:n] if real else part[:n:2] + part[1:n:2]
-                    if on.size:
-                        out[on, cols] = part[n:].reshape(len(on), -1, part.shape[1]).sum(axis=1)
-        hi = int(np.searchsorted(t, switch[rows].max(), side="right"))
-        if hi > nb:
-            own = t[:hi] <= switch[rows, None]
-            for out, part in zip(outs, _pfaff_series(G, lam[rows], t[:hi], own, want_d1)):
-                out[rows, :hi] = np.where(own, part.real if real else part, out[rows, :hi])
+    lo = int(np.searchsorted(t, switch.min(initial=np.inf), side="right"))
+    if lo < len(t):
+        far, on = np.flatnonzero(~near), np.flatnonzero(near)
+        sides, weight, owner = _exp_sides(lam, far, on, radius, real)
+        # each side's first column past its row's switch point
+        t_min = np.append(t, np.inf)[np.searchsorted(t, switch[owner], side="right")]
+        n = len(far) if real else 2 * len(far)
+        for cols, parts in _hc_series(G, sides, panels, lo, t_min, want_d1, weight, real,
+                                      lam[owner]):
+            for out, part in zip(outs, parts):
+                out[far, cols] = part[:n] if real else part[:n:2] + part[1:n:2]
+                if on.size:
+                    out[on, cols] = part[n:].reshape(len(on), -1, part.shape[1]).sum(axis=1)
+    hi = int(np.searchsorted(t, switch.max(initial=0.0), side="right"))
+    if hi > nb:
+        own = t[:hi] <= switch[:, None]
+        for out, part in zip(outs, _pfaff_series(G, lam, t[:hi], own, want_d1)):
+            out[:, :hi] = np.where(own, part.real if real else part, out[:, :hi])
     return outs
 
 

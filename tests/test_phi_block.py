@@ -198,6 +198,49 @@ def test_dtypes_and_shapes():
         phi(G, np.ones((2, 2)), ts)
 
 
+@pytest.mark.parametrize("empty", [np.array([]), np.array([], dtype=complex)])
+def test_empty_lam_blocks_keep_their_shape(empty):
+    # t = 0 lies below every switch point, so a branch could be asked for rows it has not got
+    G = preset("CH2")
+    for fn in (phi, phi_d1, phi_d2):
+        block = fn(G, empty, np.array([0.0, 0.5, 2.0]))
+        assert block.shape == (0, 3) and block.dtype == empty.dtype, fn
+
+
+def series_outputs(G):
+    """_hc_coefficients on both sides of contour rows x + i sigma and on real sides, and
+    _pfaff_series with own masks for |lam| up to 60, phi and phi' (complex rows too)."""
+    rng = np.random.default_rng(29)
+    contour = (np.linspace(0.0, 24.0, 40) + 1j * transform._SIGMAS[:, None]).ravel()
+    contour = np.concatenate([contour, -contour])
+    sides = rng.uniform(-12.0, 12.0, 60).astype(complex)
+    lam = np.concatenate([rng.uniform(-60.0, 60.0, 30),
+                          rng.uniform(-8.0, 8.0, 10) + 1j * rng.uniform(-G.rho, G.rho, 10)])
+    t = np.append(0.0, np.sort(rng.uniform(0.0, 1.2, 40)))
+    own = t <= np.where(np.abs(lam) <= 8.0, 1.2, 9.6 / np.abs(lam))[:, None]
+    big = np.abs(lam) > 30.0
+    # the first chunk runs 2 terms past the largest x^k < 1e-19 or u^k < 1e-21; the
+    # exponential series outlasts it only where it ends before the least stop, k = 6
+    # (t_min > 7.3), the Pfaff series where |lam| is large
+    return [spherical._hc_coefficients(G, contour, np.full(len(contour), math.exp(-2.0)), contour),
+            spherical._hc_coefficients(G, sides, np.exp(-2.0 * rng.uniform(0.2, 4.0, 60)), sides),
+            spherical._hc_coefficients(G, sides, np.exp(-2.0 * rng.uniform(7.5, 400.0, 60)), sides),
+            *spherical._pfaff_series(G, lam, t, own, True),
+            *spherical._pfaff_series(G, lam[big], t, own[big], True)]
+
+
+@pytest.mark.parametrize("name", ["SL2R", "CH2"])
+def test_series_do_not_depend_on_the_chunk_length(name, monkeypatch):
+    # each row stops on its own terms, wherever the chunks end; not 1, where numpy's
+    # cumprod over two rows takes the binary multiply, which rounds complex products otherwise
+    G = preset(name)
+    default = series_outputs(G)
+    for chunk in (2, 300):
+        monkeypatch.setattr(spherical, "_CHUNK", chunk)
+        for got, want in zip(series_outputs(G), default):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), chunk
+
+
 # --------------------------------------------------------------------------
 # lost-digits guard and non-finite inputs
 # --------------------------------------------------------------------------
@@ -434,20 +477,23 @@ def test_entries_do_not_depend_on_column_order_or_row_position(monkeypatch):
 def test_table_build_peaks_below_four_times_the_table():
     # the exponential series goes through the columns in groups of whole panels, so
     # its transients do not grow with the table's width (5.3x when they did), and the
-    # Pfaff series runs on the band's points only (3.7x and 6.1x when it ran on every row)
+    # Pfaff series runs on the band's points only (3.7x and 6.1x when it ran on every row);
+    # a complex block takes no band, and its Pfaff series runs on all its rows at once
     G = preset("H3")
     lams = transform._spectral_rule(G, GRID[-1], transform._NU_ORDER).nodes
-    rule = transform._radial_rule(G, 16.0)
-    for fn, bound in ((phi, 2.5), (phi_d1, 4.0)):
-        fn(G, lams, rule.nodes)  # the cached rules and coefficients are not the build's
-        tracemalloc.start()
-        try:
-            table = fn(G, lams, rule.nodes)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert table.shape == (320, 672)
-        assert peak <= bound * table.nbytes, fn
+    blocks = ((lams, transform._radial_rule(G, 16.0).nodes, (320, 672)),
+              (np.linspace(-12.0, 12.0, 300) + 0.1j, np.linspace(0.0, 30.0, 1000), (300, 1000)))
+    for rows, ts, shape in blocks:
+        for fn, bound in ((phi, 2.5), (phi_d1, 4.0)):
+            fn(G, rows, ts)  # the cached rules and coefficients are not the build's
+            tracemalloc.start()
+            try:
+                table = fn(G, rows, ts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert table.shape == shape
+            assert peak <= bound * table.nbytes, (fn, shape)
 
 
 # --------------------------------------------------------------------------
