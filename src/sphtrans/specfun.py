@@ -120,8 +120,18 @@ DEFAULT_QUAD = QuadratureSpec()
 
 @functools.lru_cache(maxsize=64)
 def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(n)
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]: Golub-Welsch nodes, one
+    Newton step on P_n (three-term recurrence), and weights 2 / ((1 - x^2) P_n'(x)^2) there."""
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))  # the lower triangle
+    for newton in (True, False):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp if newton else x
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])  # symmetric about 0, exactly
 
 
 @functools.lru_cache(maxsize=64)

@@ -31,13 +31,14 @@ is real: phi = 2 Re(c(lam) Phi_lam), one side summed.  The switch point shrinks 
 here the lost digits are measured and raise AccuracyError.  phi_lam is entire in lam
 (Koornwinder 1984).  Near lam = i*k (integer k), where the two terms cancel, a row is
 the trapezoid-rule Cauchy integral over a small circle about ik (Trefethen & Weideman
-2014), whose points are ordinary rows of the same product.  A real block with more rows
-than Chebyshev points in |lam| (32 on [0, 12]) interpolates its t <= 1.2 from those
-points' rows, to roundoff of Xi but not bit for bit a scalar call (see :func:`_band`).
+2014), whose points are ordinary rows of the same product.  A real block with more rows than
+Chebyshev points in |lam| (32 on [0, 12], a multiple of 4; rows held per preset) interpolates
+its t <= 1.2 from theirs, to roundoff of Xi but not bit for bit a scalar call (see :func:`_band`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -136,20 +137,22 @@ def _lam_text(lam: complex) -> str:
     return repr(float(lam.real)) if lam.imag == 0.0 else repr(complex(lam))
 
 
-def _grow(fill, n: int, tol: float, r: float, cap: float = math.inf):
+def _grow(fill, n: int, tol: float, r: float):
     """Coefficients C_k (row k, C_0 = 1) of n series in a buffer that doubles, filled by
     ``fill(C, k0, k1)``, which writes rows k0 to k1 - 1 and returns their terms' moduli and
-    scales.  The first chunk ends 2 terms past the k where r^k < tol (r < 1), later ones are
+    scales.  The first chunk ends 2 terms past the k where r^k < tol, later ones are
     ``_CHUNK`` long.  Series i stops at the first k >= 6 where terms k - 1 and k are below the
-    scale of k; filling ends once all have stopped, at a non-finite term or past ``cap``.
-    Returns C through the last stop, 0 past each series' own, and the stops (-1: none).
-    """
-    # an r of 0 (t_min > 372, or u_max = 0 at t = 0) is clipped away from log(0)
-    chunk = math.ceil(math.log(tol) / math.log(max(r, 1e-300))) + 2
+    scale of k; filling ends once all have stopped, at a non-finite term or past term
+    ``_MAX_HC_TERMS``.  Returns C through the last stop, 0 past each series' own, and the stops
+    (-1: none, which the caller raises on)."""
+    # r is clipped from 0 (t_min > 372, or u_max = 0 at t = 0) and 1 (tanh^2 t rounds to 1 from
+    # t of about 19.06), and the chunk to the cap, before the buffer is allocated
+    r = min(max(r, 1e-300), 1.0 - _EPS)
+    chunk = math.ceil(min(math.log(tol) / math.log(r), _MAX_HC_TERMS)) + 2
     C = np.ones((max(chunk, _CHUNK) + 1, n), dtype=complex)
     stop, last, k0 = np.full(n, -1), np.full(n, np.inf), 1
     while True:
-        k1, chunk = min(k0 + chunk, cap + 1), _CHUNK
+        k1, chunk = min(k0 + chunk, _MAX_HC_TERMS + 1), _CHUNK
         if k1 > len(C):  # a chunk is shorter than the buffer
             C = np.concatenate([C, np.empty_like(C)])
         term, scale = fill(C, k0, k1)
@@ -157,7 +160,7 @@ def _grow(fill, n: int, tol: float, r: float, cap: float = math.inf):
         pair &= (np.arange(k0, k1) >= 6)[:, None]
         stop = np.where((stop < 0) & pair.any(axis=0), k0 + np.argmax(pair, axis=0), stop)
         last, k0 = term[-1], k1
-        if np.all(stop >= 0) or k1 > cap or not np.all(np.isfinite(term)):
+        if np.all(stop >= 0) or k1 > _MAX_HC_TERMS or not np.all(np.isfinite(term)):
             break
     C = C[:stop.max(initial=0) + 1]
     C[np.arange(len(C))[:, None] > stop] = 0.0
@@ -171,7 +174,8 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
     not meaningful.  Its terms for :func:`_grow` are |C_n| u^n times the tail factor
     1 + u/(1 - u) at its largest own u, read against 1e-17 (the first chunk is sized for
     1e-21: |C_n| reaches 1e3 at |lam| = 8).  Roundoff times the largest term is what
-    cancellation costs; past 1e-10 of the bound on |phi|, the row raises AccuracyError.
+    cancellation costs; past 1e-10 of the bound on |phi|, or unsettled after ``_MAX_HC_TERMS``
+    terms (from t of about 1.9), the row raises AccuracyError.
     """
     t_star = np.full(len(lam), t.max()) if own is None else np.where(own, t, 0.0).max(axis=1)
     u_max = np.tanh(t_star) ** 2
@@ -180,16 +184,17 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
     def fill(C, k0, k1):
         nonlocal last, peak
         n = np.arange(k0 - 1, k1 - 1, dtype=float)[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             C[k0:k1] = (a + n) * (q + n) / ((G.jacobi_alpha + 1.0 + n) * (n + 1.0))
             # C_n alone overflows for large |lam| where C_n u_max^n need not (u_max = 0 at t = 0)
             term = np.cumprod(np.vstack([last, C[k0:k1] * u_max]), axis=0)[1:]
             np.cumprod(C[k0 - 1:k1], axis=0, out=C[k0 - 1:k1])
-        last, bound = term[-1], np.abs(term)
-        peak = np.maximum(peak, np.nan_to_num(bound, nan=np.inf).max(axis=0))
-        return bound * (1.0 + u_max / (1.0 - u_max)), 1e-17
+            last, bound = term[-1], np.abs(term)
+            peak = np.maximum(peak, np.nan_to_num(bound, nan=np.inf).max(axis=0))
+            return bound * (1.0 + u_max / (1.0 - u_max)), 1e-17  # inf at u_max = 1: unsettled
 
-    coef = np.ascontiguousarray(_grow(fill, len(lam), 1e-21, float(u_max.max(initial=0.0)))[0].T)
+    coef, stop = _grow(fill, len(lam), 1e-21, float(u_max.max(initial=0.0)))
+    coef = np.ascontiguousarray(coef.T)  # C-contiguous: BLAS rounds a transposed operand otherwise
     # |phi_lam(t)| <= e^{|Im lam| t} Xi(t) and Xi(t) >= e^{-rho t}: only
     # rows past the cheap bound need Xi itself
     env = np.exp(np.abs(lam.imag) * t_star)
@@ -203,7 +208,10 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
                 f"{_LOST_DIGITS_TOL:g} of the bound e^(|Im lam| t) Xi(t) = {env[i] * xi_t:.2e}",
                 err_est=lost[i] * env[i],
             )
-    blocks = [coef]  # C-contiguous: BLAS rounds a transposed operand differently
+    for i in np.flatnonzero(stop < 0)[:1]:
+        raise AccuracyError(f"Pfaff series for phi did not settle within {_MAX_HC_TERMS} terms "
+                            f"at lam = {_lam_text(lam[i])}, t = {float(t_star[i])!r}")
+    blocks = [coef]
     if want_d1:
         blocks.append(np.hstack([coef[:, 1:] * np.arange(1, coef.shape[1]), 0.0 * coef[:, :1]]))
     th = np.tanh(t)
@@ -248,7 +256,7 @@ def _hc_coefficients(G: GroupDatum, sides: np.ndarray, x: np.ndarray, names: np.
         return mag * x ** ks[:, None], 1e-19 * peaks
 
     # the first chunk covers the largest x: x < e^-0.38 (t_min past a switch point >= 0.19)
-    A, stop = _grow(fill, len(sides), 1e-19, float(np.max(x, initial=0.0)), _MAX_HC_TERMS)
+    A, stop = _grow(fill, len(sides), 1e-19, float(np.max(x, initial=0.0)))
     for i in np.flatnonzero(stop < 0)[:1]:  # the first side that did not settle
         raise AccuracyError(f"exponential series for phi did not settle within {_MAX_HC_TERMS} "
                             f"terms at lam = {_lam_text(names[i])}, t = {-0.5 * math.log(x[i])!r}")
@@ -466,24 +474,34 @@ def _exp_sides(lam: np.ndarray, far: np.ndarray, near: np.ndarray, radius: float
             np.concatenate([owner, np.repeat(near, z.shape[1])]))
 
 
+@functools.lru_cache(maxsize=64)
+def _band_points(G: GroupDatum, top: float, n: int, t_bytes: bytes, want_d1: bool):
+    """:func:`_band`'s n + 1 points on [0, top] and their rows at the t of ``t_bytes``, held per
+    preset and not to be written; no rows if a point's row fails (the block names its own lam)."""
+    nodes = top * np.sin(0.5 * np.pi * np.arange(n + 1) / n) ** 2
+    try:
+        return nodes, _phi_rows(G, nodes.astype(complex), (np.frombuffer(t_bytes), np.zeros(1)),
+                                want_d1, True)
+    except AccuracyError:
+        return nodes, None
+
+
 def _band(G: GroupDatum, mod: np.ndarray, t: np.ndarray, outs, want_d1: bool) -> int:
     """Fill the columns t <= _PFAFF_T of ``outs`` (real rows of modulus ``mod``) by barycentric
-    interpolation in |lam| from n + 1 Chebyshev points of the second kind on [0, L = max mod];
-    return their count, or 0 if the rows are no more than the points or a point's row fails.
-    On the Bernstein ellipse e^s about [0, L], |phi_lam(t)| <= M Xi(t), M = e^{(L/2) sinh(s) t}
-    (times |lam| + rho for phi'): n is the least with 4 M e^{-ns} / (e^s - 1) below roundoff
-    (Trefethen, ATAP Thm 8.2).  The sums are np.einsum's, not BLAS's: one order per entry."""
+    interpolation in |lam| from n + 1 Chebyshev points of the second kind on [0, L], L = max mod
+    rounded up to a multiple of 4 (:func:`_band_points`); return their count, or 0 if the rows are
+    no more than the points or a point's row fails.  On the Bernstein ellipse e^s about [0, L],
+    |phi_lam(t)| <= M Xi(t), M = e^{(L/2) sinh(s) t} (times |lam| + rho for phi'): n is the least
+    with 4 M e^{-ns} / (e^s - 1) below roundoff (Trefethen, ATAP Thm 8.2); np.einsum sums."""
     nb = int(np.searchsorted(t, _PFAFF_T, side="right"))
-    h, s = 0.5 * mod.max(initial=0.0), np.linspace(0.05, 8.0, 160)
+    h, s = 2.0 * np.ceil(0.25 * mod.max(initial=0.0)), np.linspace(0.05, 8.0, 160)
     log_m = h * np.sinh(s) * t[:nb].max(initial=0.0) + math.log(4.0 / _EPS)
     log_m += np.log(h + h * np.cosh(s) + G.rho) if want_d1 else 0.0
     n = np.ceil(np.min((log_m - np.log(np.expm1(s))) / s))
     if not (nb and h > 0.0 and n + 1 < len(mod)):  # n is inf where the bound overflows
         return 0
-    nodes = 2.0 * h * np.sin(0.5 * np.pi * np.arange(n + 1) / n) ** 2
-    try:
-        at_nodes = _phi_rows(G, nodes.astype(complex), (t[:nb], np.zeros(1)), want_d1, True)
-    except AccuracyError:  # the block names its own lam
+    nodes, at_nodes = _band_points(G, 2.0 * h, int(n), t[:nb].tobytes(), want_d1)
+    if at_nodes is None:
         return 0
     hit = mod[:, None] == nodes
     w = np.where(np.arange(n + 1) % 2, -1.0, 1.0) * np.where(np.arange(n + 1) % n, 1.0, 0.5)

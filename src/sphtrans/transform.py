@@ -31,25 +31,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import cfunction, spherical
-from .errors import (
-    AccuracyError,
-    DomainError,
-    EvaluationError,
-    GridContractError,
-    PreconditionError,
-    SingularPointError,
-)
+from .errors import (AccuracyError, DomainError, EvaluationError, GridContractError,
+                     PreconditionError, SingularPointError)
 from .groups import GroupDatum, haar_density, haar_log_derivative
-from .specfun import (
-    DEFAULT_QUAD,
-    ExpDecay,
-    QuadratureSpec,
-    composite_nodes,
-    gauss_kronrod_rule,
-    gauss_legendre_rule,
-    integrate_interval,
-    truncation_point,
-)
+from .specfun import (DEFAULT_QUAD, ExpDecay, QuadratureSpec, composite_nodes, gauss_kronrod_rule,
+                      gauss_legendre_rule, integrate_interval, truncation_point)
 from .spherical import RadialProfile, _hc_coefficients, c_log, phi, phi_d1, phi_d2
 
 __all__ = [
@@ -87,15 +73,14 @@ _INTERP_ORDER = 6
 # for truncation planning of forward integrals
 _XI_ENVELOPE = 2.0
 
-# contour shifts Im nu = sigma tried for a packet envelope: non-integer, so that no
-# c-function pole sits on the contour; the bound holds from t0 on, and its integral
-# over x runs on [-_CONTOUR_X, _CONTOUR_X] in GL panels of _CONTOUR_PANEL (C_sigma
-# within 1e-7 of a 4x finer rule on the shipped symbols), whose ends must be below
-# _CONTOUR_END_TOL of the whole
+# contour shifts Im nu = sigma tried for a packet envelope: non-integer, so that no c-function
+# pole sits on the contour; the bound holds from t0 on, and its integral over x runs on
+# [-_CONTOUR_X, _CONTOUR_X] in GL panels of _CONTOUR_PANEL (C_sigma within 3.4e-3 of a 4x finer
+# rule on the shipped symbols), whose ends must be below _CONTOUR_END_TOL of the whole
 _SIGMAS = np.arange(0.45, 5.5, 0.5)
 _CONTOUR_T0 = 1.0
 _CONTOUR_X = 2.0 * GRID_MAX
-_CONTOUR_PANEL = 1.5
+_CONTOUR_PANEL = 3.0
 _CONTOUR_END_TOL = 1e-12
 # the measured envelope's margin over the largest value it was taken from
 _ENVELOPE_MARGIN = 1.15
@@ -546,6 +531,16 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _contour_factors(G: GroupDatum):
+    """:func:`_contour_ladder`'s rows z = x + i sigma and GL weights, and its integrand's factor
+    free of the symbol, on the rows of the ``done`` mask: ladders fill it as they need rows."""
+    n_panels = int(math.ceil(_CONTOUR_X / _CONTOUR_PANEL))
+    nodes, weights, _ = composite_nodes(0.0, _CONTOUR_X, n_panels, gauss_legendre_rule(_NU_ORDER))
+    z = (np.append(nodes, _CONTOUR_X) + 1j * _SIGMAS[:, None]).ravel()  # a row per sigma
+    return z, weights, np.zeros(len(z)), np.zeros(len(z), dtype=bool)
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
     """(sigma, C_sigma) for each sigma of ``_SIGMAS`` with a usable bound, where
 
@@ -553,17 +548,15 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
                   sum_k |a_k(x + i sigma)| e^{-2 k t0} dx,
 
     a = ``fn`` on the line Im nu = sigma and a_k the coefficients of Phi_nu
-    (:func:`_hc_coefficients`).  c and a_k are real functions of i nu, so
-    their moduli are even in x, and the integral is composite GL on (0, X]
-    over |a(x + i sigma)| + |a(-x + i sigma)|, taken as 0 where that is below
-    1e-20 of its peak on the line.  A sigma is usable when C_sigma is finite
-    and the integrand at x = X is below ``_CONTOUR_END_TOL`` of it.  An
-    ``fn`` that rejects complex input, by TypeError, ValueError or numpy's
-    ComplexWarning on a cast to real, has none.
+    (:func:`_hc_coefficients`).  c and a_k are real functions of i nu, so their moduli are
+    even in x, and the integral is composite GL on (0, X] over |a(x + i sigma)| +
+    |a(-x + i sigma)|, taken as 0 where that is below 1e-20 of its peak on the line; the
+    other factors are G's alone (:func:`_contour_factors`).  A sigma is usable when C_sigma
+    is finite and the integrand at x = X is below ``_CONTOUR_END_TOL`` of it.  An ``fn``
+    that rejects complex input, by TypeError, ValueError or numpy's ComplexWarning on a cast
+    to real, has none.
     """
-    n_panels = int(math.ceil(_CONTOUR_X / _CONTOUR_PANEL))
-    nodes, weights, _ = composite_nodes(0.0, _CONTOUR_X, n_panels, gauss_legendre_rule(_NU_ORDER))
-    z = (np.append(nodes, _CONTOUR_X) + 1j * _SIGMAS[:, None]).ravel()  # a row per sigma
+    z, weights, factor, done = _contour_factors(G)
     with np.errstate(all="ignore"):  # a non-finite C_sigma only disqualifies its sigma
         try:
             with warnings.catch_warnings():  # a cast to real drops Im nu: fn rejects it
@@ -576,13 +569,15 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
         # 1e-20 of its peak on the line add nothing (NaN and inf rows stay, and rule out
         # their sigma)
         peak = np.max(a_abs.reshape(len(_SIGMAS), -1), axis=1)
-        live = ~(a_abs < 1e-20 * np.repeat(peak, len(nodes) + 1))
-        x0 = math.exp(-2.0 * _CONTOUR_T0)
-        coef = _hc_coefficients(G, z[live], np.full(live.sum(), x0), z[live])
-        integrand = np.zeros(len(z))
-        integrand[live] = (a_abs[live] * (np.abs(coef) @ x0 ** np.arange(coef.shape[1]))
-                           * np.exp(-c_log(G, -z[live]).real))
-        integrand = integrand.reshape(len(_SIGMAS), -1)
+        live = ~(a_abs < 1e-20 * np.repeat(peak, len(weights) + 1))
+        new = live & ~done
+        if new.any():
+            x0 = math.exp(-2.0 * _CONTOUR_T0)
+            coef = _hc_coefficients(G, z[new], np.full(new.sum(), x0), z[new])
+            factor[new] = (np.abs(coef) @ x0 ** np.arange(coef.shape[1])
+                           * np.exp(-c_log(G, -z[new]).real))
+            done |= new
+        integrand = np.where(live, a_abs * factor, 0.0).reshape(len(_SIGMAS), -1)
         C = 2.0 * G.plancherel_constant / G.weyl_order * (integrand[:, :-1] @ weights)
         usable = np.isfinite(C) & (integrand[:, -1] <= _CONTOUR_END_TOL * C)
     return tuple(zip(_SIGMAS[usable].tolist(), C[usable].tolist()))

@@ -324,19 +324,24 @@ def test_main_writes_what_the_runner_returns(tmp_path, monkeypatch):
 def test_cli_start_up_loads_no_scipy(tmp_path):
     # scipy.integrate is the A7 oracle's alone, and the c-function is numpy's:
     # every CLI process would pay for a scipy import; nor does the import build the
-    # radial rule, which the first forward transform does
+    # radial rule, which the first forward transform does; and the Gauss-Legendre rules
+    # are sphtrans' own, so a round trip does not import numpy.polynomial either
     code = (
         "import sys, sphtrans, sphtrans.cli\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = lambda: sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial'))\n"
         "print(loaded(), sphtrans.specfun.gauss_kronrod_rule.cache_info().misses)\n"
         f"argv = ['cfun', '--preset', 'SL2R', '--grid=-2:2:5', '--out', {str(tmp_path / 'c.csv')!r}]\n"
         "sphtrans.cli.main(argv)\n"
         "print(loaded())\n"
+        f"sphtrans.cli.main(['roundtrip', '--preset', 'H3', '--out', {str(tmp_path / 'r.json')!r}])\n"
+        "print(loaded())\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
-    assert out.stdout.split("\n") == ["[] 0", "[]", ""]
+    assert out.stdout.split("\n") == ["[] 0", "[]", "[]", ""]
     assert (tmp_path / "c.csv").read_text().count("\n") == 6
+    assert json.loads((tmp_path / "r.json").read_text())["preset"] == "H3"
 
 
 # ---------------------------------------------------------------------------

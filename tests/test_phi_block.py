@@ -245,6 +245,15 @@ def test_series_do_not_depend_on_the_chunk_length(name, monkeypatch):
 # lost-digits guard and non-finite inputs
 # --------------------------------------------------------------------------
 
+@pytest.mark.parametrize("t", [10.0, 20.0])
+def test_pfaff_series_past_its_term_cap_raises_naming_lam_and_t(t):
+    # u = tanh^2 t is 1 - 8e-9 at t = 10, where the terms fall below 1e-17 only after some
+    # 6e9 of them, and rounds to 1 at t = 20, where they never do
+    with pytest.raises(AccuracyError, match=rf"Pfaff series for phi did not settle within "
+                                            rf"500 terms at lam = 1\.0, t = {t!r}"):
+        spherical._pfaff_series(preset("H3"), np.array([1.0 + 0j]), np.array([t]), None, False)
+
+
 @pytest.mark.parametrize("lam", [150.0, 500.0])
 def test_lost_digits_guard_fires_at_large_lam(lam):
     with pytest.raises(AccuracyError, match=r"Pfaff series.*lam = .*t = 0\.175"):
@@ -545,8 +554,10 @@ def test_band_rows_meet_scalar_calls(name, monkeypatch):
 
 
 def test_band_sum_is_the_loop_over_points_in_order(monkeypatch):
+    # the rows reach L = 11, and the points span [0, 4 ceil(L / 4)] = [0, 12]
     G = preset("SL2R")
     lams, t = np.linspace(0.0, 11.0, 300), np.linspace(0.0, 1.2, 25)
+    spherical._band_points.cache_clear()
     calls, rows = [], spherical._phi_rows
     monkeypatch.setattr(spherical, "_phi_rows", lambda G, lam, *args: calls.append(lam.real)
                         or rows(G, lam, *args))
@@ -554,16 +565,40 @@ def test_band_sum_is_the_loop_over_points_in_order(monkeypatch):
     assert spherical._band(G, lams, t, outs, False) == len(t)
     (points,) = calls
     n = len(points) - 1
-    np.testing.assert_array_equal(points, 11.0 * np.sin(0.5 * np.pi * np.arange(n + 1) / n) ** 2)
+    np.testing.assert_array_equal(points, 12.0 * np.sin(0.5 * np.pi * np.arange(n + 1) / n) ** 2)
     values = phi(G, points, t)
     w = (-1.0) ** np.arange(n + 1) * np.where(np.arange(n + 1) % n, 1.0, 0.5)
-    c = w / (lams[1:-1, None] - points)  # the rows off the points
-    num, den = np.zeros((len(lams) - 2, len(t))), np.zeros(len(lams) - 2)
+    c = w / (lams[1:, None] - points)  # the rows off the points
+    num, den = np.zeros((len(lams) - 1, len(t))), np.zeros(len(lams) - 1)
     for j in range(n + 1):
         num += c[:, j, None] * values[j]
         den += c[:, j]
-    np.testing.assert_array_equal(outs[0][1:-1], num / den[:, None])
-    np.testing.assert_array_equal(outs[0][[0, -1]], values[[0, -1]])
+    np.testing.assert_array_equal(outs[0][1:], num / den[:, None])
+    np.testing.assert_array_equal(outs[0][0], values[0])
+
+
+def test_blocks_that_share_a_top_share_the_points_rows(monkeypatch):
+    # L = 11.4 and L = 11.9 both round up to the points of [0, 12]: the second block's band
+    # makes no call for them, and meets scalar calls as its own points would
+    G = preset("H3")
+    nodes = transform._radial_rule(G, 4.0).nodes
+    nb = np.count_nonzero(nodes <= spherical._PFAFF_T)
+    spherical._band_points.cache_clear()
+    for fn in (phi, phi_d1):
+        fn(G, np.linspace(0.0, 11.4, 300), nodes)
+    calls, rows = [], spherical._phi_rows
+    monkeypatch.setattr(spherical, "_phi_rows", lambda G, lam, *args: calls.append(len(lam))
+                        or rows(G, lam, *args))
+    widths = record_band_widths(monkeypatch)
+    lams = np.linspace(0.0, 11.9, 250)
+    for k, fn in enumerate((phi, phi_d1, phi_d2)):
+        block = fn(G, lams, nodes)[:, :nb]
+        assert widths == [nb] and calls == [len(lams)], k
+        scalar = np.array([fn(G, lam, nodes[:nb]).real for lam in lams[::10]])
+        tol = 1e-13 * (1.0 + lams[::10, None]) ** k * xi(G, nodes[:nb])
+        assert np.all(np.abs(block[::10] - scalar) <= tol), k
+        widths.clear()
+        calls.clear()
 
 
 def test_failing_band_names_the_callers_lam():

@@ -107,6 +107,29 @@ def test_gauss_kronrod_rule_is_exact():
     assert abs(w[:, 0] @ x**32 - 2.0 / 33.0) > 1e-13
 
 
+@pytest.mark.parametrize("n", [10, 15, 20, 31, 48])
+def test_gauss_legendre_rule_meets_40_digit_values(n):
+    # the roots of P_n by Newton's method at 40 digits from Tricomi's estimates, and the
+    # weights 2 / ((1 - x^2) P_n'(x)^2) there
+    def legendre(x):
+        p0, p1 = mpmath.mpf(1), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    x, w = gauss_legendre_rule(n)
+    assert x.shape == w.shape == (n,)
+    with mpmath.workdps(40):
+        for i in range(n):
+            root = -mpmath.cos(mpmath.pi * (i + mpmath.mpf(3) / 4) / (n + mpmath.mpf(1) / 2))
+            for _ in range(6):
+                p, dp = legendre(root)
+                root -= p / dp
+            weight = 2 / ((1 - root**2) * legendre(root)[1] ** 2)
+            assert abs(x[i] - root) <= 2e-16, (n, i)
+            assert abs(w[i] - weight) <= 1e-13 * weight, (n, i)
+
+
 def test_interval_trivial_values():
     v, e = integrate_interval(np.sin, 0.0, math.pi)
     np.testing.assert_allclose(v, 2.0, rtol=1e-12)

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from sphtrans import cli, spherical, transform
-from sphtrans.acceptance import INVERSION_SYMBOLS, flat_top
+from sphtrans.acceptance import EXPANSION_SCALES, INVERSION_SYMBOLS, flat_top
 from sphtrans.cfunction import plancherel_density
 from sphtrans.errors import (
     AccuracyError,
@@ -551,27 +552,66 @@ def test_wave_packet_without_a_contour_envelope_raises(symbol, message):
 
 
 def test_contour_constants_are_computed_once_per_group_and_symbol(monkeypatch):
-    # the ladder's series coefficients are the only _hc_coefficients call through transform
-    ladders = []
+    # the ladder's series coefficients are the only _hc_coefficients call through transform;
+    # a ladder computes them only on its live rows that no ladder on the preset computed before
+    transform._contour_factors.cache_clear()
+    transform._contour_ladder.cache_clear()
+    rows = []
     coefficients = transform._hc_coefficients
     monkeypatch.setattr(transform, "_hc_coefficients",
-                        lambda *args: ladders.append(1) or coefficients(*args))
+                        lambda G, sides, *args: rows.append(len(sides)) or
+                        coefficients(G, sides, *args))
     fn = lambda x: np.exp(-(x**2))
     G = preset("CH2")
     first, second = (wave_packet(G, make_symbol(fn, "gauss")) for _ in range(2))
-    assert ladders == [1]
+    assert len(rows) == 1 and rows[0] > 0
     assert first.decay == second.decay
+    # another fn, live on fewer rows: no new rows; live on more: only those
+    wave_packet(G, make_symbol(lambda x: np.exp(-2.0 * x**2), "narrow"))
+    assert len(rows) == 1
+    wave_packet(G, make_symbol(lambda x: np.exp(-0.25 * x**2), "wide"))
+    z, _, _, done = transform._contour_factors(G)
+    assert len(rows) == 2 and rows[1] > 0 and sum(rows) == done.sum() <= len(z)
+    # each preset holds its own table
+    wave_packet(preset("H3"), make_symbol(fn, "gauss"))
+    assert len(rows) == 3
 
-    class Unhashable:  # skips the cache, so each packet takes its own ladder
+    class Unhashable:  # skips the ladder cache, so each packet takes its own ladder
         __hash__ = None
+        ladders = 0
 
         def __call__(self, x):
+            Unhashable.ladders += np.iscomplexobj(x)  # only a ladder reads fn off the real line
             return fn(x)
 
     third = wave_packet(G, make_symbol(Unhashable(), "gauss"))
     wave_packet(G, make_symbol(Unhashable(), "gauss"))
-    assert ladders == [1, 1, 1]
+    assert Unhashable.ladders == 4  # fn(z) and fn(-conj z) per ladder
+    assert len(rows) == 3
     assert third.decay == first.decay
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_contour_rule_is_within_five_percent_of_a_finer_one(name, monkeypatch):
+    # C_sigma on GL panels of _CONTOUR_PANEL against panels a quarter as wide, for every CLI
+    # and acceptance symbol (the A4 multiplier and the A6 perturbations included); the
+    # envelope carries a margin of 15 % over C_sigma
+    G = preset(name)
+    fns = {**INVERSION_SYMBOLS, **{f"flat4({s})": flat_top(s) for s in EXPANSION_SCALES}}
+    fns.update({f"a6({d})": lambda x, d=d: x**2 * np.exp(-(x**2)) + d * np.exp(-(x**2))
+                for d in (1e-2, 1e-4)})
+    fns["a4"] = spectral_multiplier(make_symbol(INVERSION_SYMBOLS["exp(-x^2)"]),
+                                    lambda x: -(x**2 + G.rho**2), degree=2).fn
+    ladder = transform._contour_ladder.__wrapped__
+    coarse = {label: dict(ladder(G, fn)) for label, fn in fns.items()}
+    monkeypatch.setattr(transform, "_CONTOUR_PANEL", transform._CONTOUR_PANEL / 4.0)
+    monkeypatch.setattr(transform, "_contour_factors",
+                        functools.lru_cache(transform._contour_factors.__wrapped__))
+    for label, fn in fns.items():
+        fine = dict(ladder(G, fn))
+        assert coarse[label].keys() == fine.keys() and fine, label
+        for sigma, C in fine.items():
+            assert abs(coarse[label][sigma] - C) <= 0.05 * C, (label, sigma)
 
 
 @pytest.mark.parametrize("t", [math.nan, [0.1, math.nan], math.inf, [[0.2], [-math.inf]]])
