@@ -32,8 +32,8 @@ here the lost digits are measured and raise AccuracyError.  phi_lam is entire in
 (Koornwinder 1984).  Near lam = i*k (integer k), where the two terms cancel, a row is
 the trapezoid-rule Cauchy integral over a small circle about ik (Trefethen & Weideman
 2014), whose points are ordinary rows of the same product.  A real block with more rows than
-Chebyshev points in |lam| (32 on [0, 12], a multiple of 4; rows held per preset) interpolates
-its t <= 1.2 from theirs, to roundoff of Xi but not bit for bit a scalar call (see :func:`_band`).
+Chebyshev points in |lam| (32 on [0, 12]; the end rounded up to a multiple of 4, rows held per
+preset) takes t <= 1.2 from them, to roundoff of Xi, not bit for bit a scalar call (:func:`_band`).
 """
 
 from __future__ import annotations
