@@ -33,7 +33,8 @@ here the lost digits are measured and raise AccuracyError.  phi_lam is entire in
 the trapezoid-rule Cauchy integral over a small circle about ik (Trefethen & Weideman
 2014), whose points are ordinary rows of the same product.  A real block with more rows than
 Chebyshev points in |lam| (32 on [0, 12]; the end rounded up to a multiple of 4, rows held per
-preset) takes t <= 1.2 from them, to roundoff of Xi, not bit for bit a scalar call (:func:`_band`).
+preset on a rule's nodes) takes t <= 1.2 from them, to roundoff of Xi, not bit for bit a
+scalar call (:func:`_band`).
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ _PFAFF_T = 1.2
 # the N = 16 points of the Cauchy circle about i*k: Re > 0 for j < N/2, z_{j+N/2} = -z_j
 _CIRCLE = np.exp(1j * np.pi * (np.arange(8) - 3.5) / 8)
 _CIRCLE = np.concatenate([_CIRCLE, -_CIRCLE])
-# an exponential-series group of whole panels holds about this many entries
-_GROUP_ENTRIES = 1 << 15
+# an exponential-series group of whole panels holds about this many entries: one 51-node
+# panel for a packet table's 241-320 rows
+_GROUP_ENTRIES = 1 << 14
 # composite rules with a ``panels`` split, by their nodes' bytes, held while their owner holds them
 _PANELS: "weakref.WeakValueDictionary[bytes, object]" = weakref.WeakValueDictionary()
 
@@ -489,8 +491,9 @@ def _band_points(G: GroupDatum, top: float, n: int, t_bytes: bytes, want_d1: boo
 def _band(G: GroupDatum, mod: np.ndarray, t: np.ndarray, outs, want_d1: bool) -> int:
     """Fill the columns t <= _PFAFF_T of ``outs`` (real rows of modulus ``mod``) by barycentric
     interpolation in |lam| from n + 1 Chebyshev points of the second kind on [0, L], L = max mod
-    rounded up to a multiple of 4 (:func:`_band_points`); return their count, or 0 if the rows are
-    no more than the points or a point's row fails.  On the Bernstein ellipse e^s about [0, L],
+    rounded up to a multiple of 4 (:func:`_band_points`, held when ``t`` is the nodes of a rule
+    in ``_PANELS``); return their count, or 0 if the rows are no more than the points or a
+    point's row fails.  On the Bernstein ellipse e^s about [0, L],
     |phi_lam(t)| <= M Xi(t), M = e^{(L/2) sinh(s) t} (times |lam| + rho for phi'): n is the least
     with 4 M e^{-ns} / (e^s - 1) below roundoff (Trefethen, ATAP Thm 8.2); np.einsum sums."""
     nb = int(np.searchsorted(t, _PFAFF_T, side="right"))
@@ -500,7 +503,9 @@ def _band(G: GroupDatum, mod: np.ndarray, t: np.ndarray, outs, want_d1: bool) ->
     n = np.ceil(np.min((log_m - np.log(np.expm1(s))) / s))
     if not (nb and h > 0.0 and n + 1 < len(mod)):  # n is inf where the bound overflows
         return 0
-    nodes, at_nodes = _band_points(G, 2.0 * h, int(n), t[:nb].tobytes(), want_d1)
+    # held only for a radial rule's nodes: a plain grid's entry can be any size
+    points = _band_points if t.tobytes() in _PANELS else _band_points.__wrapped__
+    nodes, at_nodes = points(G, 2.0 * h, int(n), t[:nb].tobytes(), want_d1)
     if at_nodes is None:
         return 0
     hit = mod[:, None] == nodes

@@ -2,11 +2,11 @@
 mollified expansion terms, and the radial Casimir multiplier identity.
 
 All spectral and radial integrals run on fixed composite grids (nodes
-independent of the evaluation point): Gauss-Kronrod K21 on the radial side,
+independent of the evaluation point): Gauss-Kronrod K51 on the radial side,
 Gauss-Legendre on the spectral side.  So results are deterministic,
 evaluation errors vary smoothly, and the expensive spherical-function tables
-are shared across operations.  Forward error estimates compare K21 with its
-embedded G10 on the same nodes, one table for both, plus explicit envelope
+are shared across operations.  Forward error estimates compare K51 with its
+embedded G25 on the same nodes, one table for both, plus explicit envelope
 tail bounds; reductions are numpy dots (fixed pairwise order).
 
 One constant per preset ties the radial Haar normalization to the
@@ -58,10 +58,11 @@ GRID_MAX = 12.0
 GRID_COUNT = 481
 
 # fixed engine rules
-_T_PANEL = 0.5
-# the radial rule is the Kronrod extension of this Gauss order: K21 (exact to degree
-# 31, as GL16) over its embedded G10
-_T_GAUSS_ORDER = 10
+# radial panels divide every cutoff T (a multiple of 4), so rules share their first nodes
+_T_PANEL = 2.0
+# the radial rule is the Kronrod extension of this Gauss order: K51 (exact to degree
+# 77, as GL39) over its embedded G25, 25.5 nodes per unit of t
+_T_GAUSS_ORDER = 25
 _NU_PANEL = 0.75
 _NU_ORDER = 20
 # rules held per cache: a shared perfbench warm-up holds 10 radial and 6 spectral rules
@@ -262,8 +263,8 @@ class _Rule:
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _radial_rule(G: GroupDatum, T: float) -> _Rule:
-    """Composite K21 rule on [0, T] with the Haar density; its weights are shaped
-    (n, 2): K21, and the embedded G10 (zero at the Kronrod nodes)."""
+    """Composite K51 rule on [0, T] with the Haar density; its weights are shaped
+    (n, 2): K51, and the embedded G25 (zero at the Kronrod nodes)."""
     n_panels = max(2, int(math.ceil(T / _T_PANEL)))
     nodes, weights, panels = composite_nodes(0.0, T, n_panels, gauss_kronrod_rule(_T_GAUSS_ORDER))
     rule = _Rule(nodes, weights, haar_density(G, nodes), panels)
@@ -327,9 +328,9 @@ def hc_transform(
     The grid is checked against the SpectralFunction contract before any
     table is built, and the output satisfies that contract (symmetric grid,
     Weyl-even values); per-sample err_est combines the difference of the
-    K21 value and its embedded G10 estimate with the envelope tail bound and
+    K51 value and its embedded G25 estimate with the envelope tail bound and
     must sit below the quadrature tolerance, else AccuracyError.  ``f`` is
-    evaluated once, on the K21 nodes, and one table serves both estimates.
+    evaluated once, on the K51 nodes, and one table serves both estimates.
     """
     grid = _checked_grid(default_spectral_grid() if grid is None else grid)
     _require_schwartz(f, G.rho, "hc_transform input")
@@ -468,7 +469,7 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     ``decay`` bounds the exact packet; the evaluated one is within its
     roundoff floor 1e-14 sum|charge| (1 + t) e^{-rho t} of it.  It comes from
     a contour shift of ``fn`` (:func:`_contour_envelope`), checked on the
-    K21 nodes of [0, T] where :func:`hc_transform` then finds the values
+    K51 nodes of [0, T] where :func:`hc_transform` then finds the values
     held.  PreconditionError naming the symbol when it has no ``fn``, when
     no contour shift is usable, or when the packet leaves the envelope by
     more than the floor (an ``fn`` that is not the symbol's continuation, or a
@@ -595,7 +596,7 @@ def _contour_envelope(G: GroupDatum, a: SpectralFunction, charge_sum: float, eva
     t < t0, |psi(t)| <= sum |charge|, since |phi_nu| <= Xi <= 1.  Of the usable
     sigma, the one that gives :func:`hc_transform` the shortest T wins, ties
     going to the smaller tail bound; an unhashable ``fn`` computes its ladder
-    uncached.  The packet is then checked once, on the K21 nodes of [0, T]
+    uncached.  The packet is then checked once, on the K51 nodes of [0, T]
     where :func:`hc_transform` at the default tolerance reads it, T that
     sigma's cutoff, and ``noise_floor`` is the margin it allows.  The errors,
     naming the symbol's label, are :func:`wave_packet`'s; leaving the envelope

@@ -379,7 +379,7 @@ def test_fresh_packet_round_trip_makes_two_evaluator_calls(monkeypatch):
     monkeypatch.setattr(transform, "_PHI_CACHE", {})
     packet = transform.wave_packet(G, gauss_symbol())
     transform.hc_transform(G, packet, np.linspace(-11.3, 11.3, 481))
-    # the packet on the K21 nodes, which the envelope check reads and hc_transform finds
+    # the packet on the K51 nodes, which the envelope check reads and hc_transform finds
     # held, and the forward table on the same nodes
     T = transform._radial_cutoff(G, packet.decay, specfun.DEFAULT_QUAD.abs_tol)
     assert calls == [transform._radial_rule(G, T).nodes.tobytes()] * 2
@@ -490,7 +490,8 @@ def test_table_build_peaks_below_four_times_the_table():
     # a complex block takes no band, and its Pfaff series runs on all its rows at once
     G = preset("H3")
     lams = transform._spectral_rule(G, GRID[-1], transform._NU_ORDER).nodes
-    blocks = ((lams, transform._radial_rule(G, 16.0).nodes, (320, 672)),
+    nodes = transform._radial_rule(G, 16.0).nodes
+    blocks = ((lams, nodes, (320, len(nodes))),
               (np.linspace(-12.0, 12.0, 300) + 0.1j, np.linspace(0.0, 30.0, 1000), (300, 1000)))
     for rows, ts, shape in blocks:
         for fn, bound in ((phi, 2.5), (phi_d1, 4.0)):
@@ -599,6 +600,24 @@ def test_blocks_that_share_a_top_share_the_points_rows(monkeypatch):
         assert np.all(np.abs(block[::10] - scalar) <= tol), k
         widths.clear()
         calls.clear()
+
+
+def test_band_points_are_held_for_rule_nodes_only(monkeypatch):
+    # a plain grid's points keep a row per column t <= 1.2, of any number: 20,000 columns
+    # would hold 5.1 MB under a 160 kB key; a radial rule's nodes are held, and a second
+    # block on them that rounds to the same top finds its points
+    G = preset("H3")
+    widths = record_band_widths(monkeypatch)
+    held = spherical._band_points.cache_info().currsize
+    phi(G, np.linspace(0.0, 12.0, 50), np.linspace(0.0, 1.2, 20000))
+    assert widths[-1] == 20000
+    assert spherical._band_points.cache_info().currsize == held
+    nodes = transform._radial_rule(G, 8.0).nodes
+    phi(G, np.linspace(0.0, 12.0, 50), nodes)
+    hits = spherical._band_points.cache_info().hits
+    phi(G, np.linspace(0.0, 11.0, 60), nodes)
+    assert spherical._band_points.cache_info().hits == hits + 1
+    assert widths[-1] == np.count_nonzero(nodes <= spherical._PFAFF_T)
 
 
 def test_failing_band_names_the_callers_lam():

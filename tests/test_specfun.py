@@ -88,7 +88,7 @@ def test_2f1_against_conjugate_pair():
 # ---------------------------------------------------------------------------
 
 def test_gauss_kronrod_rule_is_exact():
-    for n, degree in ((10, 31), (15, 47)):
+    for n, degree in ((10, 31), (15, 47), (25, 76)):
         x, w = gauss_kronrod_rule(n)
         assert x.shape == (2 * n + 1,) and w.shape == (2 * n + 1, 2)
         assert np.all(np.diff(x) > 0)

@@ -194,7 +194,7 @@ def test_hc_transform_at_complex_lam_matches_h3_closed_form():
 
 @pytest.mark.parametrize("width", [1.0, 0.5, 0.25, 0.1])
 def test_hc_transform_error_estimate_bounds_the_h3_closed_form(width):
-    # err_est = |K21 - G10| + tail, checked against the exact transform with the floor of
+    # err_est = |K51 - G25| + tail, checked against the exact transform with the floor of
     # hc_transform's own gate
     G = preset("H3")
     res = hc_transform(G, gaussian_profile(G, width))
@@ -206,6 +206,36 @@ def test_hc_transform_error_estimate_bounds_the_h3_closed_form(width):
     floor = 1e-13 * max(1.0, float(np.max(np.abs(values))))
     assert len(grid) == 481
     assert np.all(np.abs(values - exact) <= res.err_est + floor)
+
+
+@pytest.mark.parametrize("width, grid", [
+    (0.05, None), (1.0, None), (5.0, None), (10.0, None),
+    (0.2, np.linspace(-20.0, 20.0, 481)), (1.0, np.linspace(-20.0, 20.0, 481)),
+])
+def test_hc_transform_of_gaussians_meets_the_h3_closed_form(width, grid):
+    # from the widest Gaussian of the default window to w = 10, whose error estimate needs
+    # G25 (G10's read 2.7e-12 at lam = 12), and on a window twice as wide; the tolerance is
+    # hc_transform's own gate
+    G = preset("H3")
+    res = hc_transform(G, gaussian_profile(G, width), grid)
+    lams, values = res.spectral.grid, res.spectral.values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = np.where(lams == 0.0, math.sqrt(math.pi / width) * math.exp(0.25 / width) / width,
+                         gauss_transform_h3(lams, width))
+    tol = np.maximum(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * np.abs(exact))
+    floor = 1e-13 * max(1.0, float(np.max(np.abs(exact))))
+    assert np.all(np.abs(values - exact) <= np.maximum(tol, floor))
+
+
+def test_radial_rules_of_a_preset_share_their_band_columns():
+    # T is a multiple of 4 and the panels are 2 wide, so every rule's columns t <= 1.2 are
+    # the same bytes, and the band's rows of a preset serve every T
+    G = preset("H3")
+    bands = set()
+    for T in (4.0, 8.0, 16.0, 28.0, 40.0):
+        nodes = transform._radial_rule(G, T).nodes
+        bands.add(nodes[nodes <= spherical._PFAFF_T].tobytes())
+    assert len(bands) == 1
 
 
 def test_hc_transform_at_rejects_too_wide_a_strip():
@@ -358,14 +388,22 @@ def test_wave_packet_rejects_a_symbol_with_nan_values():
         wave_packet(preset("H3"), nan_tail)
 
 
+def rule_node_past(t: float) -> str:
+    """The first node past ``t`` of H3's radial rules, as a pattern for its repr: the rules
+    of one preset (T a multiple of 4) have the same nodes below their ends."""
+    nodes = transform._radial_rule(preset("H3"), 16.0).nodes
+    return re.escape(repr(float(nodes[np.searchsorted(nodes, t, side="right")])))
+
+
 def test_packet_that_is_nan_raises_naming_t():
     # finite samples pass the symbol checks, and fn continues to Im nu > 0, so the
     # contour envelope exists; the packet's charges read fn on the real line, where it
-    # is NaN, so the check fails at the first K21 node
+    # is NaN, so the check fails at the first node of the radial rule
     grid = default_spectral_grid()
     a = SpectralFunction(grid, np.exp(-grid**2), SpectralDecay(2.0, 8.0),
                          fn=lambda x: np.where(np.imag(x) == 0.0, np.nan, np.exp(-x**2)))
-    with pytest.raises(EvaluationError, match=r"wave packet is not finite at t = 0\.0010857"):
+    with pytest.raises(EvaluationError,
+                       match=rf"wave packet is not finite at t = {rule_node_past(0.0)}$"):
         wave_packet(preset("H3"), a)
 
 
@@ -489,7 +527,7 @@ def test_packet_tables_have_a_row_per_charged_node(label, most, monkeypatch):
 
 
 def test_packets_on_one_rule_share_the_first_rows_of_one_table(monkeypatch):
-    # x2gauss, poly and flat4 are checked on the same K21 nodes (T = 16 on H3) and keep
+    # x2gauss, poly and flat4 are checked on the same K51 nodes (T = 16 on H3) and keep
     # the first 185, 184 and 214 spectral nodes: poly reads x2gauss's table, and flat4
     # adds the 29 rows past it
     rows = []
@@ -509,20 +547,23 @@ def test_packets_on_one_rule_share_the_first_rows_of_one_table(monkeypatch):
 
 def test_symbol_that_does_not_continue_analytically_raises():
     # np.real drops the growth of exp(-nu^2) off the real line, so its contour
-    # constants are too small, and the check on the K21 nodes catches it
+    # constants are too small, and the check on the radial rule's nodes catches it: the
+    # packet is above its envelope from t of about 1.1 on
     a = make_symbol(lambda x: np.exp(-np.real(x) ** 2), "real part")
-    with pytest.raises(PreconditionError,
-                       match=r"'real part' leaves its contour envelope at t = 1\.109"):
+    with pytest.raises(PreconditionError, match=r"'real part' leaves its contour envelope at "
+                       rf"t = {rule_node_past(1.1)}:"):
         wave_packet(preset("H3"), a)
 
 
 def test_symbol_cut_off_by_its_grid_end_names_l_and_the_symbol_there():
     # exp(-nu^2) is its own continuation, but the spectral integral stops at L = 0.5,
-    # where the symbol is still 0.78 of its peak
+    # where the symbol is still 0.78 of its peak; the packet is above its envelope from t of
+    # about 6.25 on
     grid = np.linspace(-0.5, 0.5, 7)
     a = SpectralFunction.from_function(lambda x: np.exp(-x**2), grid, SpectralDecay(300.0, 8.0),
                                        label="short")
-    with pytest.raises(PreconditionError, match=r"'short' leaves its contour envelope at t = 6\.287"
+    with pytest.raises(PreconditionError, match=r"'short' leaves its contour envelope at "
+                       rf"t = {rule_node_past(6.25)}:"
                        r".*end L = 0\.5 cuts the symbol off at \|a\(L\)\| / max\|a\| = 0\.779"):
         wave_packet(preset("H3"), a)
 
