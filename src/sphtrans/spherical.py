@@ -491,11 +491,12 @@ def _band_points(G: GroupDatum, top: float, n: int, t_bytes: bytes, want_d1: boo
 def _band(G: GroupDatum, mod: np.ndarray, t: np.ndarray, outs, want_d1: bool) -> int:
     """Fill the columns t <= _PFAFF_T of ``outs`` (real rows of modulus ``mod``) by barycentric
     interpolation in |lam| from n + 1 Chebyshev points of the second kind on [0, L], L = max mod
-    rounded up to a multiple of 4 (:func:`_band_points`, held when ``t`` is the nodes of a rule
-    in ``_PANELS``); return their count, or 0 if the rows are no more than the points or a
-    point's row fails.  On the Bernstein ellipse e^s about [0, L],
-    |phi_lam(t)| <= M Xi(t), M = e^{(L/2) sinh(s) t} (times |lam| + rho for phi'): n is the least
-    with 4 M e^{-ns} / (e^s - 1) below roundoff (Trefethen, ATAP Thm 8.2); np.einsum sums."""
+    rounded up to a multiple of 4 (:func:`_band_points`, held only when ``t`` is the nodes of a
+    rule in ``_PANELS``, as a plain grid's rows can have any width); return their count, or 0 if
+    the rows are no more than the points or a point's row fails.  On the Bernstein ellipse e^s
+    about [0, L], |phi_lam(t)| <= M Xi(t), M = e^{(L/2) sinh(s) t} (times |lam| + rho for phi'):
+    n is the least with 4 M e^{-ns} / (e^s - 1) below roundoff (Trefethen, ATAP Thm 8.2);
+    np.einsum sums."""
     nb = int(np.searchsorted(t, _PFAFF_T, side="right"))
     h, s = 2.0 * np.ceil(0.25 * mod.max(initial=0.0)), np.linspace(0.05, 8.0, 160)
     log_m = h * np.sinh(s) * t[:nb].max(initial=0.0) + math.log(4.0 / _EPS)
@@ -503,7 +504,6 @@ def _band(G: GroupDatum, mod: np.ndarray, t: np.ndarray, outs, want_d1: bool) ->
     n = np.ceil(np.min((log_m - np.log(np.expm1(s))) / s))
     if not (nb and h > 0.0 and n + 1 < len(mod)):  # n is inf where the bound overflows
         return 0
-    # held only for a radial rule's nodes: a plain grid's entry can be any size
     points = _band_points if t.tobytes() in _PANELS else _band_points.__wrapped__
     nodes, at_nodes = points(G, 2.0 * h, int(n), t[:nb].tobytes(), want_d1)
     if at_nodes is None:
