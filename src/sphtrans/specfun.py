@@ -1,7 +1,7 @@
 """Deterministic quadrature.
 
-Integration is adaptive composite Gauss-Legendre on intervals,
-with an explicit decay-driven truncation rule for half-line integrals.
+Integration is adaptive composite Gauss-Kronrod K31 on intervals, with an
+explicit decay-driven truncation rule for half-line integrals.
 The fixed-grid transforms take their Gauss-Legendre and Gauss-Kronrod
 rules, and the composite rules built from them, from here too.
 Nothing here is randomized, so downstream tolerances are stable run over run.
@@ -36,13 +36,13 @@ __all__ = [
 class ExpDecay:
     """Envelope bound |f(t)| <= coeff * (1+t)^degree * exp(-rate * t).
 
-    ``degree`` may be negative; ``rate`` must be positive for half-line
+    ``degree`` may be negative or fractional; ``rate`` must be positive for half-line
     truncation to make sense.
     """
 
     coeff: float
     rate: float
-    degree: int = 0
+    degree: float = 0
 
     def bound(self, t):
         t = np.asarray(t, dtype=float)
@@ -54,12 +54,14 @@ class ExpDecay:
             return math.inf
         if self.degree <= 0:
             return self.coeff * (1.0 + T) ** self.degree * math.exp(-self.rate * T) / self.rate
-        # integrate (1+t)^d e^{-rt} exactly for integer d > 0
+        # integrate (1+t)^d e^{-rt} exactly for integer d > 0; a fractional d is bounded by
+        # its ceiling, since 1 + t >= 1
+        d = math.ceil(self.degree)
         total = 0.0
         term = 1.0 / self.rate
-        for j in range(self.degree + 1):
-            total += term * (1.0 + T) ** (self.degree - j)
-            term *= (self.degree - j) / self.rate
+        for j in range(d + 1):
+            total += term * (1.0 + T) ** (d - j)
+            term *= (d - j) / self.rate
         return self.coeff * math.exp(-self.rate * T) * total
 
     def stronger_than(self, other: "ExpDecay") -> bool:
@@ -72,9 +74,11 @@ class ExpDecay:
 def truncation_point(decay: ExpDecay, abs_tol: float) -> float:
     """Smallest T (within a factor) with tail_integral(T) <= abs_tol / 4."""
     # written so that NaN fails: a NaN envelope ends the search at its first T
-    if not (0 < decay.rate < math.inf and 0 <= decay.coeff < math.inf):
-        raise DomainError(f"truncation needs 0 < rate < inf and 0 <= coeff < inf, "
-                          f"got rate = {decay.rate!r}, coeff = {decay.coeff!r}")
+    if not (0 < decay.rate < math.inf and 0 <= decay.coeff < math.inf
+            and abs(decay.degree) < math.inf):
+        raise DomainError(f"truncation needs 0 < rate < inf, 0 <= coeff < inf and a finite "
+                          f"degree, got rate = {decay.rate!r}, coeff = {decay.coeff!r}, "
+                          f"degree = {decay.degree!r}")
     target = max(abs_tol, 1e-300) / 4.0
     T = max(1.0, 5.0 / decay.rate)
     while decay.tail_integral(T) > target:
@@ -199,25 +203,27 @@ _MAX_BOUND = 0.5 * np.finfo(float).max
 
 
 def _panel_estimates(f, a, b):
-    """(coarse, fine) GL estimates of the integral of f over each panel [a_i, b_i],
-    arrays shaped (n_panels,), or (n_comp, n_panels) when f returns an (n_comp, n_t)
-    array; f is called once, on the 15 coarse nodes and then the 31 fine ones of
-    each panel in turn."""
+    """K31 estimates of the integral of f over each panel [a_i, b_i] and their errors
+    |K31 - G15|, stacked as an array shaped (2, n_panels), or (2, n_comp, n_panels) when
+    f returns an (n_comp, n_t) array; f is called once, on the 31 Kronrod nodes of each
+    panel in turn, which hold the 15 Gauss nodes."""
+    x, w = gauss_kronrod_rule(15)
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x1, w1 = gauss_legendre_rule(15)
-    x2, w2 = gauss_legendre_rule(31)
-    values = np.asarray(f((mid[:, None] + half[:, None] * np.concatenate([x1, x2])).ravel()))
+    t = (0.5 * (a + b)[:, None] + half[:, None] * x).ravel()
+    values = np.asarray(f(t))
+    if not (values.ndim in (1, 2) and values.shape[-1] == len(t)):
+        raise DomainError(f"integrand must return values shaped ({len(t)},) or "
+                          f"(n_comp, {len(t)}) on {len(t)} nodes, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise DomainError(f"integrand returned non-finite values on [{a.min()}, {b.max()}]")
-    values = values.reshape(values.shape[:-1] + (len(half), -1))
-    return (half * np.sum(w1 * values[..., :15], axis=-1),
-            half * np.sum(w2 * values[..., 15:], axis=-1))
+    est = half * np.moveaxis(values.reshape(values.shape[:-1] + (len(half), len(x))) @ w, -1, 0)
+    est[1] = np.abs(est[0] - est[1])
+    return est
 
 
 def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD):
-    """Adaptive composite Gauss-Legendre on [lo, hi], for one integrand or a vector
-    of them on one panel tree.
+    """Adaptive composite Gauss-Kronrod K31 on [lo, hi], each panel's error estimated
+    by |K31 - G15|, for one integrand or a vector of them on one panel tree.
 
     ``f`` maps an ndarray ``t`` of shape (n_t,) to values of shape (n_t,) or
     (n_comp, n_t).  Returns (value, err_est), scalars or arrays of shape
@@ -239,12 +245,12 @@ def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD
     budget = q.max_subdivisions
     edges = np.linspace(lo, hi, _START_PANELS + 1)
     a, b = edges[:-1], edges[1:]
-    coarse, fine = _panel_estimates(f, a, b)
-    err = np.abs(fine - coarse)
-    scale = q.tolerance(np.sum(fine, axis=-1))
+    est = _panel_estimates(f, a, b)
+    scale = q.tolerance(np.sum(est[0], axis=-1))
     while True:
         # running sums in panel order; np.sum would pair the terms up and move the last bit
-        value, value_err = np.cumsum(fine, axis=-1).T[-1], np.cumsum(err, axis=-1).T[-1]
+        value, value_err = np.cumsum(est, axis=-1)[..., -1]
+        err, value_err = est[1].real, value_err.real  # held as complex for a complex f
         tol = q.tolerance(value)
         if np.all(value_err <= tol):
             return value, value_err
@@ -260,7 +266,6 @@ def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD
         m = 0.5 * (a[split] + b[split])
         a = np.concatenate([a[keep], a[split], m])
         b = np.concatenate([b[keep], m, b[split]])
-        coarse, halves = _panel_estimates(f, a[len(keep):], b[len(keep):])
-        fine = np.concatenate([fine[..., keep], halves], axis=-1)
-        err = np.concatenate([err[..., keep], np.abs(halves - coarse)], axis=-1)
+        halves = _panel_estimates(f, a[len(keep):], b[len(keep):])
+        est = np.concatenate([est[..., keep], halves], axis=-1)
         budget -= len(split)

@@ -342,7 +342,7 @@ def hc_transform(
     vals_fine, vals_coarse = _real_times(_phi_block(G, rows, rule.nodes), w)[fold].T
     tail = env.tail_integral(T)
     err = np.abs(vals_fine - vals_coarse) + tail
-    tol = np.maximum(q.abs_tol, q.rel_tol * np.abs(vals_fine))
+    tol = q.tolerance(vals_fine)
     # loosen the floor by the integrand scale: the rule pair resolves to
     # machine precision relative to the largest sample
     scale_floor = 1e-13 * max(1.0, float(np.max(np.abs(vals_fine))))

@@ -131,8 +131,11 @@ def test_gauss_legendre_rule_meets_40_digit_values(n):
 
 
 def test_interval_trivial_values():
-    v, e = integrate_interval(np.sin, 0.0, math.pi)
+    sizes = []
+    v, e = integrate_interval(lambda t: sizes.append(t.size) or np.sin(t), 0.0, math.pi)
     np.testing.assert_allclose(v, 2.0, rtol=1e-12)
+    # one call, on the 31 Kronrod nodes of each of the four starting panels
+    assert sizes == [4 * 31]
     v, _ = integrate_interval(lambda t: t * t, 0.0, 1.0)
     np.testing.assert_allclose(v, 1.0 / 3.0, rtol=1e-13)
 
@@ -180,6 +183,18 @@ def test_integral_linearity_property():
         vg, eg = integrate_interval(g, 0.0, 6.0)
         vc, ec = integrate_interval(lambda t: alpha * f(t) + beta * g(t), 0.0, 6.0)
         assert abs(vc - (alpha * vf + beta * vg)) <= abs(alpha) * ef + abs(beta) * eg + ec + 1e-12
+
+
+@pytest.mark.parametrize("f, got", [
+    (lambda t: 1.0, "()"),
+    (lambda t: np.ones((len(t), 4)), "(124, 4)"),
+    (lambda t: np.ones((2, 3, len(t))), "(2, 3, 124)"),
+], ids=["scalar", "nodes-first", "two-component-axes"])
+def test_integrand_of_the_wrong_shape_is_a_domain_error(f, got):
+    # values end in an axis of the node count, after at most one axis of components
+    with pytest.raises(DomainError, match=re.escape(f"shaped (124,) or (n_comp, 124) on 124 "
+                                                    f"nodes, got shape {got}")):
+        integrate_interval(f, 0.0, 1.0)
 
 
 def test_interval_complex_integrand():
@@ -266,6 +281,14 @@ def test_decay_hint_tail_bound():
     assert numeric <= d.tail_integral(T) * (1 + 1e-4)
 
 
+@pytest.mark.parametrize("degree", [0.5, 2.5])
+def test_fractional_degree_tail_is_its_ceilings(degree):
+    d = ExpDecay(coeff=3.0, rate=2.0, degree=degree)
+    ts = np.linspace(5.0, 65.0, 20001)
+    assert np.trapezoid(d.bound(ts), ts) <= d.tail_integral(5.0)
+    assert d.tail_integral(5.0) == ExpDecay(3.0, 2.0, math.ceil(degree)).tail_integral(5.0)
+
+
 def test_halfline_requires_positive_rate():
     with pytest.raises(DomainError):
         truncation_point(ExpDecay(1.0, 0.0), 1e-12)
@@ -277,6 +300,8 @@ def test_halfline_requires_positive_rate():
     (ExpDecay(math.nan, 2.0), "coeff = nan"),
     (ExpDecay(math.inf, 2.0), "coeff = inf"),
     (ExpDecay(-1.0, 2.0), "coeff = -1.0"),
+    (ExpDecay(1.0, 2.0, math.nan), "degree = nan"),
+    (ExpDecay(1.0, 2.0, math.inf), "degree = inf"),
 ])
 def test_truncation_rejects_a_non_finite_envelope(decay, named):
     # NaN compares false, so a NaN envelope would end the search at once (T = 1.0 or 2.5)

@@ -192,6 +192,22 @@ def test_hc_transform_at_complex_lam_matches_h3_closed_form():
         assert abs(hc_transform_at(G, f, lam) - exact) <= max(1e-12, 1e-10 * abs(exact))
 
 
+def test_envelope_of_fractional_degree_serves_every_transform():
+    # the Gaussian under the envelope e^9 (1+t)^0.5 e^{-6t}: its tail bounds take the
+    # degree's ceiling, and the transforms keep the values they have under degree 0
+    G = preset("H3")
+    g = gaussian_profile(G)
+    f = RadialProfile(g.eval, ExpDecay(g.decay.coeff, g.decay.rate, 0.5), g.d1, g.d2)
+    res = hc_transform(G, f)
+    assert np.all(np.abs(res.spectral.values - hc_transform(G, g).spectral.values)
+                  <= DEFAULT_QUAD.tolerance(res.spectral.values))
+    for lam in (0.7, 1.5 + 0.1j):
+        exact = gauss_transform_h3(lam)
+        assert abs(hc_transform_at(G, f, lam) - exact) <= DEFAULT_QUAD.tolerance(exact)
+    exact = convolve_at_identity(G, g, g)
+    assert abs(convolve_at_identity(G, f, f) - exact) <= DEFAULT_QUAD.tolerance(exact)
+
+
 @pytest.mark.parametrize("width", [1.0, 0.5, 0.25, 0.1])
 def test_hc_transform_error_estimate_bounds_the_h3_closed_form(width):
     # err_est = |K51 - G25| + tail, checked against the exact transform with the floor of
