@@ -36,8 +36,8 @@ __all__ = [
 class ExpDecay:
     """Envelope bound |f(t)| <= coeff * (1+t)^degree * exp(-rate * t).
 
-    ``degree`` may be negative or fractional; ``rate`` must be positive for half-line
-    truncation to make sense.
+    ``degree`` may be negative or fractional, a fractional one bounded by its ceiling
+    in the tail; ``rate`` must be positive for half-line truncation to make sense.
     """
 
     coeff: float
@@ -54,8 +54,7 @@ class ExpDecay:
             return math.inf
         if self.degree <= 0:
             return self.coeff * (1.0 + T) ** self.degree * math.exp(-self.rate * T) / self.rate
-        # integrate (1+t)^d e^{-rt} exactly for integer d > 0; a fractional d is bounded by
-        # its ceiling, since 1 + t >= 1
+        # integrate (1+t)^d e^{-rt} exactly, d = ceil(degree): (1+t)^d >= (1+t)^degree for t >= 0
         d = math.ceil(self.degree)
         total = 0.0
         term = 1.0 / self.rate

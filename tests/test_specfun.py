@@ -273,20 +273,15 @@ def test_quadrature_spec_validation():
 
 
 def test_decay_hint_tail_bound():
-    d = ExpDecay(coeff=3.0, rate=2.0, degree=2)
     T = 5.0
-    # numerical tail of the envelope must sit below the closed-form bound
     ts = np.linspace(T, T + 60.0, 20001)
-    numeric = np.trapezoid(d.bound(ts), ts)
-    assert numeric <= d.tail_integral(T) * (1 + 1e-4)
-
-
-@pytest.mark.parametrize("degree", [0.5, 2.5])
-def test_fractional_degree_tail_is_its_ceilings(degree):
-    d = ExpDecay(coeff=3.0, rate=2.0, degree=degree)
-    ts = np.linspace(5.0, 65.0, 20001)
-    assert np.trapezoid(d.bound(ts), ts) <= d.tail_integral(5.0)
-    assert d.tail_integral(5.0) == ExpDecay(3.0, 2.0, math.ceil(degree)).tail_integral(5.0)
+    for degree in (2, 0.5, 2.5):
+        d = ExpDecay(coeff=3.0, rate=2.0, degree=degree)
+        # numerical tail of the envelope must sit below the closed-form bound
+        numeric = np.trapezoid(d.bound(ts), ts)
+        assert numeric <= d.tail_integral(T) * (1 + 1e-4)
+        # a fractional degree takes its ceiling's bound
+        assert d.tail_integral(T) == ExpDecay(3.0, 2.0, math.ceil(degree)).tail_integral(T)
 
 
 def test_halfline_requires_positive_rate():
