@@ -67,10 +67,10 @@ def schwartz_seminorm(
     Starts from T = 40 and extends by 25% steps (cap 60) while the argmax
     saturates the boundary; a report that still saturates is flagged.
     """
-    if r < 0:
-        raise DomainError("polynomial weight exponent r must be >= 0")
-    if k not in (0, 1, 2):
-        raise DomainError("derivative order k must be 0, 1 or 2")
+    if not 0.0 <= r < math.inf:  # NaN fails too
+        raise DomainError(f"polynomial weight exponent r must be finite and >= 0, got r = {r!r}")
+    if isinstance(k, bool) or k not in (0, 1, 2):
+        raise DomainError(f"derivative order k must be 0, 1 or 2, got k = {k!r}")
     t_max = _T_MAX_DEFAULT
     while True:
         ts = _log_dense_grid(t_max)

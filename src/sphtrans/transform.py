@@ -208,25 +208,43 @@ class TransformResult:
 # shared quadrature tables
 # ---------------------------------------------------------------------------
 
-# real phi tables; the oldest go once the byte cap is passed, a larger one is not kept
+# real phi tables; the oldest go once the byte cap is passed, a larger one is not kept.  A
+# table asked for once is held only until the next build (its key in _PHI_ONCE), and that
+# first request is remembered as (hash of its key, bytes), the oldest forgotten past the
+# same cap: a hash collision can only hold a table early, never return a wrong one
 _PHI_CACHE: dict[tuple, np.ndarray] = {}
+_PHI_ONCE: list[tuple] = []
+_PHI_ASKED: dict[int, int] = {}
 _PHI_CACHE_BYTES = 256 * 2**20
 
 
 def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0,
                rows: Optional[int] = None) -> np.ndarray:
     """Real matrix [phi_{lam_i}(t_j)] for real lam_i and 1-D ``ts``, or its t-derivative of
-    ``order`` 1 or 2, on the first ``rows`` lam_i (all when None), held in the table cache
-    (a table held for fewer rows gains the rest): one call of the public ``phi``, ``phi_d1``
-    or ``phi_d2``, which reads the panel split of radial rule nodes from its registry."""
+    ``order`` 1 or 2, on the first ``rows`` lam_i (all when None): one call of the public
+    ``phi``, ``phi_d1`` or ``phi_d2``, which reads the panel split of radial rule nodes from
+    its registry.  A table is held for good from its second request, made while it is still
+    the newest table built or, by its remembered key hash, after it was dropped (it is then
+    built once more); a held table asked for more rows gains them.  A table asked for once
+    is dropped before the next build, so a one-off grid leaves no table behind and the
+    next build gets its memory."""
     rows = len(lams) if rows is None else rows
     key = (G, order, lams.tobytes(), ts.tobytes())
+    if _PHI_ONCE == [key]:  # asked for again while the newest
+        _PHI_ONCE.clear()
     held = _PHI_CACHE.get(key)
     if held is not None and len(held) >= rows:
         return held[:rows]
+    if _PHI_ONCE:
+        _PHI_CACHE.pop(_PHI_ONCE.pop(), None)
     out = (phi, phi_d1, phi_d2)[order](G, lams[0 if held is None else len(held):rows], ts)
     if held is not None:
         out = np.concatenate([_PHI_CACHE.pop(key), out])
+    elif _PHI_ASKED.pop(hash(key), None) is None and out.nbytes <= _PHI_CACHE_BYTES:
+        _PHI_ONCE.append(key)
+        _PHI_ASKED[hash(key)] = out.nbytes
+        while sum(_PHI_ASKED.values()) > _PHI_CACHE_BYTES:
+            _PHI_ASKED.pop(next(iter(_PHI_ASKED)))
     if out.nbytes <= _PHI_CACHE_BYTES:
         while sum(v.nbytes for v in _PHI_CACHE.values()) + out.nbytes > _PHI_CACHE_BYTES:
             _PHI_CACHE.pop(next(iter(_PHI_CACHE)))

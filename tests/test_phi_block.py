@@ -342,7 +342,7 @@ def test_plancherel_density_rejects_non_finite_lam():
 # transform tables: mirror fold and byte-capped cache
 # --------------------------------------------------------------------------
 
-def test_hc_transform_folds_mirrored_rows(monkeypatch):
+def test_hc_transform_folds_mirrored_rows(monkeypatch, fresh_phi_cache):
     G = preset("SL2R")
     f = gaussian_profile(G)
     rows = []
@@ -354,7 +354,6 @@ def test_hc_transform_folds_mirrored_rows(monkeypatch):
         return real_evaluate(G, lam, t, order)
 
     monkeypatch.setattr(spherical, "_evaluate", counting_evaluate)
-    monkeypatch.setattr(transform, "_PHI_CACHE", {})
     for grid in (GRID, np.linspace(-11.5, 11.5, 481)):
         res = transform.hc_transform(G, f, grid)
         assert res.spectral.weyl_defect() == 0.0
@@ -366,7 +365,7 @@ def gauss_symbol():
         lambda x: np.exp(-x**2), GRID, transform.SpectralDecay(180.0, 8.0), label="gauss")
 
 
-def test_fresh_packet_round_trip_makes_two_evaluator_calls(monkeypatch):
+def test_fresh_packet_round_trip_makes_two_evaluator_calls(monkeypatch, fresh_phi_cache):
     G = preset("H3")
     calls = []
     real_evaluate = spherical._evaluate
@@ -376,7 +375,6 @@ def test_fresh_packet_round_trip_makes_two_evaluator_calls(monkeypatch):
         return real_evaluate(G, lam, t, order)
 
     monkeypatch.setattr(spherical, "_evaluate", counting_evaluate)
-    monkeypatch.setattr(transform, "_PHI_CACHE", {})
     packet = transform.wave_packet(G, gauss_symbol())
     transform.hc_transform(G, packet, np.linspace(-11.3, 11.3, 481))
     # the packet on the K51 nodes, which the envelope check reads and hc_transform finds
@@ -385,7 +383,8 @@ def test_fresh_packet_round_trip_makes_two_evaluator_calls(monkeypatch):
     assert calls == [transform._radial_rule(G, T).nodes.tobytes()] * 2
 
 
-def test_fresh_round_trip_calls_public_phi_twice_and_charges_the_packet_once(monkeypatch):
+def test_fresh_round_trip_calls_public_phi_twice_and_charges_the_packet_once(
+        monkeypatch, fresh_phi_cache):
     G = preset("CH2")
     phi_calls, products = [], []
     real_phi, real_times = transform.phi, transform._real_times
@@ -402,7 +401,6 @@ def test_fresh_round_trip_calls_public_phi_twice_and_charges_the_packet_once(mon
 
     monkeypatch.setattr(transform, "phi", counting_phi)
     monkeypatch.setattr(transform, "_real_times", counting_times)
-    monkeypatch.setattr(transform, "_PHI_CACHE", {})
     packet = transform.wave_packet(G, gauss_symbol())
     transform.hc_transform(G, packet, np.linspace(-11.7, 11.7, 481))
     assert len(phi_calls) == 2 and phi_calls[0] == phi_calls[1]
@@ -416,20 +414,61 @@ def test_fresh_round_trip_calls_public_phi_twice_and_charges_the_packet_once(mon
     np.testing.assert_array_equal(packet(ts), expected)
 
 
-def test_phi_cache_stays_under_byte_cap(monkeypatch):
+def test_phi_cache_stays_under_byte_cap(monkeypatch, fresh_phi_cache):
     G = preset("H3")
     cap = 3 * 2**20
-    monkeypatch.setattr(transform, "_PHI_CACHE", {})
     monkeypatch.setattr(transform, "_PHI_CACHE_BYTES", cap)
     ts = np.linspace(0.0, 10.0, 1000)
+    # each table asked for twice, so that it is held
     for n in (100, 200, 150, 120, 90):  # 0.8 to 1.6 MB tables
-        table = transform._phi_block(G, np.linspace(0.0, 12.0, n), ts)
+        for _ in range(2):
+            table = transform._phi_block(G, np.linspace(0.0, 12.0, n), ts)
         assert table.dtype == np.float64
         assert sum(v.nbytes for v in transform._PHI_CACHE.values()) <= cap
-    big = transform._phi_block(G, np.linspace(0.0, 12.0, 400), ts)  # 3.2 MB
+    for _ in range(2):
+        big = transform._phi_block(G, np.linspace(0.0, 12.0, 400), ts)  # 3.2 MB
     assert big.shape == (400, 1000)
     assert all(v is not big for v in transform._PHI_CACHE.values())
     assert sum(v.nbytes for v in transform._PHI_CACHE.values()) <= cap
+
+
+def gauss_round_trip(G, half_width):
+    grid = np.linspace(-half_width, half_width, 481)
+    symbol = transform.SpectralFunction.from_function(
+        lambda x: np.exp(-x**2), grid, transform.SpectralDecay(180.0, 8.0), label="gauss")
+    return transform.hc_transform(G, transform.wave_packet(G, symbol), grid)
+
+
+def test_one_off_round_trips_leave_only_the_newest_table(fresh_phi_cache):
+    # each grid's packet and forward tables are asked for once: each goes before the
+    # next build, and the last forward table is the only one left
+    G = preset("H3")
+    for half_width in np.linspace(11.3, 11.95, 12):
+        gauss_round_trip(G, half_width)
+    assert list(transform._PHI_CACHE) == transform._PHI_ONCE
+    assert [len(table) for table in transform._PHI_CACHE.values()] == [241]
+
+
+def test_a_table_asked_for_again_later_is_built_once_more_then_held(
+        monkeypatch, fresh_phi_cache):
+    G = preset("H3")
+    calls = []
+    real_evaluate = spherical._evaluate
+
+    def counting_evaluate(G, lam, t, order):
+        calls.append(order)
+        return real_evaluate(G, lam, t, order)
+
+    monkeypatch.setattr(spherical, "_evaluate", counting_evaluate)
+    per_round = []
+    for _ in range(3):
+        calls.clear()
+        for half_width in (11.4, 11.6, 11.8):
+            gauss_round_trip(G, half_width)
+        per_round.append(len(calls))
+    # the second round finds every key's hash remembered and holds what it builds
+    assert 0 < per_round[1] <= per_round[0] and per_round[2] == 0
+    assert transform._PHI_ONCE == []
 
 
 # --------------------------------------------------------------------------
@@ -441,9 +480,8 @@ CIRCLE_ROWS = np.array([0.0, 1e-5, 3e-4, 0.02])
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_panel_tables_match_plain_phi(name, monkeypatch):
+def test_panel_tables_match_plain_phi(name, fresh_phi_cache):
     G = preset(name)
-    monkeypatch.setattr(transform, "_PHI_CACHE", {})
     folded = transform._mirror_fold(np.linspace(-12.0, 12.0, 241))[0]
     spectral = transform._spectral_rule(G, 12.0, transform._NU_ORDER).nodes
     rows = np.concatenate([folded, spectral, CIRCLE_ROWS])

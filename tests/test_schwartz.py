@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,19 @@ def test_seminorm_argument_validation():
         schwartz_seminorm(G, f, -1.0, 0)
     with pytest.raises(DomainError):
         schwartz_seminorm(G, f, 1.0, 3)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_seminorm_refuses_a_non_finite_weight_exponent(r):
+    G = preset("SL2R")
+    with pytest.raises(DomainError, match=re.escape(f"r = {r!r}")):
+        schwartz_seminorm(G, gaussian_profile(G), r, 0)
+
+
+def test_seminorm_refuses_a_bool_derivative_order():
+    G = preset("SL2R")
+    with pytest.raises(DomainError, match="k = True"):
+        schwartz_seminorm(G, gaussian_profile(G), 1.0, True)
 
 
 def test_seminorm_nonfinite_sample_reporting():

@@ -432,9 +432,8 @@ def test_hc_transform_fails_on_nan_values():
         hc_transform(G, nan_tail)
 
 
-def test_packet_derivatives_build_one_block_per_order_and_window(monkeypatch):
+def test_packet_derivatives_build_one_block_per_order_and_window(monkeypatch, fresh_phi_cache):
     # schwartz_seminorm over r = 0..3 asks for the same derivative points each time
-    monkeypatch.setattr(transform, "_PHI_CACHE", {})
     built = {1: [], 2: []}
     for order, name in ((1, "phi_d1"), (2, "phi_d2")):
         def counted(G, lam, t, order=order, original=getattr(transform, name)):
@@ -527,11 +526,10 @@ def test_packet_on_its_charged_nodes_matches_the_full_rule(name, label):
 
 
 @pytest.mark.parametrize("label, most", [("wide", 1.0), ("gauss", 2.0 / 3.0)])
-def test_packet_tables_have_a_row_per_charged_node(label, most, monkeypatch):
+def test_packet_tables_have_a_row_per_charged_node(label, most, monkeypatch, fresh_phi_cache):
     # exp(-nu^2/4) is still 2e-16 of its peak at L = 12, so every node carries charge;
     # exp(-nu^2) drops below 2^-60 of it past nu of about 6.5
     rows = []
-    monkeypatch.setattr(transform, "_PHI_CACHE", {})
     monkeypatch.setattr(transform, "phi",
                         lambda G, lam, t, phi=transform.phi: rows.append(len(lam)) or phi(G, lam, t))
     G = preset("H3")
@@ -542,12 +540,11 @@ def test_packet_tables_have_a_row_per_charged_node(label, most, monkeypatch):
     assert rows[0] == len(nodes) or label != "wide"
 
 
-def test_packets_on_one_rule_share_the_first_rows_of_one_table(monkeypatch):
+def test_packets_on_one_rule_share_the_first_rows_of_one_table(monkeypatch, fresh_phi_cache):
     # x2gauss, poly and flat4 are checked on the same K51 nodes (T = 16 on H3) and keep
     # the first 185, 184 and 214 spectral nodes: poly reads x2gauss's table, and flat4
     # adds the 29 rows past it
     rows = []
-    monkeypatch.setattr(transform, "_PHI_CACHE", {})
     monkeypatch.setattr(transform, "phi",
                         lambda G, lam, t, phi=transform.phi: rows.append(len(lam)) or phi(G, lam, t))
     G = preset("H3")
@@ -687,7 +684,7 @@ def test_wave_packet_real_for_real_even_symbol():
 
 
 @pytest.mark.parametrize("family", ["gaussian", "cosh", "xi_poly", "packet"])
-def test_profiles_take_t_of_any_shape(family, monkeypatch):
+def test_profiles_take_t_of_any_shape(family, fresh_phi_cache):
     # a packet's table is keyed on the flattened t, so a 2-d t must give the same
     # entries as the flat one, whichever of the two fills the table cache
     G = preset("H3")
@@ -697,7 +694,7 @@ def test_profiles_take_t_of_any_shape(family, monkeypatch):
     t2 = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
     for k in (0, 1, 2):
         for calls in ((t2, t2.ravel()), (t2.ravel(), t2)):
-            monkeypatch.setattr(transform, "_PHI_CACHE", {})
+            fresh_phi_cache()
             out = {t.ndim: f.deriv(t, k) for t in calls}  # in call order
             np.testing.assert_array_equal(out[2], out[1].reshape(t2.shape))
 
@@ -724,8 +721,7 @@ def test_round_trip_gives_the_jacobi_inversion_constant():
         assert abs(_round_trip_response(name) / math.exp(-1.0) - 1.0) <= 1e-12
 
 
-def test_preset_constant_is_exact_and_costs_no_tables(monkeypatch):
-    monkeypatch.setattr(transform, "_PHI_CACHE", {})
+def test_preset_constant_is_exact_and_costs_no_tables(fresh_phi_cache):
     for name in PRESET_NAMES:
         assert preset(name).plancherel_constant == 1.0 / (2.0 * math.pi)
     assert transform._PHI_CACHE == {}
@@ -866,8 +862,7 @@ def test_tables_follow_the_multiplicities_not_the_name():
     np.testing.assert_array_equal(impostor, hc_transform(preset("H4"), f).spectral.values)
 
 
-def test_sl2c_shares_the_h3_tables(monkeypatch):
-    monkeypatch.setattr(transform, "_PHI_CACHE", {})
+def test_sl2c_shares_the_h3_tables(fresh_phi_cache):
     f = gaussian_profile(preset("H3"))
     h3 = hc_transform(preset("H3"), f)
     held = len(transform._PHI_CACHE)

@@ -20,7 +20,9 @@ and the number of pairs the head won (ties count for neither); per workload
 and op kind each side's median over runs of the run's median op time (from
 its ``op_s``) and their ratio, which shows the ops that carry a change; per
 workload the failed ops and the worst error/tolerance ratio of each side;
-and the seeds, run length and machine facts.
+and the seeds, run length and machine facts.  After writing it, the script prints one
+line per workload and end-to-end metric: both medians, their ratio, the base band and
+the head's wins.
 """
 
 from __future__ import annotations
@@ -125,6 +127,17 @@ def summarise(runs: dict, end_to_end: list[dict]) -> dict:
     }
 
 
+def report(workloads: dict) -> list[str]:
+    """One line per workload and end-to-end metric of a summary's ``workloads``: the
+    medians of both sides, their ratio, the base band and the pairs the head won."""
+    return [
+        f"{workload} {name}: base {m['base']['median']:.4g} -> head {m['head']['median']:.4g}"
+        f" {m['unit']} ({m['head_over_base']:.3f}x, base band {m['base_band'][0]:.3f}-"
+        f"{m['base_band'][1]:.3f}, head won {m['head_wins']} of {m['pairs']})"
+        for workload, summary in workloads.items() for name, m in summary["metrics"].items()
+    ]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision of the base side")
@@ -170,6 +183,7 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)
+    print("\n".join(report(out["workloads"])))
     return 0
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bench_pairs import summarise
+from bench_pairs import report, summarise
 
 END_TO_END = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
               {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
@@ -40,3 +40,16 @@ def test_summarise_counts_wins_by_direction_and_ties_for_neither():
                                            "head_over_base": pytest.approx(0.8)}
     assert out["failed"] == {"base": [0, 0, 0, 0], "head": [0, 0, 0, 1]}
     assert out["worst_error_to_tolerance"] == {"base": 0.5, "head": 1.5}
+
+
+def test_report_gives_one_line_per_workload_and_metric():
+    runs = {"base": [record(1.0, 10.0, [0.4]), record(2.0, 12.0, [0.3]), record(3.0, 14.0, [0.2])],
+            "head": [record(2.0, 9.0, [0.2]), record(3.0, 11.0, [0.2]), record(3.0, 12.0, [0.1])]}
+    summary = summarise(runs, END_TO_END)
+    lines = report({"fresh": summary, "shared": summary})
+    assert lines[0] == ("fresh ops_per_s: base 2 -> head 3 1/s "
+                        "(1.500x, base band 0.750-1.250, head won 2 of 3)")
+    assert lines[1] == ("fresh peak_rss_mb: base 12 -> head 11 MB "
+                        "(0.917x, base band 0.917-1.083, head won 3 of 3)")
+    assert [line.split(":")[0] for line in lines[2:]] == ["shared ops_per_s",
+                                                          "shared peak_rss_mb"]
