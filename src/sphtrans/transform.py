@@ -223,11 +223,9 @@ def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0,
     """Real matrix [phi_{lam_i}(t_j)] for real lam_i and 1-D ``ts``, or its t-derivative of
     ``order`` 1 or 2, on the first ``rows`` lam_i (all when None): one call of the public
     ``phi``, ``phi_d1`` or ``phi_d2``, which reads the panel split of radial rule nodes from
-    its registry.  A table is held for good from its second request, made while it is still
-    the newest table built or, by its remembered key hash, after it was dropped (it is then
-    built once more); a held table asked for more rows gains them.  A table asked for once
-    is dropped before the next build, so a one-off grid leaves no table behind and the
-    next build gets its memory."""
+    its registry.  A table is held from its second request, while it is the newest built or,
+    by its remembered key hash, later (built once more); a held table gains rows asked for.
+    A table asked for once is dropped before the next build, which then reuses its memory."""
     rows = len(lams) if rows is None else rows
     key = (G, order, lams.tobytes(), ts.tobytes())
     if _PHI_ONCE == [key]:  # asked for again while the newest
@@ -482,7 +480,8 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     real nu; packets on one rule share the first rows of one table.
     The values and both t-derivatives take finite ``t`` of any shape, and
     read their blocks, on the flattened ``t``, from the one table cache,
-    :func:`_phi_block`; the values of the last ``t`` are held (a copy each call).
+    :func:`_phi_block`, which holds a block from its second request; the values
+    of the last ``t`` are held (a copy each call), so a round trip asks for its table once.
 
     ``decay`` bounds the exact packet; the evaluated one is within its
     roundoff floor 1e-14 sum|charge| (1 + t) e^{-rho t} of it.  It comes from
