@@ -354,11 +354,12 @@ def _run_expansion(cfg: RunConfig) -> dict:
 def _run_seminorm(cfg: RunConfig) -> dict:
     G = preset(cfg.preset)
     f = _build_profile(G, cfg)
+    # k outside r builds each derivative order's block once; the reports stay r-major
+    by_k = [[schwartz.schwartz_seminorm(G, f, r, k) for r in cfg.r_values] for k in cfg.k_values]
     return {
         "inputs": {"profile": dataclasses.asdict(cfg.profile),
                    "r_values": list(cfg.r_values), "k_values": list(cfg.k_values)},
-        "reports": [dataclasses.asdict(schwartz.schwartz_seminorm(G, f, r, k))
-                    for r in cfg.r_values for k in cfg.k_values],
+        "reports": [dataclasses.asdict(rep) for by_r in zip(*by_k) for rep in by_r],
     }
 
 

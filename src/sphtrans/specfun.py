@@ -71,14 +71,23 @@ class ExpDecay:
 
 
 def truncation_point(decay: ExpDecay, abs_tol: float) -> float:
-    """Smallest T (within a factor) with tail_integral(T) <= abs_tol / 4."""
-    # written so that NaN fails: a NaN envelope ends the search at its first T
+    """Smallest T (within a factor) with tail_integral(T) <= abs_tol / 4, held per
+    (decay, abs_tol) unless a field is unhashable (an ndarray); errors raise every call."""
+    try:
+        return _truncation_point(decay, abs_tol)
+    except TypeError:  # an unhashable decay or abs_tol is not cached
+        return _truncation_point.__wrapped__(decay, abs_tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _truncation_point(decay: ExpDecay, abs_tol: float) -> float:
+    # written so that NaN fails: a NaN envelope or tolerance ends the search at its first T
     if not (0 < decay.rate < math.inf and 0 <= decay.coeff < math.inf
-            and abs(decay.degree) < math.inf):
-        raise DomainError(f"truncation needs 0 < rate < inf, 0 <= coeff < inf and a finite "
-                          f"degree, got rate = {decay.rate!r}, coeff = {decay.coeff!r}, "
-                          f"degree = {decay.degree!r}")
-    target = max(abs_tol, 1e-300) / 4.0
+            and abs(decay.degree) < math.inf and 0 < abs_tol < math.inf):
+        raise DomainError(f"truncation needs 0 < rate < inf, 0 <= coeff < inf, a finite degree "
+                          f"and 0 < abs_tol < inf, got rate = {decay.rate!r}, coeff = "
+                          f"{decay.coeff!r}, degree = {decay.degree!r}, abs_tol = {abs_tol!r}")
+    target = abs_tol / 4.0
     T = max(1.0, 5.0 / decay.rate)
     while decay.tail_integral(T) > target:
         T *= 1.5

@@ -485,9 +485,9 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
 
     ``decay`` bounds the exact packet; the evaluated one is within its
     roundoff floor 1e-14 sum|charge| (1 + t) e^{-rho t} of it.  It comes from
-    a contour shift of ``fn`` (:func:`_contour_envelope`), checked on the
-    K51 nodes of [0, T] where :func:`hc_transform` then finds the values
-    held.  PreconditionError naming the symbol when it has no ``fn``, when
+    a contour shift of ``fn`` (:func:`_contour_envelope`), chosen once per
+    (G, ladder, sum|charge|) and checked for each packet on the K51 nodes of
+    [0, T], where :func:`hc_transform` then finds the values held.  PreconditionError naming the symbol when it has no ``fn``, when
     no contour shift is usable, or when the packet leaves the envelope by
     more than the floor (an ``fn`` that is not the symbol's continuation, or a
     grid end L that cuts the symbol off); EvaluationError naming the first t
@@ -613,7 +613,8 @@ def _contour_envelope(G: GroupDatum, a: SpectralFunction, charge_sum: float, eva
     t < t0, |psi(t)| <= sum |charge|, since |phi_nu| <= Xi <= 1.  Of the usable
     sigma, the one that gives :func:`hc_transform` the shortest T wins, ties
     going to the smaller tail bound; an unhashable ``fn`` computes its ladder
-    uncached.  The packet is then checked once, on the K51 nodes of [0, T]
+    uncached; the choice is held per (G, ladder, sum |charge|) (:func:`_envelope_choice`).
+    This packet is then checked, on every call, on the K51 nodes of [0, T]
     where :func:`hc_transform` at the default tolerance reads it, T that
     sigma's cutoff, and ``noise_floor`` is the margin it allows.  The errors,
     naming the symbol's label, are :func:`wave_packet`'s; leaving the envelope
@@ -624,20 +625,10 @@ def _contour_envelope(G: GroupDatum, a: SpectralFunction, charge_sum: float, eva
         ladder = _contour_ladder(G, a.fn)
     except TypeError:  # an unhashable fn is not cached
         ladder = _contour_ladder.__wrapped__(G, a.fn)
-    envs = []
-    for sigma, C in ladder:
-        rate = G.rho + sigma
-        coeff = _ENVELOPE_MARGIN * max(C, charge_sum * math.exp(rate * _CONTOUR_T0))
-        envs.append(ExpDecay(coeff=coeff + 1e-300, rate=rate, degree=0))
-    if not envs:
+    if not ladder:
         raise PreconditionError(f"wave-packet symbol {name!r} has no usable contour shift: its "
                                 "fn rejects complex input or is not finite on Im nu = sigma")
-
-    def cost(env):
-        T = _radial_cutoff(G, env, DEFAULT_QUAD.abs_tol)
-        return T, _forward_envelope(G, env).tail_integral(T)
-
-    (T, _), env = min(((cost(env), env) for env in envs), key=lambda pair: pair[0])
+    (T, _), env = _envelope_choice(G, ladder, charge_sum)
     ts = _radial_rule(G, T).nodes  # where hc_transform reads the packet: its table is then held
     vals = np.abs(eval_packet(ts))
     if not np.all(np.isfinite(vals)):  # else NaN would pass the envelope check
@@ -651,6 +642,23 @@ def _contour_envelope(G: GroupDatum, a: SpectralFunction, charge_sum: float, eva
                                 f"or the spectral integral's end L = {float(a.grid[-1])!r} cuts "
                                 f"the symbol off at |a(L)| / max|a| = {cut:.3g}")
     return env
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _envelope_choice(G: GroupDatum, ladder: tuple, charge_sum: float):
+    """((T, tail bound), env) for :func:`_contour_envelope`: the envelope of ``ladder``'s
+    (sigma, C_sigma) at ``charge_sum`` with the shortest cutoff T, then the smaller tail bound."""
+    envs = []
+    for sigma, C in ladder:
+        rate = G.rho + sigma
+        coeff = _ENVELOPE_MARGIN * max(C, charge_sum * math.exp(rate * _CONTOUR_T0))
+        envs.append(ExpDecay(coeff=coeff + 1e-300, rate=rate, degree=0))
+
+    def cost(env):
+        T = _radial_cutoff(G, env, DEFAULT_QUAD.abs_tol)
+        return T, _forward_envelope(G, env).tail_integral(T)
+
+    return min(((cost(env), env) for env in envs), key=lambda pair: pair[0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from sphtrans import acceptance, cli
+from sphtrans import acceptance, cli, transform
 from sphtrans.acceptance import CriterionOutcome
 from sphtrans.cli import (RunConfig, Table, _emit, build_parser, config_from_args, load_config,
                           main, validate_config)
@@ -195,6 +195,23 @@ def test_seminorm_report(tmp_path):
     doc = json.loads(out.read_text())
     assert len(doc["reports"]) == 4
     assert all(np.isfinite(r["value"]) for r in doc["reports"])
+
+
+def test_seminorm_builds_each_derivative_block_once(monkeypatch, fresh_phi_cache, tmp_path):
+    # the packet's envelope check, then k = 0, 1 and 2 at r = 0..3 on one t grid
+    calls = []
+    for name in ("phi", "phi_d1", "phi_d2"):
+        def counted(G, lam, t, name=name, original=getattr(transform, name)):
+            calls.append(name)
+            return original(G, lam, t)
+        monkeypatch.setattr(transform, name, counted)
+    out = tmp_path / "s.json"
+    assert run_cli(["seminorm", "--preset", "H3", "--profile", "wave_packet",
+                    "--symbol", "gauss", "--out", str(out)]) == 0
+    assert calls == ["phi", "phi", "phi_d1", "phi_d2"]
+    reports = json.loads(out.read_text())["reports"]
+    assert [(rep["r"], rep["deriv_order"]) for rep in reports] == [
+        (r, k) for r in (0.0, 1.0, 2.0, 3.0) for k in (0, 1, 2)]
 
 
 def test_membership_subcommand(tmp_path):

@@ -302,3 +302,23 @@ def test_truncation_rejects_a_non_finite_envelope(decay, named):
     # NaN compares false, so a NaN envelope would end the search at once (T = 1.0 or 2.5)
     with pytest.raises(DomainError, match=named):
         truncation_point(decay, 1e-12)
+
+
+@pytest.mark.parametrize("abs_tol", [math.nan, 0.0, -1.0, math.inf])
+def test_truncation_rejects_a_tolerance_it_cannot_use(abs_tol):
+    # NaN and inf end the search at its first T (2.5), 0 and -1 were clamped to 1e-300
+    with pytest.raises(DomainError, match=f"abs_tol = {abs_tol!r}"):
+        truncation_point(ExpDecay(1.0, 2.0), abs_tol)
+
+
+def test_truncation_of_a_nan_envelope_raises_every_call():
+    # truncation points are held, errors are not, and NaN matches no held key
+    for _ in range(2):
+        with pytest.raises(DomainError, match="rate = nan"):
+            truncation_point(ExpDecay(1.0, math.nan), 1e-12)
+
+
+def test_truncation_of_an_unhashable_envelope_is_computed():
+    # a 0-d ndarray field cannot key the held points, so the point is computed anew
+    held = truncation_point(ExpDecay(1.0, 2.0), 1e-12)
+    assert truncation_point(ExpDecay(np.array(1.0), 2.0), 1e-12) == held == 18.984375

@@ -449,6 +449,22 @@ def test_packet_derivatives_build_one_block_per_order_and_window(monkeypatch, fr
         assert built[order] and len(built[order]) == len(set(built[order]))
 
 
+def test_a_packet_built_again_holds_its_envelope_choice(monkeypatch):
+    # the envelope search ran about 90 tail bounds per packet; the choice is now held
+    G, a = preset("H3"), gauss_symbol()
+    first = wave_packet(G, a)
+    calls = []
+
+    def counted(self, T, original=ExpDecay.tail_integral):
+        calls.append(T)
+        return original(self, T)
+
+    monkeypatch.setattr(ExpDecay, "tail_integral", counted)
+    second = wave_packet(G, a)
+    assert calls == []
+    assert second.decay == first.decay
+
+
 def test_wave_packet_rejects_slow_decay_metadata():
     G = preset("SL2R")
     a = SpectralFunction.from_function(

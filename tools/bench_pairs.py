@@ -22,7 +22,8 @@ its ``op_s``) and their ratio, which shows the ops that carry a change; per
 workload the failed ops and the worst error/tolerance ratio of each side;
 and the seeds, run length and machine facts.  After writing it, the script prints one
 line per workload and end-to-end metric: both medians, their ratio, the base band and
-the head's wins.
+the head's wins; then one line per workload with each op kind's head/base ratio of
+median op time.
 """
 
 from __future__ import annotations
@@ -138,6 +139,16 @@ def report(workloads: dict) -> list[str]:
     ]
 
 
+def op_report(workloads: dict) -> list[str]:
+    """One line per workload of a summary's ``workloads``: each op kind's head/base ratio of
+    median op time, below 1 where the head is faster."""
+    return [
+        f"{workload} op time: " + ", ".join(f"{label} {op['head_over_base']:.3f}x"
+                                            for label, op in summary["op_s_median"].items())
+        for workload, summary in workloads.items()
+    ]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision of the base side")
@@ -183,7 +194,7 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)
-    print("\n".join(report(out["workloads"])))
+    print("\n".join(report(out["workloads"]) + op_report(out["workloads"])))
     return 0
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bench_pairs import report, summarise
+from bench_pairs import op_report, report, summarise
 
 END_TO_END = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
               {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
@@ -53,3 +53,15 @@ def test_report_gives_one_line_per_workload_and_metric():
                         "(0.917x, base band 0.917-1.083, head won 3 of 3)")
     assert [line.split(":")[0] for line in lines[2:]] == ["shared ops_per_s",
                                                           "shared peak_rss_mb"]
+
+
+def test_op_report_gives_each_op_kinds_ratio_per_workload():
+    base = [record(1.0, 10.0, [0.4, 0.2]), record(1.0, 10.0, [0.2])]
+    head = [record(1.0, 10.0, [0.1]), record(1.0, 10.0, [0.2, 0.4])]
+    summary = summarise({"base": base, "head": head}, END_TO_END)
+    summary["op_s_median"]["other"] = {"base": 2.0, "head": 1.0, "head_over_base": 0.5}
+    # medians over runs of each run's median: 0.25 -> 0.2
+    assert op_report({"fresh": summary, "shared": summary}) == [
+        "fresh op time: round 0.800x, other 0.500x",
+        "shared op time: round 0.800x, other 0.500x",
+    ]
