@@ -487,11 +487,11 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     roundoff floor 1e-14 sum|charge| (1 + t) e^{-rho t} of it.  It comes from
     a contour shift of ``fn`` (:func:`_contour_envelope`), chosen once per
     (G, ladder, sum|charge|) and checked for each packet on the K51 nodes of
-    [0, T], where :func:`hc_transform` then finds the values held.  PreconditionError naming the symbol when it has no ``fn``, when
-    no contour shift is usable, or when the packet leaves the envelope by
-    more than the floor (an ``fn`` that is not the symbol's continuation, or a
-    grid end L that cuts the symbol off); EvaluationError naming the first t
-    there where the packet is not finite.
+    [0, T], where :func:`hc_transform` then finds the values held.  PreconditionError
+    naming the symbol when it has no ``fn``, when no contour shift is usable, or when the
+    packet leaves the envelope by more than the floor (an ``fn`` that is not the symbol's
+    continuation, or a grid end L that cuts the symbol off); EvaluationError naming the
+    first t there where the packet is not finite.
     """
     _check_symbol(a, "wave-packet symbol")
     name = a.label or "a"

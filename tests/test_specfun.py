@@ -306,7 +306,7 @@ def test_truncation_rejects_a_non_finite_envelope(decay, named):
 
 @pytest.mark.parametrize("abs_tol", [math.nan, 0.0, -1.0, math.inf])
 def test_truncation_rejects_a_tolerance_it_cannot_use(abs_tol):
-    # NaN and inf end the search at its first T (2.5), 0 and -1 were clamped to 1e-300
+    # unchecked, NaN and inf would end the search at its first T (2.5), and 0 or -1 never
     with pytest.raises(DomainError, match=f"abs_tol = {abs_tol!r}"):
         truncation_point(ExpDecay(1.0, 2.0), abs_tol)
 

@@ -450,7 +450,7 @@ def test_packet_derivatives_build_one_block_per_order_and_window(monkeypatch, fr
 
 
 def test_a_packet_built_again_holds_its_envelope_choice(monkeypatch):
-    # the envelope search ran about 90 tail bounds per packet; the choice is now held
+    # the envelope search takes about 90 tail bounds; a packet built again reads its choice
     G, a = preset("H3"), gauss_symbol()
     first = wave_packet(G, a)
     calls = []
