@@ -75,13 +75,17 @@ def schwartz_seminorm(
     while True:
         ts = _log_dense_grid(t_max)
         samples = np.abs(np.asarray(f.deriv(ts, k), dtype=complex))
-        weight = (1.0 + ts) ** r / xi(G, ts)
-        vals = samples * weight
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.argmax(~np.isfinite(vals)))
+        if not np.all(np.isfinite(samples)):
+            bad = int(np.argmax(~np.isfinite(samples)))
             raise EvaluationError(
                 f"non-finite seminorm sample at t = {ts[bad]} for {f.label!r}"
             )
+        with np.errstate(over="ignore", invalid="ignore"):  # past float range: named below
+            vals = samples * ((1.0 + ts) ** r / xi(G, ts))
+        if not np.all(np.isfinite(vals)):
+            bad = int(np.argmax(~np.isfinite(vals)))
+            raise DomainError(f"seminorm weight (1 + t)^r / Xi(t) leaves float range at "
+                              f"t = {ts[bad]} for r = {r!r}")
         arg = int(np.argmax(vals))
         boundary = ts[arg] > 0.95 * t_max
         if boundary and t_max < _T_MAX_CAP:

@@ -215,6 +215,8 @@ class TransformResult:
 _PHI_CACHE: dict[tuple, np.ndarray] = {}
 _PHI_ONCE: list[tuple] = []
 _PHI_ASKED: dict[int, int] = {}
+# (G, order, lam bytes) -> the key of its held table on radial rule nodes
+_PHI_RULES: dict[tuple, tuple] = {}
 _PHI_CACHE_BYTES = 256 * 2**20
 
 
@@ -223,31 +225,51 @@ def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0,
     """Real matrix [phi_{lam_i}(t_j)] for real lam_i and 1-D ``ts``, or its t-derivative of
     ``order`` 1 or 2, on the first ``rows`` lam_i (all when None): one call of the public
     ``phi``, ``phi_d1`` or ``phi_d2``, which reads the panel split of radial rule nodes from
-    its registry.  A table is held from its second request, while it is the newest built or,
-    by its remembered key hash, later (built once more); a held table gains rows asked for.
-    A table asked for once is dropped before the next build, which then reuses its memory."""
+    its registry.  A table is keyed by (G, order, lam bytes, t bytes).  On radial rule nodes
+    (registered there) one table serves the rows and every rule whose nodes start its columns,
+    as held[:rows, :len(ts)]: a longer rule's request builds the table on it, with every held
+    row, in its place.  Plain grids are held by their exact key, so they never evict a rule's
+    table.  A table is held from its second request, a rule's at any cutoff, while it is the
+    newest built or, by its remembered key hash, later (built once more); a held table gains
+    rows asked for.  A table asked for once is dropped before the next build, which then
+    reuses its memory."""
     rows = len(lams) if rows is None else rows
-    key = (G, order, lams.tobytes(), ts.tobytes())
+    key = new = (G, order, lams.tobytes(), ts.tobytes())
+    rule = new not in _PHI_CACHE and new[3] in spherical._PANELS
+    if rule:  # the held table of a rule that these nodes start or extend
+        k = _PHI_RULES.get(new[:3])
+        if k in _PHI_CACHE and (k[3].startswith(new[3]) or new[3].startswith(k[3])):
+            key = k
     if _PHI_ONCE == [key]:  # asked for again while the newest
         _PHI_ONCE.clear()
     held = _PHI_CACHE.get(key)
-    if held is not None and len(held) >= rows:
-        return held[:rows]
+    longer = held is not None and len(key[3]) < len(new[3])
+    if held is not None and not longer and len(held) >= rows:
+        return held[:rows, :len(ts)]
     if _PHI_ONCE:
         _PHI_CACHE.pop(_PHI_ONCE.pop(), None)
-    out = (phi, phi_d1, phi_d2)[order](G, lams[0 if held is None else len(held):rows], ts)
+    end = rows
+    if longer:  # built on the longer rule with every held row, in the held table's place
+        end, key, held = max(rows, len(_PHI_CACHE.pop(key))), new, None
+    for stale in [s for s, k in _PHI_RULES.items() if k not in _PHI_CACHE]:
+        del _PHI_RULES[stale]  # the index keeps no key of a dropped table
+    cols = ts if held is None else np.frombuffer(key[3])
+    out = (phi, phi_d1, phi_d2)[order](G, lams[0 if held is None else len(held):end], cols)
+    asked = hash(new[:3] if rule else new)
     if held is not None:
         out = np.concatenate([_PHI_CACHE.pop(key), out])
-    elif _PHI_ASKED.pop(hash(key), None) is None and out.nbytes <= _PHI_CACHE_BYTES:
+    elif not longer and _PHI_ASKED.pop(asked, None) is None and out.nbytes <= _PHI_CACHE_BYTES:
         _PHI_ONCE.append(key)
-        _PHI_ASKED[hash(key)] = out.nbytes
+        _PHI_ASKED[asked] = out.nbytes
         while sum(_PHI_ASKED.values()) > _PHI_CACHE_BYTES:
             _PHI_ASKED.pop(next(iter(_PHI_ASKED)))
     if out.nbytes <= _PHI_CACHE_BYTES:
         while sum(v.nbytes for v in _PHI_CACHE.values()) + out.nbytes > _PHI_CACHE_BYTES:
             _PHI_CACHE.pop(next(iter(_PHI_CACHE)))
         _PHI_CACHE[key] = out
-    return out
+        if rule:
+            _PHI_RULES[new[:3]] = key
+    return out[:rows, :len(ts)]
 
 
 def _mirror_fold(lams: np.ndarray):
@@ -722,15 +744,20 @@ def expansion_term(
         raise DomainError(f"cartan_class must be one of {CARTAN_CLASSES}")
     if not (0.0 < eps <= 1.0):
         raise DomainError(f"mollifier width must lie in (0, 1], got {eps}")
+    if np.iscomplexobj(lam):
+        raise DomainError(f"expansion_term requires real lam, got lam = {lam!r}")
     half_window = 9.0 * eps
     if not abs(float(lam)) + half_window <= GRID_MAX:  # NaN fails too
         raise DomainError(f"expansion_term requires finite lam with |lam| + 9 eps <= {GRID_MAX}, "
                           f"got lam = {lam!r}, eps = {eps!r}")
+    lam = abs(float(lam))
+    lo, hi = lam - half_window, lam + half_window
+    if not lo < hi:
+        raise DomainError(f"mollifier width eps = {eps!r} is below the float spacing at "
+                          f"lam = {lam!r}: the window lam +- 9 eps is one point")
     if cartan_class == "compact":
         return 0.0 + 0.0j
-    lam = abs(float(lam))
     hf = _cached_transform(G, f, q)
-    lo, hi = lam - half_window, lam + half_window
     pref = G.plancherel_constant / G.weyl_order
 
     # both Weyl-mirrored bumps folded onto one window (integrands even);
@@ -756,6 +783,8 @@ def casimir_radial(G: GroupDatum, p: RadialProfile, t) -> complex:
     positive (Delta'/Delta has a pole at 0).
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(t_arr)):
+        raise DomainError(f"radial Casimir requires finite t, got t = {t!r}")
     if np.any(t_arr <= 0.0):
         raise SingularPointError("radial Casimir is singular at t = 0; use t > 0")
     d2 = np.asarray(p.deriv(t_arr, 2), dtype=complex)

@@ -14,7 +14,7 @@ from sphtrans import specfun, spherical, transform
 from sphtrans.cfunction import _ode_solution, c_function, plancherel_density
 from sphtrans.errors import AccuracyError, DomainError, EvaluationError
 from sphtrans.groups import PRESET_NAMES, preset
-from sphtrans.profiles import gaussian_profile
+from sphtrans.profiles import cosh_profile, gaussian_profile
 from sphtrans.schwartz import TubeSpec, tube_extension_check
 from sphtrans.spherical import phi, phi_d1, phi_d2, xi
 
@@ -469,6 +469,75 @@ def test_a_table_asked_for_again_later_is_built_once_more_then_held(
     # the second round finds every key's hash remembered and holds what it builds
     assert 0 < per_round[1] <= per_round[0] and per_round[2] == 0
     assert transform._PHI_ONCE == []
+
+
+def test_two_cutoffs_of_one_preset_hold_one_table(fresh_phi_cache):
+    # cutoffs 16 and 28 on H3's default grid: the rule of 16 is the first 408 of the 714
+    # nodes of the rule of 28, so one table of 714 columns serves both
+    G = preset("H3")
+    short, long_ = gaussian_profile(G, 1.0), cosh_profile(G, 2.5)
+    for f, T in ((short, 16.0), (long_, 28.0)):
+        assert transform._radial_cutoff(G, f.decay, specfun.DEFAULT_QUAD.abs_tol) == T
+    first = transform.hc_transform(G, short).spectral.values
+    for f in (long_, short, long_):
+        again = transform.hc_transform(G, f).spectral.values
+    assert [table.shape for table in transform._PHI_CACHE.values()] == [(241, 714)]
+    np.testing.assert_array_equal(transform.hc_transform(G, short).spectral.values, first)
+    assert transform._PHI_ONCE == [] and np.all(np.isfinite(again))
+
+
+PACKET_ROWS = (124, 185, 320)
+
+
+@pytest.mark.parametrize("name", ["SL2R", "H3", "CH2"])
+def test_shorter_rules_read_a_longer_rules_table_bit_for_bit(name, monkeypatch, fresh_phi_cache):
+    G = preset(name)
+    calls = []
+    monkeypatch.setattr(transform, "phi",
+                        lambda G, lam, t, phi=transform.phi: calls.append(len(t)) or phi(G, lam, t))
+    default = transform._mirror_fold(GRID)[0]
+    spectral = transform._spectral_rule(G, 12.0, transform._NU_ORDER).nodes
+    for rows, n, cutoffs in ((default, None, (28.0, 16.0, 12.0)),
+                             (spectral, PACKET_ROWS[0], (16.0, 8.0))):
+        transform._phi_block(G, rows, transform._radial_rule(G, cutoffs[0]).nodes, 0, n)
+        for T in cutoffs[1:]:
+            nodes = transform._radial_rule(G, T).nodes
+            np.testing.assert_array_equal(transform._phi_block(G, rows, nodes, 0, n),
+                                          phi(G, rows[:n], nodes))
+    assert calls == [714, 408]
+    # more rows on a shorter rule: the held table gains them on its own columns, each
+    # block of rows as its own build on the shorter rule would give them
+    nodes = transform._radial_rule(G, 8.0).nodes
+    for n in PACKET_ROWS[1:]:
+        np.testing.assert_array_equal(
+            transform._phi_block(G, spectral, nodes, 0, n),
+            np.concatenate([phi(G, spectral[lo:hi], nodes)
+                            for lo, hi in zip((0,) + PACKET_ROWS, PACKET_ROWS) if hi <= n]))
+    assert calls == [714, 408, 408, 408]
+    assert [table.shape for table in transform._PHI_CACHE.values()] == [(241, 714), (320, 408)]
+
+
+def test_plain_grid_reads_leave_the_rule_table_held(monkeypatch, fresh_phi_cache):
+    # the packet is checked on its rule's nodes and read on a shorter rule's (a second
+    # request, so its table is held); the CLI's plain t grid has the same rows but a
+    # table of its own, and the rule's nodes read again build nothing
+    G = preset("H3")
+    symbol = transform.SpectralFunction.from_function(
+        lambda x: np.exp(-x**2), GRID, transform.SpectralDecay(180.0, 8.0), label="gauss")
+    psi = transform.wave_packet(G, symbol)
+    T = transform._radial_cutoff(G, psi.decay, specfun.DEFAULT_QUAD.abs_tol)
+    assert T == 12.0
+    calls = []
+    monkeypatch.setattr(transform, "phi",
+                        lambda G, lam, t, phi=transform.phi: calls.append(len(t)) or phi(G, lam, t))
+    psi(transform._radial_rule(G, 8.0).nodes)
+    plain = np.linspace(0.0, 12.0, 481)
+    psi(plain)
+    assert calls == [481]
+    nodes = transform._radial_rule(G, T).nodes
+    psi(nodes)
+    psi(plain)
+    assert calls == [481]
 
 
 # --------------------------------------------------------------------------

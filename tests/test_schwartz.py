@@ -102,6 +102,15 @@ def test_seminorm_refuses_a_non_finite_weight_exponent(r):
         schwartz_seminorm(G, gaussian_profile(G), r, 0)
 
 
+@pytest.mark.parametrize("r", [400.0, 1e308])
+def test_seminorm_weight_past_float_range_names_r(r):
+    # (1 + t)^r / Xi(t) overflows on the grid: at t = 4.9 for r = 400, at every t > 0
+    # for r = 1e308; the profile's samples are all finite
+    G = preset("H3")
+    with pytest.raises(DomainError, match=re.escape(f"for r = {r!r}")):
+        schwartz_seminorm(G, gaussian_profile(G, 1.0), r, 0)
+
+
 def test_seminorm_refuses_a_bool_derivative_order():
     G = preset("SL2R")
     with pytest.raises(DomainError, match="k = True"):

@@ -783,6 +783,19 @@ def test_expansion_domain_errors():
                 expansion_term(G, cartan_class, psi, lam, eps)
 
 
+def test_expansion_refuses_a_complex_lam_naming_it():
+    G = preset("H3")
+    with pytest.raises(DomainError, match=re.escape("real lam, got lam = (1+1j)")):
+        expansion_term(G, "split", gaussian_profile(G, 1.0), 1 + 1j, 0.1)
+
+
+def test_expansion_refuses_a_window_that_rounds_to_a_point_naming_eps():
+    # 9e-300 is far below the float spacing at 1.0, so lam +- 9 eps is [1.0, 1.0]
+    G = preset("H3")
+    with pytest.raises(DomainError, match=re.escape("eps = 1e-300")):
+        expansion_term(G, "split", gaussian_profile(G, 1.0), 1.0, 1e-300)
+
+
 def test_expansion_weyl_flip():
     G = preset("SL2R")
     psi = wave_packet(G, gauss_symbol())
@@ -848,6 +861,14 @@ def test_casimir_singular_at_origin():
     G = preset("SL2R")
     with pytest.raises(SingularPointError):
         casimir_radial(G, gaussian_profile(G), 0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, [1.0, math.inf], [math.nan, 1.0]])
+def test_casimir_refuses_a_non_finite_t_naming_it(t):
+    G = preset("H3")
+    with pytest.raises(DomainError, match="finite t, got t = ") as err:
+        casimir_radial(G, gaussian_profile(G, 1.0), t)
+    assert not isinstance(err.value, SingularPointError)
 
 
 def test_spectral_multiplier_identity_and_zero():

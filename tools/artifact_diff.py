@@ -16,7 +16,9 @@ absolute and relative difference between numbers at the same place, each
 with its place: the line and column header of a CSV cell, the path of a JSON
 leaf; a text difference is named at its first place, before them.  Fields
 named ``runtime`` are left out of the comparison, and an artifact equal apart
-from them is "identical (runtime ignored)".  The last line counts
+from them is "identical (runtime ignored)".  Before the last line, one line gives
+the largest resident set of each side's ``accept`` process (its ``ru_maxrss``,
+from ``os.wait4`` on that child).  The last line counts
 the artifacts: "N identical, M differing, K exit-code changes", where
 differing is every artifact that is neither identical nor from a command
 whose exit code changed.  It exits 1 when a
@@ -33,6 +35,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -58,21 +61,35 @@ def commands() -> dict[str, list[str]]:
     return out
 
 
-def run_side(root: Path, out_dir: Path) -> dict[str, int]:
-    """Write every artifact of the side at ``root`` into ``out_dir``; exit code by artifact."""
+def run_side(root: Path, out_dir: Path) -> tuple[dict[str, int], float]:
+    """Write every artifact of the side at ``root`` into ``out_dir``; exit code by
+    artifact, and the largest resident set of the ``accept`` process in MB."""
     out_dir.mkdir()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    accept_mb = []
 
     def run(item):
         name, args = item
         cmd = [sys.executable, "-m", "sphtrans.cli", *args, "--out", str(out_dir / name)]
-        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
-                              timeout=RUN_TIMEOUT_S)
+        if args != ["accept"]:
+            proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
+                                  timeout=RUN_TIMEOUT_S)
+            return name, proc.returncode
+        # reaped here, not by subprocess, for its rusage; killed at the same timeout
+        proc = subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        timer = threading.Timer(RUN_TIMEOUT_S, proc.kill)
+        timer.start()
+        _, status, usage = os.wait4(proc.pid, 0)
+        timer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        accept_mb.append(usage.ru_maxrss / 1024.0)  # KiB on Linux
         return name, proc.returncode
 
     with ThreadPoolExecutor(WORKERS) as pool:
-        return dict(pool.map(run, commands().items()))
+        codes = dict(pool.map(run, commands().items()))
+    return codes, accept_mb[0]
 
 
 def leaves(path: Path) -> list[tuple[str, object]]:
@@ -153,7 +170,9 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         base_root = tmp / "tree"
         base_sha = export_rev(args.base, base_root)
-        codes = {"base": run_side(base_root, tmp / "base"), "head": run_side(ROOT, tmp / "head")}
+        (base_codes, base_mb), (head_codes, head_mb) = (run_side(base_root, tmp / "base"),
+                                                        run_side(ROOT, tmp / "head"))
+        codes = {"base": base_codes, "head": head_codes}
         print(f"base {base_sha}, head: working tree of {ROOT}")
         failed = False
         tally = {"identical": 0, "differing": 0, "exit-code changes": 0}
@@ -174,6 +193,7 @@ def main(argv=None) -> int:
             kind = ("exit-code changes" if rc_base != rc_head else
                     "identical" if verdict.startswith("identical") else "differing")
             tally[kind] += 1
+        print(f"accept max RSS: base {base_mb:.1f} MB, head {head_mb:.1f} MB")
         print(", ".join(f"{n} {kind}" for kind, n in tally.items()))
     return 1 if failed else 0
 
