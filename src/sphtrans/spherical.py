@@ -72,6 +72,8 @@ _PFAFF_T = 1.2
 # the N = 16 points of the Cauchy circle about i*k: Re > 0 for j < N/2, z_{j+N/2} = -z_j
 _CIRCLE = np.exp(1j * np.pi * (np.arange(8) - 3.5) / 8)
 _CIRCLE = np.concatenate([_CIRCLE, -_CIRCLE])
+# the circle's radius is 0.64 / max(largest t, _CIRCLE_T): one radius for all t up to it
+_CIRCLE_T = 64.0
 # an exponential-series group of whole panels holds about this many entries: one 51-node
 # panel for a packet table's 241-320 rows
 _GROUP_ENTRIES = 1 << 14
@@ -535,7 +537,7 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, panels, want_d1: bool, real: bool)
     switch = np.where(mod <= 8.0, _PFAFF_T, np.maximum(0.19, 9.6 / np.maximum(mod, 8.0)))
     nb = _band(G, mod, t, outs, want_d1) if real else 0
     switch = np.full(len(lam), _PFAFF_T) if nb else switch  # all series start past a band
-    radius = 0.64 / max(t.max(initial=0.0), 64.0)
+    radius = 0.64 / max(t.max(initial=0.0), _CIRCLE_T)
     near = np.abs(lam - 1j * np.round(lam.imag)) < 0.1 * radius
     lo = int(np.searchsorted(t, switch.min(initial=np.inf), side="right"))
     if lo < len(t):

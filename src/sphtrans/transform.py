@@ -225,20 +225,24 @@ def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0,
     """Real matrix [phi_{lam_i}(t_j)] for real lam_i and 1-D ``ts``, or its t-derivative of
     ``order`` 1 or 2, on the first ``rows`` lam_i (all when None): one call of the public
     ``phi``, ``phi_d1`` or ``phi_d2``, which reads the panel split of radial rule nodes from
-    its registry.  A table is keyed by (G, order, lam bytes, t bytes).  On radial rule nodes
-    (registered there) one table serves the rows and every rule whose nodes start its columns,
-    as held[:rows, :len(ts)]: a longer rule's request builds the table on it, with every held
-    row, in its place.  Plain grids are held by their exact key, so they never evict a rule's
-    table.  A table is held from its second request, a rule's at any cutoff, while it is the
-    newest built or, by its remembered key hash, later (built once more); a held table gains
-    rows asked for.  A table asked for once is dropped before the next build, which then
-    reuses its memory."""
+    its registry.  A table is keyed by (G, order, lam bytes, t bytes).  On the nodes of a rule
+    registered there that end by t = ``spherical._CIRCLE_T`` (past it the last node sets the
+    Cauchy-circle radius, and so the values), one table serves the rows and every such rule
+    whose nodes start its columns, as held[:rows, :len(ts)], while its own rule is registered
+    (rows it gains take that rule's panels): a longer rule's request builds the table on it,
+    with every held row, in its place.  Other grids are held by their exact key, so they never
+    evict a rule's table.  A table is held from its second request, a rule's at any cutoff,
+    while it is the newest built or, by its remembered key hash, later (built once more); a
+    held table gains rows asked for.  A table asked for once is dropped before the next build,
+    which then reuses its memory."""
     rows = len(lams) if rows is None else rows
     key = new = (G, order, lams.tobytes(), ts.tobytes())
-    rule = new not in _PHI_CACHE and new[3] in spherical._PANELS
-    if rule:  # the held table of a rule that these nodes start or extend
+    rule = (new not in _PHI_CACHE and new[3] in spherical._PANELS
+            and ts[-1] <= spherical._CIRCLE_T)  # rule nodes ascend
+    if rule:  # the held table of a registered rule that these nodes start or extend
         k = _PHI_RULES.get(new[:3])
-        if k in _PHI_CACHE and (k[3].startswith(new[3]) or new[3].startswith(k[3])):
+        if (k in _PHI_CACHE and k[3] in spherical._PANELS
+                and (k[3].startswith(new[3]) or new[3].startswith(k[3]))):
             key = k
     if _PHI_ONCE == [key]:  # asked for again while the newest
         _PHI_ONCE.clear()

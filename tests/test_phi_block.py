@@ -540,6 +540,36 @@ def test_plain_grid_reads_leave_the_rule_table_held(monkeypatch, fresh_phi_cache
     assert calls == [481]
 
 
+def test_a_rule_past_the_circle_cutoff_keeps_its_own_table(fresh_phi_cache):
+    # past t = 64 a rule's last node sets the Cauchy-circle radius of the near row lam = 0,
+    # so the rule of 68 keeps its own table and the rule of 16 reads only its own
+    G = preset("H3")
+    rows = np.array([0.0, 0.5, 2.5])
+    short, long_ = (transform._radial_rule(G, T).nodes for T in (16.0, 68.0))
+    assert long_[:len(short)].tobytes() == short.tobytes()
+    for ts in (short, short, long_):
+        transform._phi_block(G, rows, ts)
+    np.testing.assert_array_equal(transform._phi_block(G, rows, short), phi(G, rows, short))
+    assert [table.shape for table in transform._PHI_CACHE.values()] == [(3, 408), (3, 1734)]
+
+
+def test_rows_gained_after_the_held_rule_is_dropped_are_built_on_the_asked_rule(
+        monkeypatch, fresh_phi_cache):
+    # once the longer rule is gone from the registry its nodes would be a plain grid, one
+    # panel per column: the shorter rule then builds on its own nodes and panels
+    G = preset("H3")
+    rows = np.linspace(0.1, 6.0, 40)
+    short, long_ = (transform._radial_rule(G, T).nodes for T in (16.0, 28.0))
+    for ts in (long_, short):
+        transform._phi_block(G, rows, ts, 0, 20)
+    monkeypatch.delitem(spherical._PANELS, long_.tobytes())
+    calls = []
+    monkeypatch.setattr(transform, "phi",
+                        lambda G, lam, t, phi=transform.phi: calls.append(len(t)) or phi(G, lam, t))
+    np.testing.assert_array_equal(transform._phi_block(G, rows, short), phi(G, rows, short))
+    assert calls == [408]
+
+
 # --------------------------------------------------------------------------
 # tables on panel nodes, and the independence of an entry from its position
 # --------------------------------------------------------------------------

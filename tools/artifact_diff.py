@@ -18,7 +18,8 @@ leaf; a text difference is named at its first place, before them.  Fields
 named ``runtime`` are left out of the comparison, and an artifact equal apart
 from them is "identical (runtime ignored)".  Before the last line, one line gives
 the largest resident set of each side's ``accept`` process (its ``ru_maxrss``,
-from ``os.wait4`` on that child).  The last line counts
+from ``os.wait4`` on that child).  A command still running after 30 minutes is
+killed, and the tool stops with ``subprocess.TimeoutExpired``.  The last line counts
 the artifacts: "N identical, M differing, K exit-code changes", where
 differing is every artifact that is neither identical nor from a command
 whose exit code changed.  It exits 1 when a
@@ -32,10 +33,12 @@ import argparse
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -72,19 +75,18 @@ def run_side(root: Path, out_dir: Path) -> tuple[dict[str, int], float]:
     def run(item):
         name, args = item
         cmd = [sys.executable, "-m", "sphtrans.cli", *args, "--out", str(out_dir / name)]
-        if args != ["accept"]:
-            proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
-                                  timeout=RUN_TIMEOUT_S)
-            return name, proc.returncode
-        # reaped here, not by subprocess, for its rusage; killed at the same timeout
         proc = subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL)
-        timer = threading.Timer(RUN_TIMEOUT_S, proc.kill)
+        timer = threading.Timer(RUN_TIMEOUT_S, os.kill, (proc.pid, signal.SIGKILL))
+        start = time.monotonic()
         timer.start()
-        _, status, usage = os.wait4(proc.pid, 0)
+        _, status, usage = os.wait4(proc.pid, 0)  # reaped here, not by subprocess, for its rusage
         timer.cancel()
         proc.returncode = os.waitstatus_to_exitcode(status)
-        accept_mb.append(usage.ru_maxrss / 1024.0)  # KiB on Linux
+        if time.monotonic() - start >= RUN_TIMEOUT_S:
+            raise subprocess.TimeoutExpired(cmd, RUN_TIMEOUT_S)
+        if args == ["accept"]:
+            accept_mb.append(usage.ru_maxrss / 1024.0)  # KiB on Linux
         return name, proc.returncode
 
     with ThreadPoolExecutor(WORKERS) as pool:
