@@ -65,7 +65,7 @@ _T_PANEL = 2.0
 _T_GAUSS_ORDER = 25
 _NU_PANEL = 0.75
 _NU_ORDER = 20
-# rules held per cache: a shared perfbench warm-up holds 10 radial and 6 spectral rules
+# rules held per cache: a shared perfbench warm-up holds 6 radial (4 node sets), 4 spectral
 _RULE_CACHE_SIZE = 64
 # order of the local polynomial interpolation of sampled spectral functions
 _INTERP_ORDER = 6
@@ -208,15 +208,13 @@ class TransformResult:
 # shared quadrature tables
 # ---------------------------------------------------------------------------
 
-# real phi tables; the oldest go once the byte cap is passed, a larger one is not kept.  A
-# table asked for once is held only until the next build (its key in _PHI_ONCE), and that
-# first request is remembered as (hash of its key, bytes), the oldest forgotten past the
-# same cap: a hash collision can only hold a table early, never return a wrong one
-_PHI_CACHE: dict[tuple, np.ndarray] = {}
+# real phi tables as (t bytes of their columns, table); past the byte cap the oldest go, and
+# a larger one is not kept.  A table asked for once is held only until the next build (its key
+# in _PHI_ONCE), and that first request is remembered as (hash of its key, bytes), the oldest
+# forgotten past the same cap: a hash collision can hold a table early, never return a wrong one
+_PHI_CACHE: dict[tuple, tuple[bytes, np.ndarray]] = {}
 _PHI_ONCE: list[tuple] = []
 _PHI_ASKED: dict[int, int] = {}
-# (G, order, lam bytes) -> the key of its held table on radial rule nodes
-_PHI_RULES: dict[tuple, tuple] = {}
 _PHI_CACHE_BYTES = 256 * 2**20
 
 
@@ -225,54 +223,43 @@ def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0,
     """Real matrix [phi_{lam_i}(t_j)] for real lam_i and 1-D ``ts``, or its t-derivative of
     ``order`` 1 or 2, on the first ``rows`` lam_i (all when None): one call of the public
     ``phi``, ``phi_d1`` or ``phi_d2``, which reads the panel split of radial rule nodes from
-    its registry.  A table is keyed by (G, order, lam bytes, t bytes).  On the nodes of a rule
-    registered there that end by t = ``spherical._CIRCLE_T`` (past it the last node sets the
-    Cauchy-circle radius, and so the values), one table serves the rows and every such rule
-    whose nodes start its columns, as held[:rows, :len(ts)], while its own rule is registered
-    (rows it gains take that rule's panels): a longer rule's request builds the table on it,
-    with every held row, in its place.  Other grids are held by their exact key, so they never
-    evict a rule's table.  A table is held from its second request, a rule's at any cutoff,
-    while it is the newest built or, by its remembered key hash, later (built once more); a
-    held table gains rows asked for.  A table asked for once is dropped before the next build,
-    which then reuses its memory."""
-    rows = len(lams) if rows is None else rows
-    key = new = (G, order, lams.tobytes(), ts.tobytes())
-    rule = (new not in _PHI_CACHE and new[3] in spherical._PANELS
-            and ts[-1] <= spherical._CIRCLE_T)  # rule nodes ascend
-    if rule:  # the held table of a registered rule that these nodes start or extend
-        k = _PHI_RULES.get(new[:3])
-        if (k in _PHI_CACHE and k[3] in spherical._PANELS
-                and (k[3].startswith(new[3]) or new[3].startswith(k[3]))):
-            key = k
+    its registry.  A table is keyed by (G, order, lam bytes, cols): cols is True on the nodes
+    of a rule registered there that end by t = ``spherical._CIRCLE_T`` (past it the last node
+    sets the Cauchy-circle radius, and so the values), else the t bytes, which never replace a
+    rule's table.  A held table answers ``ts`` that are its columns, or start them while they
+    are a registered rule's (whose panels its gained rows take), as held[:rows, :len(ts)]; any
+    other rule replaces it, built on ``ts`` with every held row and held at once.  Else a table
+    is held from its second request: while it is the newest built or, by its remembered key
+    hash, later (built once more); a held table gains rows asked for.  A table asked for once
+    is dropped before the next build, which then reuses its memory."""
+    rows, tb = len(lams) if rows is None else rows, ts.tobytes()
+    rule = tb in spherical._PANELS and ts[-1] <= spherical._CIRCLE_T  # rule nodes ascend
+    key = (G, order, lams.tobytes(), True if rule else tb)
     if _PHI_ONCE == [key]:  # asked for again while the newest
         _PHI_ONCE.clear()
-    held = _PHI_CACHE.get(key)
-    longer = held is not None and len(key[3]) < len(new[3])
-    if held is not None and not longer and len(held) >= rows:
+    cols, held = _PHI_CACHE.get(key, (tb, None))
+    replace = cols != tb and not (cols.startswith(tb) and cols in spherical._PANELS)
+    if held is not None and not replace and len(held) >= rows:
         return held[:rows, :len(ts)]
     if _PHI_ONCE:
         _PHI_CACHE.pop(_PHI_ONCE.pop(), None)
     end = rows
-    if longer:  # built on the longer rule with every held row, in the held table's place
-        end, key, held = max(rows, len(_PHI_CACHE.pop(key))), new, None
-    for stale in [s for s, k in _PHI_RULES.items() if k not in _PHI_CACHE]:
-        del _PHI_RULES[stale]  # the index keeps no key of a dropped table
-    cols = ts if held is None else np.frombuffer(key[3])
-    out = (phi, phi_d1, phi_d2)[order](G, lams[0 if held is None else len(held):end], cols)
-    asked = hash(new[:3] if rule else new)
+    if replace:  # built on ts, with every held row
+        end, cols, held = max(rows, len(held)), tb, None
+    out = (phi, phi_d1, phi_d2)[order](G, lams[0 if held is None else len(held):end],
+                                       ts if held is None else np.frombuffer(cols))
     if held is not None:
-        out = np.concatenate([_PHI_CACHE.pop(key), out])
-    elif not longer and _PHI_ASKED.pop(asked, None) is None and out.nbytes <= _PHI_CACHE_BYTES:
+        out = np.concatenate([held, out])
+    elif not replace and _PHI_ASKED.pop(hash(key), None) is None and out.nbytes <= _PHI_CACHE_BYTES:
         _PHI_ONCE.append(key)
-        _PHI_ASKED[asked] = out.nbytes
+        _PHI_ASKED[hash(key)] = out.nbytes
         while sum(_PHI_ASKED.values()) > _PHI_CACHE_BYTES:
             _PHI_ASKED.pop(next(iter(_PHI_ASKED)))
+    _PHI_CACHE.pop(key, None)  # its bytes are not counted twice, and it is held as the newest
     if out.nbytes <= _PHI_CACHE_BYTES:
-        while sum(v.nbytes for v in _PHI_CACHE.values()) + out.nbytes > _PHI_CACHE_BYTES:
+        while sum(table.nbytes for _, table in _PHI_CACHE.values()) + out.nbytes > _PHI_CACHE_BYTES:
             _PHI_CACHE.pop(next(iter(_PHI_CACHE)))
-        _PHI_CACHE[key] = out
-        if rule:
-            _PHI_RULES[new[:3]] = key
+        _PHI_CACHE[key] = (cols, out)
     return out[:rows, :len(ts)]
 
 
@@ -746,8 +733,8 @@ def expansion_term(
     """
     if cartan_class not in CARTAN_CLASSES:
         raise DomainError(f"cartan_class must be one of {CARTAN_CLASSES}")
-    if not (0.0 < eps <= 1.0):
-        raise DomainError(f"mollifier width must lie in (0, 1], got {eps}")
+    if np.iscomplexobj(eps) or not (0.0 < eps <= 1.0):
+        raise DomainError(f"mollifier width must be real and lie in (0, 1], got eps = {eps!r}")
     if np.iscomplexobj(lam):
         raise DomainError(f"expansion_term requires real lam, got lam = {lam!r}")
     half_window = 9.0 * eps
@@ -786,6 +773,8 @@ def casimir_radial(G: GroupDatum, p: RadialProfile, t) -> complex:
     Derivatives come from the profile's analytic evaluators.  t must be
     positive (Delta'/Delta has a pole at 0).
     """
+    if np.iscomplexobj(t):
+        raise DomainError(f"radial Casimir requires real t, got t = {t!r}")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(np.isfinite(t_arr)):
         raise DomainError(f"radial Casimir requires finite t, got t = {t!r}")

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sphtrans import specfun, spherical, transform
+from sphtrans import cli, specfun, spherical, transform
 from sphtrans.cfunction import _ode_solution, c_function, plancherel_density
 from sphtrans.errors import AccuracyError, DomainError, EvaluationError
 from sphtrans.groups import PRESET_NAMES, preset
@@ -424,12 +424,12 @@ def test_phi_cache_stays_under_byte_cap(monkeypatch, fresh_phi_cache):
         for _ in range(2):
             table = transform._phi_block(G, np.linspace(0.0, 12.0, n), ts)
         assert table.dtype == np.float64
-        assert sum(v.nbytes for v in transform._PHI_CACHE.values()) <= cap
+        assert sum(v.nbytes for _, v in transform._PHI_CACHE.values()) <= cap
     for _ in range(2):
         big = transform._phi_block(G, np.linspace(0.0, 12.0, 400), ts)  # 3.2 MB
     assert big.shape == (400, 1000)
-    assert all(v is not big for v in transform._PHI_CACHE.values())
-    assert sum(v.nbytes for v in transform._PHI_CACHE.values()) <= cap
+    assert all(v is not big for _, v in transform._PHI_CACHE.values())
+    assert sum(v.nbytes for _, v in transform._PHI_CACHE.values()) <= cap
 
 
 def gauss_round_trip(G, half_width):
@@ -446,7 +446,7 @@ def test_one_off_round_trips_leave_only_the_newest_table(fresh_phi_cache):
     for half_width in np.linspace(11.3, 11.95, 12):
         gauss_round_trip(G, half_width)
     assert list(transform._PHI_CACHE) == transform._PHI_ONCE
-    assert [len(table) for table in transform._PHI_CACHE.values()] == [241]
+    assert [len(table) for _, table in transform._PHI_CACHE.values()] == [241]
 
 
 def test_a_table_asked_for_again_later_is_built_once_more_then_held(
@@ -481,7 +481,7 @@ def test_two_cutoffs_of_one_preset_hold_one_table(fresh_phi_cache):
     first = transform.hc_transform(G, short).spectral.values
     for f in (long_, short, long_):
         again = transform.hc_transform(G, f).spectral.values
-    assert [table.shape for table in transform._PHI_CACHE.values()] == [(241, 714)]
+    assert [table.shape for _, table in transform._PHI_CACHE.values()] == [(241, 714)]
     np.testing.assert_array_equal(transform.hc_transform(G, short).spectral.values, first)
     assert transform._PHI_ONCE == [] and np.all(np.isfinite(again))
 
@@ -514,7 +514,7 @@ def test_shorter_rules_read_a_longer_rules_table_bit_for_bit(name, monkeypatch, 
             np.concatenate([phi(G, spectral[lo:hi], nodes)
                             for lo, hi in zip((0,) + PACKET_ROWS, PACKET_ROWS) if hi <= n]))
     assert calls == [714, 408, 408, 408]
-    assert [table.shape for table in transform._PHI_CACHE.values()] == [(241, 714), (320, 408)]
+    assert [table.shape for _, table in transform._PHI_CACHE.values()] == [(241, 714), (320, 408)]
 
 
 def test_plain_grid_reads_leave_the_rule_table_held(monkeypatch, fresh_phi_cache):
@@ -550,7 +550,7 @@ def test_a_rule_past_the_circle_cutoff_keeps_its_own_table(fresh_phi_cache):
     for ts in (short, short, long_):
         transform._phi_block(G, rows, ts)
     np.testing.assert_array_equal(transform._phi_block(G, rows, short), phi(G, rows, short))
-    assert [table.shape for table in transform._PHI_CACHE.values()] == [(3, 408), (3, 1734)]
+    assert [table.shape for _, table in transform._PHI_CACHE.values()] == [(3, 408), (3, 1734)]
 
 
 def test_rows_gained_after_the_held_rule_is_dropped_are_built_on_the_asked_rule(
@@ -568,6 +568,35 @@ def test_rows_gained_after_the_held_rule_is_dropped_are_built_on_the_asked_rule(
                         lambda G, lam, t, phi=transform.phi: calls.append(len(t)) or phi(G, lam, t))
     np.testing.assert_array_equal(transform._phi_block(G, rows, short), phi(G, rows, short))
     assert calls == [408]
+
+
+# the CLI's six symbols, symbol k on preset k mod 3: every multiplicity class twice
+ROTATION = (("gauss", "SL2R"), ("x2gauss", "H3"), ("wide", "CH2"),
+            ("poly", "SL2R"), ("quartic", "H3"), ("flat4", "CH2"))
+
+
+def test_a_rotation_of_the_six_symbols_builds_nothing_in_its_third_round(
+        monkeypatch, fresh_phi_cache):
+    # round trips on the default grid: the second round holds what the first asked for,
+    # with rows gained across symbols and shorter rules reading longer rules' columns, so
+    # the third builds nothing
+    calls = []
+    for name in ("phi", "phi_d1", "phi_d2"):
+        monkeypatch.setattr(transform, name, lambda G, lam, t, fn=getattr(transform, name):
+                            calls.append(fn) or fn(G, lam, t))
+    per_round = []
+    for _ in range(3):
+        calls.clear()
+        for label, name in ROTATION:
+            fn, G = cli.SYMBOLS[label], preset(name)
+            coeff = 1.1 * float(np.max(np.abs(fn(GRID)) * (1.0 + np.abs(GRID)) ** 8))
+            symbol = transform.SpectralFunction.from_function(
+                fn, GRID, transform.SpectralDecay(coeff, 8.0), label=label)
+            transform.hc_transform(G, transform.wave_packet(G, symbol), GRID)
+        per_round.append(len(calls))
+    assert per_round == [12, 3, 0]
+    assert sorted(table.shape for _, table in transform._PHI_CACHE.values()) == [
+        (124, 714), (177, 408), (185, 408), (241, 408), (241, 408), (241, 714), (320, 408)]
 
 
 # --------------------------------------------------------------------------

@@ -567,7 +567,7 @@ def test_packets_on_one_rule_share_the_first_rows_of_one_table(monkeypatch, fres
     psis = {label: wave_packet(G, make_symbol(cli.SYMBOLS[label], label))
             for label in ("x2gauss", "poly", "flat4")}
     assert rows == [185, 29]
-    assert [len(table) for table in transform._PHI_CACHE.values()] == [214]
+    assert [len(table) for _, table in transform._PHI_CACHE.values()] == [214]
     ts = transform._radial_rule(G, 16.0).nodes
     a = make_symbol(cli.SYMBOLS["poly"], "poly")
     assert np.all(np.abs(psis["poly"](ts) - full_rule_packet(G, a, ts, 0))
@@ -789,6 +789,12 @@ def test_expansion_refuses_a_complex_lam_naming_it():
         expansion_term(G, "split", gaussian_profile(G, 1.0), 1 + 1j, 0.1)
 
 
+def test_expansion_refuses_a_complex_eps_naming_it():
+    G = preset("H3")
+    with pytest.raises(DomainError, match=re.escape("eps = (0.1+0j)")):
+        expansion_term(G, "split", gaussian_profile(G, 1.0), 1.0, 0.1 + 0j)
+
+
 def test_expansion_refuses_a_window_that_rounds_to_a_point_naming_eps():
     # 9e-300 is far below the float spacing at 1.0, so lam +- 9 eps is [1.0, 1.0]
     G = preset("H3")
@@ -869,6 +875,15 @@ def test_casimir_refuses_a_non_finite_t_naming_it(t):
     with pytest.raises(DomainError, match="finite t, got t = ") as err:
         casimir_radial(G, gaussian_profile(G, 1.0), t)
     assert not isinstance(err.value, SingularPointError)
+
+
+@pytest.mark.parametrize("t", [np.array([1 + 1j, 2.0]), 1 + 1j])
+def test_casimir_refuses_a_complex_t_naming_it(t):
+    # a complex array would otherwise be cast to its real parts, a complex scalar refused
+    # by float()
+    G = preset("H3")
+    with pytest.raises(DomainError, match=re.escape("real t, got t = ")):
+        casimir_radial(G, gaussian_profile(G, 1.0), t)
 
 
 def test_spectral_multiplier_identity_and_zero():

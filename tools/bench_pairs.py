@@ -23,7 +23,7 @@ workload the failed ops and the worst error/tolerance ratio of each side;
 and the seeds, run length and machine facts.  After writing it, the script prints one
 line per workload and end-to-end metric: both medians, their ratio, the base band and
 the head's wins; then one line per workload with each op kind's head/base ratio of
-median op time.
+median op time; then one line per workload with each side's failed ops per run.
 """
 
 from __future__ import annotations
@@ -149,6 +149,16 @@ def op_report(workloads: dict) -> list[str]:
     ]
 
 
+def failed_report(workloads: dict) -> list[str]:
+    """One line per workload of a summary's ``workloads``: each side's failed ops per run, in
+    pair order."""
+    return [
+        f"{workload} failed ops per run: base {summary['failed']['base']}"
+        f" -> head {summary['failed']['head']}"
+        for workload, summary in workloads.items()
+    ]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision of the base side")
@@ -194,7 +204,8 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)
-    print("\n".join(report(out["workloads"]) + op_report(out["workloads"])))
+    lines = report(out["workloads"]) + op_report(out["workloads"])
+    print("\n".join(lines + failed_report(out["workloads"])))
     return 0
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bench_pairs import op_report, report, summarise
+from bench_pairs import failed_report, op_report, report, summarise
 
 END_TO_END = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
               {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
@@ -64,4 +64,12 @@ def test_op_report_gives_each_op_kinds_ratio_per_workload():
     assert op_report({"fresh": summary, "shared": summary}) == [
         "fresh op time: round 0.800x, other 0.500x",
         "shared op time: round 0.800x, other 0.500x",
+    ]
+
+
+def test_failed_report_gives_each_sides_failed_ops_per_run():
+    stub = {"failed": {"base": [1, 1, 1], "head": [1, 2, 1]}}
+    assert failed_report({"cli-cold": stub, "shared": {"failed": {"base": [0], "head": [0]}}}) == [
+        "cli-cold failed ops per run: base [1, 1, 1] -> head [1, 2, 1]",
+        "shared failed ops per run: base [0] -> head [0]",
     ]
