@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConditioningError, DomainError, PoleError
 from .groups import GroupDatum
-from .spherical import _pfaff_series, c_log, c_value
+from .spherical import _finite_array, _pfaff_series, c_log, c_value
 
 __all__ = [
     "CFit",
@@ -38,10 +38,9 @@ __all__ = [
 def c_function(G: GroupDatum, lam):
     """c(lam) as a Gamma quotient for complex lam, a scalar or an array as in
     :func:`plancherel_density`, each entry bit-equal to the scalar call.  PoleError
-    names the first lam in i*Z>=0 (a pole of Gamma(i lam)), DomainError a non-finite lam."""
-    lam_arr = np.asarray(lam, dtype=complex)
-    if not np.all(np.isfinite(lam_arr)):
-        raise DomainError(f"c_function requires finite lam, got {lam!r}")
+    names the first lam in i*Z>=0 (a pole of Gamma(i lam)), DomainError a lam that is not
+    finite or not a number."""
+    lam_arr = _finite_array(lam, "biufc", "c_function requires finite lam").astype(complex)
     flat = lam_arr.ravel()
     pole = (flat.real == 0.0) & (flat.imag >= 0.0) & (flat.imag == np.floor(flat.imag))
     if pole.any():
@@ -58,9 +57,7 @@ def plancherel_density(G: GroupDatum, lam):
     """
     if np.iscomplexobj(lam):
         raise DomainError(f"plancherel_density requires real lam, got {lam!r}")
-    lam_arr = np.asarray(lam, dtype=float)
-    if not np.all(np.isfinite(lam_arr)):
-        raise DomainError(f"plancherel_density requires finite lam, got {lam!r}")
+    lam_arr = _finite_array(lam, "biuf", "plancherel_density requires finite lam").astype(float)
     out = np.exp(-2.0 * c_log(G, lam_arr.ravel()).real)
     return float(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
 

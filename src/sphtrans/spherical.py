@@ -24,8 +24,8 @@ map u = tanh^2 t; larger t uses the exponential-series representation
 with recursive coefficients and the Gamma-quotient c(lam) (see
 :mod:`sphtrans.cfunction`).  Each series is one product of a coefficient matrix (a row
 per lam) with powers (a column per t), times e^{(i*lam - rho) t}, once per block: its
-factors at mid_P and at o_q on the nodes mid_P + o_q of a composite rule registered in
-``_PANELS`` (sphtrans.transform's radial rules), whoever asks.  For real lam the block
+factors at mid_P and at o_q on the nodes mid_P + o_q of a radial rule, recognised by their
+values (:func:`_rule_panels`), whoever asks.  For real lam the block
 is real: phi = 2 Re(c(lam) Phi_lam), one side summed.  The switch point shrinks with
 |lam| to keep the Pfaff series free of cancellation; past the spectral windows used
 here the lost digits are measured and raise AccuracyError.  phi_lam is entire in lam
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,7 +48,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError, EvaluationError
 from .groups import GroupDatum, haar_log_derivative
-from .specfun import ExpDecay
+from .specfun import ExpDecay, composite_nodes, gauss_kronrod_rule
 
 __all__ = [
     "RadialProfile",
@@ -77,8 +76,11 @@ _CIRCLE_T = 64.0
 # an exponential-series group of whole panels holds about this many entries: one 51-node
 # panel for a packet table's 241-320 rows
 _GROUP_ENTRIES = 1 << 14
-# composite rules with a ``panels`` split, by their nodes' bytes, held while their owner holds them
-_PANELS: "weakref.WeakValueDictionary[bytes, object]" = weakref.WeakValueDictionary()
+# radial panels divide every cutoff T (a multiple of 4), so rules share their first nodes
+_T_PANEL = 2.0
+# the radial rule is the Kronrod extension of this Gauss order: K51 (exact to degree
+# 77, as GL39) over its embedded G25, 25.5 nodes per unit of t
+_T_GAUSS_ORDER = 25
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +481,27 @@ def _exp_sides(lam: np.ndarray, far: np.ndarray, near: np.ndarray, radius: float
 
 
 @functools.lru_cache(maxsize=64)
+def _rule_nodes(n: int):
+    """The bytes of the nodes of the radial rule of n panels, and its split (mid, offsets)."""
+    nodes, _, panels = composite_nodes(0.0, n * _T_PANEL, n, gauss_kronrod_rule(_T_GAUSS_ORDER))
+    return nodes.tobytes(), panels
+
+
+def _rule_panels(t: np.ndarray):
+    """(mid, offsets) when ``t`` is, bit for bit, a radial rule's nodes mid[P] + offsets[j]:
+    K51 on n panels of ``_T_PANEL`` from 0, the first 51 n entries of one sequence; else None."""
+    n, rest = divmod(len(t), 2 * _T_GAUSS_ORDER + 1)
+    nodes, panels = _rule_nodes(n) if n and not rest else (None, None)
+    return panels if panels and t.tobytes() == nodes else None
+
+
+@functools.lru_cache(maxsize=64)
 def _band_points(G: GroupDatum, top: float, n: int, t_bytes: bytes, want_d1: bool):
     """:func:`_band`'s n + 1 points on [0, top] and their rows at the t of ``t_bytes``, held per
     preset and not to be written; no rows if a point's row fails (the block names its own lam)."""
     nodes = top * np.sin(0.5 * np.pi * np.arange(n + 1) / n) ** 2
     try:
-        return nodes, _phi_rows(G, nodes.astype(complex), (np.frombuffer(t_bytes), np.zeros(1)),
-                                want_d1, True)
+        return nodes, _phi_rows(G, nodes.astype(complex), np.frombuffer(t_bytes), want_d1, True)
     except AccuracyError:
         return nodes, None
 
@@ -493,8 +509,8 @@ def _band_points(G: GroupDatum, top: float, n: int, t_bytes: bytes, want_d1: boo
 def _band(G: GroupDatum, mod: np.ndarray, t: np.ndarray, outs, want_d1: bool) -> int:
     """Fill the columns t <= _PFAFF_T of ``outs`` (real rows of modulus ``mod``) by barycentric
     interpolation in |lam| from n + 1 Chebyshev points of the second kind on [0, L], L = max mod
-    rounded up to a multiple of 4 (:func:`_band_points`, held only when ``t`` is the nodes of a
-    rule in ``_PANELS``, as a plain grid's rows can have any width); return their count, or 0 if
+    rounded up to a multiple of 4 (:func:`_band_points`, held only when ``t`` is a radial rule's
+    nodes, as a plain grid's rows can have any width); return their count, or 0 if
     the rows are no more than the points or a point's row fails.  On the Bernstein ellipse e^s
     about [0, L], |phi_lam(t)| <= M Xi(t), M = e^{(L/2) sinh(s) t} (times |lam| + rho for phi'):
     n is the least with 4 M e^{-ns} / (e^s - 1) below roundoff (Trefethen, ATAP Thm 8.2);
@@ -506,7 +522,7 @@ def _band(G: GroupDatum, mod: np.ndarray, t: np.ndarray, outs, want_d1: bool) ->
     n = np.ceil(np.min((log_m - np.log(np.expm1(s))) / s))
     if not (nb and h > 0.0 and n + 1 < len(mod)):  # n is inf where the bound overflows
         return 0
-    points = _band_points if t.tobytes() in _PANELS else _band_points.__wrapped__
+    points = _band_points if _rule_panels(t) else _band_points.__wrapped__
     nodes, at_nodes = points(G, 2.0 * h, int(n), t[:nb].tobytes(), want_d1)
     if at_nodes is None:
         return 0
@@ -519,9 +535,9 @@ def _band(G: GroupDatum, mod: np.ndarray, t: np.ndarray, outs, want_d1: bool) ->
     return nb
 
 
-def _phi_rows(G: GroupDatum, lam: np.ndarray, panels, want_d1: bool, real: bool):
-    """[phi] or [phi, phi'] on complex rows lam x ascending columns t = mid[P] +
-    offsets[j], ``panels`` = (mid, offsets) (plain t is (t, [0])), real if ``real``.
+def _phi_rows(G: GroupDatum, lam: np.ndarray, t: np.ndarray, want_d1: bool, real: bool):
+    """[phi] or [phi, phi'] on complex rows lam x ascending columns t, real if ``real``: on a
+    radial rule's nodes t = mid[P] + offsets[j] (:func:`_rule_panels`), else one panel per t.
 
     A real block takes t <= 1.2 from :func:`_band` when it can.  Otherwise a row leaves the
     Pfaff series at max(0.19, 9.6/|lam|) (1.2 for |lam| <= 8) for the exponential series,
@@ -530,7 +546,7 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, panels, want_d1: bool, real: bool)
     coefficients of phi in lam, of size t^n / n!, alias below roundoff, and large enough that
     the one-sided rows, of size 1 / radius, keep their digits.  Each branch is one pass.
     """
-    t = (panels[0][:, None] + panels[1]).ravel()
+    panels = _rule_panels(t) or (t, np.zeros(1))
     val = np.empty((len(lam), len(t)), dtype=float if real else complex)
     outs = [val, np.empty_like(val)] if want_d1 else [val]
     mod = np.abs(lam)
@@ -560,26 +576,31 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, panels, want_d1: bool, real: bool)
     return outs
 
 
+def _finite_array(x, kinds: str, what: str) -> np.ndarray:
+    """``x`` as an array; DomainError ``what`` (and ``x``) unless its entries are finite numbers
+    of a dtype kind in ``kinds``: "biuf" for real ones, "biufc" for complex ones too."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in kinds or not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what}, got {x!r}")
+    return arr
+
+
 def _evaluate(G: GroupDatum, lam, t, order: int):
-    """phi, or its t-derivative of ``order`` 1 or 2, shaped as in :func:`phi`.  On the
-    nodes mid[P] + offsets[j] of a rule in ``_PANELS`` every order factors e^{mu t} per
-    panel (see :func:`_hc_series`); other ``t`` are one panel per column."""
-    lam_arr, t_arr = np.asarray(lam), np.asarray(t, dtype=float)
+    """phi, or its t-derivative of ``order`` 1 or 2, shaped as in :func:`phi`.  On a radial
+    rule's nodes mid[P] + offsets[j], recognised by their values, every order factors e^{mu t}
+    per panel (see :func:`_hc_series`); other ``t`` are one panel per column."""
+    lam_arr = _finite_array(lam, "biufc", "phi requires finite lam")
+    t_arr = _finite_array(t, "biuf", "phi requires finite real t").astype(float, copy=False)
     if lam_arr.ndim > 1:
         raise DomainError("lam must be a scalar or a 1-D array")
-    for name, arr in (("lam", lam_arr), ("t", t_arr)):
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"phi requires finite {name}, got {arr!r}")
     if np.any(t_arr < 0):
         raise DomainError("phi requires t >= 0")
     rows = np.atleast_1d(lam_arr).astype(complex)
     real = not np.any(rows.imag)
     ts = t_arr.ravel()
     perm = None if np.all(ts[1:] >= ts[:-1]) else np.argsort(ts, kind="stable")
-    rule = _PANELS.get(ts.tobytes())
-    panels = rule.panels if rule is not None else (ts if perm is None else ts[perm], np.zeros(1))
     with np.errstate(over="ignore", invalid="ignore"):  # a value past float range is named below
-        outs = _phi_rows(G, rows, panels, order > 0, real)
+        outs = _phi_rows(G, rows, ts if perm is None else ts[perm], order > 0, real)
     if perm is not None:  # the branches fill column ranges of ascending t
         outs = [o[:, np.argsort(perm)] for o in outs]
     for part in outs[1:] if order == 1 else outs:  # the values the result is made of

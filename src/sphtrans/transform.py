@@ -57,15 +57,10 @@ __all__ = [
 GRID_MAX = 12.0
 GRID_COUNT = 481
 
-# fixed engine rules
-# radial panels divide every cutoff T (a multiple of 4), so rules share their first nodes
-_T_PANEL = 2.0
-# the radial rule is the Kronrod extension of this Gauss order: K51 (exact to degree
-# 77, as GL39) over its embedded G25, 25.5 nodes per unit of t
-_T_GAUSS_ORDER = 25
+# fixed engine rules (the radial rule's layout is spherical's, which recognises its nodes)
 _NU_PANEL = 0.75
 _NU_ORDER = 20
-# rules held per cache: a shared perfbench warm-up holds 6 radial (4 node sets), 4 spectral
+# rules held per cache: a shared perfbench warm-up holds 6 radial, 4 spectral
 _RULE_CACHE_SIZE = 64
 # order of the local polynomial interpolation of sampled spectral functions
 _INTERP_ORDER = 6
@@ -222,23 +217,22 @@ def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0,
                rows: Optional[int] = None) -> np.ndarray:
     """Real matrix [phi_{lam_i}(t_j)] for real lam_i and 1-D ``ts``, or its t-derivative of
     ``order`` 1 or 2, on the first ``rows`` lam_i (all when None): one call of the public
-    ``phi``, ``phi_d1`` or ``phi_d2``, which reads the panel split of radial rule nodes from
-    its registry.  A table is keyed by (G, order, lam bytes, cols): cols is True on the nodes
-    of a rule registered there that end by t = ``spherical._CIRCLE_T`` (past it the last node
-    sets the Cauchy-circle radius, and so the values), else the t bytes, which never replace a
-    rule's table.  A held table answers ``ts`` that are its columns, or start them while they
-    are a registered rule's (whose panels its gained rows take), as held[:rows, :len(ts)]; any
-    other rule replaces it, built on ``ts`` with every held row and held at once.  Else a table
-    is held from its second request: while it is the newest built or, by its remembered key
-    hash, later (built once more); a held table gains rows asked for.  A table asked for once
-    is dropped before the next build, which then reuses its memory."""
+    ``phi``, ``phi_d1`` or ``phi_d2``, which recognises a radial rule's nodes by their values.
+    A table is keyed by (G, order, lam bytes, cols): cols is True on a radial rule's nodes that
+    end by t = ``spherical._CIRCLE_T`` (past it the last node sets the Cauchy-circle radius, and
+    so the values), else the t bytes, which never replace a rule's table.  A held table answers
+    ``ts`` that are its columns or start them, as held[:rows, :len(ts)] (a shorter rule's nodes
+    start a longer one's); a longer rule replaces it, built on ``ts`` with every held row and
+    held at once.  Else a table is held from its second request: while it is the newest built
+    or, by its remembered key hash, later (built once more); a held table gains rows asked for.
+    A table asked for once is dropped before the next build, which then reuses its memory."""
     rows, tb = len(lams) if rows is None else rows, ts.tobytes()
-    rule = tb in spherical._PANELS and ts[-1] <= spherical._CIRCLE_T  # rule nodes ascend
+    rule = spherical._rule_panels(ts) and ts[-1] <= spherical._CIRCLE_T  # rule nodes ascend
     key = (G, order, lams.tobytes(), True if rule else tb)
     if _PHI_ONCE == [key]:  # asked for again while the newest
         _PHI_ONCE.clear()
     cols, held = _PHI_CACHE.get(key, (tb, None))
-    replace = cols != tb and not (cols.startswith(tb) and cols in spherical._PANELS)
+    replace = len(cols) < len(tb)  # a held rule's columns start every longer rule's
     if held is not None and not replace and len(held) >= rows:
         return held[:rows, :len(ts)]
     if _PHI_ONCE:
@@ -283,22 +277,19 @@ def _real_times(table: np.ndarray, w: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class _Rule:
     """A composite rule with its measure's density at the nodes, and for a radial
-    rule its panel split (mid, offsets) and a weight column per estimate."""
+    rule a weight column per estimate."""
     nodes: np.ndarray
     weights: np.ndarray
     density: np.ndarray
-    panels: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _radial_rule(G: GroupDatum, T: float) -> _Rule:
     """Composite K51 rule on [0, T] with the Haar density; its weights are shaped
     (n, 2): K51, and the embedded G25 (zero at the Kronrod nodes)."""
-    n_panels = max(2, int(math.ceil(T / _T_PANEL)))
-    nodes, weights, panels = composite_nodes(0.0, T, n_panels, gauss_kronrod_rule(_T_GAUSS_ORDER))
-    rule = _Rule(nodes, weights, haar_density(G, nodes), panels)
-    spherical._PANELS[nodes.tobytes()] = rule
-    return rule
+    n = max(2, int(math.ceil(T / spherical._T_PANEL)))
+    nodes, weights, _ = composite_nodes(0.0, T, n, gauss_kronrod_rule(spherical._T_GAUSS_ORDER))
+    return _Rule(nodes, weights, haar_density(G, nodes))
 
 
 def _spectral_order(t_max: float = 12.0) -> int:

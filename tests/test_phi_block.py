@@ -1,6 +1,7 @@
 """The block evaluator of phi over (lam, t), checked against independent oracles,
 plus the table cache, the mirror fold and the adaptive rule's rounds of splits."""
 
+import gc
 import math
 import re
 import time
@@ -326,6 +327,19 @@ def test_phi_rejects_non_finite_input(fn):
         fn(G, 1.0, np.array([0.5, np.nan]))
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda G: phi(G, "a", 1.0), "lam, got 'a'"),
+    (lambda G: phi_d2(G, np.array([1.0, None]), 1.0), "lam, got array([1.0, None]"),
+    (lambda G: phi(G, 1.0, "x"), "t, got 'x'"),
+    (lambda G: phi_d1(G, 1.0, 1j), "real t, got 1j"),
+    (lambda G: c_function(G, "a"), "c_function requires finite lam, got 'a'"),
+    (lambda G: plancherel_density(G, ["a"]), "plancherel_density requires finite lam, got ['a']"),
+])
+def test_non_numeric_input_raises_a_domain_error_naming_it(call, named):
+    with pytest.raises(DomainError, match=re.escape(named)):
+        call(preset("SL2R"))
+
+
 def test_c_function_rejects_non_finite_lam():
     with pytest.raises(DomainError, match="lam"):
         c_function(preset("SL2R"), float("nan"))
@@ -553,21 +567,38 @@ def test_a_rule_past_the_circle_cutoff_keeps_its_own_table(fresh_phi_cache):
     assert [table.shape for _, table in transform._PHI_CACHE.values()] == [(3, 408), (3, 1734)]
 
 
-def test_rows_gained_after_the_held_rule_is_dropped_are_built_on_the_asked_rule(
+@pytest.mark.parametrize("name", ["H3", "SL2R", "CH2"])
+def test_rule_nodes_give_the_same_bits_after_the_rule_cache_drops_them(name):
+    # which t are factored per panel is decided from the values of t alone, so a rule's
+    # nodes give the same entries whether or not the rule object is still alive
+    G = preset(name)
+    rows = transform._mirror_fold(GRID)[0]
+    for T in (8.0, 16.0, 68.0):
+        nodes = transform._radial_rule(G, T).nodes.copy()
+        before = [fn(G, rows, nodes) for fn in (phi, phi_d1, phi_d2)]
+        transform._radial_rule.cache_clear()
+        gc.collect()
+        for fn, block in zip((phi, phi_d1, phi_d2), before):
+            np.testing.assert_array_equal(fn(G, rows, nodes), block)
+
+
+def test_a_held_rule_table_serves_a_shorter_rule_after_the_rule_cache_drops_it(
         monkeypatch, fresh_phi_cache):
-    # once the longer rule is gone from the registry its nodes would be a plain grid, one
-    # panel per column: the shorter rule then builds on its own nodes and panels
+    # the held table of the rule of 28 starts with the columns of the rule of 16 whether or
+    # not either rule object is alive: the shorter rule reads them and builds nothing
     G = preset("H3")
     rows = np.linspace(0.1, 6.0, 40)
-    short, long_ = (transform._radial_rule(G, T).nodes for T in (16.0, 28.0))
-    for ts in (long_, short):
-        transform._phi_block(G, rows, ts, 0, 20)
-    monkeypatch.delitem(spherical._PANELS, long_.tobytes())
+    long_ = transform._radial_rule(G, 28.0).nodes
+    for _ in range(2):  # held from its second request
+        transform._phi_block(G, rows, long_)
+    transform._radial_rule.cache_clear()
+    gc.collect()
+    short = transform._radial_rule(G, 16.0).nodes
     calls = []
     monkeypatch.setattr(transform, "phi",
                         lambda G, lam, t, phi=transform.phi: calls.append(len(t)) or phi(G, lam, t))
     np.testing.assert_array_equal(transform._phi_block(G, rows, short), phi(G, rows, short))
-    assert calls == [408]
+    assert calls == []
 
 
 # the CLI's six symbols, symbol k on preset k mod 3: every multiplicity class twice
@@ -617,15 +648,35 @@ def test_panel_tables_match_plain_phi(name, fresh_phi_cache):
     # width 0.5, so the exponential series of a row starts mid-panel
     for T in (4.0, 16.0, 40.0):
         nodes = transform._radial_rule(G, T).nodes
-        assert nodes.tobytes() in spherical._PANELS
-        # one more column, and the registry misses: plain columns, one panel each
+        assert spherical._rule_panels(nodes) is not None
+        # one more column, and the nodes are not a rule's: plain columns, one panel each
         extended = np.append(nodes, T + 1.0)
-        assert extended.tobytes() not in spherical._PANELS
+        assert spherical._rule_panels(extended) is None
         for k, plain in enumerate((phi, phi_d1, phi_d2)):
             table = transform._phi_block(G, rows, nodes, k)
             err = np.abs(table - plain(G, rows, extended)[:, :-1]) / xi(G, nodes)
             tol = (1e-13, 1e-12, 1e-12)[k] * (1.0 + np.abs(rows[:, None])) ** k
             assert np.all(err <= tol), (T, k)
+
+
+def test_radial_rule_nodes_are_recognised_by_their_values_alone(monkeypatch):
+    G = preset("H3")
+    for k in range(1, 41):  # every cutoff T = 4k, T = 68 among them
+        nodes = transform._radial_rule(G, 4.0 * k).nodes
+        mid, offsets = spherical._rule_panels(nodes)
+        assert (mid[:, None] + offsets).ravel().tobytes() == nodes.tobytes()
+    nodes = transform._radial_rule(G, 16.0).nodes
+    moved = nodes.copy()
+    moved[100] = np.nextafter(moved[100], np.inf)
+    # the adaptive rule's first call: K31 on 4 panels of [0, T]
+    asked = []
+    monkeypatch.setattr(transform, "phi", lambda G, lam, t, phi=transform.phi:
+                        asked.append(t) or phi(G, lam, t))
+    transform.hc_transform_at(G, gaussian_profile(G, 1.0), 1.0)
+    assert len(asked[0]) == 124
+    for t in (moved, np.append(nodes, 16.5), asked[0], np.zeros(0),
+              transform._radial_rule(G, 3.0).nodes):  # panels of 1.5
+        assert spherical._rule_panels(t) is None
 
 
 def test_entries_do_not_depend_on_column_order_or_row_position(monkeypatch):

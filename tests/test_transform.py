@@ -927,23 +927,20 @@ def test_sl2c_shares_the_h3_tables(fresh_phi_cache):
 def test_rule_caches_stay_at_their_maxsize(monkeypatch):
     G = preset("SL2R")
     order = transform._spectral_order()
-    held = transform._radial_rule(G, 3.0)  # still in use after the cache drops it
     for k in range(200):
         transform._spectral_rule(G, 6.0 + 0.01 * k, order)
         transform._radial_rule(G, 4.0 + 0.5 * k)
     for n in range(2, 102):
         gauss_legendre_rule(n)
+        spherical._rule_nodes(n)
     # expansion_term's transforms, one per profile: a stand-in keeps them cheap
     monkeypatch.setattr(transform, "hc_transform",
                         lambda G, f, grid, q: TransformResult(None, None, G))
     for _ in range(100):
         transform._cached_transform(G, gaussian_profile(G), DEFAULT_QUAD)
     caches = (transform._spectral_rule, transform._radial_rule, gauss_legendre_rule,
-              transform._cached_transform)
+              spherical._rule_nodes, transform._cached_transform)
     infos = [cached.cache_info() for cached in caches]
     transform._cached_transform.cache_clear()  # drop the stand-in results
     for info in infos:
         assert info.currsize == info.maxsize == 64
-    # a radial rule keeps its panel split, for its tables, as long as it is held
-    assert len(spherical._PANELS) <= 64 + 1
-    assert spherical._PANELS[held.nodes.tobytes()] is held
