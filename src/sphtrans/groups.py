@@ -95,12 +95,21 @@ def preset(name: str) -> GroupDatum:
         ) from None
 
 
+def _real_array(x, who: str, name: str = "t") -> np.ndarray:
+    """``x`` as a float array; DomainError naming ``name`` unless its entries are real numbers
+    (not complex, text or objects).  Non-finite ones pass."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"{who} requires real {name}, got {name} = {x!r}")
+    return arr.astype(float, copy=False)
+
+
 def haar_density(G: GroupDatum, t):
     """Radial Haar weight Delta(t) = (2 sinh t)^m_alpha (2 sinh 2t)^m_2alpha.
 
     Accepts scalars or arrays; t must be nonnegative.
     """
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _real_array(t, "haar_density")
     if np.any(t_arr < 0):
         raise DomainError("haar_density requires t >= 0")
     out = (2.0 * np.sinh(t_arr)) ** G.m_alpha
@@ -113,7 +122,7 @@ def haar_density(G: GroupDatum, t):
 
 def haar_log_derivative(G: GroupDatum, t):
     """Delta'(t)/Delta(t) = m_alpha coth t + 2 m_2alpha coth 2t (t > 0)."""
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _real_array(t, "haar_log_derivative")
     if np.any(t_arr <= 0):
         raise DomainError("haar_log_derivative requires t > 0")
     out = G.m_alpha / np.tanh(t_arr)

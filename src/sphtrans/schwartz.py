@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError, GridContractError
-from .groups import GroupDatum
+from .groups import GroupDatum, _real_array
 from .specfun import DEFAULT_QUAD, QuadratureSpec
 from .spherical import RadialProfile, xi
 from .transform import (
@@ -67,6 +67,7 @@ def schwartz_seminorm(
     Starts from T = 40 and extends by 25% steps (cap 60) while the argmax
     saturates the boundary; a report that still saturates is flagged.
     """
+    _real_array(r, "schwartz_seminorm", "r")
     if not 0.0 <= r < math.inf:  # NaN fails too
         raise DomainError(f"polynomial weight exponent r must be finite and >= 0, got r = {r!r}")
     if isinstance(k, bool) or k not in (0, 1, 2):

@@ -21,11 +21,11 @@ map u = tanh^2 t; larger t uses the exponential-series representation
     phi_lam = c(lam) Phi_lam + c(-lam) Phi_{-lam},
     Phi_lam(t) = e^{(i*lam - rho) t} * sum_k  a_k(lam) e^{-2kt},
 
-with recursive coefficients and the Gamma-quotient c(lam) (see
-:mod:`sphtrans.cfunction`).  Each series is one product of a coefficient matrix (a row
-per lam) with powers (a column per t), times e^{(i*lam - rho) t}, once per block: its
-factors at mid_P and at o_q on the nodes mid_P + o_q of a radial rule, recognised by their
-values (:func:`_rule_panels`), whoever asks.  For real lam the block
+with coefficients from a three-term recurrence (:func:`_hc_coefficients`) and the
+Gamma-quotient c(lam) (see :mod:`sphtrans.cfunction`).  Each series is one product of a
+coefficient matrix (a row per lam) with powers (a column per t), times e^{(i*lam - rho) t},
+once per block: its factors at mid_P and at o_q on the nodes mid_P + o_q of a radial rule,
+recognised by their values (:func:`_rule_panels`), whoever asks.  For real lam the block
 is real: phi = 2 Re(c(lam) Phi_lam), one side summed.  The switch point shrinks with
 |lam| to keep the Pfaff series free of cancellation; past the spectral windows used
 here the lost digits are measured and raise AccuracyError.  phi_lam is entire in lam
@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, DomainError, EvaluationError
-from .groups import GroupDatum, haar_log_derivative
+from .groups import GroupDatum, _real_array, haar_log_derivative
 from .specfun import ExpDecay, composite_nodes, gauss_kronrod_rule
 
 __all__ = [
@@ -107,7 +107,7 @@ class RadialProfile:
     label: str = ""
 
     def __call__(self, t):
-        t_arr = np.abs(np.asarray(t, dtype=float))
+        t_arr = np.abs(_real_array(t, "a radial profile"))
         out = self.eval(t_arr)
         if np.isscalar(t) or np.ndim(t) == 0:
             return complex(np.asarray(out).reshape(()))
@@ -119,7 +119,7 @@ class RadialProfile:
             return self(t)
         if k not in (1, 2):
             raise DomainError("only derivative orders 0, 1, 2 are supported")
-        t_arr = np.asarray(t, dtype=float)
+        t_arr = _real_array(t, "a radial profile")
         out = np.asarray((self.d1 if k == 1 else self.d2)(np.abs(t_arr)))
         out = np.sign(t_arr) * out if k == 1 else out
         return out if np.ndim(t) else complex(out.reshape(()))
@@ -231,35 +231,37 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
 
 def _hc_coefficients(G: GroupDatum, sides: np.ndarray, x: np.ndarray, names: np.ndarray):
     """Coefficients a_k of Phi_s(t) = e^{mu t} sum_k a_k e^{-2kt}, mu = i s - rho, one
-    side s per row, from the radial equation
+    side s per row, from the radial equation times 1 - e^{-4t}, whose Haar term
+    (m_alpha coth t + 2 m_2alpha coth 2t)(1 - e^{-4t}) = 2 rho + 2 m_alpha e^{-2t} + 2 rho e^{-4t}
+    leaves three terms in the coefficient of e^{(mu - 2k)t}:
 
-        4 k (k - i s) a_k = - sum_{j=1}^{k} b_j a_{k-j} (mu - 2(k-j)),  a_0 = 1,
-        b_j = 2 m_alpha + 4 m_2alpha [j even].
+        4 k (k - i s) a_k = 2 m_alpha (2(k-1) + rho - i s) a_{k-1}
+                            + 4 (k-2+rho) (k-2+rho - i s) a_{k-2},   a_0 = 1,  a_{-1} = 0.
 
-    b_j depends only on the parity of j, so running sums of d_m = a_m (mu - 2m) over all m
-    and over each parity make a step O(1).  Row i stops (see :func:`_grow`) on its terms
-    |a_k| x_i^k read against 1e-19 max(1, |a_1|, ..., |a_k|); its later entries are 0.
+    Row i stops (see :func:`_grow`) on its terms |a_k| x_i^k read against
+    1e-19 max(1, |a_1|, ..., |a_k|); its later entries are 0.
     Past ``_MAX_HC_TERMS`` AccuracyError names the row's entry of ``names``.
     """
-    mu = 1j * sides - G.rho
-    total, peak = mu.copy(), np.ones(len(sides))  # sum of d_m over m < k; max(1, |a_j|) so far
-    parity = [mu.copy(), np.zeros_like(mu)]  # sum of d_m over even, odd m < k
+    peak = np.ones(len(sides))  # max(1, |a_j|) so far
     def fill(A, k0, k1):
-        nonlocal total, peak
-        ks = np.arange(k0, k1)
-        inv = -1.0 / (4.0 * ks[:, None] * (ks[:, None] - 1j * sides))
-        shift = mu - 2.0 * ks[:, None]
-        for j, k in enumerate(range(k0, k1)):
-            A[k] = (2.0 * G.m_alpha * total + 4.0 * G.m_2alpha * parity[k % 2]) * inv[j]
-            d = A[k] * shift[j]
-            total += d
-            parity[k % 2] += d
+        nonlocal peak
+        ks = np.arange(k0, k1)[:, None]
+        step = 4.0 * ks * (ks - 1j * sides)  # 4 k (k - i s), then the a_{k-1} factor over it
+        # the a_{k-2} factor in the rows a_k, which the loop reads before it overwrites them
+        A[k0:k1] = ks - 2.0 + G.rho - 1j * sides
+        A[k0:k1] *= 4.0 * (ks - 2.0 + G.rho)
+        A[k0:k1] /= step
+        np.divide(2.0 * G.m_alpha * (2.0 * (ks - 1.0) + G.rho) - 2j * G.m_alpha * sides, step,
+                  out=step)
+        # a_{-1} = 0; not in place: numpy's in-place complex multiply rounds a lone side otherwise
+        for k in range(k0, k1):
+            A[k] = step[k - k0] * A[k - 1] + (A[k] * A[k - 2] if k > 1 else 0.0)
         mag = np.abs(A[k0:k1])
         peaks = np.maximum(mag, peak)
         for j in range(1, len(mag)):  # a running max by rows: faster than accumulate on axis 0
             np.maximum(peaks[j - 1], peaks[j], out=peaks[j])
         peak = peaks[-1]
-        return mag * x ** ks[:, None], 1e-19 * peaks
+        return mag * x ** ks, 1e-19 * peaks
 
     # the first chunk covers the largest x: x < e^-0.38 (t_min past a switch point >= 0.19)
     A, stop = _grow(fill, len(sides), 1e-19, float(np.max(x, initial=0.0)))

@@ -33,7 +33,7 @@ import numpy as np
 from . import cfunction, spherical
 from .errors import (AccuracyError, DomainError, EvaluationError, GridContractError,
                      PreconditionError, SingularPointError)
-from .groups import GroupDatum, haar_density, haar_log_derivative
+from .groups import GroupDatum, _real_array, haar_density, haar_log_derivative
 from .specfun import (DEFAULT_QUAD, ExpDecay, QuadratureSpec, composite_nodes, gauss_kronrod_rule,
                       gauss_legendre_rule, integrate_interval, truncation_point)
 from .spherical import RadialProfile, _hc_coefficients, c_log, phi, phi_d1, phi_d2
@@ -402,9 +402,8 @@ def hc_transform_at(G: GroupDatum, f: RadialProfile, lam, q: QuadratureSpec = DE
     panel on one panel tree, and each value meets its own tolerance.
     Returns a complex for a scalar ``lam`` and a complex array otherwise.
     """
-    lams = np.asarray(lam, dtype=complex)
-    if not np.all(np.isfinite(lams)):
-        raise DomainError(f"hc_transform_at requires finite lam, got {lam!r}")
+    lams = np.asarray(spherical._finite_array(lam, "biufc", "hc_transform_at requires finite lam"),
+                      dtype=complex)
     if lams.size == 0:
         return lams
     strip = float(np.max(np.abs(lams.imag)))
@@ -724,10 +723,10 @@ def expansion_term(
     """
     if cartan_class not in CARTAN_CLASSES:
         raise DomainError(f"cartan_class must be one of {CARTAN_CLASSES}")
-    if np.iscomplexobj(eps) or not (0.0 < eps <= 1.0):
+    _real_array(eps, "expansion_term", "eps")
+    if not 0.0 < eps <= 1.0:
         raise DomainError(f"mollifier width must be real and lie in (0, 1], got eps = {eps!r}")
-    if np.iscomplexobj(lam):
-        raise DomainError(f"expansion_term requires real lam, got lam = {lam!r}")
+    _real_array(lam, "expansion_term", "lam")
     half_window = 9.0 * eps
     if not abs(float(lam)) + half_window <= GRID_MAX:  # NaN fails too
         raise DomainError(f"expansion_term requires finite lam with |lam| + 9 eps <= {GRID_MAX}, "
@@ -764,9 +763,7 @@ def casimir_radial(G: GroupDatum, p: RadialProfile, t) -> complex:
     Derivatives come from the profile's analytic evaluators.  t must be
     positive (Delta'/Delta has a pole at 0).
     """
-    if np.iscomplexobj(t):
-        raise DomainError(f"radial Casimir requires real t, got t = {t!r}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    t_arr = np.atleast_1d(_real_array(t, "radial Casimir"))
     if not np.all(np.isfinite(t_arr)):
         raise DomainError(f"radial Casimir requires finite t, got t = {t!r}")
     if np.any(t_arr <= 0.0):

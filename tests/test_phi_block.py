@@ -242,6 +242,34 @@ def test_series_do_not_depend_on_the_chunk_length(name, monkeypatch):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), chunk
 
 
+def koornwinder_series(G, s, t):
+    """e^{-mu t} Phi_s(t), mu = i s - rho, from Koornwinder's (1984) closed form
+    Phi_s(t) = (2 cosh t)^mu 2F1((rho - i s)/2, (alpha - beta + 1 - i s)/2; 1 - i s; cosh^-2 t),
+    at 30 digits."""
+    with mpmath.workdps(30):
+        s, t = mpmath.mpc(s), mpmath.mpf(t)
+        mu = 1j * s - G.rho
+        a, b = (G.rho - 1j * s) / 2, (G.jacobi_alpha - G.jacobi_beta + 1 - 1j * s) / 2
+        return complex((1 + mpmath.exp(-2 * t)) ** mu
+                       * mpmath.hyp2f1(a, b, 1 - 1j * s, mpmath.cosh(t) ** -2))
+
+
+@pytest.mark.parametrize("name", ["SL2R", "H3", "H4", "CH2"])
+def test_series_coefficients_meet_koornwinders_closed_form(name):
+    # real sides and a row x + i sigma of the contour ladder per sigma, x of either sign;
+    # t = 0.19 is the least switch point, where the first chunk's x is largest
+    G = preset(name)
+    rng = np.random.default_rng(38)
+    contour = rng.uniform(-24.0, 24.0, len(transform._SIGMAS)) + 1j * transform._SIGMAS
+    sides = np.concatenate([[0.0], rng.uniform(-12.0, 12.0, 8), contour])
+    for t in (0.19, 1.2, 3.0):
+        x = math.exp(-2.0 * t)
+        coef = spherical._hc_coefficients(G, sides, np.full(len(sides), x), sides)
+        powers = x ** np.arange(coef.shape[1])
+        exact = np.array([koornwinder_series(G, s, t) for s in sides])
+        assert np.all(np.abs(coef @ powers - exact) <= 1e-14 * (np.abs(coef) @ powers)), t
+
+
 # --------------------------------------------------------------------------
 # lost-digits guard and non-finite inputs
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from sphtrans.errors import (
     PreconditionError,
     SingularPointError,
 )
-from sphtrans.groups import PRESET_NAMES, GroupDatum, haar_density, preset
+from sphtrans.groups import PRESET_NAMES, GroupDatum, haar_density, haar_log_derivative, preset
 from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile
 from sphtrans.schwartz import schwartz_seminorm
 from sphtrans.specfun import DEFAULT_QUAD, ExpDecay, gauss_legendre_rule, integrate_interval
@@ -884,6 +884,27 @@ def test_casimir_refuses_a_complex_t_naming_it(t):
     G = preset("H3")
     with pytest.raises(DomainError, match=re.escape("real t, got t = ")):
         casimir_radial(G, gaussian_profile(G, 1.0), t)
+
+
+@pytest.mark.parametrize("call, named", [
+    # a complex t was cast to its real part, with only numpy's ComplexWarning
+    (lambda G, f: f(np.array([1 + 1j])), "real t, got t = array([1.+1.j])"),
+    (lambda G, f: f.deriv(np.array([1 + 1j]), 2), "real t, got t = array([1.+1.j])"),
+    (lambda G, f: haar_density(G, 1 + 1j), "haar_density requires real t, got t = (1+1j)"),
+    (lambda G, f: haar_log_derivative(G, np.array([1j])), "real t, got t = array([0.+1.j])"),
+    # text raised ValueError or TypeError from a cast or a comparison
+    (lambda G, f: f("x"), "real t, got t = 'x'"),
+    (lambda G, f: haar_density(G, "x"), "haar_density requires real t, got t = 'x'"),
+    (lambda G, f: casimir_radial(G, f, "x"), "radial Casimir requires real t, got t = 'x'"),
+    (lambda G, f: hc_transform_at(G, f, "a"), "hc_transform_at requires finite lam, got 'a'"),
+    (lambda G, f: expansion_term(G, "split", f, "a", 0.1), "real lam, got lam = 'a'"),
+    (lambda G, f: expansion_term(G, "split", f, 1.0, "x"), "real eps, got eps = 'x'"),
+    (lambda G, f: schwartz_seminorm(G, f, "x", 0), "real r, got r = 'x'"),
+])
+def test_a_non_real_or_non_numeric_input_raises_a_domain_error_naming_it(call, named):
+    G = preset("H3")
+    with pytest.raises(DomainError, match=re.escape(named)):
+        call(G, gaussian_profile(G, 1.0))
 
 
 def test_spectral_multiplier_identity_and_zero():

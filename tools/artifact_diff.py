@@ -14,7 +14,8 @@ committed tree of REV, exported with ``git archive`` into a temporary
 directory.  Per artifact the tool prints "identical", or the largest
 absolute and relative difference between numbers at the same place, each
 with its place: the line and column header of a CSV cell, the path of a JSON
-leaf; a text difference is named at its first place, before them.  Fields
+leaf; a text difference, or one where either number is NaN or infinite, is named
+at its first place, before them.  Fields
 named ``runtime`` are left out of the comparison, and an artifact equal apart
 from them is "identical (runtime ignored)".  Before the last line, one line gives
 the largest resident set of each side's ``accept`` process (its ``ru_maxrss``,
@@ -150,6 +151,9 @@ def compare(base: Path, head: Path) -> str:
             continue
         if not (isinstance(x, float) and isinstance(y, float)):
             text = text or f"different text at {where}: {x!r} vs {y!r}"
+            continue
+        if not (math.isfinite(x) and math.isfinite(y)):  # NaN or inf: no difference to rank
+            text = text or f"different non-finite value at {where}: {x!r} vs {y!r}"
             continue
         diff = abs(x - y)
         rel = diff / max(abs(x), abs(y))
