@@ -11,8 +11,11 @@ ratios never overflow on the spectral windows used here.  The oracle
 recovers c(lam) directly from that asymptotic relation by propagating
 the radial differential equation out of the small-t region and fitting
 the two exponentials, which keeps it independent of the Gamma quotient.
-The ODE is the oracle's own: ``phi`` never solves it, and
-``scipy.integrate`` is imported only when the oracle runs.
+The ODE is the oracle's own: ``phi`` never solves it.  It is seeded at
+t = 1.2 by the Pfaff series and solved in numpy alone, in Greengard's
+Chebyshev integral form on unit steps with 25 points each (see
+:func:`_ode_solution`); ``numpy.polynomial`` is imported only when the
+oracle runs.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ConditioningError, DomainError, PoleError
-from .groups import GroupDatum
+from .groups import GroupDatum, haar_log_derivative
 from .spherical import _finite_array, _pfaff_series, c_log, c_value
 
 __all__ = [
@@ -63,37 +66,41 @@ def plancherel_density(G: GroupDatum, lam):
 
 
 _ODE_T0 = 1.2  # the oracle's ODE starts from the Pfaff series here
+_ODE_N = 25  # Chebyshev points on each unit step of the oracle's ODE
 _FIT_SAMPLES = 161  # points of the oracle's least-squares fit on [T, T + 10]
 
 
-def _g_remainder(G: GroupDatum, t):
-    """Delta'/Delta - 2 rho, exponentially small for large t."""
-    g = G.m_alpha * (-2.0 * np.exp(-2.0 * t) / np.expm1(-2.0 * t))
-    return g + 2.0 * G.m_2alpha * (-2.0 * np.exp(-4.0 * t) / np.expm1(-4.0 * t)) if G.m_2alpha else g
+def _ode_solution(G: GroupDatum, lam: complex, ts: np.ndarray) -> np.ndarray:
+    """w = e^{rho t} phi_lam(t) at the array ``ts`` (NaN where t < 1.2), from the radial ODE
 
+        w'' + g w' + (lam^2 - rho g) w = 0,   g = Delta'/Delta - 2 rho,
 
-def _ode_solution(G: GroupDatum, lam: complex, t_max: float):
-    """Dense solution (Re w, Im w, Re w', Im w') of the radial ODE for
-    w = e^{rho t} phi_lam on [1.2, max(t_max + 1, 8)], seeded by the Pfaff series."""
-    from scipy.integrate import solve_ivp  # costs start-up time; only this oracle needs it
+    seeded at t = 1.2 with w and w' from the Pfaff series.  It is solved in Greengard's
+    integral form on unit steps from 1.2: on each, the unknown is w'' as a Chebyshev series
+    of degree 24 collocated at the step's 25 Chebyshev-Lobatto points, and w' and w are its
+    integrals from the step's start, so a step is one 25 x 25 linear solve.  Each t reads
+    the series of w on its own step."""
+    from numpy.polynomial import chebyshev as C  # costs start-up time; only this oracle needs it
 
-    lam2 = lam * lam
-    rho = G.rho
-
-    def rhs(s, y):
-        g = float(_g_remainder(G, s))
-        acc = -g * complex(y[2], y[3]) - (lam2 - rho * g) * complex(y[0], y[1])
-        return [y[2], y[3], acc.real, acc.imag]
-
+    x = -np.cos(np.pi * np.arange(_ODE_N) / (_ODE_N - 1))  # the nodes on [-1, 1], t = t0 + (x+1)/2
+    # the m-th t-integral from the step's start, at the nodes, of each Chebyshev basis term
+    ints = [C.chebvander(x, _ODE_N - 1 + m) @ C.chebint(np.eye(_ODE_N), m, lbnd=-1, scl=0.5)
+            for m in range(3)]
     seed = _pfaff_series(G, np.array([lam]), np.array([_ODE_T0]), None, True)
-    v0, d0 = (complex(z[0, 0]) for z in seed)
-    w0 = cmath.exp(rho * _ODE_T0) * v0
-    w0p = cmath.exp(rho * _ODE_T0) * (d0 + rho * v0)
-    sol = solve_ivp(rhs, (_ODE_T0, max(t_max + 1.0, 8.0)), [w0.real, w0.imag, w0p.real, w0p.imag],
-                    method="DOP853", rtol=1e-13, atol=1e-15, dense_output=True)
-    if not sol.success:
-        raise AccuracyError(f"radial ODE propagation failed: {sol.message}")
-    return sol
+    w, dw = (complex(z[0, 0]) * cmath.exp(G.rho * _ODE_T0) for z in seed)  # e^{rho t} phi, phi'
+    dw += G.rho * w
+    step = np.floor(ts - _ODE_T0)
+    out = np.full(ts.shape, np.nan, dtype=complex)
+    for k in range(int(step.max(initial=-1.0)) + 1):
+        g = haar_log_derivative(G, _ODE_T0 + k + (x + 1.0) / 2.0) - 2.0 * G.rho
+        q = lam * lam - G.rho * g
+        coef = np.linalg.solve(ints[0] + g[:, None] * ints[1] + q[:, None] * ints[2],
+                               -g * dw - q * (w + dw * (x + 1.0) / 2.0))
+        d_series = C.chebint(coef, 1, k=dw, lbnd=-1, scl=0.5)
+        w_series = C.chebint(d_series, 1, k=w, lbnd=-1, scl=0.5)
+        out[step == k] = C.chebval(2.0 * (ts[step == k] - _ODE_T0 - k) - 1.0, w_series)
+        w, dw = w_series.sum(), d_series.sum()  # the values at x = 1, the next step's start
+    return out
 
 
 @dataclass(frozen=True)
@@ -133,10 +140,8 @@ def asymptotic_c_oracle(G: GroupDatum, lam: float, T: float) -> CFit:
             f"window start T = {T} too small: need exp(-2 rho T) < 1e-10"
         )
     t_hi = T + 10.0
-    sol = _ode_solution(G, complex(lam), t_hi)
     ts = np.linspace(T, t_hi, _FIT_SAMPLES)
-    y = sol.sol(ts)
-    w = y[0] + 1j * y[1]
+    w = _ode_solution(G, complex(lam), ts)
     design = np.column_stack([np.exp(1j * lam * ts), np.exp(-1j * lam * ts)])
     coeffs, _, _, sv = np.linalg.lstsq(design, w, rcond=None)
     cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf

@@ -97,8 +97,9 @@ def _require_symmetric(grid: np.ndarray, message: str):
 
 def _checked_grid(grid) -> np.ndarray:
     """``grid`` as a float array; GridContractError unless it is 1-d, non-empty,
-    strictly increasing and symmetric about 0."""
-    grid = np.asarray(grid, dtype=float)
+    strictly increasing and symmetric about 0; DomainError naming it unless its entries are
+    real numbers."""
+    grid = _real_array(grid, "a spectral function", "grid")
     if grid.ndim != 1 or grid.size == 0:
         raise GridContractError(f"grid must be 1-d and non-empty, got shape {grid.shape}")
     if np.any(np.diff(grid) <= 0):
@@ -146,15 +147,16 @@ class SpectralFunction:
 
     @classmethod
     def from_function(cls, fn, grid, decay: SpectralDecay, label: str = "") -> "SpectralFunction":
-        grid = np.asarray(grid, dtype=float)
+        grid = _real_array(grid, "a spectral function", "grid")
         values = np.asarray(fn(grid), dtype=complex)
         return cls(grid=grid, values=values, decay=decay, fn=fn, label=label)
 
     def __call__(self, x):
+        x_arr = _real_array(x, "a spectral function", "x")
         if self.fn is not None:
-            out = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=complex)
+            out = np.asarray(self.fn(x_arr), dtype=complex)
             return complex(out.reshape(())) if np.ndim(x) == 0 else out
-        out = _local_interp(self.grid, self.values, x)
+        out = _local_interp(self.grid, self.values, x_arr)
         return complex(out[0]) if np.ndim(x) == 0 else out
 
     def weyl_defect(self) -> float:
@@ -517,7 +519,7 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     def charged(order):
         # psi_a, or its t-derivative of ``order``
         def evaluate(t):
-            ts = np.asarray(t, dtype=float)
+            ts = _real_array(t, "wave packet")
             if not np.all(np.isfinite(ts)):  # else the spectral order of a NaN t is taken
                 raise DomainError(f"wave packet requires finite t, got t = {t!r}")
             nodes, charge = charges(_spectral_order(ts.max(initial=1.0)))
@@ -529,7 +531,7 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
 
     def eval_packet(t):
         # one product: hc_transform reads the packet where the envelope check just did
-        key = (np.shape(t), np.asarray(t, dtype=float).tobytes())
+        key = (np.shape(t), _real_array(t, "wave packet").tobytes())
         if last[0] != key:
             last[:] = key, values(t)
         return last[1].copy()

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from sphtrans.cfunction import (
+    _ode_solution,
     asymptotic_c_oracle,
     c_function,
     plancherel_density,
@@ -37,6 +38,15 @@ def test_mutual_validation_with_asymptotic_oracle():
             ref = c_function(G, lam)
             assert abs(fit.c_plus - ref) / abs(ref) <= 1e-4
             assert fit.residual < 1e-6
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 4.0, 8.0])
+def test_oracle_ode_matches_the_h3_closed_form(lam):
+    # on H3, w = e^t phi_lam(t) = e^t sin(lam t) / (lam sinh t) exactly
+    ts = np.linspace(1.2, 36.0, 1353)
+    w = _ode_solution(preset("H3"), complex(lam), ts)
+    exact = np.exp(ts) * np.sin(lam * ts) / (lam * np.sinh(ts))
+    assert np.max(np.abs(w - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_oracle_window_independence():

@@ -339,8 +339,8 @@ def test_main_writes_what_the_runner_returns(tmp_path, monkeypatch):
 
 
 def test_cli_start_up_loads_no_scipy(tmp_path):
-    # scipy.integrate is the A7 oracle's alone, and the c-function is numpy's:
-    # every CLI process would pay for a scipy import; nor does the import build the
+    # no module of the package imports scipy, and the A7 oracle's numpy.polynomial is
+    # imported only when that oracle runs; nor does the import build the
     # radial rule, which the first forward transform does; and the Gauss-Legendre rules
     # are sphtrans' own, so a round trip does not import numpy.polynomial either
     code = (
@@ -359,6 +359,20 @@ def test_cli_start_up_loads_no_scipy(tmp_path):
     assert out.stdout.split("\n") == ["[] 0", "[]", "[]", ""]
     assert (tmp_path / "c.csv").read_text().count("\n") == 6
     assert json.loads((tmp_path / "r.json").read_text())["preset"] == "H3"
+
+
+def test_accept_needs_no_scipy(tmp_path):
+    # scipy is a test dependency only: with its import blocked, every acceptance
+    # criterion, the A7 oracle's ODE among them, still runs and passes
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import sphtrans.cli\n"
+            f"sys.exit(sphtrans.cli.main(['accept', '--out', {str(tmp_path / 'a.json')!r}]))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "10/10 acceptance criteria passed"
+    assert all(o["passed"] for o in json.loads((tmp_path / "a.json").read_text())["outcomes"])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from sphtrans.errors import (
 )
 from sphtrans.groups import PRESET_NAMES, GroupDatum, haar_density, haar_log_derivative, preset
 from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile
-from sphtrans.schwartz import schwartz_seminorm
+from sphtrans.schwartz import TubeSpec, schwartz_seminorm, tube_extension_check
 from sphtrans.specfun import DEFAULT_QUAD, ExpDecay, gauss_legendre_rule, integrate_interval
 from sphtrans.spherical import RadialProfile, phi, phi_d1, phi_d2
 from sphtrans.transform import (
@@ -886,6 +886,9 @@ def test_casimir_refuses_a_complex_t_naming_it(t):
         casimir_radial(G, gaussian_profile(G, 1.0), t)
 
 
+GRID7 = np.linspace(-3.0, 3.0, 7)
+
+
 @pytest.mark.parametrize("call, named", [
     # a complex t was cast to its real part, with only numpy's ComplexWarning
     (lambda G, f: f(np.array([1 + 1j])), "real t, got t = array([1.+1.j])"),
@@ -900,6 +903,24 @@ def test_casimir_refuses_a_complex_t_naming_it(t):
     (lambda G, f: expansion_term(G, "split", f, "a", 0.1), "real lam, got lam = 'a'"),
     (lambda G, f: expansion_term(G, "split", f, 1.0, "x"), "real eps, got eps = 'x'"),
     (lambda G, f: schwartz_seminorm(G, f, "x", 0), "real r, got r = 'x'"),
+    # a complex grid, x or packet t was cast to its real part, with only a ComplexWarning
+    (lambda G, f: hc_transform(G, f, GRID7 + 0j), "real grid, got grid = array([-3.+0.j"),
+    (lambda G, f: SpectralFunction(GRID7 + 0j, np.ones(7), SpectralDecay(1.0, 2.0)),
+     "real grid, got grid = array([-3.+0.j"),
+    (lambda G, f: SpectralFunction.from_function(np.cos, GRID7 + 0j, SpectralDecay(1.0, 2.0)),
+     "real grid, got grid = array([-3.+0.j"),
+    (lambda G, f: hc_transform(G, f, GRID7).spectral(1 + 1j), "real x, got x = (1+1j)"),
+    (lambda G, f: tube_extension_check(G, f, TubeSpec.for_group(G, 0.0), xs=GRID7 + 0j),
+     "real grid, got grid = array([-3.+0.j"),
+    (lambda G, f: wave_packet(G, gauss_symbol()).d1(np.array([1 + 1j])),
+     "wave packet requires real t, got t = array([1.+1.j])"),
+    (lambda G, f: wave_packet(G, gauss_symbol()).d2(1 + 1j),
+     "wave packet requires real t, got t = (1+1j)"),
+    # and text raised an untyped ValueError
+    (lambda G, f: hc_transform(G, f, "x"), "real grid, got grid = 'x'"),
+    (lambda G, f: gauss_symbol()("x"), "real x, got x = 'x'"),
+    (lambda G, f: wave_packet(G, gauss_symbol()).d1("x"),
+     "wave packet requires real t, got t = 'x'"),
 ])
 def test_a_non_real_or_non_numeric_input_raises_a_domain_error_naming_it(call, named):
     G = preset("H3")

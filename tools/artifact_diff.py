@@ -14,13 +14,17 @@ committed tree of REV, exported with ``git archive`` into a temporary
 directory.  Per artifact the tool prints "identical", or the largest
 absolute and relative difference between numbers at the same place, each
 with its place: the line and column header of a CSV cell, the path of a JSON
-leaf; a text difference, or one where either number is NaN or infinite, is named
+leaf.  A relative difference is taken against the larger of the two magnitudes,
+floored at machine epsilon times the largest finite magnitude on either side in
+the same CSV column or at the same JSON key (the leaf's path without its list
+indices), so a roundoff move of a value that is roundoff of zero reads as small.
+A text difference, or one where either number is NaN or infinite, is named
 at its first place, before them.  Fields
 named ``runtime`` are left out of the comparison, and an artifact equal apart
 from them is "identical (runtime ignored)".  Before the last line, one line gives
 the largest resident set of each side's ``accept`` process (its ``ru_maxrss``,
-from ``os.wait4`` on that child).  A command still running after 30 minutes is
-killed, and the tool stops with ``subprocess.TimeoutExpired``.  The last line counts
+from ``os.wait4`` on that child) and its CPU time (``ru_utime + ru_stime``).  A
+command still running after 30 minutes is killed, and the tool stops with ``subprocess.TimeoutExpired``.  The last line counts
 the artifacts: "N identical, M differing, K exit-code changes", where
 differing is every artifact that is neither identical nor from a command
 whose exit code changed.  It exits 1 when a
@@ -34,6 +38,7 @@ import argparse
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -51,6 +56,7 @@ CSV = ("presets", "phi", "cfun", "transform", "invert")
 PRESETS = ("SL2R", "H3", "CH2")
 RUN_TIMEOUT_S = 1800
 WORKERS = 2
+EPS = sys.float_info.epsilon
 
 
 def commands() -> dict[str, list[str]]:
@@ -65,13 +71,13 @@ def commands() -> dict[str, list[str]]:
     return out
 
 
-def run_side(root: Path, out_dir: Path) -> tuple[dict[str, int], float]:
+def run_side(root: Path, out_dir: Path) -> tuple[dict[str, int], tuple[float, float]]:
     """Write every artifact of the side at ``root`` into ``out_dir``; exit code by
-    artifact, and the largest resident set of the ``accept`` process in MB."""
+    artifact, and the ``accept`` process's largest resident set in MB and CPU time in s."""
     out_dir.mkdir()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    accept_mb = []
+    accept = []
 
     def run(item):
         name, args = item
@@ -87,23 +93,28 @@ def run_side(root: Path, out_dir: Path) -> tuple[dict[str, int], float]:
         if time.monotonic() - start >= RUN_TIMEOUT_S:
             raise subprocess.TimeoutExpired(cmd, RUN_TIMEOUT_S)
         if args == ["accept"]:
-            accept_mb.append(usage.ru_maxrss / 1024.0)  # KiB on Linux
+            accept.append((usage.ru_maxrss / 1024.0,  # KiB on Linux
+                           usage.ru_utime + usage.ru_stime))
         return name, proc.returncode
 
     with ThreadPoolExecutor(WORKERS) as pool:
         codes = dict(pool.map(run, commands().items()))
-    return codes, accept_mb[0]
+    return codes, accept[0]
 
 
-def leaves(path: Path) -> list[tuple[str, object]]:
-    """(place, value) for every cell of a CSV or leaf of a JSON artifact, numbers as floats;
-    a CSV cell's place is its line and its column's header."""
+def leaves(path: Path) -> list[tuple[str, str, object]]:
+    """(place, column, value) for every cell of a CSV or leaf of a JSON artifact, numbers as
+    floats; a CSV cell's place is its line and its column's header, and its column that
+    header; a JSON leaf's place is its path, and its column the path without list indices."""
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".csv":
         lines = text.splitlines()
         header = lines[0].split(",") if lines else []
-        return [(f"line {i + 1} column {header[j] if j < len(header) else j + 1}",
-                 _number(cell))
+
+        def column(j):
+            return header[j] if j < len(header) else str(j + 1)
+
+        return [(f"line {i + 1} column {column(j)}", column(j), _number(cell))
                 for i, line in enumerate(lines)
                 for j, cell in enumerate(line.split(","))]
     out = []
@@ -117,7 +128,8 @@ def leaves(path: Path) -> list[tuple[str, object]]:
             for i, item in enumerate(node):
                 walk(item, f"{where}[{i}]")
         else:
-            out.append((where, float(node) if isinstance(node, (int, float))
+            out.append((where, re.sub(r"\[\d+\]", "[]", where),
+                        float(node) if isinstance(node, (int, float))
                         and not isinstance(node, bool) else node))
 
     walk(json.loads(text), "")
@@ -141,12 +153,16 @@ def compare(base: Path, head: Path) -> str:
     if base.read_bytes() == head.read_bytes():
         return "identical"
     a, b = leaves(base), leaves(head)
-    if [p for p, _ in a] != [p for p, _ in b]:
-        first = next((pa for (pa, _), (pb, _) in zip(a, b) if pa != pb), None)
+    if [p for p, _, _ in a] != [p for p, _, _ in b]:
+        first = next((pa for (pa, _, _), (pb, _, _) in zip(a, b) if pa != pb), None)
         return (f"different shape, first at {first}" if first else
                 f"different shape, {len(a)} vs {len(b)} values")
+    scale = {}  # the largest finite magnitude in each column, on either side
+    for _, column, x in a + b:
+        if isinstance(x, float) and math.isfinite(x):
+            scale[column] = max(scale.get(column, 0.0), abs(x))
     text, (worst_abs, at_abs), (worst_rel, at_rel) = None, (0.0, None), (0.0, None)
-    for (where, x), (_, y) in zip(a, b):
+    for (where, column, x), (_, _, y) in zip(a, b):
         if _same(x, y):
             continue
         if not (isinstance(x, float) and isinstance(y, float)):
@@ -156,7 +172,7 @@ def compare(base: Path, head: Path) -> str:
             text = text or f"different non-finite value at {where}: {x!r} vs {y!r}"
             continue
         diff = abs(x - y)
-        rel = diff / max(abs(x), abs(y))
+        rel = diff / max(abs(x), abs(y), EPS * scale[column])
         if diff > worst_abs:
             worst_abs, at_abs = diff, where
         if rel > worst_rel:
@@ -176,8 +192,8 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         base_root = tmp / "tree"
         base_sha = export_rev(args.base, base_root)
-        (base_codes, base_mb), (head_codes, head_mb) = (run_side(base_root, tmp / "base"),
-                                                        run_side(ROOT, tmp / "head"))
+        (base_codes, (base_mb, base_cpu)), (head_codes, (head_mb, head_cpu)) = (
+            run_side(base_root, tmp / "base"), run_side(ROOT, tmp / "head"))
         codes = {"base": base_codes, "head": head_codes}
         print(f"base {base_sha}, head: working tree of {ROOT}")
         failed = False
@@ -199,7 +215,8 @@ def main(argv=None) -> int:
             kind = ("exit-code changes" if rc_base != rc_head else
                     "identical" if verdict.startswith("identical") else "differing")
             tally[kind] += 1
-        print(f"accept max RSS: base {base_mb:.1f} MB, head {head_mb:.1f} MB")
+        print(f"accept max RSS: base {base_mb:.1f} MB, head {head_mb:.1f} MB; "
+              f"CPU time: base {base_cpu:.2f} s, head {head_cpu:.2f} s")
         print(", ".join(f"{n} {kind}" for kind, n in tally.items()))
     return 1 if failed else 0
 
