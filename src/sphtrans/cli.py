@@ -235,10 +235,8 @@ class Table(NamedTuple):
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    """A complex number as {"re", "im"}: every other number an artifact holds is a Python
+    int or float (np.float64 is a float), and every array a list."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     raise TypeError(f"cannot serialize {type(obj)}")

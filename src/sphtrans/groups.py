@@ -104,6 +104,14 @@ def _real_array(x, who: str, name: str = "t") -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
+def _real_scalar(x, who: str, name: str):
+    """``x`` itself, bits and type kept, when it is one real number (a 0-d array too);
+    DomainError naming ``name`` for several numbers, or for complex or text ones."""
+    if np.ndim(_real_array(x, who, name)) != 0:
+        raise DomainError(f"{who} requires one real {name}, got {name} = {x!r}")
+    return x
+
+
 def haar_density(G: GroupDatum, t):
     """Radial Haar weight Delta(t) = (2 sinh t)^m_alpha (2 sinh 2t)^m_2alpha.
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .groups import GroupDatum
+from .groups import GroupDatum, _real_scalar
 from .specfun import ExpDecay
 from .spherical import RadialProfile, phi_d1, phi_d2, xi
 
@@ -25,6 +25,8 @@ def gaussian_profile(G: GroupDatum, width: float = 1.0, scale: float = 1.0) -> R
     The envelope rate 2*rho + 2 keeps the profile admissible for every
     forward-transform and tube precondition.
     """
+    _real_scalar(width, "gaussian_profile", "width")
+    _real_scalar(np.real(scale), "gaussian_profile", "scale")  # a complex scale is allowed
     rate = 2.0 * G.rho + 2.0
     if not (0.0 < width < math.inf and rate * rate / (4.0 * width) < _LOG_MAX):  # NaN fails
         raise DomainError(f"gaussian_profile: width = {width!r} must be positive, with "
@@ -53,7 +55,8 @@ def gaussian_profile(G: GroupDatum, width: float = 1.0, scale: float = 1.0) -> R
 
 def cosh_profile(G: GroupDatum, power: float | None = None) -> RadialProfile:
     """f(t) = cosh(t)^(-q) with q defaulting to 2*rho + 3."""
-    q = float(power) if power is not None else 2.0 * G.rho + 3.0
+    q = (float(_real_scalar(power, "cosh_profile", "power")) if power is not None
+         else 2.0 * G.rho + 3.0)
     if not 2.0 * G.rho < q < 1024.0:  # NaN fails; the coefficient 2^q overflows at 1024
         raise DomainError(f"cosh_profile: power = {q!r} must lie in (2 rho, 1024) = "
                           f"({2.0 * G.rho}, 1024) for Schwartz-class use")
@@ -85,6 +88,7 @@ def xi_poly_profile(G: GroupDatum, p: int = 3) -> RadialProfile:
     Not admissible for the forward transform (decay not strictly
     stronger than the Haar growth), which is also by design.
     """
+    _real_scalar(p, "xi_poly_profile", "p")
     if not 1 <= p < math.inf:
         raise DomainError(f"xi_poly_profile: p = {p!r} must be finite and at least 1")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvaluationError, GridContractError
-from .groups import GroupDatum, _real_array
+from .groups import GroupDatum, _real_scalar
 from .specfun import DEFAULT_QUAD, QuadratureSpec
 from .spherical import RadialProfile, xi
 from .transform import (
@@ -67,7 +67,7 @@ def schwartz_seminorm(
     Starts from T = 40 and extends by 25% steps (cap 60) while the argmax
     saturates the boundary; a report that still saturates is flagged.
     """
-    _real_array(r, "schwartz_seminorm", "r")
+    _real_scalar(r, "schwartz_seminorm", "r")
     if not 0.0 <= r < math.inf:  # NaN fails too
         raise DomainError(f"polynomial weight exponent r must be finite and >= 0, got r = {r!r}")
     if isinstance(k, bool) or k not in (0, 1, 2):
@@ -192,6 +192,7 @@ class TubeSpec:
     half_width: float
 
     def __post_init__(self):
+        _real_scalar(self.epsilon, "TubeSpec", "epsilon")
         if not (0.0 <= self.epsilon <= 1.0):
             raise DomainError("tube epsilon must lie in [0, 1]")
         if not (0.0 <= self.half_width < math.inf):
@@ -199,6 +200,7 @@ class TubeSpec:
 
     @classmethod
     def for_group(cls, G: GroupDatum, epsilon: float) -> "TubeSpec":
+        _real_scalar(epsilon, "TubeSpec.for_group", "epsilon")
         return cls(epsilon=epsilon, half_width=epsilon * G.rho)
 
 

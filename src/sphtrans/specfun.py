@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
+from .groups import _real_scalar
 
 __all__ = [
     "QuadratureSpec",
@@ -71,16 +72,9 @@ class ExpDecay:
 
 
 def truncation_point(decay: ExpDecay, abs_tol: float) -> float:
-    """Smallest T (within a factor) with tail_integral(T) <= abs_tol / 4, held per
-    (decay, abs_tol) unless a field is unhashable (an ndarray); errors raise every call."""
-    try:
-        return _truncation_point(decay, abs_tol)
-    except TypeError:  # an unhashable decay or abs_tol is not cached
-        return _truncation_point.__wrapped__(decay, abs_tol)
-
-
-@functools.lru_cache(maxsize=64)
-def _truncation_point(decay: ExpDecay, abs_tol: float) -> float:
+    """Smallest T (within a factor 1.5) with tail_integral(T) <= abs_tol / 4, from
+    T = max(1, 5 / rate) up; DomainError for an envelope or tolerance it cannot use, or
+    past T = 1e6."""
     # written so that NaN fails: a NaN envelope or tolerance ends the search at its first T
     if not (0 < decay.rate < math.inf and 0 <= decay.coeff < math.inf
             and abs(decay.degree) < math.inf and 0 < abs_tol < math.inf):
@@ -109,6 +103,8 @@ class QuadratureSpec:
     max_subdivisions: int = 4096
 
     def __post_init__(self):
+        _real_scalar(self.rel_tol, "QuadratureSpec", "rel_tol")
+        _real_scalar(self.abs_tol, "QuadratureSpec", "abs_tol")
         # written so that NaN fails: a NaN tolerance would pass every error check
         if not 1e-14 <= self.rel_tol < math.inf:
             raise DomainError(f"rel_tol must be finite and at least 1e-14, got {self.rel_tol}")

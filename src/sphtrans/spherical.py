@@ -484,17 +484,18 @@ def _exp_sides(lam: np.ndarray, far: np.ndarray, near: np.ndarray, radius: float
 
 @functools.lru_cache(maxsize=64)
 def _rule_nodes(n: int):
-    """The bytes of the nodes of the radial rule of n panels, and its split (mid, offsets)."""
-    nodes, _, panels = composite_nodes(0.0, n * _T_PANEL, n, gauss_kronrod_rule(_T_GAUSS_ORDER))
-    return nodes.tobytes(), panels
+    """The radial rule of n panels, composite K51 on [0, n * _T_PANEL] and the only one built:
+    its nodes, its weights shaped (51 n, 2), K51 and the embedded G25 (zero at the Kronrod
+    nodes), and its split (mid, offsets); held, and not to be written."""
+    return composite_nodes(0.0, n * _T_PANEL, n, gauss_kronrod_rule(_T_GAUSS_ORDER))
 
 
 def _rule_panels(t: np.ndarray):
     """(mid, offsets) when ``t`` is, bit for bit, a radial rule's nodes mid[P] + offsets[j]:
     K51 on n panels of ``_T_PANEL`` from 0, the first 51 n entries of one sequence; else None."""
     n, rest = divmod(len(t), 2 * _T_GAUSS_ORDER + 1)
-    nodes, panels = _rule_nodes(n) if n and not rest else (None, None)
-    return panels if panels and t.tobytes() == nodes else None
+    nodes, _, panels = _rule_nodes(n) if n and not rest else (None, None, None)
+    return panels if panels and t.tobytes() == nodes.tobytes() else None
 
 
 @functools.lru_cache(maxsize=64)

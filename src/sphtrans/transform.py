@@ -33,9 +33,9 @@ import numpy as np
 from . import cfunction, spherical
 from .errors import (AccuracyError, DomainError, EvaluationError, GridContractError,
                      PreconditionError, SingularPointError)
-from .groups import GroupDatum, _real_array, haar_density, haar_log_derivative
-from .specfun import (DEFAULT_QUAD, ExpDecay, QuadratureSpec, composite_nodes, gauss_kronrod_rule,
-                      gauss_legendre_rule, integrate_interval, truncation_point)
+from .groups import GroupDatum, _real_array, _real_scalar, haar_density, haar_log_derivative
+from .specfun import (DEFAULT_QUAD, ExpDecay, QuadratureSpec, composite_nodes, gauss_legendre_rule,
+                      integrate_interval, truncation_point)
 from .spherical import RadialProfile, _hc_coefficients, c_log, phi, phi_d1, phi_d2
 
 __all__ = [
@@ -287,10 +287,9 @@ class _Rule:
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _radial_rule(G: GroupDatum, T: float) -> _Rule:
-    """Composite K51 rule on [0, T] with the Haar density; its weights are shaped
-    (n, 2): K51, and the embedded G25 (zero at the Kronrod nodes)."""
-    n = max(2, int(math.ceil(T / spherical._T_PANEL)))
-    nodes, weights, _ = composite_nodes(0.0, T, n, gauss_kronrod_rule(spherical._T_GAUSS_ORDER))
+    """The radial rule (:func:`spherical._rule_nodes`) on [0, T], T a whole number of its
+    panels as every cutoff is, with the Haar density; weights K51 and G25 as held there."""
+    nodes, weights, _ = spherical._rule_nodes(math.ceil(T / spherical._T_PANEL))
     return _Rule(nodes, weights, haar_density(G, nodes))
 
 
@@ -489,14 +488,21 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     of the last ``t`` are held (a copy each call), so a round trip asks for its table once.
 
     ``decay`` bounds the exact packet; the evaluated one is within its
-    roundoff floor 1e-14 sum|charge| (1 + t) e^{-rho t} of it.  It comes from
-    a contour shift of ``fn`` (:func:`_contour_envelope`), chosen once per
-    (G, ladder, sum|charge|) and checked for each packet on the K51 nodes of
-    [0, T], where :func:`hc_transform` then finds the values held.  PreconditionError
-    naming the symbol when it has no ``fn``, when no contour shift is usable, or when the
-    packet leaves the envelope by more than the floor (an ``fn`` that is not the symbol's
-    continuation, or a grid end L that cuts the symbol off); EvaluationError naming the
-    first t there where the packet is not finite.
+    roundoff floor 1e-14 sum|charge| (1 + t) e^{-rho t} of it.  It comes from a
+    contour shift of ``fn``.  For real nu, phi_nu |c(nu)|^-2 = Phi_nu / c(-nu) +
+    Phi_{-nu} / c(nu), so for an even symbol psi_a(t) = (2 c_P/|W|) int_R a(nu) Phi_nu(t) /
+    c(-nu) dnu.  Neither factor has a pole on Im nu > 0 (Koornwinder 1984), so the line
+    moves to Im nu = sigma, where |e^{i nu t}| = e^{-sigma t}: for t >= t0,
+    |psi(t)| <= C_sigma e^{-(rho + sigma) t} (:func:`_contour_ladder`, uncached for an
+    unhashable ``fn``), and for t < t0, |psi(t)| <= sum |charge|, since |phi_nu| <= Xi <= 1.
+    Of the usable sigma, :func:`_envelope_choice` takes the one that gives
+    :func:`hc_transform` the shortest T, held per (G, ladder, sum|charge|).  Each packet is
+    then checked against that envelope plus the floor on the K51 nodes of [0, T], T that
+    sigma's cutoff: there :func:`hc_transform` at the default tolerance reads it, and finds
+    the values held.  PreconditionError naming the symbol when it has no ``fn``, when no
+    contour shift is usable, or when the packet leaves the envelope (an ``fn`` that is not
+    the symbol's continuation, or a grid end L that cuts the symbol off, named with
+    |a(L)| / max|a|); EvaluationError naming the first t there where the packet is not finite.
     """
     _check_symbol(a, "wave-packet symbol")
     name = a.label or "a"
@@ -536,17 +542,34 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
             last[:] = key, values(t)
         return last[1].copy()
 
-    def noise_floor(ts):
-        # evaluator noise: roundoff of the quadrature dot against the
-        # spherical-function envelope |phi_nu(t)| <= 2 (1+t) e^{-rho t}
-        _, charge = charges(_spectral_order(ts.max(initial=1.0)))
-        kappa = 1e-14 * float(np.sum(np.abs(charge)))
-        return kappa * (1.0 + ts) * np.exp(-G.rho * ts)
-
     charge_sum = float(np.sum(np.abs(charges(_spectral_order())[1])))
+    try:
+        ladder = _contour_ladder(G, a.fn)
+    except TypeError:  # an unhashable fn is not cached
+        ladder = _contour_ladder.__wrapped__(G, a.fn)
+    if not ladder:
+        raise PreconditionError(f"wave-packet symbol {name!r} has no usable contour shift: its "
+                                "fn rejects complex input or is not finite on Im nu = sigma")
+    (T, _), env = _envelope_choice(G, ladder, charge_sum)
+    ts = _radial_rule(G, T).nodes  # where hc_transform reads the packet: its table is then held
+    vals = np.abs(eval_packet(ts))
+    if not np.all(np.isfinite(vals)):  # else NaN would pass the envelope check
+        t_bad = float(ts[np.argmax(~np.isfinite(vals))])
+        raise EvaluationError(f"wave packet is not finite at t = {t_bad!r}")
+    # the floor, evaluator noise: roundoff of the quadrature dot against the
+    # spherical-function envelope |phi_nu(t)| <= 2 (1+t) e^{-rho t}
+    _, charge = charges(_spectral_order(ts.max(initial=1.0)))
+    kappa = 1e-14 * float(np.sum(np.abs(charge)))
+    outside = vals > env.bound(ts) + kappa * (1.0 + ts) * np.exp(-G.rho * ts)
+    if np.any(outside):
+        cut = abs(a.values[-1]) / a.scale()
+        raise PreconditionError(f"wave packet of {name!r} leaves its contour envelope at t = "
+                                f"{float(ts[np.argmax(outside)])!r}: fn is not its continuation, "
+                                f"or the spectral integral's end L = {L!r} cuts "
+                                f"the symbol off at |a(L)| / max|a| = {cut:.3g}")
     return RadialProfile(
         eval=eval_packet,
-        decay=_contour_envelope(G, a, charge_sum, eval_packet, noise_floor),
+        decay=env,
         d1=charged(1),
         d2=charged(2),
         label=f"psi[{name}]",
@@ -606,53 +629,12 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
     return tuple(zip(_SIGMAS[usable].tolist(), C[usable].tolist()))
 
 
-def _contour_envelope(G: GroupDatum, a: SpectralFunction, charge_sum: float, eval_packet,
-                      noise_floor) -> ExpDecay:
-    """Envelope of the exact packet of the symbol ``a`` from a contour shift.
-
-    For real nu, phi_nu |c(nu)|^-2 = Phi_nu / c(-nu) + Phi_{-nu} / c(nu), so for
-    an even symbol psi_a(t) = (2 c_P/|W|) int_R a(nu) Phi_nu(t) / c(-nu) dnu.
-    Neither factor has a pole on Im nu > 0 (Koornwinder 1984), so the line
-    moves to Im nu = sigma, where |e^{i nu t}| = e^{-sigma t}: for t >= t0,
-    |psi(t)| <= C_sigma e^{-(rho + sigma) t} (:func:`_contour_ladder`), and for
-    t < t0, |psi(t)| <= sum |charge|, since |phi_nu| <= Xi <= 1.  Of the usable
-    sigma, the one that gives :func:`hc_transform` the shortest T wins, ties
-    going to the smaller tail bound; an unhashable ``fn`` computes its ladder
-    uncached; the choice is held per (G, ladder, sum |charge|) (:func:`_envelope_choice`).
-    This packet is then checked, on every call, on the K51 nodes of [0, T]
-    where :func:`hc_transform` at the default tolerance reads it, T that
-    sigma's cutoff, and ``noise_floor`` is the margin it allows.  The errors,
-    naming the symbol's label, are :func:`wave_packet`'s; leaving the envelope
-    also names the grid end L, where the spectral integral stops, and |a(L)| / max|a|.
-    """
-    name = a.label or "a"
-    try:
-        ladder = _contour_ladder(G, a.fn)
-    except TypeError:  # an unhashable fn is not cached
-        ladder = _contour_ladder.__wrapped__(G, a.fn)
-    if not ladder:
-        raise PreconditionError(f"wave-packet symbol {name!r} has no usable contour shift: its "
-                                "fn rejects complex input or is not finite on Im nu = sigma")
-    (T, _), env = _envelope_choice(G, ladder, charge_sum)
-    ts = _radial_rule(G, T).nodes  # where hc_transform reads the packet: its table is then held
-    vals = np.abs(eval_packet(ts))
-    if not np.all(np.isfinite(vals)):  # else NaN would pass the envelope check
-        t_bad = float(ts[np.argmax(~np.isfinite(vals))])
-        raise EvaluationError(f"wave packet is not finite at t = {t_bad!r}")
-    outside = vals > env.bound(ts) + noise_floor(ts)
-    if np.any(outside):
-        cut = abs(a.values[-1]) / a.scale()
-        raise PreconditionError(f"wave packet of {name!r} leaves its contour envelope at t = "
-                                f"{float(ts[np.argmax(outside)])!r}: fn is not its continuation, "
-                                f"or the spectral integral's end L = {float(a.grid[-1])!r} cuts "
-                                f"the symbol off at |a(L)| / max|a| = {cut:.3g}")
-    return env
-
-
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _envelope_choice(G: GroupDatum, ladder: tuple, charge_sum: float):
-    """((T, tail bound), env) for :func:`_contour_envelope`: the envelope of ``ladder``'s
-    (sigma, C_sigma) at ``charge_sum`` with the shortest cutoff T, then the smaller tail bound."""
+    """((T, tail bound), env) for :func:`wave_packet`: of the envelopes
+    max(C_sigma, charge_sum e^{(rho + sigma) t0}) e^{-(rho + sigma) t}, with a margin, of
+    ``ladder``'s (sigma, C_sigma), the one whose :func:`hc_transform` cutoff T at the default
+    tolerance is shortest, ties going to the smaller tail bound."""
     envs = []
     for sigma, C in ladder:
         rate = G.rho + sigma
@@ -725,10 +707,10 @@ def expansion_term(
     """
     if cartan_class not in CARTAN_CLASSES:
         raise DomainError(f"cartan_class must be one of {CARTAN_CLASSES}")
-    _real_array(eps, "expansion_term", "eps")
+    _real_scalar(eps, "expansion_term", "eps")
     if not 0.0 < eps <= 1.0:
         raise DomainError(f"mollifier width must be real and lie in (0, 1], got eps = {eps!r}")
-    _real_array(lam, "expansion_term", "lam")
+    _real_scalar(lam, "expansion_term", "lam")
     half_window = 9.0 * eps
     if not abs(float(lam)) + half_window <= GRID_MAX:  # NaN fails too
         raise DomainError(f"expansion_term requires finite lam with |lam| + 9 eps <= {GRID_MAX}, "

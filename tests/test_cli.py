@@ -19,6 +19,12 @@ def run_cli(args):
     return main(args)
 
 
+@pytest.mark.parametrize("grid, path", [("0:1:2", "grid.count"), ("1:0:5", "grid")])
+def test_a_phi_grid_of_two_points_or_with_min_above_max_exits_2_naming_it(grid, path, capsys):
+    assert run_cli(["phi", "--grid", grid]) == 2
+    assert capsys.readouterr().err.startswith(f"error in cli.config: {path}: ")
+
+
 def test_presets_listing(capsys):
     assert run_cli(["presets"]) == 0
     out = capsys.readouterr().out

@@ -93,6 +93,11 @@ def test_haar_log_derivative_limit():
     assert abs(haar_log_derivative(G, 25.0) - 2.0 * G.rho) < 1e-12
 
 
+def test_haar_log_derivative_refuses_the_pole_at_zero():
+    with pytest.raises(DomainError, match="requires t > 0"):
+        haar_log_derivative(preset("H3"), 0.0)
+
+
 def test_datum_validation():
     with pytest.raises(DomainError, match="rho must be positive"):
         GroupDatum("bad", 0, 0)

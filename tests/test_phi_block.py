@@ -701,8 +701,8 @@ def test_radial_rule_nodes_are_recognised_by_their_values_alone(monkeypatch):
                         asked.append(t) or phi(G, lam, t))
     transform.hc_transform_at(G, gaussian_profile(G, 1.0), 1.0)
     assert len(asked[0]) == 124
-    for t in (moved, np.append(nodes, 16.5), asked[0], np.zeros(0),
-              transform._radial_rule(G, 3.0).nodes):  # panels of 1.5
+    wide = specfun.composite_nodes(0.0, 3.0, 2, specfun.gauss_kronrod_rule(25))[0]  # panels of 1.5
+    for t in (moved, np.append(nodes, 16.5), asked[0], np.zeros(0), wide):
         assert spherical._rule_panels(t) is None
 
 

@@ -287,6 +287,20 @@ def test_decay_hint_tail_bound():
 def test_halfline_requires_positive_rate():
     with pytest.raises(DomainError):
         truncation_point(ExpDecay(1.0, 0.0), 1e-12)
+    assert ExpDecay(1.0, 0.0).tail_integral(1.0) == math.inf
+
+
+def test_truncation_past_1e6_raises():
+    # the search starts at T = 5 / rate = 5e6, where the tail e^-5 / rate is far above 1e-12
+    with pytest.raises(DomainError, match="truncation point exceeds 1e6"):
+        truncation_point(ExpDecay(1.0, 1e-6), 1e-12)
+
+
+def test_integration_refuses_a_nan_integrand_and_an_empty_interval():
+    with pytest.raises(DomainError, match=re.escape("non-finite values on [0.0, 1.0]")):
+        integrate_interval(lambda t: np.where(t > 0.5, math.nan, t), 0.0, 1.0)
+    with pytest.raises(DomainError, match="need lo < hi, got lo = 1.0, hi = 1.0"):
+        integrate_interval(np.cos, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("decay, named", [
@@ -312,13 +326,12 @@ def test_truncation_rejects_a_tolerance_it_cannot_use(abs_tol):
 
 
 def test_truncation_of_a_nan_envelope_raises_every_call():
-    # truncation points are held, errors are not, and NaN matches no held key
     for _ in range(2):
         with pytest.raises(DomainError, match="rate = nan"):
             truncation_point(ExpDecay(1.0, math.nan), 1e-12)
 
 
 def test_truncation_of_an_unhashable_envelope_is_computed():
-    # a 0-d ndarray field cannot key the held points, so the point is computed anew
+    # a 0-d ndarray field, which could not key a cache, gives the same point
     held = truncation_point(ExpDecay(1.0, 2.0), 1e-12)
     assert truncation_point(ExpDecay(np.array(1.0), 2.0), 1e-12) == held == 18.984375

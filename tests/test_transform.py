@@ -20,7 +20,8 @@ from sphtrans.errors import (
 from sphtrans.groups import PRESET_NAMES, GroupDatum, haar_density, haar_log_derivative, preset
 from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile
 from sphtrans.schwartz import TubeSpec, schwartz_seminorm, tube_extension_check
-from sphtrans.specfun import DEFAULT_QUAD, ExpDecay, gauss_legendre_rule, integrate_interval
+from sphtrans.specfun import (DEFAULT_QUAD, ExpDecay, QuadratureSpec, gauss_legendre_rule,
+                              integrate_interval)
 from sphtrans.spherical import RadialProfile, phi, phi_d1, phi_d2
 from sphtrans.transform import (
     CARTAN_CLASSES,
@@ -891,41 +892,121 @@ GRID7 = np.linspace(-3.0, 3.0, 7)
 
 @pytest.mark.parametrize("call, named", [
     # a complex t was cast to its real part, with only numpy's ComplexWarning
-    (lambda G, f: f(np.array([1 + 1j])), "real t, got t = array([1.+1.j])"),
-    (lambda G, f: f.deriv(np.array([1 + 1j]), 2), "real t, got t = array([1.+1.j])"),
-    (lambda G, f: haar_density(G, 1 + 1j), "haar_density requires real t, got t = (1+1j)"),
-    (lambda G, f: haar_log_derivative(G, np.array([1j])), "real t, got t = array([0.+1.j])"),
+    pytest.param(lambda G, f: f(np.array([1 + 1j])), "real t, got t = array([1.+1.j])",
+                 id="profile-complex-t"),
+    pytest.param(lambda G, f: f.deriv(np.array([1 + 1j]), 2), "real t, got t = array([1.+1.j])",
+                 id="profile-deriv-complex-t"),
+    pytest.param(lambda G, f: haar_density(G, 1 + 1j),
+                 "haar_density requires real t, got t = (1+1j)", id="haar_density-complex-t"),
+    pytest.param(lambda G, f: haar_log_derivative(G, np.array([1j])),
+                 "real t, got t = array([0.+1.j])", id="haar_log_derivative-complex-t"),
     # text raised ValueError or TypeError from a cast or a comparison
-    (lambda G, f: f("x"), "real t, got t = 'x'"),
-    (lambda G, f: haar_density(G, "x"), "haar_density requires real t, got t = 'x'"),
-    (lambda G, f: casimir_radial(G, f, "x"), "radial Casimir requires real t, got t = 'x'"),
-    (lambda G, f: hc_transform_at(G, f, "a"), "hc_transform_at requires finite lam, got 'a'"),
-    (lambda G, f: expansion_term(G, "split", f, "a", 0.1), "real lam, got lam = 'a'"),
-    (lambda G, f: expansion_term(G, "split", f, 1.0, "x"), "real eps, got eps = 'x'"),
-    (lambda G, f: schwartz_seminorm(G, f, "x", 0), "real r, got r = 'x'"),
+    pytest.param(lambda G, f: f("x"), "real t, got t = 'x'", id="profile-text-t"),
+    pytest.param(lambda G, f: haar_density(G, "x"), "haar_density requires real t, got t = 'x'",
+                 id="haar_density-text-t"),
+    pytest.param(lambda G, f: casimir_radial(G, f, "x"),
+                 "radial Casimir requires real t, got t = 'x'", id="casimir-text-t"),
+    pytest.param(lambda G, f: hc_transform_at(G, f, "a"),
+                 "hc_transform_at requires finite lam, got 'a'", id="hc_transform_at-text-lam"),
+    pytest.param(lambda G, f: expansion_term(G, "split", f, "a", 0.1), "real lam, got lam = 'a'",
+                 id="expansion_term-text-lam"),
+    pytest.param(lambda G, f: expansion_term(G, "split", f, 1.0, "x"), "real eps, got eps = 'x'",
+                 id="expansion_term-text-eps"),
+    pytest.param(lambda G, f: schwartz_seminorm(G, f, "x", 0), "real r, got r = 'x'",
+                 id="seminorm-text-r"),
     # a complex grid, x or packet t was cast to its real part, with only a ComplexWarning
-    (lambda G, f: hc_transform(G, f, GRID7 + 0j), "real grid, got grid = array([-3.+0.j"),
-    (lambda G, f: SpectralFunction(GRID7 + 0j, np.ones(7), SpectralDecay(1.0, 2.0)),
-     "real grid, got grid = array([-3.+0.j"),
-    (lambda G, f: SpectralFunction.from_function(np.cos, GRID7 + 0j, SpectralDecay(1.0, 2.0)),
-     "real grid, got grid = array([-3.+0.j"),
-    (lambda G, f: hc_transform(G, f, GRID7).spectral(1 + 1j), "real x, got x = (1+1j)"),
-    (lambda G, f: tube_extension_check(G, f, TubeSpec.for_group(G, 0.0), xs=GRID7 + 0j),
-     "real grid, got grid = array([-3.+0.j"),
-    (lambda G, f: wave_packet(G, gauss_symbol()).d1(np.array([1 + 1j])),
-     "wave packet requires real t, got t = array([1.+1.j])"),
-    (lambda G, f: wave_packet(G, gauss_symbol()).d2(1 + 1j),
-     "wave packet requires real t, got t = (1+1j)"),
+    pytest.param(lambda G, f: hc_transform(G, f, GRID7 + 0j),
+                 "real grid, got grid = array([-3.+0.j", id="hc_transform-complex-grid"),
+    pytest.param(lambda G, f: SpectralFunction(GRID7 + 0j, np.ones(7), SpectralDecay(1.0, 2.0)),
+                 "real grid, got grid = array([-3.+0.j", id="spectral-function-complex-grid"),
+    pytest.param(lambda G, f: SpectralFunction.from_function(np.cos, GRID7 + 0j,
+                                                             SpectralDecay(1.0, 2.0)),
+                 "real grid, got grid = array([-3.+0.j", id="from-function-complex-grid"),
+    pytest.param(lambda G, f: hc_transform(G, f, GRID7).spectral(1 + 1j),
+                 "real x, got x = (1+1j)", id="spectral-call-complex-x"),
+    pytest.param(lambda G, f: tube_extension_check(G, f, TubeSpec.for_group(G, 0.0),
+                                                   xs=GRID7 + 0j),
+                 "real grid, got grid = array([-3.+0.j", id="tube-complex-xs"),
+    pytest.param(lambda G, f: wave_packet(G, gauss_symbol()).d1(np.array([1 + 1j])),
+                 "wave packet requires real t, got t = array([1.+1.j])", id="packet-d1-complex-t"),
+    pytest.param(lambda G, f: wave_packet(G, gauss_symbol()).d2(1 + 1j),
+                 "wave packet requires real t, got t = (1+1j)", id="packet-d2-complex-t"),
     # and text raised an untyped ValueError
-    (lambda G, f: hc_transform(G, f, "x"), "real grid, got grid = 'x'"),
-    (lambda G, f: gauss_symbol()("x"), "real x, got x = 'x'"),
-    (lambda G, f: wave_packet(G, gauss_symbol()).d1("x"),
-     "wave packet requires real t, got t = 'x'"),
+    pytest.param(lambda G, f: hc_transform(G, f, "x"), "real grid, got grid = 'x'",
+                 id="hc_transform-text-grid"),
+    pytest.param(lambda G, f: gauss_symbol()("x"), "real x, got x = 'x'",
+                 id="spectral-call-text-x"),
+    pytest.param(lambda G, f: wave_packet(G, gauss_symbol()).d1("x"),
+                 "wave packet requires real t, got t = 'x'", id="packet-d1-text-t"),
 ])
 def test_a_non_real_or_non_numeric_input_raises_a_domain_error_naming_it(call, named):
     G = preset("H3")
     with pytest.raises(DomainError, match=re.escape(named)):
         call(G, gaussian_profile(G, 1.0))
+
+
+@pytest.mark.parametrize("value", [np.array([0.5, 0.5]), "0.5"], ids=["two-numbers", "text"])
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda G, f, v: expansion_term(G, "split", f, 1.0, v), "eps",
+                 id="expansion_term-eps"),
+    pytest.param(lambda G, f, v: expansion_term(G, "split", f, v, 0.1), "lam",
+                 id="expansion_term-lam"),
+    pytest.param(lambda G, f, v: schwartz_seminorm(G, f, v), "r", id="seminorm-r"),
+    pytest.param(lambda G, f, v: gaussian_profile(G, v), "width", id="gaussian-width"),
+    pytest.param(lambda G, f, v: gaussian_profile(G, 1.0, v), "scale", id="gaussian-scale"),
+    pytest.param(lambda G, f, v: cosh_profile(G, v), "power", id="cosh-power"),
+    pytest.param(lambda G, f, v: xi_poly_profile(G, v), "p", id="xi_poly-p"),
+    pytest.param(lambda G, f, v: TubeSpec(v, 1.0), "epsilon", id="tube-epsilon"),
+    pytest.param(lambda G, f, v: TubeSpec.for_group(G, v), "epsilon", id="tube-for-group-epsilon"),
+    pytest.param(lambda G, f, v: QuadratureSpec(rel_tol=v), "rel_tol", id="quadrature-rel_tol"),
+    pytest.param(lambda G, f, v: QuadratureSpec(abs_tol=v), "abs_tol", id="quadrature-abs_tol"),
+])
+def test_a_scalar_parameter_given_two_numbers_or_text_raises_a_domain_error_naming_it(
+        call, name, value):
+    # two numbers raised an untyped ValueError (an ambiguous truth value) or TypeError, and
+    # text a TypeError, or passed float() as cosh_profile's power
+    G = preset("H3")
+    with pytest.raises(DomainError, match=rf"requires (one )?real {name}, got {name} = "):
+        call(G, gaussian_profile(G, 1.0), value)
+
+
+def test_a_gaussian_scale_may_be_complex():
+    G = preset("H3")
+    f = gaussian_profile(G, 1.0, 2j)
+    assert f(0.0) == 2j
+    assert f.decay.coeff == 2.0 * gaussian_profile(G, 1.0).decay.coeff
+
+
+def test_spectral_function_values_one_short_of_the_grid_raise():
+    with pytest.raises(GridContractError, match="grid and values must be 1-d and equally long"):
+        SpectralFunction(GRID7, np.ones(6), SpectralDecay(1.0, 2.0))
+
+
+def test_a_spectral_function_on_five_points_cannot_be_called_off_its_grid():
+    a = SpectralFunction(np.linspace(-2.0, 2.0, 5), np.ones(5), SpectralDecay(1.0, 2.0))
+    with pytest.raises(GridContractError, match="grid of 5 points cannot support order-6"):
+        a(0.5)
+
+
+def test_a_grid_symmetric_to_1e12_but_not_to_rounding_is_transformed_row_by_row():
+    G = preset("H3")
+    grid = np.array([-3.0, -1.8, -0.6, 0.6, 1.8, 3.0])  # no lam = 0: the oracle divides by lam
+    grid[-1] += 5e-13  # within the 1e-12 contract, past 8 eps of 3: equal |lam| merge, no fold
+    assert len(transform._mirror_fold(grid)[0]) == 4
+    res = hc_transform(G, gaussian_profile(G, 1.0), grid)
+    for lam, value in zip(grid, res.spectral.values):
+        exact = gauss_transform_h3(lam)
+        assert abs(value - exact) <= max(1e-12, 1e-10 * abs(exact))
+
+
+def test_convolution_of_two_profiles_at_the_haar_rate_is_refused():
+    # e^{-rho t} (1+t)^-3 passes the Schwartz floor e^{-rho t} (1+t)^-2 alone, but the
+    # product of two decays no faster than the Haar weight grows
+    G = preset("H3")
+    f = xi_poly_profile(G, 4)
+    assert f.decay.rate == G.rho and f.decay.degree == -3
+    with pytest.raises(PreconditionError, match="combined decay too weak against the Haar weight"):
+        convolve_at_identity(G, f, f)
 
 
 def test_spectral_multiplier_identity_and_zero():

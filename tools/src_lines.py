@@ -2,6 +2,9 @@
 
     python3 tools/src_lines.py [REV]
 
+The first line gives the totals; one line per module follows, as a Markdown list item,
+so that a CI job summary shows where lines moved.
+
 A code line is a physical line that holds a token other than a comment: blank
 lines, comment lines and docstrings (a string that is a statement of its own)
 do not count, and a statement spread over several lines counts each of them.
@@ -41,27 +44,37 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def sources(rev: str | None) -> list[str]:
-    """The text of each src/sphtrans/*.py: at ``rev``, or in the working tree."""
+def sources(rev: str | None) -> dict[str, str]:
+    """The text of each src/sphtrans/*.py by file name: at ``rev``, or in the working tree."""
     if rev is None:
-        return [p.read_text() for p in sorted((ROOT / SRC).glob("*.py"))]
+        return {p.name: p.read_text() for p in sorted((ROOT / SRC).glob("*.py"))}
     git = ["git", "-C", str(ROOT)]
     names = subprocess.run(git + ["ls-tree", "--name-only", rev, SRC + "/"], check=True,
                            capture_output=True, text=True).stdout.split()
-    return [subprocess.run(git + ["show", f"{rev}:{name}"], check=True, capture_output=True,
-                           text=True).stdout for name in names if name.endswith(".py")]
+    return {Path(name).name: subprocess.run(git + ["show", f"{rev}:{name}"], check=True,
+                                            capture_output=True, text=True).stdout
+            for name in names if name.endswith(".py")}
+
+
+def module_counts(rev: str | None = None) -> dict[str, tuple[int, int]]:
+    """(total lines, code lines) of each src/sphtrans/*.py by file name."""
+    return {name: (len(text.splitlines()), code_lines(text))
+            for name, text in sources(rev).items()}
 
 
 def count(rev: str | None = None) -> tuple[int, int]:
     """(total lines, code lines) of src/sphtrans/*.py."""
-    texts = sources(rev)
-    return sum(len(text.splitlines()) for text in texts), sum(code_lines(text) for text in texts)
+    modules = module_counts(rev).values()
+    return sum(total for total, _ in modules), sum(code for _, code in modules)
 
 
 def main(argv: list[str]) -> None:
     rev = argv[0] if argv else None
-    total, code = count(rev)
+    modules = module_counts(rev)
+    total, code = (sum(column) for column in zip(*modules.values()))
     print(f"{SRC}/*.py{'' if rev is None else ' at ' + rev}: {total} lines, {code} code lines")
+    for name, (module_total, module_code) in modules.items():  # a Markdown list in a CI summary
+        print(f"- {name}: {module_total} lines, {module_code} code lines")
 
 
 if __name__ == "__main__":

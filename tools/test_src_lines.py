@@ -1,6 +1,8 @@
-"""src_lines.code_lines on small sources, and the working tree's totals."""
+"""src_lines.code_lines on small sources, and the working tree's totals and module lines."""
 
-from src_lines import ROOT, SRC, code_lines, count
+import re
+
+from src_lines import ROOT, SRC, code_lines, count, main
 
 SOURCE = '''"""Module docstring,
 over two lines."""
@@ -41,3 +43,14 @@ def test_working_tree_totals_add_up_over_the_files():
     assert total == sum(len(p.read_text().splitlines()) for p in files)
     assert code == sum(code_lines(p.read_text()) for p in files)
     assert 0 < code < total
+
+
+def test_module_lines_add_up_to_the_total_line(capsys):
+    main([])
+    first, *modules = capsys.readouterr().out.splitlines()
+    head = re.fullmatch(rf"{SRC}/\*\.py: (\d+) lines, (\d+) code lines", first)
+    rows = [re.fullmatch(r"- (\w+\.py): (\d+) lines, (\d+) code lines", line).groups()
+            for line in modules]
+    assert [name for name, _, _ in rows] == sorted(p.name for p in (ROOT / SRC).glob("*.py"))
+    sums = [sum(int(row[k]) for row in rows) for k in (1, 2)]
+    assert sums == [int(head[1]), int(head[2])] == list(count())
