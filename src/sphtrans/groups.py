@@ -95,10 +95,18 @@ def preset(name: str) -> GroupDatum:
         ) from None
 
 
+def _array(x) -> np.ndarray:
+    """``x`` as an array; a ragged nesting, which numpy refuses, as an empty one of objects."""
+    try:
+        return np.asarray(x)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        return np.empty(0, dtype=object)
+
+
 def _real_array(x, who: str, name: str = "t") -> np.ndarray:
     """``x`` as a float array; DomainError naming ``name`` unless its entries are real numbers
-    (not complex, text or objects).  Non-finite ones pass."""
-    arr = np.asarray(x)
+    (not complex, text, objects or ragged nesting).  Non-finite ones pass."""
+    arr = _array(x)
     if arr.dtype.kind not in "biuf":
         raise DomainError(f"{who} requires real {name}, got {name} = {x!r}")
     return arr.astype(float, copy=False)
@@ -107,7 +115,7 @@ def _real_array(x, who: str, name: str = "t") -> np.ndarray:
 def _real_scalar(x, who: str, name: str):
     """``x`` itself, bits and type kept, when it is one real number (a 0-d array too);
     DomainError naming ``name`` for several numbers, or for complex or text ones."""
-    if np.ndim(_real_array(x, who, name)) != 0:
+    if _real_array(x, who, name).ndim != 0:
         raise DomainError(f"{who} requires one real {name}, got {name} = {x!r}")
     return x
 
@@ -118,12 +126,12 @@ def haar_density(G: GroupDatum, t):
     Accepts scalars or arrays; t must be nonnegative.
     """
     t_arr = _real_array(t, "haar_density")
-    if np.any(t_arr < 0):
+    if (t_arr < 0).any():
         raise DomainError("haar_density requires t >= 0")
     out = (2.0 * np.sinh(t_arr)) ** G.m_alpha
     if G.m_2alpha:
         out = out * (2.0 * np.sinh(2.0 * t_arr)) ** G.m_2alpha
-    if np.isscalar(t) or t_arr.ndim == 0:
+    if t_arr.ndim == 0:
         return float(out)
     return out
 
@@ -131,11 +139,11 @@ def haar_density(G: GroupDatum, t):
 def haar_log_derivative(G: GroupDatum, t):
     """Delta'(t)/Delta(t) = m_alpha coth t + 2 m_2alpha coth 2t (t > 0)."""
     t_arr = _real_array(t, "haar_log_derivative")
-    if np.any(t_arr <= 0):
+    if (t_arr <= 0).any():
         raise DomainError("haar_log_derivative requires t > 0")
     out = G.m_alpha / np.tanh(t_arr)
     if G.m_2alpha:
         out = out + 2.0 * G.m_2alpha / np.tanh(2.0 * t_arr)
-    if np.isscalar(t) or t_arr.ndim == 0:
+    if t_arr.ndim == 0:
         return float(out)
     return out

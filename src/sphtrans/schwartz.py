@@ -55,10 +55,6 @@ class SeminormReport:
     boundary_saturated: bool
 
 
-def _log_dense_grid(t_max: float, n: int = 420) -> np.ndarray:
-    return np.concatenate([[0.0], np.geomspace(1e-3, t_max, n - 1)])
-
-
 def schwartz_seminorm(
     G: GroupDatum, f: RadialProfile, r: float, k: int = 0
 ) -> SeminormReport:
@@ -74,7 +70,7 @@ def schwartz_seminorm(
         raise DomainError(f"derivative order k must be 0, 1 or 2, got k = {k!r}")
     t_max = _T_MAX_DEFAULT
     while True:
-        ts = _log_dense_grid(t_max)
+        ts = np.concatenate([[0.0], np.geomspace(1e-3, t_max, 419)])  # 420 points, log-dense
         samples = np.abs(np.asarray(f.deriv(ts, k), dtype=complex))
         if not np.all(np.isfinite(samples)):
             bad = int(np.argmax(~np.isfinite(samples)))
@@ -195,6 +191,7 @@ class TubeSpec:
         _real_scalar(self.epsilon, "TubeSpec", "epsilon")
         if not (0.0 <= self.epsilon <= 1.0):
             raise DomainError("tube epsilon must lie in [0, 1]")
+        _real_scalar(self.half_width, "TubeSpec", "half_width")
         if not (0.0 <= self.half_width < math.inf):
             raise DomainError(f"tube half_width must be finite and >= 0, got {self.half_width}")
 
@@ -244,7 +241,7 @@ def tube_extension_check(
         xs=xs,
         ys=ys,
         values=values,
-        max_modulus=float(np.max(np.abs(values))),
-        finite=bool(np.all(np.isfinite(values))),
-        conjugation_defect=float(np.max(np.abs(values - np.conj(values[::-1])))),
+        max_modulus=float(np.abs(values).max()),
+        finite=bool(np.isfinite(values).all()),
+        conjugation_defect=float(np.abs(values - values[::-1].conj()).max()),
     )

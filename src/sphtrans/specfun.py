@@ -218,9 +218,11 @@ def _panel_estimates(f, a, b):
     if not (values.ndim in (1, 2) and values.shape[-1] == len(t)):
         raise DomainError(f"integrand must return values shaped ({len(t)},) or "
                           f"(n_comp, {len(t)}) on {len(t)} nodes, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DomainError(f"integrand returned non-finite values on [{a.min()}, {b.max()}]")
-    est = half * np.moveaxis(values.reshape(values.shape[:-1] + (len(half), len(x))) @ w, -1, 0)
+    # the estimate's axis first
+    est = half * (values.reshape(values.shape[:-1] + (len(half), len(x))) @ w).transpose(
+        -1, *range(values.ndim))
     est[1] = np.abs(est[0] - est[1])
     return est
 
@@ -247,16 +249,17 @@ def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD
     if not lo < hi:
         raise DomainError(f"need lo < hi, got lo = {lo!r}, hi = {hi!r}")
     budget = q.max_subdivisions
-    edges = np.linspace(lo, hi, _START_PANELS + 1)
+    edges = np.arange(_START_PANELS + 1.0) * ((hi - lo) / _START_PANELS) + lo  # np.linspace's
+    edges[-1] = hi
     a, b = edges[:-1], edges[1:]
     est = _panel_estimates(f, a, b)
-    scale = q.tolerance(np.sum(est[0], axis=-1))
+    scale = q.tolerance(est[0].sum(axis=-1))
     while True:
         # running sums in panel order; np.sum would pair the terms up and move the last bit
-        value, value_err = np.cumsum(est, axis=-1)[..., -1]
+        value, value_err = est.cumsum(axis=-1)[..., -1]
         err, value_err = est[1].real, value_err.real  # held as complex for a complex f
         tol = q.tolerance(value)
-        if np.all(value_err <= tol):
+        if (value_err <= tol).all():
             return value, value_err
         if budget == 0:
             raise AccuracyError(f"subdivision budget {q.max_subdivisions} exhausted "

@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AccuracyError, DomainError, EvaluationError
-from .groups import GroupDatum, _real_array, haar_log_derivative
+from .groups import GroupDatum, _array, _real_array, haar_log_derivative
 from .specfun import ExpDecay, composite_nodes, gauss_kronrod_rule
 
 __all__ = [
@@ -73,6 +73,8 @@ _CIRCLE = np.exp(1j * np.pi * (np.arange(8) - 3.5) / 8)
 _CIRCLE = np.concatenate([_CIRCLE, -_CIRCLE])
 # the circle's radius is 0.64 / max(largest t, _CIRCLE_T): one radius for all t up to it
 _CIRCLE_T = 64.0
+# plain columns are panels of one node, at offset 0 from their mid
+_NO_OFFSET = np.zeros(1)
 # an exponential-series group of whole panels holds about this many entries: one 51-node
 # panel for a packet table's 241-320 rows
 _GROUP_ENTRIES = 1 << 14
@@ -109,7 +111,7 @@ class RadialProfile:
     def __call__(self, t):
         t_arr = np.abs(_real_array(t, "a radial profile"))
         out = self.eval(t_arr)
-        if np.isscalar(t) or np.ndim(t) == 0:
+        if t_arr.ndim == 0:
             return complex(np.asarray(out).reshape(()))
         return np.asarray(out)
 
@@ -130,8 +132,9 @@ class RadialProfile:
 # ---------------------------------------------------------------------------
 
 def _powers(z: np.ndarray, n: int) -> np.ndarray:
-    """Rows z^0, z^1, ..., z^n by repeated multiplication."""
-    return np.cumprod(np.vstack([np.ones_like(z), np.broadcast_to(z, (n, len(z)))]), axis=0)
+    """Rows z^0, z^1, ..., z^n by repeated multiplication, in Fortran order (a column's powers
+    are adjacent), which is how BLAS has always been given them."""
+    return np.vander(z, n + 1, increasing=True).T
 
 
 def _real_rows(blocks) -> np.ndarray:
@@ -162,11 +165,11 @@ def _grow(fill, n: int, tol: float, r: float):
         if k1 > len(C):  # a chunk is shorter than the buffer
             C = np.concatenate([C, np.empty_like(C)])
         term, scale = fill(C, k0, k1)
-        pair = (term < scale) & (np.vstack([last, term[:-1]]) < scale)
-        pair &= (np.arange(k0, k1) >= 6)[:, None]
-        stop = np.where((stop < 0) & pair.any(axis=0), k0 + np.argmax(pair, axis=0), stop)
+        pair = (term < scale) & (np.concatenate([last[None], term[:-1]]) < scale)
+        pair[:max(6 - k0, 0)] = False
+        stop = np.where((stop < 0) & pair.any(axis=0), k0 + pair.argmax(axis=0), stop)
         last, k0 = term[-1], k1
-        if np.all(stop >= 0) or k1 > _MAX_HC_TERMS or not np.all(np.isfinite(term)):
+        if (stop >= 0).all() or k1 > _MAX_HC_TERMS or not np.isfinite(term).all():
             break
     C = C[:stop.max(initial=0) + 1]
     C[np.arange(len(C))[:, None] > stop] = 0.0
@@ -193,10 +196,10 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             C[k0:k1] = (a + n) * (q + n) / ((G.jacobi_alpha + 1.0 + n) * (n + 1.0))
             # C_n alone overflows for large |lam| where C_n u_max^n need not (u_max = 0 at t = 0)
-            term = np.cumprod(np.vstack([last, C[k0:k1] * u_max]), axis=0)[1:]
-            np.cumprod(C[k0 - 1:k1], axis=0, out=C[k0 - 1:k1])
+            term = np.concatenate([last[None], C[k0:k1] * u_max]).cumprod(axis=0)[1:]
+            C[k0 - 1:k1].cumprod(axis=0, out=C[k0 - 1:k1])
             last, bound = term[-1], np.abs(term)
-            peak = np.maximum(peak, np.nan_to_num(bound, nan=np.inf).max(axis=0))
+            peak = np.maximum(peak, bound.max(axis=0))  # NaN stays, and fails the guard
             return bound * (1.0 + u_max / (1.0 - u_max)), 1e-17  # inf at u_max = 1: unsettled
 
     coef, stop = _grow(fill, len(lam), 1e-21, float(u_max.max(initial=0.0)))
@@ -205,7 +208,7 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
     # rows past the cheap bound need Xi itself
     env = np.exp(np.abs(lam.imag) * t_star)
     lost = _EPS * peak * np.cosh(t_star) ** (lam.imag - G.rho) / env
-    for i in np.flatnonzero(~(lost <= _LOST_DIGITS_TOL * np.exp(-G.rho * t_star))):
+    for i in (~(lost <= _LOST_DIGITS_TOL * np.exp(-G.rho * t_star))).nonzero()[0]:
         xi_t = _pfaff_series(G, np.zeros(1), t_star[i:i + 1], None, False)[0].real[0, 0]
         if not lost[i] <= _LOST_DIGITS_TOL * xi_t:
             raise AccuracyError(
@@ -214,7 +217,7 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
                 f"{_LOST_DIGITS_TOL:g} of the bound e^(|Im lam| t) Xi(t) = {env[i] * xi_t:.2e}",
                 err_est=lost[i] * env[i],
             )
-    for i in np.flatnonzero(stop < 0)[:1]:
+    for i in (stop < 0).nonzero()[0][:1]:
         raise AccuracyError(f"Pfaff series for phi did not settle within {_MAX_HC_TERMS} terms "
                             f"at lam = {_lam_text(lam[i])}, t = {float(t_star[i])!r}")
     blocks = [coef]
@@ -242,30 +245,30 @@ def _hc_coefficients(G: GroupDatum, sides: np.ndarray, x: np.ndarray, names: np.
     1e-19 max(1, |a_1|, ..., |a_k|); its later entries are 0.
     Past ``_MAX_HC_TERMS`` AccuracyError names the row's entry of ``names``.
     """
-    peak = np.ones(len(sides))  # max(1, |a_j|) so far
+    peak, i_sides = np.ones(len(sides)), 1j * sides  # max(1, |a_j|) so far
     def fill(A, k0, k1):
         nonlocal peak
         ks = np.arange(k0, k1)[:, None]
-        step = 4.0 * ks * (ks - 1j * sides)  # 4 k (k - i s), then the a_{k-1} factor over it
+        step = 4.0 * ks * (ks - i_sides)  # 4 k (k - i s), then the a_{k-1} factor over it
         # the a_{k-2} factor in the rows a_k, which the loop reads before it overwrites them
-        A[k0:k1] = ks - 2.0 + G.rho - 1j * sides
+        A[k0:k1] = ks - 2.0 + G.rho - i_sides
         A[k0:k1] *= 4.0 * (ks - 2.0 + G.rho)
         A[k0:k1] /= step
         np.divide(2.0 * G.m_alpha * (2.0 * (ks - 1.0) + G.rho) - 2j * G.m_alpha * sides, step,
                   out=step)
+        rows = list(A[:k1])  # a view per row, made once
         # a_{-1} = 0; not in place: numpy's in-place complex multiply rounds a lone side otherwise
-        for k in range(k0, k1):
-            A[k] = step[k - k0] * A[k - 1] + (A[k] * A[k - 2] if k > 1 else 0.0)
+        for k, s_k in zip(range(k0, k1), step):
+            np.add(s_k * rows[k - 1], rows[k] * rows[k - 2] if k > 1 else 0.0, out=rows[k])
         mag = np.abs(A[k0:k1])
         peaks = np.maximum(mag, peak)
-        for j in range(1, len(mag)):  # a running max by rows: faster than accumulate on axis 0
-            np.maximum(peaks[j - 1], peaks[j], out=peaks[j])
+        np.maximum.accumulate(peaks, axis=0, out=peaks)  # a running max by rows
         peak = peaks[-1]
         return mag * x ** ks, 1e-19 * peaks
 
     # the first chunk covers the largest x: x < e^-0.38 (t_min past a switch point >= 0.19)
     A, stop = _grow(fill, len(sides), 1e-19, float(np.max(x, initial=0.0)))
-    for i in np.flatnonzero(stop < 0)[:1]:  # the first side that did not settle
+    for i in (stop < 0).nonzero()[0][:1]:  # the first side that did not settle
         raise AccuracyError(f"exponential series for phi did not settle within {_MAX_HC_TERMS} "
                             f"terms at lam = {_lam_text(names[i])}, t = {-0.5 * math.log(x[i])!r}")
     return A.T
@@ -327,15 +330,15 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _STIRLING = (-3617 / 122400, 1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260,
              -1 / 360, 1 / 12)
 # (-1)^k zeta(k) / k for k = 23, ..., 2, then -gamma: log Gamma(1 + x) = sum_k of them
-# times x^k (DLMF 5.7.3)
-_TAYLOR = (-0.04347826605304026, 0.04545455629320467, -0.047619070330142226,
-           0.05000004769810169, -0.05263167937961666, 0.055555767627403614,
-           -0.058823978658684585, 0.06250095514121304, -0.06666870588242046,
-           0.07143294629536133, -0.0769325164113522, 0.083353840546109,
-           -0.09095401714582904, 0.1000994575127818, -0.11133426586956469,
-           0.12550966952474304, -0.1440498967688461, 0.1695571769974082,
-           -0.20738555102867398, 0.27058080842778454, -0.40068563438653143,
-           0.8224670334241132, -0.5772156649015329)
+# times x^k (DLMF 5.7.3), as a column
+_TAYLOR = np.array([-0.04347826605304026, 0.04545455629320467, -0.047619070330142226,
+                    0.05000004769810169, -0.05263167937961666, 0.055555767627403614,
+                    -0.058823978658684585, 0.06250095514121304, -0.06666870588242046,
+                    0.07143294629536133, -0.0769325164113522, 0.083353840546109,
+                    -0.09095401714582904, 0.1000994575127818, -0.11133426586956469,
+                    0.12550966952474304, -0.1440498967688461, 0.1695571769974082,
+                    -0.20738555102867398, 0.27058080842778454, -0.40068563438653143,
+                    0.8224670334241132, -0.5772156649015329])[:, None]
 
 
 def _horner(coefs, x: np.ndarray) -> np.ndarray:
@@ -366,12 +369,10 @@ def log_gamma(z) -> np.ndarray:
     shape, z = z.shape, z.ravel()
     lower = z.imag < 0.0  # log Gamma(conj z) = conj log Gamma(z)
     z = np.where(lower, z.conj(), z)
-    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
-    z[pole] = 0.5  # any regular point: the entry becomes NaN at the end
-    left = (z.real < 0.1) & (z.imag <= 7.0)
+    left = (z.real < 0.1) & (z.imag <= 7.0)  # every pole among them
     w = np.where(left, 1.0 - z, z)
-    small = (w.real <= 7.0) & (np.abs(w.imag) <= 7.0)
-    center = np.clip(np.rint(w.real), 1.0, 2.0)
+    small = (w.real <= 7.0) & (z.imag <= 7.0)  # |Im w| = Im z
+    center = np.minimum(np.maximum(np.rint(w.real), 1.0), 2.0)
     taylor = small & (np.abs(w - center) <= 0.2)
     shift = small & ~taylor
     n = np.where(shift, np.floor(7.0 - w.real) + 1.0, 0.0)
@@ -388,15 +389,18 @@ def log_gamma(z) -> np.ndarray:
         out[shift] -= np.log(prod)
     if taylor.any():
         x = w[taylor] - center[taylor]
-        out[taylor] = x * _horner(_TAYLOR, x) + np.where(center[taylor] == 2.0, np.log1p(x), 0.0)
+        # its terms added from the smallest, by a running sum: np.sum pairs a lone entry's terms
+        series = np.cumsum(_TAYLOR * _powers(x, len(_TAYLOR) - 1)[::-1], axis=0)[-1]
+        out[taylor] = x * series + np.where(center[taylor] == 2.0, np.log1p(x), 0.0)
     if left.any():
         zl = z[left]
         k = np.rint(zl.real)
         x = zl - k
+        pole = x == 0.0  # z = k <= 0; any regular x keeps the warnings away
+        x[pole] = 0.5
         # sin(pi z) = (-1)^k e^(-i pi x) (1 - e^(2 pi i x)) i / 2, |e^(2 pi i x)| <= 1
         log_sin = np.log(-np.expm1(2j * np.pi * x)) - 1j * np.pi * (x - 0.5 - k % 2.0) - _LOG_2
-        out[left] = _LOG_PI - log_sin - out[left]
-    out[pole] = np.nan
+        out[left] = np.where(pole, np.nan, _LOG_PI - log_sin - out[left])
     return np.where(lower, out.conj(), out).reshape(shape)
 
 
@@ -425,7 +429,7 @@ def c_log(G: GroupDatum, lam: np.ndarray, names=None) -> np.ndarray:
         terms[1:] = log_gamma(args)
         log_c = terms[0] + b + terms[1] - (terms[2] + terms[3])
         lost = _EPS * (np.abs(terms.view(float)).reshape(4, -1, 2).sum(axis=(0, 2)) + abs(b))
-    if not np.all(lost <= _LOST_DIGITS_TOL):  # too large, or NaN at a Gamma pole
+    if not (lost <= _LOST_DIGITS_TOL).all():  # too large, or NaN at a Gamma pole
         pole = (args.imag == 0.0) & (args.real <= 0.0) & (args.real == np.floor(args.real))
         log_c[pole[0]] = np.inf
         log_c[pole[1:].any(axis=0)] = -np.inf
@@ -467,8 +471,8 @@ def _exp_sides(lam: np.ndarray, far: np.ndarray, near: np.ndarray, radius: float
     if real:
         sides, weight, owner = lam[far], np.full(len(far), 2.0), far
     else:
-        sides, weight = np.column_stack([lam[far], -lam[far]]).ravel(), np.ones(2 * len(far))
-        owner = np.repeat(far, 2)
+        sides = np.concatenate([lam[far, None], -lam[far, None]], axis=1).ravel()
+        weight, owner = np.ones(2 * len(far)), far.repeat(2)
     if not len(near):
         return sides, weight, owner
     z = 1j * np.round(lam[near].imag)[:, None] + radius * _CIRCLE
@@ -509,6 +513,10 @@ def _band_points(G: GroupDatum, top: float, n: int, t_bytes: bytes, want_d1: boo
         return nodes, None
 
 
+# the s on which _band minimises its bound
+_BAND_S = np.linspace(0.05, 8.0, 160)
+
+
 def _band(G: GroupDatum, mod: np.ndarray, t: np.ndarray, outs, want_d1: bool) -> int:
     """Fill the columns t <= _PFAFF_T of ``outs`` (real rows of modulus ``mod``) by barycentric
     interpolation in |lam| from n + 1 Chebyshev points of the second kind on [0, L], L = max mod
@@ -518,12 +526,14 @@ def _band(G: GroupDatum, mod: np.ndarray, t: np.ndarray, outs, want_d1: bool) ->
     about [0, L], |phi_lam(t)| <= M Xi(t), M = e^{(L/2) sinh(s) t} (times |lam| + rho for phi'):
     n is the least with 4 M e^{-ns} / (e^s - 1) below roundoff (Trefethen, ATAP Thm 8.2);
     np.einsum sums."""
-    nb = int(np.searchsorted(t, _PFAFF_T, side="right"))
-    h, s = 2.0 * np.ceil(0.25 * mod.max(initial=0.0)), np.linspace(0.05, 8.0, 160)
+    nb, s = int(t.searchsorted(_PFAFF_T, side="right")), _BAND_S
+    h = 2.0 * np.ceil(0.25 * mod.max(initial=0.0))
+    if not (nb and h > 0.0 and len(mod) > 1):  # the cheap tests first: one row has no band
+        return 0
     log_m = h * np.sinh(s) * t[:nb].max(initial=0.0) + math.log(4.0 / _EPS)
     log_m += np.log(h + h * np.cosh(s) + G.rho) if want_d1 else 0.0
-    n = np.ceil(np.min((log_m - np.log(np.expm1(s))) / s))
-    if not (nb and h > 0.0 and n + 1 < len(mod)):  # n is inf where the bound overflows
+    n = np.ceil(((log_m - np.log(np.expm1(s))) / s).min())
+    if not n + 1 < len(mod):  # n is inf where the bound overflows
         return 0
     points = _band_points if _rule_panels(t) else _band_points.__wrapped__
     nodes, at_nodes = points(G, 2.0 * h, int(n), t[:nb].tobytes(), want_d1)
@@ -549,7 +559,7 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, t: np.ndarray, want_d1: bool, real
     coefficients of phi in lam, of size t^n / n!, alias below roundoff, and large enough that
     the one-sided rows, of size 1 / radius, keep their digits.  Each branch is one pass.
     """
-    panels = _rule_panels(t) or (t, np.zeros(1))
+    panels = _rule_panels(t) or (t, _NO_OFFSET)
     val = np.empty((len(lam), len(t)), dtype=float if real else complex)
     outs = [val, np.empty_like(val)] if want_d1 else [val]
     mod = np.abs(lam)
@@ -557,13 +567,13 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, t: np.ndarray, want_d1: bool, real
     nb = _band(G, mod, t, outs, want_d1) if real else 0
     switch = np.full(len(lam), _PFAFF_T) if nb else switch  # all series start past a band
     radius = 0.64 / max(t.max(initial=0.0), _CIRCLE_T)
-    near = np.abs(lam - 1j * np.round(lam.imag)) < 0.1 * radius
-    lo = int(np.searchsorted(t, switch.min(initial=np.inf), side="right"))
+    near = np.abs(lam - 1j * np.rint(lam.imag)) < 0.1 * radius
+    lo = int(t.searchsorted(switch.min(initial=np.inf), side="right"))
     if lo < len(t):
-        far, on = np.flatnonzero(~near), np.flatnonzero(near)
+        far, on = (~near).nonzero()[0], near.nonzero()[0]
         sides, weight, owner = _exp_sides(lam, far, on, radius, real)
         # each side's first column past its row's switch point
-        t_min = np.append(t, np.inf)[np.searchsorted(t, switch[owner], side="right")]
+        t_min = np.concatenate([t, [np.inf]])[t.searchsorted(switch[owner], side="right")]
         n = len(far) if real else 2 * len(far)
         for cols, parts in _hc_series(G, sides, panels, lo, t_min, want_d1, weight, real,
                                       lam[owner]):
@@ -571,7 +581,7 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, t: np.ndarray, want_d1: bool, real
                 out[far, cols] = part[:n] if real else part[:n:2] + part[1:n:2]
                 if on.size:
                     out[on, cols] = part[n:].reshape(len(on), -1, part.shape[1]).sum(axis=1)
-    hi = int(np.searchsorted(t, switch.max(initial=0.0), side="right"))
+    hi = int(t.searchsorted(switch.max(initial=0.0), side="right"))
     if hi > nb:
         own = t[:hi] <= switch[:, None]
         for out, part in zip(outs, _pfaff_series(G, lam, t[:hi], own, want_d1)):
@@ -581,9 +591,10 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, t: np.ndarray, want_d1: bool, real
 
 def _finite_array(x, kinds: str, what: str) -> np.ndarray:
     """``x`` as an array; DomainError ``what`` (and ``x``) unless its entries are finite numbers
-    of a dtype kind in ``kinds``: "biuf" for real ones, "biufc" for complex ones too."""
-    arr = np.asarray(x)
-    if arr.dtype.kind not in kinds or not np.all(np.isfinite(arr)):
+    of a dtype kind in ``kinds``: "biuf" for real ones, "biufc" for complex ones too (a ragged
+    nesting is neither)."""
+    arr = _array(x)
+    if arr.dtype.kind not in kinds or not np.isfinite(arr).all():
         raise DomainError(f"{what}, got {x!r}")
     return arr
 
@@ -596,18 +607,18 @@ def _evaluate(G: GroupDatum, lam, t, order: int):
     t_arr = _finite_array(t, "biuf", "phi requires finite real t").astype(float, copy=False)
     if lam_arr.ndim > 1:
         raise DomainError("lam must be a scalar or a 1-D array")
-    if np.any(t_arr < 0):
+    if (t_arr < 0).any():
         raise DomainError("phi requires t >= 0")
-    rows = np.atleast_1d(lam_arr).astype(complex)
-    real = not np.any(rows.imag)
+    rows = lam_arr.reshape(-1).astype(complex)
+    real = not rows.imag.any()
     ts = t_arr.ravel()
-    perm = None if np.all(ts[1:] >= ts[:-1]) else np.argsort(ts, kind="stable")
+    perm = None if (ts[1:] >= ts[:-1]).all() else np.argsort(ts, kind="stable")
     with np.errstate(over="ignore", invalid="ignore"):  # a value past float range is named below
         outs = _phi_rows(G, rows, ts if perm is None else ts[perm], order > 0, real)
     if perm is not None:  # the branches fill column ranges of ascending t
         outs = [o[:, np.argsort(perm)] for o in outs]
     for part in outs[1:] if order == 1 else outs:  # the values the result is made of
-        if not np.all(np.isfinite(part)):
+        if not np.isfinite(part).all():
             i, j = np.unravel_index(np.argmax(~np.isfinite(part)), part.shape)
             raise EvaluationError(f"{('phi', 'phi_d1', 'phi_d2')[order]} leaves float range at "
                                   f"lam = {_lam_text(rows[i])}, t = {float(ts[j])!r}")

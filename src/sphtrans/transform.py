@@ -91,7 +91,7 @@ CARTAN_CLASSES = ("split", "compact")
 
 def _require_symmetric(grid: np.ndarray, message: str):
     """GridContractError unless grid[i] = -grid[n-1-i] to 1e-12 absolute."""
-    if not np.all(np.abs(grid + grid[::-1]) <= 1e-12):  # NaN and infinite entries fail too
+    if not (np.abs(grid + grid[::-1]) <= 1e-12).all():  # NaN and infinite entries fail too
         raise GridContractError(message)
 
 
@@ -102,7 +102,7 @@ def _checked_grid(grid) -> np.ndarray:
     grid = _real_array(grid, "a spectral function", "grid")
     if grid.ndim != 1 or grid.size == 0:
         raise GridContractError(f"grid must be 1-d and non-empty, got shape {grid.shape}")
-    if np.any(np.diff(grid) <= 0):
+    if (grid[1:] <= grid[:-1]).any():
         raise GridContractError("grid must be strictly increasing")
     _require_symmetric(grid, "grid must be symmetric about 0")
     return grid
@@ -155,9 +155,9 @@ class SpectralFunction:
         x_arr = _real_array(x, "a spectral function", "x")
         if self.fn is not None:
             out = np.asarray(self.fn(x_arr), dtype=complex)
-            return complex(out.reshape(())) if np.ndim(x) == 0 else out
+            return complex(out.reshape(())) if x_arr.ndim == 0 else out
         out = _local_interp(self.grid, self.values, x_arr)
-        return complex(out[0]) if np.ndim(x) == 0 else out
+        return complex(out[0]) if x_arr.ndim == 0 else out
 
     def weyl_defect(self) -> float:
         return float(np.max(np.abs(self.values - self.values[::-1])))
@@ -178,10 +178,10 @@ def _local_interp(grid: np.ndarray, values: np.ndarray, x) -> np.ndarray:
     if n < order + 1:
         raise GridContractError(f"grid of {n} points cannot support order-{order} interpolation")
     spacing = grid[-1] - grid[-2]
-    if np.any(x_arr < grid[0] - spacing) or np.any(x_arr > grid[-1] + spacing):
+    if (x_arr < grid[0] - spacing).any() or (x_arr > grid[-1] + spacing).any():
         raise DomainError("interpolation query outside the sampled grid")
-    xq = np.clip(x_arr.ravel(), grid[0], grid[-1])
-    start = np.clip(np.searchsorted(grid, xq) - (order + 1) // 2, 0, n - (order + 1))
+    xq = np.minimum(np.maximum(x_arr.ravel(), grid[0]), grid[-1])
+    start = np.minimum(np.maximum(np.searchsorted(grid, xq) - (order + 1) // 2, 0), n - (order + 1))
     stencil = start + np.arange(order + 1)[:, None]
     xs = grid[stencil]
     # weight j of query i is the product over k != j of (xq_i - x_k) / (x_j - x_k), at
@@ -189,7 +189,7 @@ def _local_interp(grid: np.ndarray, values: np.ndarray, x) -> np.ndarray:
     diag = np.eye(order + 1, dtype=bool)
     quot = (xq - xs) / (xs[:, None] - xs + diag[:, :, None])
     quot[diag] = 1.0
-    return np.sum(np.prod(quot, axis=1) * values[stencil], axis=0).reshape(x_arr.shape)
+    return (quot.prod(axis=1) * values[stencil]).sum(axis=0).reshape(x_arr.shape)
 
 
 @dataclass(eq=False)
@@ -261,11 +261,15 @@ def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0,
 
 def _mirror_fold(lams: np.ndarray):
     """(rows, fold) with phi_{lams[i]} = row fold[i] of phi on ``rows`` (phi is even in
-    lam): a grid symmetric about 0 to rounding folds i <-> n-1-i, else equal |lam| merge."""
+    lam), for a 1-D ``lams``: one row per pair lam, -lam, its member with Re lam > 0, or
+    Re lam = 0 and Im lam >= 0 (|lam| on the real axis).  Points symmetric about 0 to
+    rounding fold i <-> n-1-i; others merge equal members."""
     n, scale = len(lams), np.abs(lams).max(initial=0.0)
-    if np.all(np.abs(lams + lams[::-1]) <= 8.0 * np.finfo(float).eps * scale):
-        return np.abs(lams[n // 2:]), np.maximum(np.arange(n), np.arange(n)[::-1]) - n // 2
-    return np.unique(np.abs(lams), return_inverse=True)
+    # each point's member of its pair; + 0.0 turns -0 into 0, so a real grid's are |lam|
+    canon = np.where((lams.real < 0.0) | (lams.real == 0.0) & (lams.imag < 0.0), -lams, lams) + 0.0
+    if (np.abs(lams + lams[::-1]) <= 8.0 * np.finfo(float).eps * scale).all():
+        return canon[n // 2:], np.maximum(np.arange(n), np.arange(n)[::-1]) - n // 2
+    return np.unique(canon, return_inverse=True)
 
 
 def _real_times(table: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -366,9 +370,9 @@ def hc_transform(
     tol = q.tolerance(vals_fine)
     # loosen the floor by the integrand scale: the rule pair resolves to
     # machine precision relative to the largest sample
-    scale_floor = 1e-13 * max(1.0, float(np.max(np.abs(vals_fine))))
+    scale_floor = 1e-13 * max(1.0, float(np.abs(vals_fine).max()))
     bad = ~(err <= np.maximum(tol, scale_floor))  # a NaN value fails too
-    if np.any(bad):
+    if bad.any():
         k = int(np.argmax(err))
         raise AccuracyError(
             f"hc_transform quadrature failure at {int(np.sum(bad))} samples; "
@@ -376,22 +380,19 @@ def hc_transform(
             value=vals_fine,
             err_est=err,
         )
+    # the envelope (1 + |lam|)^-6 that the samples meet
+    coeff = float((np.abs(vals_fine) * (1.0 + np.abs(grid)) ** 6.0).max())
     spectral = SpectralFunction(
         grid=grid,
         values=vals_fine,
-        decay=_fit_spectral_decay(grid, vals_fine),
+        decay=SpectralDecay(coeff=1.05 * coeff + 1e-300, power=6.0),
         label=f"H[{f.label or 'f'}]",
     )
     return TransformResult(spectral=spectral, err_est=err, group=G)
 
 
-def _fit_spectral_decay(grid: np.ndarray, values: np.ndarray, power: float = 6.0) -> SpectralDecay:
-    coeff = float(np.max(np.abs(values) * (1.0 + np.abs(grid)) ** power))
-    return SpectralDecay(coeff=1.05 * coeff + 1e-300, power=power)
-
-
 def hc_transform_at(G: GroupDatum, f: RadialProfile, lam, q: QuadratureSpec = DEFAULT_QUAD):
-    """Forward transform at one spectral point, or at a 1-D array of them,
+    """Forward transform at one spectral point, or at an array of them,
     possibly complex (direct adaptive quadrature).
 
     Independent of the fixed-grid tables in :func:`hc_transform`; used as
@@ -399,9 +400,10 @@ def hc_transform_at(G: GroupDatum, f: RadialProfile, lam, q: QuadratureSpec = DE
     spectral tube.  |phi_lam(t)| <= e^{|Im lam| t} Xi(t), so the decay of
     ``f`` must be strictly stronger than e^{-(rho + |Im lam|) t} (1+t)^-2
     for the largest |Im lam|, which also sets the truncation point.  An
-    array is one vector integrand, a (len(lam), n_t) ``phi`` block per
-    panel on one panel tree, and each value meets its own tolerance.
-    Returns a complex for a scalar ``lam`` and a complex array otherwise.
+    array is one vector integrand on one panel tree, a ``phi`` block per panel
+    with one row per pair lam, -lam (:func:`_mirror_fold`: phi is even in lam, so both
+    get the same bits), and each value meets its own tolerance.
+    Returns a complex for a scalar ``lam`` and a complex array shaped like ``lam`` otherwise.
     """
     lams = np.asarray(spherical._finite_array(lam, "biufc", "hc_transform_at requires finite lam"),
                       dtype=complex)
@@ -410,12 +412,13 @@ def hc_transform_at(G: GroupDatum, f: RadialProfile, lam, q: QuadratureSpec = DE
     strip = float(np.max(np.abs(lams.imag)))
     _require_schwartz(f, G.rho + strip, "hc_transform input")
     T = truncation_point(_forward_envelope(G, f.decay, strip), q.abs_tol)
+    rows, fold = _mirror_fold(lams.ravel()) if lams.ndim else (lams, None)  # a scalar: one row
 
     def integrand(t):
-        return np.asarray(f(t), dtype=complex) * phi(G, lams, t) * haar_density(G, t)
+        return np.asarray(f(t), dtype=complex) * phi(G, rows, t) * haar_density(G, t)
 
     value, _ = integrate_interval(integrand, 0.0, T, q)
-    return complex(value) if lams.ndim == 0 else value
+    return complex(value) if lams.ndim == 0 else value[fold].reshape(lams.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -728,9 +731,9 @@ def expansion_term(
     # both Weyl-mirrored bumps folded onto one window (integrands even);
     # numerator and mass are one two-component integrand, one density call a panel
     def integrand(nu):
-        bump = np.exp(-0.5 * ((nu - lam) / eps) ** 2)
-        dens = cfunction.plancherel_density(G, np.abs(nu))
-        return np.stack([hf(np.abs(nu)) * bump * dens, dens * bump])
+        bump, mod = np.exp(-0.5 * ((nu - lam) / eps) ** 2), np.abs(nu)
+        dens = cfunction.plancherel_density(G, mod)
+        return np.array([hf(mod) * bump * dens, dens * bump])
 
     (num, z), _ = integrate_interval(integrand, lo, hi, q)
     # pref * 2 * num over pref * 2 * z; kept explicit for the record

@@ -919,9 +919,9 @@ def test_pointwise_integrals_converge_in_one_integrand_call(monkeypatch):
         # one integral, estimated on its four starting panels and never split
         assert (len(integrals), calls) == (1, [4])
         shapes += integrals
-    # scalars for the points and the convolution, two-component ladder rungs,
-    # and the 28 off-axis points of the tube check as one vector integrand
-    assert shapes == [()] * 4 + [(2,)] * 9 + [(28,)]
+    # scalars for the points and the convolution, two-component ladder rungs, and the 28
+    # off-axis points of the tube check as one vector integrand of their 14 pairs lam, -lam
+    assert shapes == [()] * 4 + [(2,)] * 9 + [(14,)]
 
 
 def test_peaked_integrand_splits_its_worst_panels_in_one_call(monkeypatch):

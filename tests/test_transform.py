@@ -193,6 +193,43 @@ def test_hc_transform_at_complex_lam_matches_h3_closed_form():
         assert abs(hc_transform_at(G, f, lam) - exact) <= max(1e-12, 1e-10 * abs(exact))
 
 
+@pytest.mark.parametrize("lam", [1.3 + 0.2j, -0.7 + 0.35j, 0.4j, 2.5],
+                         ids=["complex", "negative-real-part", "imaginary", "real"])
+def test_hc_transform_at_gives_lam_and_minus_lam_the_same_bits(lam):
+    # one phi row per pair lam, -lam: the two values are one integral's
+    G = preset("H3")
+    pair = hc_transform_at(G, gaussian_profile(G), [lam, -lam])
+    assert pair[:1].tobytes() == pair[1:].tobytes()
+    exact = gauss_transform_h3(lam)
+    assert abs(pair[0] - exact) <= max(1e-12, 1e-10 * abs(exact))
+
+
+@pytest.mark.parametrize("lams", [
+    pytest.param(np.linspace(-12.0, 12.0, 481), id="default-grid"),
+    pytest.param(np.array([-3.0, -1.8, -0.6, 0.6, 1.8, 3.0 + 5e-13]), id="symmetric-to-1e-12"),
+    pytest.param(np.array([0.5, -2.0, 1.0, 2.0, -0.0]), id="unsorted"),
+    pytest.param(np.array([]), id="empty"),
+])
+def test_a_real_grid_folds_onto_its_moduli(lams):
+    # the real-grid fold written out as the reference: the same rows and fold, bit for bit
+    n = len(lams)
+    if np.all(np.abs(lams + lams[::-1]) <= 8.0 * np.finfo(float).eps * np.abs(lams).max(initial=0.0)):
+        rows, fold = np.abs(lams[n // 2:]), np.maximum(np.arange(n), np.arange(n)[::-1]) - n // 2
+    else:
+        rows, fold = np.unique(np.abs(lams), return_inverse=True)
+    got_rows, got_fold = transform._mirror_fold(lams)
+    assert got_rows.tobytes() == rows.tobytes() and got_fold.tolist() == fold.tolist()
+
+
+def test_complex_points_fold_onto_one_member_of_each_pair():
+    lams = (np.linspace(-3.0, 3.0, 7)[None, :] + 0.1j * np.array([-1.0, -0.5, 0.5, 1.0])[:, None])
+    lams = np.concatenate([lams.ravel(), [0.3 - 0.2j, -0.3 + 0.2j, -1.1j]])
+    rows, fold = transform._mirror_fold(lams)
+    assert len(rows) == 16  # 14 pairs of the tube's grid, one pair off it, and -1.1j
+    assert np.all((rows.real > 0.0) | ((rows.real == 0.0) & (rows.imag >= 0.0)))
+    assert np.all((rows[fold] == lams) | (rows[fold] == -lams))
+
+
 def test_envelope_of_fractional_degree_serves_every_transform():
     # the Gaussian under the envelope e^9 (1+t)^0.5 e^{-6t}: its tail bounds take the
     # degree's ceiling, and the transforms keep the values they have under degree 0
@@ -958,6 +995,7 @@ def test_a_non_real_or_non_numeric_input_raises_a_domain_error_naming_it(call, n
     pytest.param(lambda G, f, v: xi_poly_profile(G, v), "p", id="xi_poly-p"),
     pytest.param(lambda G, f, v: TubeSpec(v, 1.0), "epsilon", id="tube-epsilon"),
     pytest.param(lambda G, f, v: TubeSpec.for_group(G, v), "epsilon", id="tube-for-group-epsilon"),
+    pytest.param(lambda G, f, v: TubeSpec(0.5, v), "half_width", id="tube-half_width"),
     pytest.param(lambda G, f, v: QuadratureSpec(rel_tol=v), "rel_tol", id="quadrature-rel_tol"),
     pytest.param(lambda G, f, v: QuadratureSpec(abs_tol=v), "abs_tol", id="quadrature-abs_tol"),
 ])
@@ -968,6 +1006,25 @@ def test_a_scalar_parameter_given_two_numbers_or_text_raises_a_domain_error_nami
     G = preset("H3")
     with pytest.raises(DomainError, match=rf"requires (one )?real {name}, got {name} = "):
         call(G, gaussian_profile(G, 1.0), value)
+
+
+@pytest.mark.parametrize("call, named", [
+    pytest.param(lambda G, f: expansion_term(G, "split", f, [1.0, [2.0, 3.0]], 0.1),
+                 "expansion_term requires real lam, got lam = [1.0, [2.0, 3.0]]",
+                 id="expansion_term-lam"),
+    pytest.param(lambda G, f: phi(G, 1.0, [0.1, [0.2, 0.3]]),
+                 "phi requires finite real t, got [0.1, [0.2, 0.3]]", id="phi-t"),
+    pytest.param(lambda G, f: hc_transform(G, f, [-1.0, [0.0, 1.0]]),
+                 "requires real grid, got grid = [-1.0, [0.0, 1.0]]", id="hc_transform-grid"),
+    pytest.param(lambda G, f: hc_transform_at(G, f, [1.0, [2.0, 3.0]]),
+                 "hc_transform_at requires finite lam, got [1.0, [2.0, 3.0]]",
+                 id="hc_transform_at-lam"),
+])
+def test_a_ragged_input_raises_a_domain_error_naming_it(call, named):
+    # numpy refuses the nesting with an untyped ValueError ("inhomogeneous shape")
+    G = preset("H3")
+    with pytest.raises(DomainError, match=re.escape(named)):
+        call(G, gaussian_profile(G, 1.0))
 
 
 def test_a_gaussian_scale_may_be_complex():
