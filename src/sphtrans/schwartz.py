@@ -133,10 +133,15 @@ class MembershipReport:
 
 
 def _divided_differences(grid: np.ndarray, values: np.ndarray, order: int):
-    dd = values.astype(complex)
+    """(dd, starts): the divided differences of ``values`` on ``grid`` of orders 1 to ``order``
+    back to back in ``dd``, order j's from ``starts[j - 1]`` on, its i-th on grid[i:i + j + 1]."""
+    n, starts = len(grid), [0]
+    dd = np.empty(order * n - order * (order + 1) // 2, dtype=complex)
     for j in range(1, order + 1):
-        dd = (dd[1:] - dd[:-1]) / (grid[j:] - grid[: len(grid) - j])
-        yield j, dd
+        values = np.divide(values[1:] - values[:-1], grid[j:] - grid[:n - j],
+                           out=dd[starts[-1]:starts[-1] + n - j])
+        starts.append(starts[-1] + n - j)
+    return dd, starts[:-1]
 
 
 def image_membership(G: GroupDatum, A: SpectralFunction) -> MembershipReport:
@@ -144,32 +149,35 @@ def image_membership(G: GroupDatum, A: SpectralFunction) -> MembershipReport:
 
     Checks (i) Weyl evenness, (ii) rapid decay through polynomially
     weighted sups, (iii) a smoothness proxy through divided differences
-    up to order 4.  Pure diagnostic: never raises on failure, but a grid of fewer
-    than 5 points, which has no differences of order 4, raises GridContractError.
+    up to order 4, which fails at the first NaN difference.  Pure diagnostic: never raises
+    on failure, but a grid of fewer than 5 points, which has no differences of order 4,
+    raises GridContractError.
     """
     if len(A.grid) <= _SMOOTH_ORDER:
         raise GridContractError(f"image membership's divided differences of order {_SMOOTH_ORDER} "
                                 f"need {_SMOOTH_ORDER + 1} grid points; the grid has {len(A.grid)}")
-    defect = weyl_symmetry_defect(A)
-    k = int(np.argmax(np.abs(A.values - A.values[::-1])))
+    _require_symmetric(A.grid, "image_membership needs a symmetric grid")
+    odd = np.abs(A.values - A.values[::-1])
+    k = int(odd.argmax())  # the first NaN, if there is one
+    defect = float(odd[k])
     weyl = CriterionResult(defect <= _WEYL_TOL, defect, float(A.grid[k]))
 
     decay = {}
+    mags, base = np.abs(A.values), 1.0 + np.abs(A.grid)
     for N in _DECAY_POWERS:
-        weighted = np.abs(A.values) * (1.0 + np.abs(A.grid)) ** N
-        j = int(np.argmax(weighted))
+        weighted = mags * base ** N
+        j = int(weighted.argmax())
         decay[N] = CriterionResult(
             float(weighted[j]) <= _DECAY_BOUND, float(weighted[j]), float(A.grid[j])
         )
 
-    worst = 0.0
-    worst_at = 0.0
-    for order, dd in _divided_differences(A.grid, A.values, _SMOOTH_ORDER):
-        mags = np.abs(dd)
-        j = int(np.argmax(mags))
-        if mags[j] > worst:
-            worst = float(mags[j])
-            worst_at = float(A.grid[j])
+    # the largest modulus, of the lowest order and point at a tie, or the first NaN; its
+    # witness is the difference's lowest grid point, 0 when every difference is 0
+    dd, starts = _divided_differences(A.grid, A.values, _SMOOTH_ORDER)
+    mags = np.abs(dd)
+    p = int(mags.argmax())
+    worst = float(mags[p])
+    worst_at = float(A.grid[p - max(s for s in starts if s <= p)]) if worst != 0.0 else 0.0
     smooth = CriterionResult(worst <= _SMOOTH_BOUND, worst, worst_at)
 
     passed = weyl.passed and smooth.passed and all(c.passed for c in decay.values())

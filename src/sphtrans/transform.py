@@ -91,7 +91,7 @@ CARTAN_CLASSES = ("split", "compact")
 
 def _require_symmetric(grid: np.ndarray, message: str):
     """GridContractError unless grid[i] = -grid[n-1-i] to 1e-12 absolute."""
-    if not (np.abs(grid + grid[::-1]) <= 1e-12).all():  # NaN and infinite entries fail too
+    if not np.abs(grid + grid[::-1]).max(initial=0.0) <= 1e-12:  # NaN and inf entries fail too
         raise GridContractError(message)
 
 
@@ -160,13 +160,13 @@ class SpectralFunction:
         return complex(out[0]) if x_arr.ndim == 0 else out
 
     def weyl_defect(self) -> float:
-        return float(np.max(np.abs(self.values - self.values[::-1])))
+        return float(np.abs(self.values - self.values[::-1]).max())
 
     def even_values(self) -> np.ndarray:
         return 0.5 * (self.values + self.values[::-1])
 
     def scale(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.abs(self.values).max())
 
 
 def _local_interp(grid: np.ndarray, values: np.ndarray, x) -> np.ndarray:
@@ -264,20 +264,23 @@ def _mirror_fold(lams: np.ndarray):
     lam), for a 1-D ``lams``: one row per pair lam, -lam, its member with Re lam > 0, or
     Re lam = 0 and Im lam >= 0 (|lam| on the real axis).  Points symmetric about 0 to
     rounding fold i <-> n-1-i; others merge equal members."""
-    n, scale = len(lams), np.abs(lams).max(initial=0.0)
-    # each point's member of its pair; + 0.0 turns -0 into 0, so a real grid's are |lam|
-    canon = np.where((lams.real < 0.0) | (lams.real == 0.0) & (lams.imag < 0.0), -lams, lams) + 0.0
-    if (np.abs(lams + lams[::-1]) <= 8.0 * np.finfo(float).eps * scale).all():
-        return canon[n // 2:], np.maximum(np.arange(n), np.arange(n)[::-1]) - n // 2
+    n, mods = len(lams), np.abs(lams)
+    # each point's member of its pair: a real grid's are |lam|; + 0.0 turns -0 into 0
+    canon = mods if lams.dtype.kind == "f" else np.where(
+        (lams.real < 0.0) | (lams.real == 0.0) & (lams.imag < 0.0), -lams, lams) + 0.0
+    # within 8 machine epsilons (2^-49) of the largest modulus; a NaN fails
+    if np.abs(lams + lams[::-1]).max(initial=0.0) <= 2.0**-49 * mods.max(initial=0.0):
+        index = np.arange(n)
+        return canon[n // 2:], np.maximum(index, index[::-1]) - n // 2
     return np.unique(canon, return_inverse=True)
 
 
 def _real_times(table: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """table @ w for a real table and a complex vector or matrix, without a complex copy
-    of the table: one real product against the real and imaginary parts side by side."""
-    out = table @ np.stack([w.real, w.imag], axis=-1).reshape(len(w), -1)
-    out = out.reshape(out.shape[:1] + w.shape[1:] + (2,))
-    return out[..., 0] + 1j * out[..., 1]
+    """table @ w for a real table and a C-contiguous complex vector or matrix, without a
+    complex copy of the table: one real product against ``w`` read in place as (real,
+    imaginary) pairs, whose result read as complex is the answer."""
+    out = table @ w.view(float).reshape(len(w), -1)
+    return out.view(complex).reshape(out.shape[:1] + w.shape[1:])
 
 
 @dataclass(eq=False)
@@ -357,37 +360,36 @@ def hc_transform(
     must sit below the quadrature tolerance, else AccuracyError.  ``f`` is
     evaluated once, on the K51 nodes, and one table serves both estimates.
     """
-    grid = _checked_grid(default_spectral_grid() if grid is None else grid)
+    # the result: its grid is checked here, before any table is built, and its values (the
+    # grid's until then) and decay are set once they are known
+    grid = default_spectral_grid() if grid is None else grid
+    spectral = SpectralFunction(grid, grid, None, label=f"H[{f.label or 'f'}]")
+    grid = spectral.grid
     _require_schwartz(f, G.rho, "hc_transform input")
     env = _forward_envelope(G, f.decay)
     T = _radial_cutoff(G, f.decay, q.abs_tol)
     rule = _radial_rule(G, T)
     rows, fold = _mirror_fold(grid)
     w = rule.weights * (rule.density * np.asarray(f(rule.nodes), dtype=complex))[:, None]
-    vals_fine, vals_coarse = _real_times(_phi_block(G, rows, rule.nodes), w)[fold].T
-    tail = env.tail_integral(T)
-    err = np.abs(vals_fine - vals_coarse) + tail
-    tol = q.tolerance(vals_fine)
+    vals_fine, vals_coarse = _real_times(_phi_block(G, rows, rule.nodes), w).take(fold, axis=0).T
+    mags = np.abs(vals_fine)
+    err = np.abs(vals_fine - vals_coarse) + env.tail_integral(T)
     # loosen the floor by the integrand scale: the rule pair resolves to
     # machine precision relative to the largest sample
-    scale_floor = 1e-13 * max(1.0, float(np.abs(vals_fine).max()))
-    bad = ~(err <= np.maximum(tol, scale_floor))  # a NaN value fails too
-    if bad.any():
+    scale_floor = 1e-13 * max(1.0, float(mags.max()))
+    ok = err <= np.maximum(q.tolerance(mags), scale_floor)  # a NaN value fails
+    if not ok.all():
         k = int(np.argmax(err))
         raise AccuracyError(
-            f"hc_transform quadrature failure at {int(np.sum(bad))} samples; "
+            f"hc_transform quadrature failure at {len(ok) - int(ok.sum())} samples; "
             f"worst lam = {grid[k]} with err_est {err[k]:.3e}",
             value=vals_fine,
             err_est=err,
         )
     # the envelope (1 + |lam|)^-6 that the samples meet
-    coeff = float((np.abs(vals_fine) * (1.0 + np.abs(grid)) ** 6.0).max())
-    spectral = SpectralFunction(
-        grid=grid,
-        values=vals_fine,
-        decay=SpectralDecay(coeff=1.05 * coeff + 1e-300, power=6.0),
-        label=f"H[{f.label or 'f'}]",
-    )
+    coeff = float((mags * (1.0 + np.abs(grid)) ** 6.0).max())
+    spectral.values = vals_fine
+    spectral.decay = SpectralDecay(coeff=1.05 * coeff + 1e-300, power=6.0)
     return TransformResult(spectral=spectral, err_est=err, group=G)
 
 
@@ -459,7 +461,8 @@ def _check_symbol(a: SpectralFunction, what: str = "symbol"):
     if not a.decay.power >= 4:
         raise PreconditionError(f"{what} decay power {a.decay.power} < 4")
     defect = a.weyl_defect()
-    if not defect <= 1e-8 * (1.0 + a.scale()):  # NaN values fail too
+    # 1e-8 (1 + scale) is at least 1e-8, so the scale is taken only above it; NaN fails too
+    if not (defect <= 1e-8 or defect <= 1e-8 * (1.0 + a.scale())):
         raise PreconditionError(
             f"{what} has odd part {defect:.3e} above the 1e-8 Weyl-evenness tolerance"
         )
@@ -516,36 +519,40 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     # factor 2: even integrand reduced to (0, L]; 1/|W| folded against it
     prefactor = 2.0 * G.plancherel_constant / G.weyl_order
 
-    @functools.cache
+    held = {}
+
     def charges(n: int):
-        # the spectral rule of panel order n, and the charges of its first nodes: the highest
-        # go while below _CHARGE_DROP of the sum (a NaN or zero sum keeps them all)
-        rule = _spectral_rule(G, L, n)
-        charge = prefactor * rule.weights * _symbol_node_values(a, rule.nodes) * rule.density
-        tail = np.cumsum(np.abs(charge[::-1]))[::-1]  # sum |charge| from each node up
-        return rule.nodes, charge[:len(charge) - np.count_nonzero(tail < _CHARGE_DROP * tail[0])]
+        # the spectral rule of panel order n, the charges of its first nodes and their sum|charge|,
+        # held per n: the highest go while below _CHARGE_DROP of the sum (a NaN or zero sum
+        # keeps them all)
+        if n not in held:
+            rule = _spectral_rule(G, L, n)
+            charge = prefactor * rule.weights * _symbol_node_values(a, rule.nodes) * rule.density
+            mods = np.abs(charge)
+            tail = mods[::-1].cumsum()[::-1]  # sum |charge| from each node up
+            kept = len(charge) - np.count_nonzero(tail < _CHARGE_DROP * tail[0])
+            held[n] = rule.nodes, charge[:kept], float(mods[:kept].sum())
+        return held[n]
 
-    def charged(order):
-        # psi_a, or its t-derivative of ``order``
-        def evaluate(t):
-            ts = _real_array(t, "wave packet")
-            if not np.all(np.isfinite(ts)):  # else the spectral order of a NaN t is taken
-                raise DomainError(f"wave packet requires finite t, got t = {t!r}")
-            nodes, charge = charges(_spectral_order(ts.max(initial=1.0)))
-            return _real_times(_phi_block(G, nodes, ts.ravel(), order, len(charge)).T,
-                               charge).reshape(ts.shape)
-        return evaluate
+    def packet(t, order=0):
+        # psi_a, or its t-derivative of ``order``, at ``t``, real as _real_array makes it
+        if not np.isfinite(t).all():  # else the spectral order of a NaN t is taken
+            raise DomainError(f"wave packet requires finite t, got t = {t!r}")
+        nodes, charge, _ = charges(_spectral_order(t.max(initial=1.0)))
+        return _real_times(_phi_block(G, nodes, t.ravel(), order, len(charge)).T,
+                           charge).reshape(t.shape)
 
-    values, last = charged(0), [None, None]  # the last (shape, t bytes) and its values
+    last = [None, None]  # the last (shape, t bytes) and its values
 
     def eval_packet(t):
         # one product: hc_transform reads the packet where the envelope check just did
-        key = (np.shape(t), _real_array(t, "wave packet").tobytes())
+        ts = _real_array(t, "wave packet")
+        key = (ts.shape, ts.tobytes())
         if last[0] != key:
-            last[:] = key, values(t)
+            last[:] = key, packet(ts)
         return last[1].copy()
 
-    charge_sum = float(np.sum(np.abs(charges(_spectral_order())[1])))
+    charge_sum = charges(_spectral_order())[2]
     try:
         ladder = _contour_ladder(G, a.fn)
     except TypeError:  # an unhashable fn is not cached
@@ -556,25 +563,24 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     (T, _), env = _envelope_choice(G, ladder, charge_sum)
     ts = _radial_rule(G, T).nodes  # where hc_transform reads the packet: its table is then held
     vals = np.abs(eval_packet(ts))
-    if not np.all(np.isfinite(vals)):  # else NaN would pass the envelope check
-        t_bad = float(ts[np.argmax(~np.isfinite(vals))])
-        raise EvaluationError(f"wave packet is not finite at t = {t_bad!r}")
     # the floor, evaluator noise: roundoff of the quadrature dot against the
     # spherical-function envelope |phi_nu(t)| <= 2 (1+t) e^{-rho t}
-    _, charge = charges(_spectral_order(ts.max(initial=1.0)))
-    kappa = 1e-14 * float(np.sum(np.abs(charge)))
-    outside = vals > env.bound(ts) + kappa * (1.0 + ts) * np.exp(-G.rho * ts)
-    if np.any(outside):
+    kappa = 1e-14 * charges(_spectral_order(ts[-1]))[2]  # the rule's nodes ascend
+    inside = vals <= env.bound(ts) + kappa * (1.0 + ts) * np.exp(-G.rho * ts)  # NaN is not
+    if not inside.all():
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise EvaluationError(f"wave packet is not finite at t = {float(ts[finite.argmin()])!r}")
         cut = abs(a.values[-1]) / a.scale()
         raise PreconditionError(f"wave packet of {name!r} leaves its contour envelope at t = "
-                                f"{float(ts[np.argmax(outside)])!r}: fn is not its continuation, "
+                                f"{float(ts[inside.argmin()])!r}: fn is not its continuation, "
                                 f"or the spectral integral's end L = {L!r} cuts "
                                 f"the symbol off at |a(L)| / max|a| = {cut:.3g}")
     return RadialProfile(
         eval=eval_packet,
         decay=env,
-        d1=charged(1),
-        d2=charged(2),
+        d1=lambda t: packet(_real_array(t, "wave packet"), 1),
+        d2=lambda t: packet(_real_array(t, "wave packet"), 2),
         label=f"psi[{name}]",
     )
 

@@ -190,6 +190,51 @@ def test_membership_counterexamples():
     assert not rep.passed and not rep.smoothness.passed
 
 
+@pytest.mark.parametrize("spoil, witness", [
+    pytest.param(lambda v: v.__setitem__([200, 280], np.nan), 199, id="one-nan-pair"),
+    pytest.param(lambda v: v.fill(np.nan), 0, id="all-nan"),
+    pytest.param(lambda v: v.__setitem__(100, np.inf), None, id="one-infinite-entry"),
+])
+def test_membership_smoothness_fails_on_a_nan_difference(spoil, witness):
+    # a NaN difference fails at its lowest grid point, with value NaN; an infinite entry
+    # fails too (the complex division of its differences makes NaN, which numpy warns of)
+    grid = default_spectral_grid()
+    values = np.exp(-grid**2).astype(complex)
+    spoil(values)
+    A = SpectralFunction(grid, values, SpectralDecay(10.0, 6.0))
+    with np.errstate(invalid="ignore"):
+        rep = image_membership(preset("H3"), A)
+    assert not rep.smoothness.passed and not rep.passed
+    assert not math.isfinite(rep.smoothness.value)
+    if witness is not None:
+        assert math.isnan(rep.smoothness.value) and rep.smoothness.witness == grid[witness]
+
+
+def test_membership_values_are_their_definitions_on_a_round_trip():
+    G = preset("SL2R")
+    A = hc_transform(G, wave_packet(G, gauss_symbol())).spectral
+    rep = image_membership(G, A)
+    grid, values = A.grid, A.values
+    odd = np.abs(values - values[::-1])
+    k = np.argmax(odd)
+    assert (rep.weyl.value, rep.weyl.witness) == (odd[k], grid[k])
+    for N in (2, 4, 6):
+        weighted = np.abs(values) * (1.0 + np.abs(grid)) ** N
+        j = np.argmax(weighted)
+        assert (rep.decay[N].value, rep.decay[N].witness) == (weighted[j], grid[j])
+    # the largest modulus of a divided difference of order 1 to 4, the lowest order's at a
+    # tie, and the lowest grid point of the first difference that reaches it
+    worst = at = 0.0
+    dd = values
+    for order in range(1, 5):
+        dd = (dd[1:] - dd[:-1]) / (grid[order:] - grid[:len(grid) - order])
+        mags = np.abs(dd)
+        j = np.argmax(mags)
+        if mags[j] > worst:
+            worst, at = mags[j], grid[j]
+    assert worst > 0.0 and (rep.smoothness.value, rep.smoothness.witness) == (worst, at)
+
+
 @pytest.mark.parametrize("count", [3, 4])
 def test_membership_on_a_grid_too_short_for_order_4_differences_raises(count):
     grid = np.linspace(-1.0, 1.0, count)

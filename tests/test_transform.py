@@ -151,6 +151,43 @@ def test_hc_transform_checks_its_grid_before_building_tables(grid, words, monkey
         hc_transform(G, gaussian_profile(G), grid)
 
 
+@pytest.mark.parametrize("grid", [
+    pytest.param(None, id="default-grid"),
+    pytest.param(np.linspace(-3.0, 3.0, 7), id="seven-points"),
+])
+def test_hc_transform_checks_its_grid_once(grid, monkeypatch):
+    # the result's SpectralFunction is where the grid is checked, before any table is built
+    calls = []
+    real_check = transform._checked_grid
+
+    def counting_check(grid):
+        calls.append(np.shape(grid))
+        return real_check(grid)
+
+    monkeypatch.setattr(transform, "_checked_grid", counting_check)
+    G = preset("H3")
+    result = hc_transform(G, gaussian_profile(G), grid)
+    assert len(calls) == 1
+    assert result.spectral.grid.shape == calls[0]
+
+
+def test_real_times_has_the_bits_of_the_stacked_product():
+    # the stack-and-combine form the product replaced, as the reference
+    def stacked(table, w):
+        out = table @ np.stack([w.real, w.imag], axis=-1).reshape(len(w), -1)
+        out = out.reshape(out.shape[:1] + w.shape[1:] + (2,))
+        return out[..., 0] + 1j * out[..., 1]
+
+    rng = np.random.default_rng(44)
+    held = rng.standard_normal((40, 60))
+    for table in (held, held[:30, :50], held[:30, :50].T):
+        n = table.shape[1]
+        for w in (rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                  rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))):
+            got, want = transform._real_times(table, w), stacked(table, w)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_pointwise_integrals_reject_a_nan_envelope_naming_coeff():
     # a width-0.05 Gaussian whose envelope coefficient is NaN
     G = preset("H3")

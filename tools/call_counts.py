@@ -1,18 +1,21 @@
-"""Calls per op kind of one pointwise-adaptive round: what a small call costs in work.
+"""Calls per op kind of one round of a workload: what a small call costs in work.
 
-    python3 tools/call_counts.py [--seed S]
+    python3 tools/call_counts.py [--workload pointwise-adaptive|roundtrip-shared] [--seed S]
 
-Sets up the pointwise-adaptive workload of ``perfbench/workloads.py`` (imported, not
-changed) and makes the ops of one round at seed S (11 by default), as the benchmark's
-worker does.  It runs them once, which builds the tables a timed run finds held, then
-again, each op under cProfile; the checks are not run.  Prints one line per
-op kind, in round order: the calls cProfile counts (Python functions and builtins alike),
-then for each of ``spherical.phi``, ``spherical.c_log`` and ``spherical.log_gamma`` the
-calls, their rows (the first axis of ``lam`` or ``z``, 1 for a scalar) and their entries
-(the values computed: rows times the points of ``t`` for ``phi``).  Those three are
-counted by wrappers bound in place of them in every loaded sphtrans module; a wrapper
-makes no call that cProfile sees, and its own calls are taken out of the count.  The
-counts depend only on the code and the seed, so two runs print the same lines.
+Sets up the workload, pointwise-adaptive by default, runs its warm-up (roundtrip-shared's
+``warm_shared``; pointwise-adaptive has none) and makes the ops of one round at seed S (11
+by default), each step as the benchmark's worker does it (``perfbench/worker.py`` and
+``perfbench/workloads.py``, imported, not changed).  The tool runs one round once, untimed,
+which builds the tables a timed run finds held (for roundtrip-shared, the 3 that its
+warm-up asked for only once), then the next round, each op under cProfile; the checks are
+not run.  Prints one line per op kind, in round order: the calls cProfile counts (Python
+functions and builtins alike), then for each of ``spherical.phi``, ``spherical.c_log`` and
+``spherical.log_gamma`` the calls, their rows (the first axis of ``lam`` or ``z``, 1 for a
+scalar) and their entries (the values computed: rows times the points of ``t`` for
+``phi``).  Those three are counted by wrappers bound in place of them in every loaded
+sphtrans module; a wrapper makes no call that cProfile sees, and its own calls are taken
+out of the count.  The counts depend only on the code, the workload and the seed, so two
+runs print the same lines.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
+import worker  # noqa: E402
 import workloads  # noqa: E402
 
 COUNTED = ("phi", "c_log", "log_gamma")
@@ -63,15 +67,22 @@ def install(sphtrans) -> dict[str, list]:
     return seen
 
 
-def counts(seed: int) -> list[str]:
-    """One line per op kind of a pointwise-adaptive round at ``seed``."""
+# the workloads counted; the worker's table gives each one's set-up, warm-up and rounds
+WORKLOADS = ("pointwise-adaptive", "roundtrip-shared")
+
+
+def counts(seed: int, workload: str = "pointwise-adaptive") -> list[str]:
+    """One line per op kind of a round of ``workload`` at ``seed``."""
+    setup, warm, rounds = worker.IN_PROCESS[workload]
     sphtrans = workloads.import_sphtrans()
-    state = workloads.setup_pointwise(sphtrans)
+    state = setup(sphtrans)
     seen = install(sphtrans)
-    for op in workloads.pointwise_rounds(sphtrans, state, 1, np.random.default_rng(seed)):
+    if warm:
+        warm(sphtrans, state)
+    for op in rounds(sphtrans, state, 1, np.random.default_rng(seed)):
         op.call()  # the round once first, so that tables built for it are held, as in a timed run
     lines = []
-    for op in workloads.pointwise_rounds(sphtrans, state, 1, np.random.default_rng(seed)):
+    for op in rounds(sphtrans, state, 1, np.random.default_rng(seed)):
         for calls in seen.values():
             calls.clear()
         profile = cProfile.Profile()
@@ -89,9 +100,10 @@ def counts(seed: int) -> list[str]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", choices=WORKLOADS, default="pointwise-adaptive")
     ap.add_argument("--seed", type=int, default=11)
     args = ap.parse_args(argv)
-    print("\n".join(counts(args.seed)))
+    print("\n".join(counts(args.seed, args.workload)))
     return 0
 
 

@@ -19,3 +19,20 @@ def test_two_runs_print_identical_counts_per_op_kind():
         assert " calls; phi " in line and "; c_log " in line and "; log_gamma " in line
     # a pointwise transform is one phi call of one row on the 124 nodes of four K31 panels
     assert "; phi 1 calls, 1 rows, 124 entries;" in lines[0]
+
+
+def test_a_held_round_trip_round_builds_no_table():
+    runs = [subprocess.run([sys.executable, str(TOOL), "--workload", "roundtrip-shared"],
+                           check=True, capture_output=True, text=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1]
+    sys.path.insert(0, str(TOOL.parent.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    lines = runs[0].splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        f"{name}@{preset}" for name, preset in workloads.ROUNDTRIP_ROTATION]
+    # after the warm-up and one round every phi table a round reads is held
+    for line in lines:
+        assert "; phi 0 calls, 0 rows, 0 entries;" in line
