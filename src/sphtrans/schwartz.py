@@ -144,14 +144,15 @@ def _divided_differences(grid: np.ndarray, values: np.ndarray, order: int):
     return dd, starts[:-1]
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite entry fails, with no warning
 def image_membership(G: GroupDatum, A: SpectralFunction) -> MembershipReport:
     """Diagnostic membership test for the transform image algebra.
 
     Checks (i) Weyl evenness, (ii) rapid decay through polynomially
     weighted sups, (iii) a smoothness proxy through divided differences
     up to order 4, which fails at the first NaN difference.  Pure diagnostic: never raises
-    on failure, but a grid of fewer than 5 points, which has no differences of order 4,
-    raises GridContractError.
+    or warns on failure, infinite entries included, but a grid of fewer than 5 points,
+    which has no differences of order 4, raises GridContractError.
     """
     if len(A.grid) <= _SMOOTH_ORDER:
         raise GridContractError(f"image membership's divided differences of order {_SMOOTH_ORDER} "

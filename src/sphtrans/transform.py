@@ -1,13 +1,15 @@
 """Forward spherical transform, wave-packet inverse, Plancherel pairing,
 mollified expansion terms, and the radial Casimir multiplier identity.
 
-All spectral and radial integrals run on fixed composite grids (nodes
-independent of the evaluation point): Gauss-Kronrod K51 on the radial side,
-Gauss-Legendre on the spectral side.  So results are deterministic,
-evaluation errors vary smoothly, and the expensive spherical-function tables
-are shared across operations.  Forward error estimates compare K51 with its
-embedded G25 on the same nodes, one table for both, plus explicit envelope
-tail bounds; reductions are numpy dots (fixed pairwise order).
+All spectral and radial integrals run on fixed grids (nodes independent of
+the evaluation point): composite Gauss-Kronrod K51 on the radial side, and on
+the spectral side the trapezoid rule on a symbol's own uniform grid, whose
+|lam| rows are the forward transform's, so that a round trip reads one table.
+So results are deterministic, evaluation errors vary smoothly, and the
+expensive spherical-function tables are shared across operations.  Forward
+error estimates compare K51 with its embedded G25 on the same nodes, one table
+for both, plus explicit envelope tail bounds; reductions are numpy dots (fixed
+pairwise order).
 
 One constant per preset ties the radial Haar normalization to the
 spectral density:
@@ -57,10 +59,7 @@ __all__ = [
 GRID_MAX = 12.0
 GRID_COUNT = 481
 
-# fixed engine rules (the radial rule's layout is spherical's, which recognises its nodes)
-_NU_PANEL = 0.75
-_NU_ORDER = 20
-# rules held per cache: a shared perfbench warm-up holds 6 radial, 4 spectral
+# rules held per cache: a shared perfbench warm-up holds 6 radial, 3 spectral
 _RULE_CACHE_SIZE = 64
 # order of the local polynomial interpolation of sampled spectral functions
 _INTERP_ORDER = 6
@@ -71,18 +70,23 @@ _XI_ENVELOPE = 2.0
 
 # contour shifts Im nu = sigma tried for a packet envelope: non-integer, so that no c-function
 # pole sits on the contour; the bound holds from t0 on, and its integral over x runs on
-# [-_CONTOUR_X, _CONTOUR_X] in GL panels of _CONTOUR_PANEL (C_sigma within 3.4e-3 of a 4x finer
-# rule on the shipped symbols), whose ends must be below _CONTOUR_END_TOL of the whole
+# [-_CONTOUR_X, _CONTOUR_X] in GL panels of _CONTOUR_PANEL and order _CONTOUR_ORDER (C_sigma
+# within 3.4e-3 of a 4x finer rule on the shipped symbols), whose ends must be below
+# _CONTOUR_END_TOL of the whole
 _SIGMAS = np.arange(0.45, 5.5, 0.5)
 _CONTOUR_T0 = 1.0
 _CONTOUR_X = 2.0 * GRID_MAX
 _CONTOUR_PANEL = 3.0
+_CONTOUR_ORDER = 20
 _CONTOUR_END_TOL = 1e-12
 # the measured envelope's margin over the largest value it was taken from
 _ENVELOPE_MARGIN = 1.15
-# a packet drops its highest spectral nodes while their charges' moduli add up to less than
+# a packet's rule of fn drops its highest nodes while their charges' moduli add up to less than
 # this share of sum|charge|, which moves it by less than that share of sum|charge| Xi(t)
 _CHARGE_DROP = 2.0**-60
+# a packet column t past rho t = this, where e^{-rho t}, and so phi and the packet's floor,
+# underflow, takes the spectral rule of the t there
+_UNDERFLOW_RHO_T = 750.0
 # numpy's warning for a complex-to-real cast: np.exceptions is numpy >= 1.25
 _ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
@@ -206,8 +210,8 @@ class TransformResult:
 # ---------------------------------------------------------------------------
 
 # real phi tables as (t bytes of their columns, table); past the byte cap the oldest go, and
-# a larger one is not kept.  A table asked for once is held only until the next build (its key
-# in _PHI_ONCE), and that first request is remembered as (hash of its key, bytes), the oldest
+# a larger one is not kept.  A table built once is held only until the next build (its key
+# in _PHI_ONCE), and that build is remembered as (hash of its key, bytes), the oldest
 # forgotten past the same cap: a hash collision can hold a table early, never return a wrong one
 _PHI_CACHE: dict[tuple, tuple[bytes, np.ndarray]] = {}
 _PHI_ONCE: list[tuple] = []
@@ -215,38 +219,30 @@ _PHI_ASKED: dict[int, int] = {}
 _PHI_CACHE_BYTES = 256 * 2**20
 
 
-def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0,
-               rows: Optional[int] = None) -> np.ndarray:
+def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0) -> np.ndarray:
     """Real matrix [phi_{lam_i}(t_j)] for real lam_i and 1-D ``ts``, or its t-derivative of
-    ``order`` 1 or 2, on the first ``rows`` lam_i (all when None): one call of the public
-    ``phi``, ``phi_d1`` or ``phi_d2``, which recognises a radial rule's nodes by their values.
+    ``order`` 1 or 2: one call of the public ``phi``, ``phi_d1`` or ``phi_d2``, which
+    recognises a radial rule's nodes by their values.
     A table is keyed by (G, order, lam bytes, cols): cols is True on a radial rule's nodes that
     end by t = ``spherical._CIRCLE_T`` (past it the last node sets the Cauchy-circle radius, and
     so the values), else the t bytes, which never replace a rule's table.  A held table answers
-    ``ts`` that are its columns or start them, as held[:rows, :len(ts)] (a shorter rule's nodes
-    start a longer one's); a longer rule replaces it, built on ``ts`` with every held row and
-    held at once.  Else a table is held from its second request: while it is the newest built
-    or, by its remembered key hash, later (built once more); a held table gains rows asked for.
-    A table asked for once is dropped before the next build, which then reuses its memory."""
-    rows, tb = len(lams) if rows is None else rows, ts.tobytes()
+    ``ts`` that are its columns or start them, as held[:, :len(ts)] (a shorter rule's nodes
+    start a longer one's); a longer rule replaces it, built on ``ts`` and held at once.  Else a
+    table is held from its second build, which finds its key hash remembered.  A table built
+    once answers until the next build, which drops it and then reuses its memory: so a fresh
+    round trip's one table (:func:`wave_packet`), asked for by the packet and then by
+    :func:`hc_transform`, is built once and not held past the next round trip."""
+    tb = ts.tobytes()
     rule = spherical._rule_panels(ts) and ts[-1] <= spherical._CIRCLE_T  # rule nodes ascend
     key = (G, order, lams.tobytes(), True if rule else tb)
-    if _PHI_ONCE == [key]:  # asked for again while the newest
-        _PHI_ONCE.clear()
     cols, held = _PHI_CACHE.get(key, (tb, None))
     replace = len(cols) < len(tb)  # a held rule's columns start every longer rule's
-    if held is not None and not replace and len(held) >= rows:
-        return held[:rows, :len(ts)]
+    if held is not None and not replace:
+        return held[:, :len(ts)]
     if _PHI_ONCE:
         _PHI_CACHE.pop(_PHI_ONCE.pop(), None)
-    end = rows
-    if replace:  # built on ts, with every held row
-        end, cols, held = max(rows, len(held)), tb, None
-    out = (phi, phi_d1, phi_d2)[order](G, lams[0 if held is None else len(held):end],
-                                       ts if held is None else np.frombuffer(cols))
-    if held is not None:
-        out = np.concatenate([held, out])
-    elif not replace and _PHI_ASKED.pop(hash(key), None) is None and out.nbytes <= _PHI_CACHE_BYTES:
+    out = (phi, phi_d1, phi_d2)[order](G, lams, ts)
+    if not replace and _PHI_ASKED.pop(hash(key), None) is None and out.nbytes <= _PHI_CACHE_BYTES:
         _PHI_ONCE.append(key)
         _PHI_ASKED[hash(key)] = out.nbytes
         while sum(_PHI_ASKED.values()) > _PHI_CACHE_BYTES:
@@ -255,8 +251,8 @@ def _phi_block(G: GroupDatum, lams: np.ndarray, ts: np.ndarray, order: int = 0,
     if out.nbytes <= _PHI_CACHE_BYTES:
         while sum(table.nbytes for _, table in _PHI_CACHE.values()) + out.nbytes > _PHI_CACHE_BYTES:
             _PHI_CACHE.pop(next(iter(_PHI_CACHE)))
-        _PHI_CACHE[key] = (cols, out)
-    return out[:rows, :len(ts)]
+        _PHI_CACHE[key] = (tb, out)
+    return out
 
 
 def _mirror_fold(lams: np.ndarray):
@@ -300,24 +296,24 @@ def _radial_rule(G: GroupDatum, T: float) -> _Rule:
     return _Rule(nodes, weights, haar_density(G, nodes))
 
 
-def _spectral_order(t_max: float = 12.0) -> int:
-    """Panel order of the spectral rule for a packet evaluated up to ``t_max``.
-
-    The order grows with the largest radial point, because the integrand
-    oscillates like exp(i nu t): order ~ panel_width * t / 2 plus margin
-    keeps Gauss-Legendre in its superconvergent regime.
-    """
-    bucket = 8.0 * math.ceil(max(t_max, 1.0) / 8.0)
-    return int(min(48, max(_NU_ORDER, math.ceil(0.375 * bucket) + 10)))
-
-
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _spectral_rule(G: GroupDatum, L: float, order: int) -> _Rule:
-    """Half-line spectral rule on (0, L] with panels of the given order and the
-    Plancherel density."""
-    n_panels = max(2, int(math.ceil(L / _NU_PANEL)))
-    nodes, weights, _ = composite_nodes(0.0, L, n_panels, gauss_legendre_rule(order))
-    return _Rule(nodes, weights, cfunction.plancherel_density(G, nodes))
+def _uniform_rule(G: GroupDatum, grid: bytes, refine: int) -> tuple[_Rule, bool]:
+    """(rule, on_grid): the trapezoid rule on [0, L] of spacing h / 2^refine, h = 2 L / (n - 1)
+    for the n points of the grid whose bytes are ``grid`` and its end L, with the Plancherel
+    density: that weight at every node but L, and for an odd count 0, which take half of it.
+    On the grid's |lam| rows (:func:`_mirror_fold`) when refine is 0 and the grid is uniform
+    to rounding (within 2^-49 L of np.linspace(-L, L, n), folded i <-> n-1-i), else on those
+    of np.linspace(-L, L, m), m = (n - 1) 2^refine + 1."""
+    grid = np.frombuffer(grid)
+    n, L = len(grid), float(grid[-1])
+    m, rows = (n - 1) * 2**refine + 1, _mirror_fold(grid)[0]
+    on_grid = (refine == 0 and len(rows) == n - n // 2
+               and np.abs(grid - np.linspace(-L, L, n)).max() <= 2.0**-49 * L)
+    nodes = rows if on_grid else np.abs(np.linspace(-L, L, m)[m // 2:])
+    h = 2.0 * L / max(m - 1, 1)  # not nodes[1] - nodes[0], which carries rounding
+    weights = np.full(len(nodes), h)
+    weights[[0, -1] if m % 2 else -1] = 0.5 * h
+    return _Rule(nodes, weights, cfunction.plancherel_density(G, nodes)), on_grid
 
 
 def _forward_envelope(G: GroupDatum, decay: ExpDecay, strip: float = 0.0) -> ExpDecay:
@@ -480,24 +476,40 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
 
     Returns the packet as a RadialProfile.  The symbol must be Weyl-even
     with decay power >= 4, and carry an evaluator ``fn`` that is its
-    analytic continuation.  The integral is a fixed composite Gauss-Legendre
-    rule on (0, L], L the end of the symbol's grid, so it takes no
-    tolerance; its panel order adapts to the largest |t| requested per call,
-    and results for different call batches agree to the rule's accuracy.
-    Only the nodes that carry charge get a table row: the highest nodes go
-    while their charges add up to less than 2^-60 sum|charge| in modulus, which
-    moves the packet by less than that times Xi(t), as |phi_nu(t)| <= Xi(t) for
-    real nu; packets on one rule share the first rows of one table.
-    The values and both t-derivatives take finite ``t`` of any shape, and
-    read their blocks, on the flattened ``t``, from the one table cache,
-    :func:`_phi_block`, which holds a block from its second request; the values
-    of the last ``t`` are held (a copy each call), so a round trip asks for its table once.
+    analytic continuation.  The integrand is even and analytic in a strip
+    about the real axis, so the trapezoid rule converges geometrically on it
+    (Trefethen & Weideman, SIAM Rev. 56, 2014): on a grid uniform to rounding,
+    of n points on [-L, L], the integral is the rule of spacing h = 2 L / (n - 1)
+    on the grid's |lam| rows, the rows :func:`hc_transform` reads on that grid,
+    with the even part of the samples (:func:`_uniform_rule`).  It takes no
+    tolerance, and ``fn`` is not called on the real line.
+
+    Sampling nu at spacing h makes the rule periodic in t with period 2 pi / h, and on
+    SL2R the density's poles at +-i/2 add an error of about e^{t/2 - pi/h}.  So each column
+    t takes the grid's rule while t <= t_max(h) = 2 pi / h - 80, rounded down to a whole
+    number of 2.0-wide radial panels (44 on the default grid), and past it ``fn`` on the
+    nodes of spacing h / 2^k, for the smallest k with t <= t_max(h / 2^k); a grid that is
+    not uniform takes ``fn`` from k = 0 on, at spacing 2 L / (n - 1).  A rule of ``fn``
+    drops its highest nodes while their charges add up to less than 2^-60 sum|charge| in
+    modulus, which moves the packet by less than that times Xi(t).  The constant 80 is
+    measured: on SL2R the packets of exp(-nu^2), nu^2 exp(-nu^2), (1 + nu^2) exp(-nu^2)
+    and exp(-nu^2/4) on L = 12 reach their floor (below) at t = 2 pi / h - 55 to 58, and a
+    tenth of it at 2 pi / h - 61 to 64, for h from 0.03 to 0.0625; on H3 and CH2 they reach
+    it at 2 pi / h - 10 and - 17.  So a column's rule is a function of (a, t) alone, whatever
+    else is in its batch (the last bits of ``phi``'s own block product still move with the
+    block's width), and the columns below t_max start a radial rule's nodes, and keep its
+    table.
+    The values and both t-derivatives take finite ``t`` of any shape, and read their blocks,
+    on the flattened ``t``, from the one table cache, :func:`_phi_block`; the values of the
+    last ``t`` are held (a copy each call).  A fresh round trip on one uniform grid so asks
+    ``phi`` for one table: the envelope check below builds it on every row of the grid, and
+    :func:`hc_transform` reads the held values and finds the table there.
 
     ``decay`` bounds the exact packet; the evaluated one is within its
-    roundoff floor 1e-14 sum|charge| (1 + t) e^{-rho t} of it.  It comes from a
-    contour shift of ``fn``.  For real nu, phi_nu |c(nu)|^-2 = Phi_nu / c(-nu) +
-    Phi_{-nu} / c(nu), so for an even symbol psi_a(t) = (2 c_P/|W|) int_R a(nu) Phi_nu(t) /
-    c(-nu) dnu.  Neither factor has a pole on Im nu > 0 (Koornwinder 1984), so the line
+    roundoff floor 1e-14 sum|charge| (1 + t) e^{-rho t} of it, sum|charge| that of the
+    rule of spacing h.  It comes from a contour shift of ``fn``.  For real nu,
+    phi_nu |c(nu)|^-2 = Phi_nu / c(-nu) + Phi_{-nu} / c(nu), so for an even symbol
+    psi_a(t) = (2 c_P/|W|) int_R a(nu) Phi_nu(t) / c(-nu) dnu.  Neither factor has a pole on Im nu > 0 (Koornwinder 1984), so the line
     moves to Im nu = sigma, where |e^{i nu t}| = e^{-sigma t}: for t >= t0,
     |psi(t)| <= C_sigma e^{-(rho + sigma) t} (:func:`_contour_ladder`, uncached for an
     unhashable ``fn``), and for t < t0, |psi(t)| <= sum |charge|, since |phi_nu| <= Xi <= 1.
@@ -508,39 +520,51 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     the values held.  PreconditionError naming the symbol when it has no ``fn``, when no
     contour shift is usable, or when the packet leaves the envelope (an ``fn`` that is not
     the symbol's continuation, or a grid end L that cuts the symbol off, named with
-    |a(L)| / max|a|); EvaluationError naming the first t there where the packet is not finite.
+    |a(L)| / max|a|); EvaluationError naming the first t there where the packet is not
+    finite (an ``fn`` that is not finite on a node of a finer rule).
     """
     _check_symbol(a, "wave-packet symbol")
     name = a.label or "a"
     if a.fn is None:
         raise PreconditionError(f"wave-packet symbol {name!r} has no evaluator fn, "
                                 "so its packet has no contour envelope")
-    L = float(a.grid[-1])
-    # factor 2: even integrand reduced to (0, L]; 1/|W| folded against it
+    n, L = len(a.grid), float(a.grid[-1])
+    # factor 2: even integrand reduced to [0, L]; 1/|W| folded against it
     prefactor = 2.0 * G.plancherel_constant / G.weyl_order
+    grid, period = a.grid.tobytes(), math.inf if L == 0.0 else math.pi * (n - 1) / L  # 2 pi / h
 
-    held = {}
+    def rule_charges(k: int):
+        # the nodes and charges of the rule of spacing h / 2^k: the samples on the grid's own
+        # rule, every row of it, else fn, whose highest nodes go while below _CHARGE_DROP of
+        # sum|charge| (a NaN or zero sum keeps them all)
+        rule, on_grid = _uniform_rule(G, grid, k)
+        if on_grid:
+            return rule.nodes, prefactor * rule.weights * a.even_values()[n // 2:] * rule.density
+        charge = prefactor * rule.weights * _symbol_node_values(a, rule.nodes) * rule.density
+        tail = np.abs(charge)[::-1].cumsum()[::-1]  # sum |charge| from each node up
+        kept = len(charge) - np.count_nonzero(tail < _CHARGE_DROP * tail[0])
+        return rule.nodes[:kept], charge[:kept]
 
-    def charges(n: int):
-        # the spectral rule of panel order n, the charges of its first nodes and their sum|charge|,
-        # held per n: the highest go while below _CHARGE_DROP of the sum (a NaN or zero sum
-        # keeps them all)
-        if n not in held:
-            rule = _spectral_rule(G, L, n)
-            charge = prefactor * rule.weights * _symbol_node_values(a, rule.nodes) * rule.density
-            mods = np.abs(charge)
-            tail = mods[::-1].cumsum()[::-1]  # sum |charge| from each node up
-            kept = len(charge) - np.count_nonzero(tail < _CHARGE_DROP * tail[0])
-            held[n] = rule.nodes, charge[:kept], float(mods[:kept].sum())
-        return held[n]
+    grid_rule = rule_charges(0)
 
     def packet(t, order=0):
         # psi_a, or its t-derivative of ``order``, at ``t``, real as _real_array makes it
-        if not np.isfinite(t).all():  # else the spectral order of a NaN t is taken
+        if not np.isfinite(t).all():
             raise DomainError(f"wave packet requires finite t, got t = {t!r}")
-        nodes, charge, _ = charges(_spectral_order(t.max(initial=1.0)))
-        return _real_times(_phi_block(G, nodes, t.ravel(), order, len(charge)).T,
-                           charge).reshape(t.shape)
+        ts, cover = t.ravel(), np.minimum(t.ravel(), _UNDERFLOW_RHO_T / G.rho)
+        # t_max(h / 2^k) = 2 pi 2^k / h - 80 rounded down to whole 2.0-wide panels, k = 0, 1, ...
+        tops = [2.0 * np.floor(period / 2.0 - 40.0)]
+        while tops[-1] < cover.max(initial=0.0):
+            tops.append(2.0 * np.floor(period * 2.0 ** len(tops) / 2.0 - 40.0))
+        if len(tops) == 1:  # every column on the grid's rule
+            return _real_times(_phi_block(G, grid_rule[0], ts, order).T,
+                               grid_rule[1]).reshape(t.shape)
+        k, out = np.searchsorted(tops, cover), np.empty(t.size, dtype=complex)
+        for j in np.unique(k):  # the columns of one rule read one table
+            cols = np.flatnonzero(k == j)
+            nodes, charge = grid_rule if j == 0 else rule_charges(int(j))
+            out[cols] = _real_times(_phi_block(G, nodes, ts[cols], order).T, charge)
+        return out.reshape(t.shape)
 
     last = [None, None]  # the last (shape, t bytes) and its values
 
@@ -552,7 +576,7 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
             last[:] = key, packet(ts)
         return last[1].copy()
 
-    charge_sum = charges(_spectral_order())[2]
+    charge_sum = float(np.abs(grid_rule[1]).sum())
     try:
         ladder = _contour_ladder(G, a.fn)
     except TypeError:  # an unhashable fn is not cached
@@ -565,7 +589,7 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     vals = np.abs(eval_packet(ts))
     # the floor, evaluator noise: roundoff of the quadrature dot against the
     # spherical-function envelope |phi_nu(t)| <= 2 (1+t) e^{-rho t}
-    kappa = 1e-14 * charges(_spectral_order(ts[-1]))[2]  # the rule's nodes ascend
+    kappa = 1e-14 * charge_sum
     inside = vals <= env.bound(ts) + kappa * (1.0 + ts) * np.exp(-G.rho * ts)  # NaN is not
     if not inside.all():
         finite = np.isfinite(vals)
@@ -590,7 +614,8 @@ def _contour_factors(G: GroupDatum):
     """:func:`_contour_ladder`'s rows z = x + i sigma and GL weights, and its integrand's factor
     free of the symbol, on the rows of the ``done`` mask: ladders fill it as they need rows."""
     n_panels = int(math.ceil(_CONTOUR_X / _CONTOUR_PANEL))
-    nodes, weights, _ = composite_nodes(0.0, _CONTOUR_X, n_panels, gauss_legendre_rule(_NU_ORDER))
+    nodes, weights, _ = composite_nodes(0.0, _CONTOUR_X, n_panels,
+                                        gauss_legendre_rule(_CONTOUR_ORDER))
     z = (np.append(nodes, _CONTOUR_X) + 1j * _SIGMAS[:, None]).ravel()  # a row per sigma
     return z, weights, np.zeros(len(z)), np.zeros(len(z), dtype=bool)
 
@@ -669,15 +694,21 @@ def plancherel_pairing(
     """(c_P/|W|) int_R A(nu) B(nu) |c(nu)|^-2 dnu.
 
     For A = Hf and B = Hg this equals (f*g)(1); symmetric in (A, B).  The
-    integral is the fixed composite Gauss-Legendre spectral rule on (0, L],
-    L the smaller end of the two grids, so it takes no tolerance.
+    integral is the trapezoid rule on [0, L] (:func:`_uniform_rule`), so it takes no
+    tolerance: on the rows of A's and B's one grid, read from their samples, when they
+    share one uniform grid; else on the rows of np.linspace(-L, L, n), L the smaller end
+    and n the larger count of the two grids (no coarser than either), from their
+    evaluators or order-6 interpolation of their samples.
     """
     _check_symbol(A, "pairing factor")
     _check_symbol(B, "pairing factor")
-    L = min(float(A.grid[-1]), float(B.grid[-1]))
-    rule = _spectral_rule(G, L, _spectral_order())
-    a_nodes = _symbol_node_values(A, rule.nodes)
-    b_nodes = _symbol_node_values(B, rule.nodes)
+    same = np.array_equal(A.grid, B.grid)
+    L, n = min(float(A.grid[-1]), float(B.grid[-1])), max(len(A.grid), len(B.grid))
+    rule, on_grid = _uniform_rule(G, (A.grid if same else np.linspace(-L, L, n)).tobytes(), 0)
+    if same and on_grid:
+        a_nodes, b_nodes = A.even_values()[n // 2:], B.even_values()[n // 2:]
+    else:
+        a_nodes, b_nodes = _symbol_node_values(A, rule.nodes), _symbol_node_values(B, rule.nodes)
     prefactor = 2.0 * G.plancherel_constant / G.weyl_order
     # a*b first: elementwise products commute bitwise, so the pairing is
     # exactly symmetric in (A, B)

@@ -23,6 +23,8 @@ from integral_oracle import phi_integral_oracle
 
 GRID = transform.default_spectral_grid()
 T64 = np.linspace(0.0, 64.0, 641)
+# rows that are not a grid's: composite Gauss-Legendre nodes of order 20 on 16 panels of (0, 12]
+GL_ROWS = specfun.composite_nodes(0.0, 12.0, 16, specfun.gauss_legendre_rule(20))[0]
 
 
 def h3_closed_form(lam, t):
@@ -424,6 +426,23 @@ def test_fresh_packet_round_trip_makes_two_evaluator_calls(monkeypatch, fresh_ph
     assert calls == [transform._radial_rule(G, T).nodes.tobytes()] * 2
 
 
+def test_fresh_round_trip_on_the_symbols_grid_makes_one_phi_call_of_its_rows(
+        monkeypatch, fresh_phi_cache):
+    # the packet's envelope check builds the table of the grid's 241 |lam| rows on the K51
+    # nodes that hc_transform reads, and hc_transform finds the values and the table there
+    G = preset("CH2")
+    grid = np.linspace(-11.6, 11.6, 481)
+    calls = []
+    monkeypatch.setattr(transform, "phi", lambda G, lam, t, phi=transform.phi:
+                        calls.append((len(lam), len(t))) or phi(G, lam, t))
+    symbol = transform.SpectralFunction.from_function(
+        lambda x: np.exp(-x**2), grid, transform.SpectralDecay(180.0, 8.0), label="gauss")
+    packet = transform.wave_packet(G, symbol)
+    transform.hc_transform(G, packet, grid)
+    T = transform._radial_cutoff(G, packet.decay, specfun.DEFAULT_QUAD.abs_tol)
+    assert calls == [(241, len(transform._radial_rule(G, T).nodes))]
+
+
 def test_fresh_round_trip_calls_public_phi_twice_and_charges_the_packet_once(
         monkeypatch, fresh_phi_cache):
     G = preset("CH2")
@@ -460,13 +479,14 @@ def test_phi_cache_stays_under_byte_cap(monkeypatch, fresh_phi_cache):
     cap = 3 * 2**20
     monkeypatch.setattr(transform, "_PHI_CACHE_BYTES", cap)
     ts = np.linspace(0.0, 10.0, 1000)
-    # each table asked for twice, so that it is held
-    for n in (100, 200, 150, 120, 90):  # 0.8 to 1.6 MB tables
-        for _ in range(2):
-            table = transform._phi_block(G, np.linspace(0.0, 12.0, n), ts)
+    # each table built twice, so that it is held: 0.8 to 1.6 MB tables, the oldest
+    # dropped at the cap
+    for n in (200, 150, 200, 150, 120, 100, 120, 100):
+        table = transform._phi_block(G, np.linspace(0.0, 12.0, n), ts)
         assert table.dtype == np.float64
         assert sum(v.nbytes for _, v in transform._PHI_CACHE.values()) <= cap
-    for _ in range(2):
+    assert [len(table) for _, table in transform._PHI_CACHE.values()] == [150, 120, 100]
+    for _ in range(2):  # larger than the cap, it is not remembered or held
         big = transform._phi_block(G, np.linspace(0.0, 12.0, 400), ts)  # 3.2 MB
     assert big.shape == (400, 1000)
     assert all(v is not big for _, v in transform._PHI_CACHE.values())
@@ -527,9 +547,6 @@ def test_two_cutoffs_of_one_preset_hold_one_table(fresh_phi_cache):
     assert transform._PHI_ONCE == [] and np.all(np.isfinite(again))
 
 
-PACKET_ROWS = (124, 185, 320)
-
-
 @pytest.mark.parametrize("name", ["SL2R", "H3", "CH2"])
 def test_shorter_rules_read_a_longer_rules_table_bit_for_bit(name, monkeypatch, fresh_phi_cache):
     G = preset(name)
@@ -537,31 +554,22 @@ def test_shorter_rules_read_a_longer_rules_table_bit_for_bit(name, monkeypatch, 
     monkeypatch.setattr(transform, "phi",
                         lambda G, lam, t, phi=transform.phi: calls.append(len(t)) or phi(G, lam, t))
     default = transform._mirror_fold(GRID)[0]
-    spectral = transform._spectral_rule(G, 12.0, transform._NU_ORDER).nodes
-    for rows, n, cutoffs in ((default, None, (28.0, 16.0, 12.0)),
-                             (spectral, PACKET_ROWS[0], (16.0, 8.0))):
-        transform._phi_block(G, rows, transform._radial_rule(G, cutoffs[0]).nodes, 0, n)
+    for rows, cutoffs in ((default, (28.0, 16.0, 12.0)), (GL_ROWS, (16.0, 8.0))):
+        transform._phi_block(G, rows, transform._radial_rule(G, cutoffs[0]).nodes)
         for T in cutoffs[1:]:
             nodes = transform._radial_rule(G, T).nodes
-            np.testing.assert_array_equal(transform._phi_block(G, rows, nodes, 0, n),
-                                          phi(G, rows[:n], nodes))
+            np.testing.assert_array_equal(transform._phi_block(G, rows, nodes), phi(G, rows, nodes))
     assert calls == [714, 408]
-    # more rows on a shorter rule: the held table gains them on its own columns, each
-    # block of rows as its own build on the shorter rule would give them
-    nodes = transform._radial_rule(G, 8.0).nodes
-    for n in PACKET_ROWS[1:]:
-        np.testing.assert_array_equal(
-            transform._phi_block(G, spectral, nodes, 0, n),
-            np.concatenate([phi(G, spectral[lo:hi], nodes)
-                            for lo, hi in zip((0,) + PACKET_ROWS, PACKET_ROWS) if hi <= n]))
-    assert calls == [714, 408, 408, 408]
-    assert [table.shape for _, table in transform._PHI_CACHE.values()] == [(241, 714), (320, 408)]
+    # each table built once answers until the next build: the first went with the second's
+    assert [table.shape for _, table in transform._PHI_CACHE.values()] == [(320, 408)]
 
 
-def test_plain_grid_reads_leave_the_rule_table_held(monkeypatch, fresh_phi_cache):
-    # the packet is checked on its rule's nodes and read on a shorter rule's (a second
-    # request, so its table is held); the CLI's plain t grid has the same rows but a
-    # table of its own, and the rule's nodes read again build nothing
+def test_plain_grid_and_rule_reads_each_build_their_table_twice_then_hold_it(
+        monkeypatch, fresh_phi_cache):
+    # the packet is checked on its rule's nodes and read on a shorter rule's, which the
+    # table built once answers; the CLI's plain t grid has the same rows but a table of its
+    # own, whose build drops the rule's table; each is held from its second build, and the
+    # reads after that build nothing
     G = preset("H3")
     symbol = transform.SpectralFunction.from_function(
         lambda x: np.exp(-x**2), GRID, transform.SpectralDecay(180.0, 8.0), label="gauss")
@@ -576,19 +584,21 @@ def test_plain_grid_reads_leave_the_rule_table_held(monkeypatch, fresh_phi_cache
     psi(plain)
     assert calls == [481]
     nodes = transform._radial_rule(G, T).nodes
-    psi(nodes)
-    psi(plain)
-    assert calls == [481]
+    for _ in range(2):
+        psi(nodes)
+        psi(plain)
+    assert calls == [481, 306, 481]
 
 
 def test_a_rule_past_the_circle_cutoff_keeps_its_own_table(fresh_phi_cache):
     # past t = 64 a rule's last node sets the Cauchy-circle radius of the near row lam = 0,
-    # so the rule of 68 keeps its own table and the rule of 16 reads only its own
+    # so the rule of 68 keeps its own table and the rule of 16 reads only its own; each is
+    # built twice, the other between, so that both are held
     G = preset("H3")
     rows = np.array([0.0, 0.5, 2.5])
     short, long_ = (transform._radial_rule(G, T).nodes for T in (16.0, 68.0))
     assert long_[:len(short)].tobytes() == short.tobytes()
-    for ts in (short, short, long_):
+    for ts in (short, long_, short, long_):
         transform._phi_block(G, rows, ts)
     np.testing.assert_array_equal(transform._phi_block(G, rows, short), phi(G, rows, short))
     assert [table.shape for _, table in transform._PHI_CACHE.values()] == [(3, 408), (3, 1734)]
@@ -611,13 +621,12 @@ def test_rule_nodes_give_the_same_bits_after_the_rule_cache_drops_them(name):
 
 def test_a_held_rule_table_serves_a_shorter_rule_after_the_rule_cache_drops_it(
         monkeypatch, fresh_phi_cache):
-    # the held table of the rule of 28 starts with the columns of the rule of 16 whether or
+    # the table of the rule of 28 starts with the columns of the rule of 16 whether or
     # not either rule object is alive: the shorter rule reads them and builds nothing
     G = preset("H3")
     rows = np.linspace(0.1, 6.0, 40)
     long_ = transform._radial_rule(G, 28.0).nodes
-    for _ in range(2):  # held from its second request
-        transform._phi_block(G, rows, long_)
+    transform._phi_block(G, rows, long_)  # built once, it answers until the next build
     transform._radial_rule.cache_clear()
     gc.collect()
     short = transform._radial_rule(G, 16.0).nodes
@@ -635,9 +644,10 @@ ROTATION = (("gauss", "SL2R"), ("x2gauss", "H3"), ("wide", "CH2"),
 
 def test_a_rotation_of_the_six_symbols_builds_nothing_in_its_third_round(
         monkeypatch, fresh_phi_cache):
-    # round trips on the default grid: the second round holds what the first asked for,
-    # with rows gained across symbols and shorter rules reading longer rules' columns, so
-    # the third builds nothing
+    # round trips on the default grid, each one table of its 241 rows: the first round
+    # builds one per symbol, and the fourth to sixth, whose preset's key hash the first
+    # three remembered, are held; shorter rules read longer rules' columns, so the second
+    # and third rounds build nothing
     calls = []
     for name in ("phi", "phi_d1", "phi_d2"):
         monkeypatch.setattr(transform, name, lambda G, lam, t, fn=getattr(transform, name):
@@ -652,9 +662,9 @@ def test_a_rotation_of_the_six_symbols_builds_nothing_in_its_third_round(
                 fn, GRID, transform.SpectralDecay(coeff, 8.0), label=label)
             transform.hc_transform(G, transform.wave_packet(G, symbol), GRID)
         per_round.append(len(calls))
-    assert per_round == [12, 3, 0]
+    assert per_round == [6, 0, 0]
     assert sorted(table.shape for _, table in transform._PHI_CACHE.values()) == [
-        (124, 714), (177, 408), (185, 408), (241, 408), (241, 408), (241, 714), (320, 408)]
+        (241, 408), (241, 408), (241, 714)]
 
 
 # --------------------------------------------------------------------------
@@ -669,8 +679,7 @@ CIRCLE_ROWS = np.array([0.0, 1e-5, 3e-4, 0.02])
 def test_panel_tables_match_plain_phi(name, fresh_phi_cache):
     G = preset(name)
     folded = transform._mirror_fold(np.linspace(-12.0, 12.0, 241))[0]
-    spectral = transform._spectral_rule(G, 12.0, transform._NU_ORDER).nodes
-    rows = np.concatenate([folded, spectral, CIRCLE_ROWS])
+    rows = np.concatenate([folded, GL_ROWS, CIRCLE_ROWS])
     # the switch points, 1.2 and 9.6 / |lam| for |lam| > 8, lie inside panels of
     # width 0.5, so the exponential series of a row starts mid-panel
     for T in (4.0, 16.0, 40.0):
@@ -733,9 +742,8 @@ def test_table_build_peaks_below_four_times_the_table():
     # Pfaff series runs on the band's points only (3.7x and 6.1x when it ran on every row);
     # a complex block takes no band, and its Pfaff series runs on all its rows at once
     G = preset("H3")
-    lams = transform._spectral_rule(G, GRID[-1], transform._NU_ORDER).nodes
     nodes = transform._radial_rule(G, 16.0).nodes
-    blocks = ((lams, nodes, (320, len(nodes))),
+    blocks = ((GL_ROWS, nodes, (320, len(nodes))),
               (np.linspace(-12.0, 12.0, 300) + 0.1j, np.linspace(0.0, 30.0, 1000), (300, 1000)))
     for rows, ts, shape in blocks:
         for fn, bound in ((phi, 2.5), (phi_d1, 4.0)):

@@ -194,16 +194,17 @@ def test_membership_counterexamples():
     pytest.param(lambda v: v.__setitem__([200, 280], np.nan), 199, id="one-nan-pair"),
     pytest.param(lambda v: v.fill(np.nan), 0, id="all-nan"),
     pytest.param(lambda v: v.__setitem__(100, np.inf), None, id="one-infinite-entry"),
+    pytest.param(lambda v: v.__setitem__([100, 380], np.inf), None, id="one-infinite-pair"),
 ])
 def test_membership_smoothness_fails_on_a_nan_difference(spoil, witness):
     # a NaN difference fails at its lowest grid point, with value NaN; an infinite entry
-    # fails too (the complex division of its differences makes NaN, which numpy warns of)
+    # fails too (the complex division of its differences makes NaN, and an infinite pair's
+    # Weyl difference is NaN), with no numpy warning, which this suite turns into an error
     grid = default_spectral_grid()
     values = np.exp(-grid**2).astype(complex)
     spoil(values)
     A = SpectralFunction(grid, values, SpectralDecay(10.0, 6.0))
-    with np.errstate(invalid="ignore"):
-        rep = image_membership(preset("H3"), A)
+    rep = image_membership(preset("H3"), A)
     assert not rep.smoothness.passed and not rep.passed
     assert not math.isfinite(rep.smoothness.value)
     if witness is not None:

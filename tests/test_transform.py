@@ -407,6 +407,29 @@ def test_pairing_matches_convolution():
     assert abs(pair - conv) <= 1e-5 * (1.0 + abs(conv))
 
 
+def test_pairing_of_two_transforms_on_one_uniform_grid_reads_their_samples(monkeypatch):
+    # the trapezoid rule on the grid's rows, with no interpolation
+    G = preset("SL2R")
+    f, g = gaussian_profile(G), gaussian_profile(G, width=0.7, scale=0.9)
+    hf, hg = hc_transform(G, f).spectral, hc_transform(G, g).spectral
+    monkeypatch.setattr(transform, "_local_interp", None)  # a call would raise
+    rows, charge = trapezoid_rule(G, hf)
+    expected = np.sum(charge * 0.5 * (hg.values + hg.values[::-1])[len(rows) - 1:])
+    assert abs(plancherel_pairing(G, hf, hg) - expected) <= 1e-15 * abs(expected)
+
+
+def test_pairing_of_transforms_on_two_grids_interpolates_onto_uniform_nodes():
+    # L = 9, the smaller end, and 481 points, the larger count: both transforms are
+    # interpolated onto the rows of np.linspace(-9, 9, 481)
+    G = preset("SL2R")
+    f, g = gaussian_profile(G), gaussian_profile(G, width=0.7, scale=0.9)
+    hf = hc_transform(G, f).spectral
+    hg = hc_transform(G, g, np.linspace(-9.0, 9.0, 301)).spectral
+    conv = convolve_at_identity(G, f, g)
+    for pair in (plancherel_pairing(G, hf, hg), plancherel_pairing(G, hg, hf)):
+        assert abs(pair - conv) <= 1e-10 * (1.0 + abs(conv))  # 6.9e-12
+
+
 def test_homomorphism_in_wave_packet_parametrization():
     # psi_a * psi_b = psi_{a b}: the convolution at the identity agrees with
     # the wave packet of the pointwise product at t = 0, and the transform of
@@ -488,14 +511,21 @@ def rule_node_past(t: float) -> str:
 
 def test_packet_that_is_nan_raises_naming_t():
     # finite samples pass the symbol checks, and fn continues to Im nu > 0, so the
-    # contour envelope exists; the packet's charges read fn on the real line, where it
-    # is NaN, so the check fails at the first node of the radial rule
-    grid = default_spectral_grid()
-    a = SpectralFunction(grid, np.exp(-grid**2), SpectralDecay(2.0, 8.0),
-                         fn=lambda x: np.where(np.imag(x) == 0.0, np.nan, np.exp(-x**2)))
+    # contour envelope exists.  On a grid of spacing 0.2, t_max(h) is below 0 and every
+    # column reads fn on the nodes of spacing 0.05, where it is NaN, so the check fails at
+    # the first node of the radial rule; on the default grid the packet reads the samples
+    def nan_on_the_line(x):
+        return np.where(np.imag(x) == 0.0, np.nan, np.exp(-x**2))
+
+    G = preset("H3")
+    grid = np.linspace(-GRID_MAX, GRID_MAX, 121)
+    a = SpectralFunction(grid, np.exp(-grid**2), SpectralDecay(2.0, 8.0), fn=nan_on_the_line)
     with pytest.raises(EvaluationError,
                        match=rf"wave packet is not finite at t = {rule_node_past(0.0)}$"):
-        wave_packet(preset("H3"), a)
+        wave_packet(G, a)
+    grid = default_spectral_grid()
+    a = SpectralFunction(grid, np.exp(-grid**2), SpectralDecay(2.0, 8.0), fn=nan_on_the_line)
+    assert np.all(np.isfinite(wave_packet(G, a)(np.linspace(0.0, 44.0, 89))))
 
 
 def test_hc_transform_fails_on_nan_values():
@@ -550,18 +580,29 @@ def test_wave_packet_rejects_slow_decay_metadata():
 
 
 def h3_gauss_packet(scale, t):
-    """The exact packet of a(nu) = exp(-scale nu^2) on H3."""
-    return (t * np.exp(-t * t / (4.0 * scale))
-            / (8.0 * scale**1.5 * math.sqrt(math.pi) * np.sinh(t)))
+    """The exact packet of a(nu) = exp(-scale nu^2) on H3, t / sinh t read as 1 at t = 0."""
+    t_over_sinh = np.where(t == 0.0, 1.0, t / np.where(t == 0.0, 1.0, np.sinh(t)))
+    return t_over_sinh * np.exp(-t * t / (4.0 * scale)) / (8.0 * scale**1.5 * math.sqrt(math.pi))
+
+
+def trapezoid_rule(G, a):
+    """The |lam| rows of the symbol's uniform grid of n points on [-L, L] and the packet's
+    charges on them: weight h = 2 L / (n - 1), h/2 at L and, for odd n, at 0, times the even
+    part of the samples and the Plancherel density, with the prefactor 2 c_P / |W|."""
+    n, L = len(a.grid), float(a.grid[-1])
+    rows = np.abs(a.grid[n // 2:])
+    weights = np.full(len(rows), 2.0 * L / (n - 1))
+    weights[-1] /= 2.0
+    weights[0] /= 2.0 if n % 2 else 1.0
+    even = 0.5 * (a.values + a.values[::-1])[n // 2:]
+    return rows, (2.0 * G.plancherel_constant / G.weyl_order * weights * even
+                  * plancherel_density(G, rows))
 
 
 def packet_noise_floor(G, a, ts):
-    """1e-14 sum|charge| (1 + t) e^{-rho t}: how far the packet evaluated on ``ts`` may
-    be from the exact one."""
-    order = transform._spectral_order(float(np.max(ts)))
-    rule = transform._spectral_rule(G, float(a.grid[-1]), order)
-    charge = rule.weights * rule.density * transform._symbol_node_values(a, rule.nodes)
-    kappa = 1e-14 * 2.0 * G.plancherel_constant / G.weyl_order * np.sum(np.abs(charge))
+    """1e-14 sum|charge| (1 + t) e^{-rho t}, the charges those of the trapezoid rule on the
+    symbol's grid: how far the packet evaluated on ``ts`` may be from the exact one."""
+    kappa = 1e-14 * np.sum(np.abs(trapezoid_rule(G, a)[1]))
     return kappa * (1.0 + ts) * np.exp(-G.rho * ts)
 
 
@@ -580,6 +621,110 @@ def test_wave_packet_decay_metadata_is_a_bound():
         assert np.max(np.abs(psi(ts) - exact) / packet_noise_floor(G, a, ts)) <= 1.0
 
 
+def test_wide_packet_on_h3_matches_its_closed_form_from_0_to_12():
+    # exp(-nu^2/4) on H3: psi(t) = t e^{-t^2} / (sqrt(pi) sinh t), within the floor
+    G, a = preset("H3"), make_symbol(cli.SYMBOLS["wide"], "wide")
+    ts = np.linspace(0.0, 12.0, 481)
+    exact = h3_gauss_packet(0.25, ts)
+    np.testing.assert_allclose(exact[1:], ts[1:] * np.exp(-ts[1:] ** 2)
+                               / (math.sqrt(math.pi) * np.sinh(ts[1:])), rtol=1e-14)
+    assert np.all(np.abs(wave_packet(G, a)(ts) - exact) <= packet_noise_floor(G, a, ts))
+
+
+GAUSS_FAMILY = ("gauss", "x2gauss", "poly", "wide")
+
+
+@pytest.mark.parametrize("name", ["SL2R", "H3", "CH2"])
+@pytest.mark.parametrize("count", [481, 385])
+def test_gaussian_family_packets_stay_within_their_floor_up_to_t_200(name, count):
+    # their exact packets are below 1e-40 at t >= 20, so the packet is its own error there;
+    # the grid's rule serves t <= t_max(h) = 2 pi / h - 80 rounded down to a panel (44 for
+    # h = 0.05, 20 for h = 0.0625) and finer rules of fn the t past it, 2 pi / h among them
+    G = preset(name)
+    grid = np.linspace(-12.0, 12.0, count)
+    h = 24.0 / (count - 1)
+    t_max = 2.0 * math.floor(math.pi / h - 40.0)
+    assert t_max == {481: 44.0, 385: 20.0}[count]
+    ts = np.unique(np.concatenate([np.linspace(20.0, 200.0, 181),
+                                   [t_max - 0.5, t_max + 0.5, 2.0 * math.pi / h]]))
+    for label in GAUSS_FAMILY:
+        fn = cli.SYMBOLS[label]
+        coeff = 1.1 * float(np.max(np.abs(fn(grid)) * (1.0 + np.abs(grid)) ** 8))
+        a = SpectralFunction.from_function(fn, grid, SpectralDecay(coeff, 8.0), label=label)
+        assert np.all(np.abs(wave_packet(G, a)(ts)) <= packet_noise_floor(G, a, ts)), label
+
+
+def test_packets_past_the_underflow_take_the_rule_of_rho_t_750(monkeypatch, fresh_phi_cache):
+    # past rho t = 750, e^{-rho t}, and so phi and the floor, underflow: t = 1e6 and 1e100
+    # take the rule of t = 1500 on SL2R (spacing 0.05 / 16, t_max 1930) with t = 1000, one
+    # table of the 2067 of its 3841 nodes that carry charge (nu <= 6.46), and the packet
+    # meets its floor there
+    rows = []
+    monkeypatch.setattr(transform, "phi",
+                        lambda G, lam, t, phi=transform.phi: rows.append(len(lam)) or phi(G, lam, t))
+    G, a = preset("SL2R"), gauss_symbol()
+    psi = wave_packet(G, a)
+    rows.clear()
+    ts = np.array([1e3, 1e6, 1e100])
+    values = psi(ts)
+    assert rows == [2067]
+    assert np.all(np.abs(values) <= packet_noise_floor(G, a, ts)) and np.all(values[1:] == 0.0)
+
+
+def test_a_coarse_wide_grid_reads_fn_only_where_it_carries_charge():
+    # spacing 2000 / 480 on H3: every column takes fn at spacing h / 64, on the nodes below
+    # nu of about 6.5 only; phi could not build the rows past |lam| of about 110
+    G, fn = preset("H3"), cli.SYMBOLS["gauss"]
+    wide = SpectralFunction.from_function(fn, np.linspace(-1000.0, 1000.0, 481),
+                                          SpectralDecay(180.0, 8.0))
+    a = make_symbol(fn)
+    ts = np.linspace(0.0, 16.0, 65)
+    assert np.all(np.abs(wave_packet(G, wide)(ts) - wave_packet(G, a)(ts))
+                  <= packet_noise_floor(G, a, ts))
+
+
+def test_a_one_point_grid_has_the_zero_packet():
+    # the rule on [0, 0] has one node of weight 0
+    a = SpectralFunction.from_function(lambda x: np.exp(-x**2), np.zeros(1),
+                                       SpectralDecay(1.0, 8.0))
+    psi = wave_packet(preset("H3"), a)
+    for k in (0, 1, 2):
+        np.testing.assert_array_equal(psi.deriv(np.array([0.0, 1.0, 100.0]), k), 0.0)
+
+
+def test_a_grid_that_is_not_uniform_takes_fn_at_its_mean_spacing(monkeypatch, fresh_phi_cache):
+    # 481 points on [-12, 12] bunched toward 0: the packet reads fn on the rows of
+    # np.linspace(-12, 12, 481) that carry charge (the first 138, nu <= 6.85), so it is the
+    # packet of the uniform grid's samples, up to the rounding of that grid's symmetry in
+    # the samples' even part and the dropped charges, below 2^-60 sum|charge|
+    G = preset("H3")
+    fn = cli.SYMBOLS["x2gauss"]
+    bunched = 12.0 * np.sinh(2.0 * np.linspace(-1.0, 1.0, 481)) / np.sinh(2.0)
+    rows = []
+    monkeypatch.setattr(transform, "phi",
+                        lambda G, lam, t, phi=transform.phi: rows.append(lam) or phi(G, lam, t))
+    psi = wave_packet(G, SpectralFunction.from_function(fn, bunched, SpectralDecay(10.0, 8.0)))
+    np.testing.assert_array_equal(rows[0], np.abs(default_spectral_grid()[240:378]))
+    uniform = make_symbol(fn)
+    ts = np.linspace(0.0, 40.0, 81)
+    assert np.all(np.abs(psi(ts) - wave_packet(G, uniform)(ts))
+                  <= 0.25 * packet_noise_floor(G, uniform, ts))  # 0.087 at most
+
+
+def test_packet_values_do_not_depend_on_the_rest_of_their_batch(monkeypatch, fresh_phi_cache):
+    # t = 30 takes the grid's rule with t = 0.5, 1 and 2, and t = 60 a finer rule; each column's
+    # rule is its own, so with phi itself evaluated a column at a time (its block product's
+    # last bits depend on the block's width) the first three values keep their bits
+    for name in ("phi", "phi_d1", "phi_d2"):
+        monkeypatch.setattr(transform, name, lambda G, lam, t, fn=getattr(transform, name):
+                            np.stack([fn(G, lam, t[j:j + 1])[:, 0] for j in range(len(t))], 1))
+    G = preset("H3")
+    psi = wave_packet(G, gauss_symbol())
+    few, more = np.array([0.5, 1.0, 2.0]), np.array([0.5, 1.0, 2.0, 30.0, 60.0])
+    for k in (0, 1, 2):
+        np.testing.assert_array_equal(psi.deriv(more, k)[:3], psi.deriv(few, k))
+
+
 @pytest.mark.parametrize("name", ["SL2R", "H3", "CH2"])
 @pytest.mark.parametrize("label", list(INVERSION_SYMBOLS) + ["flat4"])
 def test_packet_stays_within_envelope_and_noise_floor(name, label):
@@ -591,61 +736,56 @@ def test_packet_stays_within_envelope_and_noise_floor(name, label):
     assert np.all(np.abs(psi(ts)) <= psi.decay.bound(ts) + packet_noise_floor(G, a, ts))
 
 
-def full_rule_packet(G, a, ts, order):
-    """The packet's t-derivative of ``order`` on ``ts`` from every node of its spectral
-    rule, charged or not."""
-    rule = transform._spectral_rule(G, float(a.grid[-1]), transform._spectral_order(ts.max()))
-    charge = (2.0 * G.plancherel_constant / G.weyl_order * rule.weights * rule.density
-              * transform._symbol_node_values(a, rule.nodes))
-    return (phi, phi_d1, phi_d2)[order](G, rule.nodes, ts).T @ charge
+def trapezoid_packet(G, a, ts, order):
+    """The packet's t-derivative of ``order`` on ``ts`` by the trapezoid rule on its grid."""
+    rows, charge = trapezoid_rule(G, a)
+    return (phi, phi_d1, phi_d2)[order](G, rows, ts).T @ charge
 
 
 @pytest.mark.parametrize("name", ["SL2R", "H3", "CH2"])
 @pytest.mark.parametrize("label", list(cli.SYMBOLS))
-def test_packet_on_its_charged_nodes_matches_the_full_rule(name, label):
-    # the dropped charges add up to at most 2^-60 sum|charge|, four orders below the
-    # noise floor; a derivative of order k scales phi by up to (L^2 + rho^2)^(k/2)
+def test_packet_is_the_trapezoid_rule_on_its_grid(name, label):
+    # on the K51 nodes that hc_transform reads, all below t_max = 44 of the default grid; a
+    # derivative of order k scales phi by up to (L^2 + rho^2)^(k/2)
     G = preset(name)
     a = make_symbol(cli.SYMBOLS[label], label)
     psi = wave_packet(G, a)
     T = transform._radial_cutoff(G, psi.decay, DEFAULT_QUAD.abs_tol)
     ts = transform._radial_rule(G, T).nodes
+    assert ts[-1] <= 44.0
     floor = packet_noise_floor(G, a, ts)
     for k in (0, 1, 2):
         scale = 1.0 if k == 0 else float(a.grid[-1]) ** 2 + G.rho**2
-        assert np.all(np.abs(psi.deriv(ts, k) - full_rule_packet(G, a, ts, k)) <= scale * floor)
+        assert np.all(np.abs(psi.deriv(ts, k) - trapezoid_packet(G, a, ts, k)) <= scale * floor)
 
 
-@pytest.mark.parametrize("label, most", [("wide", 1.0), ("gauss", 2.0 / 3.0)])
-def test_packet_tables_have_a_row_per_charged_node(label, most, monkeypatch, fresh_phi_cache):
-    # exp(-nu^2/4) is still 2e-16 of its peak at L = 12, so every node carries charge;
-    # exp(-nu^2) drops below 2^-60 of it past nu of about 6.5
+@pytest.mark.parametrize("label", ["wide", "gauss"])
+def test_packet_tables_have_a_row_per_grid_row(label, monkeypatch, fresh_phi_cache):
+    # exp(-nu^2/4) is still 2e-16 of its peak at L = 12 and exp(-nu^2) is not: both take
+    # every one of the 241 |lam| rows of the default grid, the rows hc_transform reads
     rows = []
     monkeypatch.setattr(transform, "phi",
                         lambda G, lam, t, phi=transform.phi: rows.append(len(lam)) or phi(G, lam, t))
-    G = preset("H3")
-    psi = wave_packet(G, make_symbol(cli.SYMBOLS[label], label))
-    T = transform._radial_cutoff(G, psi.decay, DEFAULT_QUAD.abs_tol)
-    nodes = transform._spectral_rule(G, GRID_MAX, transform._spectral_order(T)).nodes
-    assert len(rows) == 1 and rows[0] <= most * len(nodes)
-    assert rows[0] == len(nodes) or label != "wide"
+    wave_packet(preset("H3"), make_symbol(cli.SYMBOLS[label], label))
+    assert rows == [241]
 
 
-def test_packets_on_one_rule_share_the_first_rows_of_one_table(monkeypatch, fresh_phi_cache):
-    # x2gauss, poly and flat4 are checked on the same K51 nodes (T = 16 on H3) and keep
-    # the first 185, 184 and 214 spectral nodes: poly reads x2gauss's table, and flat4
-    # adds the 29 rows past it
+def test_packets_on_one_grid_and_rule_share_one_table(monkeypatch, fresh_phi_cache):
+    # x2gauss, poly and flat4 are checked on the same K51 nodes (T = 16 on H3) and the same
+    # grid rows: x2gauss builds the table, which answers the other two
     rows = []
     monkeypatch.setattr(transform, "phi",
                         lambda G, lam, t, phi=transform.phi: rows.append(len(lam)) or phi(G, lam, t))
     G = preset("H3")
     psis = {label: wave_packet(G, make_symbol(cli.SYMBOLS[label], label))
             for label in ("x2gauss", "poly", "flat4")}
-    assert rows == [185, 29]
-    assert [len(table) for _, table in transform._PHI_CACHE.values()] == [214]
+    assert {transform._radial_cutoff(G, psi.decay, DEFAULT_QUAD.abs_tol)
+            for psi in psis.values()} == {16.0}
+    assert rows == [241]
+    assert [len(table) for _, table in transform._PHI_CACHE.values()] == [241]
     ts = transform._radial_rule(G, 16.0).nodes
     a = make_symbol(cli.SYMBOLS["poly"], "poly")
-    assert np.all(np.abs(psis["poly"](ts) - full_rule_packet(G, a, ts, 0))
+    assert np.all(np.abs(psis["poly"](ts) - trapezoid_packet(G, a, ts, 0))
                   <= packet_noise_floor(G, a, ts))
 
 
@@ -1143,9 +1283,8 @@ def test_sl2c_shares_the_h3_tables(fresh_phi_cache):
 
 def test_rule_caches_stay_at_their_maxsize(monkeypatch):
     G = preset("SL2R")
-    order = transform._spectral_order()
     for k in range(200):
-        transform._spectral_rule(G, 6.0 + 0.01 * k, order)
+        transform._uniform_rule(G, np.linspace(-6.0 - 0.01 * k, 6.0 + 0.01 * k, 241).tobytes(), 0)
         transform._radial_rule(G, 4.0 + 0.5 * k)
     for n in range(2, 102):
         gauss_legendre_rule(n)
@@ -1155,7 +1294,7 @@ def test_rule_caches_stay_at_their_maxsize(monkeypatch):
                         lambda G, f, grid, q: TransformResult(None, None, G))
     for _ in range(100):
         transform._cached_transform(G, gaussian_profile(G), DEFAULT_QUAD)
-    caches = (transform._spectral_rule, transform._radial_rule, gauss_legendre_rule,
+    caches = (transform._uniform_rule, transform._radial_rule, gauss_legendre_rule,
               spherical._rule_nodes, transform._cached_transform)
     infos = [cached.cache_info() for cached in caches]
     transform._cached_transform.cache_clear()  # drop the stand-in results

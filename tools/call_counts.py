@@ -1,15 +1,17 @@
 """Calls per op kind of one round of a workload: what a small call costs in work.
 
-    python3 tools/call_counts.py [--workload pointwise-adaptive|roundtrip-shared] [--seed S]
+    python3 tools/call_counts.py [--workload pointwise-adaptive|roundtrip-shared|roundtrip-fresh]
+                                 [--seed S]
 
 Sets up the workload, pointwise-adaptive by default, runs its warm-up (roundtrip-shared's
-``warm_shared``; pointwise-adaptive has none) and makes the ops of one round at seed S (11
-by default), each step as the benchmark's worker does it (``perfbench/worker.py`` and
-``perfbench/workloads.py``, imported, not changed).  The tool runs one round once, untimed,
-which builds the tables a timed run finds held (for roundtrip-shared, the 3 that its
-warm-up asked for only once), then the next round, each op under cProfile; the checks are
-not run.  Prints one line per op kind, in round order: the calls cProfile counts (Python
-functions and builtins alike), then for each of ``spherical.phi``, ``spherical.c_log`` and
+``warm_shared``; the others have none) and makes the ops of two rounds from one generator
+seeded with S (11 by default), each step as the benchmark's worker does it
+(``perfbench/worker.py`` and ``perfbench/workloads.py``, imported, not changed).  The tool
+runs the first round untimed, which builds the tables and fills the caches a timed run
+finds held, then the second, each op under cProfile; the checks are not run.
+roundtrip-fresh's second round is on grids that no earlier op used, as in a timed run.
+Prints one line per op kind, in round order: the calls cProfile counts (Python functions
+and builtins alike), then for each of ``spherical.phi``, ``spherical.c_log`` and
 ``spherical.log_gamma`` the calls, their rows (the first axis of ``lam`` or ``z``, 1 for a
 scalar) and their entries (the values computed: rows times the points of ``t`` for
 ``phi``).  Those three are counted by wrappers bound in place of them in every loaded
@@ -68,21 +70,22 @@ def install(sphtrans) -> dict[str, list]:
 
 
 # the workloads counted; the worker's table gives each one's set-up, warm-up and rounds
-WORKLOADS = ("pointwise-adaptive", "roundtrip-shared")
+WORKLOADS = ("pointwise-adaptive", "roundtrip-shared", "roundtrip-fresh")
 
 
 def counts(seed: int, workload: str = "pointwise-adaptive") -> list[str]:
-    """One line per op kind of a round of ``workload`` at ``seed``."""
+    """One line per op kind of the second round of ``workload`` at ``seed``."""
     setup, warm, rounds = worker.IN_PROCESS[workload]
     sphtrans = workloads.import_sphtrans()
     state = setup(sphtrans)
     seen = install(sphtrans)
     if warm:
         warm(sphtrans, state)
-    for op in rounds(sphtrans, state, 1, np.random.default_rng(seed)):
-        op.call()  # the round once first, so that tables built for it are held, as in a timed run
+    rng = np.random.default_rng(seed)
+    for op in rounds(sphtrans, state, 1, rng):
+        op.call()  # a round first, so that what a timed run finds held is held
     lines = []
-    for op in rounds(sphtrans, state, 1, np.random.default_rng(seed)):
+    for op in rounds(sphtrans, state, 1, rng):
         for calls in seen.values():
             calls.clear()
         profile = cProfile.Profile()

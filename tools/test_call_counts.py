@@ -36,3 +36,14 @@ def test_a_held_round_trip_round_builds_no_table():
     # after the warm-up and one round every phi table a round reads is held
     for line in lines:
         assert "; phi 0 calls, 0 rows, 0 entries;" in line
+
+
+def test_a_fresh_round_trip_makes_one_phi_call_of_its_grids_rows():
+    runs = [subprocess.run([sys.executable, str(TOOL), "--workload", "roundtrip-fresh"],
+                           check=True, capture_output=True, text=True).stdout for _ in range(2)]
+    assert runs[0] == runs[1]
+    lines = runs[0].splitlines()
+    assert len(lines) == 6
+    # the packet and the transform read one table of the fresh grid's 241 |lam| rows
+    for line in lines:
+        assert "; phi 1 calls, 241 rows, " in line
