@@ -36,8 +36,7 @@ from . import cfunction, spherical
 from .errors import (AccuracyError, DomainError, EvaluationError, GridContractError,
                      PreconditionError, SingularPointError)
 from .groups import GroupDatum, _real_array, _real_scalar, haar_density, haar_log_derivative
-from .specfun import (DEFAULT_QUAD, ExpDecay, QuadratureSpec, composite_nodes, gauss_legendre_rule,
-                      integrate_interval, truncation_point)
+from .specfun import DEFAULT_QUAD, ExpDecay, QuadratureSpec, integrate_interval, truncation_point
 from .spherical import RadialProfile, _hc_coefficients, c_log, phi, phi_d1, phi_d2
 
 __all__ = [
@@ -70,14 +69,13 @@ _XI_ENVELOPE = 2.0
 
 # contour shifts Im nu = sigma tried for a packet envelope: non-integer, so that no c-function
 # pole sits on the contour; the bound holds from t0 on, and its integral over x runs on
-# [-_CONTOUR_X, _CONTOUR_X] in GL panels of _CONTOUR_PANEL and order _CONTOUR_ORDER (C_sigma
-# within 3.4e-3 of a 4x finer rule on the shipped symbols), whose ends must be below
+# [-_CONTOUR_X, _CONTOUR_X] by the trapezoid rule of step _CONTOUR_STEP (C_sigma within
+# 2.2e-3 of GL40 on panels of 0.75 on the shipped symbols), whose ends must be below
 # _CONTOUR_END_TOL of the whole
 _SIGMAS = np.arange(0.45, 5.5, 0.5)
 _CONTOUR_T0 = 1.0
 _CONTOUR_X = 2.0 * GRID_MAX
-_CONTOUR_PANEL = 3.0
-_CONTOUR_ORDER = 20
+_CONTOUR_STEP = 0.2
 _CONTOUR_END_TOL = 1e-12
 # the measured envelope's margin over the largest value it was taken from
 _ENVELOPE_MARGIN = 1.15
@@ -167,7 +165,7 @@ class SpectralFunction:
         return float(np.abs(self.values - self.values[::-1]).max())
 
     def even_values(self) -> np.ndarray:
-        return 0.5 * (self.values + self.values[::-1])
+        return 0.5 * self.values + 0.5 * self.values[::-1]  # no overflow near the float maximum
 
     def scale(self) -> float:
         return float(np.abs(self.values).max())
@@ -517,11 +515,12 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     :func:`hc_transform` the shortest T, held per (G, ladder, sum|charge|).  Each packet is
     then checked against that envelope plus the floor on the K51 nodes of [0, T], T that
     sigma's cutoff: there :func:`hc_transform` at the default tolerance reads it, and finds
-    the values held.  PreconditionError naming the symbol when it has no ``fn``, when no
-    contour shift is usable, or when the packet leaves the envelope (an ``fn`` that is not
-    the symbol's continuation, or a grid end L that cuts the symbol off, named with
-    |a(L)| / max|a|); EvaluationError naming the first t there where the packet is not
-    finite (an ``fn`` that is not finite on a node of a finer rule).
+    the values held.  PreconditionError naming the symbol when it has no ``fn``, when
+    sum|charge| passes float range, when no contour shift is usable, or when the packet
+    leaves the envelope (an ``fn`` that is not the symbol's continuation, or a grid end L
+    that cuts the symbol off, named with |a(L)| / max|a|); EvaluationError naming the first
+    t there where the packet is not finite (an ``fn`` that is not finite on a node of a
+    finer rule).
     """
     _check_symbol(a, "wave-packet symbol")
     name = a.label or "a"
@@ -545,7 +544,12 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
         kept = len(charge) - np.count_nonzero(tail < _CHARGE_DROP * tail[0])
         return rule.nodes[:kept], charge[:kept]
 
-    grid_rule = rule_charges(0)
+    with np.errstate(over="ignore", invalid="ignore"):  # charges past float range are named below
+        grid_rule = rule_charges(0)
+        charge_sum = float(np.abs(grid_rule[1]).sum())
+    if not math.isfinite(charge_sum):
+        raise PreconditionError(f"wave-packet symbol {name!r} has charges past float range: "
+                                f"sum|charge| = {charge_sum!r}")
 
     def packet(t, order=0):
         # psi_a, or its t-derivative of ``order``, at ``t``, real as _real_array makes it
@@ -576,7 +580,6 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
             last[:] = key, packet(ts)
         return last[1].copy()
 
-    charge_sum = float(np.abs(grid_rule[1]).sum())
     try:
         ladder = _contour_ladder(G, a.fn)
     except TypeError:  # an unhashable fn is not cached
@@ -611,12 +614,12 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _contour_factors(G: GroupDatum):
-    """:func:`_contour_ladder`'s rows z = x + i sigma and GL weights, and its integrand's factor
-    free of the symbol, on the rows of the ``done`` mask: ladders fill it as they need rows."""
-    n_panels = int(math.ceil(_CONTOUR_X / _CONTOUR_PANEL))
-    nodes, weights, _ = composite_nodes(0.0, _CONTOUR_X, n_panels,
-                                        gauss_legendre_rule(_CONTOUR_ORDER))
-    z = (np.append(nodes, _CONTOUR_X) + 1j * _SIGMAS[:, None]).ravel()  # a row per sigma
+    """:func:`_contour_ladder`'s rows z = x + i sigma and trapezoid weights, and its
+    integrand's factor free of the symbol, on the rows of the ``done`` mask: ladders fill it
+    as they need rows."""
+    x = np.linspace(0.0, _CONTOUR_X, round(_CONTOUR_X / _CONTOUR_STEP) + 1)
+    weights = np.where(x % _CONTOUR_X, _CONTOUR_STEP, 0.5 * _CONTOUR_STEP)  # h/2 at 0 and X
+    z = (x + 1j * _SIGMAS[:, None]).ravel()  # a row per sigma
     return z, weights, np.zeros(len(z)), np.zeros(len(z), dtype=bool)
 
 
@@ -629,12 +632,12 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
 
     a = ``fn`` on the line Im nu = sigma and a_k the coefficients of Phi_nu
     (:func:`_hc_coefficients`).  c and a_k are real functions of i nu, so their moduli are
-    even in x, and the integral is composite GL on (0, X] over |a(x + i sigma)| +
+    even in x, and the integral is the trapezoid rule on [0, X] over |a(x + i sigma)| +
     |a(-x + i sigma)|, taken as 0 where that is below 1e-20 of its peak on the line; the
     other factors are G's alone (:func:`_contour_factors`).  A sigma is usable when C_sigma
-    is finite and the integrand at x = X is below ``_CONTOUR_END_TOL`` of it.  An ``fn``
-    that rejects complex input, by TypeError, ValueError or numpy's ComplexWarning on a cast
-    to real, has none.
+    is finite and the integrand at x = X, the rule's last node, is below ``_CONTOUR_END_TOL``
+    of it.  An ``fn`` that rejects complex input, by TypeError, ValueError or numpy's
+    ComplexWarning on a cast to real, has none.
     """
     z, weights, factor, done = _contour_factors(G)
     with np.errstate(all="ignore"):  # a non-finite C_sigma only disqualifies its sigma
@@ -649,7 +652,7 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
         # 1e-20 of its peak on the line add nothing (NaN and inf rows stay, and rule out
         # their sigma)
         peak = np.max(a_abs.reshape(len(_SIGMAS), -1), axis=1)
-        live = ~(a_abs < 1e-20 * np.repeat(peak, len(weights) + 1))
+        live = ~(a_abs < 1e-20 * np.repeat(peak, len(weights)))
         new = live & ~done
         if new.any():
             x0 = math.exp(-2.0 * _CONTOUR_T0)
@@ -658,7 +661,7 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
                            * np.exp(-c_log(G, -z[new]).real))
             done |= new
         integrand = np.where(live, a_abs * factor, 0.0).reshape(len(_SIGMAS), -1)
-        C = 2.0 * G.plancherel_constant / G.weyl_order * (integrand[:, :-1] @ weights)
+        C = 2.0 * G.plancherel_constant / G.weyl_order * (integrand @ weights)
         usable = np.isfinite(C) & (integrand[:, -1] <= _CONTOUR_END_TOL * C)
     return tuple(zip(_SIGMAS[usable].tolist(), C[usable].tolist()))
 

@@ -25,6 +25,11 @@ def test_a_phi_grid_of_two_points_or_with_min_above_max_exits_2_naming_it(grid, 
     assert capsys.readouterr().err.startswith(f"error in cli.config: {path}: ")
 
 
+def test_a_radial_grid_below_0_exits_2_naming_grid_min(capsys):
+    assert run_cli(["phi", "--preset", "H3", "--grid=-1:12:481"]) == 2
+    assert capsys.readouterr().err.startswith("error in cli.config: grid.min: ")
+
+
 def test_presets_listing(capsys):
     assert run_cli(["presets"]) == 0
     out = capsys.readouterr().out
@@ -162,6 +167,17 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     assert out.exists()
     leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".sphtrans-")]
     assert leftovers == []
+
+
+def test_failed_rename_exits_2_and_leaves_no_temp(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src!r}")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    out = tmp_path / "x.csv"
+    assert run_cli(["phi", "--preset", "SL2R", "--grid", "0:1:3", "--out", str(out)]) == 2
+    assert "cannot rename" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_accept_outcome_rows_serialize(tmp_path):

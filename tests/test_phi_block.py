@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sphtrans import cli, specfun, spherical, transform
-from sphtrans.cfunction import _ode_solution, c_function, plancherel_density
+from sphtrans.cfunction import _ode_solution, asymptotic_c_oracle, c_function, plancherel_density
 from sphtrans.errors import AccuracyError, DomainError, EvaluationError
 from sphtrans.groups import PRESET_NAMES, preset
 from sphtrans.profiles import cosh_profile, gaussian_profile
@@ -257,18 +257,22 @@ def koornwinder_series(G, s, t):
 
 @pytest.mark.parametrize("name", ["SL2R", "H3", "H4", "CH2"])
 def test_series_coefficients_meet_koornwinders_closed_form(name):
-    # real sides and a row x + i sigma of the contour ladder per sigma, x of either sign;
-    # t = 0.19 is the least switch point, where the first chunk's x is largest
+    # real sides and a row x + i sigma of the contour ladder per sigma, x of either sign, at
+    # t = 1.2 and 3.0; then sides of |s| past 50.5 at their own switch point t = 9.6/|s|,
+    # where the first chunk's x is largest
     G = preset(name)
     rng = np.random.default_rng(38)
     contour = rng.uniform(-24.0, 24.0, len(transform._SIGMAS)) + 1j * transform._SIGMAS
     sides = np.concatenate([[0.0], rng.uniform(-12.0, 12.0, 8), contour])
-    for t in (0.19, 1.2, 3.0):
-        x = math.exp(-2.0 * t)
-        coef = spherical._hc_coefficients(G, sides, np.full(len(sides), x), sides)
-        powers = x ** np.arange(coef.shape[1])
-        exact = np.array([koornwinder_series(G, s, t) for s in sides])
-        assert np.all(np.abs(coef @ powers - exact) <= 1e-14 * (np.abs(coef) @ powers)), t
+    far = np.array([50.5, -64.0, 97.9, -150.0, 200.0])
+    pairs = [(sides, np.full(len(sides), t)) for t in (1.2, 3.0)] + [(far, 9.6 / np.abs(far))]
+    for s, t in pairs:
+        x = np.exp(-2.0 * t)
+        coef = spherical._hc_coefficients(G, s, x, s)
+        powers = x[:, None] ** np.arange(coef.shape[1])
+        exact = np.array([koornwinder_series(G, *st) for st in zip(s, t)])
+        got, scale = (coef * powers).sum(axis=1), (np.abs(coef) * powers).sum(axis=1)
+        assert np.all(np.abs(got - exact) <= 1e-14 * scale), t
 
 
 # --------------------------------------------------------------------------
@@ -284,10 +288,43 @@ def test_pfaff_series_past_its_term_cap_raises_naming_lam_and_t(t):
         spherical._pfaff_series(preset("H3"), np.array([1.0 + 0j]), np.array([t]), None, False)
 
 
-@pytest.mark.parametrize("lam", [150.0, 500.0])
-def test_lost_digits_guard_fires_at_large_lam(lam):
-    with pytest.raises(AccuracyError, match=r"Pfaff series.*lam = .*t = 0\.175"):
-        phi(preset("H3"), lam, 0.175)
+T_SWEEP = np.concatenate([[0.0], np.geomspace(1e-4, 100.0, 600)])
+
+
+def test_h3_rows_past_lam_50_meet_closed_form(monkeypatch):
+    # a row with |lam| > 8 leaves the Pfaff series at 9.6/|lam|, where its terms stay below
+    # e^9.6, so cancellation costs it no more than about 3e-12 of Xi: single rows, their phi'
+    # against 30 digits, and a block that takes the band
+    G = preset("H3")
+    lams = np.array([60.0, 70.0, 80.0, 90.0, 94.5, 95.0, 97.9, 100.0, 110.0, 150.0, 200.0])
+    for lam in lams:
+        err = np.abs(phi(G, lam, T_SWEEP) - h3_closed_form([lam], T_SWEEP)[0]) / xi_h3(T_SWEEP)
+        assert err.max() <= 1e-13, lam
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, 64.0, 80)])
+    exact = np.array([[h3_closed_form_derivatives(lam, t)[0] for t in ts] for lam in lams])
+    err = np.abs(phi_d1(G, lams, ts) - exact) / ((lams[:, None] + 1.0) * xi_h3(ts))
+    assert err.max() <= 1e-13
+    widths = record_band_widths(monkeypatch)
+    block = np.linspace(50.0, 200.0, 200)
+    err = np.abs(phi(G, block, T_SWEEP) - h3_closed_form(block, T_SWEEP)) / xi_h3(T_SWEEP)
+    assert widths[-1] == np.count_nonzero(T_SWEEP <= spherical._PFAFF_T)
+    assert err.max() <= 1e-13
+
+
+@pytest.mark.parametrize("lam", [300.0, 500.0])
+def test_exponential_series_past_its_term_cap_raises_naming_lam(lam):
+    # past about |lam| = 215 on H3 the first column past 9.6/|lam| needs more than 500 terms
+    with pytest.raises(AccuracyError, match=rf"exponential series for phi did not settle within "
+                                            rf"500 terms at lam = {lam!r}, t = "):
+        phi(preset("H3"), lam, T_SWEEP)
+
+
+def test_pfaff_guard_fires_on_the_ode_oracles_seed():
+    # the A7 oracle seeds its ODE from the Pfaff series at t = 1.2, where |lam| = 40 has
+    # lost its digits: the guard that phi's own rows no longer reach
+    with pytest.raises(AccuracyError, match=r"Pfaff series for phi loses too many digits at "
+                                            r"lam = 40\.0, t = 1\.2:"):
+        asymptotic_c_oracle(preset("SL2R"), 40.0, 25.0)
 
 
 @pytest.mark.parametrize("lam", [10.0**k for k in range(1, 19)] + [2000.0, 1e300])
@@ -872,12 +909,14 @@ def test_band_points_are_held_for_rule_nodes_only(monkeypatch):
     assert widths[-1] == np.count_nonzero(nodes <= spherical._PFAFF_T)
 
 
-def test_failing_band_names_the_callers_lam():
-    # the Pfaff series' guard fires at t = 0.175 from |lam| of about 105 on H3, for the
-    # band's points too: the block then goes without the band and names its own row
-    lams = np.linspace(0.0, 150.3, 2001)
-    with pytest.raises(AccuracyError, match=r"Pfaff series.*t = 0\.175") as err:
-        phi(preset("H3"), lams, np.array([0.175, 1.0]))
+def test_failing_band_names_the_callers_lam(monkeypatch):
+    # the exponential series does not settle from t = 0.04 past |lam| of about 215 on H3, for
+    # the band's points too: the block then goes without the band and names its own row
+    widths = record_band_widths(monkeypatch)
+    lams = np.linspace(0.0, 300.3, 2001)
+    with pytest.raises(AccuracyError, match=r"exponential series.*t = 0\.04") as err:
+        phi(preset("H3"), lams, np.array([0.04, 1.0]))
+    assert widths == [0, 0]  # the band's points were tried, and the block went on without them
     named = float(re.search(r"lam = ([0-9.e+-]+),", str(err.value)).group(1))
     assert named in lams
     # a bound on the points past float range means no band, not an error of its own

@@ -528,6 +528,21 @@ def test_packet_that_is_nan_raises_naming_t():
     assert np.all(np.isfinite(wave_packet(G, a)(np.linspace(0.0, 44.0, 89))))
 
 
+@pytest.mark.parametrize("scale", [1e307, 1e308])
+def test_packet_with_charges_past_float_range_raises_naming_the_symbol(scale):
+    # the even part of samples near the float maximum stays finite, and a sum|charge| past
+    # float range is a typed error, not numpy's overflow warning (an error in this suite)
+    def fn(x):
+        return scale * np.exp(-x**2 / 100.0)
+
+    grid = default_spectral_grid()
+    a = SpectralFunction(grid, fn(grid), SpectralDecay(2.0, 8.0), fn=fn, label="huge")
+    assert np.isfinite(a.even_values()).all()
+    with pytest.raises(PreconditionError, match=r"symbol 'huge' has charges past float range: "
+                                                r"sum\|charge\| = inf"):
+        wave_packet(preset("H3"), a)
+
+
 def test_hc_transform_fails_on_nan_values():
     G = preset("H3")
     g = gaussian_profile(G)
@@ -878,9 +893,9 @@ def test_contour_constants_are_computed_once_per_group_and_symbol(monkeypatch):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_contour_rule_is_within_five_percent_of_a_finer_one(name, monkeypatch):
-    # C_sigma on GL panels of _CONTOUR_PANEL against panels a quarter as wide, for every CLI
-    # and acceptance symbol (the A4 multiplier and the A6 perturbations included); the
-    # envelope carries a margin of 15 % over C_sigma
+    # C_sigma by the trapezoid rule of step _CONTOUR_STEP against a step a quarter as small,
+    # for every CLI and acceptance symbol (the A4 multiplier and the A6 perturbations
+    # included); the envelope carries a margin of 15 % over C_sigma
     G = preset(name)
     fns = {**INVERSION_SYMBOLS, **{f"flat4({s})": flat_top(s) for s in EXPANSION_SCALES}}
     fns.update({f"a6({d})": lambda x, d=d: x**2 * np.exp(-(x**2)) + d * np.exp(-(x**2))
@@ -889,7 +904,7 @@ def test_contour_rule_is_within_five_percent_of_a_finer_one(name, monkeypatch):
                                     lambda x: -(x**2 + G.rho**2), degree=2).fn
     ladder = transform._contour_ladder.__wrapped__
     coarse = {label: dict(ladder(G, fn)) for label, fn in fns.items()}
-    monkeypatch.setattr(transform, "_CONTOUR_PANEL", transform._CONTOUR_PANEL / 4.0)
+    monkeypatch.setattr(transform, "_CONTOUR_STEP", transform._CONTOUR_STEP / 4.0)
     monkeypatch.setattr(transform, "_contour_factors",
                         functools.lru_cache(transform._contour_factors.__wrapped__))
     for label, fn in fns.items():
