@@ -28,9 +28,10 @@ once per block: its factors at mid_P and at o_q on the nodes mid_P + o_q of a ra
 recognised by their values (:func:`_rule_panels`), whoever asks.  For real lam the block
 is real: phi = 2 Re(c(lam) Phi_lam), one side summed.  A row leaves the Pfaff series at
 9.6/|lam| (1.2 for |lam| <= 8), where its terms stay below e^9.6 and so cancel no more than
-roundoff times that; the exponential series then needs more terms as |lam| grows, and past
-``_MAX_HC_TERMS`` of them (from |lam| of about 215 on H3) raises AccuracyError naming lam.
-The Pfaff series at a fixed t measures its lost digits and raises past 1e-10 of Xi.
+roundoff times that, but not before t = 0.05, past the 0.0439 from which every exponential
+series settles within ``_MAX_HC_TERMS`` terms.  The Pfaff series at a fixed t estimates its
+lost digits and raises AccuracyError naming lam past 1e-10 of Xi (from |lam| of about 372
+on H3).
 phi_lam is entire in lam (Koornwinder 1984).  Near lam = i*k (integer k), where the two
 terms cancel, a row is the trapezoid-rule Cauchy integral over a small circle about ik
 (Trefethen & Weideman 2014), whose points are ordinary rows of the same product.  A real
@@ -268,7 +269,7 @@ def _hc_coefficients(G: GroupDatum, sides: np.ndarray, x: np.ndarray, names: np.
         peak = peaks[-1]
         return mag * x ** ks, 1e-19 * peaks
 
-    # the first chunk covers the largest x: x < e^(-19.2/|lam|), t_min past a row's switch point
+    # the first chunk covers the largest x: t_min past a row's switch point, x < e^-0.1
     A, stop = _grow(fill, len(sides), 1e-19, float(np.max(x, initial=0.0)))
     for i in (stop < 0).nonzero()[0][:1]:  # the first side that did not settle
         raise AccuracyError(f"exponential series for phi did not settle within {_MAX_HC_TERMS} "
@@ -555,19 +556,24 @@ def _phi_rows(G: GroupDatum, lam: np.ndarray, t: np.ndarray, want_d1: bool, real
     radial rule's nodes t = mid[P] + offsets[j] (:func:`_rule_panels`), else one panel per t.
 
     A real block takes t <= 1.2 from :func:`_band` when it can.  Otherwise a row leaves the
-    Pfaff series at 9.6/|lam| (1.2 for |lam| <= 8) for the exponential series, which a row
-    within a tenth of the circle radius of i*Z takes from a Cauchy circle of ordinary rows
-    (see :func:`_exp_sides`).  The radius is small enough that the Taylor coefficients of phi
-    in lam, of size t^n / n!, alias below roundoff, and large enough that the one-sided rows,
-    of size 1 / radius, keep their digits.  Each branch is one pass.
+    Pfaff series at 9.6/|lam| (1.2 for |lam| <= 8), or at 0.05 past |lam| = 192, for
+    the exponential series, which a row within a tenth of the circle radius of i*Z takes from
+    a Cauchy circle of ordinary rows (see :func:`_exp_sides`).  The radius is small enough
+    that the Taylor coefficients of phi in lam, of size t^n / n!, alias below roundoff, and
+    large enough that the one-sided rows, of size 1 / radius, keep their digits.  Each branch
+    is one pass.
     """
     panels = _rule_panels(t) or (t, _NO_OFFSET)
     val = np.empty((len(lam), len(t)), dtype=float if real else complex)
     outs = [val, np.empty_like(val)] if want_d1 else [val]
     mod = np.abs(lam)
     nb = _band(G, mod, t, outs, want_d1) if real else 0
-    # all series start past a band, else at 9.6/|lam|: 1.2 = _PFAFF_T, exactly, for |lam| <= 8
-    switch = np.full(len(lam), _PFAFF_T) if nb else 9.6 / np.maximum(mod, 8.0)
+    # all series start past a band, else at 9.6/|lam| (1.2 = _PFAFF_T, exactly, for |lam| <= 8)
+    # but not before t = 0.05.  Every exponential series settles within _MAX_HC_TERMS terms
+    # from t = ln(1e19) / (2 (_MAX_HC_TERMS - 2)) = 0.0439 on (see _hc_coefficients); 0.05
+    # keeps the default grid's t = 0.05 of `phi --lam 500` on H3 on the Pfaff series, whose
+    # guard fires there, until the term cap grows with |lam| (ROADMAP item 1)
+    switch = np.full(len(lam), _PFAFF_T) if nb else np.maximum(9.6 / np.maximum(mod, 8.0), 0.05)
     radius = 0.64 / max(t.max(initial=0.0), _CIRCLE_T)
     near = np.abs(lam - 1j * np.rint(lam.imag)) < 0.1 * radius
     lo = int(t.searchsorted(switch.min(initial=np.inf), side="right"))

@@ -311,12 +311,33 @@ def test_h3_rows_past_lam_50_meet_closed_form(monkeypatch):
     assert err.max() <= 1e-13
 
 
-@pytest.mark.parametrize("lam", [300.0, 500.0])
-def test_exponential_series_past_its_term_cap_raises_naming_lam(lam):
-    # past about |lam| = 215 on H3 the first column past 9.6/|lam| needs more than 500 terms
-    with pytest.raises(AccuracyError, match=rf"exponential series for phi did not settle within "
-                                            rf"500 terms at lam = {lam!r}, t = "):
-        phi(preset("H3"), lam, T_SWEEP)
+def test_h3_rows_past_lam_192_keep_the_pfaff_series_up_to_t_0_05():
+    # a row past |lam| = 9.6 / 0.05 = 192 keeps the Pfaff series and its guard up to t = 0.05,
+    # past the 0.0439 from which the exponential series settles: within 1e-10 of Xi while the
+    # guard passes, and a named error from |lam| of about 372
+    G = preset("H3")
+    for lam, t in ((300.0, 0.04), (1000.0, 0.015)):
+        assert abs(phi(G, lam, t) - h3_closed_form([lam], [t])[0, 0]) <= 1e-10 * xi_h3(t), lam
+    err = np.abs(phi(G, 300.0, T_SWEEP) - h3_closed_form([300.0], T_SWEEP)[0]) / xi_h3(T_SWEEP)
+    assert err.max() <= 1e-10
+    with pytest.raises(AccuracyError, match=r"Pfaff series for phi loses too many digits at "
+                                            r"lam = 500\.0, t = 0\.049"):
+        phi(G, 500.0, T_SWEEP)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_exponential_series_settles_from_phis_least_switch_point(name):
+    # |a_k| is at most the running peak its terms are read against, so x^(k-1) < 1e-19 at
+    # k = 500 - 1 settles every side from t = 0.0439, below phi's floor of 0.05 for the switch
+    # point; on H3, where every a_k is 1, t = 0.04 does not
+    G = preset(name)
+    sides = np.array([0.0, 300.0, -1000.0, 1e4, 5.0 + 2.0j, 40.0 - 3.5j])
+    t_min = math.log(1e19) / (2.0 * (spherical._MAX_HC_TERMS - 2))
+    spherical._hc_coefficients(G, sides, np.full(len(sides), math.exp(-2.0 * t_min)), sides)
+    if name == "H3":
+        with pytest.raises(AccuracyError, match=r"exponential series for phi did not settle "
+                                                r"within 500 terms at lam = 300\.0, t = "):
+            spherical._hc_coefficients(G, sides[1:2], np.full(1, math.exp(-0.08)), sides[1:2])
 
 
 def test_pfaff_guard_fires_on_the_ode_oracles_seed():
@@ -910,11 +931,11 @@ def test_band_points_are_held_for_rule_nodes_only(monkeypatch):
 
 
 def test_failing_band_names_the_callers_lam(monkeypatch):
-    # the exponential series does not settle from t = 0.04 past |lam| of about 215 on H3, for
-    # the band's points too: the block then goes without the band and names its own row
+    # the Pfaff series' guard fires at t = 0.04 from |lam| of about 458 on H3, for the band's
+    # points too: the block then goes without the band and names its own row
     widths = record_band_widths(monkeypatch)
-    lams = np.linspace(0.0, 300.3, 2001)
-    with pytest.raises(AccuracyError, match=r"exponential series.*t = 0\.04") as err:
+    lams = np.linspace(0.0, 600.3, 2001)
+    with pytest.raises(AccuracyError, match=r"Pfaff series.*t = 0\.04:") as err:
         phi(preset("H3"), lams, np.array([0.04, 1.0]))
     assert widths == [0, 0]  # the band's points were tried, and the block went on without them
     named = float(re.search(r"lam = ([0-9.e+-]+),", str(err.value)).group(1))
