@@ -327,9 +327,9 @@ def test_h3_rows_past_lam_192_keep_the_pfaff_series_up_to_t_0_05():
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_exponential_series_settles_from_phis_least_switch_point(name):
-    # |a_k| is at most the running peak its terms are read against, so x^(k-1) < 1e-19 at
-    # k = 500 - 1 settles every side from t = 0.0439, below phi's floor of 0.05 for the switch
-    # point; on H3, where every a_k is 1, t = 0.04 does not
+    # |a_k| is at most the running peak its terms are read against, so x^(k-1) < 1e-19 for a
+    # k below the cap of 500 settles every side: from t = ln(1e19) / 996 = 0.0439, below phi's
+    # floor of 0.05 for the switch point; on H3, where every a_k is 1, t = 0.04 does not
     G = preset(name)
     sides = np.array([0.0, 300.0, -1000.0, 1e4, 5.0 + 2.0j, 40.0 - 3.5j])
     t_min = math.log(1e19) / (2.0 * (spherical._MAX_HC_TERMS - 2))
