@@ -340,11 +340,10 @@ def timed(criterion) -> CriterionOutcome:
     return outcome
 
 
-def run_all(echo=print) -> list[CriterionOutcome]:
+def run_all() -> list[CriterionOutcome]:
+    """Run every criterion in turn, printing its row as it finishes."""
     outcomes = []
     for criterion in CRITERIA:
-        outcome = timed(criterion)
-        outcomes.append(outcome)
-        if echo is not None:
-            echo(outcome.row())
+        outcomes.append(timed(criterion))
+        print(outcomes[-1].row())
     return outcomes

@@ -398,7 +398,7 @@ def _run_roundtrip(cfg: RunConfig) -> dict:
 
 
 def _run_accept(cfg: RunConfig) -> int:
-    outcomes = acceptance.run_all(echo=print)
+    outcomes = acceptance.run_all()
     n_fail = sum(not o.passed for o in outcomes)
     print(f"\n{len(outcomes) - n_fail}/{len(outcomes)} acceptance criteria passed")
     if cfg.output.path is not None:

@@ -38,17 +38,13 @@ def gaussian_profile(G: GroupDatum, width: float = 1.0, scale: float = 1.0) -> R
     def f(t):
         return scale * np.exp(-width * t * t)
 
-    def d1(t):
-        return -2.0 * width * t * f(t)
-
-    def d2(t):
-        return (4.0 * width * width * t * t - 2.0 * width) * f(t)
+    def derivs(t, k):
+        return (-2.0 * width * t if k == 1 else 4.0 * width * width * t * t - 2.0 * width) * f(t)
 
     return RadialProfile(
         eval=f,
         decay=ExpDecay(coeff=coeff, rate=rate, degree=0),
-        d1=d1,
-        d2=d2,
+        derivs=derivs,
         label=f"gauss(w={width})",
     )
 
@@ -64,18 +60,14 @@ def cosh_profile(G: GroupDatum, power: float | None = None) -> RadialProfile:
     def f(t):
         return np.cosh(t) ** (-q)
 
-    def d1(t):
-        return -q * np.tanh(t) * f(t)
-
-    def d2(t):
+    def derivs(t, k):
         th = np.tanh(t)
-        return (q * q * th * th - q * (1.0 - th * th)) * f(t)
+        return (-q * th if k == 1 else q * q * th * th - q * (1.0 - th * th)) * f(t)
 
     return RadialProfile(
         eval=f,
         decay=ExpDecay(coeff=2.0**q, rate=q, degree=0),
-        d1=d1,
-        d2=d2,
+        derivs=derivs,
         label=f"cosh^-{q}",
     )
 
@@ -95,12 +87,10 @@ def xi_poly_profile(G: GroupDatum, p: int = 3) -> RadialProfile:
     def f(t):
         return xi(G, t) * (1.0 + t) ** (-p)
 
-    def d1(t):
-        return np.real(phi_d1(G, 0.0, t)) * (1.0 + t) ** (-p) - p * xi(G, t) * (1.0 + t) ** (
-            -p - 1
-        )
-
-    def d2(t):
+    def derivs(t, k):
+        if k == 1:
+            return (np.real(phi_d1(G, 0.0, t)) * (1.0 + t) ** (-p)
+                    - p * xi(G, t) * (1.0 + t) ** (-p - 1))
         return (
             np.real(phi_d2(G, 0.0, t)) * (1.0 + t) ** (-p)
             - 2.0 * p * np.real(phi_d1(G, 0.0, t)) * (1.0 + t) ** (-p - 1)
@@ -110,8 +100,7 @@ def xi_poly_profile(G: GroupDatum, p: int = 3) -> RadialProfile:
     return RadialProfile(
         eval=f,
         decay=ExpDecay(coeff=2.0, rate=G.rho, degree=1 - p),
-        d1=d1,
-        d2=d2,
+        derivs=derivs,
         label=f"xi*(1+t)^-{p}",
     )
 

@@ -7,8 +7,8 @@ at the far end of the grid the window is extended (up to a cap) and the
 report flags the boundary saturation that remains.  Derivatives are
 reduced to radial ones of order <= 2, which is what the radial Casimir
 needs.  The tube check probes the forward transform at lam = x + i y for
-|y| <= epsilon * rho, the symmetric spectral tube degenerating to the
-real axis at epsilon = 0.
+|y| <= half_width = epsilon * rho, the symmetric spectral tube degenerating
+to the real axis at epsilon = 0.
 """
 
 from __future__ import annotations
@@ -186,28 +186,27 @@ def image_membership(G: GroupDatum, A: SpectralFunction) -> MembershipReport:
 
 
 # ---------------------------------------------------------------------------
-# tube evaluation (spectral strip |Im lam| <= epsilon * rho)
+# tube evaluation (spectral strip |Im lam| <= half_width)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TubeSpec:
-    """Symmetric spectral tube |Im lam| <= half_width = epsilon * rho."""
+    """Symmetric spectral tube |Im lam| <= half_width."""
 
-    epsilon: float
     half_width: float
 
     def __post_init__(self):
-        _real_scalar(self.epsilon, "TubeSpec", "epsilon")
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise DomainError("tube epsilon must lie in [0, 1]")
         _real_scalar(self.half_width, "TubeSpec", "half_width")
         if not (0.0 <= self.half_width < math.inf):
             raise DomainError(f"tube half_width must be finite and >= 0, got {self.half_width}")
 
     @classmethod
     def for_group(cls, G: GroupDatum, epsilon: float) -> "TubeSpec":
+        """The tube of half_width = epsilon * rho, epsilon in [0, 1]."""
         _real_scalar(epsilon, "TubeSpec.for_group", "epsilon")
-        return cls(epsilon=epsilon, half_width=epsilon * G.rho)
+        if not (0.0 <= epsilon <= 1.0):  # NaN fails
+            raise DomainError(f"tube epsilon must lie in [0, 1], got {epsilon!r}")
+        return cls(half_width=epsilon * G.rho)
 
 
 @dataclass(frozen=True)
@@ -225,19 +224,17 @@ def tube_extension_check(
     f: RadialProfile,
     tube: TubeSpec,
     q: QuadratureSpec = DEFAULT_QUAD,
-    xs: np.ndarray | None = None,
 ) -> TubeReport:
-    """Evaluate Hf on a small grid of the spectral tube and sanity-check it.
+    """Evaluate Hf on the grid x = -3, -2, ..., 3 of the spectral tube and sanity-check it.
 
-    Requires decay strictly stronger than e^{-(1+eps) rho t} (1+t)^-2 so
+    Requires decay strictly stronger than e^{-(rho + half_width) t} (1+t)^-2 so
     every strip integral converges absolutely.  The row y = 0 is the
-    forward transform on the real grid; with epsilon = 0 it is the only row.
+    forward transform on the real grid; with half_width = 0 it is the only row.
     The off-axis points are one :func:`hc_transform_at` call on one panel
-    tree, each point to its own tolerance.  ``xs`` must be a grid that
-    :func:`hc_transform` accepts.
+    tree, each point to its own tolerance.
     """
-    _require_schwartz(f, (1.0 + tube.epsilon) * G.rho, "tube-check profile")
-    axis = hc_transform(G, f, np.linspace(-3.0, 3.0, 7) if xs is None else xs, q)
+    _require_schwartz(f, G.rho + tube.half_width, "tube-check profile")
+    axis = hc_transform(G, f, np.linspace(-3.0, 3.0, 7), q)
     xs = axis.spectral.grid
     steps = [0.0] if tube.half_width == 0.0 else [-1.0, -0.5, 0.0, 0.5, 1.0]
     ys = np.array(steps) * tube.half_width

@@ -92,7 +92,7 @@ def truncation_point(decay: ExpDecay, abs_tol: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and budget policy for every integral in the package.
+    """Tolerance policy for every integral in the package.
 
     Half-line integrals stop at :func:`truncation_point` of their decay
     envelope and ``abs_tol``.
@@ -100,7 +100,6 @@ class QuadratureSpec:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_subdivisions: int = 4096
 
     def __post_init__(self):
         _real_scalar(self.rel_tol, "QuadratureSpec", "rel_tol")
@@ -110,9 +109,6 @@ class QuadratureSpec:
             raise DomainError(f"rel_tol must be finite and at least 1e-14, got {self.rel_tol}")
         if not 0 < self.abs_tol < math.inf:
             raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if not (isinstance(self.max_subdivisions, (int, np.integer))
-                and 0 < self.max_subdivisions <= 2**20):
-            raise DomainError("max_subdivisions must be an integer in (0, 2^20]")
 
     def tolerance(self, value_scale):
         """max(abs_tol, rel_tol |value_scale|), elementwise for an array."""
@@ -202,6 +198,8 @@ def composite_nodes(lo: float, hi: float, n_panels: int, rule: tuple[np.ndarray,
 
 # the first estimate of integrate_interval is on this many equal panels, in one call
 _START_PANELS = 4
+# integrate_interval raises AccuracyError once it has split this many panels
+_MAX_SUBDIVISIONS = 4096
 # bounds below half the largest float keep every panel sum a + b finite
 _MAX_BOUND = 0.5 * np.finfo(float).max
 
@@ -235,7 +233,7 @@ def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD
     (n_comp, n_t).  Returns (value, err_est), scalars or arrays of shape
     (n_comp,), with err_est_k <= max(abs_tol, rel_tol*|value_k|) for every
     component k; raises AccuracyError with the partial values attached once
-    ``max_subdivisions`` panels were split.  ``f`` is called once on the nodes
+    ``_MAX_SUBDIVISIONS`` panels were split.  ``f`` is called once on the nodes
     of _START_PANELS equal panels of [lo, hi], and then once per round, on the
     halves of every panel it splits: the fewest with the worst err_k / s_k (s_k
     the tolerance of component k's first estimate) that leave the others' errors
@@ -248,7 +246,7 @@ def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD
                           f"got lo = {lo!r}, hi = {hi!r}")
     if not lo < hi:
         raise DomainError(f"need lo < hi, got lo = {lo!r}, hi = {hi!r}")
-    budget = q.max_subdivisions
+    budget = _MAX_SUBDIVISIONS
     edges = np.arange(_START_PANELS + 1.0) * ((hi - lo) / _START_PANELS) + lo  # np.linspace's
     edges[-1] = hi
     a, b = edges[:-1], edges[1:]
@@ -262,7 +260,7 @@ def integrate_interval(f, lo: float, hi: float, q: QuadratureSpec = DEFAULT_QUAD
         if (value_err <= tol).all():
             return value, value_err
         if budget == 0:
-            raise AccuracyError(f"subdivision budget {q.max_subdivisions} exhausted "
+            raise AccuracyError(f"subdivision budget {_MAX_SUBDIVISIONS} exhausted "
                                 f"(value ~{value}, err_est ~{np.max(value_err):.3e})",
                                 value=value, err_est=value_err)
         worst = np.argsort(-np.atleast_2d(err / scale[..., None]).max(axis=0), kind="stable")

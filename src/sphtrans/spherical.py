@@ -30,8 +30,8 @@ is real: phi = 2 Re(c(lam) Phi_lam), one side summed.  A row leaves the Pfaff se
 9.6/|lam| (1.2 for |lam| <= 8), where its terms stay below e^9.6 and so cancel no more than
 roundoff times that, but not before t = 0.05, past the 0.0439 from which every exponential
 series settles within ``_MAX_HC_TERMS`` terms.  The Pfaff series at a fixed t estimates its
-lost digits and raises AccuracyError naming lam past 1e-10 of Xi (from |lam| of about 372
-on H3).
+lost digits and raises AccuracyError naming lam past 1e-10 of e^{-rho t}, Xi's lower bound
+(from |lam| of about 371.5 on H3).
 phi_lam is entire in lam (Koornwinder 1984).  Near lam = i*k (integer k), where the two
 terms cancel, a row is the trapezoid-rule Cauchy integral over a small circle about ik
 (Trefethen & Weideman 2014), whose points are ordinary rows of the same product.  A real
@@ -64,7 +64,7 @@ __all__ = [
 _MAX_HC_TERMS = 500
 # a series grows by this many terms past its first chunk
 _CHUNK = 25
-# the Pfaff series fails once roundoff times its largest term passes 1e-10 Xi(t),
+# the Pfaff series fails once roundoff times its largest term passes 1e-10 e^{-rho t},
 # and c_log once roundoff on its five log terms passes 1e-10
 _LOST_DIGITS_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
@@ -79,7 +79,7 @@ _CIRCLE_T = 64.0
 # plain columns are panels of one node, at offset 0 from their mid
 _NO_OFFSET = np.zeros(1)
 # an exponential-series group of whole panels holds about this many entries: one 51-node
-# panel for a packet table's 241-320 rows
+# panel for 161 to 321 sides, as for the 241 rows of a table on the default 481-point grid
 _GROUP_ENTRIES = 1 << 14
 # radial panels divide every cutoff T (a multiple of 4), so rules share their first nodes
 _T_PANEL = 2.0
@@ -101,14 +101,13 @@ class RadialProfile:
     functions.  ``decay`` is an envelope bound: of the function itself for
     the shipped profiles, and for a wave packet of the exact packet, which
     the evaluated one matches to its roundoff floor (see
-    :func:`sphtrans.transform.wave_packet`).  Derivatives of
-    order 1 and 2 come from ``d1`` and ``d2``, evaluated at t >= 0.
+    :func:`sphtrans.transform.wave_packet`).  The derivative of order
+    k = 1 or 2 comes from ``derivs(t, k)``, evaluated at t >= 0.
     """
 
     eval: Callable
     decay: ExpDecay
-    d1: Callable
-    d2: Callable
+    derivs: Callable
     label: str = ""
 
     def __call__(self, t):
@@ -119,13 +118,13 @@ class RadialProfile:
         return np.asarray(out)
 
     def deriv(self, t, k: int):
-        """k-th derivative at t (k <= 2): d1 continued oddly, d2 evenly."""
+        """k-th derivative at t (k <= 2): order 1 continued oddly, order 2 evenly."""
         if k == 0:
             return self(t)
         if k not in (1, 2):
             raise DomainError("only derivative orders 0, 1, 2 are supported")
         t_arr = _real_array(t, "a radial profile")
-        out = np.asarray((self.d1 if k == 1 else self.d2)(np.abs(t_arr)))
+        out = np.asarray(self.derivs(np.abs(t_arr), k))
         out = np.sign(t_arr) * out if k == 1 else out
         return out if np.ndim(t) else complex(out.reshape(()))
 
@@ -186,7 +185,8 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
     not meaningful.  Its terms for :func:`_grow` are |C_n| u^n times the tail factor
     1 + u/(1 - u) at its largest own u, read against 1e-17 (the first chunk is sized for
     1e-21: |C_n| reaches 1e3 at |lam| = 8).  Roundoff times the largest term is what
-    cancellation costs; past 1e-10 of the bound on |phi|, or unsettled after ``_MAX_HC_TERMS``
+    cancellation costs; past 1e-10 of e^{|Im lam| t} e^{-rho t}, below the bound
+    e^{|Im lam| t} Xi(t) on |phi| as Xi(t) >= e^{-rho t}, or unsettled after ``_MAX_HC_TERMS``
     terms (from t of about 1.9), the row raises AccuracyError.
     """
     t_star = np.full(len(lam), t.max()) if own is None else np.where(own, t, 0.0).max(axis=1)
@@ -207,19 +207,18 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
 
     coef, stop = _grow(fill, len(lam), 1e-21, float(u_max.max(initial=0.0)))
     coef = np.ascontiguousarray(coef.T)  # C-contiguous: BLAS rounds a transposed operand otherwise
-    # |phi_lam(t)| <= e^{|Im lam| t} Xi(t) and Xi(t) >= e^{-rho t}: only
-    # rows past the cheap bound need Xi itself
+    # |phi_lam(t)| <= e^{|Im lam| t} Xi(t), read against Xi's lower bound e^{-rho t}
     env = np.exp(np.abs(lam.imag) * t_star)
     lost = _EPS * peak * np.cosh(t_star) ** (lam.imag - G.rho) / env
-    for i in (~(lost <= _LOST_DIGITS_TOL * np.exp(-G.rho * t_star))).nonzero()[0]:
-        xi_t = _pfaff_series(G, np.zeros(1), t_star[i:i + 1], None, False)[0].real[0, 0]
-        if not lost[i] <= _LOST_DIGITS_TOL * xi_t:
-            raise AccuracyError(
-                f"Pfaff series for phi loses too many digits at lam = {_lam_text(lam[i])}, "
-                f"t = {float(t_star[i])!r}: roundoff {lost[i] * env[i]:.2e} exceeds "
-                f"{_LOST_DIGITS_TOL:g} of the bound e^(|Im lam| t) Xi(t) = {env[i] * xi_t:.2e}",
-                err_est=lost[i] * env[i],
-            )
+    floor = np.exp(-G.rho * t_star)
+    for i in (~(lost <= _LOST_DIGITS_TOL * floor)).nonzero()[0][:1]:
+        raise AccuracyError(
+            f"Pfaff series for phi loses too many digits at lam = {_lam_text(lam[i])}, "
+            f"t = {float(t_star[i])!r}: roundoff {lost[i] * env[i]:.2e} exceeds "
+            f"{_LOST_DIGITS_TOL:g} of e^(|Im lam| t) e^(-rho t) = {env[i] * floor[i]:.2e}, "
+            f"the lower bound of e^(|Im lam| t) Xi(t)",
+            err_est=lost[i] * env[i],
+        )
     for i in (stop < 0).nonzero()[0][:1]:
         raise AccuracyError(f"Pfaff series for phi did not settle within {_MAX_HC_TERMS} terms "
                             f"at lam = {_lam_text(lam[i])}, t = {float(t_star[i])!r}")

@@ -200,7 +200,6 @@ class TransformResult:
 
     spectral: SpectralFunction
     err_est: np.ndarray
-    group: GroupDatum
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +320,8 @@ def _forward_envelope(G: GroupDatum, decay: ExpDecay, strip: float = 0.0) -> Exp
 
 
 def _radial_cutoff(G: GroupDatum, decay: ExpDecay, abs_tol: float) -> float:
-    """hc_transform's truncation T for a profile of envelope ``decay``, in steps of 4
-    so that tables are shared."""
+    """hc_transform's truncation T for a profile of envelope ``decay``, in steps of 4: any
+    other step would move every cutoff."""
     return 4.0 * math.ceil(truncation_point(_forward_envelope(G, decay), abs_tol) / 4.0)
 
 
@@ -384,7 +383,7 @@ def hc_transform(
     coeff = float((mags * (1.0 + np.abs(grid)) ** 6.0).max())
     spectral.values = vals_fine
     spectral.decay = SpectralDecay(coeff=1.05 * coeff + 1e-300, power=6.0)
-    return TransformResult(spectral=spectral, err_est=err, group=G)
+    return TransformResult(spectral=spectral, err_est=err)
 
 
 def hc_transform_at(G: GroupDatum, f: RadialProfile, lam, q: QuadratureSpec = DEFAULT_QUAD):
@@ -516,7 +515,8 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     then checked against that envelope plus the floor on the K51 nodes of [0, T], T that
     sigma's cutoff: there :func:`hc_transform` at the default tolerance reads it, and finds
     the values held.  PreconditionError naming the symbol when it has no ``fn``, when
-    sum|charge| passes float range, when no contour shift is usable, or when the packet
+    sum|charge| passes float range, when no contour shift is usable (named apart when every
+    C_sigma passes float range), or when the packet
     leaves the envelope (an ``fn`` that is not the symbol's continuation, or a grid end L
     that cuts the symbol off, named with |a(L)| / max|a|); EvaluationError naming the first
     t there where the packet is not finite (an ``fn`` that is not finite on a node of a
@@ -584,9 +584,10 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
         ladder = _contour_ladder(G, a.fn)
     except TypeError:  # an unhashable fn is not cached
         ladder = _contour_ladder.__wrapped__(G, a.fn)
-    if not ladder:
-        raise PreconditionError(f"wave-packet symbol {name!r} has no usable contour shift: its "
-                                "fn rejects complex input or is not finite on Im nu = sigma")
+    if not ladder or ladder[0][1] == math.inf:
+        why = ("every contour bound C_sigma passes float range" if ladder else "its fn rejects "
+               "complex input, or is not finite or not small at the ends of Im nu = sigma")
+        raise PreconditionError(f"wave-packet symbol {name!r} has no usable contour shift: {why}")
     (T, _), env = _envelope_choice(G, ladder, charge_sum)
     ts = _radial_rule(G, T).nodes  # where hc_transform reads the packet: its table is then held
     vals = np.abs(eval_packet(ts))
@@ -606,8 +607,7 @@ def wave_packet(G: GroupDatum, a: SpectralFunction) -> RadialProfile:
     return RadialProfile(
         eval=eval_packet,
         decay=env,
-        d1=lambda t: packet(_real_array(t, "wave packet"), 1),
-        d2=lambda t: packet(_real_array(t, "wave packet"), 2),
+        derivs=lambda t, k: packet(_real_array(t, "wave packet"), k),
         label=f"psi[{name}]",
     )
 
@@ -636,7 +636,8 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
     |a(-x + i sigma)|, taken as 0 where that is below 1e-20 of its peak on the line; the
     other factors are G's alone (:func:`_contour_factors`).  A sigma is usable when C_sigma
     is finite and the integrand at x = X, the rule's last node, is below ``_CONTOUR_END_TOL``
-    of it.  An ``fn`` that rejects complex input, by TypeError, ValueError or numpy's
+    of it.  When none is, the ladder holds the sigmas that fail only by C_sigma = inf, for the
+    caller to name.  An ``fn`` that rejects complex input, by TypeError, ValueError or numpy's
     ComplexWarning on a cast to real, has none.
     """
     z, weights, factor, done = _contour_factors(G)
@@ -662,7 +663,9 @@ def _contour_ladder(G: GroupDatum, fn) -> tuple[tuple[float, float], ...]:
             done |= new
         integrand = np.where(live, a_abs * factor, 0.0).reshape(len(_SIGMAS), -1)
         C = 2.0 * G.plancherel_constant / G.weyl_order * (integrand @ weights)
-        usable = np.isfinite(C) & (integrand[:, -1] <= _CONTOUR_END_TOL * C)
+        ends = integrand[:, -1] <= _CONTOUR_END_TOL * C  # NaN is not
+        usable = ends & np.isfinite(C)
+    usable = usable if usable.any() else ends  # then every sigma of ends has C_sigma = inf
     return tuple(zip(_SIGMAS[usable].tolist(), C[usable].tolist()))
 
 

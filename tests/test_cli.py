@@ -74,6 +74,14 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "quadrature.rell_tol" in capsys.readouterr().err
 
 
+def test_the_subdivision_budget_is_not_a_config_field(tmp_path, capsys):
+    # it is specfun._MAX_SUBDIVISIONS
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"quadrature": {"max_subdivisions": 4096}}))
+    assert run_cli(["plancherel", "--config", str(cfg)]) == 2
+    assert "unknown config field 'quadrature.max_subdivisions'" in capsys.readouterr().err
+
+
 def test_unknown_preset_rejected(capsys):
     rc = run_cli(["phi", "--preset", "NOPE"])
     assert rc == 2
@@ -483,7 +491,6 @@ def test_out_into_missing_directory_fails_before_computing(tmp_path, monkeypatch
 
 GRID = {"grid.min", "grid.max", "grid.count"}
 TOLS = {"quadrature.rel_tol", "quadrature.abs_tol"}
-QUADRATURE = TOLS | {"quadrature.max_subdivisions"}
 FAMILY_FIELDS = {"gaussian": {"width", "scale"}, "cosh": {"power"}, "xi_poly": {"p"},
                  "wave_packet": {"symbol"}, "counterexample": {"symbol"}}
 # the subcommands each family can be given: a counterexample is spectral, and
@@ -502,8 +509,8 @@ def expected_reads(subcommand, family):
         "cfun": {"preset"} | GRID,
         "transform": {"preset"} | GRID | TOLS | profile,
         "invert": {"preset", "profile.symbol"} | GRID,
-        "plancherel": {"preset", "profile.symbol", "profile.symbol2"} | QUADRATURE,
-        "expansion": {"preset", "profile.symbol", "lams", "eps_ladder"} | QUADRATURE,
+        "plancherel": {"preset", "profile.symbol", "profile.symbol2"} | TOLS,
+        "expansion": {"preset", "profile.symbol", "lams", "eps_ladder"} | TOLS,
         "seminorm": {"preset", "r_values", "k_values"} | profile,
         "membership": {"preset"} | GRID | profile | (set() if family == "counterexample" else TOLS),
         "roundtrip": {"preset", "profile.symbol"} | GRID | TOLS,
@@ -597,7 +604,7 @@ def recording(obj, log, prefix=""):
 
 
 def test_each_runner_reads_every_path_it_declares(monkeypatch, capsys):
-    monkeypatch.setattr(acceptance, "run_all", lambda echo: [])
+    monkeypatch.setattr(acceptance, "run_all", lambda: [])
     for subcommand, command in cli._COMMANDS.items():
         argv = [subcommand]
         if "preset" in command.reads:

@@ -314,7 +314,7 @@ def test_h3_rows_past_lam_50_meet_closed_form(monkeypatch):
 def test_h3_rows_past_lam_192_keep_the_pfaff_series_up_to_t_0_05():
     # a row past |lam| = 9.6 / 0.05 = 192 keeps the Pfaff series and its guard up to t = 0.05,
     # past the 0.0439 from which the exponential series settles: within 1e-10 of Xi while the
-    # guard passes, and a named error from |lam| of about 372
+    # guard passes, and a named error from |lam| of about 371.5
     G = preset("H3")
     for lam, t in ((300.0, 0.04), (1000.0, 0.015)):
         assert abs(phi(G, lam, t) - h3_closed_form([lam], [t])[0, 0]) <= 1e-10 * xi_h3(t), lam
@@ -1005,10 +1005,10 @@ def test_peaked_integrand_splits_its_worst_panels_in_one_call(monkeypatch):
 
 def test_exhausted_budget_takes_few_integrand_calls(monkeypatch):
     calls = count_integrand_calls(monkeypatch)
-    q = specfun.QuadratureSpec(max_subdivisions=4096)
+    assert specfun._MAX_SUBDIVISIONS == 4096
     start = time.process_time()
     with pytest.raises(AccuracyError, match="budget 4096 exhausted"):
-        specfun.integrate_interval(lambda x: np.sin(1e6 * x * x), 0.0, 1.0, q)
+        specfun.integrate_interval(lambda x: np.sin(1e6 * x * x), 0.0, 1.0)
     assert time.process_time() - start < 1.5
     assert sum(calls[1:]) == 2 * 4096
     assert len(calls) <= 100

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from sphtrans.errors import DomainError
-from sphtrans.groups import haar_log_derivative, preset
-from sphtrans.profiles import gaussian_profile
+from sphtrans.groups import PRESET_NAMES, haar_log_derivative, preset
+from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile
 from sphtrans.spherical import (
     log_gamma,
     phi,
@@ -14,6 +14,7 @@ from sphtrans.spherical import (
     phi_d2,
     xi,
 )
+from sphtrans.transform import SpectralDecay, SpectralFunction, default_spectral_grid, wave_packet
 
 from integral_oracle import phi_integral_oracle
 
@@ -155,6 +156,45 @@ def test_radial_profile_evenness_and_decay_check():
     assert np.max(np.abs(f(ts)) / f.decay.bound(ts)) <= 1.0 + 1e-12
     with pytest.raises(DomainError):
         f.deriv(1.0, 3)
+
+
+def _gauss_packet(G):
+    gauss = SpectralFunction.from_function(lambda x: np.exp(-x**2), default_spectral_grid(),
+                                           SpectralDecay(180.0, 8.0), label="gauss")
+    return wave_packet(G, gauss)
+
+
+PROFILES = {"gaussian": gaussian_profile, "cosh": cosh_profile, "xi_poly": xi_poly_profile,
+            "packet": _gauss_packet}
+
+
+def _central_difference(g, t, h):
+    """The fourth-order central difference of g at t, of step h: its truncation error is
+    h^4 g^(5)(s) / 30 for some s within 2 h of t."""
+    return (g(t - 2.0 * h) - 8.0 * g(t - h) + 8.0 * g(t + h) - g(t + 2.0 * h)) / (12.0 * h)
+
+
+@pytest.mark.parametrize("name, family", [(name, family) for name in PRESET_NAMES
+                                          for family in ("gaussian", "cosh", "xi_poly")]
+                         + [("H3", "packet")])
+def test_profile_derivatives_are_derivatives_of_its_values(name, family):
+    # deriv(t, k) against the difference D_h of g = deriv(., k - 1), h = 2e-3.  |D_2h - D_h|
+    # is 15 h^4 |g^(5)| / 30 + O(h^6), so |D_2h - D_h| / 15 estimates D_h's truncation error;
+    # the tolerance is twice that, plus 2 nu / h for the noise nu = 1e-13 max|g| of the
+    # values, which D_h magnifies by 18 / (12 h) and the estimate by 2.25 / (15 h).  Measured:
+    # the error is at most 1.4 times the estimate plus 1.5 eps max|g| / h, and half the tolerance
+    G = preset(name)
+    f = PROFILES[family](G)
+    t, h = np.linspace(0.1, 8.0, 80), 2e-3
+    for k in (1, 2):
+        g = lambda s: f.deriv(s, k - 1)
+        d_h, d_2h = _central_difference(g, t, h), _central_difference(g, t, 2.0 * h)
+        nu = 1e-13 * np.abs(g(np.linspace(0.1 - 4.0 * h, 8.0 + 4.0 * h, 401))).max()
+        tol = 2.0 * np.abs(d_2h - d_h) / 15.0 + 2.0 * nu / h
+        err = np.abs(f.deriv(t, k) - d_h)
+        assert np.all(err <= tol), (k, float(t[np.argmax(err / tol)]))
+    assert np.array_equal(f.deriv(-t, 1), -f.deriv(t, 1))
+    assert np.array_equal(f.deriv(-t, 2), f.deriv(t, 2))
 
 
 # ---------------------------------------------------------------------------

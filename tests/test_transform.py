@@ -19,7 +19,7 @@ from sphtrans.errors import (
 )
 from sphtrans.groups import PRESET_NAMES, GroupDatum, haar_density, haar_log_derivative, preset
 from sphtrans.profiles import cosh_profile, gaussian_profile, xi_poly_profile
-from sphtrans.schwartz import TubeSpec, schwartz_seminorm, tube_extension_check
+from sphtrans.schwartz import TubeSpec, schwartz_seminorm
 from sphtrans.specfun import (DEFAULT_QUAD, ExpDecay, QuadratureSpec, gauss_legendre_rule,
                               integrate_interval)
 from sphtrans.spherical import RadialProfile, phi, phi_d1, phi_d2
@@ -60,7 +60,7 @@ def zero_profile(G):
         return np.zeros_like(np.asarray(t, dtype=float))
 
     return RadialProfile(eval=zero, decay=ExpDecay(1e-300, 2.0 * G.rho + 2.0, 0),
-                         d1=zero, d2=zero, label="zero")
+                         derivs=lambda t, k: zero(t), label="zero")
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,6 @@ def test_hc_transform_output_contracts():
     assert res.spectral.weyl_defect() <= 1e-10
     assert np.max(np.abs(res.spectral.values.imag)) <= 1e-10
     assert np.all(np.isfinite(res.err_est))
-    assert res.group == G
 
 
 @pytest.mark.parametrize("grid, words", [
@@ -192,7 +191,7 @@ def test_pointwise_integrals_reject_a_nan_envelope_naming_coeff():
     # a width-0.05 Gaussian whose envelope coefficient is NaN
     G = preset("H3")
     f = gaussian_profile(G, width=0.05)
-    f = RadialProfile(f.eval, ExpDecay(math.nan, f.decay.rate), f.d1, f.d2)
+    f = RadialProfile(f.eval, ExpDecay(math.nan, f.decay.rate), f.derivs)
     with pytest.raises(DomainError, match="coeff = nan"):
         hc_transform_at(G, f, 1.0)
     with pytest.raises(DomainError, match="coeff = nan"):
@@ -272,7 +271,7 @@ def test_envelope_of_fractional_degree_serves_every_transform():
     # degree's ceiling, and the transforms keep the values they have under degree 0
     G = preset("H3")
     g = gaussian_profile(G)
-    f = RadialProfile(g.eval, ExpDecay(g.decay.coeff, g.decay.rate, 0.5), g.d1, g.d2)
+    f = RadialProfile(g.eval, ExpDecay(g.decay.coeff, g.decay.rate, 0.5), g.derivs)
     res = hc_transform(G, f)
     assert np.all(np.abs(res.spectral.values - hc_transform(G, g).spectral.values)
                   <= DEFAULT_QUAD.tolerance(res.spectral.values))
@@ -547,7 +546,7 @@ def test_hc_transform_fails_on_nan_values():
     G = preset("H3")
     g = gaussian_profile(G)
     nan_tail = RadialProfile(eval=lambda t: np.where(t > 3.0, np.nan, g.eval(t)),
-                             decay=g.decay, d1=g.d1, d2=g.d2)
+                             decay=g.decay, derivs=g.derivs)
     with pytest.raises(AccuracyError, match="failure at 481 samples"):
         hc_transform(G, nan_tail)
 
@@ -827,6 +826,10 @@ def test_symbol_cut_off_by_its_grid_end_names_l_and_the_symbol_there():
         wave_packet(preset("H3"), a)
 
 
+def _huge(x):
+    return 1e308 * np.exp(-(x**2))
+
+
 def _real_only(x):
     if np.iscomplexobj(x):
         raise TypeError("real input only")
@@ -843,8 +846,12 @@ def _real_only(x):
     (lambda G: SpectralFunction(default_spectral_grid(), np.exp(-default_spectral_grid()**2),
                                 SpectralDecay(2.0, 8.0), fn=lambda x: np.full(np.shape(x), np.nan),
                                 label="nan"),
-     r"'nan' has no usable contour shift"),
-], ids=["sampled", "type-error", "complex-cast", "nan-everywhere"])
+     r"'nan' has no usable contour shift: its fn rejects complex input, or is not finite"),
+    # finite on every line Im nu = sigma, with finite charges, but each C_sigma overflows
+    (lambda G: SpectralFunction(default_spectral_grid(), _huge(default_spectral_grid()),
+                                SpectralDecay(2.0, 8.0), fn=_huge, label="huge"),
+     r"'huge' has no usable contour shift: every contour bound C_sigma passes float range"),
+], ids=["sampled", "type-error", "complex-cast", "nan-everywhere", "bounds-past-float-range"])
 def test_wave_packet_without_a_contour_envelope_raises(symbol, message):
     G = preset("H3")
     with pytest.raises(PreconditionError, match=message):
@@ -1066,8 +1073,7 @@ def test_casimir_constant_profile_is_zero():
     flat = type(const)(
         eval=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         decay=ExpDecay(1.0, 2.0, 0),
-        d1=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        derivs=lambda t, k: np.zeros_like(np.asarray(t, dtype=float)),
         label="one",
     )
     assert casimir_radial(G, flat, 1.3) == 0.0
@@ -1083,8 +1089,7 @@ def test_casimir_eigenfunction_identity():
             prof = RadialProfile(
                 eval=lambda t, lam=lam: phi(G, lam, t),
                 decay=ExpDecay(2.0, G.rho, 1),
-                d1=lambda t, lam=lam: phi_d1(G, lam, t),
-                d2=lambda t, lam=lam: phi_d2(G, lam, t),
+                derivs=lambda t, k, lam=lam: (phi_d1 if k == 1 else phi_d2)(G, lam, t),
                 label="phi",
             )
             ts = np.linspace(0.4, 4.0, 10)
@@ -1153,19 +1158,16 @@ GRID7 = np.linspace(-3.0, 3.0, 7)
                  "real grid, got grid = array([-3.+0.j", id="from-function-complex-grid"),
     pytest.param(lambda G, f: hc_transform(G, f, GRID7).spectral(1 + 1j),
                  "real x, got x = (1+1j)", id="spectral-call-complex-x"),
-    pytest.param(lambda G, f: tube_extension_check(G, f, TubeSpec.for_group(G, 0.0),
-                                                   xs=GRID7 + 0j),
-                 "real grid, got grid = array([-3.+0.j", id="tube-complex-xs"),
-    pytest.param(lambda G, f: wave_packet(G, gauss_symbol()).d1(np.array([1 + 1j])),
+    pytest.param(lambda G, f: wave_packet(G, gauss_symbol()).derivs(np.array([1 + 1j]), 1),
                  "wave packet requires real t, got t = array([1.+1.j])", id="packet-d1-complex-t"),
-    pytest.param(lambda G, f: wave_packet(G, gauss_symbol()).d2(1 + 1j),
+    pytest.param(lambda G, f: wave_packet(G, gauss_symbol()).derivs(1 + 1j, 2),
                  "wave packet requires real t, got t = (1+1j)", id="packet-d2-complex-t"),
     # and text raised an untyped ValueError
     pytest.param(lambda G, f: hc_transform(G, f, "x"), "real grid, got grid = 'x'",
                  id="hc_transform-text-grid"),
     pytest.param(lambda G, f: gauss_symbol()("x"), "real x, got x = 'x'",
                  id="spectral-call-text-x"),
-    pytest.param(lambda G, f: wave_packet(G, gauss_symbol()).d1("x"),
+    pytest.param(lambda G, f: wave_packet(G, gauss_symbol()).derivs("x", 1),
                  "wave packet requires real t, got t = 'x'", id="packet-d1-text-t"),
 ])
 def test_a_non_real_or_non_numeric_input_raises_a_domain_error_naming_it(call, named):
@@ -1185,9 +1187,8 @@ def test_a_non_real_or_non_numeric_input_raises_a_domain_error_naming_it(call, n
     pytest.param(lambda G, f, v: gaussian_profile(G, 1.0, v), "scale", id="gaussian-scale"),
     pytest.param(lambda G, f, v: cosh_profile(G, v), "power", id="cosh-power"),
     pytest.param(lambda G, f, v: xi_poly_profile(G, v), "p", id="xi_poly-p"),
-    pytest.param(lambda G, f, v: TubeSpec(v, 1.0), "epsilon", id="tube-epsilon"),
     pytest.param(lambda G, f, v: TubeSpec.for_group(G, v), "epsilon", id="tube-for-group-epsilon"),
-    pytest.param(lambda G, f, v: TubeSpec(0.5, v), "half_width", id="tube-half_width"),
+    pytest.param(lambda G, f, v: TubeSpec(v), "half_width", id="tube-half_width"),
     pytest.param(lambda G, f, v: QuadratureSpec(rel_tol=v), "rel_tol", id="quadrature-rel_tol"),
     pytest.param(lambda G, f, v: QuadratureSpec(abs_tol=v), "abs_tol", id="quadrature-abs_tol"),
 ])
@@ -1293,7 +1294,6 @@ def test_sl2c_shares_the_h3_tables(fresh_phi_cache):
     sl2c = hc_transform(preset("SL2C"), f)
     assert len(transform._PHI_CACHE) == held
     np.testing.assert_array_equal(sl2c.spectral.values, h3.spectral.values)
-    assert sl2c.group.name == "SL2C"
 
 
 def test_rule_caches_stay_at_their_maxsize(monkeypatch):
@@ -1306,7 +1306,7 @@ def test_rule_caches_stay_at_their_maxsize(monkeypatch):
         spherical._rule_nodes(n)
     # expansion_term's transforms, one per profile: a stand-in keeps them cheap
     monkeypatch.setattr(transform, "hc_transform",
-                        lambda G, f, grid, q: TransformResult(None, None, G))
+                        lambda G, f, grid, q: TransformResult(None, None))
     for _ in range(100):
         transform._cached_transform(G, gaussian_profile(G), DEFAULT_QUAD)
     caches = (transform._uniform_rule, transform._radial_rule, gauss_legendre_rule,
