@@ -6,8 +6,11 @@ the spherical functions in this package's normalization (see
 
     phi_lam(t) * e^{rho t}  ->  c(lam) e^{i lam t} + c(-lam) e^{-i lam t}.
 
-Everything is computed in log space and exponentiated once, so Gamma
-ratios never overflow on the spectral windows used here.  The oracle
+The quotient is reduced once per preset by Legendre's duplication formula
+and integer shifts (:func:`sphtrans.spherical._c_reduction`): c(lam) = 1/(i lam)
+on H3 and SL2C, and a ratio of two Gammas times elementary factors on SL2R,
+H4 and CH2.  Everything is computed in log space and exponentiated once, so
+Gamma ratios never overflow on the spectral windows used here.  The oracle
 recovers c(lam) directly from that asymptotic relation by propagating
 the radial differential equation out of the small-t region and fitting
 the two exponentials, which keeps it independent of the Gamma quotient.
@@ -26,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, ConditioningError, DomainError, PoleError
+from .errors import AccuracyError, ConditioningError, DomainError, EvaluationError, PoleError
 from .groups import GroupDatum, haar_log_derivative
-from .spherical import _finite_array, _pfaff_series, c_log, c_value
+from .spherical import _c_from_log, _finite_array, _pfaff_series, c_log
 
 __all__ = [
     "CFit",
@@ -40,28 +43,30 @@ __all__ = [
 
 def c_function(G: GroupDatum, lam):
     """c(lam) as a Gamma quotient for complex lam, a scalar or an array as in
-    :func:`plancherel_density`, each entry bit-equal to the scalar call.  PoleError
-    names the first lam in i*Z>=0 (a pole of Gamma(i lam)), DomainError a lam that is not
-    finite or not a number."""
+    :func:`plancherel_density`, each entry bit-equal to the scalar call.  PoleError names the
+    first lam at a pole of c (in i*Z>=0, see :func:`sphtrans.spherical._c_reduction`), and
+    DomainError a lam that is not finite or not a number."""
     lam_arr = _finite_array(lam, "biufc", "c_function requires finite lam").astype(complex)
     flat = lam_arr.ravel()
-    pole = (flat.real == 0.0) & (flat.imag >= 0.0) & (flat.imag == np.floor(flat.imag))
-    if pole.any():
-        z = complex(flat[np.argmax(pole)])
-        raise PoleError(f"c-function pole at lam = {z} (Gamma(i*lam) pole)", pole=-int(z.imag))
-    out = c_value(G, flat)
+    log_c = c_log(G, flat)
+    for i in np.flatnonzero(log_c.real == np.inf)[:1]:
+        raise PoleError(f"c-function pole at lam = {flat[i]} (i lam = {-int(flat[i].imag)})",
+                        pole=-int(flat[i].imag))
+    out = _c_from_log(log_c)
     return complex(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
 
 
 def plancherel_density(G: GroupDatum, lam):
-    """|c(lam)|^(-2) for real lam; even, nonnegative, and 0 at lam = 0.
-
-    Accepts scalars or arrays.
-    """
+    """|c(lam)|^(-2) for real lam; even, nonnegative, and 0 at lam = 0.  Accepts scalars or
+    arrays; EvaluationError names the first lam whose density is past float range."""
     if np.iscomplexobj(lam):
         raise DomainError(f"plancherel_density requires real lam, got {lam!r}")
     lam_arr = _finite_array(lam, "biuf", "plancherel_density requires finite lam").astype(float)
-    out = np.exp(-2.0 * c_log(G, lam_arr.ravel()).real)
+    with np.errstate(over="ignore"):
+        out = np.exp(-2.0 * c_log(G, lam_arr.ravel()).real)
+    for i in np.flatnonzero(out == np.inf)[:1]:
+        raise EvaluationError(f"plancherel_density leaves float range at lam = "
+                              f"{float(lam_arr.ravel()[i])!r}")
     return float(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
 
 

@@ -42,6 +42,7 @@ of Xi, not bit for bit a scalar call (:func:`_band`).
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -65,7 +66,7 @@ _MAX_HC_TERMS = 500
 # a series grows by this many terms past its first chunk
 _CHUNK = 25
 # the Pfaff series fails once roundoff times its largest term passes 1e-10 e^{-rho t},
-# and c_log once roundoff on its five log terms passes 1e-10
+# and c_log once roundoff on the log terms of its reduced quotient passes 1e-10
 _LOST_DIGITS_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 _LOG_2 = math.log(2.0)
@@ -187,11 +188,14 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
     1e-21: |C_n| reaches 1e3 at |lam| = 8).  Roundoff times the largest term is what
     cancellation costs; past 1e-10 of e^{|Im lam| t} e^{-rho t}, below the bound
     e^{|Im lam| t} Xi(t) on |phi| as Xi(t) >= e^{-rho t}, or unsettled after ``_MAX_HC_TERMS``
-    terms (from t of about 1.9), the row raises AccuracyError.
+    terms (from t of about 1.9), the row raises AccuracyError; so it does, saying so, where its
+    C_n pass float range (from |lam| t of about 10 on H3).
     """
     t_star = np.full(len(lam), t.max()) if own is None else np.where(own, t, 0.0).max(axis=1)
     u_max = np.tanh(t_star) ** 2
-    a, q = 0.5 * (G.rho + 1j * lam), 0.5 * (G.jacobi_alpha - G.jacobi_beta + 1.0 + 1j * lam)
+    # phi_lam(0) = 1: a row that owns t = 0 alone is summed as lam = 0's, whose C_n stay finite
+    il = np.where(t_star > 0.0, 1j * lam, 0.0)
+    a, q = 0.5 * (G.rho + il), 0.5 * (G.jacobi_alpha - G.jacobi_beta + 1.0 + il)
     last, peak = np.ones(len(lam), dtype=complex), np.zeros(len(lam))  # C_n u_max^n, n = k0 - 1
     def fill(C, k0, k1):
         nonlocal last, peak
@@ -211,14 +215,17 @@ def _pfaff_series(G: GroupDatum, lam: np.ndarray, t: np.ndarray, own, want_d1: b
     env = np.exp(np.abs(lam.imag) * t_star)
     lost = _EPS * peak * np.cosh(t_star) ** (lam.imag - G.rho) / env
     floor = np.exp(-G.rho * t_star)
-    for i in (~(lost <= _LOST_DIGITS_TOL * floor)).nonzero()[0][:1]:
-        raise AccuracyError(
-            f"Pfaff series for phi loses too many digits at lam = {_lam_text(lam[i])}, "
-            f"t = {float(t_star[i])!r}: roundoff {lost[i] * env[i]:.2e} exceeds "
-            f"{_LOST_DIGITS_TOL:g} of e^(|Im lam| t) e^(-rho t) = {env[i] * floor[i]:.2e}, "
+    # C_n past float range, where C_n u^n need not be; both, where lost is not finite
+    wide = ~(np.isfinite(coef).all(axis=1) & np.isfinite(lost))
+    for i in (~(lost <= _LOST_DIGITS_TOL * floor) | wide).nonzero()[0][:1]:
+        at = f"at lam = {_lam_text(lam[i])}, t = {float(t_star[i])!r}"
+        raise AccuracyError(  # the terms C_n u^n cannot pass float range unless the C_n do
+            f"Pfaff series for phi leaves float range {at}: its coefficients C_n pass "
+            f"{np.finfo(float).max:.2e}" if wide[i] else
+            f"Pfaff series for phi loses too many digits {at}: roundoff {lost[i] * env[i]:.2e} "
+            f"exceeds {_LOST_DIGITS_TOL:g} of e^(|Im lam| t) e^(-rho t) = {env[i] * floor[i]:.2e}, "
             f"the lower bound of e^(|Im lam| t) Xi(t)",
-            err_est=lost[i] * env[i],
-        )
+            err_est=math.inf if wide[i] else lost[i] * env[i])
     for i in (stop < 0).nonzero()[0][:1]:
         raise AccuracyError(f"Pfaff series for phi did not settle within {_MAX_HC_TERMS} terms "
                             f"at lam = {_lam_text(lam[i])}, t = {float(t_star[i])!r}")
@@ -289,7 +296,7 @@ def _hc_series(G: GroupDatum, sides: np.ndarray, panels, lo: int, t_min: np.ndar
     """
     mid, offsets = panels
     width = len(offsets)
-    weighted_c = weight * c_value(G, sides, names)  # first: it names a lam too large for any digits
+    weighted_c = weight * _c_from_log(c_log(G, sides, names))  # first: it names a lam c cannot take
     mu = 1j * sides - G.rho
     coef = _hc_coefficients(G, sides, np.exp(-2.0 * t_min), names) * weighted_c[:, None]
     blocks = [coef]
@@ -406,49 +413,79 @@ def log_gamma(z) -> np.ndarray:
     return np.where(lower, out.conj(), out).reshape(shape)
 
 
+@functools.lru_cache(maxsize=None)
+def _c_reduction(G: GroupDatum):
+    """c(lam) as K e^(slope z) prod_k f_k(s_k z + a_k)^(e_k), z = i lam: (log K, slope, s, a,
+    [1, e_1, ...], g), with f_k Gamma for the first g k and the identity past them.  From
+
+        c(lam) = 2^(rho - z) Gamma(alpha+1) Gamma(z) / [Gamma(A) Gamma(B)],
+        A = (z + rho)/2,  B = (z + m_alpha/2 + 1)/2,  A - B = (m_2alpha - 1)/2,
+
+    Gamma(B) = Gamma(B + n) / prod_{j<n} (B + j) with n = m_2alpha // 2 brings B to A (m_2alpha
+    odd), and the pair becomes Gamma(A)^2, or to A + 1/2 (m_2alpha even), and Legendre's
+    duplication Gamma(A) Gamma(A + 1/2) = 2^(1 - 2A) sqrt(pi) Gamma(z + rho) (DLMF 5.5.5)
+    takes the 2^-z.  For even m_alpha, Gamma(z) = Gamma(z + N) / prod_{j<N} (z + j) with
+    N = rho - (m_2alpha mod 2) cancels the factors B + j, at its poles, and on m_2alpha even
+    Gamma(z + rho).  So H3 and SL2C read c = 1/z, SL2R Gamma(z) / (sqrt(pi) Gamma(z + 1/2)),
+    H4 4 Gamma(z) / (sqrt(pi) Gamma(z + 3/2)) and CH2 2^(2 - z) Gamma(z + 1) / (z Gamma(z/2 + 1)^2):
+    a pole or zero of any factor is one of c, never both.  Duplicating Gamma(z) on m_2alpha odd
+    instead would leave Gamma(z/2 + 1/2), on log_gamma's shift path near lam = 0."""
+    m1, m2, rho, odd = G.m_alpha, G.m_2alpha, G.rho, G.m_2alpha % 2
+    shift = 0 if m1 % 2 else int(rho) - odd
+    # (is Gamma, s, a) -> e
+    terms = collections.Counter({(True, 1.0, float(shift)): 1})
+    terms[(True, 0.5, rho / 2) if odd else (True, 1.0, rho)] -= 1 + odd
+    terms.update((False, 1.0, m1 / 2 + 1 + 2 * j) for j in range(m2 // 2))
+    terms.subtract((False, 1.0, float(j)) for j in range(shift))
+    # the Gammas first, then the factors: c_log sums their logs in this order, then adds
+    # log K - z log 2, so that the small log Gammas near lam = 0 keep their digits
+    gamma, s, a, e = map(np.array, zip(*sorted((*k, e) for k, e in terms.items() if e)[::-1]))
+    log_k = math.lgamma(G.jacobi_alpha + 1.0) + (rho - m2 // 2) * _LOG_2
+    log_k += 0.0 if odd else (rho - 1.0) * _LOG_2 - 0.5 * _LOG_PI
+    return log_k, -_LOG_2 if odd else 0.0, s[:, None], a[:, None], np.append(1.0, e), sum(gamma)
+
+
 def c_log(G: GroupDatum, lam: np.ndarray, names=None) -> np.ndarray:
-    """log of the rank-one c-function in this normalization, on a finite 1-D ``lam`` array.
+    """log of the rank-one c-function in this normalization, on a finite 1-D ``lam`` array,
+    from its reduced Gamma quotient (:func:`_c_reduction`): no :func:`log_gamma` call on H3
+    and SL2C, and one call of two arguments per lam on SL2R, H4 and CH2.
 
-    c(lam) = 2^(rho - i lam) Gamma(alpha+1) Gamma(i lam)
-             / [Gamma((rho + i lam)/2) Gamma((alpha - beta + 1 + i lam)/2)]
-
-    The three Gamma arguments of every element go through one
-    :func:`log_gamma` call.  The entry is +inf at a pole of c
-    (lam in i*Z>=0) and -inf at a zero (a denominator pole; where both
-    meet the zero wins).  The five log terms grow like |lam| log|lam| and
-    cancel; once roundoff on their sum passes 1e-10 (from |lam| about
-    2.1e4) the result has no digits to spare and AccuracyError names the
-    first such lam, or its entry of ``names`` when given.
+    The entry is +inf at a pole of c and -inf at a zero.  The log Gamma terms grow like
+    |lam| log|lam| and cancel; once roundoff on the sum of the terms passes 1e-10 (from |lam|
+    of about 2.1e4 on SL2R, H4 and CH2; never where no Gamma is left) the result has no
+    digits to spare and AccuracyError names the first such lam, or its entry of ``names``.
     """
-    lam = np.asarray(lam, dtype=complex)
-    # rows: i lam, (rho + i lam)/2, (alpha - beta + 1 + i lam)/2
-    args = np.array([[0.0], [G.rho], [G.jacobi_alpha - G.jacobi_beta + 1.0]]) + 1j * lam
-    args[1:] *= 0.5
-    terms = np.empty((4, len(lam)), dtype=complex)
-    terms[0] = (G.rho - args[0]) * _LOG_2
-    b = math.lgamma(G.jacobi_alpha + 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms fail the guard
-        terms[1:] = log_gamma(args)
-        log_c = terms[0] + b + terms[1] - (terms[2] + terms[3])
-        lost = _EPS * (np.abs(terms.view(float)).reshape(4, -1, 2).sum(axis=(0, 2)) + abs(b))
-    if not (lost <= _LOST_DIGITS_TOL).all():  # too large, or NaN at a Gamma pole
-        pole = (args.imag == 0.0) & (args.real <= 0.0) & (args.real == np.floor(args.real))
-        log_c[pole[0]] = np.inf
-        log_c[pole[1:].any(axis=0)] = -np.inf
-        bad = ~(pole.any(axis=0) | (lost <= _LOST_DIGITS_TOL))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise AccuracyError(
-                f"c-function loses too many digits at lam = "
-                f"{_lam_text((lam if names is None else names)[i])}: roundoff "
-                f"{lost[i]:.2e} on log c exceeds {_LOST_DIGITS_TOL:g}", err_est=float(lost[i])
-            )
+    log_k, slope, s, a, w, g = _c_reduction(G)  # w: 1, then e_k; g Gammas, then factors
+    args = s * (1j * lam) + a
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # fail the guard
+        terms = np.concatenate([(log_k + slope * (1j * lam))[None]]
+                               + ([log_gamma(args[:g])] if g else []) + [np.log(args[g:])])
+        log_c = terms[0] + sum(w_k * term for w_k, term in zip(w[1:], terms[1:]))
+        lost = _EPS * (np.abs(w) @ (np.abs(terms.real) + np.abs(terms.imag)))
+    if not lost.max(initial=0.0) <= _LOST_DIGITS_TOL:  # too large, or NaN at a pole or zero
+        # a Gamma's pole is one of c where e_k > 0, a factor's zero where e_k < 0; their
+        # orders add up
+        gamma = np.arange(len(args))[:, None] < g
+        at = (args.imag == 0.0) & (args.real == np.where(
+            gamma, np.minimum(np.floor(args.real), 0.0), 0.0))
+        order = np.where(gamma[:, 0], w[1:], -w[1:]) @ at
+        log_c[order > 0], log_c[order < 0] = np.inf, -np.inf
+        for i in np.flatnonzero((order == 0) & ~(lost <= _LOST_DIGITS_TOL))[:1]:
+            why = (f"roundoff {lost[i]:.2e} on log c exceeds {_LOST_DIGITS_TOL:g}"
+                   if lost[i] < np.inf else f"its log Gamma terms pass {np.finfo(float).max:.2e}")
+            raise AccuracyError(f"c-function loses too many digits at lam = "
+                                f"{_lam_text((lam if names is None else names)[i])}: {why}",
+                                err_est=float(lost[i]))
     return log_c
 
 
-def c_value(G: GroupDatum, lam: np.ndarray, names=None) -> np.ndarray:
-    """c(lam) on a finite 1-D ``lam`` array; 0 at the denominator poles."""
-    return np.exp(c_log(G, lam, names))
+def _c_from_log(log_c: np.ndarray) -> np.ndarray:
+    """c from :func:`c_log`'s log c by quarter turns: e^(log c - i k pi/2) i^k, k the integer
+    nearest Im log c / (pi/2) in [-4, 4], so that c = 1/(i lam) of H3 and SL2C has no real part
+    on real lam, which exp's cos of pi/2 rounded, 6.1e-17, would give it: 1e3 roundoffs of phi
+    at lam = 1e-3, whose two sides cancel."""
+    k = np.clip(np.rint(log_c.imag / (0.5 * np.pi)), -4.0, 4.0)
+    return np.exp(log_c - 0.5j * np.pi * k) * 1j ** k
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,9 +10,15 @@ from sphtrans.cfunction import (
     c_function,
     plancherel_density,
 )
-from sphtrans.errors import AccuracyError, ConditioningError, DomainError, PoleError
-from sphtrans.groups import PRESET_NAMES, preset
-from sphtrans.spherical import c_value, phi
+from sphtrans.errors import (
+    AccuracyError,
+    ConditioningError,
+    DomainError,
+    EvaluationError,
+    PoleError,
+)
+from sphtrans.groups import PRESET_NAMES, GroupDatum, preset
+from sphtrans.spherical import _CIRCLE, phi
 
 PRESETS = ("SL2R", "H3", "H4", "CH2")
 _WINDOW = {"SL2R": 25.0, "SL2C": 12.0, "H3": 12.0, "H4": 10.0, "CH2": 8.0}
@@ -127,11 +135,17 @@ def test_density_continuity_near_origin():
 
 
 # ---------------------------------------------------------------------------
-# the array c-function: one log_gamma call per block
+# the array c-function from its reduced Gamma quotient
 # ---------------------------------------------------------------------------
 
+# the presets, and two data whose reduction keeps the most: Gamma(z) / Gamma(z/2 + 3/4)^2 on
+# (1, 1), and on (4, 3) Gamma(z + 4) over three factors and Gamma(z/2 + 5/2)^2, z = i lam
+DATA = [preset(name) for name in PRESET_NAMES] + [GroupDatum("(1, 1)", 1, 1),
+                                                  GroupDatum("(4, 3)", 4, 3)]
+
+
 def _mp_c(G, lam):
-    """c(lam) as the Gamma quotient, in 30-digit arithmetic."""
+    """c(lam) as the unreduced Gamma quotient, in 30-digit arithmetic."""
     with mpmath.workdps(30):
         il = 1j * mpmath.mpc(lam)
         num = mpmath.mpf(2) ** (G.rho - il) * mpmath.gamma(G.jacobi_alpha + 1) * mpmath.gamma(il)
@@ -148,11 +162,54 @@ def test_c_block_matches_mpmath_gamma_quotient(name):
     strip = rng.uniform(0.05, 50.0, 30) + 1j * rng.uniform(-G.rho, G.rho, 30)
     lam = np.concatenate([real, -real, strip])
     exact = np.array([_mp_c(G, z) for z in lam])
-    rel = np.abs(c_value(G, lam) - exact) / np.abs(exact)
+    rel = np.abs(c_function(G, lam) - exact) / np.abs(exact)
     # the lost-digits guard admits up to 1e-10 on log c near |lam| = 2e4
     assert rel.max() <= 1e-10
     assert rel[np.abs(lam) <= 50.0].max() <= 1e-12
-    assert c_function(G, 2.5) == c_value(G, np.array([2.5]))[0]
+    assert c_function(G, 2.5) == c_function(G, np.array([2.5]))[0]
+
+
+@pytest.mark.parametrize("G", DATA, ids=lambda G: G.name)
+def test_reduced_c_meets_the_gamma_quotient_at_30_digits(G):
+    # real bands up to 2e3, a strip, and the Cauchy circles of radius 0.64 / 152 about 0 and i
+    # that phi's rows take on t up to 152; log Gamma's roundoff grows like |lam| log|lam|
+    circle = 0.64 / 152 * _CIRCLE
+    real = np.geomspace(1e-3, 2e3, 40)
+    lam = np.concatenate([real, -real, np.linspace(0.5, 20.0, 12) + 0.5j * G.rho, circle,
+                          1j + circle])
+    exact = np.array([_mp_c(G, z) for z in lam])
+    rel = np.abs(c_function(G, lam) - exact) / np.abs(exact)
+    assert np.all(rel <= 1e-14 + 2.5e-15 * np.abs(lam))
+    if (G.m_alpha, G.m_2alpha) == (2, 0):  # H3 and SL2C: c = 1/(i lam), no Gamma left
+        assert rel.max() <= 1e-15
+
+
+# the poles and zeros of c on lam = i k / 2, k = 0, ..., 12, as i lam; mpmath finds the same
+TRUE_POLES = {"SL2R": (range(7), np.arange(0.5, 6.0)), "SL2C": ([0], []), "H3": ([0], []),
+              "H4": (range(7), np.arange(1.5, 6.0)), "CH2": ([0, 1, 3, 5], [2, 4, 6])}
+
+
+@pytest.mark.parametrize("G", DATA, ids=lambda G: G.name)
+def test_c_raises_at_its_poles_and_is_zero_at_its_zeros_as_mpmath_has_them(G):
+    # mpmath's limit of the unreduced quotient along lam + 1e-20: past 1e12 at a pole of c,
+    # below 1e-12 at a zero; poles of Gamma(i lam) that its denominator cancels are neither
+    poles, zeros = [], []
+    for k in range(13):
+        lam = 0.5j * k
+        ref = _mp_c(G, lam + 1e-20)
+        if abs(ref) > 1e12:
+            poles.append(k / 2)
+            text = re.escape(f"c-function pole at lam = {lam} ")
+            with pytest.raises(PoleError, match=text) as err:
+                c_function(G, lam)
+            assert err.value.pole == -k // 2
+        elif abs(ref) < 1e-12:
+            zeros.append(k / 2)
+            assert c_function(G, lam) == 0.0
+        else:
+            assert abs(c_function(G, lam) - ref) <= 1e-14 * abs(ref)
+    if G.name in TRUE_POLES:
+        assert (poles, zeros) == tuple(list(map(float, ks)) for ks in TRUE_POLES[G.name])
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -173,50 +230,52 @@ def test_c_block_is_bit_equal_to_pointwise_calls(name):
     assert c_function(G, np.array([])).shape == (0,)
 
 
-@pytest.mark.parametrize("lam, text, pole", [
-    (np.array([1.0, 0.0, 2.0, 3j]), "lam = 0j", 0),
-    (np.array([0.5, 2j, 1j]), "lam = 2j", -2),
+@pytest.mark.parametrize("name, lam, text, pole", [
+    ("H3", np.array([1.0, 0.0, 2.0, 3j]), "lam = 0j", 0),
+    ("SL2R", np.array([0.5, 2j, 1j]), "lam = 2j", -2),
 ])
-def test_c_block_raises_at_its_first_pole(lam, text, pole):
+def test_c_block_raises_at_its_first_pole(name, lam, text, pole):
     with pytest.raises(PoleError, match=f"c-function pole at {text} ") as err:
-        c_function(preset("H3"), lam)
+        c_function(preset(name), lam)
     assert err.value.pole == pole
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_c_is_zero_at_denominator_poles_and_raises_at_numerator_poles(name):
-    G = preset(name)
-    k = np.arange(4.0)
-    poles = 1j * np.concatenate([2 * k + G.rho, 2 * k + G.jacobi_alpha - G.jacobi_beta + 1.0])
-    assert np.all(c_value(G, poles) == 0.0)
-    for lam in poles:
-        if lam.imag != round(lam.imag):  # not also a pole of Gamma(i lam)
-            assert c_function(G, lam) == 0.0
-    for n in range(4):
-        with pytest.raises(PoleError) as err:
-            c_function(G, 1j * n)
-        assert err.value.pole == -n
-
-
-@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_guard_names_the_large_lam_in_a_block(name):
+    # from |lam| = 2.136e4 where a Gamma ratio is left; H3 and SL2C keep c = 1/(i lam)
     G = preset(name)
     block = np.array([0.5, 1.0, 3e4, 2.0, 5e4])
-    for fn in (plancherel_density, c_value):
+    if (G.m_alpha, G.m_2alpha) == (2, 0):
+        np.testing.assert_allclose(plancherel_density(G, block), block**2, rtol=1e-15)
+        return
+    for fn in (plancherel_density, c_function):
         with pytest.raises(AccuracyError, match=r"c-function loses too many digits at lam = 30000\.0:"):
             fn(G, block)
 
 
 @pytest.mark.parametrize("lam", [1e306, 1.7e308, -1e306])
 def test_huge_lam_raises_accuracy_error_not_a_warning(lam):
-    # Tier-1 turns warnings into errors: an overflow inside log Gamma would fail here
-    G = preset("H3")
+    # Tier-1 turns warnings into errors: an overflow inside log Gamma would fail here; on
+    # SL2R, whose Gamma ratio has no digits left there
+    G = preset("SL2R")
     text = f"lam = {lam!r}:"
     for call in (lambda: phi(G, lam, 1.0), lambda: c_function(G, lam),
                  lambda: plancherel_density(G, lam),
                  lambda: plancherel_density(G, np.array([2.0, lam]))):
-        with pytest.raises(AccuracyError, match=text.replace("+", r"\+")):
+        with pytest.raises(AccuracyError, match=text.replace("+", r"\+")) as err:
             call()
+        assert not re.search(r"\b(nan|inf)\b", str(err.value))  # a number, past float range
+
+
+@pytest.mark.parametrize("lam", [1e306, 1.7e308, -1e306])
+def test_huge_lam_on_h3_has_its_c_and_a_typed_error_for_its_density(lam):
+    # c = 1/(i lam) cancels nothing, and keeps all but exp's roundoff on log c, about -705,
+    # that is 705 eps; the density lam^2 is past float range, named, and not a warning
+    G = preset("H3")
+    assert abs(c_function(G, lam) - 1.0 / (1j * lam)) <= 2e-13 * abs(1.0 / lam)
+    for arg in (lam, np.array([2.0, lam])):
+        with pytest.raises(EvaluationError, match=re.escape(f"float range at lam = {lam!r}")):
+            plancherel_density(G, arg)
 
 
 @pytest.mark.parametrize("lam", [2.0 + 1.0j, 3.0 + 0.0j, np.array([1.0, 2.0 + 0.5j])])

@@ -34,7 +34,8 @@ def h3_closed_form(lam, t):
     st = np.where(t == 0.0, 1.0, t / np.where(t == 0.0, 1.0, np.sinh(t)))  # t / sinh t
     lt = lam * t
     small = np.abs(lt) < 1e-8
-    sinc = np.where(small, 1.0 - lt**2 / 6.0, np.sin(lt) / np.where(small, 1.0, lt))
+    sinc = np.where(small, 1.0 - np.where(small, lt, 0.0) ** 2 / 6.0,
+                    np.sin(lt) / np.where(small, 1.0, lt))
     return sinc * st
 
 
@@ -348,32 +349,49 @@ def test_pfaff_guard_fires_on_the_ode_oracles_seed():
         asymptotic_c_oracle(preset("SL2R"), 40.0, 25.0)
 
 
-@pytest.mark.parametrize("lam", [10.0**k for k in range(1, 19)] + [2000.0, 1e300])
+@pytest.mark.parametrize("lam", [10.0**k for k in range(1, 19)] + [2000.0, 1e300, 1.7e308])
 def test_large_lam_is_accurate_or_raises(lam):
     # relative to min(Xi(t), 1/(lam sinh t)), the envelope of sin(lam t)/(lam sinh t) on
-    # H3; a Pfaff row owning only t = 0 or 1e-9 must not fail, only the c-function guard
+    # H3, whose c = 1/(i lam) has no digits to lose; a Pfaff row owning only t = 0 must not
+    # fail; one owning t = 1e-9 may, from lam t = 10, where its coefficients leave float
+    # range, and the exponential series may at 1.7e308, where its recurrence does
     for t in ([1.0], [0.0, 1.0], [1e-9, 1.0]):
         t = np.array(t)
         try:
             val = phi(preset("H3"), lam, t)
         except AccuracyError as err:
-            assert lam > 2e4 and "c-function loses too many digits at lam = " in str(err)
+            text = str(err)
+            assert (lam * t[t > 0.0].min() >= 10.0 and text.startswith(
+                f"Pfaff series for phi leaves float range at lam = {lam!r}, t = 1e-09: its ")
+                or lam == 1.7e308 and text.startswith(
+                    f"exponential series for phi did not settle within 500 terms at lam = {lam!r}")
+            ), text
             continue
         env = xi_h3(t) / np.maximum(1.0, lam * t)
         assert np.all(np.abs(val - h3_closed_form([lam], t)[0]) <= 1e-10 * env), t
 
 
+@pytest.mark.parametrize("lam", [1e10, 1e12])
+def test_pfaff_series_past_float_range_says_so(lam):
+    # lam t = 10 and 1000 at t = 1e-9: C_n passes float range, and at 1000 C_n u^n as well
+    with pytest.raises(AccuracyError, match=re.escape(
+            f"Pfaff series for phi leaves float range at lam = {lam!r}, t = 1e-09: its "
+            "coefficients C_n pass 1.80e+308")):
+        phi(preset("H3"), lam, np.array([1e-9, 1.0]))
+
+
 @pytest.mark.parametrize("lam", [1e18, 1e300])
 def test_c_function_guard_fires_where_its_digits_are_gone(lam):
+    # on SL2R, whose c keeps a Gamma ratio; H3's c = 1/(i lam) has no digits to lose
     with pytest.raises(AccuracyError, match=r"c-function loses too many digits at lam = "):
-        phi(preset("H3"), lam, 1.0)
+        phi(preset("SL2R"), lam, 1.0)
 
 
 @pytest.mark.parametrize("lam", [1e5j, 1e306j])
 def test_c_function_guard_names_the_callers_lam_near_iz(lam):
-    # the row lies on i*Z, so its series runs on a Cauchy circle about it
+    # the row lies on i*Z, so its series runs on a Cauchy circle about it; on SL2R, as above
     with pytest.raises(AccuracyError, match=re.escape(f"at lam = {lam!r}:")):
-        phi(preset("H3"), lam, 1.0)
+        phi(preset("SL2R"), lam, 1.0)
 
 
 @pytest.mark.parametrize("fn", [phi, phi_d1])
@@ -940,9 +958,10 @@ def test_failing_band_names_the_callers_lam(monkeypatch):
     assert widths == [0, 0]  # the band's points were tried, and the block went on without them
     named = float(re.search(r"lam = ([0-9.e+-]+),", str(err.value)).group(1))
     assert named in lams
-    # a bound on the points past float range means no band, not an error of its own
+    # a bound on the points past float range means no band, not an error of its own; on
+    # SL2R, whose c-function guard names the large lam (H3's c = 1/(i lam) has none)
     with pytest.raises(AccuracyError, match=r"c-function loses too many digits at lam = 1e\+306"):
-        phi(preset("H3"), np.append(np.linspace(0.0, 12.0, 300), 1e306), np.array([1.0]))
+        phi(preset("SL2R"), np.append(np.linspace(0.0, 12.0, 300), 1e306), np.array([1.0]))
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,9 @@ def test_two_runs_print_identical_counts_per_op_kind():
         assert " calls; phi " in line and "; c_log " in line and "; log_gamma " in line
     # a pointwise transform is one phi call of one row on the 124 nodes of four K31 panels
     assert "; phi 1 calls, 1 rows, 124 entries;" in lines[0]
+    # every op runs on H3, whose reduced c = 1/(i lam) takes no log Gamma
+    for line in lines:
+        assert line.endswith("; log_gamma 0 calls, 0 rows, 0 entries"), line
 
 
 def test_a_held_round_trip_round_builds_no_table():
