@@ -413,7 +413,7 @@ def log_gamma(z) -> np.ndarray:
     return np.where(lower, out.conj(), out).reshape(shape)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _c_reduction(G: GroupDatum):
     """c(lam) as K e^(slope z) prod_k f_k(s_k z + a_k)^(e_k), z = i lam: (log K, slope, s, a,
     [1, e_1, ...], g), with f_k Gamma for the first g k and the identity past them.  From

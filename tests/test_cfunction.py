@@ -182,6 +182,8 @@ def test_reduced_c_meets_the_gamma_quotient_at_30_digits(G):
     assert np.all(rel <= 1e-14 + 2.5e-15 * np.abs(lam))
     if (G.m_alpha, G.m_2alpha) == (2, 0):  # H3 and SL2C: c = 1/(i lam), no Gamma left
         assert rel.max() <= 1e-15
+        # imaginary on the real axis, as phi's two sides at lam = 1e-3 need to cancel 1e3-fold
+        assert np.all(c_function(G, np.concatenate([real, -real])).real == 0.0)
 
 
 # the poles and zeros of c on lam = i k / 2, k = 0, ..., 12, as i lam; mpmath finds the same
