@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import AccuracyError, ConditioningError, DomainError, EvaluationError, PoleError
 from .groups import GroupDatum, haar_log_derivative
-from .spherical import _c_from_log, _finite_array, _pfaff_series, c_log
+from .spherical import _c_from_log, _finite_array, _lam_text, _pfaff_series, c_log
 
 __all__ = [
     "CFit",
@@ -44,15 +44,17 @@ __all__ = [
 def c_function(G: GroupDatum, lam):
     """c(lam) as a Gamma quotient for complex lam, a scalar or an array as in
     :func:`plancherel_density`, each entry bit-equal to the scalar call.  PoleError names the
-    first lam at a pole of c (in i*Z>=0, see :func:`sphtrans.spherical._c_reduction`), and
-    DomainError a lam that is not finite or not a number."""
+    first lam at a pole of c (in i*Z>=0, see :func:`sphtrans.spherical._c_reduction`),
+    EvaluationError the first whose c is past float range (next to a pole), and DomainError a
+    lam that is not finite or not a number."""
     lam_arr = _finite_array(lam, "biufc", "c_function requires finite lam").astype(complex)
     flat = lam_arr.ravel()
     log_c = c_log(G, flat)
     for i in np.flatnonzero(log_c.real == np.inf)[:1]:
         raise PoleError(f"c-function pole at lam = {flat[i]} (i lam = {-int(flat[i].imag)})",
                         pole=-int(flat[i].imag))
-    out = _c_from_log(log_c)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf times i^k: NaN and inf parts
+        out = _in_float_range(_c_from_log(log_c), flat, "c_function")
     return complex(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
 
 
@@ -62,12 +64,17 @@ def plancherel_density(G: GroupDatum, lam):
     if np.iscomplexobj(lam):
         raise DomainError(f"plancherel_density requires real lam, got {lam!r}")
     lam_arr = _finite_array(lam, "biuf", "plancherel_density requires finite lam").astype(float)
+    flat = lam_arr.ravel()
     with np.errstate(over="ignore"):
-        out = np.exp(-2.0 * c_log(G, lam_arr.ravel()).real)
-    for i in np.flatnonzero(out == np.inf)[:1]:
-        raise EvaluationError(f"plancherel_density leaves float range at lam = "
-                              f"{float(lam_arr.ravel()[i])!r}")
+        out = _in_float_range(np.exp(-2.0 * c_log(G, flat).real), flat, "plancherel_density")
     return float(out[0]) if lam_arr.ndim == 0 else out.reshape(lam_arr.shape)
+
+
+def _in_float_range(out: np.ndarray, lam: np.ndarray, who: str) -> np.ndarray:
+    """``out``; EvaluationError naming the first entry of ``lam`` whose entry of out is infinite."""
+    for i in np.flatnonzero(np.isinf(out))[:1]:
+        raise EvaluationError(f"{who} leaves float range at lam = {_lam_text(lam[i])}")
+    return out
 
 
 _ODE_T0 = 1.2  # the oracle's ODE starts from the Pfaff series here

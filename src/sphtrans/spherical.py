@@ -465,10 +465,9 @@ def c_log(G: GroupDatum, lam: np.ndarray, names=None) -> np.ndarray:
     if not lost.max(initial=0.0) <= _LOST_DIGITS_TOL:  # too large, or NaN at a pole or zero
         # a Gamma's pole is one of c where e_k > 0, a factor's zero where e_k < 0; their
         # orders add up
-        gamma = np.arange(len(args))[:, None] < g
-        at = (args.imag == 0.0) & (args.real == np.where(
-            gamma, np.minimum(np.floor(args.real), 0.0), 0.0))
-        order = np.where(gamma[:, 0], w[1:], -w[1:]) @ at
+        at = (args.imag == 0.0) & (args.real == np.minimum(np.floor(args.real), 0.0))
+        at[g:] = args[g:] == 0.0
+        order = np.append(w[1:g + 1], -w[g + 1:]) @ at
         log_c[order > 0], log_c[order < 0] = np.inf, -np.inf
         for i in np.flatnonzero((order == 0) & ~(lost <= _LOST_DIGITS_TOL))[:1]:
             why = (f"roundoff {lost[i]:.2e} on log c exceeds {_LOST_DIGITS_TOL:g}"

@@ -282,6 +282,15 @@ def test_huge_lam_on_h3_has_its_c_and_a_typed_error_for_its_density(lam):
             plancherel_density(G, arg)
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_c_past_float_range_next_to_its_pole_is_named(name):
+    # c(lam) ~ 1/(i lam) times a constant near the pole at 0 on every preset: past float range
+    # at 1e-310, a typed error, where numpy warned of an overflow in exp
+    with pytest.raises(EvaluationError, match=re.escape(
+            "c_function leaves float range at lam = 1e-310")):
+        c_function(preset(name), np.array([1.0, 1e-310]))
+
+
 @pytest.mark.parametrize("lam", [2.0 + 1.0j, 3.0 + 0.0j, np.array([1.0, 2.0 + 0.5j])])
 def test_density_rejects_complex_lam(lam):
     with pytest.raises(DomainError, match="plancherel_density requires real lam"):
